@@ -51,15 +51,12 @@ from .errors import (
     QuasiStaticFailure,
     RankDeficientConstraint,
     ScenarioError,
-    SolverFailure,
 )
 from .manifolds import (
     CompositeManifold,
     Manifold,
     Rotation2D,
-    Rotation3D,
     VectorSpace,
-    planar_free_flyer,
 )
 from .problem import ShootingProblem, gap_l2_norm
 from .scenarios import (
@@ -113,12 +110,10 @@ __all__ = [
     "QuasiStaticFailure",
     "RankDeficientConstraint",
     "Rotation2D",
-    "Rotation3D",
     "Scenario",
     "ScenarioError",
     "ShootingProblem",
     "SolveReport",
-    "SolverFailure",
     "SolverWorkspace",
     "StateRegularization",
     "TerminalActionModel",
@@ -143,7 +138,6 @@ __all__ = [
     "load_and_build",
     "load_scenario",
     "make_cost_term",
-    "planar_free_flyer",
     "quasi_static_control",
     "solve",
 ]

@@ -8,7 +8,7 @@ are discretized with a semi-implicit (symplectic) Euler step, linear flows with
 an explicit Euler step so their discrete Jacobians are exact.
 
 Models are immutable after construction; each evaluation writes into a separate
-data container so distinct nodes can be processed concurrently.
+data container, so one model can serve many nodes.
 """
 
 from __future__ import annotations
@@ -216,11 +216,7 @@ class ConstrainedMechanicalDynamics(DifferentialDynamics):
 
         dtau_du = S
         da0_du = np.zeros((ws.nf, nu))
-        y_x, y_u, g_x, g_u = contact_dynamics_derivatives(
-            ws, dtau_dx, dtau_du, da0_dx, da0_du
-        )
-        data.dyn["force_x"] = g_x
-        data.dyn["force_u"] = g_u
+        y_x, y_u, _, _ = contact_dynamics_derivatives(ws, dtau_dx, dtau_du, da0_dx, da0_du)
         return y_x[:, :nv], y_x[:, nv:], y_u
 
     def _jc(self, q):
@@ -467,7 +463,7 @@ class ImpulseActionModel(ActionModelBase):
             ws.dr1_dq = numdiff.jacobian(row_momentum, q, input_manifold=sys.config)
             ws.dr2_dq = numdiff.jacobian(row_closure, q, input_manifold=sys.config)
 
-        dvp_dq, dvp_dv, dimp_dq, dimp_dv = impulse_dynamics_derivatives(ws)
+        dvp_dq, dvp_dv, _, _ = impulse_dynamics_derivatives(ws)
         data.f_x = np.block(
             [
                 [np.eye(nv), np.zeros((nv, nv))],
@@ -475,7 +471,6 @@ class ImpulseActionModel(ActionModelBase):
             ]
         )
         data.f_u = np.zeros((self.ndx, 0))
-        data.dyn["impulse_x"] = np.hstack([dimp_dq, dimp_dv])
         self._cost_derivatives(data, x, u, 1.0)
         return data
 

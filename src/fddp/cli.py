@@ -9,12 +9,13 @@ Three subcommands share the scenario loader:
 * ``check-derivatives`` compares every distinct node model's analytic
   derivative blocks (f_x, f_u, l_x, l_u) against central finite differences
   at seeded random points.
-* ``bench`` times solver iterations across worker counts, reporting the
-  median and 95th-percentile wall time per iteration with the derivative
-  phase broken out.
+* ``bench`` times solver iterations, reporting the median and
+  95th-percentile wall time per iteration with the derivative phase broken
+  out.
 
-Exit codes: 0 converged / all checks passed, 2 iteration budget exhausted,
-3 solver failure, 4 I/O error, 5 configuration or validation error.
+Exit codes: 0 converged / all checks passed, 1 derivative check failed,
+2 iteration budget exhausted, 3 solver failure, 4 I/O error, 5 configuration
+or validation error (including a malformed command line).
 """
 
 from __future__ import annotations
@@ -128,8 +129,6 @@ def _solver_settings(scenario, args) -> dict:
         opts["max_iters"] = args.max_iters
     if getattr(args, "tol", None) is not None:
         opts["tolerance"] = args.tol
-    if getattr(args, "threads", None) is not None:
-        opts["threads"] = args.threads
     return opts
 
 
@@ -152,7 +151,6 @@ def cmd_solve(args) -> int:
             solver=opts["solver"],
             max_iters=opts["max_iters"],
             tolerance=opts["tolerance"],
-            threads=opts["threads"],
         )
         wall = time.perf_counter() - t0
     except DimensionMismatch as exc:
@@ -165,7 +163,6 @@ def cmd_solve(args) -> int:
         "solver": opts["solver"],
         "max_iters": opts["max_iters"],
         "tolerance": opts["tolerance"],
-        "threads": opts["threads"],
         "termination": report.termination,
         "iterations": report.iterations,
         "final_cost": report.final_cost,
@@ -312,53 +309,37 @@ def cmd_check_derivatives(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def run_bench(scenario, problem, X0, U0, thread_counts, trials):
-    """Time solver iterations per worker count; returns rows of statistics."""
+def run_bench(scenario, problem, X0, U0, trials):
+    """Time solver iterations over `trials` solves; returns one row of statistics."""
     opts = scenario.solver_options
-    rows = []
-    for threads in thread_counts:
-        iter_samples = []
-        deriv_samples = []
-        iterations = 0
-        for _ in range(trials):
-            _, _, report = solve(
-                problem,
-                X0,
-                U0,
-                solver=opts["solver"],
-                max_iters=opts["max_iters"],
-                tolerance=opts["tolerance"],
-                threads=threads,
-            )
-            iter_samples.extend(report.iter_times)
-            deriv_samples.extend(report.deriv_times)
-            iterations = report.iterations
-        iter_arr = np.asarray(iter_samples) if iter_samples else np.zeros(1)
-        deriv_arr = np.asarray(deriv_samples) if deriv_samples else np.zeros(1)
-        rows.append(
-            {
-                "threads": threads,
-                "trials": trials,
-                "iterations": iterations,
-                "median_iter_s": float(np.median(iter_arr)),
-                "p95_iter_s": float(np.percentile(iter_arr, 95)),
-                "median_deriv_s": float(np.median(deriv_arr)),
-                "p95_deriv_s": float(np.percentile(deriv_arr, 95)),
-            }
+    iter_samples = []
+    deriv_samples = []
+    iterations = 0
+    for _ in range(trials):
+        _, _, report = solve(
+            problem,
+            X0,
+            U0,
+            solver=opts["solver"],
+            max_iters=opts["max_iters"],
+            tolerance=opts["tolerance"],
         )
-    return rows
+        iter_samples.extend(report.iter_times)
+        deriv_samples.extend(report.deriv_times)
+        iterations = report.iterations
+    iter_arr = np.asarray(iter_samples) if iter_samples else np.zeros(1)
+    deriv_arr = np.asarray(deriv_samples) if deriv_samples else np.zeros(1)
+    return {
+        "trials": trials,
+        "iterations": iterations,
+        "median_iter_s": float(np.median(iter_arr)),
+        "p95_iter_s": float(np.percentile(iter_arr, 95)),
+        "median_deriv_s": float(np.median(deriv_arr)),
+        "p95_deriv_s": float(np.percentile(deriv_arr, 95)),
+    }
 
 
 def cmd_bench(args) -> int:
-    try:
-        thread_counts = [int(t) for t in args.threads.split(",") if t.strip()]
-    except ValueError:
-        print(f"error: --threads must be a comma-separated list of integers, got {args.threads!r}",
-              file=sys.stderr)
-        return EXIT_CONFIG
-    if not thread_counts or any(t < 1 for t in thread_counts):
-        print("error: --threads needs at least one positive worker count", file=sys.stderr)
-        return EXIT_CONFIG
     if args.trials < 1:
         print("error: --trials must be >= 1", file=sys.stderr)
         return EXIT_CONFIG
@@ -371,15 +352,12 @@ def cmd_bench(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    rows = run_bench(scenario, problem, X0, U0, thread_counts, args.trials)
-    fieldnames = ["threads", "trials", "iterations", "median_iter_s", "p95_iter_s",
-                  "median_deriv_s", "p95_deriv_s"]
+    row = run_bench(scenario, problem, X0, U0, args.trials)
 
     def emit(fh):
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
+        writer = csv.DictWriter(fh, fieldnames=list(row))
         writer.writeheader()
-        for row in rows:
-            writer.writerow({k: (repr(v) if isinstance(v, float) else v) for k, v in row.items()})
+        writer.writerow({k: (repr(v) if isinstance(v, float) else v) for k, v in row.items()})
 
     if args.out:
         try:
@@ -415,8 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="override the scenario's solver choice")
     p_solve.add_argument("--max-iters", type=int, default=None, dest="max_iters")
     p_solve.add_argument("--tol", type=float, default=None)
-    p_solve.add_argument("--threads", type=int, default=None,
-                         help="derivative evaluation workers")
     p_solve.add_argument("--out", default="out", help="output directory (default: ./out)")
     p_solve.set_defaults(func=cmd_solve)
 
@@ -427,10 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--seed", type=int, default=0)
     p_check.set_defaults(func=cmd_check_derivatives)
 
-    p_bench = sub.add_parser("bench", help="per-iteration timing across worker counts")
+    p_bench = sub.add_parser("bench", help="median and p95 wall time per solver iteration")
     p_bench.add_argument("--scenario", required=True)
-    p_bench.add_argument("--threads", default="1",
-                         help="comma-separated worker counts, e.g. 1,2,4,8")
     p_bench.add_argument("--trials", type=int, default=3)
     p_bench.add_argument("--out", default=None, help="write the table here instead of stdout")
     p_bench.set_defaults(func=cmd_bench)
@@ -439,7 +413,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed the usage message; its status 2 for a usage
+        # error would read here as "iteration budget exhausted".
+        return EXIT_CONFIG if exc.code == 2 else exc.code
     return args.func(args)
 
 

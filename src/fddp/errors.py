@@ -64,6 +64,3 @@ class ScenarioError(FddpError, ValueError):
         super().__init__(message if location is None else f"{location}: {message}")
         self.location = location
 
-
-class SolverFailure(FddpError, RuntimeError):
-    """The solve loop gave up (regularization cap reached or non-finite data)."""

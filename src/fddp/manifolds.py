@@ -10,8 +10,8 @@ arrays of size ``ndx``. Every manifold implements the four operators
 
 with the right-handed convention: on a rotation group,
 integrate(x, dx) = x * exp(dx) and difference(x0, x1) = log(x0^-1 * x1).
-Rotations are stored as unit quaternions (w, x, y, z) in points and as
-axis-angle vectors in tangents; every integrate renormalizes its result.
+Planar rotations are stored as one angle wrapped into (-pi, pi], and their
+tangents as the angle increment.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ class Manifold(ABC):
     def jdifference(self, x0, x1) -> tuple[np.ndarray, np.ndarray]: ...
 
     def normalize(self, x) -> np.ndarray:
-        """Map coordinates to their normal form (unit quaternions, wrapped angles)."""
+        """Map coordinates to their normal form (wrapped angles)."""
         return self.check_point(x)
 
     # -- sampling (deterministic given the rng state) ----------------------
@@ -162,179 +162,13 @@ class Rotation2D(Manifold):
         return "Rotation2D()"
 
 
-# -- quaternion helpers (w, x, y, z layout) --------------------------------
-
-
-def _quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
-    return np.array(
-        [
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw,
-        ]
-    )
-
-
-def _quat_conj(q: np.ndarray) -> np.ndarray:
-    return np.array([q[0], -q[1], -q[2], -q[3]])
-
-
-def _quat_exp(w: np.ndarray) -> np.ndarray:
-    theta = np.linalg.norm(w)
-    if theta < 1e-8:
-        # sin(t/2)/t and cos(t/2) to second order
-        s = 0.5 - theta * theta / 48.0
-        c = 1.0 - theta * theta / 8.0
-    else:
-        s = np.sin(0.5 * theta) / theta
-        c = np.cos(0.5 * theta)
-    q = np.empty(4)
-    q[0] = c
-    q[1:] = s * w
-    return q / np.linalg.norm(q)
-
-
-def _lexicographic_flip(axis: np.ndarray) -> np.ndarray:
-    # Of {axis, -axis} return the lexicographically larger one.
-    for component in axis:
-        if component > 0.0:
-            return axis
-        if component < 0.0:
-            return -axis
-    return axis
-
-
-def _quat_log(q: np.ndarray) -> np.ndarray:
-    q = q / np.linalg.norm(q)
-    if q[0] < 0.0:
-        q = -q
-    vec = q[1:]
-    vn = np.linalg.norm(vec)
-    if q[0] < 1e-12:
-        # Half-turn: both signs of the axis encode the same rotation, pick one.
-        axis = _lexicographic_flip(vec / vn)
-        return np.pi * axis
-    if vn < 1e-9:
-        return vec * (2.0 / q[0]) * (1.0 - (vn / q[0]) ** 2 / 3.0)
-    return vec * (2.0 * np.arctan2(vn, q[0]) / vn)
-
-
-def _skew(w: np.ndarray) -> np.ndarray:
-    return np.array(
-        [
-            [0.0, -w[2], w[1]],
-            [w[2], 0.0, -w[0]],
-            [-w[1], w[0], 0.0],
-        ]
-    )
-
-
-def _rotation_matrix(q: np.ndarray) -> np.ndarray:
-    w, x, y, z = q
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
-    )
-
-
-def _right_jacobian(w: np.ndarray) -> np.ndarray:
-    theta2 = float(w @ w)
-    theta = np.sqrt(theta2)
-    S = _skew(w)
-    if theta < 1e-5:
-        c1 = 0.5 - theta2 / 24.0
-        c2 = 1.0 / 6.0 - theta2 / 120.0
-    else:
-        c1 = (1.0 - np.cos(theta)) / theta2
-        c2 = (theta - np.sin(theta)) / (theta2 * theta)
-    return np.eye(3) - c1 * S + c2 * (S @ S)
-
-
-def _right_jacobian_inv(w: np.ndarray) -> np.ndarray:
-    theta2 = float(w @ w)
-    theta = np.sqrt(theta2)
-    S = _skew(w)
-    if theta < 1e-5:
-        c = 1.0 / 12.0 + theta2 / 720.0
-    else:
-        c = 1.0 / theta2 - (1.0 + np.cos(theta)) / (2.0 * theta * np.sin(theta))
-    return np.eye(3) + 0.5 * S + c * (S @ S)
-
-
-class Rotation3D(Manifold):
-    """Spatial rotations: unit quaternion points, axis-angle tangents.
-
-    difference() returns the principal-branch logarithm (angle in [0, pi]);
-    at exactly a half turn the axis sign is chosen lexicographically so
-    antipodal inputs map to a deterministic result.
-    """
-
-    nx = 4
-    ndx = 3
-
-    def neutral(self) -> np.ndarray:
-        return np.array([1.0, 0.0, 0.0, 0.0])
-
-    def normalize(self, x) -> np.ndarray:
-        x = self.check_point(x)
-        n = np.linalg.norm(x)
-        if n == 0.0:
-            raise DimensionMismatch("zero quaternion cannot be normalized")
-        return x / n
-
-    def integrate(self, x, dx) -> np.ndarray:
-        x = self.check_point(x)
-        dx = self.check_tangent(dx)
-        q = _quat_mul(x, _quat_exp(dx))
-        return q / np.linalg.norm(q)
-
-    def difference(self, x0, x1) -> np.ndarray:
-        x0 = self.check_point(x0)
-        x1 = self.check_point(x1)
-        return _quat_log(_quat_mul(_quat_conj(x0), x1))
-
-    def jintegrate(self, x, dx):
-        self.check_point(x)
-        dx = self.check_tangent(dx)
-        return _rotation_matrix(_quat_exp(dx)).T, _right_jacobian(dx)
-
-    def jdifference(self, x0, x1):
-        d = self.difference(x0, x1)
-        j_inv = _right_jacobian_inv(d)
-        return -j_inv.T, j_inv
-
-    def random_point(self, rng: np.random.Generator) -> np.ndarray:
-        q = rng.standard_normal(4)
-        return q / np.linalg.norm(q)
-
-    def random_tangent(self, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-        w = scale * rng.standard_normal(3)
-        n = np.linalg.norm(w)
-        if n >= 0.99 * np.pi:
-            w *= 0.9 * np.pi / n
-        return w
-
-    def __eq__(self, other):
-        return isinstance(other, Rotation3D)
-
-    def __repr__(self):
-        return "Rotation3D()"
-
-
 class CompositeManifold(Manifold):
     """Cartesian product of manifolds; coordinates and tangents concatenate."""
 
-    def __init__(self, parts: list[Manifold], label: str | None = None):
+    def __init__(self, parts: list[Manifold]):
         if not parts:
             raise DimensionMismatch("composite manifold needs at least one part")
         self.parts = list(parts)
-        self.label = label
         self.nx = sum(p.nx for p in parts)
         self.ndx = sum(p.ndx for p in parts)
         self._x_slices: list[slice] = []
@@ -410,54 +244,3 @@ class CompositeManifold(Manifold):
     def __repr__(self):
         inner = ", ".join(repr(p) for p in self.parts)
         return f"CompositeManifold([{inner}])"
-
-
-def planar_free_flyer() -> CompositeManifold:
-    """Planar floating-base placement: R^2 translation x wrapped heading angle."""
-    return CompositeManifold([VectorSpace(2), Rotation2D()], label="free_flyer_planar")
-
-
-# -- config (de)serialization ----------------------------------------------
-
-
-def manifold_from_config(spec) -> Manifold:
-    """Build a manifold from its JSON-compatible description.
-
-    Accepted kinds: {"kind": "vector", "dim": n}, {"kind": "rotation2d"},
-    {"kind": "rotation3d"}, {"kind": "free_flyer_planar"},
-    {"kind": "composite", "parts": [...]}.
-    """
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise DimensionMismatch(f"manifold config must be a dict with 'kind', got {spec!r}")
-    kind = spec["kind"]
-    if kind == "vector":
-        dim = spec.get("dim")
-        if not isinstance(dim, int) or dim < 0:
-            raise DimensionMismatch(f"vector manifold needs integer 'dim' >= 0, got {dim!r}")
-        return VectorSpace(dim)
-    if kind == "rotation2d":
-        return Rotation2D()
-    if kind == "rotation3d":
-        return Rotation3D()
-    if kind == "free_flyer_planar":
-        return planar_free_flyer()
-    if kind == "composite":
-        parts = spec.get("parts")
-        if not isinstance(parts, list) or not parts:
-            raise DimensionMismatch("composite manifold needs a non-empty 'parts' list")
-        return CompositeManifold([manifold_from_config(p) for p in parts])
-    raise DimensionMismatch(f"unknown manifold kind {kind!r}")
-
-
-def manifold_to_config(m: Manifold) -> dict:
-    if isinstance(m, VectorSpace):
-        return {"kind": "vector", "dim": m.nx}
-    if isinstance(m, Rotation2D):
-        return {"kind": "rotation2d"}
-    if isinstance(m, Rotation3D):
-        return {"kind": "rotation3d"}
-    if isinstance(m, CompositeManifold):
-        if m.label == "free_flyer_planar":
-            return {"kind": "free_flyer_planar"}
-        return {"kind": "composite", "parts": [manifold_to_config(p) for p in m.parts]}
-    raise DimensionMismatch(f"cannot serialize manifold {m!r}")

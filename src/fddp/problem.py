@@ -10,8 +10,6 @@ state at node 0).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 from .action import ActionData, ActionModelBase
@@ -93,29 +91,19 @@ class ShootingProblem:
             raise NumericalFailure("non-finite total cost", node=self.N)
         return cost, gaps
 
-    def calc_diff(self, X, U, datas=None, threads: int = 1):
-        """Evaluate all node derivatives at the guess.
+    def calc_diff(self, X, U, datas=None):
+        """Evaluate all node derivatives at the guess, node by node in order.
 
-        Nodes are independent, so with threads > 1 the per-node work is spread
-        over a thread pool; every worker writes only its own node's data
-        container, keeping results identical to the sequential order.
+        Each node writes only its own data container; a numerical failure is
+        re-raised with the index of the node that produced it.
         """
         self.check_trajectories(X, U)
         running, terminal = (datas or (self.datas, self.terminal_data))[:2]
-
-        def node(k: int):
+        for k, model in enumerate(self.running_models):
             try:
-                self.running_models[k].calc_diff(running[k], X[k], U[k])
+                model.calc_diff(running[k], X[k], U[k])
             except NumericalFailure as exc:
                 raise NumericalFailure(str(exc), node=k) from exc
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                for future in [pool.submit(node, k) for k in range(self.N)]:
-                    future.result()
-        else:
-            for k in range(self.N):
-                node(k)
         self.terminal_model.calc_diff(terminal, X[self.N])
         return running, terminal
 

@@ -47,7 +47,6 @@ DEFAULT_SOLVER_OPTIONS = {
     "solver": "fddp",
     "max_iters": 100,
     "tolerance": 1e-9,
-    "threads": 1,
 }
 
 
@@ -284,18 +283,25 @@ def load_scenario(path) -> Scenario:
     if policy == "file" and "path" not in warm_start:
         raise ScenarioError("file warm start needs a 'path'", location="warm_start.path")
 
+    solver_field = data.get("solver", {})
+    if not isinstance(solver_field, dict):
+        raise ScenarioError("solver must be an object", location="solver")
+    for key in solver_field:
+        if key not in DEFAULT_SOLVER_OPTIONS:
+            raise ScenarioError(
+                f"unknown field {key!r}; expected one of {', '.join(DEFAULT_SOLVER_OPTIONS)}",
+                location=f"solver.{key}",
+            )
     solver_options = dict(DEFAULT_SOLVER_OPTIONS)
-    solver_options.update(data.get("solver", {}))
+    solver_options.update(solver_field)
     if solver_options["solver"] not in ("ddp", "fddp"):
         raise ScenarioError(
             f"unknown solver {solver_options['solver']!r}", location="solver.solver"
         )
-    if not isinstance(solver_options["max_iters"], int) or solver_options["max_iters"] < 0:
+    if _need(solver_options, "max_iters", int, "solver") < 0:
         raise ScenarioError("max_iters must be an integer >= 0", location="solver.max_iters")
-    if not solver_options["tolerance"] > 0:
+    if not _need(solver_options, "tolerance", float, "solver") > 0:
         raise ScenarioError("tolerance must be > 0", location="solver.tolerance")
-    if not isinstance(solver_options["threads"], int) or solver_options["threads"] < 1:
-        raise ScenarioError("threads must be an integer >= 1", location="solver.threads")
 
     # Contact machinery only applies to mechanical systems.
     if isinstance(system, LinearDynamics):

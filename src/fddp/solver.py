@@ -274,7 +274,6 @@ def solve(
     solver: str = "fddp",
     max_iters: int = 100,
     tolerance: float = 1e-9,
-    threads: int = 1,
     regularization_init: float = REG_MIN,
 ):
     """Run the iteration loop and return (X, U, report).
@@ -333,7 +332,7 @@ def solve(
         if need_derivatives:
             t0 = time.perf_counter()
             try:
-                problem.calc_diff(X, U, datas=current, threads=threads)
+                problem.calc_diff(X, U, datas=current)
             except (NumericalFailure, FactorizationError) as exc:
                 return finish(f"failure: {exc}")
             t_deriv = time.perf_counter() - t0

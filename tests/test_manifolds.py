@@ -1,32 +1,44 @@
 """Unit tests for the manifold primitives.
 
 Covers the four operators (integrate, difference, jintegrate, jdifference)
-on vector spaces, planar and spatial rotations, and composite products:
-fixed-point examples, roundtrip identities, finite-difference checks of the
-operator Jacobians, chain-rule consistency, and quaternion normalization.
+on vector spaces, planar rotations, and the composite product the planar
+monoped's configuration lives on: fixed-point examples, roundtrip identities,
+finite-difference checks of the operator Jacobians, and chain-rule
+consistency, including steps that carry the heading across the +-pi wrap.
 """
 
 import numpy as np
 import pytest
 
-from fddp import (
-    CompositeManifold,
-    Rotation2D,
-    Rotation3D,
-    VectorSpace,
-    planar_free_flyer,
-)
+from fddp import CompositeManifold, Rotation2D, VectorSpace
 from fddp import numdiff
 from fddp.errors import DimensionMismatch
 
+# Base translation, base heading, two leg joints: the planar monoped's
+# configuration manifold. Its first two parts alone are the planar
+# free-flyer, which ends on a rotation.
+MONOPED_CONFIG = CompositeManifold([VectorSpace(2), Rotation2D(), VectorSpace(2)])
 ALL_MANIFOLDS = [
     VectorSpace(3),
     Rotation2D(),
-    Rotation3D(),
-    planar_free_flyer(),
-    CompositeManifold([VectorSpace(2), Rotation3D(), VectorSpace(1)]),
+    CompositeManifold([VectorSpace(2), Rotation2D()]),
+    MONOPED_CONFIG,
 ]
-MANIFOLD_IDS = ["vector3", "rotation2d", "rotation3d", "free_flyer", "composite"]
+MANIFOLD_IDS = ["vector3", "rotation2d", "free_flyer", "composite"]
+
+# A monoped configuration whose heading lies 5e-4 short of +pi, and a step
+# that turns it 2e-3 further, so integrate wraps the heading to near -pi.
+NEAR_WRAP_POINT = np.array([0.3, -0.2, np.pi - 5e-4, 0.4, -0.7])
+NEAR_WRAP_STEP = np.array([0.05, 0.1, 2e-3, -0.03, 0.02])
+
+
+def point_tangent_pairs(manifold, rng, count):
+    """`count` random (point, tangent) pairs; on the monoped configuration
+    one more pair whose step crosses the heading wrap."""
+    pairs = [(manifold.random_point(rng), manifold.random_tangent(rng)) for _ in range(count)]
+    if manifold is MONOPED_CONFIG:
+        pairs.append((NEAR_WRAP_POINT, NEAR_WRAP_STEP))
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -64,12 +76,6 @@ def test_difference_of_identical_points_is_zero(manifold):
         )
 
 
-def test_rotation3d_half_turn_about_first_axis():
-    m = Rotation3D()
-    q = m.integrate(m.neutral(), [np.pi, 0.0, 0.0])
-    np.testing.assert_allclose(q, [0.0, 1.0, 0.0, 0.0], atol=1e-12)
-
-
 def test_rotation2d_wraps_into_principal_interval():
     m = Rotation2D()
     np.testing.assert_allclose(m.integrate([3.0], [0.5]), [3.5 - 2.0 * np.pi])
@@ -87,9 +93,7 @@ def test_roundtrip_recovers_tangent(manifold):
     # difference(x, integrate(x, dx)) == dx while dx stays inside the
     # injectivity radius (rotation blocks shorter than a half turn).
     rng = np.random.default_rng(21)
-    for _ in range(50):
-        x = manifold.random_point(rng)
-        dx = manifold.random_tangent(rng)
+    for x, dx in point_tangent_pairs(manifold, rng, 50):
         back = manifold.difference(x, manifold.integrate(x, dx))
         np.testing.assert_allclose(back, dx, atol=1e-10)
 
@@ -98,12 +102,10 @@ def test_roundtrip_recovers_tangent(manifold):
 def test_inverse_roundtrip_reproduces_point(manifold):
     # integrate(x0, difference(x0, x1)) lands back on x1. Coordinates are
     # compared where x1 is reachable inside the injectivity radius; for
-    # arbitrary pairs the manifold difference of the roundtrip must vanish
-    # (quaternions may come back with the opposite, equivalent sign).
+    # arbitrary pairs the manifold difference of the roundtrip must vanish.
     rng = np.random.default_rng(22)
-    for _ in range(25):
-        x0 = manifold.random_point(rng)
-        x1 = manifold.integrate(x0, manifold.random_tangent(rng))
+    for x0, dx in point_tangent_pairs(manifold, rng, 25):
+        x1 = manifold.integrate(x0, dx)
         again = manifold.integrate(x0, manifold.difference(x0, x1))
         np.testing.assert_allclose(again, x1, atol=1e-10)
     for _ in range(25):
@@ -150,14 +152,10 @@ def test_jdifference_at_equal_points_gives_identity_j1(manifold):
     np.testing.assert_allclose(j1, np.eye(manifold.ndx), atol=1e-14)
 
 
-@pytest.mark.parametrize(
-    "manifold", [Rotation3D(), planar_free_flyer()], ids=["rotation3d", "free_flyer"]
-)
+@pytest.mark.parametrize("manifold", ALL_MANIFOLDS, ids=MANIFOLD_IDS)
 def test_jintegrate_matches_finite_differences(manifold):
     rng = np.random.default_rng(33)
-    for _ in range(10):
-        x = manifold.random_point(rng)
-        dx = manifold.random_tangent(rng)
+    for x, dx in point_tangent_pairs(manifold, rng, 10):
         jx, jdx = manifold.jintegrate(x, dx)
         fd_jx = numdiff.jacobian(
             lambda xv: manifold.integrate(xv, dx),
@@ -172,14 +170,11 @@ def test_jintegrate_matches_finite_differences(manifold):
         np.testing.assert_allclose(jdx, fd_jdx, atol=1e-5)
 
 
-@pytest.mark.parametrize(
-    "manifold", [Rotation3D(), planar_free_flyer()], ids=["rotation3d", "free_flyer"]
-)
+@pytest.mark.parametrize("manifold", ALL_MANIFOLDS, ids=MANIFOLD_IDS)
 def test_jdifference_matches_finite_differences(manifold):
     rng = np.random.default_rng(34)
-    for _ in range(10):
-        x0 = manifold.random_point(rng)
-        x1 = manifold.integrate(x0, manifold.random_tangent(rng))
+    for x0, dx in point_tangent_pairs(manifold, rng, 10):
+        x1 = manifold.integrate(x0, dx)
         j0, j1 = manifold.jdifference(x0, x1)
         fd_j0 = numdiff.jacobian(
             lambda xv: manifold.difference(xv, x1), x0, input_manifold=manifold
@@ -196,52 +191,25 @@ def test_chain_rule_of_difference_after_integrate_is_identity(manifold):
     # d/d(dx) difference(x0, integrate(x0, dx)) must be the identity, which
     # ties jdifference and jintegrate together.
     rng = np.random.default_rng(35)
-    for _ in range(10):
-        x0 = manifold.random_point(rng)
-        dx = manifold.random_tangent(rng)
+    for x0, dx in point_tangent_pairs(manifold, rng, 10):
         _, j_dx = manifold.jintegrate(x0, dx)
         _, j_1 = manifold.jdifference(x0, manifold.integrate(x0, dx))
         np.testing.assert_allclose(j_1 @ j_dx, np.eye(manifold.ndx), atol=1e-8)
 
 
 # ---------------------------------------------------------------------------
-# normalization and structure
+# structure
 # ---------------------------------------------------------------------------
 
 
-def test_quaternion_blocks_stay_unit_norm_under_repeated_integration():
-    m = CompositeManifold([VectorSpace(2), Rotation3D()])
-    rng = np.random.default_rng(41)
-    x = m.random_point(rng)
-    for _ in range(1000):
-        x = m.integrate(x, m.random_tangent(rng, scale=0.5))
-        assert abs(np.linalg.norm(x[2:6]) - 1.0) <= 1e-12
-
-
-def test_rotation3d_normalize_rescales_and_rejects_zero():
-    m = Rotation3D()
-    q = m.normalize([2.0, 0.0, 0.0, 0.0])
-    np.testing.assert_allclose(q, [1.0, 0.0, 0.0, 0.0])
-    with pytest.raises(DimensionMismatch):
-        m.normalize([0.0, 0.0, 0.0, 0.0])
-
-
-def test_free_flyer_concatenates_translation_and_heading():
-    m = planar_free_flyer()
-    assert (m.nx, m.ndx) == (3, 3)
-    np.testing.assert_array_equal(m.neutral(), np.zeros(3))
-    out = m.integrate([1.0, 2.0, 0.5], [0.25, -0.5, 0.1])
-    np.testing.assert_allclose(out, [1.25, 1.5, 0.6])
-
-
 def test_composite_jacobians_are_block_diagonal():
-    m = CompositeManifold([VectorSpace(2), Rotation3D()])
+    m = CompositeManifold([VectorSpace(2), Rotation2D()])
     rng = np.random.default_rng(42)
     x = m.random_point(rng)
     dx = m.random_tangent(rng)
     jx, jdx = m.jintegrate(x, dx)
-    np.testing.assert_array_equal(jx[:2, 2:], np.zeros((2, 3)))
-    np.testing.assert_array_equal(jx[2:, :2], np.zeros((3, 2)))
+    np.testing.assert_array_equal(jx[:2, 2:], np.zeros((2, 1)))
+    np.testing.assert_array_equal(jx[2:, :2], np.zeros((1, 2)))
     np.testing.assert_array_equal(jx[:2, :2], np.eye(2))
     np.testing.assert_array_equal(jdx[:2, :2], np.eye(2))
 
@@ -255,6 +223,6 @@ def test_dimension_mismatches_are_rejected():
     with pytest.raises(DimensionMismatch):
         m.jintegrate([1.0, 2.0, 3.0], [1.0])
     with pytest.raises(DimensionMismatch):
-        Rotation3D().integrate([1.0, 0.0, 0.0], [0.1, 0.0, 0.0])
+        Rotation2D().integrate([1.0, 0.0], [0.1])
     with pytest.raises(DimensionMismatch):
         CompositeManifold([])
