@@ -16,7 +16,6 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from . import numdiff
 from .contact import (
     ContactSet,
     baumgarte_a0,
@@ -81,6 +80,13 @@ class DifferentialDynamics:
         """(a_q, a_v, a_u) tangent-space partials; acceleration ran first."""
         raise NotImplementedError
 
+    def control_jacobian(self, data: ActionData) -> np.ndarray:
+        """d acceleration / du, from the factors acceleration left in data.dyn.
+
+        The acceleration is affine in u, so this holds at every control.
+        """
+        raise NotImplementedError
+
 
 class FreeMechanicalDynamics(DifferentialDynamics):
     """Unconstrained acceleration: M(q) vdot = S u - bias(q, v)."""
@@ -103,24 +109,14 @@ class FreeMechanicalDynamics(DifferentialDynamics):
     def partials(self, x, u, data):
         sys = self.system
         q, v, factor, vdot = (data.dyn[k] for k in ("q", "v", "factor", "vdot"))
-        if sys.has_analytic_partials:
-            bq, bv = sys.bias_partials(q, v)
-            mc = sys.inertia_contraction_partial(q, vdot)
-            a_q = cho_solve(factor, -(bq + mc))
-            a_v = cho_solve(factor, -bv)
-            a_u = cho_solve(factor, sys.actuation())
-            return a_q, a_v, a_u
+        bq, bv = sys.bias_partials(q, v)
+        mc = sys.inertia_contraction_partial(q, vdot)
+        a_q = cho_solve(factor, -(bq + mc))
+        a_v = cho_solve(factor, -bv)
+        return a_q, a_v, self.control_jacobian(data)
 
-        def accel(qq, vv, uu):
-            tau = sys.actuation() @ uu - sys.bias(qq, vv)
-            return np.linalg.solve(sys.mass_matrix(qq), tau)
-
-        a_q = numdiff.jacobian(
-            lambda qq: accel(qq, v, u), q, input_manifold=sys.config
-        )
-        a_v = numdiff.jacobian(lambda vv: accel(q, vv, u), v)
-        a_u = numdiff.jacobian(lambda uu: accel(q, v, uu), u)
-        return a_q, a_v, a_u
+    def control_jacobian(self, data):
+        return cho_solve(data.dyn["factor"], self.system.actuation())
 
 
 class ConstrainedMechanicalDynamics(DifferentialDynamics):
@@ -163,66 +159,44 @@ class ConstrainedMechanicalDynamics(DifferentialDynamics):
         return ws.vdot
 
     def partials(self, x, u, data):
+        # Total derivatives of the two KKT rows at the solution, holding
+        # (vdot, force) fixed:
+        #   d/dx [tau_b - M vdot + Jc^T force] and d/dx [a0 + Jc vdot],
+        # with a0 = drift - alpha (reference - placement) - beta Jc v. The
+        # factored KKT inverse then turns them into Jacobians of the solution.
         sys = self.system
         q, v, ws = (data.dyn[k] for k in ("q", "v", "ws"))
-        nv, nu = sys.nv, sys.nu
-        S = sys.actuation()
-
-        if sys.has_analytic_partials and sys.constant_frames:
-            # Constant frame Jacobians: the constraint rows depend on q only
-            # through the tracked placement, and tau_b only through the bias
-            # and the inertia contraction against the solved acceleration.
-            bq, bv = sys.bias_partials(q, v)
-            mc = sys.inertia_contraction_partial(q, ws.vdot)
-            dtau_dx = np.hstack([-(bq + mc), -bv])
-            da0_rows_q, da0_rows_v = [], []
-            row = 0
-            for contact in self.contacts.contacts:
-                J = ws.Jc[row : row + contact.nf]
-                da0_rows_q.append(contact.alpha * J)
-                da0_rows_v.append(-contact.beta * J)
-                row += contact.nf
-            da0_dx = np.hstack([np.vstack(da0_rows_q), np.vstack(da0_rows_v)])
-        else:
-            # Finite differences of the two saddle-point rows at the frozen
-            # solution; the factored inverse then turns them into Jacobians
-            # of the solution itself.
-            vdot_s, force_s = ws.vdot, ws.force
-
-            def row_tau(qq, vv):
-                tau_b = S @ u - sys.bias(qq, vv)
-                return tau_b - sys.mass_matrix(qq) @ vdot_s + self._jc(qq).T @ force_s
-
-            def row_a0(qq, vv):
-                Jc, a0 = self._assemble(qq, vv)
-                return a0 + Jc @ vdot_s
-
-            dtau_dx = np.hstack(
-                [
-                    numdiff.jacobian(
-                        lambda qq: row_tau(qq, v), q, input_manifold=sys.config
-                    ),
-                    numdiff.jacobian(lambda vv: row_tau(q, vv), v),
-                ]
+        nv = sys.nv
+        bq, bv = sys.bias_partials(q, v)
+        dtau_dq = -(bq + sys.inertia_contraction_partial(q, ws.vdot))
+        da0_dq, da0_dv = [], []
+        for contact, rows in _contact_rows(self.contacts):
+            J = ws.Jc[rows]
+            # d(Jc vdot)/dq - beta d(Jc v)/dq is linear in the fixed vector.
+            jw_q, jtf_q, drift_q, drift_v = sys.frame_partials(
+                q, v, ws.vdot - contact.beta * v, ws.force[rows], contact.frame
             )
-            da0_dx = np.hstack(
-                [
-                    numdiff.jacobian(
-                        lambda qq: row_a0(qq, v), q, input_manifold=sys.config
-                    ),
-                    numdiff.jacobian(lambda vv: row_a0(q, vv), v),
-                ]
-            )
-
-        dtau_du = S
-        da0_du = np.zeros((ws.nf, nu))
+            dtau_dq += jtf_q
+            da0_dq.append(drift_q + contact.alpha * J + jw_q)
+            da0_dv.append(drift_v - contact.beta * J)
+        dtau_dx = np.hstack([dtau_dq, -bv])
+        da0_dx = np.hstack([np.vstack(da0_dq), np.vstack(da0_dv)])
+        dtau_du = sys.actuation()
+        da0_du = np.zeros((ws.nf, sys.nu))
         y_x, y_u, _, _ = contact_dynamics_derivatives(ws, dtau_dx, dtau_du, da0_dx, da0_du)
         return y_x[:, :nv], y_x[:, nv:], y_u
 
-    def _jc(self, q):
-        return np.vstack(
-            [self.system.frame_jacobian(q, c.frame) for c in self.contacts.contacts]
-        )
+    def control_jacobian(self, data):
+        ws = data.dyn["ws"]
+        return ws.apply_inverse(self.system.actuation(), np.zeros((ws.nf, self.nu)))[0]
+
+
+def _contact_rows(contacts: ContactSet):
+    """Each contact with the slice of its rows in the stacked constraint."""
+    row = 0
+    for contact in contacts.contacts:
+        yield contact, slice(row, row + contact.nf)
+        row += contact.nf
 
 
 class LinearFlow:
@@ -449,19 +423,19 @@ class ImpulseActionModel(ActionModelBase):
         nv = sys.nv
         q, v, ws = (data.dyn[k] for k in ("q", "v", "ws"))
 
-        if not (sys.constant_frames and sys.has_analytic_partials):
-            # Configuration partials of the two saddle-point rows at the
-            # frozen solution, by manifold-aware finite differences.
-            v_plus, imp, e = ws.v_plus, ws.impulse, ws.e
-
-            def row_momentum(qq):
-                return sys.mass_matrix(qq) @ (v_plus - v) - self._jc(qq).T @ imp
-
-            def row_closure(qq):
-                return self._jc(qq) @ (v_plus + e * v)
-
-            ws.dr1_dq = numdiff.jacobian(row_momentum, q, input_manifold=sys.config)
-            ws.dr2_dq = numdiff.jacobian(row_closure, q, input_manifold=sys.config)
+        # Configuration partials of the two residual rows at the solution,
+        # holding (v_plus, impulse) fixed:
+        #   r1 = M(q) (v_plus - v) - Jc(q)^T impulse,  r2 = Jc(q) (v_plus + e v).
+        dr1_dq = sys.inertia_contraction_partial(q, ws.v_plus - v)
+        dr2_dq = []
+        closure = ws.v_plus + ws.e * v
+        for contact, rows in _contact_rows(self.contacts):
+            jw_q, jtf_q, _, _ = sys.frame_partials(
+                q, v, closure, ws.impulse[rows], contact.frame
+            )
+            dr1_dq -= jtf_q
+            dr2_dq.append(jw_q)
+        ws.dr1_dq, ws.dr2_dq = dr1_dq, np.vstack(dr2_dq)
 
         dvp_dq, dvp_dv, _, _ = impulse_dynamics_derivatives(ws)
         data.f_x = np.block(
@@ -510,9 +484,8 @@ def quasi_static_control(model, x) -> np.ndarray:
             return model.dynamics.acceleration(x0, u, data)
 
         def control_jacobian(u):
-            # Only the control block is needed; differencing over the nu
-            # control columns avoids the state partials entirely.
-            return numdiff.jacobian(residual, u)
+            # Read from the factors the residual call at u just left.
+            return model.dynamics.control_jacobian(data)
 
     u = np.zeros(model.nu)
     best_u, best_norm = u.copy(), np.inf

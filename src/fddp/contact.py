@@ -113,12 +113,17 @@ class ContactWorkspace:
     def nf(self) -> int:
         return self.Jc.shape[0]
 
+    def apply_inverse(self, b1, b2):
+        """(w, z) with [w; -z] = K^-1 [b1; b2], through the stored factors."""
+        return _kkt_apply_inverse(self.m_factor, self.Jc, self.mhat_factor, b1, b2)
+
 
 @dataclass
 class ImpulseWorkspace:
     """Solved impulse instance. dr1_dq/dr2_dq are the configuration partials of
-    the two residual rows at the solution (zero for configuration-independent
-    M and Jc); the dynamics layer fills them before asking for derivatives."""
+    the two residual rows at the solution; the impulse action model fills them
+    from the system's closed-form partials before asking for derivatives, and
+    left unset they count as zero (configuration-independent M and Jc)."""
 
     M: np.ndarray
     Jc: np.ndarray
@@ -253,12 +258,8 @@ def contact_dynamics_derivatives(
     if dtau_dx.shape[1] != da0_dx.shape[1] or dtau_du.shape[1] != da0_du.shape[1]:
         raise DimensionMismatch("state/control partial column counts disagree")
 
-    y_x, zx = _kkt_apply_inverse(
-        workspace.m_factor, workspace.Jc, workspace.mhat_factor, dtau_dx, -da0_dx
-    )
-    y_u, zu = _kkt_apply_inverse(
-        workspace.m_factor, workspace.Jc, workspace.mhat_factor, dtau_du, -da0_du
-    )
+    y_x, zx = workspace.apply_inverse(dtau_dx, -da0_dx)
+    y_u, zu = workspace.apply_inverse(dtau_du, -da0_du)
     return y_x, y_u, -zx, -zu
 
 

@@ -96,14 +96,18 @@ def bundled_scenario_path(name: str) -> Path:
 # ---------------------------------------------------------------------------
 
 
+def _number(value, what: str, where: str) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ScenarioError(f"{what} must be a number", location=where)
+    return float(value)
+
+
 def _need(data: dict, key: str, kind, where: str):
     if key not in data:
         raise ScenarioError(f"missing required field {key!r}", location=where)
     value = data[key]
     if kind is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ScenarioError(f"field {key!r} must be a number", location=f"{where}.{key}")
-        return float(value)
+        return _number(value, f"field {key!r}", f"{where}.{key}")
     if kind is int:
         if not isinstance(value, int) or isinstance(value, bool):
             raise ScenarioError(f"field {key!r} must be an integer", location=f"{where}.{key}")
@@ -194,9 +198,9 @@ def load_scenario(path) -> Scenario:
                 f"dt list must have horizon entries ({horizon}), got {len(dt_field)}",
                 location="dt",
             )
-        dts = [float(v) for v in dt_field]
+        dts = [_number(v, "step size", f"dt[{i}]") for i, v in enumerate(dt_field)]
     else:
-        dts = [float(dt_field)] * horizon
+        dts = [_number(dt_field, "step size", "dt")] * horizon
     if any(not dt > 0 for dt in dts):
         raise ScenarioError("every step size must be > 0", location="dt")
 
@@ -204,9 +208,11 @@ def load_scenario(path) -> Scenario:
     if "x0" in data:
         if not isinstance(data["x0"], list):
             raise ScenarioError("x0 must be a coordinate list", location="x0")
-        x0 = np.asarray(data["x0"], dtype=float)
+        x0 = np.array([_number(v, "coordinate", f"x0[{i}]") for i, v in enumerate(data["x0"])])
 
     phases_field = data.get("phases", [{"start": 0, "end": horizon, "contacts": []}])
+    if not isinstance(phases_field, list) or not phases_field:
+        raise ScenarioError("phases must be a non-empty list", location="phases")
     phases = []
     for i, entry in enumerate(phases_field):
         loc = f"phases[{i}]"

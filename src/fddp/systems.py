@@ -8,9 +8,12 @@ with bias = Coriolis/centrifugal terms plus gravity. Everything here is
 hand-derived: mass matrices and bias forces come from per-body velocity
 Jacobians (planar kinematics), never from a generic tree algorithm.
 
-Systems with `has_analytic_partials` expose closed-form residual partials;
-the others (the monoped) are differentiated by central differences at the
-action-model layer.
+Every system also gives the closed-form partials that the action models
+need: the bias partials, the inertia contraction d(M w)/dq, and for each frame
+the contact partials d(J w)/dq, d(J^T f)/dq and the drift partials (after
+Carpentier & Mansard, "Analytical derivatives of rigid body dynamics
+algorithms", RSS 2018, cut down to planar chains). Finite differences
+only audit them (`fddp check-derivatives` and the tests).
 """
 
 from __future__ import annotations
@@ -38,6 +41,31 @@ def _unit_side(phi: float) -> np.ndarray:
     return np.array([np.cos(phi), np.sin(phi)])
 
 
+def _chain_partials(links, v, w, f):
+    """Contact partials of a planar chain point p = base + sum_i a_i down(phi_i).
+
+    Each link is (a_i, phi_i, c_i), where c_i is the 0/1 row of the tangent
+    coordinates that sum to the absolute angle phi_i. Then
+    J = dbase/dq + sum_i a_i side(phi_i) c_i and drift = Jdot v =
+    -sum_i a_i down(phi_i) (c_i v)^2; with d side/dphi = -down and
+    d down/dphi = side, the base (linear in q) drops out of every partial.
+    Returns (d(J w)/dq, d(J^T f)/dq, d drift/dq, d drift/dv) for fixed w, f.
+    """
+    nv = v.size
+    jw_q = np.zeros((2, nv))
+    jtf_q = np.zeros((nv, nv))
+    drift_q = np.zeros((2, nv))
+    drift_v = np.zeros((2, nv))
+    for a, phi, c in links:
+        down, side = _unit_down(phi), _unit_side(phi)
+        cw, cv = c @ w, c @ v
+        jw_q -= np.outer((a * cw) * down, c)
+        jtf_q -= (a * (down @ f)) * np.outer(c, c)
+        drift_q -= np.outer((a * cv * cv) * side, c)
+        drift_v -= np.outer((2.0 * a * cv) * down, c)
+    return jw_q, jtf_q, drift_q, drift_v
+
+
 class MechanicalSystem:
     """Base for (q, v) systems. Subclasses fill the kinematic/dynamic terms."""
 
@@ -46,10 +74,6 @@ class MechanicalSystem:
     nu: int
     config: Manifold
     frames: tuple[str, ...] = ()
-    has_analytic_partials = False
-    # True when every frame Jacobian is configuration-independent (and drifts
-    # vanish), which makes the analytic contact-partial assembly valid.
-    constant_frames = False
 
     def __init__(self):
         if self.config.nx != self.nq or self.config.ndx != self.nv:
@@ -67,9 +91,10 @@ class MechanicalSystem:
     def actuation(self) -> np.ndarray:
         raise NotImplementedError
 
-    # -- optional analytic partials ----------------------------------------
+    # -- analytic partials (configuration tangent coordinates) --------------
 
     def bias_partials(self, q, v) -> tuple[np.ndarray, np.ndarray]:
+        """(d bias/dq, d bias/dv)."""
         raise NotImplementedError
 
     def inertia_contraction_partial(self, q, w) -> np.ndarray:
@@ -86,6 +111,11 @@ class MechanicalSystem:
 
     def frame_drift(self, q, v, frame: str) -> np.ndarray:
         """Frame acceleration at zero joint acceleration (Jdot v)."""
+        raise DimensionMismatch(f"system has no frame {frame!r}")
+
+    def frame_partials(self, q, v, w, f, frame: str):
+        """Contact partials of a frame for a fixed w and f:
+        (d(J w)/dq, d(J^T f)/dq, d drift/dq, d drift/dv)."""
         raise DimensionMismatch(f"system has no frame {frame!r}")
 
     def com(self, q) -> np.ndarray:
@@ -127,9 +157,6 @@ class LinearDynamics:
 class DoubleIntegrator(MechanicalSystem):
     """n independent unit masses, direct force control, no gravity."""
 
-    has_analytic_partials = True
-    constant_frames = True
-
     def __init__(self, dim: int = 2):
         self.nq = self.nv = self.nu = int(dim)
         self.config = VectorSpace(dim)
@@ -158,9 +185,6 @@ class PointMass(MechanicalSystem):
     Frames: "point" (full position) and, for dim >= 2, "height" (last
     coordinate only, the vertical pin used by the hopper's stance phase).
     """
-
-    has_analytic_partials = True
-    constant_frames = True
 
     def __init__(self, dim: int = 2, mass: float = 1.0, gravity: float = GRAVITY):
         self.nq = self.nv = self.nu = int(dim)
@@ -211,6 +235,13 @@ class PointMass(MechanicalSystem):
             return np.zeros(1)
         return super().frame_drift(q, v, frame)
 
+    def frame_partials(self, q, v, w, f, frame):
+        if frame not in self.frames:
+            return super().frame_partials(q, v, w, f, frame)
+        nf, nv = self.frame_jacobian(q, frame).shape
+        zero = np.zeros((nf, nv))
+        return zero, np.zeros((nv, nv)), zero.copy(), zero.copy()
+
     def com(self, q):
         return np.array(q, float)
 
@@ -221,7 +252,6 @@ class PointMass(MechanicalSystem):
 class Pendulum(MechanicalSystem):
     """Single planar link, angle measured from the hanging-down position."""
 
-    has_analytic_partials = True
     frames = ("tip",)
 
     def __init__(self, mass=1.0, length=1.0, damping=0.0, gravity=GRAVITY):
@@ -271,6 +301,11 @@ class Pendulum(MechanicalSystem):
             return super().frame_drift(q, v, frame)
         return -self.length * _unit_down(q[0]) * v[0] ** 2
 
+    def frame_partials(self, q, v, w, f, frame):
+        if frame != "tip":
+            return super().frame_partials(q, v, w, f, frame)
+        return _chain_partials(((self.length, q[0], np.ones(1)),), v, w, f)
+
     def com(self, q):
         return self.length * _unit_down(q[0])
 
@@ -281,7 +316,6 @@ class Pendulum(MechanicalSystem):
 class DoublePendulum(MechanicalSystem):
     """Two planar links with both joints actuated, angles from hanging down."""
 
-    has_analytic_partials = True
     frames = ("tip",)
 
     def __init__(
@@ -396,6 +430,15 @@ class DoublePendulum(MechanicalSystem):
             q[0] + q[1]
         ) * w12**2
 
+    def frame_partials(self, q, v, w, f, frame):
+        if frame != "tip":
+            return super().frame_partials(q, v, w, f, frame)
+        links = (
+            (self.l1, q[0], np.array([1.0, 0.0])),
+            (self.l2, q[0] + q[1], np.array([1.0, 1.0])),
+        )
+        return _chain_partials(links, v, w, f)
+
     def com(self, q):
         p1 = self.lc1 * _unit_down(q[0])
         p2 = self.l1 * _unit_down(q[0]) + self.lc2 * _unit_down(q[0] + q[1])
@@ -410,13 +453,24 @@ class DoublePendulum(MechanicalSystem):
         return j / (self.m1 + self.m2)
 
 
+# Tangent rows whose sums are the monoped's absolute leg angles: the thigh
+# angle phi1 = theta + hip and the shank angle phi2 = phi1 + knee.
+_THIGH_ROW = np.array([0.0, 0.0, 1.0, 1.0, 0.0])
+_SHANK_ROW = np.array([0.0, 0.0, 1.0, 1.0, 1.0])
+
+
 class PlanarMonoped(MechanicalSystem):
     """Floating planar base with a two-link leg; only the leg joints actuated.
 
     Configuration (x, z, theta, hip, knee): base translation in R^2, wrapped
-    base heading, then the two relative joint angles. All dynamics terms come
-    from the three per-body velocity Jacobians; derivative partials are left
-    to the finite-difference fallback.
+    base heading, then the two relative joint angles. Every point used here
+    (the base, thigh and shank centers and the foot) has the form
+    base + a1 down(phi1) + a2 down(phi2), so the point helpers, parametrised
+    by (a1, a2), give the body Jacobians behind M and the bias, and the frames
+    with their contact partials. Summed over the bodies, the bias and inertia
+    partials depend on the (a1, a2) only through the bodies' mass moments.
+    The heading's tangent is the plain angle increment, so tangent partials
+    equal coordinate partials.
     """
 
     frames = ("foot", "hip")
@@ -447,59 +501,79 @@ class PlanarMonoped(MechanicalSystem):
         self.config = CompositeManifold([VectorSpace(2), Rotation2D(), VectorSpace(2)])
         super().__init__()
         self.total_mass = self.mB + self.m1 + self.m2
+        # (mass, a1, a2) of the base, thigh and shank centers.
+        self._bodies = (
+            (self.mB, 0.0, 0.0),
+            (self.m1, self.lc1, 0.0),
+            (self.m2, self.l1, self.lc2),
+        )
+        self._frame_points = {"foot": (self.l1, self.l2), "hip": (0.0, 0.0)}
+        # Body angular velocities are theta, phi1 and phi2 rates: constant rows.
+        w_base = np.array([0.0, 0.0, 1.0, 0.0, 0.0])
+        self._rotational_inertia = (
+            self.IB * np.outer(w_base, w_base)
+            + self.I1 * np.outer(_THIGH_ROW, _THIGH_ROW)
+            + self.I2 * np.outer(_SHANK_ROW, _SHANK_ROW)
+        )
+        self._gravity_vec = np.array([0.0, -self.gravity])
+        # Mass moments of the bodies' leg coefficients (see bias_partials):
+        # mu[k] = sum_b m_b a_kb and mu2[k, l] = sum_b m_b a_kb a_lb.
+        masses = np.array([m for m, _, _ in self._bodies])
+        coeffs = np.array([(a1, a2) for _, a1, a2 in self._bodies])
+        self._mu = masses @ coeffs
+        self._mu2 = coeffs.T @ (masses[:, None] * coeffs)
 
-    # Per-body linear velocity Jacobians (2x5) and angular rows (5,).
+    # -- points base + a1 down(phi1) + a2 down(phi2) ------------------------------
 
-    def _body_jacobians(self, q):
+    @staticmethod
+    def _angles(q):
         phi1 = q[2] + q[3]
-        phi2 = phi1 + q[4]
-        e1 = _unit_side(phi1)
-        e2 = _unit_side(phi2)
-        jB = np.zeros((2, 5))
-        jB[:, :2] = np.eye(2)
-        j1 = jB.copy()
-        j1[:, 2] = self.lc1 * e1
-        j1[:, 3] = self.lc1 * e1
-        j2 = jB.copy()
-        j2[:, 2] = self.l1 * e1 + self.lc2 * e2
-        j2[:, 3] = self.l1 * e1 + self.lc2 * e2
-        j2[:, 4] = self.lc2 * e2
-        wB = np.array([0.0, 0.0, 1.0, 0.0, 0.0])
-        w1 = np.array([0.0, 0.0, 1.0, 1.0, 0.0])
-        w2 = np.array([0.0, 0.0, 1.0, 1.0, 1.0])
-        return (jB, j1, j2), (wB, w1, w2)
+        return phi1, phi1 + q[4]
 
-    def _body_jacobian_rates(self, q, v):
-        phi1 = q[2] + q[3]
-        phi2 = phi1 + q[4]
+    def _point_placement(self, q, a1, a2):
+        phi1, phi2 = self._angles(q)
+        return q[:2] + a1 * _unit_down(phi1) + a2 * _unit_down(phi2)
+
+    def _point_jacobian(self, q, a1, a2):
+        phi1, phi2 = self._angles(q)
+        s2 = a2 * _unit_side(phi2)
+        s = a1 * _unit_side(phi1) + s2
+        j = np.zeros((2, 5))
+        j[:, :2] = np.eye(2)
+        j[:, 2] = s
+        j[:, 3] = s
+        j[:, 4] = s2
+        return j
+
+    def _point_drift(self, q, v, a1, a2):
+        phi1, phi2 = self._angles(q)
         w1 = v[2] + v[3]
         w2 = w1 + v[4]
-        de1 = -_unit_down(phi1) * w1
-        de2 = -_unit_down(phi2) * w2
-        djB = np.zeros((2, 5))
-        dj1 = djB.copy()
-        dj1[:, 2] = self.lc1 * de1
-        dj1[:, 3] = self.lc1 * de1
-        dj2 = djB.copy()
-        dj2[:, 2] = self.l1 * de1 + self.lc2 * de2
-        dj2[:, 3] = self.l1 * de1 + self.lc2 * de2
-        dj2[:, 4] = self.lc2 * de2
-        return djB, dj1, dj2
+        return -a1 * _unit_down(phi1) * w1**2 - a2 * _unit_down(phi2) * w2**2
+
+    def _frame_point(self, frame):
+        try:
+            return self._frame_points[frame]
+        except KeyError:
+            raise DimensionMismatch(f"system has no frame {frame!r}") from None
+
+    # -- dynamics ------------------------------------------------------------------
+
+    def _body_jacobians(self, q):
+        return [self._point_jacobian(q, a1, a2) for _, a1, a2 in self._bodies]
 
     def mass_matrix(self, q):
-        (jB, j1, j2), (wB, w1, w2) = self._body_jacobians(q)
+        jB, j1, j2 = self._body_jacobians(q)
         m = self.mB * jB.T @ jB + self.m1 * j1.T @ j1 + self.m2 * j2.T @ j2
-        m += self.IB * np.outer(wB, wB) + self.I1 * np.outer(w1, w1)
-        m += self.I2 * np.outer(w2, w2)
+        m += self._rotational_inertia
         return m
 
     def bias(self, q, v):
-        (jB, j1, j2), _ = self._body_jacobians(q)
-        djB, dj1, dj2 = self._body_jacobian_rates(q, v)
-        g_vec = np.array([0.0, -self.gravity])
-        h = self.mB * jB.T @ (djB @ v - g_vec)
-        h += self.m1 * j1.T @ (dj1 @ v - g_vec)
-        h += self.m2 * j2.T @ (dj2 @ v - g_vec)
+        # Sum over bodies of m J^T (Jdot v - g); the spin terms are constant.
+        h = np.zeros(5)
+        for m, a1, a2 in self._bodies:
+            drift = self._point_drift(q, v, a1, a2)
+            h += m * self._point_jacobian(q, a1, a2).T @ (drift - self._gravity_vec)
         return h
 
     def actuation(self):
@@ -508,54 +582,80 @@ class PlanarMonoped(MechanicalSystem):
         s[4, 1] = 1.0
         return s
 
+    def _links(self, q, w):
+        """Per leg link k: down_k, side_k, its tangent row c_k and c_k w."""
+        phi1, phi2 = self._angles(q)
+        w1 = w[2] + w[3]
+        return (
+            (_unit_down(phi1), _unit_side(phi1), _THIGH_ROW, w1),
+            (_unit_down(phi2), _unit_side(phi2), _SHANK_ROW, w1 + w[4]),
+        )
+
+    def _moment_transpose(self, k, links, x):
+        """G_k^T x for the link-k moment Jacobian G_k = sum_b m_b a_kb J_b,
+        which is mu_k [I 0] + sum_l mu_kl side_l c_l^T."""
+        out = self._mu2[k, 0] * (links[0][1] @ x) * _THIGH_ROW
+        out += self._mu2[k, 1] * (links[1][1] @ x) * _SHANK_ROW
+        out[:2] += self._mu[k] * x
+        return out
+
+    def bias_partials(self, q, v):
+        # Per body, J_b = [I 0] + sum_k a_kb side_k c_k^T and
+        # drift_b = -sum_k a_kb down_k (c_k v)^2, and bias = sum_b m_b J_b^T
+        # (drift_b - g). Summed over the bodies, the partials (see
+        # _chain_partials) depend on the coefficients only through mu and mu2:
+        #   d/dq = -sum_k [down_k . F_k] c_k c_k^T + (c_k v)^2 G_k^T side_k c_k^T
+        #   d/dv = -sum_k 2 (c_k v) G_k^T down_k c_k^T
+        # with F_k = sum_b m_b a_kb (drift_b - g).
+        links = self._links(q, v)
+        dq = np.zeros((5, 5))
+        dv = np.zeros((5, 5))
+        for k, (down, side, row, rate) in enumerate(links):
+            force = -self._mu[k] * self._gravity_vec
+            for l, (down_l, _, _, rate_l) in enumerate(links):
+                force -= (self._mu2[k, l] * rate_l**2) * down_l
+            dq -= (down @ force) * np.outer(row, row)
+            dq -= np.outer(rate**2 * self._moment_transpose(k, links, side), row)
+            dv -= np.outer(2.0 * rate * self._moment_transpose(k, links, down), row)
+        return dq, dv
+
+    def inertia_contraction_partial(self, q, w):
+        # M w = sum_b m_b J_b^T J_b w + (constant spin terms) w, so
+        #   d/dq = -sum_k [down_k . G_k w] c_k c_k^T + (c_k w) G_k^T down_k c_k^T.
+        links = self._links(q, w)
+        out = np.zeros((5, 5))
+        for k, (down, _, row, rate) in enumerate(links):
+            gw = self._mu[k] * w[:2]
+            for l, (_, side_l, _, rate_l) in enumerate(links):
+                gw += (self._mu2[k, l] * rate_l) * side_l
+            out -= (down @ gw) * np.outer(row, row)
+            out -= np.outer(rate * self._moment_transpose(k, links, down), row)
+        return out
+
+    # -- frames and center of mass ---------------------------------------------------
+
     def frame_placement(self, q, frame):
-        if frame == "hip":
-            return np.array(q[:2], float)
-        if frame != "foot":
-            return super().frame_placement(q, frame)
-        phi1 = q[2] + q[3]
-        phi2 = phi1 + q[4]
-        return q[:2] + self.l1 * _unit_down(phi1) + self.l2 * _unit_down(phi2)
+        return self._point_placement(q, *self._frame_point(frame))
 
     def frame_jacobian(self, q, frame):
-        if frame == "hip":
-            j = np.zeros((2, 5))
-            j[:, :2] = np.eye(2)
-            return j
-        if frame != "foot":
-            return super().frame_jacobian(q, frame)
-        phi1 = q[2] + q[3]
-        phi2 = phi1 + q[4]
-        e1 = _unit_side(phi1)
-        e2 = _unit_side(phi2)
-        j = np.zeros((2, 5))
-        j[:, :2] = np.eye(2)
-        j[:, 2] = self.l1 * e1 + self.l2 * e2
-        j[:, 3] = self.l1 * e1 + self.l2 * e2
-        j[:, 4] = self.l2 * e2
-        return j
+        return self._point_jacobian(q, *self._frame_point(frame))
 
     def frame_drift(self, q, v, frame):
-        if frame == "hip":
-            return np.zeros(2)
-        if frame != "foot":
-            return super().frame_drift(q, v, frame)
-        phi1 = q[2] + q[3]
-        phi2 = phi1 + q[4]
-        w1 = v[2] + v[3]
-        w2 = w1 + v[4]
-        return -self.l1 * _unit_down(phi1) * w1**2 - self.l2 * _unit_down(phi2) * w2**2
+        return self._point_drift(q, v, *self._frame_point(frame))
+
+    def frame_partials(self, q, v, w, f, frame):
+        a1, a2 = self._frame_point(frame)
+        phi1, phi2 = self._angles(q)
+        return _chain_partials(((a1, phi1, _THIGH_ROW), (a2, phi2, _SHANK_ROW)), v, w, f)
 
     def com(self, q):
-        phi1 = q[2] + q[3]
-        phi2 = phi1 + q[4]
-        pB = np.array(q[:2], float)
-        p1 = pB + self.lc1 * _unit_down(phi1)
-        p2 = pB + self.l1 * _unit_down(phi1) + self.lc2 * _unit_down(phi2)
-        return (self.mB * pB + self.m1 * p1 + self.m2 * p2) / self.total_mass
+        return (
+            sum(m * self._point_placement(q, a1, a2) for m, a1, a2 in self._bodies)
+            / self.total_mass
+        )
 
     def com_jacobian(self, q):
-        (jB, j1, j2), _ = self._body_jacobians(q)
+        jB, j1, j2 = self._body_jacobians(q)
         return (self.mB * jB + self.m1 * j1 + self.m2 * j2) / self.total_mass
 
 

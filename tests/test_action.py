@@ -27,7 +27,12 @@ from fddp.costs import (
     StateRegularization,
     make_cost_term,
 )
-from fddp.errors import DimensionMismatch, NumericalFailure, QuasiStaticFailure
+from fddp.errors import (
+    DimensionMismatch,
+    NumericalFailure,
+    QuasiStaticFailure,
+    RankDeficientConstraint,
+)
 from fddp.problem import ShootingProblem
 from fddp.systems import (
     DoubleIntegrator,
@@ -192,6 +197,19 @@ def model_cases():
     )
     cases.append(("impulse_plastic", ImpulseActionModel(monoped, stance, 0.0)))
     cases.append(("impulse_bouncy", ImpulseActionModel(monoped, stance, 0.5)))
+    pinned_tip = ContactSet((Contact("tip", [0.3, -1.8], alpha=50.0, beta=10.0),))
+    cases.append(
+        (
+            "pinned_double_pendulum",
+            IntegratedActionModel(
+                ConstrainedMechanicalDynamics(dpend, pinned_tip),
+                costs=default_costs(dpend.state, dpend.nu),
+                dt=0.01,
+            ),
+        )
+    )
+    cases.append(("double_pendulum_impulse_plastic", ImpulseActionModel(dpend, pinned_tip, 0.0)))
+    cases.append(("double_pendulum_impulse_bouncy", ImpulseActionModel(dpend, pinned_tip, 0.5)))
     return cases
 
 
@@ -279,6 +297,21 @@ def test_impulse_model_freezes_configuration_and_absorbs_normal_speed():
 def test_impulse_model_rejects_unknown_frame():
     with pytest.raises(DimensionMismatch):
         ImpulseActionModel(PlanarMonoped(), ContactSet((Contact("wing", [0.0]),)))
+
+
+def test_pinned_pendulum_tip_is_rank_deficient():
+    # Two tip rows on one degree of freedom: neither a contact node nor an
+    # impulse node can be built on it, which is why the derivative sweep pins
+    # only the double pendulum's tip.
+    pend = Pendulum()
+    pinned_tip = ContactSet((Contact("tip", [0.0, -1.0], alpha=50.0, beta=10.0),))
+    x = np.array([0.1, 0.2])
+    constrained = IntegratedActionModel(ConstrainedMechanicalDynamics(pend, pinned_tip), dt=0.01)
+    with pytest.raises(RankDeficientConstraint):
+        constrained.calc(constrained.create_data(), x, np.array([0.3]))
+    impulse = ImpulseActionModel(pend, pinned_tip, 0.0)
+    with pytest.raises(RankDeficientConstraint):
+        impulse.calc(impulse.create_data(), x)
 
 
 # ---------------------------------------------------------------------------

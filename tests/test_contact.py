@@ -236,9 +236,10 @@ def test_derivative_input_shape_validation():
 
 
 def test_monoped_stance_partials_match_finite_differences():
-    # Full pipeline check on the hardest system: accelerations of the
-    # foot-pinned monoped differentiated by the finite-difference fallback
-    # must match central differences of the acceleration itself.
+    # Full pipeline check on the hardest system: the closed-form partials of
+    # the foot-pinned monoped's accelerations (KKT rows assembled from the
+    # bias, inertia and frame partials) must match central differences of
+    # the acceleration itself.
     system = PlanarMonoped()
     contacts = ContactSet((Contact("foot", [0.0, 0.0], alpha=100.0, beta=20.0),))
     dyn = ConstrainedMechanicalDynamics(system, contacts)

@@ -127,6 +127,10 @@ def test_schema_violations_carry_field_locations(tmp_path):
         (lambda d: d.update(dt=-0.1), "every step size must be > 0"),
         (lambda d: d.update(dt=[0.05] * 3), "dt list must have horizon entries"),
         (lambda d: d.update(x0="origin"), "x0 must be a coordinate list"),
+        (lambda d: d.update(x0=[0.0, "a"]), r"x0\[1\]: coordinate must be a number"),
+        (lambda d: d.update(phases=[]), "phases: phases must be a non-empty list"),
+        (lambda d: d.update(dt="0.01"), "dt: step size must be a number"),
+        (lambda d: d.update(dt=[0.05] * 9 + ["0.05"]), r"dt\[9\]: step size must be a number"),
         (
             lambda d: d["costs"]["running"].append({"kind": "energy", "weight": 1.0}),
             "unknown cost kind 'energy'",

@@ -175,11 +175,11 @@ def test_velocity_bias_satisfies_power_identity(system):
         PointMass(dim=2, mass=1.3),
         Pendulum(mass=1.1, length=0.8, damping=0.2),
         DoublePendulum(m1=1.2, m2=0.7, l1=0.9, l2=0.6),
+        PlanarMonoped(),
     ],
-    ids=["double_integrator", "point_mass", "pendulum", "double_pendulum"],
+    ids=["double_integrator", "point_mass", "pendulum", "double_pendulum", "planar_monoped"],
 )
 def test_analytic_bias_partials_match_finite_differences(system):
-    assert system.has_analytic_partials
     rng = np.random.default_rng(6)
     for _ in range(10):
         q = random_configuration(system, rng)
@@ -200,8 +200,9 @@ def test_analytic_bias_partials_match_finite_differences(system):
         PointMass(dim=2, mass=1.3),
         Pendulum(mass=1.1, length=0.8, damping=0.2),
         DoublePendulum(m1=1.2, m2=0.7, l1=0.9, l2=0.6),
+        PlanarMonoped(),
     ],
-    ids=["double_integrator", "point_mass", "pendulum", "double_pendulum"],
+    ids=["double_integrator", "point_mass", "pendulum", "double_pendulum", "planar_monoped"],
 )
 def test_inertia_contraction_partial_matches_finite_differences(system):
     rng = np.random.default_rng(7)
@@ -268,11 +269,46 @@ def test_frame_drift_is_jacobian_rate_times_velocity(system, frame):
         )
 
 
+# A monoped configuration whose heading lies 5e-4 short of +pi: the
+# finite-difference steps of the oracle cross the heading's wrap.
+NEAR_WRAP_CONFIGURATION = np.array([0.3, -0.2, np.pi - 5e-4, 0.4, -0.7])
+
+
+@pytest.mark.parametrize(
+    "system, frame",
+    frame_cases(),
+    ids=["point", "height", "pend_tip", "dpend_tip", "foot", "hip"],
+)
+def test_frame_partials_match_finite_differences(system, frame):
+    # d(J w)/dq, d(J^T f)/dq, d drift/dq and d drift/dv against central
+    # differences of the frame Jacobian and drift, for fixed w and f.
+    rng = np.random.default_rng(11)
+    configurations = [random_configuration(system, rng) for _ in range(10)]
+    if isinstance(system, PlanarMonoped):
+        configurations.append(NEAR_WRAP_CONFIGURATION)
+    for q in configurations:
+        v = rng.uniform(-1.5, 1.5, size=system.nv)
+        w = rng.uniform(-1.5, 1.5, size=system.nv)
+        f = rng.uniform(-1.5, 1.5, size=system.frame_jacobian(q, frame).shape[0])
+        jw_q, jtf_q, drift_q, drift_v = system.frame_partials(q, v, w, f, frame)
+        oracles = [
+            (jw_q, lambda qv: system.frame_jacobian(qv, frame) @ w, q, system.config),
+            (jtf_q, lambda qv: system.frame_jacobian(qv, frame).T @ f, q, system.config),
+            (drift_q, lambda qv: system.frame_drift(qv, v, frame), q, system.config),
+            (drift_v, lambda vv: system.frame_drift(q, vv, frame), v, None),
+        ]
+        for analytic, fn, at, manifold in oracles:
+            fd = numdiff.jacobian(fn, at, input_manifold=manifold)
+            np.testing.assert_allclose(analytic, fd, atol=1e-6)
+
+
 def test_unknown_frame_is_rejected():
     with pytest.raises(DimensionMismatch):
         Pendulum().frame_placement(np.zeros(1), "elbow")
     with pytest.raises(DimensionMismatch):
         PlanarMonoped().frame_jacobian(np.zeros(5), "head")
+    with pytest.raises(DimensionMismatch):
+        DoublePendulum().frame_partials(np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(2), "elbow")
 
 
 @pytest.mark.parametrize(
