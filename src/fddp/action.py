@@ -9,6 +9,12 @@ an explicit Euler step so their discrete Jacobians are exact.
 
 Models are immutable after construction; each evaluation writes into a separate
 data container, so one model can serve many nodes.
+
+Constructors check their arguments; `calc` and `calc_diff` do not. They take
+x as a float array of shape (nx,) and u of shape (nu,), which the entry points
+(`ShootingProblem.check_trajectories`, the scenario loader) guarantee.
+`calc_diff(data, x, u)` reads what `calc(data, x, u)` left in `data`, so it
+must follow a `calc` at the same (x, u) on the same data.
 """
 
 from __future__ import annotations
@@ -33,6 +39,9 @@ QUASI_STATIC_MAX_ITERS = 100
 QUASI_STATIC_TOL = 1e-6
 _QUASI_STATIC_DAMPING = 1e-10
 
+# The control of a node that has none (terminal and impulse nodes).
+_NO_CONTROL = np.zeros(0)
+
 
 class ActionData:
     """Mutable evaluation buffers for one action model at one node.
@@ -54,8 +63,6 @@ class ActionData:
         self.l_xu = np.zeros((ndx, nu))
         self.l_uu = np.zeros((nu, nu))
         self.dyn = None
-        self._x = None
-        self._u = None
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +190,7 @@ class ConstrainedMechanicalDynamics(DifferentialDynamics):
         da0_dx = np.hstack([np.vstack(da0_dq), np.vstack(da0_dv)])
         dtau_du = sys.actuation()
         da0_du = np.zeros((ws.nf, sys.nu))
-        y_x, y_u, _, _ = contact_dynamics_derivatives(ws, dtau_dx, dtau_du, da0_dx, da0_du)
+        y_x, y_u = contact_dynamics_derivatives(ws, dtau_dx, dtau_du, da0_dx, da0_du)
         return y_x[:, :nv], y_x[:, nv:], y_u
 
     def control_jacobian(self, data):
@@ -243,13 +250,6 @@ class ActionModelBase:
     def create_data(self) -> ActionData:
         return ActionData(self)
 
-    def _check_inputs(self, x, u):
-        x = self.state.check_point(x)
-        u = np.asarray(u, dtype=float)
-        if u.shape != (self.nu,):
-            raise DimensionMismatch(f"control must have shape ({self.nu},), got {u.shape}")
-        return x, u
-
     def _cost_value(self, x, u, scale: float) -> float:
         return scale * float(sum(term.value(x, u) for term in self.costs))
 
@@ -273,16 +273,8 @@ class ActionModelBase:
         raise NotImplementedError
 
     def calc_diff(self, data: ActionData, x, u) -> ActionData:
+        """Derivatives at (x, u); calc(data, x, u) must have run first."""
         raise NotImplementedError
-
-    def _ensure_calc(self, data: ActionData, x, u):
-        if (
-            data._x is None
-            or data._x.shape != x.shape
-            or not np.array_equal(data._x, x)
-            or not np.array_equal(data._u, u)
-        ):
-            self.calc(data, x, u)
 
 
 class IntegratedActionModel(ActionModelBase):
@@ -302,7 +294,6 @@ class IntegratedActionModel(ActionModelBase):
         self.first_order = isinstance(dynamics, LinearFlow)
 
     def calc(self, data, x, u):
-        x, u = self._check_inputs(x, u)
         if self.first_order:
             xdot = self.dynamics.flow(x, u)
             if not np.all(np.isfinite(xdot)):
@@ -319,12 +310,9 @@ class IntegratedActionModel(ActionModelBase):
             data.xnext = np.concatenate([q_next, v_next])
             data.dyn["v_next"] = v_next
         data.cost = self._cost_value(x, u, self.dt)
-        data._x, data._u = x.copy(), u.copy()
         return data
 
     def calc_diff(self, data, x, u):
-        x, u = self._check_inputs(x, u)
-        self._ensure_calc(data, x, u)
         dt = self.dt
         if self.first_order:
             A, B = self.dynamics.partials()
@@ -355,16 +343,12 @@ class TerminalActionModel(ActionModelBase):
     def __init__(self, state: Manifold, costs=(), label: str = "terminal"):
         super().__init__(state, 0, costs, label)
 
-    def calc(self, data, x, u=None):
-        x, u = self._check_inputs(x, np.zeros(0) if u is None else u)
+    def calc(self, data, x, u=_NO_CONTROL):
         data.xnext = x.copy()
         data.cost = self._cost_value(x, u, 1.0)
-        data._x, data._u = x.copy(), u.copy()
         return data
 
-    def calc_diff(self, data, x, u=None):
-        x, u = self._check_inputs(x, np.zeros(0) if u is None else u)
-        self._ensure_calc(data, x, u)
+    def calc_diff(self, data, x, u=_NO_CONTROL):
         data.f_x = np.eye(self.ndx)
         data.f_u = np.zeros((self.ndx, 0))
         self._cost_derivatives(data, x, u, 1.0)
@@ -389,6 +373,8 @@ class ImpulseActionModel(ActionModelBase):
         label: str = "impulse",
     ):
         super().__init__(system.state, 0, costs, label)
+        if not 0.0 <= restitution <= 1.0:
+            raise DimensionMismatch(f"restitution must lie in [0, 1], got {restitution}")
         self.system = system
         self.contacts = contacts
         self.restitution = float(restitution)
@@ -403,8 +389,7 @@ class ImpulseActionModel(ActionModelBase):
             [self.system.frame_jacobian(q, c.frame) for c in self.contacts.contacts]
         )
 
-    def calc(self, data, x, u=None):
-        x, u = self._check_inputs(x, np.zeros(0) if u is None else u)
+    def calc(self, data, x, u=_NO_CONTROL):
         sys = self.system
         q, v = sys.split_state(x)
         ws = impulse_dynamics(sys.mass_matrix(q), self._jc(q), v, self.restitution)
@@ -413,12 +398,9 @@ class ImpulseActionModel(ActionModelBase):
         data.xnext = np.concatenate([q, ws.v_plus])
         data.cost = self._cost_value(x, u, 1.0)
         data.dyn = {"q": q, "v": v, "ws": ws}
-        data._x, data._u = x.copy(), u.copy()
         return data
 
-    def calc_diff(self, data, x, u=None):
-        x, u = self._check_inputs(x, np.zeros(0) if u is None else u)
-        self._ensure_calc(data, x, u)
+    def calc_diff(self, data, x, u=_NO_CONTROL):
         sys = self.system
         nv = sys.nv
         q, v, ws = (data.dyn[k] for k in ("q", "v", "ws"))
@@ -435,9 +417,7 @@ class ImpulseActionModel(ActionModelBase):
             )
             dr1_dq -= jtf_q
             dr2_dq.append(jw_q)
-        ws.dr1_dq, ws.dr2_dq = dr1_dq, np.vstack(dr2_dq)
-
-        dvp_dq, dvp_dv, _, _ = impulse_dynamics_derivatives(ws)
+        dvp_dq, dvp_dv = impulse_dynamics_derivatives(ws, dr1_dq, np.vstack(dr2_dq))
         data.f_x = np.block(
             [
                 [np.eye(nv), np.zeros((nv, nv))],
@@ -467,10 +447,9 @@ def quasi_static_control(model, x) -> np.ndarray:
     data = model.create_data()
 
     if getattr(model, "first_order", False):
-        x0 = model.state.check_point(x)
 
         def residual(u):
-            return model.dynamics.flow(x0, u)
+            return model.dynamics.flow(x, u)
 
         def control_jacobian(u):
             return model.dynamics.partials()[1]

@@ -285,7 +285,11 @@ def cmd_check_derivatives(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    results = check_problem_derivatives(problem, samples=args.samples, seed=args.seed)
+    try:
+        results = check_problem_derivatives(problem, samples=args.samples, seed=args.seed)
+    except FddpError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     failed = []
     for label, block, err in results:
         status = "ok" if err <= DERIVATIVE_TOLERANCE else "FAIL"

@@ -12,8 +12,12 @@ factors: only triangular solves happen per right-hand-side column.
 Sign conventions, fixed once for the whole library:
   forward dynamics   M vdot - Jc^T force   = tau_b,   Jc vdot   = -a0
   impulse dynamics   M v_plus - Jc^T imp   = M v_minus, Jc v_plus = -e Jc v_minus
-The returned force/impulse Jacobians are the Jacobians of exactly those
-returned quantities.
+
+The functions here sit below the validation boundary: the action models hand
+them float ndarrays of consistent shapes and they do not check shapes again.
+`Contact` and `ContactSet` are constructors and check their arguments. What
+the solves do check is the computation itself: non-finite inputs or results
+raise `NumericalFailure`, failed factorizations `FactorizationError`.
 """
 
 from __future__ import annotations
@@ -81,14 +85,11 @@ def baumgarte_a0(contact: Contact, placement_current, velocity_current, drift_ac
 
     a0 = a_drift - alpha * (reference - current) - beta * v_frame
     """
-    cur = np.asarray(placement_current, float)
-    vel = np.asarray(velocity_current, float)
-    drift = np.asarray(drift_acceleration, float)
-    if cur.shape != (contact.nf,) or vel.shape != (contact.nf,) or drift.shape != (contact.nf,):
-        raise DimensionMismatch(
-            f"placement/velocity/drift must all have shape ({contact.nf},)"
-        )
-    return drift - contact.alpha * (contact.reference - cur) - contact.beta * vel
+    return (
+        drift_acceleration
+        - contact.alpha * (contact.reference - placement_current)
+        - contact.beta * velocity_current
+    )
 
 
 @dataclass
@@ -120,10 +121,7 @@ class ContactWorkspace:
 
 @dataclass
 class ImpulseWorkspace:
-    """Solved impulse instance. dr1_dq/dr2_dq are the configuration partials of
-    the two residual rows at the solution; the impulse action model fills them
-    from the system's closed-form partials before asking for derivatives, and
-    left unset they count as zero (configuration-independent M and Jc)."""
+    """Holds one solved impulse instance plus its Cholesky factors."""
 
     M: np.ndarray
     Jc: np.ndarray
@@ -133,8 +131,6 @@ class ImpulseWorkspace:
     impulse: np.ndarray
     m_factor: object = field(repr=False, default=None)
     mhat_factor: object = field(repr=False, default=None)
-    dr1_dq: np.ndarray | None = None
-    dr2_dq: np.ndarray | None = None
 
     @property
     def nv(self) -> int:
@@ -145,18 +141,9 @@ class ImpulseWorkspace:
         return self.Jc.shape[0]
 
 
-def _check_kkt_inputs(M, Jc) -> tuple[np.ndarray, np.ndarray]:
-    M = np.asarray(M, float)
-    Jc = np.atleast_2d(np.asarray(Jc, float))
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise DimensionMismatch(f"inertia must be square, got shape {M.shape}")
-    if Jc.shape[1] != M.shape[0]:
-        raise DimensionMismatch(
-            f"contact Jacobian has {Jc.shape[1]} columns, inertia is {M.shape[0]}x{M.shape[0]}"
-        )
-    if not (np.isfinite(M).all() and np.isfinite(Jc).all()):
-        raise NumericalFailure("non-finite entries in contact dynamics inputs")
-    return M, Jc
+def _require_finite(what: str, *arrays) -> None:
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise NumericalFailure(f"non-finite entries in {what} inputs")
 
 
 def _factorize(M: np.ndarray, Jc: np.ndarray):
@@ -198,16 +185,7 @@ def contact_forward_dynamics(M, Jc, tau_b, a0) -> ContactWorkspace:
     Returns a workspace whose (vdot, force) satisfy
     M vdot - Jc^T force = tau_b and Jc vdot = -a0.
     """
-    M, Jc = _check_kkt_inputs(M, Jc)
-    tau_b = np.asarray(tau_b, float)
-    a0 = np.asarray(a0, float)
-    if not (np.isfinite(tau_b).all() and np.isfinite(a0).all()):
-        raise NumericalFailure("non-finite entries in contact dynamics inputs")
-    if tau_b.shape != (M.shape[0],):
-        raise DimensionMismatch(f"tau_b must have shape ({M.shape[0]},), got {tau_b.shape}")
-    if a0.shape != (Jc.shape[0],):
-        raise DimensionMismatch(f"a0 must have shape ({Jc.shape[0]},), got {a0.shape}")
-
+    _require_finite("contact dynamics", M, Jc, tau_b, a0)
     m_factor, mhat, mhat_factor = _factorize(M, Jc)
     # Right-hand side [tau_b; -a0]; the eliminated multiplier block is -force.
     # Ill-conditioned but factorizable systems can overflow to inf during the
@@ -234,7 +212,7 @@ def contact_forward_dynamics(M, Jc, tau_b, a0) -> ContactWorkspace:
 def contact_dynamics_derivatives(
     workspace: ContactWorkspace, dtau_dx, dtau_du, da0_dx, da0_du
 ):
-    """Jacobian blocks (y_x, y_u, g_x, g_u) of (vdot, force).
+    """Jacobian blocks (y_x, y_u) of vdot.
 
     Input partials are total derivatives of the two KKT rows at the solution,
     holding (vdot, force) fixed:
@@ -246,38 +224,19 @@ def contact_dynamics_derivatives(
     tau_b and a0. The factored KKT inverse is applied to the stacked
     right-hand sides; no refactorization happens here.
     """
-    nv, nf = workspace.nv, workspace.nf
-    dtau_dx = np.atleast_2d(np.asarray(dtau_dx, float))
-    dtau_du = np.atleast_2d(np.asarray(dtau_du, float))
-    da0_dx = np.atleast_2d(np.asarray(da0_dx, float))
-    da0_du = np.atleast_2d(np.asarray(da0_du, float))
-    if dtau_dx.shape[0] != nv or dtau_du.shape[0] != nv:
-        raise DimensionMismatch("dtau_dx/dtau_du must have nv rows")
-    if da0_dx.shape[0] != nf or da0_du.shape[0] != nf:
-        raise DimensionMismatch("da0_dx/da0_du must have nf rows")
-    if dtau_dx.shape[1] != da0_dx.shape[1] or dtau_du.shape[1] != da0_du.shape[1]:
-        raise DimensionMismatch("state/control partial column counts disagree")
-
-    y_x, zx = workspace.apply_inverse(dtau_dx, -da0_dx)
-    y_u, zu = workspace.apply_inverse(dtau_du, -da0_du)
-    return y_x, y_u, -zx, -zu
+    y_x = workspace.apply_inverse(dtau_dx, -da0_dx)[0]
+    y_u = workspace.apply_inverse(dtau_du, -da0_du)[0]
+    return y_x, y_u
 
 
 def impulse_dynamics(M, Jc, v_minus, e: float) -> ImpulseWorkspace:
     """Post-impact velocity and contact impulse for a contact-gain switch.
 
     Solves M v_plus - Jc^T impulse = M v_minus with Jc v_plus = -e Jc v_minus.
-    e = 0 is a perfectly inelastic impact (contact-point velocity zeroed).
+    e = 0 is a perfectly inelastic impact (contact-point velocity zeroed); the
+    impulse action model checks that e lies in [0, 1].
     """
-    M, Jc = _check_kkt_inputs(M, Jc)
-    v_minus = np.asarray(v_minus, float)
-    if v_minus.shape != (M.shape[0],):
-        raise DimensionMismatch(f"v_minus must have shape ({M.shape[0]},), got {v_minus.shape}")
-    if not np.isfinite(v_minus).all():
-        raise NumericalFailure("non-finite entries in impulse dynamics inputs")
-    if not 0.0 <= e <= 1.0:
-        raise DimensionMismatch(f"restitution must lie in [0, 1], got {e}")
-
+    _require_finite("impulse dynamics", M, Jc, v_minus)
     m_factor, _, mhat_factor = _factorize(M, Jc)
     jv = Jc @ v_minus
     try:
@@ -298,31 +257,17 @@ def impulse_dynamics(M, Jc, v_minus, e: float) -> ImpulseWorkspace:
     )
 
 
-def impulse_dynamics_derivatives(workspace: ImpulseWorkspace):
-    """Jacobians of (v_plus, impulse) w.r.t. tangent state (q, v_minus).
+def impulse_dynamics_derivatives(workspace: ImpulseWorkspace, dr1_dq, dr2_dq):
+    """Jacobians (dvplus_dq, dvplus_dv) of v_plus w.r.t. tangent state (q, v_minus).
 
-    Configuration dependence enters through workspace.dr1_dq / dr2_dq, the
-    fixed-solution partials of the residual rows
+    dr1_dq and dr2_dq are the configuration partials of the residual rows at
+    the solution, holding (v_plus, impulse) fixed:
 
         r1 = M(q) (v_plus - v_minus) - Jc(q)^T impulse
         r2 = Jc(q) (v_plus + e v_minus)
-
-    left as zeros when M, Jc do not depend on q. Returns
-    (dvplus_dq, dvplus_dv, dimp_dq, dimp_dv).
     """
-    nv, nf = workspace.nv, workspace.nf
-    ndq = nv if workspace.dr1_dq is None else np.atleast_2d(workspace.dr1_dq).shape[1]
-    dr1_dq = (
-        np.zeros((nv, ndq)) if workspace.dr1_dq is None else np.atleast_2d(workspace.dr1_dq)
-    )
-    dr2_dq = (
-        np.zeros((nf, ndq)) if workspace.dr2_dq is None else np.atleast_2d(workspace.dr2_dq)
-    )
-    if dr1_dq.shape[0] != nv or dr2_dq.shape[0] != nf or dr1_dq.shape[1] != dr2_dq.shape[1]:
-        raise DimensionMismatch("residual configuration partials have inconsistent shapes")
-
     args = (workspace.m_factor, workspace.Jc, workspace.mhat_factor)
-    dvplus_dq, zq = _kkt_apply_inverse(*args, -dr1_dq, -dr2_dq)
+    dvplus_dq = _kkt_apply_inverse(*args, -dr1_dq, -dr2_dq)[0]
     # v_minus block: r1 gives -M, r2 gives e*Jc.
-    dvplus_dv, zv = _kkt_apply_inverse(*args, workspace.M, -workspace.e * workspace.Jc)
-    return dvplus_dq, dvplus_dv, -zq, -zv
+    dvplus_dv = _kkt_apply_inverse(*args, workspace.M, -workspace.e * workspace.Jc)[0]
+    return dvplus_dq, dvplus_dv

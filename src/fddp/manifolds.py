@@ -12,6 +12,11 @@ with the right-handed convention: on a rotation group,
 integrate(x, dx) = x * exp(dx) and difference(x0, x1) = log(x0^-1 * x1).
 Planar rotations are stored as one angle wrapped into (-pi, pi], and their
 tangents as the angle increment.
+
+Inputs are checked once, where they enter the library: the scenario loader,
+the model and problem constructors and `ShootingProblem.check_trajectories`
+call `check_point`. Below those entry points every point and tangent is a
+float ndarray of the right shape, and the operators do not check it again.
 """
 
 from __future__ import annotations
@@ -25,13 +30,6 @@ from .errors import DimensionMismatch
 _TWO_PI = 2.0 * np.pi
 
 
-def _as_vector(value, size: int, what: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    if arr.shape != (size,):
-        raise DimensionMismatch(f"{what} must have shape ({size},), got {arr.shape}")
-    return arr
-
-
 class Manifold(ABC):
     """Base class; concrete manifolds define nx, ndx and the four operators."""
 
@@ -41,10 +39,11 @@ class Manifold(ABC):
     # -- validation -------------------------------------------------------
 
     def check_point(self, x) -> np.ndarray:
-        return _as_vector(x, self.nx, "point")
-
-    def check_tangent(self, dx) -> np.ndarray:
-        return _as_vector(dx, self.ndx, "tangent")
+        """x as a float array of shape (nx,); the entry points call this."""
+        arr = np.asarray(x, dtype=float)
+        if arr.shape != (self.nx,):
+            raise DimensionMismatch(f"point must have shape ({self.nx},), got {arr.shape}")
+        return arr
 
     # -- operators --------------------------------------------------------
 
@@ -93,17 +92,15 @@ class VectorSpace(Manifold):
         return np.zeros(self.nx)
 
     def integrate(self, x, dx) -> np.ndarray:
-        return self.check_point(x) + self.check_tangent(dx)
+        return x + dx
 
     def difference(self, x0, x1) -> np.ndarray:
-        return self.check_point(x1) - self.check_point(x0)
+        return x1 - x0
 
     def jintegrate(self, x, dx):
-        self.check_point(x), self.check_tangent(dx)
         return np.eye(self.ndx), np.eye(self.ndx)
 
     def jdifference(self, x0, x1):
-        self.check_point(x0), self.check_point(x1)
         return -np.eye(self.ndx), np.eye(self.ndx)
 
     def random_point(self, rng: np.random.Generator) -> np.ndarray:
@@ -135,21 +132,15 @@ class Rotation2D(Manifold):
         return np.array([_wrap_angle(x[0])])
 
     def integrate(self, x, dx) -> np.ndarray:
-        x = self.check_point(x)
-        dx = self.check_tangent(dx)
         return np.array([_wrap_angle(x[0] + dx[0])])
 
     def difference(self, x0, x1) -> np.ndarray:
-        x0 = self.check_point(x0)
-        x1 = self.check_point(x1)
         return np.array([_wrap_angle(x1[0] - x0[0])])
 
     def jintegrate(self, x, dx):
-        self.check_point(x), self.check_tangent(dx)
         return np.eye(1), np.eye(1)
 
     def jdifference(self, x0, x1):
-        self.check_point(x0), self.check_point(x1)
         return -np.eye(1), np.eye(1)
 
     def random_point(self, rng: np.random.Generator) -> np.ndarray:
@@ -190,8 +181,6 @@ class CompositeManifold(Manifold):
         )
 
     def integrate(self, x, dx) -> np.ndarray:
-        x = self.check_point(x)
-        dx = self.check_tangent(dx)
         return np.concatenate(
             [
                 p.integrate(x[sx], dx[sd])
@@ -200,15 +189,11 @@ class CompositeManifold(Manifold):
         )
 
     def difference(self, x0, x1) -> np.ndarray:
-        x0 = self.check_point(x0)
-        x1 = self.check_point(x1)
         return np.concatenate(
             [p.difference(x0[s], x1[s]) for p, s in zip(self.parts, self._x_slices)]
         )
 
     def jintegrate(self, x, dx):
-        x = self.check_point(x)
-        dx = self.check_tangent(dx)
         jx = np.zeros((self.ndx, self.ndx))
         jd = np.zeros((self.ndx, self.ndx))
         for p, sx, sd in zip(self.parts, self._x_slices, self._dx_slices):
@@ -218,8 +203,6 @@ class CompositeManifold(Manifold):
         return jx, jd
 
     def jdifference(self, x0, x1):
-        x0 = self.check_point(x0)
-        x1 = self.check_point(x1)
         j0 = np.zeros((self.ndx, self.ndx))
         j1 = np.zeros((self.ndx, self.ndx))
         for p, sx, sd in zip(self.parts, self._x_slices, self._dx_slices):

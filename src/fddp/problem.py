@@ -6,6 +6,11 @@ produces the total cost and the per-node dynamics gaps: the tangent-space
 mismatch between where each node's dynamics lands and where the guess says the
 next state is (plus the mismatch between the guess and the measured initial
 state at node 0).
+
+`check_trajectories` is the validation boundary for guesses: `solve`, `calc`
+and `rollout` call it on entry, and nothing below them checks a state or a
+control again. `calc_diff` reads what `calc` left in the data containers, so
+it must follow a `calc` at the same (X, U).
 """
 
 from __future__ import annotations
@@ -46,17 +51,29 @@ class ShootingProblem:
     # -- validation ------------------------------------------------------------
 
     def check_trajectories(self, X, U):
-        if len(X) != self.N + 1:
-            raise DimensionMismatch(f"X must hold {self.N + 1} states, got {len(X)}")
+        """Check a guess where it enters; returns (X, U) as lists of float arrays.
+
+        X must hold N + 1 points of the state manifold and U[k] must have
+        shape (nu_k,); an error names the offending X[k] or U[k]. X is None
+        for a rollout, which takes only controls.
+        """
+        if X is not None:
+            if len(X) != self.N + 1:
+                raise DimensionMismatch(f"X must hold {self.N + 1} states, got {len(X)}")
+            X = [_entry(f"X[{k}]", self.state.check_point, x) for k, x in enumerate(X)]
         if len(U) != self.N:
             raise DimensionMismatch(f"U must hold {self.N} controls, got {len(U)}")
+        U = [
+            _entry(f"U[{k}]", _check_control, u, model.nu)
+            for k, (u, model) in enumerate(zip(U, self.running_models))
+        ]
+        return X, U
 
     # -- evaluation ------------------------------------------------------------
 
     def rollout(self, U, datas=None):
         """Integrate the controls from the measured initial state (feasible X)."""
-        if len(U) != self.N:
-            raise DimensionMismatch(f"U must hold {self.N} controls, got {len(U)}")
+        _, U = self.check_trajectories(None, U)
         running, terminal = (datas or (self.datas, self.terminal_data))[:2]
         X = [self.x0_measured.copy()]
         for k, model in enumerate(self.running_models):
@@ -74,7 +91,7 @@ class ShootingProblem:
         is where node k's dynamics lands minus the guessed X[k+1], both as
         tangent vectors at the guessed states.
         """
-        self.check_trajectories(X, U)
+        X, U = self.check_trajectories(X, U)
         running, terminal = (datas or (self.datas, self.terminal_data))[:2]
         gaps = [self.state.difference(X[0], self.x0_measured)]
         cost = 0.0
@@ -94,10 +111,10 @@ class ShootingProblem:
     def calc_diff(self, X, U, datas=None):
         """Evaluate all node derivatives at the guess, node by node in order.
 
-        Each node writes only its own data container; a numerical failure is
-        re-raised with the index of the node that produced it.
+        Reads what calc(X, U, datas) left in the same data containers. Each
+        node writes only its own container; a numerical failure is re-raised
+        with the index of the node that produced it.
         """
-        self.check_trajectories(X, U)
         running, terminal = (datas or (self.datas, self.terminal_data))[:2]
         for k, model in enumerate(self.running_models):
             try:
@@ -114,6 +131,21 @@ class ShootingProblem:
 
     def constant_state_guess(self) -> list[np.ndarray]:
         return [self.x0_measured.copy() for _ in range(self.N + 1)]
+
+
+def _check_control(u, nu: int) -> np.ndarray:
+    u = np.asarray(u, dtype=float)
+    if u.shape != (nu,):
+        raise DimensionMismatch(f"control must have shape ({nu},), got {u.shape}")
+    return u
+
+
+def _entry(where: str, check, *args):
+    """check(*args), with a failure re-raised as a DimensionMismatch naming where."""
+    try:
+        return check(*args)
+    except (ValueError, TypeError) as exc:
+        raise DimensionMismatch(f"{where}: {exc}") from exc
 
 
 def gap_l2_norm(gaps) -> float:

@@ -152,7 +152,7 @@ def _validate_contacts(entries, where: str) -> list[dict]:
                 location=f"{loc}.reference",
             )
         for gain in ("alpha", "beta"):
-            if gain in entry and float(entry[gain]) < 0:
+            if gain in entry and _number(entry[gain], f"contact gain {gain}", f"{loc}.{gain}") < 0:
                 raise ScenarioError(f"contact gain {gain} must be >= 0", location=f"{loc}.{gain}")
         out.append(dict(entry))
     return out
@@ -259,7 +259,7 @@ def load_scenario(path) -> Scenario:
                 f"switch node {node} is not a phase boundary (boundaries: {sorted(boundaries)})",
                 location=f"{loc}.node",
             )
-        restitution = float(entry.get("restitution", 0.0))
+        restitution = _number(entry.get("restitution", 0.0), "restitution", f"{loc}.restitution")
         if not 0.0 <= restitution <= 1.0:
             raise ScenarioError("restitution must lie in [0, 1]", location=f"{loc}.restitution")
         contacts = entry.get("contacts")
@@ -560,14 +560,22 @@ def build_warm_start(scenario: Scenario, problem: ShootingProblem):
             raise ScenarioError(
                 f"invalid warm-start JSON: {exc.msg}", location=f"line {exc.lineno}"
             ) from exc
-        X = [problem.state.check_point(np.asarray(x, float)) for x in payload["X"]]
-        U = [np.asarray(u, float) for u in payload["U"]]
+        # Checked here as well as in solve, so that a fault names its field.
+        for key in ("X", "U"):
+            if not isinstance(payload, dict) or not isinstance(payload.get(key), list):
+                raise ScenarioError(
+                    f"warm-start file {raw_path} needs a list {key!r}", location="warm_start.path"
+                )
+        X, U = payload["X"], payload["U"]
         if len(X) != M + 1 or len(U) != M:
             raise ScenarioError(
                 f"warm-start lengths ({len(X)}, {len(U)}) do not match the problem ({M + 1}, {M})",
-                location=str(raw_path),
+                location="warm_start.path",
             )
-        return X, U
+        try:
+            return problem.check_trajectories(X, U)
+        except DimensionMismatch as exc:
+            raise ScenarioError(str(exc), location="warm_start.path") from exc
 
     state = problem.state
     target = _interpolation_target(scenario, problem)

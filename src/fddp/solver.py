@@ -285,18 +285,19 @@ def solve(
     tenfold and retry from the same iterate. Convergence is declared when the
     zero-step expected-improvement gradient plus the total gap norm falls
     under the tolerance. Failure states (regularization cap, non-finite
-    evaluations) are recorded in the report, never raised.
+    evaluations) are recorded in the report, never raised. A malformed guess
+    is rejected on entry by `ShootingProblem.check_trajectories`.
     """
     if solver not in ("ddp", "fddp"):
         raise DimensionMismatch(f"unknown solver {solver!r}, expected 'ddp' or 'fddp'")
     if max_iters < 0:
         raise DimensionMismatch(f"max_iters must be >= 0, got {max_iters}")
 
-    U = [np.asarray(u, float).copy() for u in U_guess] if U_guess is not None else problem.zero_controls()
-    if X_guess is not None:
-        X = [problem.state.check_point(x).copy() for x in X_guess]
-    else:
-        X = problem.constant_state_guess()
+    X, U = problem.check_trajectories(
+        problem.constant_state_guess() if X_guess is None else X_guess,
+        problem.zero_controls() if U_guess is None else U_guess,
+    )
+    X, U = [x.copy() for x in X], [u.copy() for u in U]
 
     report = SolveReport(solver=solver)
     timings = {"calc_diff": 0.0, "backward": 0.0, "forward": 0.0, "total": 0.0}

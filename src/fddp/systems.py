@@ -127,7 +127,6 @@ class MechanicalSystem:
     # -- helpers -------------------------------------------------------------
 
     def split_state(self, x) -> tuple[np.ndarray, np.ndarray]:
-        x = self.state.check_point(x)
         return x[: self.nq], x[self.nq :]
 
     def nominal_state(self) -> np.ndarray:

@@ -34,6 +34,7 @@ from fddp.errors import (
     RankDeficientConstraint,
 )
 from fddp.problem import ShootingProblem
+from fddp.solver import solve
 from fddp.systems import (
     DoubleIntegrator,
     DoublePendulum,
@@ -65,13 +66,13 @@ def default_costs(state, nu):
 
 def test_double_integrator_unit_push():
     model = integrated(DoubleIntegrator(dim=1), dt=0.1)
-    data = model.calc(model.create_data(), [0.0, 0.0], [1.0])
+    data = model.calc(model.create_data(), np.zeros(2), np.array([1.0]))
     np.testing.assert_allclose(data.xnext, [0.01, 0.1], atol=1e-15)
 
 
 def test_pendulum_rest_is_a_fixed_point():
     model = integrated(Pendulum(), dt=0.05)
-    data = model.calc(model.create_data(), [0.0, 0.0], [0.0])
+    data = model.calc(model.create_data(), np.zeros(2), np.zeros(1))
     np.testing.assert_array_equal(data.xnext, [0.0, 0.0])
 
 
@@ -274,8 +275,9 @@ def test_terminal_model_is_cost_only():
     pend = Pendulum()
     model = TerminalActionModel(pend.state, default_costs(pend.state, 0))
     data = model.create_data()
-    model.calc(data, [0.4, -0.3])
-    model.calc_diff(data, [0.4, -0.3])
+    x = np.array([0.4, -0.3])
+    model.calc(data, x)
+    model.calc_diff(data, x)
     np.testing.assert_array_equal(data.xnext, [0.4, -0.3])
     np.testing.assert_array_equal(data.f_x, np.eye(2))
     assert data.f_u.shape == (2, 0)
@@ -324,8 +326,9 @@ def test_state_regularization_gradient_vanishes_at_reference():
     ref = np.array([0.7, -0.2])
     model = integrated(pend, 0.05, (StateRegularization(pend.state, ref, 2.0, 1),))
     data = model.create_data()
-    model.calc(data, ref, [0.3])
-    model.calc_diff(data, ref, [0.3])
+    u = np.array([0.3])
+    model.calc(data, ref, u)
+    model.calc_diff(data, ref, u)
     np.testing.assert_array_equal(data.l_x, np.zeros(2))
     assert data.cost == 0.0
 
@@ -333,7 +336,7 @@ def test_state_regularization_gradient_vanishes_at_reference():
 def test_integrated_cost_value_is_scaled_by_dt():
     di = DoubleIntegrator(dim=1)
     model = integrated(di, 0.1, (ControlRegularization(1, 2.0, 2),))
-    data = model.calc(model.create_data(), [0.0, 0.0], [3.0])
+    data = model.calc(model.create_data(), np.zeros(2), np.array([3.0]))
     np.testing.assert_allclose(data.cost, 0.1 * 0.5 * 2.0 * 9.0)
 
 
@@ -395,15 +398,17 @@ def test_two_data_containers_do_not_interfere():
     pend = Pendulum(damping=0.1)
     model = integrated(pend, 0.01, default_costs(pend.state, 1))
     d1, d2 = model.create_data(), model.create_data()
-    model.calc(d1, [0.5, 0.1], [0.2])
+    x1, u1 = np.array([0.5, 0.1]), np.array([0.2])
+    x2, u2 = np.array([-1.0, 2.0]), np.array([-0.7])
+    model.calc(d1, x1, u1)
     first = d1.xnext.copy()
-    model.calc(d2, [-1.0, 2.0], [-0.7])
-    model.calc_diff(d2, [-1.0, 2.0], [-0.7])
+    model.calc(d2, x2, u2)
+    model.calc_diff(d2, x2, u2)
     np.testing.assert_array_equal(d1.xnext, first)
-    model.calc_diff(d1, [0.5, 0.1], [0.2])
+    model.calc_diff(d1, x1, u1)
     fresh = model.create_data()
-    model.calc(fresh, [0.5, 0.1], [0.2])
-    model.calc_diff(fresh, [0.5, 0.1], [0.2])
+    model.calc(fresh, x1, u1)
+    model.calc_diff(fresh, x1, u1)
     np.testing.assert_array_equal(d1.f_x, fresh.f_x)
     np.testing.assert_array_equal(d1.l_x, fresh.l_x)
 
@@ -513,6 +518,25 @@ def test_rollout_failure_reports_the_node():
     with np.errstate(over="ignore"), pytest.raises(NumericalFailure) as excinfo:
         problem.rollout(problem.zero_controls())
     assert excinfo.value.node == 1
+
+
+def test_guesses_are_checked_where_they_enter():
+    # solve, calc and rollout check the guess once and name the offending node;
+    # the models below them take what they are handed.
+    problem = pendulum_problem(n=5)
+    X, U = problem.constant_state_guess(), problem.zero_controls()
+    short_x = X[:3] + [np.zeros(3)] + X[4:]
+    text_x = X[:1] + [[0.0, "a"]] + X[2:]
+    wide_u = U[:2] + [np.zeros(2)] + U[3:]
+    for entry in (problem.calc, lambda X, U: solve(problem, X, U, max_iters=1)):
+        with pytest.raises(DimensionMismatch, match=r"X\[3\]: point must have shape \(2,\)"):
+            entry(short_x, U)
+        with pytest.raises(DimensionMismatch, match=r"X\[1\]: could not convert"):
+            entry(text_x, U)
+        with pytest.raises(DimensionMismatch, match=r"U\[2\]: control must have shape \(1,\)"):
+            entry(X, wide_u)
+    with pytest.raises(DimensionMismatch, match=r"U\[2\]: control must have shape \(1,\)"):
+        problem.rollout(wide_u)
 
 
 def test_problem_validates_guess_lengths():

@@ -61,6 +61,11 @@ def pendulum_doc(**overrides):
     return doc
 
 
+def tip(**gains):
+    """A contact entry pinning the pendulum tip."""
+    return {"frame": "tip", **gains}
+
+
 def write_doc(tmp_path, doc, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -162,6 +167,25 @@ def test_schema_violations_carry_field_locations(tmp_path):
         (lambda d: d.update(solver={"threads": 1}), "solver.threads: unknown field 'threads'"),
         (lambda d: d.update(solver={"max_iter": 0}), "solver.max_iter: unknown field 'max_iter'"),
         (lambda d: d.update(solver="fddp"), "solver: solver must be an object"),
+        (
+            lambda d: d.update(phases=[{"start": 0, "end": 10, "contacts": [tip(alpha="abc")]}]),
+            r"phases\[0\]\.contacts\[0\]\.alpha: contact gain alpha must be a number",
+        ),
+        (
+            lambda d: d.update(phases=[{"start": 0, "end": 10, "contacts": [tip(alpha="50")]}]),
+            r"phases\[0\]\.contacts\[0\]\.alpha: contact gain alpha must be a number",
+        ),
+        (
+            lambda d: d.update(phases=[{"start": 0, "end": 10, "contacts": [tip(beta=None)]}]),
+            r"phases\[0\]\.contacts\[0\]\.beta: contact gain beta must be a number",
+        ),
+        (
+            lambda d: d.update(
+                phases=[{"start": 0, "end": 5}, {"start": 5, "end": 10, "contacts": [tip()]}],
+                switches=[{"node": 5, "restitution": "x"}],
+            ),
+            r"switches\[0\]\.restitution: restitution must be a number",
+        ),
     ]
     for i, (mutate, message) in enumerate(cases):
         doc = pendulum_doc()
@@ -346,6 +370,33 @@ def test_file_warm_start_length_mismatch(tmp_path):
     problem = build_problem(scenario)
     with pytest.raises(ScenarioError, match=r"\(4, 3\) do not match the problem \(11, 10\)"):
         build_warm_start(scenario, problem)
+
+
+def test_file_warm_start_entries_are_checked(tmp_path, capsys):
+    # The solver trusts the trajectories it is handed, so the file reader is
+    # the only check on them: every fault names its field and exits 5.
+    X = [[0.0, 0.0]] * 11
+    U = [[0.0]] * 10
+    cases = [
+        ({"U": U}, r"warm_start\.path: warm-start file .*needs a list 'X'"),
+        ({"X": X, "U": 0.5}, r"warm_start\.path: warm-start file .*needs a list 'U'"),
+        ([X, U], r"warm_start\.path: warm-start file .*needs a list 'X'"),
+        (
+            {"X": X[:3] + [[0.0, 0.0, 0.0]] + X[4:], "U": U},
+            r"X\[3\]: point must have shape \(2,\)",
+        ),
+        ({"X": X[:1] + [[0.0, "a"]] + X[2:], "U": U}, r"X\[1\]: could not convert"),
+        ({"X": X, "U": U[:2] + [[0.0, 1.0]] + U[3:]}, r"U\[2\]: control must have shape \(1,\)"),
+    ]
+    path = write_doc(tmp_path, pendulum_doc(warm_start={"policy": "file", "path": "guess.json"}))
+    for payload, message in cases:
+        (tmp_path / "guess.json").write_text(json.dumps(payload))
+        scenario = load_scenario(path)
+        with pytest.raises(ScenarioError, match=message):
+            build_warm_start(scenario, build_problem(scenario))
+        rc = cli.main(["solve", "--scenario", str(path), "--out", str(tmp_path / "out")])
+        assert rc == EXIT_CONFIG
+        assert "warm_start.path: " in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -548,6 +599,16 @@ def test_check_derivatives_bad_scenario_exits_config(tmp_path, capsys):
     rc = cli.main(["check-derivatives", "--scenario", str(tmp_path / "nope.json")])
     assert rc == EXIT_CONFIG
     capsys.readouterr()
+
+
+def test_check_derivatives_exits_config_when_a_model_cannot_be_evaluated(tmp_path, capsys):
+    # Pinning the 2-D tip of the one-joint pendulum leaves the constraint
+    # rank-deficient: the audit reports the library error with exit 5 and
+    # no traceback.
+    path = write_doc(tmp_path, pendulum_doc(phases=[{"start": 0, "end": 10, "contacts": [tip()]}]))
+    rc = cli.main(["check-derivatives", "--scenario", str(path), "--samples", "2"])
+    assert rc == EXIT_CONFIG
+    assert "error: operational-space inertia" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -607,17 +607,13 @@ class BlockedControlModel(ActionModelBase):
         super().__init__(state, 1, (), "blocked")
 
     def calc(self, data, x, u):
-        x, u = self._check_inputs(x, u)
         if np.any(u != 0.0):
             raise NumericalFailure("control rejected")
         data.xnext = x.copy()
         data.cost = 1.0
-        data._x, data._u = x.copy(), u.copy()
         return data
 
     def calc_diff(self, data, x, u):
-        x, u = self._check_inputs(x, u)
-        self._ensure_calc(data, x, u)
         data.f_x = np.eye(1)
         data.f_u = np.ones((1, 1))
         data.l_x = np.zeros(1)
