@@ -15,15 +15,22 @@ x as a float array of shape (nx,) and u of shape (nu,), which the entry points
 (`ShootingProblem.check_trajectories`, the scenario loader) guarantee.
 `calc_diff(data, x, u)` reads what `calc(data, x, u)` left in `data`, so it
 must follow a `calc` at the same (x, u) on the same data.
+
+`calc_diff` writes the derivative blocks in place: f_x, f_u and the cost
+derivatives are the arrays `create_data` allocated, overwritten block by
+block at every call, never replaced. A caller that keeps a block across two
+`calc_diff` calls on the same data must copy it. Constant blocks (identity
+parts, linear-flow Jacobians) are built once, in the constructors.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .contact import (
     ContactSet,
+    _cholesky,
+    _cholesky_solve,
     baumgarte_a0,
     contact_dynamics_derivatives,
     contact_forward_dynamics,
@@ -103,13 +110,13 @@ class FreeMechanicalDynamics(DifferentialDynamics):
         q, v = sys.split_state(x)
         M = sys.mass_matrix(q)
         tau = sys.actuation() @ u - sys.bias(q, v)
-        if not (np.all(np.isfinite(M)) and np.all(np.isfinite(tau))):
+        if not (np.isfinite(M).all() and np.isfinite(tau).all()):
             raise NumericalFailure("non-finite dynamics terms")
         try:
-            factor = cho_factor(M, lower=True)
+            factor = _cholesky(M)
         except np.linalg.LinAlgError as exc:
             raise NumericalFailure("inertia factorization failed") from exc
-        vdot = cho_solve(factor, tau)
+        vdot = _cholesky_solve(factor, tau)
         data.dyn = {"q": q, "v": v, "factor": factor, "vdot": vdot}
         return vdot
 
@@ -118,12 +125,12 @@ class FreeMechanicalDynamics(DifferentialDynamics):
         q, v, factor, vdot = (data.dyn[k] for k in ("q", "v", "factor", "vdot"))
         bq, bv = sys.bias_partials(q, v)
         mc = sys.inertia_contraction_partial(q, vdot)
-        a_q = cho_solve(factor, -(bq + mc))
-        a_v = cho_solve(factor, -bv)
+        a_q = _cholesky_solve(factor, -(bq + mc))
+        a_v = _cholesky_solve(factor, -bv)
         return a_q, a_v, self.control_jacobian(data)
 
     def control_jacobian(self, data):
-        return cho_solve(data.dyn["factor"], self.system.actuation())
+        return _cholesky_solve(data.dyn["factor"], self.system.actuation())
 
 
 class ConstrainedMechanicalDynamics(DifferentialDynamics):
@@ -254,18 +261,16 @@ class ActionModelBase:
         return scale * float(sum(term.value(x, u) for term in self.costs))
 
     def _cost_derivatives(self, data: ActionData, x, u, scale: float):
-        data.l_x[:] = 0.0
-        data.l_u[:] = 0.0
-        data.l_xx[:] = 0.0
-        data.l_xu[:] = 0.0
-        data.l_uu[:] = 0.0
-        for term in self.costs:
-            l_x, l_u, l_xx, l_xu, l_uu = term.derivatives(x, u)
-            data.l_x += scale * l_x
-            data.l_u += scale * l_u
-            data.l_xx += scale * l_xx
-            data.l_xu += scale * l_xu
-            data.l_uu += scale * l_uu
+        # The first term overwrites the buffers and the others add to them, so
+        # nothing is zeroed; a model without cost terms keeps the zeros that
+        # create_data wrote.
+        blocks = (data.l_x, data.l_u, data.l_xx, data.l_xu, data.l_uu)
+        for i, term in enumerate(self.costs):
+            for total, part in zip(blocks, term.derivatives(x, u)):
+                if i == 0:
+                    np.multiply(scale, part, out=total)
+                else:
+                    total += scale * part
         data.l_xx[:] = 0.5 * (data.l_xx + data.l_xx.T)
         data.l_uu[:] = 0.5 * (data.l_uu + data.l_uu.T)
 
@@ -292,18 +297,26 @@ class IntegratedActionModel(ActionModelBase):
         self.dynamics = dynamics
         self.dt = float(dt)
         self.first_order = isinstance(dynamics, LinearFlow)
+        if self.first_order:
+            A, B = dynamics.partials()
+            self._f_x = np.eye(self.ndx) + self.dt * A
+            self._f_u = self.dt * B
+        else:
+            nv = dynamics.system.nv
+            self._eye_v = np.eye(nv)
+            self._dt_eye_v = self.dt * self._eye_v
 
     def calc(self, data, x, u):
         if self.first_order:
             xdot = self.dynamics.flow(x, u)
-            if not np.all(np.isfinite(xdot)):
+            if not np.isfinite(xdot).all():
                 raise NumericalFailure("non-finite flow in forward integration")
             data.xnext = x + self.dt * xdot
         else:
             sys = self.dynamics.system
             q, v = sys.split_state(x)
             vdot = self.dynamics.acceleration(x, u, data)
-            if not np.all(np.isfinite(vdot)):
+            if not np.isfinite(vdot).all():
                 raise NumericalFailure("non-finite acceleration in forward integration")
             v_next = v + self.dt * vdot
             q_next = sys.config.integrate(q, self.dt * v_next)
@@ -314,25 +327,22 @@ class IntegratedActionModel(ActionModelBase):
 
     def calc_diff(self, data, x, u):
         dt = self.dt
+        f_x, f_u = data.f_x, data.f_u
         if self.first_order:
-            A, B = self.dynamics.partials()
-            data.f_x = np.eye(self.ndx) + dt * A
-            data.f_u = dt * B
+            f_x[:] = self._f_x
+            f_u[:] = self._f_u
         else:
             sys = self.dynamics.system
             nv = sys.nv
             a_q, a_v, a_u = self.dynamics.partials(x, u, data)
-            v_next = data.dyn["v_next"]
-            q = data.dyn["q"]
-            Jq, Jdx = sys.config.jintegrate(q, dt * v_next)
-            eye = np.eye(nv)
-            data.f_x = np.block(
-                [
-                    [Jq + Jdx @ (dt * dt * a_q), Jdx @ (dt * eye + dt * dt * a_v)],
-                    [dt * a_q, eye + dt * a_v],
-                ]
-            )
-            data.f_u = np.vstack([Jdx @ (dt * dt * a_u), dt * a_u])
+            Jq, Jdx = sys.config.jintegrate(data.dyn["q"], dt * data.dyn["v_next"])
+            # Rows: configuration then velocity tangent; columns: (q, v) then u.
+            f_x[:nv, :nv] = Jq + Jdx @ (dt * dt * a_q)
+            f_x[:nv, nv:] = Jdx @ (self._dt_eye_v + dt * dt * a_v)
+            np.multiply(dt, a_q, out=f_x[nv:, :nv])
+            np.add(self._eye_v, dt * a_v, out=f_x[nv:, nv:])
+            f_u[:nv] = Jdx @ (dt * dt * a_u)
+            np.multiply(dt, a_u, out=f_u[nv:])
         self._cost_derivatives(data, x, u, dt)
         return data
 
@@ -342,6 +352,7 @@ class TerminalActionModel(ActionModelBase):
 
     def __init__(self, state: Manifold, costs=(), label: str = "terminal"):
         super().__init__(state, 0, costs, label)
+        self._f_x = np.eye(self.ndx)
 
     def calc(self, data, x, u=_NO_CONTROL):
         data.xnext = x.copy()
@@ -349,8 +360,7 @@ class TerminalActionModel(ActionModelBase):
         return data
 
     def calc_diff(self, data, x, u=_NO_CONTROL):
-        data.f_x = np.eye(self.ndx)
-        data.f_u = np.zeros((self.ndx, 0))
+        data.f_x[:] = self._f_x
         self._cost_derivatives(data, x, u, 1.0)
         return data
 
@@ -378,6 +388,8 @@ class ImpulseActionModel(ActionModelBase):
         self.system = system
         self.contacts = contacts
         self.restitution = float(restitution)
+        # The configuration rows of f_x: q passes the impact unchanged.
+        self._f_x_q = np.eye(system.nv, self.ndx)
         for contact in contacts.contacts:
             if contact.frame not in system.frames:
                 raise DimensionMismatch(
@@ -393,7 +405,7 @@ class ImpulseActionModel(ActionModelBase):
         sys = self.system
         q, v = sys.split_state(x)
         ws = impulse_dynamics(sys.mass_matrix(q), self._jc(q), v, self.restitution)
-        if not np.all(np.isfinite(ws.v_plus)):
+        if not np.isfinite(ws.v_plus).all():
             raise NumericalFailure("non-finite post-impact velocity")
         data.xnext = np.concatenate([q, ws.v_plus])
         data.cost = self._cost_value(x, u, 1.0)
@@ -418,13 +430,9 @@ class ImpulseActionModel(ActionModelBase):
             dr1_dq -= jtf_q
             dr2_dq.append(jw_q)
         dvp_dq, dvp_dv = impulse_dynamics_derivatives(ws, dr1_dq, np.vstack(dr2_dq))
-        data.f_x = np.block(
-            [
-                [np.eye(nv), np.zeros((nv, nv))],
-                [dvp_dq, dvp_dv],
-            ]
-        )
-        data.f_u = np.zeros((self.ndx, 0))
+        data.f_x[:nv] = self._f_x_q
+        data.f_x[nv:, :nv] = dvp_dq
+        data.f_x[nv:, nv:] = dvp_dv
         self._cost_derivatives(data, x, u, 1.0)
         return data
 

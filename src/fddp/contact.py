@@ -7,7 +7,9 @@ Both problems share one saddle-point structure,
 
 solved by block elimination through two Cholesky factorizations (M and the
 operational-space inertia Mhat = Jc M^-1 Jc^T). Derivatives reuse the same
-factors: only triangular solves happen per right-hand-side column.
+factors: only triangular solves happen per right-hand-side column. Every
+Cholesky factorization of the library goes through `_cholesky` and
+`_cholesky_solve` here.
 
 Sign conventions, fixed once for the whole library:
   forward dynamics   M vdot - Jc^T force   = tau_b,   Jc vdot   = -a0
@@ -25,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import (
     DimensionMismatch,
@@ -141,6 +143,27 @@ class ImpulseWorkspace:
         return self.Jc.shape[0]
 
 
+def _cholesky(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of a symmetric positive-definite matrix.
+
+    Calls LAPACK's dpotrf directly, the routine scipy's Cholesky wrapper
+    calls, so the factor is the same to the bit. Only the lower triangle of
+    a is read, and the strict upper triangle of the result is left over from
+    a. Nothing is checked for finiteness: a NaN can pass through unflagged,
+    so callers check where a non-finite value can first appear. Raises
+    `np.linalg.LinAlgError` when a leading minor is not positive definite.
+    """
+    c, info = dpotrf(a, lower=1, clean=0)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{info}-th leading minor is not positive definite")
+    return c
+
+
+def _cholesky_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with L L^T x = b, for L = _cholesky(a) and a vector or matrix b."""
+    return dpotrs(c, b, lower=1)[0]
+
+
 def _require_finite(what: str, *arrays) -> None:
     if not all(np.isfinite(a).all() for a in arrays):
         raise NumericalFailure(f"non-finite entries in {what} inputs")
@@ -148,19 +171,19 @@ def _require_finite(what: str, *arrays) -> None:
 
 def _factorize(M: np.ndarray, Jc: np.ndarray):
     try:
-        m_factor = cho_factor(M, lower=True)
+        m_factor = _cholesky(M)
     except np.linalg.LinAlgError as exc:
         raise FactorizationError("joint-space inertia is not positive definite") from exc
-    minv_jt = cho_solve(m_factor, Jc.T)
+    minv_jt = _cholesky_solve(m_factor, Jc.T)
     mhat = Jc @ minv_jt
     mhat = 0.5 * (mhat + mhat.T)
     try:
-        mhat_factor = cho_factor(mhat, lower=True)
+        mhat_factor = _cholesky(mhat)
     except np.linalg.LinAlgError as exc:
         raise RankDeficientConstraint(
             "operational-space inertia is not positive definite (constraint rows dependent?)"
         ) from exc
-    pivots = np.diag(mhat_factor[0]) ** 2
+    pivots = np.diag(mhat_factor) ** 2
     if pivots.size and pivots.min() < RANK_PIVOT_TOL:
         raise RankDeficientConstraint(
             f"operational-space inertia pivot {pivots.min():.3e} below {RANK_PIVOT_TOL:.0e}"
@@ -174,8 +197,8 @@ def _kkt_apply_inverse(m_factor, Jc, mhat_factor, b1, b2):
     Equivalently: [w; -z] = K^-1 [b1; b2] for the saddle-point matrix K.
     Works columnwise on matrices too.
     """
-    z = cho_solve(mhat_factor, Jc @ cho_solve(m_factor, b1) - b2)
-    w = cho_solve(m_factor, b1 - Jc.T @ z)
+    z = _cholesky_solve(mhat_factor, Jc @ _cholesky_solve(m_factor, b1) - b2)
+    w = _cholesky_solve(m_factor, b1 - Jc.T @ z)
     return w, z
 
 
@@ -189,11 +212,8 @@ def contact_forward_dynamics(M, Jc, tau_b, a0) -> ContactWorkspace:
     m_factor, mhat, mhat_factor = _factorize(M, Jc)
     # Right-hand side [tau_b; -a0]; the eliminated multiplier block is -force.
     # Ill-conditioned but factorizable systems can overflow to inf during the
-    # triangular solves; surface that as a recoverable numerical failure.
-    try:
-        vdot, z = _kkt_apply_inverse(m_factor, Jc, mhat_factor, tau_b, -a0)
-    except ValueError as exc:
-        raise NumericalFailure("non-finite contact solve") from exc
+    # triangular solves, and the force feeds vdot, so checking vdot covers both.
+    vdot, z = _kkt_apply_inverse(m_factor, Jc, mhat_factor, tau_b, -a0)
     if not np.isfinite(vdot).all():
         raise NumericalFailure("non-finite contact accelerations")
     return ContactWorkspace(
@@ -239,10 +259,7 @@ def impulse_dynamics(M, Jc, v_minus, e: float) -> ImpulseWorkspace:
     _require_finite("impulse dynamics", M, Jc, v_minus)
     m_factor, _, mhat_factor = _factorize(M, Jc)
     jv = Jc @ v_minus
-    try:
-        v_plus, z = _kkt_apply_inverse(m_factor, Jc, mhat_factor, M @ v_minus, -e * jv)
-    except ValueError as exc:
-        raise NumericalFailure("non-finite impulse solve") from exc
+    v_plus, z = _kkt_apply_inverse(m_factor, Jc, mhat_factor, M @ v_minus, -e * jv)
     if not np.isfinite(v_plus).all():
         raise NumericalFailure("non-finite post-impact velocity")
     return ImpulseWorkspace(

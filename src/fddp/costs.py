@@ -64,6 +64,7 @@ class StateRegularization(CostTerm):
     def __init__(self, manifold: Manifold, reference, weight: float, nu: int, scales=None):
         super().__init__(weight, manifold.ndx, nu)
         self.manifold = manifold
+        self._ru = np.zeros((self.ndx, nu))
         self.reference = manifold.check_point(np.asarray(reference, float))
         if scales is None:
             self.scales = None
@@ -84,7 +85,7 @@ class StateRegularization(CostTerm):
         _, j1 = self.manifold.jdifference(self.reference, x)
         if self.scales is not None:
             j1 = self.scales[:, None] * j1
-        return j1, np.zeros((self.ndx, self.nu))
+        return j1, self._ru
 
 
 class ControlRegularization(CostTerm):
@@ -95,12 +96,14 @@ class ControlRegularization(CostTerm):
         self.reference = None if reference is None else np.asarray(reference, float)
         if self.reference is not None and self.reference.shape != (nu,):
             raise DimensionMismatch(f"control reference must have shape ({nu},)")
+        self._rx = np.zeros((nu, ndx))
+        self._ru = np.eye(nu)
 
     def _residual(self, x, u):
         return u if self.reference is None else u - self.reference
 
     def _residual_jacobians(self, x, u):
-        return np.zeros((self.nu, self.ndx)), np.eye(self.nu)
+        return self._rx, self._ru
 
 
 class FrameTranslationTracking(CostTerm):

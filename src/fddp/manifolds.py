@@ -10,8 +10,17 @@ arrays of size ``ndx``. Every manifold implements the four operators
 
 with the right-handed convention: on a rotation group,
 integrate(x, dx) = x * exp(dx) and difference(x0, x1) = log(x0^-1 * x1).
-Planar rotations are stored as one angle wrapped into (-pi, pi], and their
-tangents as the angle increment.
+
+The manifolds are flat vector spaces, planar rotations and composites of
+them. A planar rotation is stored as one angle wrapped into (-pi, pi], and
+its tangent as the angle increment, so every manifold here has nx == ndx and
+is flat coordinates plus the index array `angles` of the coordinates that are
+wrapped angles. A `CompositeManifold` collects the angles of its parts,
+nested composites included; integrate and difference are one add or subtract
+followed by one vectorized wrap of those coordinates, whatever the nesting.
+The operator Jacobians are identities (the wrap is locally the identity):
+jintegrate returns (I, I) and jdifference (-I, I), as shared matrices that
+reject writes, built once per manifold.
 
 Inputs are checked once, where they enter the library: the scenario loader,
 the model and problem constructors and `ShootingProblem.check_trajectories`
@@ -21,8 +30,6 @@ float ndarray of the right shape, and the operators do not check it again.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-
 import numpy as np
 
 from .errors import DimensionMismatch
@@ -30,11 +37,24 @@ from .errors import DimensionMismatch
 _TWO_PI = 2.0 * np.pi
 
 
-class Manifold(ABC):
-    """Base class; concrete manifolds define nx, ndx and the four operators."""
+def _wrap_angle(theta):
+    # Normal form (-pi, pi]; theta = -pi maps to +pi. Elementwise on arrays.
+    return np.pi - np.remainder(np.pi - theta, _TWO_PI)
 
-    nx: int
-    ndx: int
+
+def _read_only(matrix: np.ndarray) -> np.ndarray:
+    matrix.flags.writeable = False
+    return matrix
+
+
+class Manifold:
+    """Flat coordinates of size nx == ndx; the `angles` coordinates wrap."""
+
+    def __init__(self, dim: int, angles):
+        self.nx = self.ndx = int(dim)
+        self.angles = np.asarray(angles, dtype=np.intp)
+        self._eye = _read_only(np.eye(self.ndx))
+        self._neg_eye = _read_only(-np.eye(self.ndx))
 
     # -- validation -------------------------------------------------------
 
@@ -47,30 +67,36 @@ class Manifold(ABC):
 
     # -- operators --------------------------------------------------------
 
-    @abstractmethod
+    def _wrapped(self, y: np.ndarray) -> np.ndarray:
+        """y with its angle coordinates wrapped in place."""
+        if self.angles.size:
+            y[self.angles] = _wrap_angle(y[self.angles])
+        return y
+
     def neutral(self) -> np.ndarray:
         """Canonical origin point."""
+        return np.zeros(self.nx)
 
-    @abstractmethod
-    def integrate(self, x, dx) -> np.ndarray: ...
+    def integrate(self, x, dx) -> np.ndarray:
+        return self._wrapped(x + dx)
 
-    @abstractmethod
-    def difference(self, x0, x1) -> np.ndarray: ...
+    def difference(self, x0, x1) -> np.ndarray:
+        return self._wrapped(x1 - x0)
 
-    @abstractmethod
-    def jintegrate(self, x, dx) -> tuple[np.ndarray, np.ndarray]: ...
+    def jintegrate(self, x, dx) -> tuple[np.ndarray, np.ndarray]:
+        return self._eye, self._eye
 
-    @abstractmethod
-    def jdifference(self, x0, x1) -> tuple[np.ndarray, np.ndarray]: ...
+    def jdifference(self, x0, x1) -> tuple[np.ndarray, np.ndarray]:
+        return self._neg_eye, self._eye
 
     def normalize(self, x) -> np.ndarray:
         """Map coordinates to their normal form (wrapped angles)."""
-        return self.check_point(x)
+        return self._wrapped(np.array(self.check_point(x)))
 
     # -- sampling (deterministic given the rng state) ----------------------
 
-    @abstractmethod
-    def random_point(self, rng: np.random.Generator) -> np.ndarray: ...
+    def random_point(self, rng: np.random.Generator) -> np.ndarray:
+        raise NotImplementedError
 
     def random_tangent(self, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
         return scale * rng.standard_normal(self.ndx)
@@ -85,23 +111,7 @@ class VectorSpace(Manifold):
     def __init__(self, dim: int):
         if dim < 0:
             raise DimensionMismatch(f"vector space dimension must be >= 0, got {dim}")
-        self.nx = int(dim)
-        self.ndx = int(dim)
-
-    def neutral(self) -> np.ndarray:
-        return np.zeros(self.nx)
-
-    def integrate(self, x, dx) -> np.ndarray:
-        return x + dx
-
-    def difference(self, x0, x1) -> np.ndarray:
-        return x1 - x0
-
-    def jintegrate(self, x, dx):
-        return np.eye(self.ndx), np.eye(self.ndx)
-
-    def jdifference(self, x0, x1):
-        return -np.eye(self.ndx), np.eye(self.ndx)
+        super().__init__(dim, ())
 
     def random_point(self, rng: np.random.Generator) -> np.ndarray:
         return rng.standard_normal(self.nx)
@@ -113,35 +123,11 @@ class VectorSpace(Manifold):
         return f"VectorSpace({self.nx})"
 
 
-def _wrap_angle(theta: float) -> float:
-    # Normal form (-pi, pi]; theta = -pi maps to +pi.
-    return np.pi - np.remainder(np.pi - theta, _TWO_PI)
-
-
 class Rotation2D(Manifold):
     """Planar rotations stored as a single wrapped angle in (-pi, pi]."""
 
-    nx = 1
-    ndx = 1
-
-    def neutral(self) -> np.ndarray:
-        return np.zeros(1)
-
-    def normalize(self, x) -> np.ndarray:
-        x = self.check_point(x)
-        return np.array([_wrap_angle(x[0])])
-
-    def integrate(self, x, dx) -> np.ndarray:
-        return np.array([_wrap_angle(x[0] + dx[0])])
-
-    def difference(self, x0, x1) -> np.ndarray:
-        return np.array([_wrap_angle(x1[0] - x0[0])])
-
-    def jintegrate(self, x, dx):
-        return np.eye(1), np.eye(1)
-
-    def jdifference(self, x0, x1):
-        return -np.eye(1), np.eye(1)
+    def __init__(self):
+        super().__init__(1, (0,))
 
     def random_point(self, rng: np.random.Generator) -> np.ndarray:
         return np.array([rng.uniform(-np.pi, np.pi)])
@@ -160,56 +146,11 @@ class CompositeManifold(Manifold):
         if not parts:
             raise DimensionMismatch("composite manifold needs at least one part")
         self.parts = list(parts)
-        self.nx = sum(p.nx for p in parts)
-        self.ndx = sum(p.ndx for p in parts)
-        self._x_slices: list[slice] = []
-        self._dx_slices: list[slice] = []
-        ix = idx = 0
-        for p in parts:
-            self._x_slices.append(slice(ix, ix + p.nx))
-            self._dx_slices.append(slice(idx, idx + p.ndx))
-            ix += p.nx
-            idx += p.ndx
-
-    def neutral(self) -> np.ndarray:
-        return np.concatenate([p.neutral() for p in self.parts])
-
-    def normalize(self, x) -> np.ndarray:
-        x = self.check_point(x)
-        return np.concatenate(
-            [p.normalize(x[s]) for p, s in zip(self.parts, self._x_slices)]
+        offsets = np.cumsum([0] + [p.nx for p in self.parts])
+        super().__init__(
+            offsets[-1],
+            np.concatenate([p.angles + off for p, off in zip(self.parts, offsets)]),
         )
-
-    def integrate(self, x, dx) -> np.ndarray:
-        return np.concatenate(
-            [
-                p.integrate(x[sx], dx[sd])
-                for p, sx, sd in zip(self.parts, self._x_slices, self._dx_slices)
-            ]
-        )
-
-    def difference(self, x0, x1) -> np.ndarray:
-        return np.concatenate(
-            [p.difference(x0[s], x1[s]) for p, s in zip(self.parts, self._x_slices)]
-        )
-
-    def jintegrate(self, x, dx):
-        jx = np.zeros((self.ndx, self.ndx))
-        jd = np.zeros((self.ndx, self.ndx))
-        for p, sx, sd in zip(self.parts, self._x_slices, self._dx_slices):
-            a, b = p.jintegrate(x[sx], dx[sd])
-            jx[sd, sd] = a
-            jd[sd, sd] = b
-        return jx, jd
-
-    def jdifference(self, x0, x1):
-        j0 = np.zeros((self.ndx, self.ndx))
-        j1 = np.zeros((self.ndx, self.ndx))
-        for p, sx, sd in zip(self.parts, self._x_slices, self._dx_slices):
-            a, b = p.jdifference(x0[sx], x1[sx])
-            j0[sd, sd] = a
-            j1[sd, sd] = b
-        return j0, j1
 
     def random_point(self, rng: np.random.Generator) -> np.ndarray:
         return np.concatenate([p.random_point(rng) for p in self.parts])

@@ -7,10 +7,11 @@ mismatch between where each node's dynamics lands and where the guess says the
 next state is (plus the mismatch between the guess and the measured initial
 state at node 0).
 
-`check_trajectories` is the validation boundary for guesses: `solve`, `calc`
-and `rollout` call it on entry, and nothing below them checks a state or a
-control again. `calc_diff` reads what `calc` left in the data containers, so
-it must follow a `calc` at the same (X, U).
+`check_trajectories` is the validation boundary for guesses: `calc` and
+`rollout` call it on entry for outside callers, and `solve` calls it once
+and then evaluates through the unchecked `_calc` and `_rollout`. Nothing
+below them checks a state or a control again. `calc_diff` reads what `calc`
+left in the data containers, so it must follow a `calc` at the same (X, U).
 """
 
 from __future__ import annotations
@@ -73,7 +74,10 @@ class ShootingProblem:
 
     def rollout(self, U, datas=None):
         """Integrate the controls from the measured initial state (feasible X)."""
-        _, U = self.check_trajectories(None, U)
+        return self._rollout(self.check_trajectories(None, U)[1], datas)
+
+    def _rollout(self, U, datas=None):
+        """rollout of controls that check_trajectories has already checked."""
         running, terminal = (datas or (self.datas, self.terminal_data))[:2]
         X = [self.x0_measured.copy()]
         for k, model in enumerate(self.running_models):
@@ -91,7 +95,10 @@ class ShootingProblem:
         is where node k's dynamics lands minus the guessed X[k+1], both as
         tangent vectors at the guessed states.
         """
-        X, U = self.check_trajectories(X, U)
+        return self._calc(*self.check_trajectories(X, U), datas)
+
+    def _calc(self, X, U, datas=None) -> tuple[float, list[np.ndarray]]:
+        """calc of a guess that check_trajectories has already checked."""
         running, terminal = (datas or (self.datas, self.terminal_data))[:2]
         gaps = [self.state.difference(X[0], self.x0_measured)]
         cost = 0.0

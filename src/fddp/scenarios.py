@@ -11,6 +11,7 @@ at each switch boundary.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -99,6 +100,8 @@ def bundled_scenario_path(name: str) -> Path:
 def _number(value, what: str, where: str) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ScenarioError(f"{what} must be a number", location=where)
+    if not abs(value) <= sys.float_info.max:  # NaN, infinities, ints beyond float range
+        raise ScenarioError(f"{what} must be finite", location=where)
     return float(value)
 
 
@@ -403,6 +406,12 @@ def _build_cost_terms(entries, state, nu, system, x0, where: str):
 
 
 def _build_contact_set(entries, system, x0, where: str) -> ContactSet:
+    """The contact set of `entries`, reported at the field path `where`.
+
+    More constraint rows than velocity coordinates can never have full row
+    rank, so such a set is rejected here rather than failing the first
+    factorization that meets it.
+    """
     contacts = []
     q0 = system.split_state(x0)[0]
     for i, entry in enumerate(entries):
@@ -420,7 +429,14 @@ def _build_contact_set(entries, system, x0, where: str) -> ContactSet:
             contacts.append(Contact(frame=frame, reference=reference, **kwargs))
         except (DimensionMismatch, ValueError) as exc:
             raise ScenarioError(str(exc), location=loc) from exc
-    return ContactSet(tuple(contacts))
+    contact_set = ContactSet(tuple(contacts))
+    if contact_set.nf > system.nv:
+        raise ScenarioError(
+            f"{contact_set.nf} constraint rows exceed the model's {system.nv} "
+            "velocity coordinates, so the rows are dependent",
+            location=where,
+        )
+    return contact_set
 
 
 def build_problem(scenario: Scenario) -> ShootingProblem:
@@ -483,20 +499,20 @@ def build_problem(scenario: Scenario) -> ShootingProblem:
     for i, phase in enumerate(scenario.phases):
         phase_of_node[phase.start : phase.end] = i
 
-    switch_at = {s.node: s for s in scenario.switches}
+    switch_at = {s.node: (i, s) for i, s in enumerate(scenario.switches)}
     models: list[ActionModelBase] = []
     for k in range(scenario.horizon):
         if k in switch_at:
-            switch = switch_at[k]
+            i, switch = switch_at[k]
             entries = switch.contacts
             if entries is None:
                 entries = scenario.phases[phase_of_node[k]].contacts
             if not entries:
                 raise ScenarioError(
                     f"switch at node {k} has no contacts to impose",
-                    location="switches",
+                    location=f"switches[{i}]",
                 )
-            contact_set = _build_contact_set(entries, system, x0, "switches")
+            contact_set = _build_contact_set(entries, system, x0, f"switches[{i}].contacts")
             models.append(
                 ImpulseActionModel(
                     system,
@@ -555,10 +571,13 @@ def build_warm_start(scenario: Scenario, problem: ShootingProblem):
         try:
             payload = json.loads(raw_path.read_text())
         except OSError as exc:
-            raise ScenarioError(f"cannot read warm start: {exc}", location=str(raw_path)) from exc
+            raise ScenarioError(
+                f"cannot read warm start: {exc}", location="warm_start.path"
+            ) from exc
         except json.JSONDecodeError as exc:
             raise ScenarioError(
-                f"invalid warm-start JSON: {exc.msg}", location=f"line {exc.lineno}"
+                f"invalid warm-start JSON in {raw_path}, line {exc.lineno}: {exc.msg}",
+                location="warm_start.path",
             ) from exc
         # Checked here as well as in solve, so that a fault names its field.
         for key in ("X", "U"):

@@ -22,8 +22,8 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
+from .contact import _cholesky, _cholesky_solve
 from .errors import (
     DimensionMismatch,
     FactorizationError,
@@ -113,7 +113,11 @@ def backward_pass(problem: ShootingProblem, ws: SolverWorkspace, mu: float, data
     Reads the node derivatives from the data containers (calc_diff must have
     run at the current iterate) and ws.gaps. Raises a not-positive-definite
     error naming the node when the regularized control Hessian fails its
-    Cholesky; the caller is expected to raise mu and retry.
+    Cholesky; the caller is expected to raise mu and retry. A non-finite
+    derivative raises `NumericalFailure` naming the node it entered at, since
+    no regularization can repair it: a non-finite control Hessian is caught
+    where its factorization fails, and any other non-finite term spreads to
+    the Value derivatives of every earlier node, which are checked at node 0.
     """
     running, terminal = datas or (problem.datas, problem.terminal_data)
     N = problem.N
@@ -137,20 +141,42 @@ def backward_pass(problem: ShootingProblem, ws: SolverWorkspace, mu: float, data
         q_xu = d.l_xu + fx_v @ d.f_u
         q_uu = d.l_uu + d.f_u.T @ vxx_next @ d.f_u
         q_uu = 0.5 * (q_uu + q_uu.T)
+        q_uu_reg = q_uu.copy()
+        q_uu_reg.flat[:: nu + 1] += mu
         try:
-            factor = cho_factor(q_uu + mu * np.eye(nu), lower=True)
-        except LinAlgError as exc:
+            factor = _cholesky(q_uu_reg)
+        except np.linalg.LinAlgError as exc:
+            if not np.isfinite(q_uu).all():
+                raise _nonfinite_failure(ws, k) from exc
             raise NotPositiveDefinite(k) from exc
-        k_ff = -cho_solve(factor, q_u)
-        K_fb = -cho_solve(factor, q_xu.T)
+        k_ff = -_cholesky_solve(factor, q_u)
+        K_fb = -_cholesky_solve(factor, q_xu.T)
         ws.Q_x[k], ws.Q_u[k] = q_x, q_u
         ws.Q_xx[k], ws.Q_xu[k], ws.Q_uu[k] = q_xx, q_xu, q_uu
         ws.k_ff[k], ws.K_fb[k] = k_ff, K_fb
         ws.V_x[k] = q_x + q_xu @ k_ff
         v_xx = q_xx + q_xu @ K_fb
         ws.V_xx[k] = 0.5 * (v_xx + v_xx.T)
+    if not _finite_value(ws, 0):
+        raise _nonfinite_failure(ws, 0)
     ws.mu = mu
     return ws
+
+
+def _finite_value(ws: SolverWorkspace, k: int) -> bool:
+    return bool(np.isfinite(ws.V_x[k]).all() and np.isfinite(ws.V_xx[k]).all())
+
+
+def _nonfinite_failure(ws: SolverWorkspace, k: int) -> NumericalFailure:
+    """The failure for a non-finite term met at node k of the backward pass.
+
+    A non-finite term spreads from the node it enters at to the Value
+    derivatives of every earlier node, so it entered at the last node after k
+    whose Value is non-finite, or at k itself when all later ones are finite.
+    """
+    last = len(ws.V_x) - 1
+    node = next((j for j in range(last, k, -1) if not _finite_value(ws, j)), k)
+    return NumericalFailure("non-finite derivatives in the backward pass", node=node)
 
 
 def _policy_control(ws, state, k, U, X, x_hat, alpha):
@@ -285,8 +311,10 @@ def solve(
     tenfold and retry from the same iterate. Convergence is declared when the
     zero-step expected-improvement gradient plus the total gap norm falls
     under the tolerance. Failure states (regularization cap, non-finite
-    evaluations) are recorded in the report, never raised. A malformed guess
-    is rejected on entry by `ShootingProblem.check_trajectories`.
+    evaluations, including non-finite derivatives met by the backward pass)
+    are recorded in the report, never raised. A malformed guess is rejected on
+    entry by `ShootingProblem.check_trajectories`; the evaluations after that
+    check go through the problem's unchecked `_rollout` and `_calc`.
     """
     if solver not in ("ddp", "fddp"):
         raise DimensionMismatch(f"unknown solver {solver!r}, expected 'ddp' or 'fddp'")
@@ -314,8 +342,8 @@ def solve(
 
     try:
         if solver == "ddp":
-            X = problem.rollout(U, datas=current)
-        cost, gaps = problem.calc(X, U, datas=current)
+            X = problem._rollout(U, datas=current)
+        cost, gaps = problem._calc(X, U, datas=current)
     except (NumericalFailure, FactorizationError) as exc:
         report.rows.append(TraceRow(0, float("nan"), float("nan"), 0.0, mu, 0.0, 0))
         report.gap_history.append(None)
@@ -350,6 +378,9 @@ def solve(
                 if mu > REG_MAX:
                     timings["backward"] += time.perf_counter() - t0
                     return finish("failure: regularization limit reached")
+            except NumericalFailure as exc:
+                timings["backward"] += time.perf_counter() - t0
+                return finish(f"failure: {exc}")
         timings["backward"] += time.perf_counter() - t0
 
         d1_stop, _ = expected_improvement(problem, ws, X, X)

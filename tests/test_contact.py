@@ -14,12 +14,15 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from fddp import numdiff
 from fddp.action import ConstrainedMechanicalDynamics, ImpulseActionModel
 from fddp.contact import (
     Contact,
     ContactSet,
+    _cholesky,
+    _cholesky_solve,
     baumgarte_a0,
     contact_dynamics_derivatives,
     contact_forward_dynamics,
@@ -37,6 +40,40 @@ from fddp.systems import PlanarMonoped
 def random_spd(rng, n):
     a = rng.standard_normal((n, n))
     return a @ a.T + n * np.eye(n)
+
+
+# ---------------------------------------------------------------------------
+# the Cholesky helper
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 6])
+def test_cholesky_helper_matches_scipy_bit_for_bit(n):
+    rng = np.random.default_rng(100 + n)
+    for _ in range(5):
+        a = random_spd(rng, n)
+        c = _cholesky(a)
+        ref = cho_factor(a, lower=True)
+        np.testing.assert_array_equal(c, ref[0])
+        for b in (rng.standard_normal(n), rng.standard_normal((n, 3)), a.T):
+            np.testing.assert_array_equal(_cholesky_solve(c, b), cho_solve(ref, b))
+
+
+def test_cholesky_helper_leaves_its_inputs_alone():
+    rng = np.random.default_rng(7)
+    a = random_spd(rng, 4)
+    b = rng.standard_normal((4, 2))
+    a0, b0 = a.copy(), b.copy()
+    _cholesky_solve(_cholesky(a), b)
+    np.testing.assert_array_equal(a, a0)
+    np.testing.assert_array_equal(b, b0)
+
+
+def test_cholesky_helper_rejects_an_indefinite_matrix():
+    with pytest.raises(np.linalg.LinAlgError):
+        _cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    with pytest.raises(np.linalg.LinAlgError):
+        _cholesky(np.array([[-1.0]]))
 
 
 def dense_saddle(M, Jc):

@@ -13,6 +13,7 @@ import pytest
 from fddp import CompositeManifold, Rotation2D, VectorSpace
 from fddp import numdiff
 from fddp.errors import DimensionMismatch
+from fddp.systems import PlanarMonoped
 
 # Base translation, base heading, two leg joints: the planar monoped's
 # configuration manifold. Its first two parts alone are the planar
@@ -216,6 +217,53 @@ def test_composite_jacobians_are_block_diagonal():
     np.testing.assert_array_equal(jx[2:, :2], np.zeros((1, 2)))
     np.testing.assert_array_equal(jx[:2, :2], np.eye(2))
     np.testing.assert_array_equal(jdx[:2, :2], np.eye(2))
+
+
+def per_part(manifold, op, a, b):
+    """integrate (op="+") or difference (op="-") part by part, from each
+    part's definition: vector spaces add or subtract, planar rotations wrap
+    the sum or difference into (-pi, pi]."""
+    if isinstance(manifold, CompositeManifold):
+        out, i = [], 0
+        for part in manifold.parts:
+            out.append(per_part(part, op, a[i : i + part.nx], b[i : i + part.nx]))
+            i += part.nx
+        return np.concatenate(out)
+    y = a + b if op == "+" else b - a
+    if isinstance(manifold, Rotation2D):
+        y = np.pi - np.remainder(np.pi - y, 2.0 * np.pi)
+    return y
+
+
+def test_composite_operators_equal_the_per_part_definitions():
+    # The monoped state nests its configuration composite (translation,
+    # heading, joints) inside the (q, v) composite; its one angle sits at
+    # coordinate 2.
+    state = PlanarMonoped().state
+    np.testing.assert_array_equal(state.angles, [2])
+    rng = np.random.default_rng(36)
+    pairs = [(state.random_point(rng), state.random_tangent(rng)) for _ in range(10)]
+    velocity = rng.standard_normal(5)
+    pairs.append(
+        (np.concatenate([NEAR_WRAP_POINT, velocity]), np.concatenate([NEAR_WRAP_STEP, velocity]))
+    )
+    for x, dx in pairs:
+        x1 = state.integrate(x, dx)
+        np.testing.assert_array_equal(x1, per_part(state, "+", x, dx))
+        np.testing.assert_array_equal(state.difference(x, x1), per_part(state, "-", x, x1))
+    # The last pair crossed the wrap: the heading came out near -pi.
+    assert x1[2] < -np.pi + 2e-3
+    np.testing.assert_allclose(state.difference(x, x1), dx, atol=1e-12)
+
+
+@pytest.mark.parametrize("manifold", ALL_MANIFOLDS, ids=MANIFOLD_IDS)
+def test_operator_jacobians_reject_writes(manifold):
+    rng = np.random.default_rng(37)
+    x, dx = manifold.random_point(rng), manifold.random_tangent(rng)
+    for jacobian in (*manifold.jintegrate(x, dx), *manifold.jdifference(x, x)):
+        with pytest.raises(ValueError):
+            jacobian[0, 0] = 2.0
+    assert manifold.jintegrate(x, dx)[0] is manifold.jintegrate(x, -dx)[0]
 
 
 def test_dimension_mismatches_are_rejected():

@@ -4,6 +4,7 @@ the command-line harness (solve, check-derivatives, bench, exit codes).
 
 import csv
 import json
+import re
 import subprocess
 import sys
 
@@ -36,6 +37,7 @@ from fddp.scenarios import (
     load_and_build,
     load_scenario,
 )
+from fddp.solver import solve
 
 GRAVITY = 9.81
 
@@ -133,6 +135,8 @@ def test_schema_violations_carry_field_locations(tmp_path):
         (lambda d: d.update(dt=[0.05] * 3), "dt list must have horizon entries"),
         (lambda d: d.update(x0="origin"), "x0 must be a coordinate list"),
         (lambda d: d.update(x0=[0.0, "a"]), r"x0\[1\]: coordinate must be a number"),
+        (lambda d: d.update(x0=[float("nan"), 0.0]), r"x0\[0\]: coordinate must be finite"),
+        (lambda d: d.update(dt=float("inf")), r"dt: step size must be finite"),
         (lambda d: d.update(phases=[]), "phases: phases must be a non-empty list"),
         (lambda d: d.update(dt="0.01"), "dt: step size must be a number"),
         (lambda d: d.update(dt=[0.05] * 9 + ["0.05"]), r"dt\[9\]: step size must be a number"),
@@ -271,6 +275,26 @@ def test_contact_frame_must_exist_on_the_model(tmp_path):
 # ---------------------------------------------------------------------------
 
 
+def test_more_constraint_rows_than_velocities_are_rejected(tmp_path, capsys):
+    # The pendulum's 2-D tip pin on its one joint can never have full row
+    # rank: the assembly rejects it at the phase or switch that imposes it,
+    # whatever the warm start.
+    pinned = pendulum_doc(phases=[{"start": 0, "end": 10, "contacts": [tip()]}])
+    switched = pendulum_doc(
+        phases=[{"start": 0, "end": 5}, {"start": 5, "end": 10, "contacts": [tip()]}],
+        switches=[{"node": 5}],
+    )
+    for doc, where in ((pinned, r"phases\[0\]\.contacts"), (switched, r"switches\[0\]\.contacts")):
+        message = where + ": 2 constraint rows exceed the model's 1 velocity coordinates"
+        with pytest.raises(ScenarioError, match=message):
+            build_problem(load_scenario(write_doc(tmp_path, doc)))
+        for policy in ("zeros", "quasi_static_interpolation"):
+            path = write_doc(tmp_path, dict(doc, warm_start={"policy": policy}))
+            rc = cli.main(["solve", "--scenario", str(path), "--out", str(tmp_path / "out")])
+            assert rc == EXIT_CONFIG
+            assert re.search("error: " + message, capsys.readouterr().err)
+
+
 def test_monoped_assembly_interleaves_the_impulse_node():
     scenario = load_scenario(bundled_scenario_path("monoped_hop"))
     problem = build_problem(scenario)
@@ -372,6 +396,18 @@ def test_file_warm_start_length_mismatch(tmp_path):
         build_warm_start(scenario, problem)
 
 
+def test_unparsable_warm_start_file_names_its_field_file_and_line(tmp_path, capsys):
+    path = write_doc(tmp_path, pendulum_doc(warm_start={"policy": "file", "path": "guess.json"}))
+    (tmp_path / "guess.json").write_text('{"X": [1,')
+    scenario = load_scenario(path)
+    message = r"warm_start\.path: invalid warm-start JSON in .*guess\.json, line 1: "
+    with pytest.raises(ScenarioError, match=message):
+        build_warm_start(scenario, build_problem(scenario))
+    rc = cli.main(["solve", "--scenario", str(path), "--out", str(tmp_path / "out")])
+    assert rc == EXIT_CONFIG
+    assert "error: warm_start.path: invalid warm-start JSON in " in capsys.readouterr().err
+
+
 def test_file_warm_start_entries_are_checked(tmp_path, capsys):
     # The solver trusts the trajectories it is handed, so the file reader is
     # the only check on them: every fault names its field and exits 5.
@@ -397,6 +433,40 @@ def test_file_warm_start_entries_are_checked(tmp_path, capsys):
         rc = cli.main(["solve", "--scenario", str(path), "--out", str(tmp_path / "out")])
         assert rc == EXIT_CONFIG
         assert "warm_start.path: " in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# recorded optima
+# ---------------------------------------------------------------------------
+
+# Iterations and final cost of every bundled scenario under its own solver
+# settings, and of pendulum_swingup under ddp, as recorded before the per-node
+# hot path was rewritten; the rewrite must reproduce them.
+RECORDED_OPTIMA = [
+    ("lqr_chain", "fddp", 1, 4.298872388821676),
+    ("double_integrator", "fddp", 1, 1.320221617866343),
+    ("pendulum_swingup", "fddp", 11, 0.977644833854317),
+    ("monoped_hop", "fddp", 11, 0.2648865161229211),
+    ("monoped_hop_warmstart_infeasible", "fddp", 10, 0.22207745123763414),
+    ("pendulum_swingup", "ddp", 12, 0.9776448337729345),
+]
+
+
+@pytest.mark.parametrize(
+    "name, solver, iterations, final_cost",
+    RECORDED_OPTIMA,
+    ids=[f"{name}-{solver}" for name, solver, *_ in RECORDED_OPTIMA],
+)
+def test_bundled_scenarios_reach_their_recorded_optima(name, solver, iterations, final_cost):
+    scenario, problem, X, U = load_and_build(bundled_scenario_path(name))
+    options = scenario.solver_options
+    _, _, report = solve(
+        problem, X, U, solver=solver,
+        max_iters=options["max_iters"], tolerance=options["tolerance"],
+    )
+    assert report.converged
+    assert report.iterations == iterations
+    assert report.final_cost == pytest.approx(final_cost, rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -602,10 +672,19 @@ def test_check_derivatives_bad_scenario_exits_config(tmp_path, capsys):
 
 
 def test_check_derivatives_exits_config_when_a_model_cannot_be_evaluated(tmp_path, capsys):
-    # Pinning the 2-D tip of the one-joint pendulum leaves the constraint
-    # rank-deficient: the audit reports the library error with exit 5 and
-    # no traceback.
-    path = write_doc(tmp_path, pendulum_doc(phases=[{"start": 0, "end": 10, "contacts": [tip()]}]))
+    # Pinning the monoped's foot twice stacks four constraint rows of rank
+    # two, within its five velocities, so the set passes assembly and only an
+    # evaluation finds it rank-deficient: the audit reports the library error
+    # with exit 5 and no traceback.
+    doc = {
+        "name": "monoped_double_foot",
+        "model": {"id": "planar_monoped", "params": {}},
+        "horizon": 4,
+        "dt": 0.02,
+        "costs": {"running": [{"kind": "control_regularization", "weight": 0.1}]},
+        "phases": [{"start": 0, "end": 4, "contacts": [{"frame": "foot"}, {"frame": "foot"}]}],
+    }
+    path = write_doc(tmp_path, doc)
     rc = cli.main(["check-derivatives", "--scenario", str(path), "--samples", "2"])
     assert rc == EXIT_CONFIG
     assert "error: operational-space inertia" in capsys.readouterr().err

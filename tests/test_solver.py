@@ -24,6 +24,7 @@ from fddp.errors import (
     NumericalFailure,
 )
 from fddp.problem import ShootingProblem, gap_l2_norm
+from fddp.scenarios import bundled_scenario_path, load_and_build
 from fddp.solver import (
     REG_MIN,
     STEP_LENGTHS,
@@ -658,3 +659,44 @@ def test_initial_evaluation_failure_is_reported_not_raised():
     assert np.isnan(report.rows[0].gap_l2)
     assert report.rows[0].accepted == 0
     assert report.gap_history == [None]
+
+
+class PoisonedDerivativeModel(IntegratedActionModel):
+    """Integrated node whose calc_diff leaves a NaN in one derivative block."""
+
+    def __init__(self, model, block):
+        super().__init__(model.dynamics, model.costs, model.dt)
+        self.block = block
+
+    def calc_diff(self, data, x, u):
+        super().calc_diff(data, x, u)
+        getattr(data, self.block).flat[0] = np.nan
+        return data
+
+
+@pytest.mark.parametrize("block", ["l_uu", "l_x"])
+@pytest.mark.parametrize("solver", ["fddp", "ddp"])
+def test_nonfinite_node_derivative_is_reported_not_raised(monkeypatch, solver, block):
+    # A NaN in the control Hessian (or in a gradient, which spreads to every
+    # earlier node) cannot be repaired by regularization: the first backward
+    # pass ends the solve, and the termination names the node.
+    from fddp import solver as solver_module
+
+    _, problem, X, U = load_and_build(bundled_scenario_path("pendulum_swingup"))
+    k = 5
+    models = list(problem.running_models)
+    models[k] = PoisonedDerivativeModel(models[k], block)
+    problem = ShootingProblem(problem.x0_measured, models, problem.terminal_model)
+    passes = []
+
+    def counted_backward_pass(*args, **kwargs):
+        passes.append(args[2])
+        return backward_pass(*args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "backward_pass", counted_backward_pass)
+    _, _, report = solve(problem, X, U, solver=solver, max_iters=5)
+    assert report.termination == (
+        f"failure: non-finite derivatives in the backward pass (node {k})"
+    )
+    assert len(passes) == 1
+    assert len(report.rows) == 1
