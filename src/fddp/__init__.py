@@ -48,6 +48,7 @@ from .errors import (
     KKTSingular,
     NotPositiveDefinite,
     NumericalFailure,
+    ParameterError,
     QuasiStaticFailure,
     RankDeficientConstraint,
     ScenarioError,
@@ -107,6 +108,7 @@ __all__ = [
     "Manifold",
     "NotPositiveDefinite",
     "NumericalFailure",
+    "ParameterError",
     "QuasiStaticFailure",
     "RankDeficientConstraint",
     "Rotation2D",

@@ -48,6 +48,8 @@ _QUASI_STATIC_DAMPING = 1e-10
 
 # The control of a node that has none (terminal and impulse nodes).
 _NO_CONTROL = np.zeros(0)
+# The ActionData fields that the cost terms fill.
+_COST_BLOCKS = ("l_x", "l_u", "l_xx", "l_xu", "l_uu")
 
 
 class ActionData:
@@ -261,16 +263,14 @@ class ActionModelBase:
         return scale * float(sum(term.value(x, u) for term in self.costs))
 
     def _cost_derivatives(self, data: ActionData, x, u, scale: float):
-        # The first term overwrites the buffers and the others add to them, so
-        # nothing is zeroed; a model without cost terms keeps the zeros that
-        # create_data wrote.
-        blocks = (data.l_x, data.l_u, data.l_xx, data.l_xu, data.l_uu)
-        for i, term in enumerate(self.costs):
-            for total, part in zip(blocks, term.derivatives(x, u)):
-                if i == 0:
-                    np.multiply(scale, part, out=total)
-                else:
-                    total += scale * part
+        # Each term returns only the blocks it can make nonzero (see
+        # CostTerm.blocks), so every block starts from zero and l_xu stays so.
+        for name in _COST_BLOCKS:
+            getattr(data, name).fill(0.0)
+        for term in self.costs:
+            for name, part in term.derivatives(x, u).items():
+                total = getattr(data, name)
+                total += scale * part
         data.l_xx[:] = 0.5 * (data.l_xx + data.l_xx.T)
         data.l_uu[:] = 0.5 * (data.l_uu + data.l_uu.T)
 

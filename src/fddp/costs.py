@@ -2,7 +2,8 @@
 
 Every term evaluates 0.5 * weight * ||r||^2 for some residual r and returns
 Gauss-Newton blocks (residual-curvature terms dropped), so values are always
-nonnegative and l_xx / l_uu are symmetric positive semidefinite.
+nonnegative and l_xx / l_uu are symmetric positive semidefinite. Each residual
+depends on x alone or on u alone: a term returns only that argument's blocks.
 """
 
 from __future__ import annotations
@@ -21,7 +22,10 @@ COST_KINDS = (
 
 
 class CostTerm:
-    """Base: subclasses fill residual(x, u) and its Jacobians."""
+    """Base: subclasses fill residual(x, u) and its Jacobian in the argument it reads."""
+
+    # The Gauss-Newton blocks the term can make nonzero: its residual's argument.
+    blocks = ("l_x", "l_xx")
 
     def __init__(self, weight: float, ndx: int, nu: int):
         if weight < 0.0:
@@ -34,22 +38,18 @@ class CostTerm:
         r = self._residual(x, u)
         return 0.5 * self.weight * float(r @ r)
 
-    def derivatives(self, x, u):
-        """Returns (l_x, l_u, l_xx, l_xu, l_uu) Gauss-Newton contributions."""
+    def derivatives(self, x, u) -> dict[str, np.ndarray]:
+        """The Gauss-Newton gradient and Hessian, keyed by the names in `blocks`."""
         r = self._residual(x, u)
-        rx, ru = self._residual_jacobians(x, u)
+        j = self._residual_jacobian(x, u)
         w = self.weight
-        l_x = w * rx.T @ r
-        l_u = w * ru.T @ r
-        l_xx = w * rx.T @ rx
-        l_xu = w * rx.T @ ru
-        l_uu = w * ru.T @ ru
-        return l_x, l_u, l_xx, l_xu, l_uu
+        gradient, hessian = self.blocks
+        return {gradient: w * j.T @ r, hessian: w * j.T @ j}
 
     def _residual(self, x, u) -> np.ndarray:
         raise NotImplementedError
 
-    def _residual_jacobians(self, x, u) -> tuple[np.ndarray, np.ndarray]:
+    def _residual_jacobian(self, x, u) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -64,7 +64,6 @@ class StateRegularization(CostTerm):
     def __init__(self, manifold: Manifold, reference, weight: float, nu: int, scales=None):
         super().__init__(weight, manifold.ndx, nu)
         self.manifold = manifold
-        self._ru = np.zeros((self.ndx, nu))
         self.reference = manifold.check_point(np.asarray(reference, float))
         if scales is None:
             self.scales = None
@@ -81,29 +80,29 @@ class StateRegularization(CostTerm):
         r = self.manifold.difference(self.reference, x)
         return r if self.scales is None else self.scales * r
 
-    def _residual_jacobians(self, x, u):
+    def _residual_jacobian(self, x, u):
         _, j1 = self.manifold.jdifference(self.reference, x)
         if self.scales is not None:
             j1 = self.scales[:, None] * j1
-        return j1, self._ru
+        return j1
 
 
 class ControlRegularization(CostTerm):
     kind = "control_regularization"
+    blocks = ("l_u", "l_uu")
 
     def __init__(self, nu: int, weight: float, ndx: int, reference=None):
         super().__init__(weight, ndx, nu)
         self.reference = None if reference is None else np.asarray(reference, float)
         if self.reference is not None and self.reference.shape != (nu,):
             raise DimensionMismatch(f"control reference must have shape ({nu},)")
-        self._rx = np.zeros((nu, ndx))
         self._ru = np.eye(nu)
 
     def _residual(self, x, u):
         return u if self.reference is None else u - self.reference
 
-    def _residual_jacobians(self, x, u):
-        return self._rx, self._ru
+    def _residual_jacobian(self, x, u):
+        return self._ru
 
 
 class FrameTranslationTracking(CostTerm):
@@ -126,12 +125,12 @@ class FrameTranslationTracking(CostTerm):
         q = x[: self.system.nq]
         return self.system.frame_placement(q, self.frame) - self.target
 
-    def _residual_jacobians(self, x, u):
+    def _residual_jacobian(self, x, u):
         q = x[: self.system.nq]
         jq = self.system.frame_jacobian(q, self.frame)
         rx = np.zeros((jq.shape[0], self.ndx))
         rx[:, : self.system.nv] = jq
-        return rx, np.zeros((jq.shape[0], self.nu))
+        return rx
 
 
 class ComTracking(CostTerm):
@@ -145,12 +144,12 @@ class ComTracking(CostTerm):
     def _residual(self, x, u):
         return self.system.com(x[: self.system.nq]) - self.target
 
-    def _residual_jacobians(self, x, u):
+    def _residual_jacobian(self, x, u):
         q = x[: self.system.nq]
         jq = self.system.com_jacobian(q)
         rx = np.zeros((jq.shape[0], self.ndx))
         rx[:, : self.system.nv] = jq
-        return rx, np.zeros((jq.shape[0], self.nu))
+        return rx
 
 
 def make_cost_term(

@@ -11,6 +11,14 @@ class DimensionMismatch(FddpError, ValueError):
     """An input array has the wrong shape for the operation."""
 
 
+class ParameterError(FddpError, ValueError):
+    """A system parameter lies outside its physical range; `name` names it."""
+
+    def __init__(self, name: str, message: str):
+        super().__init__(f"{name} {message}")
+        self.name = name
+
+
 class NumericalFailure(FddpError, RuntimeError):
     """A computation produced non-finite values.
 

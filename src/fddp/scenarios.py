@@ -30,7 +30,7 @@ from .action import (
 )
 from .contact import Contact, ContactSet
 from .costs import COST_KINDS, make_cost_term
-from .errors import DimensionMismatch, FddpError, QuasiStaticFailure, ScenarioError
+from .errors import DimensionMismatch, FddpError, ParameterError, QuasiStaticFailure, ScenarioError
 from .problem import ShootingProblem
 from .systems import LinearDynamics, build_system
 
@@ -181,8 +181,12 @@ def load_scenario(path) -> Scenario:
     model_params = model.get("params", {})
     if not isinstance(model_params, dict):
         raise ScenarioError("model params must be an object", location="model.params")
+    for key, value in model_params.items():
+        _number(value, f"model parameter {key!r}", f"model.params.{key}")
     try:
         system = build_system(model_id, model_params)
+    except ParameterError as exc:
+        raise ScenarioError(str(exc), location=f"model.params.{exc.name}") from exc
     except DimensionMismatch as exc:
         raise ScenarioError(str(exc), location="model.id") from exc
     except TypeError as exc:

@@ -5,8 +5,9 @@ Second-order mechanical systems follow the convention
     M(q) vdot + bias(q, v) = S u + Jc(q)^T force
 
 with bias = Coriolis/centrifugal terms plus gravity. Everything here is
-hand-derived: mass matrices and bias forces come from per-body velocity
-Jacobians (planar kinematics), never from a generic tree algorithm.
+hand-derived, never from a generic tree algorithm: the pendulums in closed
+form, the monoped as constant coefficients times a trigonometric basis of
+its leg angles (see `PlanarMonoped`).
 
 Every system also gives the closed-form partials that the action models
 need: the bias partials, the inertia contraction d(M w)/dq, and for each frame
@@ -18,17 +19,22 @@ only audit them (`fddp check-derivatives` and the tests).
 
 from __future__ import annotations
 
+from math import cos, sin
+
 import numpy as np
 
-from .errors import DimensionMismatch
-from .manifolds import (
-    CompositeManifold,
-    Manifold,
-    Rotation2D,
-    VectorSpace,
-)
+from .errors import DimensionMismatch, ParameterError
+from .manifolds import CompositeManifold, Manifold, Rotation2D, VectorSpace, _read_only
 
 GRAVITY = 9.81
+
+
+def _parameter(name: str, value, zero_ok=False) -> float:
+    """A mass, length or inertia must be > 0; a damping (zero_ok) >= 0."""
+    value = float(value)
+    if not (value >= 0.0 if zero_ok else value > 0.0):
+        raise ParameterError(name, f"must be {'>=' if zero_ok else '>'} 0, got {value}")
+    return value
 
 
 def _unit_down(phi: float) -> np.ndarray:
@@ -75,10 +81,13 @@ class MechanicalSystem:
     config: Manifold
     frames: tuple[str, ...] = ()
 
-    def __init__(self):
+    def __init__(self, actuated=None):
         if self.config.nx != self.nq or self.config.ndx != self.nv:
             raise DimensionMismatch("configuration manifold does not match nq/nv")
         self.state = CompositeManifold([self.config, VectorSpace(self.nv)])
+        # The columns of S pick the actuated velocity coordinates (all by default).
+        joints = slice(None) if actuated is None else actuated
+        self._actuation = _read_only(np.eye(self.nv)[:, joints])
 
     # -- mandatory dynamics terms ------------------------------------------
 
@@ -89,7 +98,8 @@ class MechanicalSystem:
         raise NotImplementedError
 
     def actuation(self) -> np.ndarray:
-        raise NotImplementedError
+        """S in M vdot + bias = S u, built once and read-only."""
+        return self._actuation
 
     # -- analytic partials (configuration tangent coordinates) --------------
 
@@ -160,15 +170,13 @@ class DoubleIntegrator(MechanicalSystem):
         self.nq = self.nv = self.nu = int(dim)
         self.config = VectorSpace(dim)
         super().__init__()
+        self._mass = self._actuation  # unit masses: M = S = I
 
     def mass_matrix(self, q):
-        return np.eye(self.nv)
+        return self._mass
 
     def bias(self, q, v):
         return np.zeros(self.nv)
-
-    def actuation(self):
-        return np.eye(self.nv)
 
     def bias_partials(self, q, v):
         z = np.zeros((self.nv, self.nv))
@@ -178,66 +186,44 @@ class DoubleIntegrator(MechanicalSystem):
         return np.zeros((self.nv, self.nv))
 
 
-class PointMass(MechanicalSystem):
+class PointMass(DoubleIntegrator):
     """Point mass with direct force control; gravity pulls the last coordinate.
 
+    Its bias is constant, so it shares the double integrator's zero partials.
     Frames: "point" (full position) and, for dim >= 2, "height" (last
     coordinate only, the vertical pin used by the hopper's stance phase).
     """
 
     def __init__(self, dim: int = 2, mass: float = 1.0, gravity: float = GRAVITY):
-        self.nq = self.nv = self.nu = int(dim)
-        self.mass = float(mass)
+        super().__init__(dim)
+        self.mass = _parameter("mass", mass)
         self.gravity = float(gravity)
-        self.config = VectorSpace(dim)
-        self.frames = ("point", "height") if dim >= 2 else ("point",)
-        super().__init__()
-
-    def mass_matrix(self, q):
-        return self.mass * np.eye(self.nv)
+        self._mass = _read_only(self.mass * np.eye(self.nv))
+        # Each frame selects coordinates of q; the center of mass is q itself.
+        self._selectors = {"point": self._actuation, "height": self._actuation[-1:]}
+        self.frames = ("point", "height") if self.nv >= 2 else ("point",)
 
     def bias(self, q, v):
         h = np.zeros(self.nv)
         h[-1] = self.mass * self.gravity
         return h
 
-    def actuation(self):
-        return np.eye(self.nv)
-
-    def bias_partials(self, q, v):
-        z = np.zeros((self.nv, self.nv))
-        return z, z.copy()
-
-    def inertia_contraction_partial(self, q, w):
-        return np.zeros((self.nv, self.nv))
+    def _selector(self, frame):
+        if frame not in self.frames:
+            raise DimensionMismatch(f"system has no frame {frame!r}")
+        return self._selectors[frame]
 
     def frame_placement(self, q, frame):
-        if frame == "point":
-            return np.array(q, float)
-        if frame == "height" and self.nv >= 2:
-            return np.array([q[-1]])
-        return super().frame_placement(q, frame)
+        return self._selector(frame) @ q
 
     def frame_jacobian(self, q, frame):
-        if frame == "point":
-            return np.eye(self.nv)
-        if frame == "height" and self.nv >= 2:
-            j = np.zeros((1, self.nv))
-            j[0, -1] = 1.0
-            return j
-        return super().frame_jacobian(q, frame)
+        return self._selector(frame)
 
     def frame_drift(self, q, v, frame):
-        if frame == "point":
-            return np.zeros(self.nv)
-        if frame == "height" and self.nv >= 2:
-            return np.zeros(1)
-        return super().frame_drift(q, v, frame)
+        return np.zeros(self._selector(frame).shape[0])
 
     def frame_partials(self, q, v, w, f, frame):
-        if frame not in self.frames:
-            return super().frame_partials(q, v, w, f, frame)
-        nf, nv = self.frame_jacobian(q, frame).shape
+        nf, nv = self._selector(frame).shape
         zero = np.zeros((nf, nv))
         return zero, np.zeros((nv, nv)), zero.copy(), zero.copy()
 
@@ -245,7 +231,7 @@ class PointMass(MechanicalSystem):
         return np.array(q, float)
 
     def com_jacobian(self, q):
-        return np.eye(self.nv)
+        return self._actuation
 
 
 class Pendulum(MechanicalSystem):
@@ -255,9 +241,9 @@ class Pendulum(MechanicalSystem):
 
     def __init__(self, mass=1.0, length=1.0, damping=0.0, gravity=GRAVITY):
         self.nq = self.nv = self.nu = 1
-        self.mass = float(mass)
-        self.length = float(length)
-        self.damping = float(damping)
+        self.mass = _parameter("mass", mass)
+        self.length = _parameter("length", length)
+        self.damping = _parameter("damping", damping, zero_ok=True)
         self.gravity = float(gravity)
         self.config = VectorSpace(1)
         super().__init__()
@@ -273,9 +259,6 @@ class Pendulum(MechanicalSystem):
                 + self.damping * v[0]
             ]
         )
-
-    def actuation(self):
-        return np.eye(1)
 
     def bias_partials(self, q, v):
         dq = np.array([[self.mass * self.gravity * self.length * np.cos(q[0])]])
@@ -328,9 +311,9 @@ class DoublePendulum(MechanicalSystem):
         gravity=GRAVITY,
     ):
         self.nq = self.nv = self.nu = 2
-        self.m1, self.m2 = float(m1), float(m2)
-        self.l1, self.l2 = float(l1), float(l2)
-        self.lc1, self.lc2 = float(lc1), float(lc2)
+        self.m1, self.m2 = _parameter("m1", m1), _parameter("m2", m2)
+        self.l1, self.l2 = _parameter("l1", l1), _parameter("l2", l2)
+        self.lc1, self.lc2 = _parameter("lc1", lc1), _parameter("lc2", lc2)
         self.I1 = self.m1 * self.l1**2 / 12.0
         self.I2 = self.m2 * self.l2**2 / 12.0
         self.gravity = float(gravity)
@@ -366,9 +349,6 @@ class DoublePendulum(MechanicalSystem):
             [-b * s2 * (2.0 * v[0] * v[1] + v[1] ** 2), b * s2 * v[0] ** 2]
         )
         return coriolis + self._gravity_torque(q)
-
-    def actuation(self):
-        return np.eye(2)
 
     def bias_partials(self, q, v):
         b = self._coupling
@@ -452,24 +432,73 @@ class DoublePendulum(MechanicalSystem):
         return j / (self.m1 + self.m2)
 
 
-# Tangent rows whose sums are the monoped's absolute leg angles: the thigh
-# angle phi1 = theta + hip and the shank angle phi2 = phi1 + knee.
-_THIGH_ROW = np.array([0.0, 0.0, 1.0, 1.0, 0.0])
-_SHANK_ROW = np.array([0.0, 0.0, 1.0, 1.0, 1.0])
+# Rows of the tangent coordinates whose sums are the monoped's absolute leg
+# angles: the thigh angle phi1 = theta + hip and the shank angle
+# phi2 = phi1 + knee. Stacked as [c1; c2], they map v to the leg rates omega.
+_LEG_ROWS = _read_only(np.array([[0.0, 0.0, 1.0, 1.0, 0.0], [0.0, 0.0, 1.0, 1.0, 1.0]]))
+# The base translation rows E = [I 0]: every point's Jacobian starts with them.
+_BASE_TRANSLATION = _read_only(np.eye(2, 5))
+
+
+# D_j with D_j b = d b/d phi_j for the monoped basis b = [1, cos phi1, sin phi1,
+# cos phi2, sin phi2, cos(phi1 - phi2), sin(phi1 - phi2)]: each (cos, sin) index
+# pair turns at the rate of its angle. The D_j commute, because the span of b is
+# closed under both derivatives.
+_BASIS_RATES = np.zeros((2, 7, 7))
+for _j, _c, _s, _rate in ((0, 1, 2, 1.0), (0, 5, 6, 1.0), (1, 3, 4, 1.0), (1, 5, 6, -1.0)):
+    _BASIS_RATES[_j, _c, _s], _BASIS_RATES[_j, _s, _c] = -_rate, _rate
+_read_only(_BASIS_RATES)
+
+
+def _leg_rates(v):
+    """omega = [c1; c2] v, the thigh and shank angular rates, as two scalars."""
+    w1 = v[2] + v[3]
+    return w1, w1 + v[4]
+
+
+def _q_partials(coeffs):
+    """P with (b @ P).reshape(n, 5) = d(b @ coeffs)/dq for coeffs (7, n): by the
+    chain rule through phi = [c1; c2] q, sum_l (b @ D_l^T coeffs) c_l^T."""
+    per_angle = _BASIS_RATES.transpose(0, 2, 1) @ coeffs
+    return _read_only(np.einsum("lin,lv->inv", per_angle, _LEG_ROWS).reshape(7, -1))
+
+
+def _point_terms(a1, a2):
+    """Constant terms of the point p = base + a1 down(phi1) + a2 down(phi2).
+
+    Returns (A, J, H, K): b @ A is a1 down(phi1) + a2 down(phi2), for
+    down = (sin, -cos), and b @ J, b @ H, b @ K reshape to the Jacobian dp/dq
+    (2, 5), its q-derivative (2, 5, 5) and that one's (2, 5, 5, 5).
+    """
+    a = np.zeros((7, 2))
+    a[2, 0], a[1, 1] = a1, -a1
+    a[4, 0], a[3, 1] = a2, -a2
+    jacobian = np.array(_q_partials(a))
+    jacobian[0] += _BASE_TRANSLATION.ravel()  # b[0] = 1
+    hessian = _q_partials(jacobian)
+    return _read_only(a), _read_only(jacobian), hessian, _q_partials(hessian)
 
 
 class PlanarMonoped(MechanicalSystem):
     """Floating planar base with a two-link leg; only the leg joints actuated.
 
     Configuration (x, z, theta, hip, knee): base translation in R^2, wrapped
-    base heading, then the two relative joint angles. Every point used here
-    (the base, thigh and shank centers and the foot) has the form
-    base + a1 down(phi1) + a2 down(phi2), so the point helpers, parametrised
-    by (a1, a2), give the body Jacobians behind M and the bias, and the frames
-    with their contact partials. Summed over the bodies, the bias and inertia
-    partials depend on the (a1, a2) only through the bodies' mass moments.
-    The heading's tangent is the plain angle increment, so tangent partials
-    equal coordinate partials.
+    base heading, then the two relative joint angles. The heading's tangent
+    is the plain angle increment, so tangent partials equal coordinate
+    partials.
+
+    Every term depends on q only through the leg angles phi1 = theta + hip
+    and phi2 = phi1 + knee, by way of the 7-term basis b(q) = [1, cos phi1,
+    sin phi1, cos phi2, sin phi2, cos(phi1 - phi2), sin(phi1 - phi2)], and
+    on v only through the leg rates omega = [c1; c2] v. So each term is one
+    evaluation of b times constant coefficients: M = C_M b and
+    bias = T (b (x) [1, w1^2, w2^2]). The constructor derives them, with no
+    fitting, from the total mass, the rotational inertia, gravity and the
+    mass moments mu_k = sum_b m_b a_kb and mu_kl = sum_b m_b a_kb a_lb of
+    the body centers base + a1 down(phi1) + a2 down(phi2). The q-partials
+    use d b/d phi_j = D_j b for constant 7x7 matrices D_j, right-multiplied
+    by [c1; c2], both folded into coefficients of their own. The foot, the
+    hip and the center of mass are points of the same form (`_point_terms`).
     """
 
     frames = ("foot", "hip")
@@ -484,184 +513,141 @@ class PlanarMonoped(MechanicalSystem):
         shank_length=0.35,
         gravity=GRAVITY,
     ):
-        self.nq = self.nv = 5
-        self.nu = 2
-        self.mB = float(base_mass)
-        self.IB = float(base_inertia)
-        self.m1 = float(thigh_mass)
-        self.m2 = float(shank_mass)
-        self.l1 = float(thigh_length)
-        self.l2 = float(shank_length)
+        self.nq, self.nv, self.nu = 5, 5, 2
+        self.mB = _parameter("base_mass", base_mass)
+        self.IB = _parameter("base_inertia", base_inertia)
+        self.m1 = _parameter("thigh_mass", thigh_mass)
+        self.m2 = _parameter("shank_mass", shank_mass)
+        self.l1 = _parameter("thigh_length", thigh_length)
+        self.l2 = _parameter("shank_length", shank_length)
         self.lc1 = 0.5 * self.l1
         self.lc2 = 0.5 * self.l2
         self.I1 = self.m1 * self.l1**2 / 12.0
         self.I2 = self.m2 * self.l2**2 / 12.0
         self.gravity = float(gravity)
         self.config = CompositeManifold([VectorSpace(2), Rotation2D(), VectorSpace(2)])
-        super().__init__()
+        super().__init__(actuated=[3, 4])
         self.total_mass = self.mB + self.m1 + self.m2
-        # (mass, a1, a2) of the base, thigh and shank centers.
-        self._bodies = (
-            (self.mB, 0.0, 0.0),
-            (self.m1, self.lc1, 0.0),
-            (self.m2, self.l1, self.lc2),
-        )
-        self._frame_points = {"foot": (self.l1, self.l2), "hip": (0.0, 0.0)}
-        # Body angular velocities are theta, phi1 and phi2 rates: constant rows.
-        w_base = np.array([0.0, 0.0, 1.0, 0.0, 0.0])
-        self._rotational_inertia = (
-            self.IB * np.outer(w_base, w_base)
-            + self.I1 * np.outer(_THIGH_ROW, _THIGH_ROW)
-            + self.I2 * np.outer(_SHANK_ROW, _SHANK_ROW)
-        )
-        self._gravity_vec = np.array([0.0, -self.gravity])
-        # Mass moments of the bodies' leg coefficients (see bias_partials):
-        # mu[k] = sum_b m_b a_kb and mu2[k, l] = sum_b m_b a_kb a_lb.
-        masses = np.array([m for m, _, _ in self._bodies])
-        coeffs = np.array([(a1, a2) for _, a1, a2 in self._bodies])
+        # Mass moments of the (a1, a2) of the base, thigh and shank centers.
+        masses = np.array([self.mB, self.m1, self.m2])
+        coeffs = np.array([(0.0, 0.0), (self.lc1, 0.0), (self.l1, self.lc2)])
         self._mu = masses @ coeffs
         self._mu2 = coeffs.T @ (masses[:, None] * coeffs)
+        self._mass_coeffs, self._bias_coeffs = self._dynamics_coefficients()
+        self._mass_partials = _q_partials(self._mass_coeffs)
+        self._bias_partials = _q_partials(self._bias_coeffs)
+        self._points = {"foot": _point_terms(self.l1, self.l2), "hip": _point_terms(0.0, 0.0)}
+        self._com_point = _point_terms(*(self._mu / self.total_mass))
 
-    # -- points base + a1 down(phi1) + a2 down(phi2) ------------------------------
+    def _dynamics_coefficients(self):
+        """C_M (7, 25) and T (7, 15) with M = b @ C_M and bias = s @ (b @ T).
+
+        With J_b = E + sum_k a_kb side_k c_k^T, side = (cos, sin), the sum
+        M = sum_b m_b J_b^T J_b + (spin terms) is
+            m E^T E + sum_k mu_k (E^T side_k c_k^T + c_k side_k^T E)
+            + sum_kl mu_kl cos(phi_k - phi_l) c_k c_l^T + R,
+        and bias = sum_b m_b J_b^T (drift_b - g), with
+        drift_b = -sum_k a_kb down_k w_k^2, is
+            m g e_z + sum_k mu_k g sin(phi_k) c_k
+            - sum_k w_k^2 [mu_k E^T down_k + sum_l mu_kl (side_l . down_k) c_l],
+        where side_l . down_k = sin(phi_k - phi_l). T is indexed by
+        (basis term, s term, coordinate) for s = [1, w1^2, w2^2].
+        """
+        mu, mu2, g = self._mu, self._mu2, self.gravity
+        e_x, e_z = _BASE_TRANSLATION
+        spin = np.array([0.0, 0.0, 1.0, 0.0, 0.0])
+
+        def sym(a, b):
+            return np.outer(a, b) + np.outer(b, a)
+
+        mass = np.zeros((7, 5, 5))
+        bias = np.zeros((7, 3, 5))
+        mass[0] = self.total_mass * (np.outer(e_x, e_x) + np.outer(e_z, e_z))
+        mass[0] += self.IB * np.outer(spin, spin)
+        mass[5] = mu2[0, 1] * sym(*_LEG_ROWS)
+        bias[0, 0] = self.total_mass * g * e_z
+        for k, (cos_k, sin_k) in enumerate(((1, 2), (3, 4))):
+            row, other = _LEG_ROWS[k], _LEG_ROWS[1 - k]
+            mass[0] += (mu2[k, k] + (self.I1, self.I2)[k]) * np.outer(row, row)
+            mass[cos_k] = mu[k] * sym(e_x, row)
+            mass[sin_k] = mu[k] * sym(e_z, row)
+            bias[sin_k, 0] = mu[k] * g * row
+            bias[sin_k, 1 + k] = -mu[k] * e_x
+            bias[cos_k, 1 + k] = mu[k] * e_z
+            # sin(phi_k - phi_other) is -sin(phi1 - phi2) for k = 1, +sin for k = 2.
+            bias[6, 1 + k] = (2 * k - 1) * mu2[0, 1] * other
+        return _read_only(mass.reshape(7, 25)), _read_only(bias.reshape(7, 15))
 
     @staticmethod
-    def _angles(q):
+    def _basis(q):
         phi1 = q[2] + q[3]
-        return phi1, phi1 + q[4]
-
-    def _point_placement(self, q, a1, a2):
-        phi1, phi2 = self._angles(q)
-        return q[:2] + a1 * _unit_down(phi1) + a2 * _unit_down(phi2)
-
-    def _point_jacobian(self, q, a1, a2):
-        phi1, phi2 = self._angles(q)
-        s2 = a2 * _unit_side(phi2)
-        s = a1 * _unit_side(phi1) + s2
-        j = np.zeros((2, 5))
-        j[:, :2] = np.eye(2)
-        j[:, 2] = s
-        j[:, 3] = s
-        j[:, 4] = s2
-        return j
-
-    def _point_drift(self, q, v, a1, a2):
-        phi1, phi2 = self._angles(q)
-        w1 = v[2] + v[3]
-        w2 = w1 + v[4]
-        return -a1 * _unit_down(phi1) * w1**2 - a2 * _unit_down(phi2) * w2**2
-
-    def _frame_point(self, frame):
+        phi2 = phi1 + q[4]
         try:
-            return self._frame_points[frame]
+            c1, s1, c2, s2 = cos(phi1), sin(phi1), cos(phi2), sin(phi2)
+            return np.array([1.0, c1, s1, c2, s2, cos(phi1 - phi2), sin(phi1 - phi2)])
+        except ValueError:  # an infinite angle, whose cos and sin numpy makes NaN
+            return np.full(7, np.nan)
+
+    def _point(self, frame):
+        try:
+            return self._points[frame]
         except KeyError:
             raise DimensionMismatch(f"system has no frame {frame!r}") from None
 
-    # -- dynamics ------------------------------------------------------------------
-
-    def _body_jacobians(self, q):
-        return [self._point_jacobian(q, a1, a2) for _, a1, a2 in self._bodies]
+    # -- dynamics --------------------------------------------------------------------
 
     def mass_matrix(self, q):
-        jB, j1, j2 = self._body_jacobians(q)
-        m = self.mB * jB.T @ jB + self.m1 * j1.T @ j1 + self.m2 * j2.T @ j2
-        m += self._rotational_inertia
-        return m
+        return (self._basis(q) @ self._mass_coeffs).reshape(5, 5)
 
     def bias(self, q, v):
-        # Sum over bodies of m J^T (Jdot v - g); the spin terms are constant.
-        h = np.zeros(5)
-        for m, a1, a2 in self._bodies:
-            drift = self._point_drift(q, v, a1, a2)
-            h += m * self._point_jacobian(q, a1, a2).T @ (drift - self._gravity_vec)
-        return h
-
-    def actuation(self):
-        s = np.zeros((5, 2))
-        s[3, 0] = 1.0
-        s[4, 1] = 1.0
-        return s
-
-    def _links(self, q, w):
-        """Per leg link k: down_k, side_k, its tangent row c_k and c_k w."""
-        phi1, phi2 = self._angles(q)
-        w1 = w[2] + w[3]
-        return (
-            (_unit_down(phi1), _unit_side(phi1), _THIGH_ROW, w1),
-            (_unit_down(phi2), _unit_side(phi2), _SHANK_ROW, w1 + w[4]),
-        )
-
-    def _moment_transpose(self, k, links, x):
-        """G_k^T x for the link-k moment Jacobian G_k = sum_b m_b a_kb J_b,
-        which is mu_k [I 0] + sum_l mu_kl side_l c_l^T."""
-        out = self._mu2[k, 0] * (links[0][1] @ x) * _THIGH_ROW
-        out += self._mu2[k, 1] * (links[1][1] @ x) * _SHANK_ROW
-        out[:2] += self._mu[k] * x
-        return out
+        w1, w2 = _leg_rates(v)
+        speeds = np.array([1.0, w1 * w1, w2 * w2])
+        return speeds @ (self._basis(q) @ self._bias_coeffs).reshape(3, 5)
 
     def bias_partials(self, q, v):
-        # Per body, J_b = [I 0] + sum_k a_kb side_k c_k^T and
-        # drift_b = -sum_k a_kb down_k (c_k v)^2, and bias = sum_b m_b J_b^T
-        # (drift_b - g). Summed over the bodies, the partials (see
-        # _chain_partials) depend on the coefficients only through mu and mu2:
-        #   d/dq = -sum_k [down_k . F_k] c_k c_k^T + (c_k v)^2 G_k^T side_k c_k^T
-        #   d/dv = -sum_k 2 (c_k v) G_k^T down_k c_k^T
-        # with F_k = sum_b m_b a_kb (drift_b - g).
-        links = self._links(q, v)
-        dq = np.zeros((5, 5))
-        dv = np.zeros((5, 5))
-        for k, (down, side, row, rate) in enumerate(links):
-            force = -self._mu[k] * self._gravity_vec
-            for l, (down_l, _, _, rate_l) in enumerate(links):
-                force -= (self._mu2[k, l] * rate_l**2) * down_l
-            dq -= (down @ force) * np.outer(row, row)
-            dq -= np.outer(rate**2 * self._moment_transpose(k, links, side), row)
-            dv -= np.outer(2.0 * rate * self._moment_transpose(k, links, down), row)
-        return dq, dv
+        b = self._basis(q)
+        w1, w2 = _leg_rates(v)
+        dq = np.array([1.0, w1 * w1, w2 * w2]) @ (b @ self._bias_partials).reshape(3, 25)
+        speed_terms = (b @ self._bias_coeffs).reshape(3, 5)[1:]  # d bias/d w_k^2
+        dv = (speed_terms.T * np.array([2.0 * w1, 2.0 * w2])) @ _LEG_ROWS
+        return dq.reshape(5, 5), dv
 
     def inertia_contraction_partial(self, q, w):
-        # M w = sum_b m_b J_b^T J_b w + (constant spin terms) w, so
-        #   d/dq = -sum_k [down_k . G_k w] c_k c_k^T + (c_k w) G_k^T down_k c_k^T.
-        links = self._links(q, w)
-        out = np.zeros((5, 5))
-        for k, (down, _, row, rate) in enumerate(links):
-            gw = self._mu[k] * w[:2]
-            for l, (_, side_l, _, rate_l) in enumerate(links):
-                gw += (self._mu2[k, l] * rate_l) * side_l
-            out -= (down @ gw) * np.outer(row, row)
-            out -= np.outer(rate * self._moment_transpose(k, links, down), row)
-        return out
+        return w @ (self._basis(q) @ self._mass_partials).reshape(5, 5, 5)
 
     # -- frames and center of mass ---------------------------------------------------
 
     def frame_placement(self, q, frame):
-        return self._point_placement(q, *self._frame_point(frame))
+        return q[:2] + self._basis(q) @ self._point(frame)[0]
 
     def frame_jacobian(self, q, frame):
-        return self._point_jacobian(q, *self._frame_point(frame))
+        return (self._basis(q) @ self._point(frame)[1]).reshape(2, 5)
 
     def frame_drift(self, q, v, frame):
-        return self._point_drift(q, v, *self._frame_point(frame))
+        hessian = (self._basis(q) @ self._point(frame)[2]).reshape(2, 5, 5)
+        return (hessian @ v) @ v
 
     def frame_partials(self, q, v, w, f, frame):
-        a1, a2 = self._frame_point(frame)
-        phi1, phi2 = self._angles(q)
-        return _chain_partials(((a1, phi1, _THIGH_ROW), (a2, phi2, _SHANK_ROW)), v, w, f)
+        # With H = d^2 p/dq^2: d(J w)/dq = H w, d(J^T f)/dq = f H, drift = (H v) v.
+        _, _, hessian, third = self._point(frame)
+        b = self._basis(q)
+        hessian = (b @ hessian).reshape(2, 5, 5)
+        third = (b @ third).reshape(2, 5, 25)
+        jtf_q = (f @ hessian.reshape(2, 25)).reshape(5, 5)
+        return w @ hessian, jtf_q, v @ (v @ third).reshape(2, 5, 5), 2.0 * (hessian @ v)
 
     def com(self, q):
-        return (
-            sum(m * self._point_placement(q, a1, a2) for m, a1, a2 in self._bodies)
-            / self.total_mass
-        )
+        return q[:2] + self._basis(q) @ self._com_point[0]
 
     def com_jacobian(self, q):
-        jB, j1, j2 = self._body_jacobians(q)
-        return (self.mB * jB + self.m1 * j1 + self.m2 * j2) / self.total_mass
+        return (self._basis(q) @ self._com_point[1]).reshape(2, 5)
 
 
 def lqr_chain_dynamics(masses: int = 3, stiffness: float = 4.0, damping: float = 0.4):
     """Spring-mass chain as a first-order linear flow; every mass actuated."""
     if masses < 1:
         raise DimensionMismatch("chain needs at least one mass")
+    damping = _parameter("damping", damping, zero_ok=True)
     n = int(masses)
     K = np.zeros((n, n))
     for i in range(n):

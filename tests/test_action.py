@@ -359,6 +359,28 @@ def test_cost_values_are_nonnegative():
             assert term.value(x, u) >= 0.0
 
 
+def test_cost_terms_return_only_the_blocks_of_their_argument():
+    # Each residual depends on x alone or on u alone; the blocks a term leaves
+    # out are exactly zero, and the ones it returns match the full product.
+    dpend = DoublePendulum()
+    x, u = np.array([0.4, -0.7, 1.1, 0.3]), np.array([0.8, -1.2])
+    state_terms = [
+        StateRegularization(dpend.state, [0.3, -0.1, 0.0, 0.0], 2.0, 2),
+        FrameTranslationTracking(dpend, "tip", [0.5, -1.5], 3.0, 4, 2),
+        ComTracking(dpend, [0.0, -0.8], 1.0, 4, 2),
+    ]
+    for term in state_terms:
+        blocks = term.derivatives(x, u)
+        assert set(blocks) == {"l_x", "l_xx"}
+        j = numdiff.jacobian(lambda xv: np.atleast_1d(term.value(xv, u)), x)[0]
+        np.testing.assert_allclose(blocks["l_x"], j, atol=1e-6)
+    control = ControlRegularization(2, 0.1, 4, reference=[1.0, -1.0])
+    blocks = control.derivatives(x, u)
+    assert set(blocks) == {"l_u", "l_uu"}
+    np.testing.assert_allclose(blocks["l_u"], 0.1 * (u - [1.0, -1.0]))
+    np.testing.assert_allclose(blocks["l_uu"], 0.1 * np.eye(2))
+
+
 def test_make_cost_term_dispatch_and_validation():
     pend = Pendulum()
     term = make_cost_term(

@@ -190,6 +190,22 @@ def test_schema_violations_carry_field_locations(tmp_path):
             ),
             r"switches\[0\]\.restitution: restitution must be a number",
         ),
+        (
+            lambda d: d.update(model={"id": "planar_monoped", "params": {"base_mass": "x"}}),
+            r"model\.params\.base_mass: model parameter 'base_mass' must be a number",
+        ),
+        (
+            lambda d: d.update(model={"id": "planar_monoped", "params": {"thigh_length": 0.0}}),
+            r"model\.params\.thigh_length: thigh_length must be > 0, got 0\.0",
+        ),
+        (
+            lambda d: d.update(model={"id": "planar_monoped", "params": {"base_mass": -1.0}}),
+            r"model\.params\.base_mass: base_mass must be > 0, got -1\.0",
+        ),
+        (
+            lambda d: d["model"]["params"].update(damping=-0.1),
+            r"model\.params\.damping: damping must be >= 0, got -0\.1",
+        ),
     ]
     for i, (mutate, message) in enumerate(cases):
         doc = pendulum_doc()

@@ -349,6 +349,152 @@ def test_monoped_actuation_drives_only_leg_joints():
     np.testing.assert_array_equal(s, expected)
 
 
+@pytest.mark.parametrize("system", MECHANICAL_SYSTEMS, ids=MECHANICAL_IDS)
+def test_actuation_is_built_once_and_read_only(system):
+    s = system.actuation()
+    np.testing.assert_array_equal(s, system.actuation())
+    assert not s.flags.writeable
+    with pytest.raises(ValueError):
+        s[0, 0] = 2.0
+
+
+# ---------------------------------------------------------------------------
+# monoped: basis form against the per-body sums
+# ---------------------------------------------------------------------------
+
+
+def side(phi):
+    return np.array([np.cos(phi), np.sin(phi)])
+
+
+class PerBodyMonoped:
+    """The monoped's terms summed body by body over per-point Jacobians.
+
+    A point base + a1 down(phi1) + a2 down(phi2) has J = [I 0] + sum_k a_k
+    side_k c_k^T and drift -sum_k a_k down_k (c_k v)^2; M sums m J^T J over
+    the bodies plus the spin terms, and the bias sums m J^T (drift - g).
+    """
+
+    ROWS = (np.array([0.0, 0.0, 1.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0, 1.0, 1.0]))
+
+    def __init__(self, sys):
+        self.bodies = [(sys.mB, 0.0, 0.0), (sys.m1, sys.lc1, 0.0), (sys.m2, sys.l1, sys.lc2)]
+        self.frames = {"foot": (sys.l1, sys.l2), "hip": (0.0, 0.0)}
+        spin = np.array([0.0, 0.0, 1.0, 0.0, 0.0])
+        thigh, shank = self.ROWS
+        self.spin = (
+            sys.IB * np.outer(spin, spin)
+            + sys.I1 * np.outer(thigh, thigh)
+            + sys.I2 * np.outer(shank, shank)
+        )
+        self.gravity = np.array([0.0, -sys.gravity])
+        self.total_mass = sys.total_mass
+
+    def links(self, q, a):
+        phi1 = q[2] + q[3]
+        return zip(a, (phi1, phi1 + q[4]), self.ROWS)
+
+    def placement(self, q, a):
+        return q[:2] + sum(ak * down(phi) for ak, phi, _ in self.links(q, a))
+
+    def jacobian(self, q, a):
+        j = np.zeros((2, 5))
+        j[:, :2] = np.eye(2)
+        return j + sum(ak * np.outer(side(phi), c) for ak, phi, c in self.links(q, a))
+
+    def drift(self, q, v, a):
+        return -sum(ak * down(phi) * (c @ v) ** 2 for ak, phi, c in self.links(q, a))
+
+    def point_partials(self, q, v, w, f, a):
+        """d(J w)/dq, d(J^T f)/dq, d drift/dq, d drift/dv for fixed w and f."""
+        out = [np.zeros((2, 5)), np.zeros((5, 5)), np.zeros((2, 5)), np.zeros((2, 5))]
+        for ak, phi, c in self.links(q, a):
+            out[0] -= ak * (c @ w) * np.outer(down(phi), c)
+            out[1] -= ak * (down(phi) @ f) * np.outer(c, c)
+            out[2] -= ak * (c @ v) ** 2 * np.outer(side(phi), c)
+            out[3] -= 2.0 * ak * (c @ v) * np.outer(down(phi), c)
+        return out
+
+    def mass_matrix(self, q):
+        return self.spin + sum(m * self.jacobian(q, a).T @ self.jacobian(q, a) for m, *a in self.bodies)
+
+    def bias(self, q, v):
+        return sum(
+            m * self.jacobian(q, a).T @ (self.drift(q, v, a) - self.gravity)
+            for m, *a in self.bodies
+        )
+
+    def bias_partials(self, q, v):
+        dq, dv = np.zeros((5, 5)), np.zeros((5, 5))
+        for m, *a in self.bodies:
+            j, force = self.jacobian(q, a), self.drift(q, v, a) - self.gravity
+            _, jtf_q, drift_q, drift_v = self.point_partials(q, v, v, force, a)
+            dq += m * (jtf_q + j.T @ drift_q)
+            dv += m * j.T @ drift_v
+        return dq, dv
+
+    def inertia_contraction_partial(self, q, w):
+        out = np.zeros((5, 5))
+        for m, *a in self.bodies:
+            j = self.jacobian(q, a)
+            jw_q, jtf_q, _, _ = self.point_partials(q, w, w, j @ w, a)
+            out += m * (jtf_q + j.T @ jw_q)
+        return out
+
+    def com(self, q):
+        return sum(m * self.placement(q, a) for m, *a in self.bodies) / self.total_mass
+
+    def com_jacobian(self, q):
+        return sum(m * self.jacobian(q, a) for m, *a in self.bodies) / self.total_mass
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        {},
+        dict(
+            base_mass=1.7,
+            thigh_mass=0.4,
+            shank_mass=0.2,
+            thigh_length=0.5,
+            shank_length=0.3,
+            base_inertia=0.09,
+        ),
+    ],
+    ids=["default", "non_default"],
+)
+def test_monoped_basis_terms_equal_per_body_sums(params):
+    # Every term, at angles within +-10 rad (across the heading's +-pi wrap),
+    # agrees with the per-body sums to rounding.
+    system = PlanarMonoped(**params)
+    oracle = PerBodyMonoped(system)
+    rng = np.random.default_rng(12)
+
+    def close(actual, expected):
+        np.testing.assert_allclose(actual, expected, rtol=0.0, atol=1e-12)
+
+    for _ in range(50):
+        q = np.concatenate([rng.uniform(-2.0, 2.0, 2), rng.uniform(-10.0, 10.0, 3)])
+        v, w = rng.uniform(-3.0, 3.0, 5), rng.uniform(-3.0, 3.0, 5)
+        f = rng.uniform(-3.0, 3.0, 2)
+        close(system.mass_matrix(q), oracle.mass_matrix(q))
+        close(system.bias(q, v), oracle.bias(q, v))
+        for actual, expected in zip(system.bias_partials(q, v), oracle.bias_partials(q, v)):
+            close(actual, expected)
+        close(system.inertia_contraction_partial(q, w), oracle.inertia_contraction_partial(q, w))
+        close(system.com(q), oracle.com(q))
+        close(system.com_jacobian(q), oracle.com_jacobian(q))
+        for frame, a in oracle.frames.items():
+            close(system.frame_placement(q, frame), oracle.placement(q, a))
+            close(system.frame_jacobian(q, frame), oracle.jacobian(q, a))
+            close(system.frame_drift(q, v, frame), oracle.drift(q, v, a))
+            partials = zip(
+                system.frame_partials(q, v, w, f, frame), oracle.point_partials(q, v, w, f, a)
+            )
+            for actual, expected in partials:
+                close(actual, expected)
+
+
 def test_state_helpers():
     sys = PlanarMonoped()
     assert sys.state.nx == 10 and sys.state.ndx == 10
