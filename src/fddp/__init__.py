@@ -2,12 +2,11 @@
 
 The package bundles four layers:
 
-* state manifolds with integrate/difference operators and their Jacobians
-  (:mod:`fddp.manifolds`),
+* state manifolds with integrate/difference operators (:mod:`fddp.manifolds`),
 * hand-derived mechanical systems plus contact and impulse dynamics solved
   through KKT systems (:mod:`fddp.systems`, :mod:`fddp.contact`),
-* shooting-node action models with analytic or finite-difference derivatives
-  (:mod:`fddp.action`, :mod:`fddp.problem`),
+* shooting-node action models whose analytic derivatives are evaluated as
+  one stacked pass per shared model (:mod:`fddp.action`, :mod:`fddp.problem`),
 * the classical and feasibility-tolerant DDP solvers with a dense-KKT oracle
   (:mod:`fddp.solver`) and a scenario/CLI harness (:mod:`fddp.scenarios`,
   :mod:`fddp.cli`).
@@ -15,6 +14,7 @@ The package bundles four layers:
 
 from .action import (
     ActionData,
+    ActionDataStack,
     ActionModelBase,
     ConstrainedMechanicalDynamics,
     FreeMechanicalDynamics,
@@ -87,6 +87,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ActionData",
+    "ActionDataStack",
     "ActionModelBase",
     "BUNDLED_SCENARIOS",
     "ComTracking",

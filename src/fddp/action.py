@@ -10,20 +10,27 @@ an explicit Euler step so their discrete Jacobians are exact.
 Models are immutable after construction; each evaluation writes into a separate
 data container, so one model can serve many nodes.
 
-Constructors check their arguments; `calc` and `calc_diff` do not. They take
-x as a float array of shape (nx,) and u of shape (nu,), which the entry points
-(`ShootingProblem.check_trajectories`, the scenario loader) guarantee.
-`calc_diff(data, x, u)` reads what `calc(data, x, u)` left in `data`, so it
-must follow a `calc` at the same (x, u) on the same data.
+`calc(data, x, u)` evaluates one node: its forward step and cost, at x (nx,)
+and u (nu,). `calc_diff(stack, X, U)` evaluates the derivatives of all n
+nodes in an `ActionDataStack` at once, at X (n, nx) and U (n, nu), reading
+what `calc` left in each of `stack.nodes`; it must follow those calls at the
+same points. Constructors check their arguments; `calc` and `calc_diff` do
+not, as the entry points (`ShootingProblem.check_trajectories`, the scenario
+loader) guarantee the shapes.
 
-`calc_diff` writes the derivative blocks in place: f_x, f_u and the cost
-derivatives are the arrays `create_data` allocated, overwritten block by
-block at every call, never replaced. A caller that keeps a block across two
-`calc_diff` calls on the same data must copy it. Constant blocks (identity
-parts, linear-flow Jacobians) are built once, in the constructors.
+`calc_diff` overwrites the stacks f_x (n, ndx, ndx), f_u, l_x, l_u, l_xx,
+l_xu and l_uu in place. Each node's `ActionData` fields of those names are
+views of its row, so per-node readers (the backward pass, the dense KKT
+oracle) need no copy, and a caller that keeps a block across two `calc_diff`
+calls must copy it. Contact and impulse models loop over the stack only for
+their KKT partials; everything else is array operations on the whole stack.
+Constant blocks (identity parts, linear-flow Jacobians) are built once, in
+the constructors.
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -48,29 +55,49 @@ _QUASI_STATIC_DAMPING = 1e-10
 
 # The control of a node that has none (terminal and impulse nodes).
 _NO_CONTROL = np.zeros(0)
-# The ActionData fields that the cost terms fill.
+# The derivative stacks that the cost terms fill.
 _COST_BLOCKS = ("l_x", "l_u", "l_xx", "l_xu", "l_uu")
+
+
+class ActionDataStack:
+    """The derivative stacks of n nodes that share one model, and their nodes.
+
+    `calc_diff` fills the stacks for all n nodes at once; `nodes[i]` is node
+    i's `ActionData`, whose fields of the same names are views of row i. The
+    nodes do not refer back to the stack, so no reference cycle outlives a
+    data set.
+    """
+
+    def __init__(self, model: "ActionModelBase", n: int):
+        ndx, nu = model.ndx, model.nu
+        self.f_x = np.zeros((n, ndx, ndx))
+        self.f_u = np.zeros((n, ndx, nu))
+        self.l_x = np.zeros((n, ndx))
+        self.l_u = np.zeros((n, nu))
+        self.l_xx = np.zeros((n, ndx, ndx))
+        self.l_xu = np.zeros((n, ndx, nu))
+        self.l_uu = np.zeros((n, nu, nu))
+        self.nodes = [ActionData(model, self, i) for i in range(n)]
 
 
 class ActionData:
     """Mutable evaluation buffers for one action model at one node.
 
-    Holds the discrete step output, the cost value and all cost/dynamics
-    derivatives, plus whatever intermediate the dynamics wants to carry from
-    calc to calc_diff (`dyn`).
+    Holds the discrete step output and the cost value that `calc` writes,
+    whatever intermediate the dynamics carries from calc to calc_diff (`dyn`),
+    and the node's derivative blocks: views of its row of `stack`.
     """
 
-    def __init__(self, model: "ActionModelBase"):
-        ndx, nu = model.ndx, model.nu
+    def __init__(self, model: "ActionModelBase", stack: ActionDataStack, index: int):
         self.xnext = np.zeros(model.state.nx)
         self.cost = 0.0
-        self.f_x = np.zeros((ndx, ndx))
-        self.f_u = np.zeros((ndx, nu))
-        self.l_x = np.zeros(ndx)
-        self.l_u = np.zeros(nu)
-        self.l_xx = np.zeros((ndx, ndx))
-        self.l_xu = np.zeros((ndx, nu))
-        self.l_uu = np.zeros((nu, nu))
+        self.f_x = stack.f_x[index]
+        self.f_u = stack.f_u[index]
+        self.l_x = stack.l_x[index]
+        self.l_u = stack.l_u[index]
+        self.l_xx = stack.l_xx[index]
+        self.l_xu = stack.l_xu[index]
+        self.l_uu = stack.l_uu[index]
         self.dyn = None
 
 
@@ -92,8 +119,9 @@ class DifferentialDynamics:
     def acceleration(self, x, u, data: ActionData) -> np.ndarray:
         raise NotImplementedError
 
-    def partials(self, x, u, data: ActionData):
-        """(a_q, a_v, a_u) tangent-space partials; acceleration ran first."""
+    def partials(self, stack: ActionDataStack, X, U):
+        """Stacked tangent-space partials (a_q, a_v, a_u), each (n, nv, ·), of
+        the n nodes of `stack`; acceleration ran first on each node."""
         raise NotImplementedError
 
     def control_jacobian(self, data: ActionData) -> np.ndarray:
@@ -119,17 +147,21 @@ class FreeMechanicalDynamics(DifferentialDynamics):
         except np.linalg.LinAlgError as exc:
             raise NumericalFailure("inertia factorization failed") from exc
         vdot = _cholesky_solve(factor, tau)
-        data.dyn = {"q": q, "v": v, "factor": factor, "vdot": vdot}
+        data.dyn = {"factor": factor, "vdot": vdot}
         return vdot
 
-    def partials(self, x, u, data):
+    def partials(self, stack, X, U):
+        # M a_x = -(d bias/dx + d(M vdot)/dx) and M a_u = S, for all nodes in
+        # one batched solve on the stacked mass matrices.
         sys = self.system
-        q, v, factor, vdot = (data.dyn[k] for k in ("q", "v", "factor", "vdot"))
+        nq, nv = sys.nq, sys.nv
+        q, v = X[:, :nq], X[:, nq:]
+        vdot = np.array([data.dyn["vdot"] for data in stack.nodes])
         bq, bv = sys.bias_partials(q, v)
         mc = sys.inertia_contraction_partial(q, vdot)
-        a_q = _cholesky_solve(factor, -(bq + mc))
-        a_v = _cholesky_solve(factor, -bv)
-        return a_q, a_v, self.control_jacobian(data)
+        actuation = np.broadcast_to(sys.actuation(), bq.shape[:-1] + (self.nu,))
+        a = np.linalg.solve(sys.mass_matrix(q), np.concatenate([-(bq + mc), -bv, actuation], -1))
+        return a[..., :nv], a[..., nv : 2 * nv], a[..., 2 * nv :]
 
     def control_jacobian(self, data):
         return _cholesky_solve(data.dyn["factor"], self.system.actuation())
@@ -171,20 +203,30 @@ class ConstrainedMechanicalDynamics(DifferentialDynamics):
         tau_b = sys.actuation() @ u - sys.bias(q, v)
         Jc, a0 = self._assemble(q, v)
         ws = contact_forward_dynamics(M, Jc, tau_b, a0)
-        data.dyn = {"q": q, "v": v, "ws": ws}
+        data.dyn = {"ws": ws}
         return ws.vdot
 
-    def partials(self, x, u, data):
+    def partials(self, stack, X, U):
         # Total derivatives of the two KKT rows at the solution, holding
         # (vdot, force) fixed:
         #   d/dx [tau_b - M vdot + Jc^T force] and d/dx [a0 + Jc vdot],
         # with a0 = drift - alpha (reference - placement) - beta Jc v. The
-        # factored KKT inverse then turns them into Jacobians of the solution.
+        # system terms are evaluated for the whole stack; the frame terms and
+        # the factored KKT inverse, which turns the rows into Jacobians of the
+        # solution, go node by node through each node's own factors.
         sys = self.system
-        q, v, ws = (data.dyn[k] for k in ("q", "v", "ws"))
-        nv = sys.nv
+        q, v = X[:, : sys.nq], X[:, sys.nq :]
+        workspaces = [data.dyn["ws"] for data in stack.nodes]
+        vdot = np.array([ws.vdot for ws in workspaces])
         bq, bv = sys.bias_partials(q, v)
-        dtau_dq = -(bq + sys.inertia_contraction_partial(q, ws.vdot))
+        dtau_dq = -(bq + sys.inertia_contraction_partial(q, vdot))
+        per_node = [self._kkt_partials(*node) for node in zip(workspaces, q, v, dtau_dq, bv)]
+        return tuple(np.stack(blocks) for blocks in zip(*per_node))
+
+    def _kkt_partials(self, ws, q, v, dtau_dq, bv):
+        """One node's (a_q, a_v, a_u), given its system terms of the torque row."""
+        sys = self.system
+        nv = sys.nv
         da0_dq, da0_dv = [], []
         for contact, rows in _contact_rows(self.contacts):
             J = ws.Jc[rows]
@@ -256,29 +298,34 @@ class ActionModelBase:
                     f"({self.ndx}, {self.nu}) model"
                 )
 
+    def create_stack(self, n: int) -> ActionDataStack:
+        return ActionDataStack(self, n)
+
     def create_data(self) -> ActionData:
-        return ActionData(self)
+        """The container of a single node, for calc (its row of a stack of one)."""
+        return self.create_stack(1).nodes[0]
 
     def _cost_value(self, x, u, scale: float) -> float:
         return scale * float(sum(term.value(x, u) for term in self.costs))
 
-    def _cost_derivatives(self, data: ActionData, x, u, scale: float):
+    def _cost_derivatives(self, stack: ActionDataStack, X, U, scale: float):
         # Each term returns only the blocks it can make nonzero (see
         # CostTerm.blocks), so every block starts from zero and l_xu stays so.
         for name in _COST_BLOCKS:
-            getattr(data, name).fill(0.0)
+            getattr(stack, name).fill(0.0)
         for term in self.costs:
-            for name, part in term.derivatives(x, u).items():
-                total = getattr(data, name)
+            for name, part in term.derivatives(X, U).items():
+                total = getattr(stack, name)
                 total += scale * part
-        data.l_xx[:] = 0.5 * (data.l_xx + data.l_xx.T)
-        data.l_uu[:] = 0.5 * (data.l_uu + data.l_uu.T)
+        for hessian in (stack.l_xx, stack.l_uu):
+            hessian[:] = 0.5 * (hessian + np.swapaxes(hessian, -1, -2))
 
     def calc(self, data: ActionData, x, u) -> ActionData:
         raise NotImplementedError
 
-    def calc_diff(self, data: ActionData, x, u) -> ActionData:
-        """Derivatives at (x, u); calc(data, x, u) must have run first."""
+    def calc_diff(self, stack: ActionDataStack, X, U) -> ActionDataStack:
+        """Derivatives of the stack's n nodes at X (n, nx), U (n, nu); calc
+        must have run on each node, node i at (X[i], U[i]) on stack.nodes[i]."""
         raise NotImplementedError
 
 
@@ -321,30 +368,29 @@ class IntegratedActionModel(ActionModelBase):
             v_next = v + self.dt * vdot
             q_next = sys.config.integrate(q, self.dt * v_next)
             data.xnext = np.concatenate([q_next, v_next])
-            data.dyn["v_next"] = v_next
         data.cost = self._cost_value(x, u, self.dt)
         return data
 
-    def calc_diff(self, data, x, u):
+    def calc_diff(self, stack, X, U):
         dt = self.dt
-        f_x, f_u = data.f_x, data.f_u
+        f_x, f_u = stack.f_x, stack.f_u
         if self.first_order:
             f_x[:] = self._f_x
             f_u[:] = self._f_u
         else:
-            sys = self.dynamics.system
-            nv = sys.nv
-            a_q, a_v, a_u = self.dynamics.partials(x, u, data)
-            Jq, Jdx = sys.config.jintegrate(data.dyn["q"], dt * data.dyn["v_next"])
-            # Rows: configuration then velocity tangent; columns: (q, v) then u.
-            f_x[:nv, :nv] = Jq + Jdx @ (dt * dt * a_q)
-            f_x[:nv, nv:] = Jdx @ (self._dt_eye_v + dt * dt * a_v)
-            np.multiply(dt, a_q, out=f_x[nv:, :nv])
-            np.add(self._eye_v, dt * a_v, out=f_x[nv:, nv:])
-            f_u[:nv] = Jdx @ (dt * dt * a_u)
-            np.multiply(dt, a_u, out=f_u[nv:])
-        self._cost_derivatives(data, x, u, dt)
-        return data
+            nv = self.dynamics.system.nv
+            a_q, a_v, a_u = self.dynamics.partials(stack, X, U)
+            # q_next = q + dt v_next and v_next = v + dt vdot, with identity
+            # Jacobians of the retraction. Rows: configuration then velocity
+            # tangent; columns: (q, v) then u.
+            np.add(self._eye_v, dt * dt * a_q, out=f_x[:, :nv, :nv])
+            np.add(self._dt_eye_v, dt * dt * a_v, out=f_x[:, :nv, nv:])
+            np.multiply(dt, a_q, out=f_x[:, nv:, :nv])
+            np.add(self._eye_v, dt * a_v, out=f_x[:, nv:, nv:])
+            np.multiply(dt * dt, a_u, out=f_u[:, :nv])
+            np.multiply(dt, a_u, out=f_u[:, nv:])
+        self._cost_derivatives(stack, X, U, dt)
+        return stack
 
 
 class TerminalActionModel(ActionModelBase):
@@ -359,10 +405,10 @@ class TerminalActionModel(ActionModelBase):
         data.cost = self._cost_value(x, u, 1.0)
         return data
 
-    def calc_diff(self, data, x, u=_NO_CONTROL):
-        data.f_x[:] = self._f_x
-        self._cost_derivatives(data, x, u, 1.0)
-        return data
+    def calc_diff(self, stack, X, U):
+        stack.f_x[:] = self._f_x
+        self._cost_derivatives(stack, X, U, 1.0)
+        return stack
 
 
 class ImpulseActionModel(ActionModelBase):
@@ -409,32 +455,37 @@ class ImpulseActionModel(ActionModelBase):
             raise NumericalFailure("non-finite post-impact velocity")
         data.xnext = np.concatenate([q, ws.v_plus])
         data.cost = self._cost_value(x, u, 1.0)
-        data.dyn = {"q": q, "v": v, "ws": ws}
+        data.dyn = {"ws": ws}
         return data
 
-    def calc_diff(self, data, x, u=_NO_CONTROL):
-        sys = self.system
-        nv = sys.nv
-        q, v, ws = (data.dyn[k] for k in ("q", "v", "ws"))
-
+    def calc_diff(self, stack, X, U):
         # Configuration partials of the two residual rows at the solution,
         # holding (v_plus, impulse) fixed:
         #   r1 = M(q) (v_plus - v) - Jc(q)^T impulse,  r2 = Jc(q) (v_plus + e v).
-        dr1_dq = sys.inertia_contraction_partial(q, ws.v_plus - v)
-        dr2_dq = []
-        closure = ws.v_plus + ws.e * v
-        for contact, rows in _contact_rows(self.contacts):
-            jw_q, jtf_q, _, _ = sys.frame_partials(
-                q, v, closure, ws.impulse[rows], contact.frame
-            )
-            dr1_dq -= jtf_q
-            dr2_dq.append(jw_q)
-        dvp_dq, dvp_dv = impulse_dynamics_derivatives(ws, dr1_dq, np.vstack(dr2_dq))
-        data.f_x[:nv] = self._f_x_q
-        data.f_x[nv:, :nv] = dvp_dq
-        data.f_x[nv:, nv:] = dvp_dv
-        self._cost_derivatives(data, x, u, 1.0)
-        return data
+        # The inertia term is evaluated for the whole stack; the frame terms
+        # and the factored KKT inverse go node by node.
+        sys = self.system
+        nv = sys.nv
+        q, v = X[:, : sys.nq], X[:, sys.nq :]
+        workspaces = [data.dyn["ws"] for data in stack.nodes]
+        v_plus = np.array([ws.v_plus for ws in workspaces])
+        dr1_dq = sys.inertia_contraction_partial(q, v_plus - v)
+        closure = v_plus + self.restitution * v
+        stack.f_x[:, :nv] = self._f_x_q
+        nodes = zip(stack.nodes, workspaces, q, v, closure, dr1_dq)
+        for data, ws, q_k, v_k, closure_k, dr1_dq_k in nodes:
+            dr2_dq = []
+            for contact, rows in _contact_rows(self.contacts):
+                jw_q, jtf_q, _, _ = sys.frame_partials(
+                    q_k, v_k, closure_k, ws.impulse[rows], contact.frame
+                )
+                dr1_dq_k -= jtf_q
+                dr2_dq.append(jw_q)
+            dvp_dq, dvp_dv = impulse_dynamics_derivatives(ws, dr1_dq_k, np.vstack(dr2_dq))
+            data.f_x[nv:, :nv] = dvp_dq
+            data.f_x[nv:, nv:] = dvp_dv
+        self._cost_derivatives(stack, X, U, 1.0)
+        return stack
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +503,6 @@ def quasi_static_control(model, x) -> np.ndarray:
     """
     if model.nu == 0:
         return np.zeros(0)
-    data = model.create_data()
 
     if getattr(model, "first_order", False):
 
@@ -466,6 +516,8 @@ def quasi_static_control(model, x) -> np.ndarray:
         sys = model.dynamics.system
         q, _ = sys.split_state(x)
         x0 = np.concatenate([q, np.zeros(sys.nv)])
+        # The dynamics keep their factors in data.dyn; no derivative stacks needed.
+        data = SimpleNamespace(dyn=None)
 
         def residual(u):
             return model.dynamics.acceleration(x0, u, data)

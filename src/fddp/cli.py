@@ -213,9 +213,10 @@ def check_problem_derivatives(problem, samples: int = 100, seed: int = 0, corrup
 
     Draws `samples` random state/control points per distinct node model
     (tangent perturbations of the measured initial state, standard-normal
-    controls), evaluates the analytic f_x, f_u, l_x, l_u blocks, and compares
-    each against a finite-difference evaluation with step 1e-6. The error
-    metric per block is max|analytic - fd| / max(1, max|fd|).
+    controls), evaluates the analytic f_x, f_u, l_x, l_u blocks of all of
+    them in one stacked `calc_diff`, as the solver does, and compares each
+    against a finite-difference evaluation with step 1e-6. The error metric
+    per block is max|analytic - fd| / max(1, max|fd|).
 
     `corrupt`, when given, is called as corrupt(label, block, matrix) on every
     analytic block and its return value is compared instead; it exists so
@@ -230,12 +231,20 @@ def check_problem_derivatives(problem, samples: int = 100, seed: int = 0, corrup
     for label, model in _unique_models(problem):
         errors = {"f_x": 0.0, "f_u": 0.0, "l_x": 0.0, "l_u": 0.0}
         has_controls = model.nu > 0
-        data = model.create_data()
-        for _ in range(samples):
-            x = state.integrate(problem.x0_measured, 0.3 * rng.standard_normal(state.ndx))
-            u = rng.standard_normal(model.nu)
+        points = [
+            (
+                state.integrate(problem.x0_measured, 0.3 * rng.standard_normal(state.ndx)),
+                rng.standard_normal(model.nu),
+            )
+            for _ in range(samples)
+        ]
+        stack = model.create_stack(samples)
+        for data, (x, u) in zip(stack.nodes, points):
             model.calc(data, x, u)
-            model.calc_diff(data, x, u)
+        X = np.array([x for x, _ in points])
+        U = np.array([u for _, u in points])
+        model.calc_diff(stack, X, U)
+        for data, (x, u) in zip(stack.nodes, points):
 
             def next_state(xv, uv=u):
                 d = model.create_data()
@@ -278,6 +287,9 @@ def check_problem_derivatives(problem, samples: int = 100, seed: int = 0, corrup
 
 
 def cmd_check_derivatives(args) -> int:
+    if args.samples < 1:
+        print("error: --samples must be >= 1", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         scenario = load_scenario(_resolve_scenario_path(args.scenario))
         problem = build_problem(scenario)

@@ -4,6 +4,12 @@ Every term evaluates 0.5 * weight * ||r||^2 for some residual r and returns
 Gauss-Newton blocks (residual-curvature terms dropped), so values are always
 nonnegative and l_xx / l_uu are symmetric positive semidefinite. Each residual
 depends on x alone or on u alone: a term returns only that argument's blocks.
+
+`value` serves one node of a forward step; `derivatives` serves the stacked
+derivative pass, with x (..., nx) and u (..., nu) giving blocks with the same
+leading axes. The regularizers' residual Jacobians are constant (the manifold
+difference's is the identity), so their blocks are in closed form and their
+Hessians are one unstacked matrix, which broadcasts.
 """
 
 from __future__ import annotations
@@ -22,7 +28,8 @@ COST_KINDS = (
 
 
 class CostTerm:
-    """Base: subclasses fill residual(x, u) and its Jacobian in the argument it reads."""
+    """Base: subclasses fill residual(x, u) and, unless they override
+    `derivatives`, its Jacobian in the argument it reads."""
 
     # The Gauss-Newton blocks the term can make nonzero: its residual's argument.
     blocks = ("l_x", "l_xx")
@@ -42,9 +49,9 @@ class CostTerm:
         """The Gauss-Newton gradient and Hessian, keyed by the names in `blocks`."""
         r = self._residual(x, u)
         j = self._residual_jacobian(x, u)
-        w = self.weight
+        wjt = self.weight * np.swapaxes(j, -1, -2)
         gradient, hessian = self.blocks
-        return {gradient: w * j.T @ r, hessian: w * j.T @ j}
+        return {gradient: (wjt @ r[..., None])[..., 0], hessian: wjt @ j}
 
     def _residual(self, x, u) -> np.ndarray:
         raise NotImplementedError
@@ -75,16 +82,19 @@ class StateRegularization(CostTerm):
                 )
             if (self.scales < 0.0).any():
                 raise DimensionMismatch("state cost scales must be >= 0")
+        # The residual's Jacobian is diag(scales) (the identity without them),
+        # so l_x = (w s) * r and l_xx = diag((w s) * s), shared by every node.
+        scales = np.ones(manifold.ndx) if self.scales is None else self.scales
+        self._w_scales = self.weight * scales
+        self._hessian = np.diag(self._w_scales * scales)
+        self._hessian.flags.writeable = False
 
     def _residual(self, x, u):
         r = self.manifold.difference(self.reference, x)
         return r if self.scales is None else self.scales * r
 
-    def _residual_jacobian(self, x, u):
-        _, j1 = self.manifold.jdifference(self.reference, x)
-        if self.scales is not None:
-            j1 = self.scales[:, None] * j1
-        return j1
+    def derivatives(self, x, u):
+        return {"l_x": self._w_scales * self._residual(x, u), "l_xx": self._hessian}
 
 
 class ControlRegularization(CostTerm):
@@ -96,13 +106,15 @@ class ControlRegularization(CostTerm):
         self.reference = None if reference is None else np.asarray(reference, float)
         if self.reference is not None and self.reference.shape != (nu,):
             raise DimensionMismatch(f"control reference must have shape ({nu},)")
-        self._ru = np.eye(nu)
+        # The residual's Jacobian is the identity: l_u = w r, l_uu = w I.
+        self._hessian = self.weight * np.eye(nu)
+        self._hessian.flags.writeable = False
 
     def _residual(self, x, u):
         return u if self.reference is None else u - self.reference
 
-    def _residual_jacobian(self, x, u):
-        return self._ru
+    def derivatives(self, x, u):
+        return {"l_u": self.weight * self._residual(x, u), "l_uu": self._hessian}
 
 
 class FrameTranslationTracking(CostTerm):
@@ -122,15 +134,12 @@ class FrameTranslationTracking(CostTerm):
             )
 
     def _residual(self, x, u):
-        q = x[: self.system.nq]
+        q = x[..., : self.system.nq]
         return self.system.frame_placement(q, self.frame) - self.target
 
     def _residual_jacobian(self, x, u):
-        q = x[: self.system.nq]
-        jq = self.system.frame_jacobian(q, self.frame)
-        rx = np.zeros((jq.shape[0], self.ndx))
-        rx[:, : self.system.nv] = jq
-        return rx
+        q = x[..., : self.system.nq]
+        return _state_jacobian(self.system.frame_jacobian(q, self.frame), x, self.ndx)
 
 
 class ComTracking(CostTerm):
@@ -142,14 +151,18 @@ class ComTracking(CostTerm):
         self.target = np.atleast_1d(np.asarray(target, float))
 
     def _residual(self, x, u):
-        return self.system.com(x[: self.system.nq]) - self.target
+        return self.system.com(x[..., : self.system.nq]) - self.target
 
     def _residual_jacobian(self, x, u):
-        q = x[: self.system.nq]
-        jq = self.system.com_jacobian(q)
-        rx = np.zeros((jq.shape[0], self.ndx))
-        rx[:, : self.system.nv] = jq
-        return rx
+        return _state_jacobian(self.system.com_jacobian(x[..., : self.system.nq]), x, self.ndx)
+
+
+def _state_jacobian(jq, x, ndx: int) -> np.ndarray:
+    """A configuration Jacobian (..., r, nv) padded with zero velocity columns
+    to (..., r, ndx), with the leading axes of x; jq may be unstacked."""
+    rx = np.zeros(x.shape[:-1] + (jq.shape[-2], ndx))
+    rx[..., : jq.shape[-1]] = jq
+    return rx
 
 
 def make_cost_term(

@@ -12,13 +12,19 @@ state at node 0).
 and then evaluates through the unchecked `_calc` and `_rollout`. Nothing
 below them checks a state or a control again. `calc_diff` reads what `calc`
 left in the data containers, so it must follow a `calc` at the same (X, U).
+
+The nodes are grouped by model at construction (`groups`; a scenario shares
+one model per (phase, dt)). A data set (`create_datas`) is (running
+containers, terminal container, stacks), with one `ActionDataStack` per
+group whose rows the group's containers view. `calc` and the rollouts go
+node by node; `calc_diff` makes one stacked pass per group.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .action import ActionData, ActionModelBase
+from .action import ActionData, ActionDataStack, ActionModelBase
 from .errors import DimensionMismatch, NumericalFailure
 
 
@@ -39,15 +45,28 @@ class ShootingProblem:
         self.x0_measured = state.check_point(x0_measured)
         self.N = len(running_models)
         self.ndx = state.ndx
-        self.datas, self.terminal_data = self.create_datas()
+        # (model, node indices) for each distinct running model, in order of
+        # first appearance.
+        nodes = {}
+        for k, model in enumerate(running_models):
+            nodes.setdefault(id(model), (model, []))[1].append(k)
+        self.groups = [(model, np.array(ks)) for model, ks in nodes.values()]
+        self.datas, self.terminal_data, self.stacks = self.create_datas()
 
     # -- data containers -----------------------------------------------------
 
-    def create_datas(self) -> tuple[list[ActionData], ActionData]:
-        return (
-            [m.create_data() for m in self.running_models],
-            self.terminal_model.create_data(),
-        )
+    def create_datas(self) -> tuple[list[ActionData], ActionData, list[ActionDataStack]]:
+        """One data set: the running nodes' containers, the terminal's, and the
+        stacks their derivatives are rows of: one per group, then the
+        terminal node's stack of one."""
+        running = [None] * self.N
+        stacks = []
+        for model, nodes in self.groups:
+            stacks.append(model.create_stack(len(nodes)))
+            for k, data in zip(nodes, stacks[-1].nodes):
+                running[k] = data
+        stacks.append(self.terminal_model.create_stack(1))
+        return running, stacks[-1].nodes[0], stacks
 
     # -- validation ------------------------------------------------------------
 
@@ -97,10 +116,9 @@ class ShootingProblem:
         """
         return self._calc(*self.check_trajectories(X, U), datas)
 
-    def _calc(self, X, U, datas=None) -> tuple[float, list[np.ndarray]]:
+    def _calc(self, X, U, datas=None) -> tuple[float, np.ndarray]:
         """calc of a guess that check_trajectories has already checked."""
         running, terminal = (datas or (self.datas, self.terminal_data))[:2]
-        gaps = [self.state.difference(X[0], self.x0_measured)]
         cost = 0.0
         for k, model in enumerate(self.running_models):
             try:
@@ -108,27 +126,25 @@ class ShootingProblem:
             except NumericalFailure as exc:
                 raise NumericalFailure(str(exc), node=k) from exc
             cost += running[k].cost
-            gaps.append(self.state.difference(X[k + 1], running[k].xnext))
         self.terminal_model.calc(terminal, X[self.N])
         cost += terminal.cost
         if not np.isfinite(cost):
             raise NumericalFailure("non-finite total cost", node=self.N)
-        return cost, gaps
+        landed = np.array([self.x0_measured] + [data.xnext for data in running])
+        return cost, self.state.difference(np.asarray(X), landed)
 
     def calc_diff(self, X, U, datas=None):
-        """Evaluate all node derivatives at the guess, node by node in order.
+        """Evaluate all node derivatives at the guess: one stacked pass per group.
 
         Reads what calc(X, U, datas) left in the same data containers. Each
-        node writes only its own container; a numerical failure is re-raised
-        with the index of the node that produced it.
+        group's model fills its stack for all its nodes at once; a node's
+        numerical failures surface in calc, which runs first.
         """
-        running, terminal = (datas or (self.datas, self.terminal_data))[:2]
-        for k, model in enumerate(self.running_models):
-            try:
-                model.calc_diff(running[k], X[k], U[k])
-            except NumericalFailure as exc:
-                raise NumericalFailure(str(exc), node=k) from exc
-        self.terminal_model.calc_diff(terminal, X[self.N])
+        running, terminal, stacks = datas or (self.datas, self.terminal_data, self.stacks)
+        X = np.asarray(X)
+        for (model, nodes), stack in zip(self.groups, stacks):
+            model.calc_diff(stack, X[nodes], np.array([U[k] for k in nodes]))
+        self.terminal_model.calc_diff(stacks[-1], X[self.N :], np.zeros((1, 0)))
         return running, terminal
 
     # -- convenience -----------------------------------------------------------
@@ -157,4 +173,4 @@ def _entry(where: str, check, *args):
 
 def gap_l2_norm(gaps) -> float:
     """L2 norm over the stacked tangent coordinates of every gap."""
-    return float(np.sqrt(sum(float(g @ g) for g in gaps)))
+    return float(np.linalg.norm(gaps))

@@ -28,9 +28,16 @@ from .action import (
     TerminalActionModel,
     quasi_static_control,
 )
-from .contact import Contact, ContactSet
+from .contact import Contact, ContactSet, _factorize
 from .costs import COST_KINDS, make_cost_term
-from .errors import DimensionMismatch, FddpError, ParameterError, QuasiStaticFailure, ScenarioError
+from .errors import (
+    DimensionMismatch,
+    FactorizationError,
+    FddpError,
+    ParameterError,
+    QuasiStaticFailure,
+    ScenarioError,
+)
 from .problem import ShootingProblem
 from .systems import LinearDynamics, build_system
 
@@ -412,9 +419,10 @@ def _build_cost_terms(entries, state, nu, system, x0, where: str):
 def _build_contact_set(entries, system, x0, where: str) -> ContactSet:
     """The contact set of `entries`, reported at the field path `where`.
 
-    More constraint rows than velocity coordinates can never have full row
-    rank, so such a set is rejected here rather than failing the first
-    factorization that meets it.
+    A set whose rows are dependent at the initial configuration (more rows
+    than velocity coordinates, or one frame pinned twice) is rejected here,
+    by the factorization the contact dynamics run, rather than failing the
+    first evaluation that meets it, whatever evaluates the model first.
     """
     contacts = []
     q0 = system.split_state(x0)[0]
@@ -440,6 +448,14 @@ def _build_contact_set(entries, system, x0, where: str) -> ContactSet:
             "velocity coordinates, so the rows are dependent",
             location=where,
         )
+    jacobian = np.vstack([system.frame_jacobian(q0, c.frame) for c in contact_set.contacts])
+    try:
+        _factorize(system.mass_matrix(q0), jacobian)
+    except FactorizationError as exc:
+        raise ScenarioError(
+            f"the {contact_set.nf} constraint rows are dependent at the initial configuration",
+            location=where,
+        ) from exc
     return contact_set
 
 

@@ -80,27 +80,41 @@ class SolveReport:
 
 
 class SolverWorkspace:
-    """Per-node quantities produced by the backward pass.
+    """Per-node quantities produced by the backward pass, stacked by node.
 
     Holds the local quadratic model (Q terms), the affine policy (feed-forward
-    k_ff and feedback K_fb), the Value derivatives, and the current gaps. The
-    control-sized arrays follow each node's own control dimension, so nodes
-    without controls (switches, terminal) simply carry empty blocks.
+    k_ff and feedback K_fb), the Value derivatives, and the current gaps, each
+    as one array with a leading node axis: V_x, V_xx and gaps have N + 1
+    rows, the Q terms and the policy N. The control blocks are zero-padded to
+    the largest control dimension: node k uses the first nu_k entries, and
+    nodes without controls (switches) keep all-zero rows, which add nothing
+    to the stacked sums of `expected_improvement`.
     """
 
     def __init__(self, problem: ShootingProblem):
         N, ndx = problem.N, problem.ndx
         nus = [m.nu for m in problem.running_models]
-        self.Q_x = [np.zeros(ndx) for _ in range(N)]
-        self.Q_u = [np.zeros(nu) for nu in nus]
-        self.Q_xx = [np.zeros((ndx, ndx)) for _ in range(N)]
-        self.Q_xu = [np.zeros((ndx, nu)) for nu in nus]
-        self.Q_uu = [np.zeros((nu, nu)) for nu in nus]
-        self.k_ff = [np.zeros(nu) for nu in nus]
-        self.K_fb = [np.zeros((nu, ndx)) for nu in nus]
-        self.V_x = [np.zeros(ndx) for _ in range(N + 1)]
-        self.V_xx = [np.zeros((ndx, ndx)) for _ in range(N + 1)]
-        self.gaps = [np.zeros(ndx) for _ in range(N + 1)]
+        nu = max(nus)
+        self.Q_x = np.zeros((N, ndx))
+        self.Q_u = np.zeros((N, nu))
+        self.Q_xx = np.zeros((N, ndx, ndx))
+        self.Q_xu = np.zeros((N, ndx, nu))
+        self.Q_uu = np.zeros((N, nu, nu))
+        self.k_ff = np.zeros((N, nu))
+        self.K_fb = np.zeros((N, nu, ndx))
+        self.V_x = np.zeros((N + 1, ndx))
+        self.V_xx = np.zeros((N + 1, ndx, ndx))
+        self.gaps = np.zeros((N + 1, ndx))
+        # Node k's rows of the stacks, cut to its own nu_k once: the backward
+        # pass writes its results through these views.
+        self.node_rows = [
+            (
+                self.Q_x[k], self.Q_u[k, :nu_k], self.Q_xx[k], self.Q_xu[k, :, :nu_k],
+                self.Q_uu[k, :nu_k, :nu_k], self.k_ff[k, :nu_k], self.K_fb[k, :nu_k],
+                self.V_x[k], self.V_xx[k],
+            )
+            for k, nu_k in enumerate(nus)
+        ]
         self.d1 = 0.0
         self.d2 = 0.0
         self.mu = 0.0
@@ -119,44 +133,43 @@ def backward_pass(problem: ShootingProblem, ws: SolverWorkspace, mu: float, data
     where its factorization fails, and any other non-finite term spreads to
     the Value derivatives of every earlier node, which are checked at node 0.
     """
-    running, terminal = datas or (problem.datas, problem.terminal_data)
+    running, terminal = (datas or (problem.datas, problem.terminal_data))[:2]
     N = problem.N
-    ws.V_x[N] = terminal.l_x.copy()
-    ws.V_xx[N] = 0.5 * (terminal.l_xx + terminal.l_xx.T)
+    vx, vxx = ws.V_x[N], ws.V_xx[N]
+    vx[:] = terminal.l_x
+    np.multiply(0.5, terminal.l_xx + terminal.l_xx.T, out=vxx)
+    gaps = ws.gaps
     for k in range(N - 1, -1, -1):
         d = running[k]
-        vxx_next = ws.V_xx[k + 1]
-        vx_next = ws.V_x[k + 1] + vxx_next @ ws.gaps[k + 1]
-        fx_v = d.f_x.T @ vxx_next
-        q_x = d.l_x + d.f_x.T @ vx_next
-        q_xx = d.l_xx + fx_v @ d.f_x
+        q_x, q_u, q_xx, q_xu, q_uu, k_ff, K_fb, v_x, v_xx = ws.node_rows[k]
+        # vx and vxx hold the Value derivatives of node k + 1.
+        vx_next = vx + vxx @ gaps[k + 1]
+        fx_v = d.f_x.T @ vxx
+        np.add(d.l_x, d.f_x.T @ vx_next, out=q_x)
+        np.add(d.l_xx, fx_v @ d.f_x, out=q_xx)
         nu = d.f_u.shape[1]
         if nu == 0:
-            ws.Q_x[k] = q_x
-            ws.Q_xx[k] = q_xx
-            ws.V_x[k] = q_x
-            ws.V_xx[k] = 0.5 * (q_xx + q_xx.T)
-            continue
-        q_u = d.l_u + d.f_u.T @ vx_next
-        q_xu = d.l_xu + fx_v @ d.f_u
-        q_uu = d.l_uu + d.f_u.T @ vxx_next @ d.f_u
-        q_uu = 0.5 * (q_uu + q_uu.T)
-        q_uu_reg = q_uu.copy()
-        q_uu_reg.flat[:: nu + 1] += mu
-        try:
-            factor = _cholesky(q_uu_reg)
-        except np.linalg.LinAlgError as exc:
-            if not np.isfinite(q_uu).all():
-                raise _nonfinite_failure(ws, k) from exc
-            raise NotPositiveDefinite(k) from exc
-        k_ff = -_cholesky_solve(factor, q_u)
-        K_fb = -_cholesky_solve(factor, q_xu.T)
-        ws.Q_x[k], ws.Q_u[k] = q_x, q_u
-        ws.Q_xx[k], ws.Q_xu[k], ws.Q_uu[k] = q_xx, q_xu, q_uu
-        ws.k_ff[k], ws.K_fb[k] = k_ff, K_fb
-        ws.V_x[k] = q_x + q_xu @ k_ff
-        v_xx = q_xx + q_xu @ K_fb
-        ws.V_xx[k] = 0.5 * (v_xx + v_xx.T)
+            v_x[:] = q_x
+            np.multiply(0.5, q_xx + q_xx.T, out=v_xx)
+        else:
+            np.add(d.l_u, d.f_u.T @ vx_next, out=q_u)
+            np.add(d.l_xu, fx_v @ d.f_u, out=q_xu)
+            q_uu_raw = d.l_uu + d.f_u.T @ vxx @ d.f_u
+            np.multiply(0.5, q_uu_raw + q_uu_raw.T, out=q_uu)
+            q_uu_reg = q_uu.copy()
+            q_uu_reg.flat[:: nu + 1] += mu
+            try:
+                factor = _cholesky(q_uu_reg)
+            except np.linalg.LinAlgError as exc:
+                if not np.isfinite(q_uu).all():
+                    raise _nonfinite_failure(ws, k) from exc
+                raise NotPositiveDefinite(k) from exc
+            np.negative(_cholesky_solve(factor, q_u), out=k_ff)
+            np.negative(_cholesky_solve(factor, q_xu.T), out=K_fb)
+            np.add(q_x, q_xu @ k_ff, out=v_x)
+            v_xx_raw = q_xx + q_xu @ K_fb
+            np.multiply(0.5, v_xx_raw + v_xx_raw.T, out=v_xx)
+        vx, vxx = v_x, v_xx
     if not _finite_value(ws, 0):
         raise _nonfinite_failure(ws, 0)
     ws.mu = mu
@@ -180,15 +193,16 @@ def _nonfinite_failure(ws: SolverWorkspace, k: int) -> NumericalFailure:
 
 
 def _policy_control(ws, state, k, U, X, x_hat, alpha):
-    if U[k].shape[0] == 0:
+    nu = U[k].shape[0]
+    if nu == 0:
         return U[k]
     dx = state.difference(X[k], x_hat)
-    return U[k] + alpha * ws.k_ff[k] + ws.K_fb[k] @ dx
+    return U[k] + alpha * ws.k_ff[k][:nu] + ws.K_fb[k][:nu] @ dx
 
 
 def forward_pass_ddp(problem, X, U, ws, alpha, datas=None):
     """Feasible rollout under the backward-pass policy: gaps stay closed."""
-    running, terminal = datas or (problem.datas, problem.terminal_data)
+    running, terminal = (datas or (problem.datas, problem.terminal_data))[:2]
     state = problem.state
     X_new, U_new = [problem.x0_measured.copy()], []
     cost = 0.0
@@ -217,12 +231,12 @@ def forward_pass_fddp(problem, X, U, ws, alpha, datas=None):
     a unit step reproduces the feasible rollout exactly. Returned gaps are
     recomputed from the produced trajectory, not assumed.
     """
-    running, terminal = datas or (problem.datas, problem.terminal_data)
+    running, terminal = (datas or (problem.datas, problem.terminal_data))[:2]
     state = problem.state
     shrink = 1.0 - alpha
     x0 = state.integrate(problem.x0_measured, -shrink * ws.gaps[0])
     X_new, U_new = [x0], []
-    gaps = [state.difference(x0, problem.x0_measured)]
+    landed = [problem.x0_measured]
     cost = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for k, model in enumerate(problem.running_models):
@@ -232,12 +246,12 @@ def forward_pass_fddp(problem, X, U, ws, alpha, datas=None):
             except FactorizationError as exc:
                 raise NumericalFailure(str(exc), node=k) from exc
             U_new.append(u)
-            x_next = state.integrate(running[k].xnext, -shrink * ws.gaps[k + 1])
-            X_new.append(x_next)
-            gaps.append(state.difference(x_next, running[k].xnext))
+            X_new.append(state.integrate(running[k].xnext, -shrink * ws.gaps[k + 1]))
+            landed.append(running[k].xnext)
             cost += running[k].cost
         problem.terminal_model.calc(terminal, X_new[-1])
         cost += terminal.cost
+        gaps = state.difference(np.array(X_new), np.array(landed))
     if not np.isfinite(cost):
         raise NumericalFailure("non-finite cost in rollout")
     return X_new, U_new, cost, gaps
@@ -255,22 +269,17 @@ def expected_improvement(problem, ws, X, X_trial):
     for exactly that case. The predicted change for a step of length alpha is
     d1*alpha + 0.5*d2*alpha^2.
     """
-    state = problem.state
-    d1 = 0.0
-    d2 = 0.0
-    for k in range(problem.N + 1):
-        f = ws.gaps[k]
-        dx = state.difference(X[k], X_trial[k])
-        vxx_dx = ws.V_xx[k] @ dx
-        vxx_f = ws.V_xx[k] @ f
-        d1 += float(f @ (ws.V_x[k] + vxx_f - vxx_dx))
-        d2 += float(f @ (2.0 * vxx_dx - vxx_f))
-    for k in range(problem.N):
-        if ws.k_ff[k].shape[0]:
-            d1 += float(ws.k_ff[k] @ ws.Q_u[k])
-            d2 += float(ws.k_ff[k] @ ws.Q_uu[k] @ ws.k_ff[k])
-    ws.d1, ws.d2 = d1, d2
-    return d1, d2
+    f, v_xx, k_ff = ws.gaps, ws.V_xx, ws.k_ff
+    dx = problem.state.difference(np.asarray(X), np.asarray(X_trial))
+    vxx_dx = np.einsum("kij,kj->ki", v_xx, dx)
+    vxx_f = np.einsum("kij,kj->ki", v_xx, f)
+    # The zero-padded control entries add nothing to the policy terms.
+    d1 = np.einsum("ki,ki->", f, ws.V_x + vxx_f - vxx_dx) + np.einsum("ki,ki->", k_ff, ws.Q_u)
+    d2 = np.einsum("ki,ki->", f, 2.0 * vxx_dx - vxx_f) + np.einsum(
+        "ki,kij,kj->", k_ff, ws.Q_uu, k_ff
+    )
+    ws.d1, ws.d2 = float(d1), float(d2)
+    return ws.d1, ws.d2
 
 
 def goldstein_accept(
@@ -330,7 +339,7 @@ def solve(
     report = SolveReport(solver=solver)
     timings = {"calc_diff": 0.0, "backward": 0.0, "forward": 0.0, "total": 0.0}
     t_start = time.perf_counter()
-    current = (problem.datas, problem.terminal_data)
+    current = (problem.datas, problem.terminal_data, problem.stacks)
     trial = problem.create_datas()
     mu = float(regularization_init)
 
@@ -352,7 +361,7 @@ def solve(
     ws = SolverWorkspace(problem)
     ws.gaps = gaps
     report.rows.append(TraceRow(0, cost, gap_l2_norm(gaps), 0.0, mu, 0.0, 1))
-    report.gap_history.append([g.copy() for g in gaps])
+    report.gap_history.append(gaps.copy())
 
     need_derivatives = True
     for it in range(1, max_iters + 1):
@@ -397,7 +406,7 @@ def solve(
                     X_try, U_try, cost_try = forward_pass_ddp(
                         problem, X, U, ws, alpha, datas=trial
                     )
-                    gaps_try = [np.zeros(problem.ndx) for _ in range(problem.N + 1)]
+                    gaps_try = np.zeros((problem.N + 1, problem.ndx))
                 else:
                     X_try, U_try, cost_try, gaps_try = forward_pass_fddp(
                         problem, X, U, ws, alpha, datas=trial
@@ -433,7 +442,7 @@ def solve(
                 int(accepted),
             )
         )
-        report.gap_history.append([g.copy() for g in ws.gaps])
+        report.gap_history.append(ws.gaps.copy())
         report.iter_times.append(time.perf_counter() - t_iter)
         report.deriv_times.append(t_deriv)
         if not accepted and mu > REG_MAX:
@@ -457,9 +466,10 @@ def kkt_search_direction(problem: ShootingProblem, X, U, datas=None):
         raise DimensionMismatch(
             f"problem too large for the dense KKT oracle: {N * (ndx + max(nus))} > {DENSE_KKT_SIZE_LIMIT}"
         )
-    running, terminal = datas or (problem.datas, problem.terminal_data)
-    _, gaps = problem.calc(X, U, datas=(running, terminal))
-    problem.calc_diff(X, U, datas=(running, terminal))
+    datas = datas or (problem.datas, problem.terminal_data, problem.stacks)
+    running, terminal = datas[:2]
+    _, gaps = problem.calc(X, U, datas=datas)
+    problem.calc_diff(X, U, datas=datas)
 
     x_off = []
     u_off = []

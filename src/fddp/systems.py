@@ -15,6 +15,12 @@ the contact partials d(J w)/dq, d(J^T f)/dq and the drift partials (after
 Carpentier & Mansard, "Analytical derivatives of rigid body dynamics
 algorithms", RSS 2018, cut down to planar chains). Finite differences
 only audit them (`fddp check-derivatives` and the tests).
+
+The terms of the stacked derivative pass (`mass_matrix`, `bias_partials`,
+`inertia_contraction_partial`, `frame_placement`, `frame_jacobian`, `com`,
+`com_jacobian`) broadcast over leading node axes of q, v and w; a constant
+term may return one unstacked array. `bias`, `frame_drift` and
+`frame_partials` serve one node at a time.
 """
 
 from __future__ import annotations
@@ -24,9 +30,14 @@ from math import cos, sin
 import numpy as np
 
 from .errors import DimensionMismatch, ParameterError
-from .manifolds import CompositeManifold, Manifold, Rotation2D, VectorSpace, _read_only
+from .manifolds import CompositeManifold, Manifold, Rotation2D, VectorSpace
 
 GRAVITY = 9.81
+
+
+def _read_only(matrix: np.ndarray) -> np.ndarray:
+    matrix.flags.writeable = False
+    return matrix
 
 
 def _parameter(name: str, value, zero_ok=False) -> float:
@@ -37,14 +48,28 @@ def _parameter(name: str, value, zero_ok=False) -> float:
     return value
 
 
-def _unit_down(phi: float) -> np.ndarray:
-    # Leg direction: points straight down at phi = 0.
-    return np.array([np.sin(phi), -np.cos(phi)])
+def _count(name: str, value) -> int:
+    """A dimension or a number of bodies must be a whole number >= 1."""
+    number = float(value)
+    if not (number >= 1.0 and number.is_integer()):
+        raise ParameterError(name, f"must be a whole number >= 1, got {value}")
+    return int(number)
 
 
-def _unit_side(phi: float) -> np.ndarray:
+def _unit_down(phi) -> np.ndarray:
+    # Leg direction: points straight down at phi = 0. Shape phi.shape + (2,).
+    return np.stack([np.sin(phi), -np.cos(phi)], axis=-1)
+
+
+def _unit_side(phi) -> np.ndarray:
     # Derivative of _unit_down w.r.t. phi.
-    return np.array([np.cos(phi), np.sin(phi)])
+    return np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+
+
+def _matrices(rows) -> np.ndarray:
+    """Nested rows of entries (scalars or arrays of one shape) as (..., r, c) matrices."""
+    entries = np.broadcast_arrays(*(entry for row in rows for entry in row))
+    return np.stack(entries, axis=-1).reshape(entries[0].shape + (len(rows), len(rows[0])))
 
 
 def _chain_partials(links, v, w, f):
@@ -92,6 +117,7 @@ class MechanicalSystem:
     # -- mandatory dynamics terms ------------------------------------------
 
     def mass_matrix(self, q: np.ndarray) -> np.ndarray:
+        """M(q), broadcast over leading axes of q."""
         raise NotImplementedError
 
     def bias(self, q: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -167,8 +193,8 @@ class DoubleIntegrator(MechanicalSystem):
     """n independent unit masses, direct force control, no gravity."""
 
     def __init__(self, dim: int = 2):
-        self.nq = self.nv = self.nu = int(dim)
-        self.config = VectorSpace(dim)
+        self.nq = self.nv = self.nu = _count("dim", dim)
+        self.config = VectorSpace(self.nv)
         super().__init__()
         self._mass = self._actuation  # unit masses: M = S = I
 
@@ -179,11 +205,11 @@ class DoubleIntegrator(MechanicalSystem):
         return np.zeros(self.nv)
 
     def bias_partials(self, q, v):
-        z = np.zeros((self.nv, self.nv))
+        z = np.zeros(q.shape[:-1] + (self.nv, self.nv))
         return z, z.copy()
 
     def inertia_contraction_partial(self, q, w):
-        return np.zeros((self.nv, self.nv))
+        return np.zeros(q.shape[:-1] + (self.nv, self.nv))
 
 
 class PointMass(DoubleIntegrator):
@@ -214,7 +240,7 @@ class PointMass(DoubleIntegrator):
         return self._selectors[frame]
 
     def frame_placement(self, q, frame):
-        return self._selector(frame) @ q
+        return q @ self._selector(frame).T
 
     def frame_jacobian(self, q, frame):
         return self._selector(frame)
@@ -247,36 +273,31 @@ class Pendulum(MechanicalSystem):
         self.gravity = float(gravity)
         self.config = VectorSpace(1)
         super().__init__()
-        self._inertia = self.mass * self.length**2
+        self._mass = _read_only(np.array([[self.mass * self.length**2]]))
+        self._torque = self.mass * self.gravity * self.length
 
     def mass_matrix(self, q):
-        return np.array([[self._inertia]])
+        return self._mass
 
     def bias(self, q, v):
-        return np.array(
-            [
-                self.mass * self.gravity * self.length * np.sin(q[0])
-                + self.damping * v[0]
-            ]
-        )
+        return np.array([self._torque * np.sin(q[0]) + self.damping * v[0]])
 
     def bias_partials(self, q, v):
-        dq = np.array([[self.mass * self.gravity * self.length * np.cos(q[0])]])
-        dv = np.array([[self.damping]])
-        return dq, dv
+        dq = (self._torque * np.cos(q[..., :1]))[..., None]
+        return dq, np.full(dq.shape, self.damping)
 
     def inertia_contraction_partial(self, q, w):
-        return np.zeros((1, 1))
+        return np.zeros(q.shape[:-1] + (1, 1))
 
     def frame_placement(self, q, frame):
         if frame != "tip":
             return super().frame_placement(q, frame)
-        return self.length * _unit_down(q[0])
+        return self.length * _unit_down(q[..., 0])
 
     def frame_jacobian(self, q, frame):
         if frame != "tip":
             return super().frame_jacobian(q, frame)
-        return (self.length * _unit_side(q[0])).reshape(2, 1)
+        return (self.length * _unit_side(q[..., 0]))[..., None]
 
     def frame_drift(self, q, v, frame):
         if frame != "tip":
@@ -289,10 +310,10 @@ class Pendulum(MechanicalSystem):
         return _chain_partials(((self.length, q[0], np.ones(1)),), v, w, f)
 
     def com(self, q):
-        return self.length * _unit_down(q[0])
+        return self.length * _unit_down(q[..., 0])
 
     def com_jacobian(self, q):
-        return (self.length * _unit_side(q[0])).reshape(2, 1)
+        return (self.length * _unit_side(q[..., 0]))[..., None]
 
 
 class DoublePendulum(MechanicalSystem):
@@ -322,7 +343,7 @@ class DoublePendulum(MechanicalSystem):
         self._coupling = self.m2 * self.l1 * self.lc2
 
     def mass_matrix(self, q):
-        c2 = np.cos(q[1])
+        c2 = np.cos(q[..., 1])
         b = self._coupling
         a11 = (
             self.I1
@@ -332,7 +353,7 @@ class DoublePendulum(MechanicalSystem):
         )
         a12 = self.I2 + self.m2 * self.lc2**2 + b * c2
         a22 = self.I2 + self.m2 * self.lc2**2
-        return np.array([[a11, a12], [a12, a22]])
+        return _matrices([[a11, a12], [a12, a22]])
 
     def _gravity_torque(self, q):
         g = self.gravity
@@ -353,52 +374,49 @@ class DoublePendulum(MechanicalSystem):
     def bias_partials(self, q, v):
         b = self._coupling
         g = self.gravity
-        s2, c2 = np.sin(q[1]), np.cos(q[1])
-        c1 = np.cos(q[0])
-        c12 = np.cos(q[0] + q[1])
+        q0, q1, v0, v1 = q[..., 0], q[..., 1], v[..., 0], v[..., 1]
+        s2, c2 = np.sin(q1), np.cos(q1)
+        c1 = np.cos(q0)
+        c12 = np.cos(q0 + q1)
         k1 = self.m1 * self.lc1 + self.m2 * self.l1
         k2 = self.m2 * self.lc2
-        dq = np.array(
+        dq = _matrices(
             [
                 [
                     k1 * g * c1 + k2 * g * c12,
-                    -b * c2 * (2.0 * v[0] * v[1] + v[1] ** 2) + k2 * g * c12,
+                    -b * c2 * (2.0 * v0 * v1 + v1**2) + k2 * g * c12,
                 ],
-                [k2 * g * c12, b * c2 * v[0] ** 2 + k2 * g * c12],
+                [k2 * g * c12, b * c2 * v0**2 + k2 * g * c12],
             ]
         )
-        dv = np.array(
+        dv = _matrices(
             [
-                [-2.0 * b * s2 * v[1], -2.0 * b * s2 * (v[0] + v[1])],
-                [2.0 * b * s2 * v[0], 0.0],
+                [-2.0 * b * s2 * v1, -2.0 * b * s2 * (v0 + v1)],
+                [2.0 * b * s2 * v0, 0.0],
             ]
         )
         return dq, dv
 
     def inertia_contraction_partial(self, q, w):
-        s2 = np.sin(q[1])
+        s2 = np.sin(q[..., 1])
         b = self._coupling
-        dcol2 = np.array(
-            [-2.0 * b * s2 * w[0] - b * s2 * w[1], -b * s2 * w[0]]
+        w0, w1 = w[..., 0], w[..., 1]
+        return _matrices(
+            [[0.0, -2.0 * b * s2 * w0 - b * s2 * w1], [0.0, -b * s2 * w0]]
         )
-        out = np.zeros((2, 2))
-        out[:, 1] = dcol2
-        return out
 
     def frame_placement(self, q, frame):
         if frame != "tip":
             return super().frame_placement(q, frame)
-        return self.l1 * _unit_down(q[0]) + self.l2 * _unit_down(q[0] + q[1])
+        q0, q1 = q[..., 0], q[..., 1]
+        return self.l1 * _unit_down(q0) + self.l2 * _unit_down(q0 + q1)
 
     def frame_jacobian(self, q, frame):
         if frame != "tip":
             return super().frame_jacobian(q, frame)
-        e1 = _unit_side(q[0])
-        e12 = _unit_side(q[0] + q[1])
-        j = np.zeros((2, 2))
-        j[:, 0] = self.l1 * e1 + self.l2 * e12
-        j[:, 1] = self.l2 * e12
-        return j
+        e1 = _unit_side(q[..., 0])
+        e12 = _unit_side(q[..., 0] + q[..., 1])
+        return np.stack([self.l1 * e1 + self.l2 * e12, self.l2 * e12], axis=-1)
 
     def frame_drift(self, q, v, frame):
         if frame != "tip":
@@ -419,17 +437,17 @@ class DoublePendulum(MechanicalSystem):
         return _chain_partials(links, v, w, f)
 
     def com(self, q):
-        p1 = self.lc1 * _unit_down(q[0])
-        p2 = self.l1 * _unit_down(q[0]) + self.lc2 * _unit_down(q[0] + q[1])
+        q0, q1 = q[..., 0], q[..., 1]
+        p1 = self.lc1 * _unit_down(q0)
+        p2 = self.l1 * _unit_down(q0) + self.lc2 * _unit_down(q0 + q1)
         return (self.m1 * p1 + self.m2 * p2) / (self.m1 + self.m2)
 
     def com_jacobian(self, q):
-        e1 = _unit_side(q[0])
-        e12 = _unit_side(q[0] + q[1])
-        j = np.zeros((2, 2))
-        j[:, 0] = (self.m1 * self.lc1 + self.m2 * self.l1) * e1 + self.m2 * self.lc2 * e12
-        j[:, 1] = self.m2 * self.lc2 * e12
-        return j / (self.m1 + self.m2)
+        e1 = _unit_side(q[..., 0])
+        e12 = _unit_side(q[..., 0] + q[..., 1])
+        shank = self.m2 * self.lc2 * e12
+        thigh = (self.m1 * self.lc1 + self.m2 * self.l1) * e1 + shank
+        return np.stack([thigh, shank], axis=-1) / (self.m1 + self.m2)
 
 
 # Rows of the tangent coordinates whose sums are the monoped's absolute leg
@@ -451,9 +469,21 @@ _read_only(_BASIS_RATES)
 
 
 def _leg_rates(v):
-    """omega = [c1; c2] v, the thigh and shank angular rates, as two scalars."""
-    w1 = v[2] + v[3]
-    return w1, w1 + v[4]
+    """omega = [c1; c2] v, the thigh and shank angular rates, over leading axes."""
+    w1 = v[..., 2] + v[..., 3]
+    return w1, w1 + v[..., 4]
+
+
+def _rows_times(rows, matrices):
+    """rows[..., :] @ matrices[..., :, :] for each leading index, as (..., n) rows.
+
+    Each row of a stack takes the same vector-matrix product as a single row,
+    which takes it directly, so a node's terms come out bit for bit the same
+    whatever stack it sits in.
+    """
+    if rows.ndim == 1:
+        return rows @ matrices
+    return (rows[..., None, :] @ matrices)[..., 0, :]
 
 
 def _q_partials(coeffs):
@@ -580,6 +610,18 @@ class PlanarMonoped(MechanicalSystem):
 
     @staticmethod
     def _basis(q):
+        """b(q), of shape (..., 7) for q of shape (..., 5)."""
+        if q.ndim > 1:
+            phi1 = q[..., 2] + q[..., 3]
+            phi2 = phi1 + q[..., 4]
+            angles = np.stack([phi1, phi2, phi1 - phi2], axis=-1)
+            b = np.empty(q.shape[:-1] + (7,))
+            b[..., 0] = 1.0
+            b[..., 1::2] = np.cos(angles)
+            b[..., 2::2] = np.sin(angles)
+            return b
+        # One configuration, as in every forward step: math's cos and sin on
+        # floats cost a tenth of numpy's on one element (and agree with them).
         phi1 = q[2] + q[3]
         phi2 = phi1 + q[4]
         try:
@@ -597,7 +639,7 @@ class PlanarMonoped(MechanicalSystem):
     # -- dynamics --------------------------------------------------------------------
 
     def mass_matrix(self, q):
-        return (self._basis(q) @ self._mass_coeffs).reshape(5, 5)
+        return _rows_times(self._basis(q), self._mass_coeffs).reshape(q.shape[:-1] + (5, 5))
 
     def bias(self, q, v):
         w1, w2 = _leg_rates(v)
@@ -605,23 +647,29 @@ class PlanarMonoped(MechanicalSystem):
         return speeds @ (self._basis(q) @ self._bias_coeffs).reshape(3, 5)
 
     def bias_partials(self, q, v):
+        lead = q.shape[:-1]
         b = self._basis(q)
         w1, w2 = _leg_rates(v)
-        dq = np.array([1.0, w1 * w1, w2 * w2]) @ (b @ self._bias_partials).reshape(3, 25)
-        speed_terms = (b @ self._bias_coeffs).reshape(3, 5)[1:]  # d bias/d w_k^2
-        dv = (speed_terms.T * np.array([2.0 * w1, 2.0 * w2])) @ _LEG_ROWS
-        return dq.reshape(5, 5), dv
+        speeds = np.stack([np.ones_like(w1), w1 * w1, w2 * w2], axis=-1)
+        dq = _rows_times(speeds, _rows_times(b, self._bias_partials).reshape(lead + (3, 25)))
+        # d bias/d w_k^2, one row per leg angle.
+        speed_terms = _rows_times(b, self._bias_coeffs).reshape(lead + (3, 5))[..., 1:, :]
+        rates = np.stack([2.0 * w1, 2.0 * w2], axis=-1)
+        dv = (np.swapaxes(speed_terms, -1, -2) * rates[..., None, :]) @ _LEG_ROWS
+        return dq.reshape(lead + (5, 5)), dv
 
     def inertia_contraction_partial(self, q, w):
-        return w @ (self._basis(q) @ self._mass_partials).reshape(5, 5, 5)
+        partials = _rows_times(self._basis(q), self._mass_partials)
+        return _rows_times(w[..., None, :], partials.reshape(q.shape[:-1] + (5, 5, 5)))
 
     # -- frames and center of mass ---------------------------------------------------
 
     def frame_placement(self, q, frame):
-        return q[:2] + self._basis(q) @ self._point(frame)[0]
+        return q[..., :2] + _rows_times(self._basis(q), self._point(frame)[0])
 
     def frame_jacobian(self, q, frame):
-        return (self._basis(q) @ self._point(frame)[1]).reshape(2, 5)
+        jacobian = _rows_times(self._basis(q), self._point(frame)[1])
+        return jacobian.reshape(q.shape[:-1] + (2, 5))
 
     def frame_drift(self, q, v, frame):
         hessian = (self._basis(q) @ self._point(frame)[2]).reshape(2, 5, 5)
@@ -637,18 +685,17 @@ class PlanarMonoped(MechanicalSystem):
         return w @ hessian, jtf_q, v @ (v @ third).reshape(2, 5, 5), 2.0 * (hessian @ v)
 
     def com(self, q):
-        return q[:2] + self._basis(q) @ self._com_point[0]
+        return q[..., :2] + _rows_times(self._basis(q), self._com_point[0])
 
     def com_jacobian(self, q):
-        return (self._basis(q) @ self._com_point[1]).reshape(2, 5)
+        jacobian = _rows_times(self._basis(q), self._com_point[1])
+        return jacobian.reshape(q.shape[:-1] + (2, 5))
 
 
 def lqr_chain_dynamics(masses: int = 3, stiffness: float = 4.0, damping: float = 0.4):
     """Spring-mass chain as a first-order linear flow; every mass actuated."""
-    if masses < 1:
-        raise DimensionMismatch("chain needs at least one mass")
+    n = _count("masses", masses)
     damping = _parameter("damping", damping, zero_ok=True)
-    n = int(masses)
     K = np.zeros((n, n))
     for i in range(n):
         K[i, i] = -2.0 * stiffness

@@ -52,6 +52,17 @@ def integrated(system, dt, costs=()):
     return IntegratedActionModel(FreeMechanicalDynamics(system), costs=costs, dt=dt)
 
 
+def one_node(model):
+    """A stack of one node and that node's container."""
+    stack = model.create_stack(1)
+    return stack, stack.nodes[0]
+
+
+def calc_diff_one(model, stack, x, u=np.zeros(0)):
+    """One node's derivatives: the stacked pass over its stack of one."""
+    model.calc_diff(stack, x[None], np.asarray(u)[None])
+
+
 def default_costs(state, nu):
     return (
         StateRegularization(state, state.neutral(), 2.0, nu),
@@ -100,11 +111,11 @@ def test_linear_flow_jacobians_are_exact():
     dyn = lqr_chain_dynamics()
     dt = 0.05
     model = IntegratedActionModel(LinearFlow(dyn), dt=dt)
-    data = model.create_data()
+    stack, data = one_node(model)
     rng = np.random.default_rng(61)
     x, u = rng.standard_normal(6), rng.standard_normal(3)
     model.calc(data, x, u)
-    model.calc_diff(data, x, u)
+    calc_diff_one(model, stack, x, u)
     np.testing.assert_array_equal(data.f_x, np.eye(6) + dt * dyn.A)
     np.testing.assert_array_equal(data.f_u, dt * dyn.B)
     np.testing.assert_allclose(data.xnext, x + dt * (dyn.A @ x + dyn.B @ u), atol=1e-15)
@@ -218,15 +229,20 @@ def model_cases():
     "model", [m for _, m in model_cases()], ids=[n for n, _ in model_cases()]
 )
 def test_calc_diff_matches_finite_differences(model):
+    # Ten draws go through one stacked calc_diff; each node's rows are checked.
     state = model.state
     rng = np.random.default_rng(62)
-    data = model.create_data()
+    points = []
     for _ in range(10):
         x = state.integrate(state.neutral(), state.random_tangent(rng, scale=0.4))
-        u = rng.uniform(-2.0, 2.0, model.nu)
+        points.append((x, rng.uniform(-2.0, 2.0, model.nu)))
+    stack = model.create_stack(len(points))
+    for data, (x, u) in zip(stack.nodes, points):
         model.calc(data, x, u)
-        model.calc_diff(data, x, u)
-
+    model.calc_diff(
+        stack, np.array([x for x, _ in points]), np.array([u for _, u in points])
+    )
+    for data, (x, u) in zip(stack.nodes, points):
         fd_fx = numdiff.jacobian(
             lambda xv: model.calc(model.create_data(), xv, u).xnext,
             x,
@@ -259,11 +275,11 @@ def test_calc_diff_matches_finite_differences(model):
 def test_cost_hessian_blocks_are_symmetric(model):
     state = model.state
     rng = np.random.default_rng(63)
-    data = model.create_data()
+    stack, data = one_node(model)
     x = state.integrate(state.neutral(), state.random_tangent(rng, scale=0.4))
     u = rng.uniform(-2.0, 2.0, model.nu)
     model.calc(data, x, u)
-    model.calc_diff(data, x, u)
+    calc_diff_one(model, stack, x, u)
     np.testing.assert_array_equal(data.l_xx, data.l_xx.T)
     np.testing.assert_array_equal(data.l_uu, data.l_uu.T)
     assert np.linalg.eigvalsh(data.l_xx).min() >= -1e-12
@@ -274,10 +290,10 @@ def test_cost_hessian_blocks_are_symmetric(model):
 def test_terminal_model_is_cost_only():
     pend = Pendulum()
     model = TerminalActionModel(pend.state, default_costs(pend.state, 0))
-    data = model.create_data()
+    stack, data = one_node(model)
     x = np.array([0.4, -0.3])
     model.calc(data, x)
-    model.calc_diff(data, x)
+    calc_diff_one(model, stack, x)
     np.testing.assert_array_equal(data.xnext, [0.4, -0.3])
     np.testing.assert_array_equal(data.f_x, np.eye(2))
     assert data.f_u.shape == (2, 0)
@@ -325,10 +341,10 @@ def test_state_regularization_gradient_vanishes_at_reference():
     pend = Pendulum()
     ref = np.array([0.7, -0.2])
     model = integrated(pend, 0.05, (StateRegularization(pend.state, ref, 2.0, 1),))
-    data = model.create_data()
+    stack, data = one_node(model)
     u = np.array([0.3])
     model.calc(data, ref, u)
-    model.calc_diff(data, ref, u)
+    calc_diff_one(model, stack, ref, u)
     np.testing.assert_array_equal(data.l_x, np.zeros(2))
     assert data.cost == 0.0
 
@@ -419,18 +435,18 @@ def test_mismatched_cost_shapes_are_rejected():
 def test_two_data_containers_do_not_interfere():
     pend = Pendulum(damping=0.1)
     model = integrated(pend, 0.01, default_costs(pend.state, 1))
-    d1, d2 = model.create_data(), model.create_data()
+    (s1, d1), (s2, d2) = one_node(model), one_node(model)
     x1, u1 = np.array([0.5, 0.1]), np.array([0.2])
     x2, u2 = np.array([-1.0, 2.0]), np.array([-0.7])
     model.calc(d1, x1, u1)
     first = d1.xnext.copy()
     model.calc(d2, x2, u2)
-    model.calc_diff(d2, x2, u2)
+    calc_diff_one(model, s2, x2, u2)
     np.testing.assert_array_equal(d1.xnext, first)
-    model.calc_diff(d1, x1, u1)
-    fresh = model.create_data()
+    calc_diff_one(model, s1, x1, u1)
+    s_fresh, fresh = one_node(model)
     model.calc(fresh, x1, u1)
-    model.calc_diff(fresh, x1, u1)
+    calc_diff_one(model, s_fresh, x1, u1)
     np.testing.assert_array_equal(d1.f_x, fresh.f_x)
     np.testing.assert_array_equal(d1.l_x, fresh.l_x)
 

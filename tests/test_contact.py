@@ -263,7 +263,8 @@ def test_monoped_stance_partials_match_finite_differences():
         u = rng.uniform(-2.0, 2.0, 2)
         data = SimpleNamespace()
         dyn.acceleration(x, u, data)
-        a_q, a_v, a_u = dyn.partials(x, u, data)
+        stack = SimpleNamespace(nodes=[data])
+        a_q, a_v, a_u = (block[0] for block in dyn.partials(stack, x[None], u[None]))
 
         def accel_of_x(xv):
             return dyn.acceleration(xv, u, SimpleNamespace())

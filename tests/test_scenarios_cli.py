@@ -215,6 +215,39 @@ def test_schema_violations_carry_field_locations(tmp_path):
             load_scenario(path)
 
 
+def test_whole_number_parameters_are_checked(tmp_path, capsys):
+    # A dimension or a number of masses must be a whole number >= 1; both
+    # commands report a bad one at its parameter with exit 5.
+    documents = {
+        "double_integrator": json.loads(bundled_scenario_path("double_integrator").read_text()),
+        "lqr_chain": json.loads(bundled_scenario_path("lqr_chain").read_text()),
+    }
+    cases = [
+        ("double_integrator", "dim", 2.5),
+        ("double_integrator", "dim", 0),
+        ("lqr_chain", "masses", 0),
+        ("lqr_chain", "masses", -1),
+        ("lqr_chain", "masses", 1.5),
+    ]
+    for scenario, name, value in cases:
+        doc = documents[scenario]
+        doc = dict(doc, model=dict(doc["model"], params={**doc["model"]["params"], name: value}))
+        path = str(write_doc(tmp_path, doc))
+        message = rf"model\.params\.{name}: {name} must be a whole number >= 1, got {value}"
+        with pytest.raises(ScenarioError, match=message):
+            load_scenario(path)
+        for argv in (
+            ["solve", "--scenario", path, "--out", str(tmp_path / "out")],
+            ["check-derivatives", "--scenario", path, "--samples", "1"],
+        ):
+            assert cli.main(argv) == EXIT_CONFIG
+            assert re.search("error: " + message, capsys.readouterr().err)
+    # A whole number written as a float is a whole number.
+    doc = documents["double_integrator"]
+    doc = dict(doc, model=dict(doc["model"], params={"dim": 2.0}))
+    assert build_problem(load_scenario(write_doc(tmp_path, doc))).state.nx == 4
+
+
 def test_phase_intervals_must_partition_the_horizon(tmp_path):
     overlapping = pendulum_doc(
         phases=[{"start": 0, "end": 6}, {"start": 4, "end": 10}]
@@ -467,6 +500,18 @@ RECORDED_OPTIMA = [
     ("pendulum_swingup", "ddp", 12, 0.9776448337729345),
 ]
 
+# The (step_length, accepted) row of every iteration of those solves, recorded
+# from a node-by-node derivative evaluation: the stacked pass must reproduce it.
+FULL_STEP = (1.0, 1)
+RECORDED_LINE_SEARCHES = {
+    ("lqr_chain", "fddp"): [FULL_STEP],
+    ("double_integrator", "fddp"): [FULL_STEP],
+    ("pendulum_swingup", "fddp"): [FULL_STEP] * 11,
+    ("monoped_hop", "fddp"): [(0.25, 1), (0.5, 1), FULL_STEP, (0.5, 1)] + [FULL_STEP] * 7,
+    ("monoped_hop_warmstart_infeasible", "fddp"): [(0.5, 1), (0.5, 1)] + [FULL_STEP] * 8,
+    ("pendulum_swingup", "ddp"): [FULL_STEP] * 12,
+}
+
 
 @pytest.mark.parametrize(
     "name, solver, iterations, final_cost",
@@ -483,6 +528,8 @@ def test_bundled_scenarios_reach_their_recorded_optima(name, solver, iterations,
     assert report.converged
     assert report.iterations == iterations
     assert report.final_cost == pytest.approx(final_cost, rel=1e-12, abs=0.0)
+    line_search = [(row.step_length, row.accepted) for row in report.rows[1:]]
+    assert line_search == RECORDED_LINE_SEARCHES[name, solver]
 
 
 # ---------------------------------------------------------------------------
@@ -688,22 +735,47 @@ def test_check_derivatives_bad_scenario_exits_config(tmp_path, capsys):
 
 
 def test_check_derivatives_exits_config_when_a_model_cannot_be_evaluated(tmp_path, capsys):
-    # Pinning the monoped's foot twice stacks four constraint rows of rank
-    # two, within its five velocities, so the set passes assembly and only an
-    # evaluation finds it rank-deficient: the audit reports the library error
-    # with exit 5 and no traceback.
-    doc = {
-        "name": "monoped_double_foot",
-        "model": {"id": "planar_monoped", "params": {}},
-        "horizon": 4,
-        "dt": 0.02,
-        "costs": {"running": [{"kind": "control_regularization", "weight": 0.1}]},
-        "phases": [{"start": 0, "end": 4, "contacts": [{"frame": "foot"}, {"frame": "foot"}]}],
-    }
+    # A gravity torque of 10 * 1e308 overflows: the document passes loading
+    # and assembly, and only an evaluation meets the non-finite dynamics. The
+    # audit reports the library error with exit 5 and no traceback.
+    doc = pendulum_doc(model={"id": "pendulum", "params": {"mass": 10.0, "gravity": 1e308}})
     path = write_doc(tmp_path, doc)
     rc = cli.main(["check-derivatives", "--scenario", str(path), "--samples", "2"])
     assert rc == EXIT_CONFIG
-    assert "error: operational-space inertia" in capsys.readouterr().err
+    assert "error: non-finite dynamics terms" in capsys.readouterr().err
+
+
+def test_check_derivatives_needs_a_sample(capsys):
+    for samples in ("0", "-1"):
+        rc = cli.main(["check-derivatives", "--scenario", "lqr_chain", "--samples", samples])
+        assert rc == EXIT_CONFIG
+        assert "error: --samples must be >= 1" in capsys.readouterr().err
+
+
+def test_dependent_contact_rows_are_rejected_at_assembly(tmp_path, capsys):
+    # The monoped's foot pinned twice: four rows within its five velocities,
+    # but of rank two. Both commands reject the phase or the switch that
+    # imposes them, with exit 5 and the field path, whatever the warm start.
+    foot = {"frame": "foot", "reference": [0.0, 0.0]}
+    monoped = json.loads(bundled_scenario_path("monoped_hop").read_text())
+    stance, *rest = monoped["phases"]
+    pinned_twice = dict(monoped, phases=[dict(stance, contacts=[foot, foot]), *rest])
+    switched_twice = dict(monoped, switches=[dict(monoped["switches"][0], contacts=[foot, foot])])
+    message = "the 4 constraint rows are dependent at the initial configuration"
+    for doc, where in (
+        (pinned_twice, r"phases\[0\]\.contacts"),
+        (switched_twice, r"switches\[0\]\.contacts"),
+    ):
+        with pytest.raises(ScenarioError, match=where + ": " + message):
+            build_problem(load_scenario(write_doc(tmp_path, doc)))
+        for policy in ("zeros", "quasi_static_interpolation"):
+            path = str(write_doc(tmp_path, dict(doc, warm_start={"policy": policy})))
+            for argv in (
+                ["solve", "--scenario", path, "--out", str(tmp_path / "out")],
+                ["check-derivatives", "--scenario", path],
+            ):
+                assert cli.main(argv) == EXIT_CONFIG
+                assert re.search("error: " + where + ": " + message, capsys.readouterr().err)
 
 
 # ---------------------------------------------------------------------------

@@ -372,6 +372,75 @@ def test_expected_improvement_is_exact_at_full_step_with_gaps():
     assert abs((cost_try - cost) - (d1 + 0.5 * d2)) <= 1e-9
 
 
+def random_chain_problem(rng):
+    """A spring-mass chain of random size whose nodes either drive every mass
+    or coast without controls, in a random order. The two node models form
+    two interleaved groups of the stacked derivative pass, and the coasting
+    nodes leave zero-padded control rows in the solver workspace."""
+    masses, n = int(rng.integers(1, 5)), int(rng.integers(3, 16))
+    chain = lqr_chain_dynamics(masses, rng.uniform(1.0, 6.0), rng.uniform(0.0, 1.0))
+    st, nx = chain.state, 2 * masses
+    dt = rng.uniform(0.02, 0.1)
+    driven = IntegratedActionModel(
+        LinearFlow(chain),
+        (
+            StateRegularization(st, rng.standard_normal(nx), rng.uniform(0.5, 3.0), masses),
+            ControlRegularization(masses, rng.uniform(0.05, 0.5), nx),
+        ),
+        dt,
+    )
+    coast = IntegratedActionModel(
+        LinearFlow(LinearDynamics(chain.A, np.zeros((nx, 0)))),
+        (StateRegularization(st, rng.standard_normal(nx), rng.uniform(0.5, 3.0), 0),),
+        dt,
+    )
+    models = [coast if rng.uniform() < 0.3 else driven for _ in range(n)]
+    models[0] = driven
+    terminal = TerminalActionModel(st, (StateRegularization(st, np.zeros(nx), 20.0, 0),))
+    return ShootingProblem(rng.standard_normal(nx), models, terminal)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_random_chains_keep_the_step_invariants(seed):
+    # On linear-quadratic problems of random size, from a random infeasible
+    # iterate: each node of the grouped derivative pass gets the blocks of
+    # its own point, the full gap-tolerant step is the Newton step of the
+    # dense KKT system, every trial contracts each gap by exactly (1 - alpha),
+    # and the stacked expected improvement equals its per-node sum.
+    rng = np.random.default_rng(4000 + seed)
+    problem = random_chain_problem(rng)
+    X, U = random_iterate(problem, rng)
+    ws, _ = prepared_workspace(problem, X, U)
+    for k, (model, data) in enumerate(zip(problem.running_models, problem.datas)):
+        alone = model.create_stack(1)
+        model.calc(alone.nodes[0], X[k], U[k])
+        model.calc_diff(alone, X[k][None], U[k][None])
+        for block in ("f_x", "f_u", "l_x", "l_u", "l_xx", "l_xu", "l_uu"):
+            np.testing.assert_array_equal(getattr(data, block), getattr(alone.nodes[0], block))
+    dX, dU, _ = kkt_search_direction(problem, X, U, datas=problem.create_datas())
+    for alpha in STEP_LENGTHS:
+        X_try, U_try, _, gaps = forward_pass_fddp(
+            problem, X, U, ws, alpha, datas=problem.create_datas()
+        )
+        np.testing.assert_allclose(gaps, (1.0 - alpha) * ws.gaps, rtol=0.0, atol=1e-12)
+        if alpha == 1.0:
+            for k in range(problem.N + 1):
+                np.testing.assert_allclose(X_try[k] - X[k], dX[k], atol=1e-8)
+            for k in range(problem.N):
+                np.testing.assert_allclose(U_try[k] - U[k], dU[k], atol=1e-8)
+        d1_sum = d2_sum = 0.0
+        for k in range(problem.N + 1):
+            f, dx, vxx = ws.gaps[k], X_try[k] - X[k], ws.V_xx[k]
+            d1_sum += f @ (ws.V_x[k] + vxx @ f - vxx @ dx)
+            d2_sum += f @ (2.0 * vxx @ dx - vxx @ f)
+        for k, model in enumerate(problem.running_models):
+            k_ff = ws.k_ff[k][: model.nu]
+            d1_sum += k_ff @ ws.Q_u[k][: model.nu]
+            d2_sum += k_ff @ ws.Q_uu[k][: model.nu, : model.nu] @ k_ff
+        d1, d2 = expected_improvement(problem, ws, X, X_try)
+        np.testing.assert_allclose([d1, d2], [d1_sum, d2_sum], rtol=1e-12, atol=0.0)
+
+
 # ---------------------------------------------------------------------------
 # dense KKT oracle
 # ---------------------------------------------------------------------------
@@ -614,15 +683,15 @@ class BlockedControlModel(ActionModelBase):
         data.cost = 1.0
         return data
 
-    def calc_diff(self, data, x, u):
-        data.f_x = np.eye(1)
-        data.f_u = np.ones((1, 1))
-        data.l_x = np.zeros(1)
-        data.l_u = np.ones(1)
-        data.l_xx = np.zeros((1, 1))
-        data.l_xu = np.zeros((1, 1))
-        data.l_uu = np.ones((1, 1))
-        return data
+    def calc_diff(self, stack, X, U):
+        stack.f_x[:] = 1.0
+        stack.f_u[:] = 1.0
+        stack.l_x[:] = 0.0
+        stack.l_u[:] = 1.0
+        stack.l_xx[:] = 0.0
+        stack.l_xu[:] = 0.0
+        stack.l_uu[:] = 1.0
+        return stack
 
 
 def blocked_problem():
@@ -668,10 +737,10 @@ class PoisonedDerivativeModel(IntegratedActionModel):
         super().__init__(model.dynamics, model.costs, model.dt)
         self.block = block
 
-    def calc_diff(self, data, x, u):
-        super().calc_diff(data, x, u)
-        getattr(data, self.block).flat[0] = np.nan
-        return data
+    def calc_diff(self, stack, X, U):
+        super().calc_diff(stack, X, U)
+        getattr(stack, self.block).flat[0] = np.nan
+        return stack
 
 
 @pytest.mark.parametrize("block", ["l_uu", "l_x"])

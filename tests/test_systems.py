@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from fddp import numdiff
-from fddp.errors import DimensionMismatch
+from fddp.errors import DimensionMismatch, ParameterError
 from fddp.systems import (
     DoubleIntegrator,
     DoublePendulum,
@@ -523,7 +523,7 @@ def test_lqr_chain_default_structure():
 
 
 def test_lqr_chain_rejects_empty_chain():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ParameterError, match="masses must be a whole number >= 1, got 0"):
         lqr_chain_dynamics(masses=0)
 
 
