@@ -22,10 +22,10 @@ loader) guarantee the shapes.
 l_xu and l_uu in place. Each node's `ActionData` fields of those names are
 views of its row, so per-node readers (the backward pass, the dense KKT
 oracle) need no copy, and a caller that keeps a block across two `calc_diff`
-calls must copy it. Contact and impulse models loop over the stack only for
-their KKT partials; everything else is array operations on the whole stack.
-Constant blocks (identity parts, linear-flow Jacobians) are built once, in
-the constructors.
+calls must copy it. Every model's `calc_diff` is array operations on the
+whole stack, with no loop over its nodes: contact and impulse models make one
+stacked KKT elimination for all of them. Constant blocks (identity parts,
+linear-flow Jacobians) are built once, in the constructors.
 """
 
 from __future__ import annotations
@@ -210,51 +210,56 @@ class ConstrainedMechanicalDynamics(DifferentialDynamics):
         # Total derivatives of the two KKT rows at the solution, holding
         # (vdot, force) fixed:
         #   d/dx [tau_b - M vdot + Jc^T force] and d/dx [a0 + Jc vdot],
-        # with a0 = drift - alpha (reference - placement) - beta Jc v. The
-        # system terms are evaluated for the whole stack; the frame terms and
-        # the factored KKT inverse, which turns the rows into Jacobians of the
-        # solution, go node by node through each node's own factors.
+        # with a0 = drift - alpha (reference - placement) - beta Jc v, all
+        # evaluated for the whole stack; one stacked elimination turns the
+        # rows into Jacobians of the solution.
         sys = self.system
+        n, nv = len(X), sys.nv
         q, v = X[:, : sys.nq], X[:, sys.nq :]
         workspaces = [data.dyn["ws"] for data in stack.nodes]
         vdot = np.array([ws.vdot for ws in workspaces])
+        force = np.array([ws.force for ws in workspaces])
         bq, bv = sys.bias_partials(q, v)
         dtau_dq = -(bq + sys.inertia_contraction_partial(q, vdot))
-        per_node = [self._kkt_partials(*node) for node in zip(workspaces, q, v, dtau_dq, bv)]
-        return tuple(np.stack(blocks) for blocks in zip(*per_node))
-
-    def _kkt_partials(self, ws, q, v, dtau_dq, bv):
-        """One node's (a_q, a_v, a_u), given its system terms of the torque row."""
-        sys = self.system
-        nv = sys.nv
-        da0_dq, da0_dv = [], []
-        for contact, rows in _contact_rows(self.contacts):
-            J = ws.Jc[rows]
+        jacobians, da0_dq, da0_dv = [], [], []
+        for contact, rows, J in _contact_frames(sys, self.contacts, q):
             # d(Jc vdot)/dq - beta d(Jc v)/dq is linear in the fixed vector.
             jw_q, jtf_q, drift_q, drift_v = sys.frame_partials(
-                q, v, ws.vdot - contact.beta * v, ws.force[rows], contact.frame
+                q, v, vdot - contact.beta * v, force[:, rows], contact.frame
             )
             dtau_dq += jtf_q
+            jacobians.append(J)
             da0_dq.append(drift_q + contact.alpha * J + jw_q)
             da0_dv.append(drift_v - contact.beta * J)
-        dtau_dx = np.hstack([dtau_dq, -bv])
-        da0_dx = np.hstack([np.vstack(da0_dq), np.vstack(da0_dv)])
-        dtau_du = sys.actuation()
-        da0_du = np.zeros((ws.nf, sys.nu))
-        y_x, y_u = contact_dynamics_derivatives(ws, dtau_dx, dtau_du, da0_dx, da0_du)
-        return y_x[:, :nv], y_x[:, nv:], y_u
+        a_x, a_u = contact_dynamics_derivatives(
+            _per_node(sys.mass_matrix(q), n),
+            np.concatenate(jacobians, -2),
+            np.concatenate([dtau_dq, -bv], -1),
+            _per_node(sys.actuation(), n),
+            np.concatenate([np.concatenate(da0_dq, -2), np.concatenate(da0_dv, -2)], -1),
+            np.zeros((n, self.contacts.nf, self.nu)),
+        )
+        return a_x[..., :nv], a_x[..., nv:], a_u
 
     def control_jacobian(self, data):
         ws = data.dyn["ws"]
         return ws.apply_inverse(self.system.actuation(), np.zeros((ws.nf, self.nu)))[0]
 
 
-def _contact_rows(contacts: ContactSet):
-    """Each contact with the slice of its rows in the stacked constraint."""
+def _contact_frames(system: MechanicalSystem, contacts: ContactSet, q):
+    """Each contact, the slice of its rows in the stacked constraint, and its
+    frame Jacobian at every node of the stack q (n, nq)."""
     row = 0
     for contact in contacts.contacts:
-        yield contact, slice(row, row + contact.nf)
+        jacobian = _per_node(system.frame_jacobian(q, contact.frame), len(q))
+        yield contact, slice(row, row + contact.nf), jacobian
         row += contact.nf
+
+
+def _per_node(matrix, n: int) -> np.ndarray:
+    """A system term as an (n, r, c) stack: a constant term, which the system
+    returns unstacked, is broadcast (read-only) to every node."""
+    return np.broadcast_to(matrix, (n,) + matrix.shape[-2:])
 
 
 class LinearFlow:
@@ -461,29 +466,32 @@ class ImpulseActionModel(ActionModelBase):
     def calc_diff(self, stack, X, U):
         # Configuration partials of the two residual rows at the solution,
         # holding (v_plus, impulse) fixed:
-        #   r1 = M(q) (v_plus - v) - Jc(q)^T impulse,  r2 = Jc(q) (v_plus + e v).
-        # The inertia term is evaluated for the whole stack; the frame terms
-        # and the factored KKT inverse go node by node.
+        #   r1 = M(q) (v_plus - v) - Jc(q)^T impulse,  r2 = Jc(q) (v_plus + e v),
+        # evaluated for the whole stack, then one stacked elimination.
         sys = self.system
-        nv = sys.nv
+        n, nv = len(X), sys.nv
         q, v = X[:, : sys.nq], X[:, sys.nq :]
         workspaces = [data.dyn["ws"] for data in stack.nodes]
         v_plus = np.array([ws.v_plus for ws in workspaces])
+        impulse = np.array([ws.impulse for ws in workspaces])
         dr1_dq = sys.inertia_contraction_partial(q, v_plus - v)
         closure = v_plus + self.restitution * v
+        jacobians, dr2_dq = [], []
+        for contact, rows, J in _contact_frames(sys, self.contacts, q):
+            jw_q, jtf_q, _, _ = sys.frame_partials(q, v, closure, impulse[:, rows], contact.frame)
+            dr1_dq -= jtf_q
+            jacobians.append(J)
+            dr2_dq.append(jw_q)
+        dvp_dq, dvp_dv = impulse_dynamics_derivatives(
+            _per_node(sys.mass_matrix(q), n),
+            np.concatenate(jacobians, -2),
+            self.restitution,
+            dr1_dq,
+            np.concatenate(dr2_dq, -2),
+        )
         stack.f_x[:, :nv] = self._f_x_q
-        nodes = zip(stack.nodes, workspaces, q, v, closure, dr1_dq)
-        for data, ws, q_k, v_k, closure_k, dr1_dq_k in nodes:
-            dr2_dq = []
-            for contact, rows in _contact_rows(self.contacts):
-                jw_q, jtf_q, _, _ = sys.frame_partials(
-                    q_k, v_k, closure_k, ws.impulse[rows], contact.frame
-                )
-                dr1_dq_k -= jtf_q
-                dr2_dq.append(jw_q)
-            dvp_dq, dvp_dv = impulse_dynamics_derivatives(ws, dr1_dq_k, np.vstack(dr2_dq))
-            data.f_x[nv:, :nv] = dvp_dq
-            data.f_x[nv:, nv:] = dvp_dv
+        stack.f_x[:, nv:, :nv] = dvp_dq
+        stack.f_x[:, nv:, nv:] = dvp_dv
         self._cost_derivatives(stack, X, U, 1.0)
         return stack
 

@@ -1,6 +1,6 @@
-"""Command-line harness: solve scenarios, check derivatives, run benchmarks.
+"""Command-line harness: solve scenarios and check derivatives.
 
-Three subcommands share the scenario loader:
+Two subcommands share the scenario loader:
 
 * ``solve`` runs one solver on one scenario and writes ``trace.csv`` (one row
   per solver iteration, plus columns normalized to iteration 0),
@@ -9,9 +9,8 @@ Three subcommands share the scenario loader:
 * ``check-derivatives`` compares every distinct node model's analytic
   derivative blocks (f_x, f_u, l_x, l_u) against central finite differences
   at seeded random points.
-* ``bench`` times solver iterations, reporting the median and
-  95th-percentile wall time per iteration with the derivative phase broken
-  out.
+
+Timings live in the benchmark harness (``perfbench/``), not here.
 
 Exit codes: 0 converged / all checks passed, 1 derivative check failed,
 2 iteration budget exhausted, 3 solver failure, 4 I/O error, 5 configuration
@@ -321,76 +320,6 @@ def cmd_check_derivatives(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Benchmarking
-# ---------------------------------------------------------------------------
-
-
-def run_bench(scenario, problem, X0, U0, trials):
-    """Time solver iterations over `trials` solves; returns one row of statistics."""
-    opts = scenario.solver_options
-    iter_samples = []
-    deriv_samples = []
-    iterations = 0
-    for _ in range(trials):
-        _, _, report = solve(
-            problem,
-            X0,
-            U0,
-            solver=opts["solver"],
-            max_iters=opts["max_iters"],
-            tolerance=opts["tolerance"],
-        )
-        iter_samples.extend(report.iter_times)
-        deriv_samples.extend(report.deriv_times)
-        iterations = report.iterations
-    iter_arr = np.asarray(iter_samples) if iter_samples else np.zeros(1)
-    deriv_arr = np.asarray(deriv_samples) if deriv_samples else np.zeros(1)
-    return {
-        "trials": trials,
-        "iterations": iterations,
-        "median_iter_s": float(np.median(iter_arr)),
-        "p95_iter_s": float(np.percentile(iter_arr, 95)),
-        "median_deriv_s": float(np.median(deriv_arr)),
-        "p95_deriv_s": float(np.percentile(deriv_arr, 95)),
-    }
-
-
-def cmd_bench(args) -> int:
-    if args.trials < 1:
-        print("error: --trials must be >= 1", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
-        scenario = load_scenario(_resolve_scenario_path(args.scenario))
-        problem = build_problem(scenario)
-        X0, U0 = build_warm_start(scenario, problem)
-    except FddpError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    row = run_bench(scenario, problem, X0, U0, args.trials)
-
-    def emit(fh):
-        writer = csv.DictWriter(fh, fieldnames=list(row))
-        writer.writeheader()
-        writer.writerow({k: (repr(v) if isinstance(v, float) else v) for k, v in row.items()})
-
-    if args.out:
-        try:
-            out = Path(args.out)
-            out.parent.mkdir(parents=True, exist_ok=True)
-            with open(out, "w", newline="") as fh:
-                emit(fh)
-        except OSError as exc:
-            print(f"error: cannot write benchmark table: {exc}", file=sys.stderr)
-            return EXIT_IO
-        print(f"benchmark table written to {out}")
-    else:
-        emit(sys.stdout)
-    return EXIT_CONVERGED
-
-
-# ---------------------------------------------------------------------------
 # Argument parsing
 # ---------------------------------------------------------------------------
 
@@ -418,12 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--samples", type=int, default=100)
     p_check.add_argument("--seed", type=int, default=0)
     p_check.set_defaults(func=cmd_check_derivatives)
-
-    p_bench = sub.add_parser("bench", help="median and p95 wall time per solver iteration")
-    p_bench.add_argument("--scenario", required=True)
-    p_bench.add_argument("--trials", type=int, default=3)
-    p_bench.add_argument("--out", default=None, help="write the table here instead of stdout")
-    p_bench.set_defaults(func=cmd_bench)
 
     return parser
 

@@ -5,11 +5,14 @@ Both problems share one saddle-point structure,
     [ M   Jc^T ] [  w ]   [ b1 ]
     [ Jc   0   ] [ -z ] = [ b2 ],
 
-solved by block elimination through two Cholesky factorizations (M and the
-operational-space inertia Mhat = Jc M^-1 Jc^T). Derivatives reuse the same
-factors: only triangular solves happen per right-hand-side column. Every
-Cholesky factorization of the library goes through `_cholesky` and
-`_cholesky_solve` here.
+solved by block elimination through the operational-space inertia
+Mhat = Jc M^-1 Jc^T. The forward solve of one node goes through two Cholesky
+factorizations (M and Mhat), whose rank and pivot tests reject a dependent
+constraint set; every Cholesky factorization of the library goes through
+`_cholesky` and `_cholesky_solve` here. The derivatives take a stack of n
+nodes that the forward solves have already checked, and eliminate all of
+them at once (`_kkt_solve_stacked`): two batched LU solves, one with M and
+one with Mhat, for all right-hand-side columns of all nodes.
 
 Sign conventions, fixed once for the whole library:
   forward dynamics   M vdot - Jc^T force   = tau_b,   Jc vdot   = -a0
@@ -96,21 +99,15 @@ def baumgarte_a0(contact: Contact, placement_current, velocity_current, drift_ac
 
 @dataclass
 class ContactWorkspace:
-    """Holds one solved contact-dynamics instance plus its Cholesky factors."""
+    """One solved contact-dynamics instance plus its Cholesky factors, which
+    the quasi-static control's Newton steps reuse."""
 
-    M: np.ndarray
     Jc: np.ndarray
-    tau_b: np.ndarray
-    a0: np.ndarray
     Mhat: np.ndarray
     vdot: np.ndarray
     force: np.ndarray
     m_factor: object = field(repr=False, default=None)
     mhat_factor: object = field(repr=False, default=None)
-
-    @property
-    def nv(self) -> int:
-        return self.M.shape[0]
 
     @property
     def nf(self) -> int:
@@ -123,24 +120,10 @@ class ContactWorkspace:
 
 @dataclass
 class ImpulseWorkspace:
-    """Holds one solved impulse instance plus its Cholesky factors."""
+    """One solved impulse instance: the post-impact velocity and the impulse."""
 
-    M: np.ndarray
-    Jc: np.ndarray
-    v_minus: np.ndarray
-    e: float
     v_plus: np.ndarray
     impulse: np.ndarray
-    m_factor: object = field(repr=False, default=None)
-    mhat_factor: object = field(repr=False, default=None)
-
-    @property
-    def nv(self) -> int:
-        return self.M.shape[0]
-
-    @property
-    def nf(self) -> int:
-        return self.Jc.shape[0]
 
 
 def _cholesky(a: np.ndarray) -> np.ndarray:
@@ -217,36 +200,46 @@ def contact_forward_dynamics(M, Jc, tau_b, a0) -> ContactWorkspace:
     if not np.isfinite(vdot).all():
         raise NumericalFailure("non-finite contact accelerations")
     return ContactWorkspace(
-        M=M,
-        Jc=Jc,
-        tau_b=tau_b,
-        a0=a0,
-        Mhat=mhat,
-        vdot=vdot,
-        force=-z,
-        m_factor=m_factor,
-        mhat_factor=mhat_factor,
+        Jc=Jc, Mhat=mhat, vdot=vdot, force=-z, m_factor=m_factor, mhat_factor=mhat_factor
     )
 
 
-def contact_dynamics_derivatives(
-    workspace: ContactWorkspace, dtau_dx, dtau_du, da0_dx, da0_du
-):
-    """Jacobian blocks (y_x, y_u) of vdot.
+def _kkt_solve_stacked(M, Jc, b1, b2):
+    """w with M w + Jc^T z_neg = b1, Jc w = b2 for a stack of n saddle points.
 
-    Input partials are total derivatives of the two KKT rows at the solution,
-    holding (vdot, force) fixed:
+    M (n, nv, nv), Jc (n, nf, nv), b1 (n, nv, k), b2 (n, nf, k). One batched
+    solve with M gives M^-1 [Jc^T | b1], one with Mhat = Jc M^-1 Jc^T gives
+    the multipliers z = Mhat^-1 (Jc M^-1 b1 - b2), and w = M^-1 b1 -
+    M^-1 Jc^T z. The forward solves have checked every node's factors, so
+    nothing is checked again.
+    """
+    nf = Jc.shape[-2]
+    solved = np.linalg.solve(M, np.concatenate([np.swapaxes(Jc, -1, -2), b1], axis=-1))
+    minv_jt, minv_b1 = solved[..., :nf], solved[..., nf:]
+    z = np.linalg.solve(Jc @ minv_jt, Jc @ minv_b1 - b2)
+    return minv_b1 - minv_jt @ z
+
+
+def contact_dynamics_derivatives(M, Jc, dtau_dx, dtau_du, da0_dx, da0_du):
+    """Jacobian blocks (y_x, y_u) of vdot for a stack of n contact nodes.
+
+    M (n, nv, nv) and Jc (n, nf, nv) are each node's inertia and constraint
+    Jacobian. The input partials, (n, nv, ·) and (n, nf, ·), are total
+    derivatives of the two KKT rows at the solution, holding (vdot, force)
+    fixed:
 
         dtau_d* = d/d* [ tau_b - M vdot + Jc^T force ]
         da0_d*  = d/d* [ a0 + Jc vdot ]
 
     For configuration-independent M and Jc these are just the partials of
-    tau_b and a0. The factored KKT inverse is applied to the stacked
-    right-hand sides; no refactorization happens here.
+    tau_b and a0. All columns of all nodes go through one stacked
+    elimination.
     """
-    y_x = workspace.apply_inverse(dtau_dx, -da0_dx)[0]
-    y_u = workspace.apply_inverse(dtau_du, -da0_du)[0]
-    return y_x, y_u
+    nx = dtau_dx.shape[-1]
+    y = _kkt_solve_stacked(
+        M, Jc, np.concatenate([dtau_dx, dtau_du], -1), -np.concatenate([da0_dx, da0_du], -1)
+    )
+    return y[..., :nx], y[..., nx:]
 
 
 def impulse_dynamics(M, Jc, v_minus, e: float) -> ImpulseWorkspace:
@@ -262,29 +255,24 @@ def impulse_dynamics(M, Jc, v_minus, e: float) -> ImpulseWorkspace:
     v_plus, z = _kkt_apply_inverse(m_factor, Jc, mhat_factor, M @ v_minus, -e * jv)
     if not np.isfinite(v_plus).all():
         raise NumericalFailure("non-finite post-impact velocity")
-    return ImpulseWorkspace(
-        M=M,
-        Jc=Jc,
-        v_minus=v_minus,
-        e=float(e),
-        v_plus=v_plus,
-        impulse=-z,
-        m_factor=m_factor,
-        mhat_factor=mhat_factor,
-    )
+    return ImpulseWorkspace(v_plus=v_plus, impulse=-z)
 
 
-def impulse_dynamics_derivatives(workspace: ImpulseWorkspace, dr1_dq, dr2_dq):
-    """Jacobians (dvplus_dq, dvplus_dv) of v_plus w.r.t. tangent state (q, v_minus).
+def impulse_dynamics_derivatives(M, Jc, e: float, dr1_dq, dr2_dq):
+    """Jacobians (dvplus_dq, dvplus_dv) of v_plus w.r.t. tangent state (q, v_minus),
+    for a stack of n impulse nodes with restitution e.
 
-    dr1_dq and dr2_dq are the configuration partials of the residual rows at
-    the solution, holding (v_plus, impulse) fixed:
+    M (n, nv, nv) and Jc (n, nf, nv) are each node's inertia and constraint
+    Jacobian; dr1_dq (n, nv, ndq) and dr2_dq (n, nf, ndq) are the
+    configuration partials of the residual rows at the solution, holding
+    (v_plus, impulse) fixed:
 
         r1 = M(q) (v_plus - v_minus) - Jc(q)^T impulse
         r2 = Jc(q) (v_plus + e v_minus)
     """
-    args = (workspace.m_factor, workspace.Jc, workspace.mhat_factor)
-    dvplus_dq = _kkt_apply_inverse(*args, -dr1_dq, -dr2_dq)[0]
+    ndq = dr1_dq.shape[-1]
     # v_minus block: r1 gives -M, r2 gives e*Jc.
-    dvplus_dv = _kkt_apply_inverse(*args, workspace.M, -workspace.e * workspace.Jc)[0]
-    return dvplus_dq, dvplus_dv
+    y = _kkt_solve_stacked(
+        M, Jc, np.concatenate([-dr1_dq, M], -1), np.concatenate([-dr2_dq, -e * Jc], -1)
+    )
+    return y[..., :ndq], y[..., ndq:]

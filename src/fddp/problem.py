@@ -35,22 +35,24 @@ class ShootingProblem:
         running_models = list(running_models)
         if len(running_models) < 1:
             raise DimensionMismatch("a shooting problem needs at least one running model")
-        state = terminal_model.state
-        for k, model in enumerate(running_models):
-            if model.state != state:
-                raise DimensionMismatch(f"running model {k} lives on a different manifold")
-        self.state = state
-        self.running_models = running_models
-        self.terminal_model = terminal_model
-        self.x0_measured = state.check_point(x0_measured)
-        self.N = len(running_models)
-        self.ndx = state.ndx
         # (model, node indices) for each distinct running model, in order of
         # first appearance.
         nodes = {}
         for k, model in enumerate(running_models):
             nodes.setdefault(id(model), (model, []))[1].append(k)
         self.groups = [(model, np.array(ks)) for model, ks in nodes.values()]
+        state = terminal_model.state
+        # Groups come in order of first appearance, so the first offending
+        # group's first node is the first offending node.
+        for model, ks in self.groups:
+            if model.state != state:
+                raise DimensionMismatch(f"running model {ks[0]} lives on a different manifold")
+        self.state = state
+        self.running_models = running_models
+        self.terminal_model = terminal_model
+        self.x0_measured = state.check_point(x0_measured)
+        self.N = len(running_models)
+        self.ndx = state.ndx
         self.datas, self.terminal_data, self.stacks = self.create_datas()
 
     # -- data containers -----------------------------------------------------

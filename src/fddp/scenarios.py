@@ -57,6 +57,24 @@ DEFAULT_SOLVER_OPTIONS = {
     "tolerance": 1e-9,
 }
 
+# The fields each object of a scenario document may hold; any other key is
+# rejected with its field path, so a misspelt option cannot pass unnoticed.
+SCENARIO_FIELDS = (
+    "name", "model", "horizon", "dt", "x0", "phases", "switches", "costs", "warm_start", "solver",
+)
+MODEL_FIELDS = ("id", "params")
+PHASE_FIELDS = ("start", "end", "contacts")
+SWITCH_FIELDS = ("node", "restitution", "contacts")
+CONTACT_FIELDS = ("frame", "reference", "alpha", "beta")
+COSTS_FIELDS = ("running", "terminal")
+COST_FIELDS = {
+    "state_regularization": ("kind", "weight", "reference", "scales"),
+    "control_regularization": ("kind", "weight", "reference"),
+    "frame_translation_tracking": ("kind", "weight", "frame", "reference"),
+    "com_tracking": ("kind", "weight", "reference"),
+}
+WARM_START_FIELDS = ("policy", "path")
+
 
 @dataclass
 class Phase:
@@ -112,6 +130,16 @@ def _number(value, what: str, where: str) -> float:
     return float(value)
 
 
+def _known_fields(data: dict, fields, where: str | None) -> None:
+    """Reject the first key of `data` outside `fields`, at its field path."""
+    for key in data:
+        if key not in fields:
+            raise ScenarioError(
+                f"unknown field {key!r}; expected one of {', '.join(fields)}",
+                location=key if where is None else f"{where}.{key}",
+            )
+
+
 def _need(data: dict, key: str, kind, where: str):
     if key not in data:
         raise ScenarioError(f"missing required field {key!r}", location=where)
@@ -141,6 +169,7 @@ def _validate_costs(entries, where: str) -> list[dict]:
                 f"unknown cost kind {kind!r}; expected one of {', '.join(COST_KINDS)}",
                 location=f"{loc}.kind",
             )
+        _known_fields(entry, COST_FIELDS[kind], loc)
         weight = _need(entry, "weight", float, loc)
         if weight < 0:
             raise ScenarioError("cost weight must be >= 0", location=f"{loc}.weight")
@@ -154,6 +183,7 @@ def _validate_contacts(entries, where: str) -> list[dict]:
         loc = f"{where}[{i}]"
         if not isinstance(entry, dict):
             raise ScenarioError("contact entry must be an object", location=loc)
+        _known_fields(entry, CONTACT_FIELDS, loc)
         _need(entry, "frame", str, loc)
         reference = entry.get("reference", "initial")
         if not (reference == "initial" or isinstance(reference, list)):
@@ -181,9 +211,11 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError(f"invalid JSON: {exc.msg}", location=f"line {exc.lineno}") from exc
     if not isinstance(data, dict):
         raise ScenarioError("scenario document must be a JSON object")
+    _known_fields(data, SCENARIO_FIELDS, None)
 
     name = _need(data, "name", str, "scenario")
     model = _need(data, "model", dict, "scenario")
+    _known_fields(model, MODEL_FIELDS, "model")
     model_id = _need(model, "id", str, "model")
     model_params = model.get("params", {})
     if not isinstance(model_params, dict):
@@ -232,6 +264,7 @@ def load_scenario(path) -> Scenario:
         loc = f"phases[{i}]"
         if not isinstance(entry, dict):
             raise ScenarioError("phase must be an object", location=loc)
+        _known_fields(entry, PHASE_FIELDS, loc)
         start = _need(entry, "start", int, loc)
         end = _need(entry, "end", int, loc)
         if not 0 <= start < end <= horizon:
@@ -267,6 +300,7 @@ def load_scenario(path) -> Scenario:
         loc = f"switches[{i}]"
         if not isinstance(entry, dict):
             raise ScenarioError("switch must be an object", location=loc)
+        _known_fields(entry, SWITCH_FIELDS, loc)
         node = _need(entry, "node", int, loc)
         if node not in boundaries:
             raise ScenarioError(
@@ -288,12 +322,14 @@ def load_scenario(path) -> Scenario:
         seen.add(s.node)
 
     costs_field = _need(data, "costs", dict, "scenario")
+    _known_fields(costs_field, COSTS_FIELDS, "costs")
     running_costs = _validate_costs(costs_field.get("running", []), "costs.running")
     terminal_costs = _validate_costs(costs_field.get("terminal", []), "costs.terminal")
 
     warm_start = data.get("warm_start", {"policy": "zeros"})
     if not isinstance(warm_start, dict):
         raise ScenarioError("warm_start must be an object", location="warm_start")
+    _known_fields(warm_start, WARM_START_FIELDS, "warm_start")
     policy = warm_start.get("policy", "zeros")
     if policy not in WARM_START_POLICIES:
         raise ScenarioError(
@@ -306,12 +342,7 @@ def load_scenario(path) -> Scenario:
     solver_field = data.get("solver", {})
     if not isinstance(solver_field, dict):
         raise ScenarioError("solver must be an object", location="solver")
-    for key in solver_field:
-        if key not in DEFAULT_SOLVER_OPTIONS:
-            raise ScenarioError(
-                f"unknown field {key!r}; expected one of {', '.join(DEFAULT_SOLVER_OPTIONS)}",
-                location=f"solver.{key}",
-            )
+    _known_fields(solver_field, DEFAULT_SOLVER_OPTIONS, "solver")
     solver_options = dict(DEFAULT_SOLVER_OPTIONS)
     solver_options.update(solver_field)
     if solver_options["solver"] not in ("ddp", "fddp"):

@@ -17,10 +17,10 @@ algorithms", RSS 2018, cut down to planar chains). Finite differences
 only audit them (`fddp check-derivatives` and the tests).
 
 The terms of the stacked derivative pass (`mass_matrix`, `bias_partials`,
-`inertia_contraction_partial`, `frame_placement`, `frame_jacobian`, `com`,
-`com_jacobian`) broadcast over leading node axes of q, v and w; a constant
-term may return one unstacked array. `bias`, `frame_drift` and
-`frame_partials` serve one node at a time.
+`inertia_contraction_partial`, `frame_placement`, `frame_jacobian`,
+`frame_partials`, `com`, `com_jacobian`) broadcast over leading node axes of
+q, v, w and f; a constant term may return one unstacked array. Only the
+forward step's `bias` and `frame_drift` take one node.
 """
 
 from __future__ import annotations
@@ -80,20 +80,21 @@ def _chain_partials(links, v, w, f):
     J = dbase/dq + sum_i a_i side(phi_i) c_i and drift = Jdot v =
     -sum_i a_i down(phi_i) (c_i v)^2; with d side/dphi = -down and
     d down/dphi = side, the base (linear in q) drops out of every partial.
-    Returns (d(J w)/dq, d(J^T f)/dq, d drift/dq, d drift/dv) for fixed w, f.
+    Returns (d(J w)/dq, d(J^T f)/dq, d drift/dq, d drift/dv) for fixed w, f,
+    broadcast over the leading axes of phi, v, w and f.
     """
-    nv = v.size
-    jw_q = np.zeros((2, nv))
-    jtf_q = np.zeros((nv, nv))
-    drift_q = np.zeros((2, nv))
-    drift_v = np.zeros((2, nv))
+    lead, nv = v.shape[:-1], v.shape[-1]
+    jw_q = np.zeros(lead + (2, nv))
+    jtf_q = np.zeros(lead + (nv, nv))
+    drift_q = np.zeros(lead + (2, nv))
+    drift_v = np.zeros(lead + (2, nv))
     for a, phi, c in links:
         down, side = _unit_down(phi), _unit_side(phi)
-        cw, cv = c @ w, c @ v
-        jw_q -= np.outer((a * cw) * down, c)
-        jtf_q -= (a * (down @ f)) * np.outer(c, c)
-        drift_q -= np.outer((a * cv * cv) * side, c)
-        drift_v -= np.outer((2.0 * a * cv) * down, c)
+        cw, cv = (w @ c)[..., None], (v @ c)[..., None]
+        jw_q -= ((a * cw) * down)[..., None] * c
+        jtf_q -= (a * (down * f).sum(-1))[..., None, None] * np.outer(c, c)
+        drift_q -= ((a * cv * cv) * side)[..., None] * c
+        drift_v -= ((2.0 * a * cv) * down)[..., None] * c
     return jw_q, jtf_q, drift_q, drift_v
 
 
@@ -250,8 +251,9 @@ class PointMass(DoubleIntegrator):
 
     def frame_partials(self, q, v, w, f, frame):
         nf, nv = self._selector(frame).shape
-        zero = np.zeros((nf, nv))
-        return zero, np.zeros((nv, nv)), zero.copy(), zero.copy()
+        lead = q.shape[:-1]
+        zero = np.zeros(lead + (nf, nv))
+        return zero, np.zeros(lead + (nv, nv)), zero.copy(), zero.copy()
 
     def com(self, q):
         return np.array(q, float)
@@ -307,7 +309,7 @@ class Pendulum(MechanicalSystem):
     def frame_partials(self, q, v, w, f, frame):
         if frame != "tip":
             return super().frame_partials(q, v, w, f, frame)
-        return _chain_partials(((self.length, q[0], np.ones(1)),), v, w, f)
+        return _chain_partials(((self.length, q[..., 0], np.ones(1)),), v, w, f)
 
     def com(self, q):
         return self.length * _unit_down(q[..., 0])
@@ -431,8 +433,8 @@ class DoublePendulum(MechanicalSystem):
         if frame != "tip":
             return super().frame_partials(q, v, w, f, frame)
         links = (
-            (self.l1, q[0], np.array([1.0, 0.0])),
-            (self.l2, q[0] + q[1], np.array([1.0, 1.0])),
+            (self.l1, q[..., 0], np.array([1.0, 0.0])),
+            (self.l2, q[..., 0] + q[..., 1], np.array([1.0, 1.0])),
         )
         return _chain_partials(links, v, w, f)
 
@@ -612,13 +614,15 @@ class PlanarMonoped(MechanicalSystem):
     def _basis(q):
         """b(q), of shape (..., 7) for q of shape (..., 5)."""
         if q.ndim > 1:
-            phi1 = q[..., 2] + q[..., 3]
-            phi2 = phi1 + q[..., 4]
-            angles = np.stack([phi1, phi2, phi1 - phi2], axis=-1)
+            angles = np.empty(q.shape[:-1] + (3,))
+            phi1, phi2 = angles[..., 0], angles[..., 1]
+            np.add(q[..., 2], q[..., 3], out=phi1)
+            np.add(phi1, q[..., 4], out=phi2)
+            np.subtract(phi1, phi2, out=angles[..., 2])
             b = np.empty(q.shape[:-1] + (7,))
             b[..., 0] = 1.0
-            b[..., 1::2] = np.cos(angles)
-            b[..., 2::2] = np.sin(angles)
+            np.cos(angles, out=b[..., 1::2])
+            np.sin(angles, out=b[..., 2::2])
             return b
         # One configuration, as in every forward step: math's cos and sin on
         # floats cost a tenth of numpy's on one element (and agree with them).
@@ -678,11 +682,15 @@ class PlanarMonoped(MechanicalSystem):
     def frame_partials(self, q, v, w, f, frame):
         # With H = d^2 p/dq^2: d(J w)/dq = H w, d(J^T f)/dq = f H, drift = (H v) v.
         _, _, hessian, third = self._point(frame)
+        lead = q.shape[:-1]
         b = self._basis(q)
-        hessian = (b @ hessian).reshape(2, 5, 5)
-        third = (b @ third).reshape(2, 5, 25)
-        jtf_q = (f @ hessian.reshape(2, 25)).reshape(5, 5)
-        return w @ hessian, jtf_q, v @ (v @ third).reshape(2, 5, 5), 2.0 * (hessian @ v)
+        hessian = _rows_times(b, hessian).reshape(lead + (2, 5, 5))
+        third = _rows_times(b, third).reshape(lead + (2, 5, 25))
+        jtf_q = _rows_times(f, hessian.reshape(lead + (2, 25))).reshape(lead + (5, 5))
+        v_row = v[..., None, :]
+        drift_q = _rows_times(v_row, _rows_times(v_row, third).reshape(hessian.shape))
+        drift_v = 2.0 * (hessian @ v_row[..., None])[..., 0]
+        return _rows_times(w[..., None, :], hessian), jtf_q, drift_q, drift_v
 
     def com(self, q):
         return q[..., :2] + _rows_times(self._basis(q), self._com_point[0])

@@ -34,6 +34,7 @@ from fddp.errors import (
     RankDeficientConstraint,
 )
 from fddp.problem import ShootingProblem
+from fddp.scenarios import build_problem, bundled_scenario_path, load_scenario
 from fddp.solver import solve
 from fddp.systems import (
     DoubleIntegrator,
@@ -267,6 +268,44 @@ def test_calc_diff_matches_finite_differences(model):
                 lambda uv: model.calc(model.create_data(), x, uv).cost, u
             )
             np.testing.assert_allclose(data.l_u, fd_lu, rtol=1e-4, atol=1e-6)
+
+
+def hop_contact_models():
+    """The bundled hop's two stance models and its impulse model."""
+    problem = build_problem(load_scenario(bundled_scenario_path("monoped_hop")))
+    return [
+        model
+        for model, _ in problem.groups
+        if isinstance(model, ImpulseActionModel)
+        or isinstance(model.dynamics, ConstrainedMechanicalDynamics)
+    ]
+
+
+@pytest.mark.parametrize("index", range(3), ids=["stance_0", "impulse", "stance_2"])
+def test_stacked_contact_derivatives_equal_each_node_alone(index):
+    # One stacked KKT elimination over n nodes gives each node the blocks of
+    # that node's stack of one.
+    model = hop_contact_models()[index]
+    state, n = model.state, 7
+    rng = np.random.default_rng(65 + index)
+    X = np.array(
+        [state.integrate(state.neutral(), state.random_tangent(rng, scale=0.3)) for _ in range(n)]
+    )
+    U = rng.uniform(-2.0, 2.0, (n, model.nu))
+    stack = model.create_stack(n)
+    for data, x, u in zip(stack.nodes, X, U):
+        model.calc(data, x, u)
+    model.calc_diff(stack, X, U)
+    for data, x, u in zip(stack.nodes, X, U):
+        alone, single = one_node(model)
+        model.calc(single, x, u)
+        calc_diff_one(model, alone, x, u)
+        for block in ("f_x", "f_u", "l_x", "l_u", "l_xx", "l_xu", "l_uu"):
+            expected = getattr(single, block)
+            scale = np.max(np.abs(expected), initial=0.0)
+            np.testing.assert_allclose(
+                getattr(data, block), expected, rtol=1e-12, atol=1e-12 * scale
+            )
 
 
 @pytest.mark.parametrize(
@@ -583,3 +622,21 @@ def test_problem_validates_guess_lengths():
         problem.calc([np.zeros(2)] * 5, [np.zeros(1)] * 5)
     with pytest.raises(DimensionMismatch):
         problem.rollout([np.zeros(1)] * 4)
+
+
+def test_problem_compares_each_model_manifold_once(monkeypatch):
+    # Two distinct models on the pendulum's manifold, one on the double
+    # pendulum's, shared across interleaved nodes: the manifold check runs
+    # once per distinct model and names the first node of the foreign one.
+    pend, dpend = integrated(Pendulum(), 0.02), integrated(DoublePendulum(), 0.02)
+    other = integrated(Pendulum(), 0.02)
+    terminal = TerminalActionModel(pend.state)
+    comparisons = []
+    eq = type(terminal.state).__eq__
+    monkeypatch.setattr(
+        type(terminal.state), "__eq__", lambda a, b: comparisons.append(1) or eq(a, b)
+    )
+    ShootingProblem(np.zeros(2), [pend, other] * 5, terminal)
+    assert len(comparisons) == 2
+    with pytest.raises(DimensionMismatch, match="running model 3 lives on a different"):
+        ShootingProblem(np.zeros(2), [pend, other, pend, dpend, pend, dpend], terminal)

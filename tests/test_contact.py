@@ -199,12 +199,13 @@ def test_forward_dynamics_rejects_dependent_constraint_rows():
 
 
 def test_zero_input_partials_give_zero_blocks():
-    ws = contact_forward_dynamics(np.eye(2), np.array([[1.0, 0.0]]), np.ones(2), np.zeros(1))
+    M, Jc = np.eye(2), np.array([[1.0, 0.0]])
     y_x, y_u = contact_dynamics_derivatives(
-        ws, np.zeros((2, 4)), np.zeros((2, 2)), np.zeros((1, 4)), np.zeros((1, 2))
+        M[None], Jc[None], np.zeros((1, 2, 4)), np.zeros((1, 2, 2)),
+        np.zeros((1, 1, 4)), np.zeros((1, 1, 2)),
     )
-    np.testing.assert_array_equal(y_x, np.zeros((2, 4)))
-    np.testing.assert_array_equal(y_u, np.zeros((2, 2)))
+    np.testing.assert_array_equal(y_x, np.zeros((1, 2, 4)))
+    np.testing.assert_array_equal(y_u, np.zeros((1, 2, 2)))
 
 
 def test_identity_torque_gain_gives_kkt_inverse_column_block():
@@ -214,37 +215,43 @@ def test_identity_torque_gain_gives_kkt_inverse_column_block():
     nv, nf = 4, 2
     M = random_spd(rng, nv)
     Jc = rng.standard_normal((nf, nv))
-    ws = contact_forward_dynamics(M, Jc, rng.standard_normal(nv), rng.standard_normal(nf))
     y_x, y_u = contact_dynamics_derivatives(
-        ws, np.zeros((nv, nv)), np.eye(nv), np.zeros((nf, nv)), np.zeros((nf, nv))
+        M[None], Jc[None], np.zeros((1, nv, nv)), np.eye(nv)[None],
+        np.zeros((1, nf, nv)), np.zeros((1, nf, nv)),
     )
     rhs = np.vstack([np.eye(nv), np.zeros((nf, nv))])
     dense = np.linalg.solve(dense_saddle(M, Jc), rhs)
-    np.testing.assert_allclose(y_u, dense[:nv], atol=1e-10)
-    np.testing.assert_array_equal(y_x, np.zeros((nv, nv)))
+    np.testing.assert_allclose(y_u[0], dense[:nv], atol=1e-10)
+    np.testing.assert_array_equal(y_x[0], np.zeros((nv, nv)))
+
+
+def random_saddle_stack(rng, n):
+    """n random (M, Jc) pairs of one random shape, stacked on a node axis."""
+    nv = int(rng.integers(1, 9))
+    nf = int(rng.integers(1, min(nv, 4) + 1))
+    M = np.array([random_spd(rng, nv) for _ in range(n)])
+    return M, rng.standard_normal((n, nf, nv))
 
 
 def test_derivative_blocks_match_dense_solve():
+    # Each node of a stack gets the blocks of its own dense saddle-point solve.
     rng = np.random.default_rng(53)
     for _ in range(25):
-        nv = int(rng.integers(1, 9))
-        nf = int(rng.integers(1, min(nv, 4) + 1))
+        n = int(rng.integers(1, 6))
+        M, Jc = random_saddle_stack(rng, n)
+        nv, nf = Jc.shape[1:][::-1]
         ndx, nu = int(rng.integers(1, 7)), int(rng.integers(1, 4))
-        M = random_spd(rng, nv)
-        Jc = rng.standard_normal((nf, nv))
-        ws = contact_forward_dynamics(
-            M, Jc, rng.standard_normal(nv), rng.standard_normal(nf)
-        )
-        dtau_dx = rng.standard_normal((nv, ndx))
-        dtau_du = rng.standard_normal((nv, nu))
-        da0_dx = rng.standard_normal((nf, ndx))
-        da0_du = rng.standard_normal((nf, nu))
-        y_x, y_u = contact_dynamics_derivatives(ws, dtau_dx, dtau_du, da0_dx, da0_du)
-        k = dense_saddle(M, Jc)
-        dense_x = np.linalg.solve(k, np.vstack([dtau_dx, -da0_dx]))
-        dense_u = np.linalg.solve(k, np.vstack([dtau_du, -da0_du]))
-        np.testing.assert_allclose(y_x, dense_x[:nv], atol=1e-10)
-        np.testing.assert_allclose(y_u, dense_u[:nv], atol=1e-10)
+        dtau_dx = rng.standard_normal((n, nv, ndx))
+        dtau_du = rng.standard_normal((n, nv, nu))
+        da0_dx = rng.standard_normal((n, nf, ndx))
+        da0_du = rng.standard_normal((n, nf, nu))
+        y_x, y_u = contact_dynamics_derivatives(M, Jc, dtau_dx, dtau_du, da0_dx, da0_du)
+        for i in range(n):
+            k = dense_saddle(M[i], Jc[i])
+            dense_x = np.linalg.solve(k, np.vstack([dtau_dx[i], -da0_dx[i]]))
+            dense_u = np.linalg.solve(k, np.vstack([dtau_du[i], -da0_du[i]]))
+            np.testing.assert_allclose(y_x[i], dense_x[:nv], atol=1e-10)
+            np.testing.assert_allclose(y_u[i], dense_u[:nv], atol=1e-10)
 
 
 def test_monoped_stance_partials_match_finite_differences():
@@ -354,31 +361,32 @@ def test_impulse_physics_invariants():
 
 
 def test_impulse_velocity_jacobian_frozen_example():
-    ws = impulse_dynamics(np.eye(2), np.array([[1.0, 0.0]]), np.array([-1.0, 3.0]), 0.0)
+    M, Jc = np.eye(2), np.array([[1.0, 0.0]])
     # Configuration-independent M and Jc: both residual partials vanish.
-    dvp_dq, dvp_dv = impulse_dynamics_derivatives(ws, np.zeros((2, 2)), np.zeros((1, 2)))
-    np.testing.assert_allclose(dvp_dv, np.diag([0.0, 1.0]), atol=1e-12)
+    dvp_dq, dvp_dv = impulse_dynamics_derivatives(
+        M[None], Jc[None], 0.0, np.zeros((1, 2, 2)), np.zeros((1, 1, 2))
+    )
+    np.testing.assert_allclose(dvp_dv[0], np.diag([0.0, 1.0]), atol=1e-12)
     # The constrained component of v_plus is insensitive to v_minus.
-    np.testing.assert_allclose(ws.Jc @ dvp_dv, np.zeros((1, 2)), atol=1e-12)
-    np.testing.assert_array_equal(dvp_dq, np.zeros((2, 2)))
+    np.testing.assert_allclose(Jc @ dvp_dv[0], np.zeros((1, 2)), atol=1e-12)
+    np.testing.assert_array_equal(dvp_dq[0], np.zeros((2, 2)))
 
 
 def test_impulse_derivatives_match_dense_solve():
+    # Each node of a stack gets the blocks of its own dense saddle-point solve.
     rng = np.random.default_rng(57)
     for _ in range(25):
-        nv = int(rng.integers(1, 9))
-        nf = int(rng.integers(1, min(nv, 4) + 1))
+        n = int(rng.integers(1, 6))
+        M, Jc = random_saddle_stack(rng, n)
+        nv, nf = Jc.shape[1:][::-1]
         ndq = int(rng.integers(1, 7))
-        M = random_spd(rng, nv)
-        Jc = rng.standard_normal((nf, nv))
-        v_minus = rng.standard_normal(nv)
         e = float(rng.uniform(0.0, 1.0))
-        ws = impulse_dynamics(M, Jc, v_minus, e)
-        dr1_dq = rng.standard_normal((nv, ndq))
-        dr2_dq = rng.standard_normal((nf, ndq))
-        dvp_dq, dvp_dv = impulse_dynamics_derivatives(ws, dr1_dq, dr2_dq)
-        k = dense_saddle(M, Jc)
-        dense_q = np.linalg.solve(k, np.vstack([-dr1_dq, -dr2_dq]))
-        dense_v = np.linalg.solve(k, np.vstack([M, -e * Jc]))
-        np.testing.assert_allclose(dvp_dq, dense_q[:nv], atol=1e-10)
-        np.testing.assert_allclose(dvp_dv, dense_v[:nv], atol=1e-10)
+        dr1_dq = rng.standard_normal((n, nv, ndq))
+        dr2_dq = rng.standard_normal((n, nf, ndq))
+        dvp_dq, dvp_dv = impulse_dynamics_derivatives(M, Jc, e, dr1_dq, dr2_dq)
+        for i in range(n):
+            k = dense_saddle(M[i], Jc[i])
+            dense_q = np.linalg.solve(k, np.vstack([-dr1_dq[i], -dr2_dq[i]]))
+            dense_v = np.linalg.solve(k, np.vstack([M[i], -e * Jc[i]]))
+            np.testing.assert_allclose(dvp_dq[i], dense_q[:nv], atol=1e-10)
+            np.testing.assert_allclose(dvp_dv[i], dense_v[:nv], atol=1e-10)

@@ -1,5 +1,5 @@
 """Tests for scenario files (schema, validation, assembly, warm starts) and
-the command-line harness (solve, check-derivatives, bench, exit codes).
+the command-line harness (solve, check-derivatives, exit codes).
 """
 
 import csv
@@ -26,7 +26,6 @@ from fddp.cli import (
     EXIT_MAX_ITERS,
     TRACE_COLUMNS,
     check_problem_derivatives,
-    run_bench,
 )
 from fddp.errors import ScenarioError
 from fddp.scenarios import (
@@ -752,6 +751,39 @@ def test_check_derivatives_needs_a_sample(capsys):
         assert "error: --samples must be >= 1" in capsys.readouterr().err
 
 
+UNKNOWN_FIELD_PATHS = [
+    (lambda d: d, "bogus"),
+    (lambda d: d["model"], "model.bogus"),
+    (lambda d: d["phases"][2], "phases[2].bogus"),
+    (lambda d: d["phases"][0]["contacts"][0], "phases[0].contacts[0].bogus"),
+    (lambda d: d["switches"][0], "switches[0].bogus"),
+    (lambda d: d["switches"][0]["contacts"][0], "switches[0].contacts[0].bogus"),
+    (lambda d: d["costs"], "costs.bogus"),
+    (lambda d: d["costs"]["running"][1], "costs.running[1].bogus"),
+    (lambda d: d["costs"]["terminal"][0], "costs.terminal[0].bogus"),
+    (lambda d: d["warm_start"], "warm_start.bogus"),
+    (lambda d: d["solver"], "solver.bogus"),
+]
+
+
+@pytest.mark.parametrize(
+    "place, where", UNKNOWN_FIELD_PATHS, ids=[where for _, where in UNKNOWN_FIELD_PATHS]
+)
+def test_unknown_fields_are_rejected_with_their_path(tmp_path, capsys, place, where):
+    # One unknown key at one level of the hop document: both commands exit 5
+    # and name its field path, before anything is solved.
+    doc = json.loads(bundled_scenario_path("monoped_hop").read_text())
+    place(doc)["bogus"] = 1
+    path = str(write_doc(tmp_path, doc))
+    for argv in (
+        ["solve", "--scenario", path, "--out", str(tmp_path / "out")],
+        ["check-derivatives", "--scenario", path, "--samples", "1"],
+    ):
+        assert cli.main(argv) == EXIT_CONFIG
+        assert f"error: {where}: unknown field 'bogus'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_dependent_contact_rows_are_rejected_at_assembly(tmp_path, capsys):
     # The monoped's foot pinned twice: four rows within its five velocities,
     # but of rank two. Both commands reject the phase or the switch that
@@ -776,50 +808,3 @@ def test_dependent_contact_rows_are_rejected_at_assembly(tmp_path, capsys):
             ):
                 assert cli.main(argv) == EXIT_CONFIG
                 assert re.search("error: " + where + ": " + message, capsys.readouterr().err)
-
-
-# ---------------------------------------------------------------------------
-# CLI: bench
-# ---------------------------------------------------------------------------
-
-
-def test_bench_writes_a_one_row_table(tmp_path, capsys):
-    out = tmp_path / "bench.csv"
-    rc = cli.main(["bench", "--scenario", "lqr_chain", "--trials", "1", "--out", str(out)])
-    assert rc == EXIT_CONVERGED
-    capsys.readouterr()
-    header, rows = read_csv(out)
-    assert header == [
-        "trials",
-        "iterations",
-        "median_iter_s",
-        "p95_iter_s",
-        "median_deriv_s",
-        "p95_deriv_s",
-    ]
-    assert len(rows) == 1
-    assert int(rows[0][0]) == 1
-    assert float(rows[0][2]) > 0.0
-    assert float(rows[0][4]) <= float(rows[0][2])
-
-
-def test_bench_prints_to_stdout_without_out(capsys):
-    rc = cli.main(["bench", "--scenario", "lqr_chain", "--trials", "1"])
-    assert rc == EXIT_CONVERGED
-    out = capsys.readouterr().out
-    assert out.startswith("trials,iterations")
-
-
-def test_bench_validates_its_arguments(capsys):
-    assert cli.main(["bench", "--scenario", "lqr_chain", "--trials", "0"]) == EXIT_CONFIG
-    assert cli.main(["bench", "--scenario", "lqr_chain", "--trials", "x"]) == EXIT_CONFIG
-    assert cli.main(["bench", "--scenario", "nope"]) == EXIT_CONFIG
-    capsys.readouterr()
-
-
-def test_run_bench_returns_one_row():
-    scenario, problem, X0, U0 = load_and_build(bundled_scenario_path("lqr_chain"))
-    row = run_bench(scenario, problem, X0, U0, trials=2)
-    assert row["trials"] == 2
-    assert row["iterations"] >= 1
-    assert row["p95_iter_s"] >= row["median_iter_s"] > 0.0

@@ -302,6 +302,26 @@ def test_frame_partials_match_finite_differences(system, frame):
             np.testing.assert_allclose(analytic, fd, atol=1e-6)
 
 
+@pytest.mark.parametrize(
+    "system, frame",
+    frame_cases(),
+    ids=["point", "height", "pend_tip", "dpend_tip", "foot", "hip"],
+)
+def test_frame_partials_take_a_leading_node_axis(system, frame):
+    # A stack of (q, v, w, f) gives each node the partials of that node alone.
+    rng = np.random.default_rng(12)
+    n = 6
+    q = np.array([random_configuration(system, rng) for _ in range(n)])
+    v, w = rng.uniform(-1.5, 1.5, size=(2, n, system.nv))
+    f = rng.uniform(-1.5, 1.5, size=(n, system.frame_jacobian(q[0], frame).shape[0]))
+    stacked = system.frame_partials(q, v, w, f, frame)
+    for i in range(n):
+        alone = system.frame_partials(q[i], v[i], w[i], f[i], frame)
+        for block, single in zip(stacked, alone):
+            assert block.shape == (n,) + single.shape
+            np.testing.assert_allclose(block[i], single, rtol=1e-14, atol=1e-14)
+
+
 def test_unknown_frame_is_rejected():
     with pytest.raises(DimensionMismatch):
         Pendulum().frame_placement(np.zeros(1), "elbow")
