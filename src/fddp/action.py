@@ -11,7 +11,11 @@ Models are immutable after construction; each evaluation writes into a separate
 data container, so one model can serve many nodes.
 
 `calc(data, x, u)` evaluates one node: its forward step and cost, at x (nx,)
-and u (nu,). `calc_diff(stack, X, U)` evaluates the derivatives of all n
+and u (nu,). Its dynamics make one system call, `forward_terms`, whose M,
+bias and frame terms the dynamics, the contacts and the impulse share, and
+check each quantity for non-finite values once: the contact and impulse
+solves their inputs and results, the free dynamics M, the torque and the
+acceleration. `calc_diff(stack, X, U)` evaluates the derivatives of all n
 nodes in an `ActionDataStack` at once, at X (n, nx) and U (n, nu), reading
 what `calc` left in each of `stack.nodes`; it must follow those calls at the
 same points. Constructors check their arguments; `calc` and `calc_diff` do
@@ -36,6 +40,7 @@ import numpy as np
 
 from .contact import (
     ContactSet,
+    _all_finite,
     _cholesky,
     _cholesky_solve,
     baumgarte_a0,
@@ -138,15 +143,17 @@ class FreeMechanicalDynamics(DifferentialDynamics):
     def acceleration(self, x, u, data):
         sys = self.system
         q, v = sys.split_state(x)
-        M = sys.mass_matrix(q)
-        tau = sys.actuation() @ u - sys.bias(q, v)
-        if not (np.isfinite(M).all() and np.isfinite(tau).all()):
+        M, bias = sys.forward_terms(q, v)[:2]
+        tau = sys.actuation() @ u - bias
+        if not (_all_finite(M) and _all_finite(tau)):
             raise NumericalFailure("non-finite dynamics terms")
         try:
             factor = _cholesky(M)
         except np.linalg.LinAlgError as exc:
             raise NumericalFailure("inertia factorization failed") from exc
         vdot = _cholesky_solve(factor, tau)
+        if not _all_finite(vdot):
+            raise NumericalFailure("non-finite acceleration in forward integration")
         data.dyn = {"factor": factor, "vdot": vdot}
         return vdot
 
@@ -184,25 +191,12 @@ class ConstrainedMechanicalDynamics(DifferentialDynamics):
                     f"system has no frame {contact.frame!r} for contact"
                 )
 
-    def _assemble(self, q, v):
-        """Stack the constraint Jacobian and stabilized acceleration target."""
-        sys = self.system
-        rows_j, rows_a0 = [], []
-        for contact in self.contacts.contacts:
-            J = sys.frame_jacobian(q, contact.frame)
-            drift = sys.frame_drift(q, v, contact.frame)
-            placement = sys.frame_placement(q, contact.frame)
-            rows_j.append(J)
-            rows_a0.append(baumgarte_a0(contact, placement, J @ v, drift))
-        return np.vstack(rows_j), np.concatenate(rows_a0)
-
     def acceleration(self, x, u, data):
         sys = self.system
         q, v = sys.split_state(x)
-        M = sys.mass_matrix(q)
-        tau_b = sys.actuation() @ u - sys.bias(q, v)
-        Jc, a0 = self._assemble(q, v)
-        ws = contact_forward_dynamics(M, Jc, tau_b, a0)
+        M, bias, placement, Jc, drift = sys.forward_terms(q, v, self.contacts.frames)
+        a0 = baumgarte_a0(self.contacts, placement, Jc @ v, drift)
+        ws = contact_forward_dynamics(M, Jc, sys.actuation() @ u - bias, a0)
         data.dyn = {"ws": ws}
         return ws.vdot
 
@@ -361,15 +355,13 @@ class IntegratedActionModel(ActionModelBase):
     def calc(self, data, x, u):
         if self.first_order:
             xdot = self.dynamics.flow(x, u)
-            if not np.isfinite(xdot).all():
+            if not _all_finite(xdot):
                 raise NumericalFailure("non-finite flow in forward integration")
             data.xnext = x + self.dt * xdot
         else:
             sys = self.dynamics.system
             q, v = sys.split_state(x)
             vdot = self.dynamics.acceleration(x, u, data)
-            if not np.isfinite(vdot).all():
-                raise NumericalFailure("non-finite acceleration in forward integration")
             v_next = v + self.dt * vdot
             q_next = sys.config.integrate(q, self.dt * v_next)
             data.xnext = np.concatenate([q_next, v_next])
@@ -447,17 +439,11 @@ class ImpulseActionModel(ActionModelBase):
                     f"system has no frame {contact.frame!r} for impulse"
                 )
 
-    def _jc(self, q):
-        return np.vstack(
-            [self.system.frame_jacobian(q, c.frame) for c in self.contacts.contacts]
-        )
-
     def calc(self, data, x, u=_NO_CONTROL):
         sys = self.system
         q, v = sys.split_state(x)
-        ws = impulse_dynamics(sys.mass_matrix(q), self._jc(q), v, self.restitution)
-        if not np.isfinite(ws.v_plus).all():
-            raise NumericalFailure("non-finite post-impact velocity")
+        M, _, _, Jc, _ = sys.forward_terms(q, v, self.contacts.frames)
+        ws = impulse_dynamics(M, Jc, v, self.restitution)
         data.xnext = np.concatenate([q, ws.v_plus])
         data.cost = self._cost_value(x, u, 1.0)
         data.dyn = {"ws": ws}

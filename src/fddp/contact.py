@@ -6,13 +6,16 @@ Both problems share one saddle-point structure,
     [ Jc   0   ] [ -z ] = [ b2 ],
 
 solved by block elimination through the operational-space inertia
-Mhat = Jc M^-1 Jc^T. The forward solve of one node goes through two Cholesky
-factorizations (M and Mhat), whose rank and pivot tests reject a dependent
-constraint set; every Cholesky factorization of the library goes through
-`_cholesky` and `_cholesky_solve` here. The derivatives take a stack of n
-nodes that the forward solves have already checked, and eliminate all of
-them at once (`_kkt_solve_stacked`): two batched LU solves, one with M and
-one with Mhat, for all right-hand-side columns of all nodes.
+Mhat = Jc M^-1 Jc^T. The forward solve of one node makes one finite test over
+all its inputs, two Cholesky factorizations (M and Mhat) and one triangular
+solve with M's factor against [Jc^T | b1], whose columns give both Mhat and
+M^-1 b1 for the elimination; the factorizations and the pivots on the
+diagonal of Mhat's factor reject a dependent constraint set. Every Cholesky
+factorization of the library goes through `_cholesky` and `_cholesky_solve`
+here. The derivatives take a stack of n nodes that the forward solves have
+already checked, and eliminate all of them at once (`_kkt_solve_stacked`):
+two batched LU solves, one with M and one with Mhat, for all right-hand-side
+columns of all nodes.
 
 Sign conventions, fixed once for the whole library:
   forward dynamics   M vdot - Jc^T force   = tau_b,   Jc vdot   = -a0
@@ -28,6 +31,7 @@ raise `NumericalFailure`, failed factorizations `FactorizationError`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isfinite
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
@@ -71,29 +75,52 @@ class Contact:
         return self.reference.size
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 @dataclass(frozen=True)
 class ContactSet:
+    """Contacts imposed together, their rows stacked once in contact order:
+    the frame of each contact, and for each constraint row its Baumgarte
+    gains and reference (read-only)."""
+
     contacts: tuple[Contact, ...]
+    frames: tuple[str, ...] = field(init=False, compare=False)
+    alpha: np.ndarray = field(init=False, repr=False, compare=False)
+    beta: np.ndarray = field(init=False, repr=False, compare=False)
+    reference: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "contacts", tuple(self.contacts))
-        if self.nf < 1:
+        contacts = tuple(self.contacts)
+        rows = [c.nf for c in contacts]
+        if sum(rows) < 1:
             raise DimensionMismatch("a contact set needs nf >= 1")
+        for name, value in (
+            ("contacts", contacts),
+            ("frames", tuple(c.frame for c in contacts)),
+            ("alpha", _read_only(np.repeat([c.alpha for c in contacts], rows))),
+            ("beta", _read_only(np.repeat([c.beta for c in contacts], rows))),
+            ("reference", _read_only(np.concatenate([c.reference for c in contacts]))),
+        ):
+            object.__setattr__(self, name, value)
 
     @property
     def nf(self) -> int:
-        return sum(c.nf for c in self.contacts)
+        return self.reference.size
 
 
-def baumgarte_a0(contact: Contact, placement_current, velocity_current, drift_acceleration):
-    """Desired constraint-space acceleration with placement/velocity correction.
+def baumgarte_a0(contacts, placement_current, velocity_current, drift_acceleration):
+    """Desired constraint-space acceleration with placement/velocity correction,
+    for one `Contact` or, row by row, a whole `ContactSet`:
 
     a0 = a_drift - alpha * (reference - current) - beta * v_frame
     """
     return (
         drift_acceleration
-        - contact.alpha * (contact.reference - placement_current)
-        - contact.beta * velocity_current
+        - contacts.alpha * (contacts.reference - placement_current)
+        - contacts.beta * velocity_current
     )
 
 
@@ -114,8 +141,10 @@ class ContactWorkspace:
         return self.Jc.shape[0]
 
     def apply_inverse(self, b1, b2):
-        """(w, z) with [w; -z] = K^-1 [b1; b2], through the stored factors."""
-        return _kkt_apply_inverse(self.m_factor, self.Jc, self.mhat_factor, b1, b2)
+        """(w, z) with M w + Jc^T z = b1 and Jc w = b2, that is [w; -z] =
+        K^-1 [b1; b2], through the stored factors; columnwise on matrices."""
+        z = _cholesky_solve(self.mhat_factor, self.Jc @ _cholesky_solve(self.m_factor, b1) - b2)
+        return _cholesky_solve(self.m_factor, b1 - self.Jc.T @ z), z
 
 
 @dataclass
@@ -147,42 +176,48 @@ def _cholesky_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
     return dpotrs(c, b, lower=1)[0]
 
 
+def _all_finite(array: np.ndarray) -> bool:
+    """Whether every entry is finite. Each entry is tested, not a sum or
+    product of them, so large finite entries cannot overflow the test; on
+    the few entries of one node, math.isfinite over them costs a fraction
+    of a numpy reduction."""
+    return all(map(isfinite, array.ravel().tolist()))
+
+
 def _require_finite(what: str, *arrays) -> None:
-    if not all(np.isfinite(a).all() for a in arrays):
+    """One finite test of every entry of the arrays."""
+    if not _all_finite(np.concatenate(arrays, axis=None)):
         raise NumericalFailure(f"non-finite entries in {what} inputs")
 
 
-def _factorize(M: np.ndarray, Jc: np.ndarray):
+def _factorize(M: np.ndarray, Jc: np.ndarray, b1=None):
+    """Rank-tested Cholesky factors of M and Mhat = Jc M^-1 Jc^T.
+
+    One triangular solve with M's factor takes [Jc^T | b1], or Jc^T alone
+    without b1; its first nf columns give Mhat. Only the lower triangles of
+    M and Mhat are read. The pivots of Mhat are the squares of its factor's
+    diagonal. Returns (m_factor, mhat, mhat_factor, M^-1 [Jc^T | b1]).
+    """
     try:
         m_factor = _cholesky(M)
     except np.linalg.LinAlgError as exc:
         raise FactorizationError("joint-space inertia is not positive definite") from exc
-    minv_jt = _cholesky_solve(m_factor, Jc.T)
-    mhat = Jc @ minv_jt
-    mhat = 0.5 * (mhat + mhat.T)
+    # [Jc; b1^T] transposed: the columns in the Fortran order LAPACK takes.
+    rows = Jc if b1 is None else np.concatenate((Jc, b1[None]))
+    solved = _cholesky_solve(m_factor, rows.T)
+    mhat = Jc @ solved[:, : Jc.shape[0]]
     try:
         mhat_factor = _cholesky(mhat)
     except np.linalg.LinAlgError as exc:
         raise RankDeficientConstraint(
             "operational-space inertia is not positive definite (constraint rows dependent?)"
         ) from exc
-    pivots = np.diag(mhat_factor) ** 2
-    if pivots.size and pivots.min() < RANK_PIVOT_TOL:
+    pivot = min(mhat_factor.diagonal().tolist(), default=np.inf) ** 2
+    if pivot < RANK_PIVOT_TOL:
         raise RankDeficientConstraint(
-            f"operational-space inertia pivot {pivots.min():.3e} below {RANK_PIVOT_TOL:.0e}"
+            f"operational-space inertia pivot {pivot:.3e} below {RANK_PIVOT_TOL:.0e}"
         )
-    return m_factor, mhat, mhat_factor
-
-
-def _kkt_apply_inverse(m_factor, Jc, mhat_factor, b1, b2):
-    """Solve M w + Jc^T z_neg = b1, Jc w = b2 with z_neg = -z; returns (w, z).
-
-    Equivalently: [w; -z] = K^-1 [b1; b2] for the saddle-point matrix K.
-    Works columnwise on matrices too.
-    """
-    z = _cholesky_solve(mhat_factor, Jc @ _cholesky_solve(m_factor, b1) - b2)
-    w = _cholesky_solve(m_factor, b1 - Jc.T @ z)
-    return w, z
+    return m_factor, mhat, mhat_factor, solved
 
 
 def contact_forward_dynamics(M, Jc, tau_b, a0) -> ContactWorkspace:
@@ -192,12 +227,14 @@ def contact_forward_dynamics(M, Jc, tau_b, a0) -> ContactWorkspace:
     M vdot - Jc^T force = tau_b and Jc vdot = -a0.
     """
     _require_finite("contact dynamics", M, Jc, tau_b, a0)
-    m_factor, mhat, mhat_factor = _factorize(M, Jc)
-    # Right-hand side [tau_b; -a0]; the eliminated multiplier block is -force.
+    m_factor, mhat, mhat_factor, solved = _factorize(M, Jc, tau_b)
+    minv_jt, minv_tau = solved[:, :-1], solved[:, -1]
+    # Right-hand side [tau_b; -a0]; the eliminated multiplier z is -force.
     # Ill-conditioned but factorizable systems can overflow to inf during the
     # triangular solves, and the force feeds vdot, so checking vdot covers both.
-    vdot, z = _kkt_apply_inverse(m_factor, Jc, mhat_factor, tau_b, -a0)
-    if not np.isfinite(vdot).all():
+    z = _cholesky_solve(mhat_factor, Jc @ minv_tau + a0)
+    vdot = minv_tau - minv_jt @ z
+    if not _all_finite(vdot):
         raise NumericalFailure("non-finite contact accelerations")
     return ContactWorkspace(
         Jc=Jc, Mhat=mhat, vdot=vdot, force=-z, m_factor=m_factor, mhat_factor=mhat_factor
@@ -250,10 +287,12 @@ def impulse_dynamics(M, Jc, v_minus, e: float) -> ImpulseWorkspace:
     impulse action model checks that e lies in [0, 1].
     """
     _require_finite("impulse dynamics", M, Jc, v_minus)
-    m_factor, _, mhat_factor = _factorize(M, Jc)
-    jv = Jc @ v_minus
-    v_plus, z = _kkt_apply_inverse(m_factor, Jc, mhat_factor, M @ v_minus, -e * jv)
-    if not np.isfinite(v_plus).all():
+    _, _, mhat_factor, minv_jt = _factorize(M, Jc)
+    # Right-hand side [M v_minus; -e Jc v_minus], whose M^-1 b1 is v_minus
+    # itself: z = Mhat^-1 (1 + e) Jc v_minus is -impulse.
+    z = _cholesky_solve(mhat_factor, (1.0 + e) * (Jc @ v_minus))
+    v_plus = v_minus - minv_jt @ z
+    if not _all_finite(v_plus):
         raise NumericalFailure("non-finite post-impact velocity")
     return ImpulseWorkspace(v_plus=v_plus, impulse=-z)
 

@@ -479,9 +479,9 @@ def _build_contact_set(entries, system, x0, where: str) -> ContactSet:
             "velocity coordinates, so the rows are dependent",
             location=where,
         )
-    jacobian = np.vstack([system.frame_jacobian(q0, c.frame) for c in contact_set.contacts])
+    M, _, _, jacobian, _ = system.forward_terms(q0, np.zeros(system.nv), contact_set.frames)
     try:
-        _factorize(system.mass_matrix(q0), jacobian)
+        _factorize(M, jacobian)
     except FactorizationError as exc:
         raise ScenarioError(
             f"the {contact_set.nf} constraint rows are dependent at the initial configuration",

@@ -19,13 +19,18 @@ only audit them (`fddp check-derivatives` and the tests).
 The terms of the stacked derivative pass (`mass_matrix`, `bias_partials`,
 `inertia_contraction_partial`, `frame_placement`, `frame_jacobian`,
 `frame_partials`, `com`, `com_jacobian`) broadcast over leading node axes of
-q, v, w and f; a constant term may return one unstacked array. Only the
-forward step's `bias` and `frame_drift` take one node.
+q, v, w and f; a constant term may return one unstacked array. The forward
+step takes one node through one call, `forward_terms(q, v, frames)`: M, the
+bias, and the stacked placements, Jacobians and drifts of the listed frames,
+the data that its dynamics, contacts and impulses share. The monoped makes
+it one evaluation of its basis; the other systems compose their closed forms.
+`bias` and `frame_drift` take one node.
 """
 
 from __future__ import annotations
 
 from math import cos, sin
+from typing import NamedTuple
 
 import numpy as np
 
@@ -114,6 +119,10 @@ class MechanicalSystem:
         # The columns of S pick the actuated velocity coordinates (all by default).
         joints = slice(None) if actuated is None else actuated
         self._actuation = _read_only(np.eye(self.nv)[:, joints])
+        # The placement, Jacobian and drift of an empty frame list.
+        self._no_frames = (
+            _read_only(np.zeros(0)), _read_only(np.zeros((0, self.nv))), _read_only(np.zeros(0))
+        )
 
     # -- mandatory dynamics terms ------------------------------------------
 
@@ -127,6 +136,24 @@ class MechanicalSystem:
     def actuation(self) -> np.ndarray:
         """S in M vdot + bias = S u, built once and read-only."""
         return self._actuation
+
+    def forward_terms(self, q, v, frames: tuple[str, ...] = ()):
+        """One node's (M, bias, placement, Jc, drift) at (q, v).
+
+        placement, Jc and drift stack the frame placements, Jacobians and
+        drifts (Jdot v) of `frames`, in order, row on row; an empty tuple
+        gives them no rows. Only the listed frames are evaluated.
+        """
+        M, bias = self.mass_matrix(q), self.bias(q, v)
+        if not frames:
+            return (M, bias) + self._no_frames
+        return (
+            M,
+            bias,
+            np.concatenate([self.frame_placement(q, frame) for frame in frames]),
+            np.concatenate([self.frame_jacobian(q, frame) for frame in frames]),
+            np.concatenate([self.frame_drift(q, v, frame) for frame in frames]),
+        )
 
     # -- analytic partials (configuration tangent coordinates) --------------
 
@@ -495,20 +522,36 @@ def _q_partials(coeffs):
     return _read_only(np.einsum("lin,lv->inv", per_angle, _LEG_ROWS).reshape(7, -1))
 
 
-def _point_terms(a1, a2):
-    """Constant terms of the point p = base + a1 down(phi1) + a2 down(phi2).
+class _PointTerms(NamedTuple):
+    """Constant terms of a point p = base + a1 down(phi1) + a2 down(phi2).
 
-    Returns (A, J, H, K): b @ A is a1 down(phi1) + a2 down(phi2), for
-    down = (sin, -cos), and b @ J, b @ H, b @ K reshape to the Jacobian dp/dq
-    (2, 5), its q-derivative (2, 5, 5) and that one's (2, 5, 5, 5).
+    b @ place is a1 down(phi1) + a2 down(phi2), for down = (sin, -cos), and
+    b @ jacobian, b @ hessian, b @ third reshape to the Jacobian dp/dq (2, 5),
+    its q-derivative (2, 5, 5) and that one's (2, 5, 5, 5). drift (7, 3, 2)
+    gives the drift Jdot v = -a1 down(phi1) w1^2 - a2 down(phi2) w2^2 as
+    s @ (b @ drift) for s = [1, w1^2, w2^2], the speed form of the bias.
     """
-    a = np.zeros((7, 2))
-    a[2, 0], a[1, 1] = a1, -a1
-    a[4, 0], a[3, 1] = a2, -a2
-    jacobian = np.array(_q_partials(a))
+
+    place: np.ndarray
+    jacobian: np.ndarray
+    hessian: np.ndarray
+    third: np.ndarray
+    drift: np.ndarray
+
+
+def _point_terms(a1, a2) -> _PointTerms:
+    links = np.zeros((2, 7, 2))  # b @ links[k] = a_k down(phi_k)
+    links[0, 2, 0], links[0, 1, 1] = a1, -a1
+    links[1, 4, 0], links[1, 3, 1] = a2, -a2
+    place = links.sum(axis=0)
+    drift = np.zeros((7, 3, 2))
+    drift[:, 1:] = -links.transpose(1, 0, 2)
+    jacobian = np.array(_q_partials(place))
     jacobian[0] += _BASE_TRANSLATION.ravel()  # b[0] = 1
     hessian = _q_partials(jacobian)
-    return _read_only(a), _read_only(jacobian), hessian, _q_partials(hessian)
+    return _PointTerms(
+        _read_only(place), _read_only(jacobian), hessian, _q_partials(hessian), _read_only(drift)
+    )
 
 
 class PlanarMonoped(MechanicalSystem):
@@ -531,6 +574,12 @@ class PlanarMonoped(MechanicalSystem):
     use d b/d phi_j = D_j b for constant 7x7 matrices D_j, right-multiplied
     by [c1; c2], both folded into coefficients of their own. The foot, the
     hip and the center of mass are points of the same form (`_point_terms`).
+
+    A node's forward step (`forward_terms`) is one product of b with the
+    columns [C_M | speed block | placements | Jacobians] of its frames; the
+    speed block stacks T with the frames' drift coefficients, which take the
+    same s = [1, w1^2, w2^2]. The columns of each frame tuple are gathered
+    from the point terms once, on its first call.
     """
 
     frames = ("foot", "hip")
@@ -570,6 +619,7 @@ class PlanarMonoped(MechanicalSystem):
         self._bias_partials = _q_partials(self._bias_coeffs)
         self._points = {"foot": _point_terms(self.l1, self.l2), "hip": _point_terms(0.0, 0.0)}
         self._com_point = _point_terms(*(self._mu / self.total_mass))
+        self._forward_columns = {}  # frame tuple -> its forward_terms columns
 
     def _dynamics_coefficients(self):
         """C_M (7, 25) and T (7, 15) with M = b @ C_M and bias = s @ (b @ T).
@@ -634,11 +684,29 @@ class PlanarMonoped(MechanicalSystem):
         except ValueError:  # an infinite angle, whose cos and sin numpy makes NaN
             return np.full(7, np.nan)
 
-    def _point(self, frame):
+    def _point(self, frame) -> _PointTerms:
         try:
             return self._points[frame]
         except KeyError:
             raise DimensionMismatch(f"system has no frame {frame!r}") from None
+
+    def _gather_forward_columns(self, frames):
+        """The read-only (7, 40 + 9 nf) columns of forward_terms for `frames`,
+        nf = 2 rows per frame: C_M (25), the speed block [T | drifts]
+        (3 (5 + nf), s-major), the placements (nf) and the Jacobians (5 nf,
+        row-major)."""
+        points = [self._point(frame) for frame in frames]
+        speed = np.concatenate(
+            [self._bias_coeffs.reshape(7, 3, 5)] + [p.drift for p in points], axis=2
+        )
+        return _read_only(
+            np.concatenate(
+                [self._mass_coeffs, speed.reshape(7, -1)]
+                + [p.place for p in points]
+                + [p.jacobian for p in points],
+                axis=1,
+            )
+        )
 
     # -- dynamics --------------------------------------------------------------------
 
@@ -646,9 +714,25 @@ class PlanarMonoped(MechanicalSystem):
         return _rows_times(self._basis(q), self._mass_coeffs).reshape(q.shape[:-1] + (5, 5))
 
     def bias(self, q, v):
-        w1, w2 = _leg_rates(v)
-        speeds = np.array([1.0, w1 * w1, w2 * w2])
-        return speeds @ (self._basis(q) @ self._bias_coeffs).reshape(3, 5)
+        return self.forward_terms(q, v)[1]
+
+    def forward_terms(self, q, v, frames=()):
+        columns = self._forward_columns.get(frames)
+        if columns is None:
+            columns = self._forward_columns[frames] = self._gather_forward_columns(frames)
+        nf = 2 * len(frames)
+        terms = self._basis(q) @ columns
+        w1, w2 = (_LEG_ROWS @ v).tolist()  # the leg rates omega = [c1; c2] v
+        speed_end = 40 + 3 * nf
+        speeds = np.array([1.0, w1 * w1, w2 * w2]) @ terms[25:speed_end].reshape(3, 5 + nf)
+        placement = terms[speed_end : speed_end + nf].reshape(-1, 2) + q[:2]
+        return (
+            terms[:25].reshape(5, 5),
+            speeds[:5],
+            placement.reshape(nf),
+            terms[speed_end + nf :].reshape(nf, 5),
+            speeds[5:],
+        )
 
     def bias_partials(self, q, v):
         lead = q.shape[:-1]
@@ -669,19 +753,18 @@ class PlanarMonoped(MechanicalSystem):
     # -- frames and center of mass ---------------------------------------------------
 
     def frame_placement(self, q, frame):
-        return q[..., :2] + _rows_times(self._basis(q), self._point(frame)[0])
+        return q[..., :2] + _rows_times(self._basis(q), self._point(frame).place)
 
     def frame_jacobian(self, q, frame):
-        jacobian = _rows_times(self._basis(q), self._point(frame)[1])
+        jacobian = _rows_times(self._basis(q), self._point(frame).jacobian)
         return jacobian.reshape(q.shape[:-1] + (2, 5))
 
     def frame_drift(self, q, v, frame):
-        hessian = (self._basis(q) @ self._point(frame)[2]).reshape(2, 5, 5)
-        return (hessian @ v) @ v
+        return self.forward_terms(q, v, (frame,))[4]
 
     def frame_partials(self, q, v, w, f, frame):
         # With H = d^2 p/dq^2: d(J w)/dq = H w, d(J^T f)/dq = f H, drift = (H v) v.
-        _, _, hessian, third = self._point(frame)
+        _, _, hessian, third, _ = self._point(frame)
         lead = q.shape[:-1]
         b = self._basis(q)
         hessian = _rows_times(b, hessian).reshape(lead + (2, 5, 5))
@@ -693,10 +776,10 @@ class PlanarMonoped(MechanicalSystem):
         return _rows_times(w[..., None, :], hessian), jtf_q, drift_q, drift_v
 
     def com(self, q):
-        return q[..., :2] + _rows_times(self._basis(q), self._com_point[0])
+        return q[..., :2] + _rows_times(self._basis(q), self._com_point.place)
 
     def com_jacobian(self, q):
-        jacobian = _rows_times(self._basis(q), self._com_point[1])
+        jacobian = _rows_times(self._basis(q), self._com_point.jacobian)
         return jacobian.reshape(q.shape[:-1] + (2, 5))
 
 

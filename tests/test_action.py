@@ -351,6 +351,25 @@ def test_impulse_model_freezes_configuration_and_absorbs_normal_speed():
     np.testing.assert_allclose(jc @ v_plus, np.zeros(2), atol=1e-10)
 
 
+def test_each_monoped_node_calc_evaluates_the_basis_once(monkeypatch):
+    # Data sharing: every contact, free and impulse node of monoped_hop takes
+    # its mass matrix, bias and frame terms from one basis evaluation.
+    problem = build_problem(load_scenario(bundled_scenario_path("monoped_hop")))
+    X, U = problem.constant_state_guess(), problem.zero_controls()
+    calls = []
+    basis = PlanarMonoped._basis
+    monkeypatch.setattr(
+        PlanarMonoped, "_basis", staticmethod(lambda q: calls.append(1) or basis(q))
+    )
+    kinds = set()
+    for k, model in enumerate(problem.running_models):
+        kinds.add(type(getattr(model, "dynamics", model)).__name__)
+        calls.clear()
+        model.calc(problem.datas[k], X[k], U[k])
+        assert len(calls) == 1, f"node {k}"
+    assert kinds == {"ConstrainedMechanicalDynamics", "FreeMechanicalDynamics", "ImpulseActionModel"}
+
+
 def test_impulse_model_rejects_unknown_frame():
     with pytest.raises(DimensionMismatch):
         ImpulseActionModel(PlanarMonoped(), ContactSet((Contact("wing", [0.0]),)))

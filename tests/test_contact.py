@@ -19,10 +19,12 @@ from scipy.linalg import cho_factor, cho_solve
 from fddp import numdiff
 from fddp.action import ConstrainedMechanicalDynamics, ImpulseActionModel
 from fddp.contact import (
+    RANK_PIVOT_TOL,
     Contact,
     ContactSet,
     _cholesky,
     _cholesky_solve,
+    _require_finite,
     baumgarte_a0,
     contact_dynamics_derivatives,
     contact_forward_dynamics,
@@ -32,6 +34,7 @@ from fddp.contact import (
 from fddp.errors import (
     DimensionMismatch,
     FactorizationError,
+    NumericalFailure,
     RankDeficientConstraint,
 )
 from fddp.systems import PlanarMonoped
@@ -128,6 +131,29 @@ def test_contact_set_counts_rows():
     assert cs.nf == 3
 
 
+def test_contact_set_stacks_its_rows_once():
+    # Frames in contact order, and gains and references row by row, read-only;
+    # the set's Baumgarte target is each contact's, stacked.
+    foot = Contact("foot", [0.1, -0.2], alpha=100.0, beta=20.0)
+    hip = Contact("hip", [0.3], alpha=50.0, beta=0.0)
+    cs = ContactSet((foot, hip))
+    assert cs.frames == ("foot", "hip")
+    np.testing.assert_array_equal(cs.alpha, [100.0, 100.0, 50.0])
+    np.testing.assert_array_equal(cs.beta, [20.0, 20.0, 0.0])
+    np.testing.assert_array_equal(cs.reference, [0.1, -0.2, 0.3])
+    for rows in (cs.alpha, cs.beta, cs.reference):
+        assert not rows.flags.writeable
+    rng = np.random.default_rng(49)
+    placement, velocity, drift = rng.standard_normal((3, 3))
+    np.testing.assert_array_equal(
+        baumgarte_a0(cs, placement, velocity, drift),
+        np.concatenate([
+            baumgarte_a0(foot, placement[:2], velocity[:2], drift[:2]),
+            baumgarte_a0(hip, placement[2:], velocity[2:], drift[2:]),
+        ]),
+    )
+
+
 # ---------------------------------------------------------------------------
 # forward dynamics
 # ---------------------------------------------------------------------------
@@ -191,6 +217,87 @@ def test_forward_dynamics_rejects_dependent_constraint_rows():
     Jc = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     with pytest.raises(RankDeficientConstraint):
         contact_forward_dynamics(M, Jc, np.zeros(3), np.zeros(2))
+
+
+# ---------------------------------------------------------------------------
+# failure modes of the forward contact and impulse solves
+# ---------------------------------------------------------------------------
+
+# Each solve as f(M, Jc, inputs): the contact solve takes (tau_b, a0), the
+# impulse solve (v_minus,), with restitution 0.5.
+KKT_SOLVES = {
+    "contact": lambda M, Jc, inputs: contact_forward_dynamics(M, Jc, *inputs),
+    "impulse": lambda M, Jc, inputs: impulse_dynamics(M, Jc, *inputs, 0.5),
+}
+
+
+def kkt_inputs(kind, scale=1.0):
+    """A well-posed (M, Jc, inputs) of the solve `kind`. M, Jc and the contact
+    solve's (tau_b, a0) are multiplied by scale, which leaves the
+    accelerations, forces, post-impact velocities and impulses as they are."""
+    rng = np.random.default_rng(58)
+    M, Jc = random_spd(rng, 4), rng.standard_normal((2, 4))
+    if kind == "contact":
+        inputs = [scale * rng.standard_normal(4), scale * rng.standard_normal(2)]
+    else:
+        inputs = [rng.standard_normal(4)]
+    return scale * M, scale * Jc, inputs
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "kind, entry",
+    [("contact", name) for name in ("M", "Jc", "tau_b", "a0")]
+    + [("impulse", name) for name in ("M", "Jc", "v_minus")],
+)
+def test_kkt_solve_rejects_a_nonfinite_input(kind, entry, bad):
+    M, Jc, inputs = kkt_inputs(kind)
+    target = {"M": M, "Jc": Jc}.get(entry)
+    if target is None:
+        target = inputs[0 if entry in ("tau_b", "v_minus") else 1]
+    target.flat[1] = bad
+    with pytest.raises(NumericalFailure, match=f"non-finite entries in {kind}"):
+        KKT_SOLVES[kind](M, Jc, inputs)
+
+
+@pytest.mark.parametrize("kind", sorted(KKT_SOLVES))
+def test_kkt_solve_rejects_an_indefinite_inertia(kind):
+    M, Jc, inputs = kkt_inputs(kind)
+    M[0, 0] = -1.0
+    with pytest.raises(FactorizationError, match="joint-space inertia"):
+        KKT_SOLVES[kind](M, Jc, inputs)
+
+
+@pytest.mark.parametrize("kind", sorted(KKT_SOLVES))
+def test_kkt_solve_rejects_dependent_and_nearly_dependent_rows(kind):
+    M, Jc, inputs = kkt_inputs(kind)
+    Jc[1] = Jc[0]  # Mhat singular: its Cholesky fails
+    with pytest.raises(RankDeficientConstraint, match="not positive definite"):
+        KKT_SOLVES[kind](M, Jc, inputs)
+    # Rows 1e-6 apart: Mhat factorizes, with a last pivot of about 1e-12.
+    M, Jc = np.eye(4), np.array([[1.0, 0.0, 0.0, 0.0], [1.0, 1e-6, 0.0, 0.0]])
+    assert np.linalg.eigvalsh(Jc @ Jc.T).min() < RANK_PIVOT_TOL
+    with pytest.raises(RankDeficientConstraint, match="pivot .* below"):
+        KKT_SOLVES[kind](M, Jc, inputs)
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e300])
+@pytest.mark.parametrize("kind", sorted(KKT_SOLVES))
+def test_kkt_solve_takes_large_finite_inputs(kind, scale):
+    # Entries near 1e150 (and 1e300) are finite: the finite test must not
+    # overflow on them, and the solution is the unscaled one.
+    ws = KKT_SOLVES[kind](*kkt_inputs(kind, scale))
+    reference = KKT_SOLVES[kind](*kkt_inputs(kind))
+    for name in ("vdot", "force") if kind == "contact" else ("v_plus", "impulse"):
+        np.testing.assert_allclose(getattr(ws, name), getattr(reference, name), rtol=1e-12)
+
+
+def test_finite_test_does_not_overflow_on_the_largest_floats():
+    # Any sum of these entries overflows; a test of the entries does not.
+    top = np.finfo(float).max
+    _require_finite("largest", np.full((2, 2), top), np.array([-top, top]))
+    with pytest.raises(NumericalFailure, match="non-finite entries in largest inputs"):
+        _require_finite("largest", np.full(3, top), np.array([np.nan]))
 
 
 # ---------------------------------------------------------------------------

@@ -730,6 +730,41 @@ def test_initial_evaluation_failure_is_reported_not_raised():
     assert report.gap_history == [None]
 
 
+# A NaN or an overflow injected into the guess at one node of monoped_hop
+# (nodes 0-39 and 51-90 in contact, 40-49 free, 50 the impulse): the kind of
+# node, the entry poisoned, and the cause the failure must name. A control of
+# 1e308 is finite but overflows the accelerations; a post-impact velocity of
+# 1e308 overflows the impulse solve.
+INJECTED_FAILURES = [
+    ("free", 45, "u", 1e308, "non-finite acceleration in forward integration"),
+    ("free", 45, "v", np.nan, "non-finite dynamics terms"),
+    ("contact", 20, "u", 1e308, "non-finite contact accelerations"),
+    ("contact", 20, "v", np.nan, "non-finite entries in contact dynamics inputs"),
+    ("impulse", 50, "v", 1e308, "non-finite post-impact velocity"),
+    ("impulse", 50, "v", np.nan, "non-finite entries in impulse dynamics inputs"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, k, entry, value, cause",
+    INJECTED_FAILURES,
+    ids=[f"{kind}-{entry}-{value}" for kind, _, entry, value, _ in INJECTED_FAILURES],
+)
+def test_nonfinite_node_evaluation_ends_the_solve_naming_node_and_cause(kind, k, entry, value, cause):
+    # Each node kind checks its forward step once, and the first evaluation
+    # of the guess ends the solve with that node and that cause.
+    _, problem, X, U = load_and_build(bundled_scenario_path("monoped_hop"))
+    X, U = [x.copy() for x in X], [u.copy() for u in U]
+    if entry == "u":
+        U[k][:] = value
+    else:
+        X[k][5:] = value
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, _, report = solve(problem, X, U, solver="fddp", max_iters=5)
+    assert report.termination == f"failure: {cause} (node {k})"
+    assert len(report.rows) == 1
+
+
 class PoisonedDerivativeModel(IntegratedActionModel):
     """Integrated node whose calc_diff leaves a NaN in one derivative block."""
 

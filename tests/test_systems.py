@@ -327,6 +327,9 @@ def test_unknown_frame_is_rejected():
         Pendulum().frame_placement(np.zeros(1), "elbow")
     with pytest.raises(DimensionMismatch):
         PlanarMonoped().frame_jacobian(np.zeros(5), "head")
+    for system in (Pendulum(), PointMass(dim=2), PlanarMonoped()):
+        with pytest.raises(DimensionMismatch):
+            system.forward_terms(np.zeros(system.nq), np.zeros(system.nv), ("elbow",))
     with pytest.raises(DimensionMismatch):
         DoublePendulum().frame_partials(np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(2), "elbow")
 
@@ -376,6 +379,47 @@ def test_actuation_is_built_once_and_read_only(system):
     assert not s.flags.writeable
     with pytest.raises(ValueError):
         s[0, 0] = 2.0
+
+
+# ---------------------------------------------------------------------------
+# forward step: the shared one-node evaluation
+# ---------------------------------------------------------------------------
+
+
+def forward_terms_cases():
+    """Every system with no frame and with each of its frames alone, and the
+    monoped with both frames in either order."""
+    for system, name in zip(MECHANICAL_SYSTEMS, MECHANICAL_IDS):
+        yield pytest.param(system, (), id=f"{name}-none")
+        for frame in system.frames:
+            yield pytest.param(system, (frame,), id=f"{name}-{frame}")
+    for frames in (("foot", "hip"), ("hip", "foot")):
+        yield pytest.param(PlanarMonoped(), frames, id="planar_monoped-" + "-".join(frames))
+
+
+@pytest.mark.parametrize("system, frames", forward_terms_cases())
+def test_forward_terms_equal_the_separate_terms(system, frames):
+    # (M, bias, placement, Jc, drift) of one call equal mass_matrix, bias and
+    # the listed frames' placements, Jacobians and drifts, stacked in order,
+    # to 1e-13 of each array's largest entry.
+    rng = np.random.default_rng(14)
+    nv = system.nv
+    for _ in range(20):
+        q = random_configuration(system, rng)
+        v = rng.uniform(-2.0, 2.0, size=nv)
+        expected = (
+            system.mass_matrix(q),
+            system.bias(q, v),
+            np.concatenate([np.zeros(0)] + [system.frame_placement(q, f) for f in frames]),
+            np.concatenate([np.zeros((0, nv))] + [system.frame_jacobian(q, f) for f in frames]),
+            np.concatenate([np.zeros(0)] + [system.frame_drift(q, v, f) for f in frames]),
+        )
+        actual = system.forward_terms(q, v, frames)
+        assert len(actual) == len(expected)
+        for got, want in zip(actual, expected):
+            assert got.shape == want.shape
+            scale = np.abs(want).max(initial=0.0)
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * scale)
 
 
 # ---------------------------------------------------------------------------
