@@ -10,26 +10,31 @@ an explicit Euler step so their discrete Jacobians are exact.
 Models are immutable after construction; each evaluation writes into a separate
 data container, so one model can serve many nodes.
 
-`calc(data, x, u)` evaluates one node: its forward step and cost, at x (nx,)
-and u (nu,). Its dynamics make one system call, `forward_terms`, whose M,
-bias and frame terms the dynamics, the contacts and the impulse share, and
-check each quantity for non-finite values once: the contact and impulse
-solves their inputs and results, the free dynamics M, the torque and the
-acceleration. `calc_diff(stack, X, U)` evaluates the derivatives of all n
-nodes in an `ActionDataStack` at once, at X (n, nx) and U (n, nu), reading
-what `calc` left in each of `stack.nodes`; it must follow those calls at the
-same points. Constructors check their arguments; `calc` and `calc_diff` do
-not, as the entry points (`ShootingProblem.check_trajectories`, the scenario
-loader) guarantee the shapes.
+The model contract has three calls. `calc(data, x, u)` evaluates one node's
+dynamics only, its forward step `xnext` (and `dyn`), at x (nx,) and u (nu,).
+Its dynamics make one system call, `forward_terms`, whose M, bias and frame
+terms the dynamics, the contacts and the impulse share, and check each
+quantity for non-finite values once: the contact and impulse solves their
+inputs and results, the free dynamics M, the torque and the acceleration.
+`cost(X, U)` returns the costs (n,) of n nodes at X (n, nx), U (n, nu), in
+one stacked pass over the cost terms' residuals; no node's `calc` computes
+its cost. `calc_diff(stack, X, U)` evaluates the derivatives of all n nodes
+in an `ActionDataStack` at once, reading what `calc` left in each of
+`stack.nodes`; it must follow those calls at the same points. Constructors
+check their arguments; `calc`, `cost` and `calc_diff` do not, as the entry
+points (`ShootingProblem.check_trajectories`, the scenario loader)
+guarantee the shapes.
 
-`calc_diff` overwrites the stacks f_x (n, ndx, ndx), f_u, l_x, l_u, l_xx,
-l_xu and l_uu in place. Each node's `ActionData` fields of those names are
-views of its row, so per-node readers (the backward pass, the dense KKT
-oracle) need no copy, and a caller that keeps a block across two `calc_diff`
-calls must copy it. Every model's `calc_diff` is array operations on the
-whole stack, with no loop over its nodes: contact and impulse models make one
-stacked KKT elimination for all of them. Constant blocks (identity parts,
-linear-flow Jacobians) are built once, in the constructors.
+`calc_diff` overwrites the stacks `Fz` and `Lz` of `ActionDataStack` in
+place, through their named views f_x, f_u, l_x, l_u, l_xx, l_xu,
+l_ux (= l_xu^T) and l_uu. Each node's `ActionData` fields of those names
+are views of its row, so per-node readers (the backward pass, the dense KKT
+oracle) need no copy, and a caller that keeps a block across two
+`calc_diff` calls must copy it. Every model's `calc_diff` is array
+operations on the whole stack, with no loop over its nodes: contact and
+impulse models make one stacked KKT elimination for all of them. Constant
+blocks (identity parts, linear-flow Jacobians) are built once, in the
+constructors.
 """
 
 from __future__ import annotations
@@ -60,49 +65,57 @@ _QUASI_STATIC_DAMPING = 1e-10
 
 # The control of a node that has none (terminal and impulse nodes).
 _NO_CONTROL = np.zeros(0)
-# The derivative stacks that the cost terms fill.
-_COST_BLOCKS = ("l_x", "l_u", "l_xx", "l_xu", "l_uu")
 
 
-class ActionDataStack:
-    """The derivative stacks of n nodes that share one model, and their nodes.
+class _DerivativeBlocks:
+    """The named derivative blocks of `Fz` = [0 | f_x | f_u] (.., ndx, nz + 1)
+    and `Lz` = [l_z | l_zz] (.., nz, nz + 1) over z = (x, u), each gradient
+    in column 0 and its matrix in the columns after: views of a stack, or of
+    one node's row. The names cannot be rebound, so a block is written in
+    place (`data.l_uu[:] = ...`); a rebinding, which would leave the stack
+    unchanged, raises."""
 
-    `calc_diff` fills the stacks for all n nodes at once; `nodes[i]` is node
-    i's `ActionData`, whose fields of the same names are views of row i. The
+    f_x = property(lambda d: d.Fz[..., 1 : d.ndx + 1])
+    f_u = property(lambda d: d.Fz[..., d.ndx + 1 :])
+    l_x = property(lambda d: d.Lz[..., : d.ndx, 0])
+    l_u = property(lambda d: d.Lz[..., d.ndx :, 0])
+    l_xx = property(lambda d: d.Lz[..., : d.ndx, 1 : d.ndx + 1])
+    l_xu = property(lambda d: d.Lz[..., : d.ndx, d.ndx + 1 :])
+    l_ux = property(lambda d: d.Lz[..., d.ndx :, 1 : d.ndx + 1])
+    l_uu = property(lambda d: d.Lz[..., d.ndx :, d.ndx + 1 :])
+
+
+class ActionDataStack(_DerivativeBlocks):
+    """The derivative stacks `Fz` and `Lz` of n nodes that share one model,
+    and their nodes.
+
+    `calc_diff` fills the stacks for all n nodes at once, so the backward
+    pass takes each node's blocks in one product; `nodes[i]` is node i's
+    `ActionData`, whose `Fz`, `Lz` and named blocks are views of row i. The
     nodes do not refer back to the stack, so no reference cycle outlives a
     data set.
     """
 
     def __init__(self, model: "ActionModelBase", n: int):
-        ndx, nu = model.ndx, model.nu
-        self.f_x = np.zeros((n, ndx, ndx))
-        self.f_u = np.zeros((n, ndx, nu))
-        self.l_x = np.zeros((n, ndx))
-        self.l_u = np.zeros((n, nu))
-        self.l_xx = np.zeros((n, ndx, ndx))
-        self.l_xu = np.zeros((n, ndx, nu))
-        self.l_uu = np.zeros((n, nu, nu))
+        self.ndx = model.ndx
+        nz = model.ndx + model.nu
+        self.Fz = np.zeros((n, model.ndx, nz + 1))
+        self.Lz = np.zeros((n, nz, nz + 1))
         self.nodes = [ActionData(model, self, i) for i in range(n)]
 
 
-class ActionData:
+class ActionData(_DerivativeBlocks):
     """Mutable evaluation buffers for one action model at one node.
 
-    Holds the discrete step output and the cost value that `calc` writes,
-    whatever intermediate the dynamics carries from calc to calc_diff (`dyn`),
-    and the node's derivative blocks: views of its row of `stack`.
+    Holds the discrete step output that `calc` writes, whatever intermediate
+    the dynamics carries from calc to calc_diff (`dyn`), and the node's
+    derivative blocks: views of its row of `stack`.
     """
 
     def __init__(self, model: "ActionModelBase", stack: ActionDataStack, index: int):
         self.xnext = np.zeros(model.state.nx)
-        self.cost = 0.0
-        self.f_x = stack.f_x[index]
-        self.f_u = stack.f_u[index]
-        self.l_x = stack.l_x[index]
-        self.l_u = stack.l_u[index]
-        self.l_xx = stack.l_xx[index]
-        self.l_xu = stack.l_xu[index]
-        self.l_uu = stack.l_uu[index]
+        self.ndx = model.ndx
+        self.Fz, self.Lz = stack.Fz[index], stack.Lz[index]
         self.dyn = None
 
 
@@ -283,6 +296,8 @@ class ActionModelBase:
     nu: int
     costs: tuple[CostTerm, ...]
     label: str
+    # The factor of every cost term: the step of an integrated node.
+    cost_scale = 1.0
 
     def __init__(self, state: Manifold, nu: int, costs, label: str):
         self.state = state
@@ -304,20 +319,31 @@ class ActionModelBase:
         """The container of a single node, for calc (its row of a stack of one)."""
         return self.create_stack(1).nodes[0]
 
-    def _cost_value(self, x, u, scale: float) -> float:
-        return scale * float(sum(term.value(x, u) for term in self.costs))
+    def cost(self, X, U) -> np.ndarray:
+        """The costs (n,) of n nodes at X (n, nx), U (n, nu): the sum of each
+        term's 0.5 * weight * ||r||^2, from its stacked residuals."""
+        total = np.zeros(len(X))
+        for term in self.costs:
+            r = term.residual(X, U)
+            total += 0.5 * term.weight * np.einsum("ki,ki->k", r, r)
+        return self.cost_scale * total
 
-    def _cost_derivatives(self, stack: ActionDataStack, X, U, scale: float):
+    def _cost_derivatives(self, stack: ActionDataStack, X, U):
         # Each term returns only the blocks it can make nonzero (see
-        # CostTerm.blocks), so every block starts from zero and l_xu stays so.
-        for name in _COST_BLOCKS:
-            getattr(stack, name).fill(0.0)
+        # CostTerm.blocks), unstacked where they are constant: each block's
+        # sum is formed apart and written into the strided stack once, and
+        # the blocks no term returns (l_xu among them) stay zero.
+        totals = {}
         for term in self.costs:
             for name, part in term.derivatives(X, U).items():
-                total = getattr(stack, name)
-                total += scale * part
-        for hessian in (stack.l_xx, stack.l_uu):
-            hessian[:] = 0.5 * (hessian + np.swapaxes(hessian, -1, -2))
+                part = self.cost_scale * part
+                totals[name] = totals[name] + part if name in totals else part
+        stack.Lz.fill(0.0)
+        for name, total in totals.items():
+            if name in ("l_xx", "l_uu"):
+                total = 0.5 * (total + np.swapaxes(total, -1, -2))
+            getattr(stack, name)[:] = total
+        np.copyto(stack.l_ux, np.swapaxes(stack.l_xu, -1, -2))
 
     def calc(self, data: ActionData, x, u) -> ActionData:
         raise NotImplementedError
@@ -342,6 +368,7 @@ class IntegratedActionModel(ActionModelBase):
         super().__init__(dynamics.state, dynamics.nu, costs, label)
         self.dynamics = dynamics
         self.dt = float(dt)
+        self.cost_scale = self.dt
         self.first_order = isinstance(dynamics, LinearFlow)
         if self.first_order:
             A, B = dynamics.partials()
@@ -365,7 +392,6 @@ class IntegratedActionModel(ActionModelBase):
             v_next = v + self.dt * vdot
             q_next = sys.config.integrate(q, self.dt * v_next)
             data.xnext = np.concatenate([q_next, v_next])
-        data.cost = self._cost_value(x, u, self.dt)
         return data
 
     def calc_diff(self, stack, X, U):
@@ -386,7 +412,7 @@ class IntegratedActionModel(ActionModelBase):
             np.add(self._eye_v, dt * a_v, out=f_x[:, nv:, nv:])
             np.multiply(dt * dt, a_u, out=f_u[:, :nv])
             np.multiply(dt, a_u, out=f_u[:, nv:])
-        self._cost_derivatives(stack, X, U, dt)
+        self._cost_derivatives(stack, X, U)
         return stack
 
 
@@ -399,12 +425,11 @@ class TerminalActionModel(ActionModelBase):
 
     def calc(self, data, x, u=_NO_CONTROL):
         data.xnext = x.copy()
-        data.cost = self._cost_value(x, u, 1.0)
         return data
 
     def calc_diff(self, stack, X, U):
         stack.f_x[:] = self._f_x
-        self._cost_derivatives(stack, X, U, 1.0)
+        self._cost_derivatives(stack, X, U)
         return stack
 
 
@@ -445,7 +470,6 @@ class ImpulseActionModel(ActionModelBase):
         M, _, _, Jc, _ = sys.forward_terms(q, v, self.contacts.frames)
         ws = impulse_dynamics(M, Jc, v, self.restitution)
         data.xnext = np.concatenate([q, ws.v_plus])
-        data.cost = self._cost_value(x, u, 1.0)
         data.dyn = {"ws": ws}
         return data
 
@@ -478,7 +502,7 @@ class ImpulseActionModel(ActionModelBase):
         stack.f_x[:, :nv] = self._f_x_q
         stack.f_x[:, nv:, :nv] = dvp_dq
         stack.f_x[:, nv:, nv:] = dvp_dv
-        self._cost_derivatives(stack, X, U, 1.0)
+        self._cost_derivatives(stack, X, U)
         return stack
 
 

@@ -251,9 +251,7 @@ def check_problem_derivatives(problem, samples: int = 100, seed: int = 0, corrup
                 return d.xnext.copy()
 
             def cost_of(xv, uv=u):
-                d = model.create_data()
-                model.calc(d, xv, uv)
-                return d.cost
+                return model.cost(xv[None], uv[None])[0]
 
             fd_fx = numdiff.jacobian(
                 next_state, x, input_manifold=state, output_manifold=state,

@@ -50,12 +50,15 @@ DEFAULT_ALPHA = 100.0
 DEFAULT_BETA = 20.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Contact:
     """One point contact: frame name, reference placement, Baumgarte gains.
 
     Placements of the planar toy systems are plain translation vectors, so the
     reference mismatch term is vector subtraction (no rotational placement part).
+    The reference is a read-only copy, and contacts compare and hash by
+    (frame, reference values, alpha, beta), so contact sets can be compared
+    and used as keys.
     """
 
     frame: str
@@ -64,7 +67,7 @@ class Contact:
     beta: float = DEFAULT_BETA
 
     def __post_init__(self):
-        object.__setattr__(self, "reference", np.atleast_1d(np.asarray(self.reference, float)))
+        object.__setattr__(self, "reference", _read_only(np.array(self.reference, float, ndmin=1)))
         if self.alpha < 0.0 or self.beta < 0.0:
             raise DimensionMismatch("Baumgarte gains must be >= 0")
         if self.nf < 1:
@@ -73,6 +76,17 @@ class Contact:
     @property
     def nf(self) -> int:
         return self.reference.size
+
+    def _key(self):
+        return (self.frame, tuple(self.reference.tolist()), self.alpha, self.beta)
+
+    def __eq__(self, other):
+        if not isinstance(other, Contact):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:

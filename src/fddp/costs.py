@@ -5,11 +5,13 @@ Gauss-Newton blocks (residual-curvature terms dropped), so values are always
 nonnegative and l_xx / l_uu are symmetric positive semidefinite. Each residual
 depends on x alone or on u alone: a term returns only that argument's blocks.
 
-`value` serves one node of a forward step; `derivatives` serves the stacked
-derivative pass, with x (..., nx) and u (..., nu) giving blocks with the same
-leading axes. The regularizers' residual Jacobians are constant (the manifold
-difference's is the identity), so their blocks are in closed form and their
-Hessians are one unstacked matrix, which broadcasts.
+`residual` and `derivatives` take stacked x (..., nx) and u (..., nu) and
+give residuals and blocks with the same leading axes: an action model's
+`cost` sums the terms' 0.5 * weight * ||r||^2 over a stack of nodes, and
+its `calc_diff` their blocks. The regularizers' residual Jacobians are
+constant (the manifold difference's is the identity), so their blocks are
+in closed form and their Hessians are one unstacked matrix, which
+broadcasts.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ COST_KINDS = (
 
 class CostTerm:
     """Base: subclasses fill residual(x, u) and, unless they override
-    `derivatives`, its Jacobian in the argument it reads."""
+    `derivatives`, its Jacobian in the argument it reads. The term's value is
+    0.5 * weight * ||residual||^2."""
 
     # The Gauss-Newton blocks the term can make nonzero: its residual's argument.
     blocks = ("l_x", "l_xx")
@@ -41,19 +44,15 @@ class CostTerm:
         self.ndx = ndx
         self.nu = nu
 
-    def value(self, x, u) -> float:
-        r = self._residual(x, u)
-        return 0.5 * self.weight * float(r @ r)
-
     def derivatives(self, x, u) -> dict[str, np.ndarray]:
         """The Gauss-Newton gradient and Hessian, keyed by the names in `blocks`."""
-        r = self._residual(x, u)
+        r = self.residual(x, u)
         j = self._residual_jacobian(x, u)
         wjt = self.weight * np.swapaxes(j, -1, -2)
         gradient, hessian = self.blocks
         return {gradient: (wjt @ r[..., None])[..., 0], hessian: wjt @ j}
 
-    def _residual(self, x, u) -> np.ndarray:
+    def residual(self, x, u) -> np.ndarray:
         raise NotImplementedError
 
     def _residual_jacobian(self, x, u) -> np.ndarray:
@@ -89,12 +88,12 @@ class StateRegularization(CostTerm):
         self._hessian = np.diag(self._w_scales * scales)
         self._hessian.flags.writeable = False
 
-    def _residual(self, x, u):
+    def residual(self, x, u):
         r = self.manifold.difference(self.reference, x)
         return r if self.scales is None else self.scales * r
 
     def derivatives(self, x, u):
-        return {"l_x": self._w_scales * self._residual(x, u), "l_xx": self._hessian}
+        return {"l_x": self._w_scales * self.residual(x, u), "l_xx": self._hessian}
 
 
 class ControlRegularization(CostTerm):
@@ -110,11 +109,11 @@ class ControlRegularization(CostTerm):
         self._hessian = self.weight * np.eye(nu)
         self._hessian.flags.writeable = False
 
-    def _residual(self, x, u):
+    def residual(self, x, u):
         return u if self.reference is None else u - self.reference
 
     def derivatives(self, x, u):
-        return {"l_u": self.weight * self._residual(x, u), "l_uu": self._hessian}
+        return {"l_u": self.weight * self.residual(x, u), "l_uu": self._hessian}
 
 
 class FrameTranslationTracking(CostTerm):
@@ -133,7 +132,7 @@ class FrameTranslationTracking(CostTerm):
                 f"frame {frame!r} placement has shape {probe.shape}, target {self.target.shape}"
             )
 
-    def _residual(self, x, u):
+    def residual(self, x, u):
         q = x[..., : self.system.nq]
         return self.system.frame_placement(q, self.frame) - self.target
 
@@ -150,7 +149,7 @@ class ComTracking(CostTerm):
         self.system = system
         self.target = np.atleast_1d(np.asarray(target, float))
 
-    def _residual(self, x, u):
+    def residual(self, x, u):
         return self.system.com(x[..., : self.system.nq]) - self.target
 
     def _residual_jacobian(self, x, u):

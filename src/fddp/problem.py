@@ -9,15 +9,19 @@ state at node 0).
 
 `check_trajectories` is the validation boundary for guesses: `calc` and
 `rollout` call it on entry for outside callers, and `solve` calls it once
-and then evaluates through the unchecked `_calc` and `_rollout`. Nothing
-below them checks a state or a control again. `calc_diff` reads what `calc`
-left in the data containers, so it must follow a `calc` at the same (X, U).
+and then evaluates through the unchecked `_calc`, `_rollout` and
+`_cost_and_gaps`. Nothing below them checks a state or a control again.
+`calc_diff` reads what `calc` (or a rollout) left in the data containers,
+so it must follow one at the same (X, U).
 
 The nodes are grouped by model at construction (`groups`; a scenario shares
 one model per (phase, dt)). A data set (`create_datas`) is (running
 containers, terminal container, stacks), with one `ActionDataStack` per
-group whose rows the group's containers view. `calc` and the rollouts go
-node by node; `calc_diff` makes one stacked pass per group.
+group whose rows the group's containers view. `calc` and the rollouts sweep
+the nodes in order, each node's `calc` computing only its dynamics; after
+the sweep the total cost is one stacked `model.cost` call per group and one
+for the terminal node (`_total_cost`, which the solver's forward passes use
+too). `calc_diff` makes one stacked pass per group.
 """
 
 from __future__ import annotations
@@ -98,7 +102,11 @@ class ShootingProblem:
         return self._rollout(self.check_trajectories(None, U)[1], datas)
 
     def _rollout(self, U, datas=None):
-        """rollout of controls that check_trajectories has already checked."""
+        """rollout of controls that check_trajectories has already checked.
+
+        Leaves the data set as calc at (X, U) leaves it, so `_cost_and_gaps`
+        and `calc_diff` may follow without another sweep.
+        """
         running, terminal = (datas or (self.datas, self.terminal_data))[:2]
         X = [self.x0_measured.copy()]
         for k, model in enumerate(self.running_models):
@@ -107,6 +115,7 @@ class ShootingProblem:
             except NumericalFailure as exc:
                 raise NumericalFailure(str(exc), node=k) from exc
             X.append(running[k].xnext.copy())
+        self.terminal_model.calc(terminal, X[self.N])
         return X
 
     def calc(self, X, U, datas=None) -> tuple[float, list[np.ndarray]]:
@@ -121,19 +130,31 @@ class ShootingProblem:
     def _calc(self, X, U, datas=None) -> tuple[float, np.ndarray]:
         """calc of a guess that check_trajectories has already checked."""
         running, terminal = (datas or (self.datas, self.terminal_data))[:2]
-        cost = 0.0
         for k, model in enumerate(self.running_models):
             try:
                 model.calc(running[k], X[k], U[k])
             except NumericalFailure as exc:
                 raise NumericalFailure(str(exc), node=k) from exc
-            cost += running[k].cost
         self.terminal_model.calc(terminal, X[self.N])
-        cost += terminal.cost
+        return self._cost_and_gaps(X, U, running)
+
+    def _cost_and_gaps(self, X, U, running) -> tuple[float, np.ndarray]:
+        """Total cost and gaps at (X, U), after the node sweep that left each
+        node's landing point in the running containers."""
+        X = np.asarray(X)
+        cost = self._total_cost(X, U)
         if not np.isfinite(cost):
             raise NumericalFailure("non-finite total cost", node=self.N)
         landed = np.array([self.x0_measured] + [data.xnext for data in running])
-        return cost, self.state.difference(np.asarray(X), landed)
+        return cost, self.state.difference(X, landed)
+
+    def _total_cost(self, X, U) -> float:
+        """The cost of the trajectory X (N + 1, nx), U: one stacked cost call
+        per group and one for the terminal node."""
+        cost = 0.0
+        for model, nodes in self.groups:
+            cost += model.cost(X[nodes], _controls(U, nodes)).sum()
+        return float(cost + self.terminal_model.cost(X[self.N :], _NO_CONTROLS)[0])
 
     def calc_diff(self, X, U, datas=None):
         """Evaluate all node derivatives at the guess: one stacked pass per group.
@@ -145,8 +166,8 @@ class ShootingProblem:
         running, terminal, stacks = datas or (self.datas, self.terminal_data, self.stacks)
         X = np.asarray(X)
         for (model, nodes), stack in zip(self.groups, stacks):
-            model.calc_diff(stack, X[nodes], np.array([U[k] for k in nodes]))
-        self.terminal_model.calc_diff(stacks[-1], X[self.N :], np.zeros((1, 0)))
+            model.calc_diff(stack, X[nodes], _controls(U, nodes))
+        self.terminal_model.calc_diff(stacks[-1], X[self.N :], _NO_CONTROLS)
         return running, terminal
 
     # -- convenience -----------------------------------------------------------
@@ -156,6 +177,15 @@ class ShootingProblem:
 
     def constant_state_guess(self) -> list[np.ndarray]:
         return [self.x0_measured.copy() for _ in range(self.N + 1)]
+
+
+# The controls of the terminal node, a stack of one.
+_NO_CONTROLS = np.zeros((1, 0))
+
+
+def _controls(U, nodes) -> np.ndarray:
+    """The controls of the listed nodes as one (n, nu) stack."""
+    return np.array([U[k] for k in nodes])
 
 
 def _check_control(u, nu: int) -> np.ndarray:

@@ -10,10 +10,13 @@ during the forward rollout, closing them fully only when a unit step is
 accepted.
 
 The backward pass is a Riccati recursion over tangent-space derivatives with a
-scalar Levenberg-Marquardt regularizer on the control Hessian. Step acceptance
-uses the two-sided Goldstein test on a quadratic expected-improvement model
-that accounts for open gaps. A dense KKT solve over the full multiple-shooting
-system is included as an oracle for the search direction.
+scalar Levenberg-Marquardt regularizer on the control Hessian, one fused step
+per node on [gradient | matrix] blocks. The forward passes sweep the nodes'
+dynamics and take the trial cost from one stacked cost call per group. Step
+acceptance uses the two-sided Goldstein test on a quadratic
+expected-improvement model that accounts for open gaps. A dense KKT solve
+over the full multiple-shooting system is included as an oracle for the
+search direction.
 """
 
 from __future__ import annotations
@@ -82,36 +85,41 @@ class SolveReport:
 class SolverWorkspace:
     """Per-node quantities produced by the backward pass, stacked by node.
 
-    Holds the local quadratic model (Q terms), the affine policy (feed-forward
-    k_ff and feedback K_fb), the Value derivatives, and the current gaps, each
-    as one array with a leading node axis: V_x, V_xx and gaps have N + 1
-    rows, the Q terms and the policy N. The control blocks are zero-padded to
-    the largest control dimension: node k uses the first nu_k entries, and
-    nodes without controls (switches) keep all-zero rows, which add nothing
-    to the stacked sums of `expected_improvement`.
+    Over z = (x, u), with the control blocks zero-padded to the largest
+    control dimension, three stacks hold the pass's results, each gradient in
+    column 0 and its matrix in the columns after:
+
+    * `Q` = [q | Q_zz] (N, nz, nz + 1), the local quadratic model;
+    * `policy` = [k | K | .] (N, nu, nz + 1), the feed-forward k_ff and the
+      feedback K_fb (the last nu columns are scratch of the solve);
+    * `V` = [v_x | V_xx] (N + 1, ndx, ndx + 1), the Value derivatives.
+
+    `Q_x`, `Q_u`, `Q_xx`, `Q_xu`, `Q_uu`, `k_ff`, `K_fb`, `V_x` and `V_xx`
+    are views of them; `gaps` has N + 1 rows. Node k uses the first nu_k
+    control entries, and nodes without controls (switches) keep all-zero
+    rows, which add nothing to the stacked sums of `expected_improvement`.
     """
 
     def __init__(self, problem: ShootingProblem):
         N, ndx = problem.N, problem.ndx
         nus = [m.nu for m in problem.running_models]
-        nu = max(nus)
-        self.Q_x = np.zeros((N, ndx))
-        self.Q_u = np.zeros((N, nu))
-        self.Q_xx = np.zeros((N, ndx, ndx))
-        self.Q_xu = np.zeros((N, ndx, nu))
-        self.Q_uu = np.zeros((N, nu, nu))
-        self.k_ff = np.zeros((N, nu))
-        self.K_fb = np.zeros((N, nu, ndx))
-        self.V_x = np.zeros((N + 1, ndx))
-        self.V_xx = np.zeros((N + 1, ndx, ndx))
+        nz = ndx + max(nus)
+        x, u = slice(1, ndx + 1), slice(ndx + 1, None)
+        self.Q = np.zeros((N, nz, nz + 1))
+        self.policy = np.zeros((N, nz - ndx, nz + 1))
+        self.V = np.zeros((N + 1, ndx, ndx + 1))
+        self.Q_x, self.Q_u = self.Q[:, :ndx, 0], self.Q[:, ndx:, 0]
+        self.Q_xx, self.Q_xu, self.Q_uu = self.Q[:, :ndx, x], self.Q[:, :ndx, u], self.Q[:, ndx:, u]
+        self.k_ff, self.K_fb = self.policy[:, :, 0], self.policy[:, :, x]
+        self.V_x, self.V_xx = self.V[:, :, 0], self.V[:, :, 1:]
         self.gaps = np.zeros((N + 1, ndx))
-        # Node k's rows of the stacks, cut to its own nu_k once: the backward
-        # pass writes its results through these views.
+        # Node k's blocks, cut to its own nu_k once: the backward pass writes
+        # its results through these views.
         self.node_rows = [
-            (
-                self.Q_x[k], self.Q_u[k, :nu_k], self.Q_xx[k], self.Q_xu[k, :, :nu_k],
-                self.Q_uu[k, :nu_k, :nu_k], self.k_ff[k, :nu_k], self.K_fb[k, :nu_k],
-                self.V_x[k], self.V_xx[k],
+            _node_rows(
+                self.Q[k, : ndx + nu_k, : ndx + nu_k + 1],
+                self.policy[k, :nu_k, : ndx + nu_k + 1],
+                self.V[k],
             )
             for k, nu_k in enumerate(nus)
         ]
@@ -121,17 +129,34 @@ class SolverWorkspace:
         self.alpha = 0.0
 
 
+def _node_rows(Q, policy, V):
+    """One node's views: [q | Q_zz], its x rows [q_x | Q_xx], Q_xu, Q_uu and
+    u rows, the policy [k | K | .] and its [k | K], [v_x | V_xx], v_x, V_xx."""
+    ndx = V.shape[0]
+    return (
+        Q, Q[:ndx, : ndx + 1], Q[:ndx, ndx + 1 :], Q[ndx:, ndx + 1 :], Q[ndx:],
+        policy, policy[:, : ndx + 1], V, V[:, 0], V[:, 1:],
+    )
+
+
 def backward_pass(problem: ShootingProblem, ws: SolverWorkspace, mu: float, datas=None):
     """Riccati recursion from the terminal node, deflecting across open gaps.
 
     Reads the node derivatives from the data containers (calc_diff must have
-    run at the current iterate) and ws.gaps. Raises a not-positive-definite
-    error naming the node when the regularized control Hessian fails its
-    Cholesky; the caller is expected to raise mu and retry. A non-finite
-    derivative raises `NumericalFailure` naming the node it entered at, since
-    no regularization can repair it: a non-finite control Hessian is caught
-    where its factorization fails, and any other non-finite term spreads to
-    the Value derivatives of every earlier node, which are checked at node 0.
+    run at the current iterate) and ws.gaps. Each node is one fused step on
+    [gradient | matrix] blocks over z = (x, u): with W = V_xx [0 | f_x | f_u]
+    and the deflected Value gradient v_x + V_xx gap in its column 0,
+    [q | Q] = [l | L] + [f_x | f_u]^T W; one Cholesky solve of the
+    regularized Q_uu against the u rows [q_u | Q_ux | Q_uu] gives
+    -[k | K | .]; and [v_x | V_xx] = [q_x | Q_xx] + Q_xu [k | K].
+
+    Raises a not-positive-definite error naming the node when the regularized
+    control Hessian fails its Cholesky; the caller is expected to raise mu
+    and retry. A non-finite derivative raises `NumericalFailure` naming the
+    node it entered at, since no regularization can repair it: a non-finite
+    control Hessian is caught where its factorization fails, and any other
+    non-finite term spreads to the Value derivatives of every earlier node,
+    which are checked at node 0.
     """
     running, terminal = (datas or (problem.datas, problem.terminal_data))[:2]
     N = problem.N
@@ -139,36 +164,30 @@ def backward_pass(problem: ShootingProblem, ws: SolverWorkspace, mu: float, data
     vx[:] = terminal.l_x
     np.multiply(0.5, terminal.l_xx + terminal.l_xx.T, out=vxx)
     gaps = ws.gaps
+    mu_eyes = {}
     for k in range(N - 1, -1, -1):
         d = running[k]
-        q_x, q_u, q_xx, q_xu, q_uu, k_ff, K_fb, v_x, v_xx = ws.node_rows[k]
+        Q, x_rows, q_xu, q_uu, u_rows, policy, kK, v, v_x, v_xx = ws.node_rows[k]
         # vx and vxx hold the Value derivatives of node k + 1.
-        vx_next = vx + vxx @ gaps[k + 1]
-        fx_v = d.f_x.T @ vxx
-        np.add(d.l_x, d.f_x.T @ vx_next, out=q_x)
-        np.add(d.l_xx, fx_v @ d.f_x, out=q_xx)
-        nu = d.f_u.shape[1]
+        W = vxx @ d.Fz
+        W[:, 0] += vx + vxx @ gaps[k + 1]
+        np.add(d.Lz, d.Fz[:, 1:].T @ W, out=Q)
+        nu = len(policy)
         if nu == 0:
-            v_x[:] = q_x
-            np.multiply(0.5, q_xx + q_xx.T, out=v_xx)
+            v[:] = x_rows
         else:
-            np.add(d.l_u, d.f_u.T @ vx_next, out=q_u)
-            np.add(d.l_xu, fx_v @ d.f_u, out=q_xu)
-            q_uu_raw = d.l_uu + d.f_u.T @ vxx @ d.f_u
-            np.multiply(0.5, q_uu_raw + q_uu_raw.T, out=q_uu)
-            q_uu_reg = q_uu.copy()
-            q_uu_reg.flat[:: nu + 1] += mu
+            np.multiply(0.5, q_uu + q_uu.T, out=q_uu)
+            if nu not in mu_eyes:
+                mu_eyes[nu] = mu * np.eye(nu)
             try:
-                factor = _cholesky(q_uu_reg)
+                factor = _cholesky(q_uu + mu_eyes[nu])
             except np.linalg.LinAlgError as exc:
                 if not np.isfinite(q_uu).all():
                     raise _nonfinite_failure(ws, k) from exc
                 raise NotPositiveDefinite(k) from exc
-            np.negative(_cholesky_solve(factor, q_u), out=k_ff)
-            np.negative(_cholesky_solve(factor, q_xu.T), out=K_fb)
-            np.add(q_x, q_xu @ k_ff, out=v_x)
-            v_xx_raw = q_xx + q_xu @ K_fb
-            np.multiply(0.5, v_xx_raw + v_xx_raw.T, out=v_xx)
+            np.negative(_cholesky_solve(factor, u_rows), out=policy)
+            np.add(x_rows, q_xu @ kK, out=v)
+        np.multiply(0.5, v_xx + v_xx.T, out=v_xx)
         vx, vxx = v_x, v_xx
     if not _finite_value(ws, 0):
         raise _nonfinite_failure(ws, 0)
@@ -177,7 +196,7 @@ def backward_pass(problem: ShootingProblem, ws: SolverWorkspace, mu: float, data
 
 
 def _finite_value(ws: SolverWorkspace, k: int) -> bool:
-    return bool(np.isfinite(ws.V_x[k]).all() and np.isfinite(ws.V_xx[k]).all())
+    return bool(np.isfinite(ws.V[k]).all())
 
 
 def _nonfinite_failure(ws: SolverWorkspace, k: int) -> NumericalFailure:
@@ -187,7 +206,7 @@ def _nonfinite_failure(ws: SolverWorkspace, k: int) -> NumericalFailure:
     derivatives of every earlier node, so it entered at the last node after k
     whose Value is non-finite, or at k itself when all later ones are finite.
     """
-    last = len(ws.V_x) - 1
+    last = len(ws.V) - 1
     node = next((j for j in range(last, k, -1) if not _finite_value(ws, j)), k)
     return NumericalFailure("non-finite derivatives in the backward pass", node=node)
 
@@ -205,7 +224,6 @@ def forward_pass_ddp(problem, X, U, ws, alpha, datas=None):
     running, terminal = (datas or (problem.datas, problem.terminal_data))[:2]
     state = problem.state
     X_new, U_new = [problem.x0_measured.copy()], []
-    cost = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for k, model in enumerate(problem.running_models):
             u = _policy_control(ws, state, k, U, X, X_new[k], alpha)
@@ -215,9 +233,8 @@ def forward_pass_ddp(problem, X, U, ws, alpha, datas=None):
                 raise NumericalFailure(str(exc), node=k) from exc
             U_new.append(u)
             X_new.append(running[k].xnext.copy())
-            cost += running[k].cost
         problem.terminal_model.calc(terminal, X_new[-1])
-        cost += terminal.cost
+        cost = problem._total_cost(np.array(X_new), U_new)
     if not np.isfinite(cost):
         raise NumericalFailure("non-finite cost in rollout")
     return X_new, U_new, cost
@@ -237,7 +254,6 @@ def forward_pass_fddp(problem, X, U, ws, alpha, datas=None):
     x0 = state.integrate(problem.x0_measured, -shrink * ws.gaps[0])
     X_new, U_new = [x0], []
     landed = [problem.x0_measured]
-    cost = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for k, model in enumerate(problem.running_models):
             u = _policy_control(ws, state, k, U, X, X_new[k], alpha)
@@ -248,10 +264,10 @@ def forward_pass_fddp(problem, X, U, ws, alpha, datas=None):
             U_new.append(u)
             X_new.append(state.integrate(running[k].xnext, -shrink * ws.gaps[k + 1]))
             landed.append(running[k].xnext)
-            cost += running[k].cost
         problem.terminal_model.calc(terminal, X_new[-1])
-        cost += terminal.cost
-        gaps = state.difference(np.array(X_new), np.array(landed))
+        X_stack = np.array(X_new)
+        cost = problem._total_cost(X_stack, U_new)
+        gaps = state.difference(X_stack, np.array(landed))
     if not np.isfinite(cost):
         raise NumericalFailure("non-finite cost in rollout")
     return X_new, U_new, cost, gaps
@@ -323,7 +339,9 @@ def solve(
     evaluations, including non-finite derivatives met by the backward pass)
     are recorded in the report, never raised. A malformed guess is rejected on
     entry by `ShootingProblem.check_trajectories`; the evaluations after that
-    check go through the problem's unchecked `_rollout` and `_calc`.
+    check go through the problem's unchecked `_rollout`, `_cost_and_gaps` and
+    `_calc`. Under ddp the start is one sweep: the rollout of the warm-start
+    controls, whose cost and gaps need no second pass over the nodes.
     """
     if solver not in ("ddp", "fddp"):
         raise DimensionMismatch(f"unknown solver {solver!r}, expected 'ddp' or 'fddp'")
@@ -351,8 +369,11 @@ def solve(
 
     try:
         if solver == "ddp":
+            # The rollout's sweep leaves the data set as _calc would.
             X = problem._rollout(U, datas=current)
-        cost, gaps = problem._calc(X, U, datas=current)
+            cost, gaps = problem._cost_and_gaps(X, U, current[0])
+        else:
+            cost, gaps = problem._calc(X, U, datas=current)
     except (NumericalFailure, FactorizationError) as exc:
         report.rows.append(TraceRow(0, float("nan"), float("nan"), 0.0, mu, 0.0, 0))
         report.gap_history.append(None)

@@ -22,6 +22,7 @@ from fddp.action import (
 from fddp.contact import Contact, ContactSet
 from fddp.costs import (
     ComTracking,
+    CostTerm,
     ControlRegularization,
     FrameTranslationTracking,
     StateRegularization,
@@ -47,10 +48,23 @@ from fddp.systems import (
 )
 
 GRAVITY = 9.81
+BUNDLED_SCENARIOS = (
+    "lqr_chain",
+    "double_integrator",
+    "pendulum_swingup",
+    "monoped_hop",
+    "monoped_hop_warmstart_infeasible",
+)
 
 
 def integrated(system, dt, costs=()):
     return IntegratedActionModel(FreeMechanicalDynamics(system), costs=costs, dt=dt)
+
+
+def term_value(term, x, u):
+    """A cost term's value at one point: 0.5 * weight * ||r||^2."""
+    r = term.residual(x, u)
+    return 0.5 * term.weight * float(r @ r)
 
 
 def one_node(model):
@@ -252,7 +266,7 @@ def test_calc_diff_matches_finite_differences(model):
         )
         np.testing.assert_allclose(data.f_x, fd_fx, rtol=1e-4, atol=1e-6)
         fd_lx = numdiff.gradient(
-            lambda xv: model.calc(model.create_data(), xv, u).cost,
+            lambda xv: model.cost(xv[None], u[None])[0],
             x,
             input_manifold=state,
         )
@@ -264,9 +278,7 @@ def test_calc_diff_matches_finite_differences(model):
                 output_manifold=state,
             )
             np.testing.assert_allclose(data.f_u, fd_fu, rtol=1e-4, atol=1e-6)
-            fd_lu = numdiff.gradient(
-                lambda uv: model.calc(model.create_data(), x, uv).cost, u
-            )
+            fd_lu = numdiff.gradient(lambda uv: model.cost(x[None], uv[None])[0], u)
             np.testing.assert_allclose(data.l_u, fd_lu, rtol=1e-4, atol=1e-6)
 
 
@@ -279,6 +291,56 @@ def hop_contact_models():
         if isinstance(model, ImpulseActionModel)
         or isinstance(model.dynamics, ConstrainedMechanicalDynamics)
     ]
+
+
+def test_derivative_blocks_are_views_written_in_place():
+    # A node's named blocks are views of its row of the stack's
+    # [0 | f_x | f_u] and [l_z | l_zz]; rebinding one raises, where it would
+    # leave the stack unchanged.
+    model = integrated(DoublePendulum(), 0.01)
+    stack = model.create_stack(3)
+    data = stack.nodes[1]
+    data.f_u[:] = 1.0
+    data.l_x[:] = 2.0
+    data.l_uu[:] = 3.0
+    np.testing.assert_array_equal(stack.Fz[1], np.hstack([np.zeros((4, 5)), np.ones((4, 2))]))
+    np.testing.assert_array_equal(stack.Lz[1, :4, 0], np.full(4, 2.0))
+    np.testing.assert_array_equal(stack.l_uu[1], np.full((2, 2), 3.0))
+    assert not stack.Fz[[0, 2]].any() and not stack.Lz[[0, 2]].any()
+    for name in ("f_x", "l_uu"):
+        with pytest.raises(AttributeError):
+            setattr(data, name, np.zeros_like(getattr(data, name)))
+        with pytest.raises(AttributeError):
+            setattr(stack, name, np.zeros_like(getattr(stack, name)))
+
+
+class CrossTerm(CostTerm):
+    """A cost term with a constant mixed block l_xu, which no bundled term has."""
+
+    blocks = ("l_xu",)
+
+    def __init__(self, l_xu):
+        super().__init__(1.0, *l_xu.shape)
+        self.l_xu = l_xu
+
+    def residual(self, x, u):
+        return np.zeros(x.shape[:-1] + (1,))
+
+    def derivatives(self, x, u):
+        return {"l_xu": self.l_xu}
+
+
+def test_cost_derivatives_mirror_l_xu_into_l_ux():
+    # The backward pass reads the u rows of [l_z | l_zz], so l_ux = l_xu^T.
+    l_xu = np.random.default_rng(67).standard_normal((4, 2))
+    model = integrated(DoublePendulum(), 0.5, (CrossTerm(l_xu),))
+    X = np.zeros((3, 4))
+    stack = model.create_stack(3)
+    for data, x in zip(stack.nodes, X):
+        model.calc(data, x, np.zeros(2))
+    model.calc_diff(stack, X, np.zeros((3, 2)))
+    np.testing.assert_array_equal(stack.l_xu, np.broadcast_to(0.5 * l_xu, (3, 4, 2)))
+    np.testing.assert_array_equal(stack.l_ux, np.swapaxes(stack.l_xu, -1, -2))
 
 
 @pytest.mark.parametrize("index", range(3), ids=["stance_0", "impulse", "stance_2"])
@@ -404,14 +466,36 @@ def test_state_regularization_gradient_vanishes_at_reference():
     model.calc(data, ref, u)
     calc_diff_one(model, stack, ref, u)
     np.testing.assert_array_equal(data.l_x, np.zeros(2))
-    assert data.cost == 0.0
+    assert model.cost(ref[None], u[None])[0] == 0.0
+
+
+@pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
+def test_stacked_cost_equals_the_sum_of_term_values(name):
+    # One stacked call gives each node of every distinct model (the terminal
+    # one too) the sum of its terms' 0.5 w ||r||^2, times dt on integrated nodes.
+    problem = build_problem(load_scenario(bundled_scenario_path(name)))
+    state, n = problem.state, 9
+    rng = np.random.default_rng(66)
+    for model in [model for model, _ in problem.groups] + [problem.terminal_model]:
+        X = np.array(
+            [state.integrate(problem.x0_measured, 0.3 * rng.standard_normal(state.ndx)) for _ in range(n)]
+        )
+        U = rng.standard_normal((n, model.nu))
+        expected = [
+            getattr(model, "dt", 1.0) * sum(term_value(term, x, u) for term in model.costs)
+            for x, u in zip(X, U)
+        ]
+        costs = model.cost(X, U)
+        assert costs.shape == (n,)
+        np.testing.assert_allclose(costs, expected, rtol=1e-14, atol=0.0)
 
 
 def test_integrated_cost_value_is_scaled_by_dt():
     di = DoubleIntegrator(dim=1)
     model = integrated(di, 0.1, (ControlRegularization(1, 2.0, 2),))
-    data = model.calc(model.create_data(), np.zeros(2), np.array([3.0]))
-    np.testing.assert_allclose(data.cost, 0.1 * 0.5 * 2.0 * 9.0)
+    np.testing.assert_allclose(
+        model.cost(np.zeros((1, 2)), np.array([[3.0]])), [0.1 * 0.5 * 2.0 * 9.0]
+    )
 
 
 def test_cost_values_are_nonnegative():
@@ -425,12 +509,12 @@ def test_cost_values_are_nonnegative():
         FrameTranslationTracking(dpend, "tip", [0.5, -1.5], 3.0, 4, 2),
         ComTracking(dpend, [0.0, -0.8], 1.0, 4, 2),
     ]
+    # A hundred draws as one stack, through a node model of each term alone.
     rng = np.random.default_rng(65)
-    for _ in range(100):
-        x = rng.uniform(-3.0, 3.0, 4)
-        u = rng.uniform(-5.0, 5.0, 2)
-        for term in terms:
-            assert term.value(x, u) >= 0.0
+    X = rng.uniform(-3.0, 3.0, (100, 4))
+    U = rng.uniform(-5.0, 5.0, (100, 2))
+    for term in terms:
+        assert (integrated(dpend, 1.0, (term,)).cost(X, U) >= 0.0).all()
 
 
 def test_cost_terms_return_only_the_blocks_of_their_argument():
@@ -446,7 +530,7 @@ def test_cost_terms_return_only_the_blocks_of_their_argument():
     for term in state_terms:
         blocks = term.derivatives(x, u)
         assert set(blocks) == {"l_x", "l_xx"}
-        j = numdiff.jacobian(lambda xv: np.atleast_1d(term.value(xv, u)), x)[0]
+        j = numdiff.jacobian(lambda xv: np.atleast_1d(term_value(term, xv, u)), x)[0]
         np.testing.assert_allclose(blocks["l_x"], j, atol=1e-6)
     control = ControlRegularization(2, 0.1, 4, reference=[1.0, -1.0])
     blocks = control.derivatives(x, u)

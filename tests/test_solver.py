@@ -204,12 +204,66 @@ def test_backward_pass_reports_indefinite_node():
     X, U = problem.constant_state_guess(), problem.zero_controls()
     _, gaps = problem.calc(X, U)
     problem.calc_diff(X, U)
-    problem.datas[3].l_uu = -1.0e6 * np.eye(1)
+    problem.datas[3].l_uu[:] = -1.0e6 * np.eye(1)
     ws = SolverWorkspace(problem)
     ws.gaps = gaps
     with pytest.raises(NotPositiveDefinite) as excinfo:
         backward_pass(problem, ws, 0.0)
     assert excinfo.value.node == 3
+
+
+def per_block_step(d, nu, vx, vxx, gap, mu):
+    """One Riccati step block by block, as separate products of the named
+    derivative blocks: (Q_u, Q_uu, k_ff, K_fb, V_x, V_xx) of the node."""
+    vx_next = vx + vxx @ gap
+    q_x = d.l_x + d.f_x.T @ vx_next
+    q_u = d.l_u + d.f_u.T @ vx_next
+    q_xx = d.l_xx + d.f_x.T @ vxx @ d.f_x
+    q_xu = d.l_xu + d.f_x.T @ vxx @ d.f_u
+    q_uu = d.l_uu + d.f_u.T @ vxx @ d.f_u
+    q_uu = 0.5 * (q_uu + q_uu.T)
+    k_ff, K_fb = np.zeros(nu), np.zeros((nu, len(vx)))
+    if nu:
+        regularized = q_uu + mu * np.eye(nu)
+        k_ff = -np.linalg.solve(regularized, q_u)
+        K_fb = -np.linalg.solve(regularized, q_xu.T)
+    v_xx = q_xx + q_xu @ K_fb
+    return q_u, q_uu, k_ff, K_fb, q_x + q_xu @ k_ff, 0.5 * (v_xx + v_xx.T)
+
+
+def test_fused_backward_pass_matches_the_per_block_recursion():
+    # monoped_hop's nodes have nu = 2, and its impulse node (50) nu = 0: at
+    # every node, the fused [gradient | matrix] step gives the blocks of the
+    # separate products from the same Value of the next node, and the
+    # impulse node's padded control rows stay zero.
+    _, problem, X, U = load_and_build(bundled_scenario_path("monoped_hop"))
+    mu = 1e-6
+    ws, _ = prepared_workspace(problem, X, U, mu=mu)
+    terminal = problem.terminal_data
+    np.testing.assert_array_equal(ws.V_x[-1], terminal.l_x)
+    np.testing.assert_array_equal(ws.V_xx[-1], 0.5 * (terminal.l_xx + terminal.l_xx.T))
+    names = ("Q_u", "Q_uu", "k_ff", "K_fb", "V_x", "V_xx")
+    for k, model in enumerate(problem.running_models):
+        nu = model.nu
+        expected = per_block_step(
+            problem.datas[k], nu, ws.V_x[k + 1], ws.V_xx[k + 1], ws.gaps[k + 1], mu
+        )
+        actual = (
+            ws.Q_u[k, :nu], ws.Q_uu[k, :nu, :nu], ws.k_ff[k, :nu], ws.K_fb[k, :nu],
+            ws.V_x[k], ws.V_xx[k],
+        )
+        for name, got, reference in zip(names, actual, expected):
+            scale = np.max(np.abs(reference), initial=0.0)
+            if name.startswith("V"):
+                # V = [q_x | Q_xx] + Q_xu [k | K] cancels: measure against its operands.
+                scale = max(scale, np.max(np.abs(ws.Q[k])))
+            np.testing.assert_allclose(
+                got, reference, rtol=1e-12, atol=1e-12 * scale, err_msg=f"{name} at node {k}"
+            )
+    impulse = [k for k, m in enumerate(problem.running_models) if m.nu == 0]
+    assert impulse == [50]
+    for name in ("Q_u", "Q_uu", "k_ff", "K_fb"):
+        assert not getattr(ws, name)[50].any()
 
 
 def test_value_curvature_stays_symmetric():
@@ -680,8 +734,10 @@ class BlockedControlModel(ActionModelBase):
         if np.any(u != 0.0):
             raise NumericalFailure("control rejected")
         data.xnext = x.copy()
-        data.cost = 1.0
         return data
+
+    def cost(self, X, U):
+        return np.ones(len(X))
 
     def calc_diff(self, stack, X, U):
         stack.f_x[:] = 1.0
@@ -699,6 +755,25 @@ def blocked_problem():
     return ShootingProblem(
         np.array([0.0]), [model], TerminalActionModel(model.state)
     )
+
+
+def test_ddp_start_sweeps_each_node_once(monkeypatch):
+    # Under ddp the initial rollout leaves the data set as calc would: the
+    # cost and gaps of the start come from it, with no second node sweep.
+    _, problem, X, U = load_and_build(bundled_scenario_path("pendulum_swingup"))
+    calls = []
+    original = IntegratedActionModel.calc
+
+    def counted_calc(self, data, x, u):
+        calls.append(1)
+        return original(self, data, x, u)
+
+    monkeypatch.setattr(IntegratedActionModel, "calc", counted_calc)
+    _, _, report = solve(problem, X, U, solver="ddp", max_iters=0)
+    assert len(calls) == problem.N
+    cost, gaps = problem.calc(problem.rollout(U), U)
+    assert report.rows[0].cost == pytest.approx(cost, rel=1e-15)
+    assert report.rows[0].gap_l2 == 0.0
 
 
 def test_rejected_iterations_escalate_to_the_regularization_cap():
