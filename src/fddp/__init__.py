@@ -7,8 +7,8 @@ The package bundles four layers:
   through KKT systems (:mod:`fddp.systems`, :mod:`fddp.contact`),
 * shooting-node action models whose analytic derivatives are evaluated as
   one stacked pass per shared model (:mod:`fddp.action`, :mod:`fddp.problem`),
-* the classical and feasibility-tolerant DDP solvers with a dense-KKT oracle
-  (:mod:`fddp.solver`) and a scenario/CLI harness (:mod:`fddp.scenarios`,
+* the classical and feasibility-tolerant DDP solvers (:mod:`fddp.solver`)
+  and a scenario/CLI harness (:mod:`fddp.scenarios`,
   :mod:`fddp.cli`).
 """
 
@@ -78,7 +78,6 @@ from .solver import (
     forward_pass_ddp,
     forward_pass_fddp,
     goldstein_accept,
-    kkt_search_direction,
     solve,
 )
 from .systems import build_system
@@ -137,7 +136,6 @@ __all__ = [
     "goldstein_accept",
     "impulse_dynamics",
     "impulse_dynamics_derivatives",
-    "kkt_search_direction",
     "load_and_build",
     "load_scenario",
     "make_cost_term",

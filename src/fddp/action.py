@@ -27,10 +27,12 @@ guarantee the shapes.
 
 `calc_diff` overwrites the stacks `Fz` and `Lz` of `ActionDataStack` in
 place, through their named views f_x, f_u, l_x, l_u, l_xx, l_xu,
-l_ux (= l_xu^T) and l_uu. Each node's `ActionData` fields of those names
-are views of its row, so per-node readers (the backward pass, the dense KKT
-oracle) need no copy, and a caller that keeps a block across two
-`calc_diff` calls must copy it. Every model's `calc_diff` is array
+l_ux (= l_xu^T) and l_uu. Column 0 of `Fz` = [gap | f_x | f_u] is not a
+derivative: the solver's backward pass writes each node's dynamics gap
+there, and no model reads or writes it. Each node's `ActionData` fields of
+those names are views of its row, so per-node readers (the backward pass)
+need no copy, and a caller that keeps a block across two `calc_diff` calls
+must copy it. Every model's `calc_diff` is array
 operations on the whole stack, with no loop over its nodes: contact and
 impulse models make one stacked KKT elimination for all of them. Constant
 blocks (identity parts, linear-flow Jacobians) are built once, in the
@@ -68,12 +70,13 @@ _NO_CONTROL = np.zeros(0)
 
 
 class _DerivativeBlocks:
-    """The named derivative blocks of `Fz` = [0 | f_x | f_u] (.., ndx, nz + 1)
+    """The named derivative blocks of `Fz` = [gap | f_x | f_u] (.., ndx, nz + 1)
     and `Lz` = [l_z | l_zz] (.., nz, nz + 1) over z = (x, u), each gradient
     in column 0 and its matrix in the columns after: views of a stack, or of
-    one node's row. The names cannot be rebound, so a block is written in
-    place (`data.l_uu[:] = ...`); a rebinding, which would leave the stack
-    unchanged, raises."""
+    one node's row. Column 0 of `Fz`, the node's dynamics gap, belongs to
+    the solver's backward pass. The names cannot be rebound, so a block is
+    written in place (`data.l_uu[:] = ...`); a rebinding, which would leave
+    the stack unchanged, raises."""
 
     f_x = property(lambda d: d.Fz[..., 1 : d.ndx + 1])
     f_u = property(lambda d: d.Fz[..., d.ndx + 1 :])
@@ -158,7 +161,7 @@ class FreeMechanicalDynamics(DifferentialDynamics):
         q, v = sys.split_state(x)
         M, bias = sys.forward_terms(q, v)[:2]
         tau = sys.actuation() @ u - bias
-        if not (_all_finite(M) and _all_finite(tau)):
+        if not _all_finite(M, tau):
             raise NumericalFailure("non-finite dynamics terms")
         try:
             factor = _cholesky(M)
@@ -229,7 +232,8 @@ class ConstrainedMechanicalDynamics(DifferentialDynamics):
         bq, bv = sys.bias_partials(q, v)
         dtau_dq = -(bq + sys.inertia_contraction_partial(q, vdot))
         jacobians, da0_dq, da0_dv = [], [], []
-        for contact, rows, J in _contact_frames(sys, self.contacts, q):
+        for contact, rows in _contact_rows(self.contacts):
+            J = _per_node(sys.frame_jacobian(q, contact.frame), n)
             # d(Jc vdot)/dq - beta d(Jc v)/dq is linear in the fixed vector.
             jw_q, jtf_q, drift_q, drift_v = sys.frame_partials(
                 q, v, vdot - contact.beta * v, force[:, rows], contact.frame
@@ -253,13 +257,11 @@ class ConstrainedMechanicalDynamics(DifferentialDynamics):
         return ws.apply_inverse(self.system.actuation(), np.zeros((ws.nf, self.nu)))[0]
 
 
-def _contact_frames(system: MechanicalSystem, contacts: ContactSet, q):
-    """Each contact, the slice of its rows in the stacked constraint, and its
-    frame Jacobian at every node of the stack q (n, nq)."""
+def _contact_rows(contacts: ContactSet):
+    """Each contact and the slice of its rows in the stacked constraint."""
     row = 0
     for contact in contacts.contacts:
-        jacobian = _per_node(system.frame_jacobian(q, contact.frame), len(q))
-        yield contact, slice(row, row + contact.nf), jacobian
+        yield contact, slice(row, row + contact.nf)
         row += contact.nf
 
 
@@ -478,23 +480,23 @@ class ImpulseActionModel(ActionModelBase):
         # holding (v_plus, impulse) fixed:
         #   r1 = M(q) (v_plus - v) - Jc(q)^T impulse,  r2 = Jc(q) (v_plus + e v),
         # evaluated for the whole stack, then one stacked elimination.
+        # M and Jc are stacked from what each node's calc solved with.
         sys = self.system
-        n, nv = len(X), sys.nv
+        nv = sys.nv
         q, v = X[:, : sys.nq], X[:, sys.nq :]
         workspaces = [data.dyn["ws"] for data in stack.nodes]
         v_plus = np.array([ws.v_plus for ws in workspaces])
         impulse = np.array([ws.impulse for ws in workspaces])
         dr1_dq = sys.inertia_contraction_partial(q, v_plus - v)
         closure = v_plus + self.restitution * v
-        jacobians, dr2_dq = [], []
-        for contact, rows, J in _contact_frames(sys, self.contacts, q):
+        dr2_dq = []
+        for contact, rows in _contact_rows(self.contacts):
             jw_q, jtf_q, _, _ = sys.frame_partials(q, v, closure, impulse[:, rows], contact.frame)
             dr1_dq -= jtf_q
-            jacobians.append(J)
             dr2_dq.append(jw_q)
         dvp_dq, dvp_dv = impulse_dynamics_derivatives(
-            _per_node(sys.mass_matrix(q), n),
-            np.concatenate(jacobians, -2),
+            np.array([ws.M for ws in workspaces]),
+            np.array([ws.Jc for ws in workspaces]),
             self.restitution,
             dr1_dq,
             np.concatenate(dr2_dq, -2),

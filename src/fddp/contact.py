@@ -7,12 +7,12 @@ Both problems share one saddle-point structure,
 
 solved by block elimination through the operational-space inertia
 Mhat = Jc M^-1 Jc^T. The forward solve of one node makes one finite test over
-all its inputs, two Cholesky factorizations (M and Mhat) and one triangular
-solve with M's factor against [Jc^T | b1], whose columns give both Mhat and
-M^-1 b1 for the elimination; the factorizations and the pivots on the
-diagonal of Mhat's factor reject a dependent constraint set. Every Cholesky
-factorization of the library goes through `_cholesky` and `_cholesky_solve`
-here. The derivatives take a stack of n nodes that the forward solves have
+all its inputs, two Cholesky factorizations (M and Mhat), one solve with M's
+factor against [Jc^T | b1] and one product of Jc with its result, which
+gives [Mhat | Jc M^-1 b1] for the elimination; the factorizations and the
+pivots on the diagonal of Mhat's factor reject a dependent constraint set.
+Every Cholesky factorization of the library goes through `_cholesky` and
+`_cholesky_solve` here. The derivatives take a stack of n nodes that the forward solves have
 already checked, and eliminate all of them at once (`_kkt_solve_stacked`):
 two batched LU solves, one with M and one with Mhat, for all right-hand-side
 columns of all nodes.
@@ -163,10 +163,14 @@ class ContactWorkspace:
 
 @dataclass
 class ImpulseWorkspace:
-    """One solved impulse instance: the post-impact velocity and the impulse."""
+    """One solved impulse instance: the post-impact velocity and the impulse,
+    and the inertia and constraint Jacobian it was solved with, which the
+    derivatives stack."""
 
     v_plus: np.ndarray
     impulse: np.ndarray
+    M: np.ndarray = field(repr=False)
+    Jc: np.ndarray = field(repr=False)
 
 
 def _cholesky(a: np.ndarray) -> np.ndarray:
@@ -179,7 +183,8 @@ def _cholesky(a: np.ndarray) -> np.ndarray:
     so callers check where a non-finite value can first appear. Raises
     `np.linalg.LinAlgError` when a leading minor is not positive definite.
     """
-    c, info = dpotrf(a, lower=1, clean=0)
+    # lower=1, clean=0: positional, which the f2py wrapper parses faster.
+    c, info = dpotrf(a, 1, 0)
     if info > 0:
         raise np.linalg.LinAlgError(f"{info}-th leading minor is not positive definite")
     return c
@@ -187,41 +192,45 @@ def _cholesky(a: np.ndarray) -> np.ndarray:
 
 def _cholesky_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
     """x with L L^T x = b, for L = _cholesky(a) and a vector or matrix b."""
-    return dpotrs(c, b, lower=1)[0]
+    return dpotrs(c, b, 1)[0]  # lower=1
 
 
-def _all_finite(array: np.ndarray) -> bool:
-    """Whether every entry is finite. Each entry is tested, not a sum or
-    product of them, so large finite entries cannot overflow the test; on
-    the few entries of one node, math.isfinite over them costs a fraction
-    of a numpy reduction."""
-    return all(map(isfinite, array.ravel().tolist()))
+def _all_finite(*arrays: np.ndarray) -> bool:
+    """Whether every entry of the arrays is finite, in one test of their
+    entries gathered as floats. Each entry is tested, not a sum or product
+    of them, so large finite entries cannot overflow the test; on the few
+    entries of one node, math.isfinite over them costs a fraction of a numpy
+    reduction."""
+    values = []
+    for array in arrays:
+        values += array.ravel().tolist()
+    return all(map(isfinite, values))
 
 
 def _require_finite(what: str, *arrays) -> None:
     """One finite test of every entry of the arrays."""
-    if not _all_finite(np.concatenate(arrays, axis=None)):
+    if not _all_finite(*arrays):
         raise NumericalFailure(f"non-finite entries in {what} inputs")
 
 
-def _factorize(M: np.ndarray, Jc: np.ndarray, b1=None):
+def _factorize(M: np.ndarray, Jc: np.ndarray, rows=None):
     """Rank-tested Cholesky factors of M and Mhat = Jc M^-1 Jc^T.
 
-    One triangular solve with M's factor takes [Jc^T | b1], or Jc^T alone
-    without b1; its first nf columns give Mhat. Only the lower triangles of
-    M and Mhat are read. The pivots of Mhat are the squares of its factor's
-    diagonal. Returns (m_factor, mhat, mhat_factor, M^-1 [Jc^T | b1]).
+    One solve with M's factor takes rows^T = [Jc^T | b1], or Jc^T alone
+    without rows, and Jc times its result is [Mhat | Jc M^-1 b1]. Only the
+    lower triangles of M and Mhat are read. The pivots of Mhat are the
+    squares of its factor's diagonal. Returns (m_factor, mhat_factor,
+    M^-1 [Jc^T | b1], [Mhat | Jc M^-1 b1]).
     """
     try:
         m_factor = _cholesky(M)
     except np.linalg.LinAlgError as exc:
         raise FactorizationError("joint-space inertia is not positive definite") from exc
     # [Jc; b1^T] transposed: the columns in the Fortran order LAPACK takes.
-    rows = Jc if b1 is None else np.concatenate((Jc, b1[None]))
-    solved = _cholesky_solve(m_factor, rows.T)
-    mhat = Jc @ solved[:, : Jc.shape[0]]
+    solved = _cholesky_solve(m_factor, (Jc if rows is None else rows).T)
+    products = Jc @ solved
     try:
-        mhat_factor = _cholesky(mhat)
+        mhat_factor = _cholesky(products[:, : len(Jc)])
     except np.linalg.LinAlgError as exc:
         raise RankDeficientConstraint(
             "operational-space inertia is not positive definite (constraint rows dependent?)"
@@ -231,7 +240,7 @@ def _factorize(M: np.ndarray, Jc: np.ndarray, b1=None):
         raise RankDeficientConstraint(
             f"operational-space inertia pivot {pivot:.3e} below {RANK_PIVOT_TOL:.0e}"
         )
-    return m_factor, mhat, mhat_factor, solved
+    return m_factor, mhat_factor, solved, products
 
 
 def contact_forward_dynamics(M, Jc, tau_b, a0) -> ContactWorkspace:
@@ -240,18 +249,19 @@ def contact_forward_dynamics(M, Jc, tau_b, a0) -> ContactWorkspace:
     Returns a workspace whose (vdot, force) satisfy
     M vdot - Jc^T force = tau_b and Jc vdot = -a0.
     """
-    _require_finite("contact dynamics", M, Jc, tau_b, a0)
-    m_factor, mhat, mhat_factor, solved = _factorize(M, Jc, tau_b)
-    minv_jt, minv_tau = solved[:, :-1], solved[:, -1]
+    rows = np.concatenate((Jc, tau_b[None]))
+    _require_finite("contact dynamics", M, rows, a0)
+    m_factor, mhat_factor, solved, products = _factorize(M, Jc, rows)
     # Right-hand side [tau_b; -a0]; the eliminated multiplier z is -force.
     # Ill-conditioned but factorizable systems can overflow to inf during the
     # triangular solves, and the force feeds vdot, so checking vdot covers both.
-    z = _cholesky_solve(mhat_factor, Jc @ minv_tau + a0)
-    vdot = minv_tau - minv_jt @ z
+    z = _cholesky_solve(mhat_factor, products[:, -1] + a0)
+    vdot = solved[:, -1] - solved[:, :-1] @ z
     if not _all_finite(vdot):
         raise NumericalFailure("non-finite contact accelerations")
     return ContactWorkspace(
-        Jc=Jc, Mhat=mhat, vdot=vdot, force=-z, m_factor=m_factor, mhat_factor=mhat_factor
+        Jc=Jc, Mhat=products[:, :-1], vdot=vdot, force=-z, m_factor=m_factor,
+        mhat_factor=mhat_factor,
     )
 
 
@@ -301,14 +311,14 @@ def impulse_dynamics(M, Jc, v_minus, e: float) -> ImpulseWorkspace:
     impulse action model checks that e lies in [0, 1].
     """
     _require_finite("impulse dynamics", M, Jc, v_minus)
-    _, _, mhat_factor, minv_jt = _factorize(M, Jc)
+    _, mhat_factor, minv_jt, _ = _factorize(M, Jc)
     # Right-hand side [M v_minus; -e Jc v_minus], whose M^-1 b1 is v_minus
     # itself: z = Mhat^-1 (1 + e) Jc v_minus is -impulse.
     z = _cholesky_solve(mhat_factor, (1.0 + e) * (Jc @ v_minus))
     v_plus = v_minus - minv_jt @ z
     if not _all_finite(v_plus):
         raise NumericalFailure("non-finite post-impact velocity")
-    return ImpulseWorkspace(v_plus=v_plus, impulse=-z)
+    return ImpulseWorkspace(v_plus=v_plus, impulse=-z, M=M, Jc=Jc)
 
 
 def impulse_dynamics_derivatives(M, Jc, e: float, dr1_dq, dr2_dq):

@@ -17,7 +17,12 @@ its tangent as the angle increment, so every manifold here has nx == ndx and
 is flat coordinates plus the index array `angles` of the coordinates that are
 wrapped angles. A `CompositeManifold` collects the angles of its parts,
 nested composites included; integrate and difference are one add or subtract
-followed by one vectorized wrap of those coordinates, whatever the nesting.
+followed by one wrap of those coordinates, whatever the nesting: on a stack
+of points one vectorized wrap, and on one point (every node of a sweep) the
+few angles taken out as floats and wrapped one by one, at a tenth of the cost
+of numpy on a gathered view. Both run the one expression of `_wrap_angle`,
+whose float `%` and `np.remainder` follow the same rule, so they agree to the
+bit.
 The wrap is locally the identity, so the Jacobians of integrate are (I, I)
 and those of difference (-I, I); callers use them in closed form and no
 operator returns them.
@@ -34,12 +39,14 @@ import numpy as np
 
 from .errors import DimensionMismatch
 
-_TWO_PI = 2.0 * np.pi
+_PI = np.pi
+_TWO_PI = 2.0 * _PI
 
 
 def _wrap_angle(theta):
-    # Normal form (-pi, pi]; theta = -pi maps to +pi. Elementwise on arrays.
-    return np.pi - np.remainder(np.pi - theta, _TWO_PI)
+    # Normal form (-pi, pi]; theta = -pi maps to +pi. On a float or,
+    # elementwise, on an array.
+    return _PI - (_PI - theta) % _TWO_PI
 
 
 class Manifold:
@@ -48,6 +55,7 @@ class Manifold:
     def __init__(self, dim: int, angles):
         self.nx = self.ndx = int(dim)
         self.angles = np.asarray(angles, dtype=np.intp)
+        self._angle_list = tuple(self.angles.tolist())
 
     # -- validation -------------------------------------------------------
 
@@ -62,9 +70,11 @@ class Manifold:
 
     def _wrapped(self, y: np.ndarray) -> np.ndarray:
         """y with its angle coordinates wrapped in place, over any leading axes."""
-        if self.angles.size:
-            # y.T[angles] is y[..., angles] at any rank, and on one point it
-            # costs a fifth of it.
+        if y.ndim == 1:
+            for i in self._angle_list:
+                y[i] = _wrap_angle(y.item(i))
+        elif self._angle_list:
+            # y.T[angles] is y[..., angles] at any rank.
             y.T[self.angles] = _wrap_angle(y.T[self.angles])
         return y
 
@@ -75,8 +85,8 @@ class Manifold:
     def integrate(self, x, dx) -> np.ndarray:
         return self._wrapped(x + dx)
 
-    def difference(self, x0, x1) -> np.ndarray:
-        return self._wrapped(x1 - x0)
+    def difference(self, x0, x1, out=None) -> np.ndarray:
+        return self._wrapped(np.subtract(x1, x0, out=out))
 
     def normalize(self, x) -> np.ndarray:
         """Map coordinates to their normal form (wrapped angles)."""

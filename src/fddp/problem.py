@@ -21,7 +21,9 @@ group whose rows the group's containers view. `calc` and the rollouts sweep
 the nodes in order, each node's `calc` computing only its dynamics; after
 the sweep the total cost is one stacked `model.cost` call per group and one
 for the terminal node (`_total_cost`, which the solver's forward passes use
-too). `calc_diff` makes one stacked pass per group.
+too). `calc_diff` makes one stacked pass per group. Both take the controls
+as one (N, nu_max) array, zero-padded, and hand each group its rows; the
+solver's forward passes fill such an array as they sweep.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ class ShootingProblem:
         self.terminal_model = terminal_model
         self.x0_measured = state.check_point(x0_measured)
         self.N = len(running_models)
+        self.nu_max = max(model.nu for model in running_models)
         self.ndx = state.ndx
         self.datas, self.terminal_data, self.stacks = self.create_datas()
 
@@ -114,7 +117,7 @@ class ShootingProblem:
                 model.calc(running[k], X[k], U[k])
             except NumericalFailure as exc:
                 raise NumericalFailure(str(exc), node=k) from exc
-            X.append(running[k].xnext.copy())
+            X.append(running[k].xnext)
         self.terminal_model.calc(terminal, X[self.N])
         return X
 
@@ -142,18 +145,18 @@ class ShootingProblem:
         """Total cost and gaps at (X, U), after the node sweep that left each
         node's landing point in the running containers."""
         X = np.asarray(X)
-        cost = self._total_cost(X, U)
+        cost = self._total_cost(X, self._control_array(U))
         if not np.isfinite(cost):
             raise NumericalFailure("non-finite total cost", node=self.N)
         landed = np.array([self.x0_measured] + [data.xnext for data in running])
         return cost, self.state.difference(X, landed)
 
     def _total_cost(self, X, U) -> float:
-        """The cost of the trajectory X (N + 1, nx), U: one stacked cost call
-        per group and one for the terminal node."""
+        """The cost of the trajectory X (N + 1, nx), U (N, nu_max): one
+        stacked cost call per group and one for the terminal node."""
         cost = 0.0
         for model, nodes in self.groups:
-            cost += model.cost(X[nodes], _controls(U, nodes)).sum()
+            cost += model.cost(X[nodes], U[nodes, : model.nu]).sum()
         return float(cost + self.terminal_model.cost(X[self.N :], _NO_CONTROLS)[0])
 
     def calc_diff(self, X, U, datas=None):
@@ -164,11 +167,19 @@ class ShootingProblem:
         numerical failures surface in calc, which runs first.
         """
         running, terminal, stacks = datas or (self.datas, self.terminal_data, self.stacks)
-        X = np.asarray(X)
+        X, U = np.asarray(X), self._control_array(U)
         for (model, nodes), stack in zip(self.groups, stacks):
-            model.calc_diff(stack, X[nodes], _controls(U, nodes))
+            model.calc_diff(stack, X[nodes], U[nodes, : model.nu])
         self.terminal_model.calc_diff(stacks[-1], X[self.N :], _NO_CONTROLS)
         return running, terminal
+
+    def _control_array(self, U) -> np.ndarray:
+        """The nodes' controls U as one (N, nu_max) array, each row
+        zero-padded past its node's nu."""
+        array = np.zeros((self.N, self.nu_max))
+        for row, u in zip(array, U):
+            row[: len(u)] = u
+        return array
 
     # -- convenience -----------------------------------------------------------
 
@@ -181,11 +192,6 @@ class ShootingProblem:
 
 # The controls of the terminal node, a stack of one.
 _NO_CONTROLS = np.zeros((1, 0))
-
-
-def _controls(U, nodes) -> np.ndarray:
-    """The controls of the listed nodes as one (n, nu) stack."""
-    return np.array([U[k] for k in nodes])
 
 
 def _check_control(u, nu: int) -> np.ndarray:

@@ -14,9 +14,7 @@ scalar Levenberg-Marquardt regularizer on the control Hessian, one fused step
 per node on [gradient | matrix] blocks. The forward passes sweep the nodes'
 dynamics and take the trial cost from one stacked cost call per group. Step
 acceptance uses the two-sided Goldstein test on a quadratic
-expected-improvement model that accounts for open gaps. A dense KKT solve
-over the full multiple-shooting system is included as an oracle for the
-search direction.
+expected-improvement model that accounts for open gaps.
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ from .contact import _cholesky, _cholesky_solve
 from .errors import (
     DimensionMismatch,
     FactorizationError,
-    KKTSingular,
     NotPositiveDefinite,
     NumericalFailure,
 )
@@ -41,7 +38,6 @@ REG_MAX = 1e9
 GOLDSTEIN_LOW = 0.1
 GOLDSTEIN_HIGH = 2.0
 STEP_LENGTHS = tuple(0.5**i for i in range(11))
-DENSE_KKT_SIZE_LIMIT = 2000
 
 
 @dataclass
@@ -143,100 +139,131 @@ def backward_pass(problem: ShootingProblem, ws: SolverWorkspace, mu: float, data
     """Riccati recursion from the terminal node, deflecting across open gaps.
 
     Reads the node derivatives from the data containers (calc_diff must have
-    run at the current iterate) and ws.gaps. Each node is one fused step on
-    [gradient | matrix] blocks over z = (x, u): with W = V_xx [0 | f_x | f_u]
-    and the deflected Value gradient v_x + V_xx gap in its column 0,
-    [q | Q] = [l | L] + [f_x | f_u]^T W; one Cholesky solve of the
-    regularized Q_uu against the u rows [q_u | Q_ux | Q_uu] gives
-    -[k | K | .]; and [v_x | V_xx] = [q_x | Q_xx] + Q_xu [k | K].
+    run at the current iterate) and ws.gaps, which it writes once per group
+    into column 0 of the stack's `Fz` = [gap | f_x | f_u]. Each node is then
+    one fused step on [gradient | matrix] blocks over z = (x, u): W = V_xx Fz
+    carries V_xx gap in its column 0, and adding v_x there makes it the
+    deflected Value gradient; [q | Q] = [l | L] + [f_x | f_u]^T W; one
+    Cholesky solve of the regularized Q_uu against the u rows
+    [q_u | Q_ux | Q_uu] gives -[k | K | .]; and
+    [v_x | V_xx] = [q_x | Q_xx] + Q_xu [k | K]. Q_uu is the product's own,
+    unsymmetrized: the Cholesky factorization reads only its lower triangle.
 
     Raises a not-positive-definite error naming the node when the regularized
     control Hessian fails its Cholesky; the caller is expected to raise mu
     and retry. A non-finite derivative raises `NumericalFailure` naming the
-    node it entered at, since no regularization can repair it: a non-finite
-    control Hessian is caught where its factorization fails, and any other
-    non-finite term spreads to the Value derivatives of every earlier node,
-    which are checked at node 0.
+    node it entered at, since no regularization can repair it: one in the
+    lower triangle of a control Hessian is caught where its factorization
+    fails; one in the upper triangle, which the factorization does not read,
+    is caught after the sweep by one test of all control Hessians; and any
+    other non-finite term spreads to the Value derivatives of every earlier
+    node, which are checked at node 0. A factorization failure with a
+    non-finite control Hessian at or after its node is that failure too.
     """
-    running, terminal = (datas or (problem.datas, problem.terminal_data))[:2]
+    running, terminal, stacks = datas or (problem.datas, problem.terminal_data, problem.stacks)
     N = problem.N
     vx, vxx = ws.V_x[N], ws.V_xx[N]
     vx[:] = terminal.l_x
     np.multiply(0.5, terminal.l_xx + terminal.l_xx.T, out=vxx)
-    gaps = ws.gaps
+    for (_, nodes), stack in zip(problem.groups, stacks):
+        stack.Fz[:, :, 0] = ws.gaps[nodes + 1]
     mu_eyes = {}
     for k in range(N - 1, -1, -1):
         d = running[k]
         Q, x_rows, q_xu, q_uu, u_rows, policy, kK, v, v_x, v_xx = ws.node_rows[k]
         # vx and vxx hold the Value derivatives of node k + 1.
         W = vxx @ d.Fz
-        W[:, 0] += vx + vxx @ gaps[k + 1]
+        W[:, 0] += vx
         np.add(d.Lz, d.Fz[:, 1:].T @ W, out=Q)
         nu = len(policy)
         if nu == 0:
             v[:] = x_rows
         else:
-            np.multiply(0.5, q_uu + q_uu.T, out=q_uu)
             if nu not in mu_eyes:
                 mu_eyes[nu] = mu * np.eye(nu)
             try:
                 factor = _cholesky(q_uu + mu_eyes[nu])
             except np.linalg.LinAlgError as exc:
-                if not np.isfinite(q_uu).all():
+                if not np.isfinite(ws.Q_uu[k:]).all():
                     raise _nonfinite_failure(ws, k) from exc
                 raise NotPositiveDefinite(k) from exc
             np.negative(_cholesky_solve(factor, u_rows), out=policy)
             np.add(x_rows, q_xu @ kK, out=v)
         np.multiply(0.5, v_xx + v_xx.T, out=v_xx)
         vx, vxx = v_x, v_xx
-    if not _finite_value(ws, 0):
+    if not (np.isfinite(ws.Q_uu).all() and _finite_node(ws, 0)):
         raise _nonfinite_failure(ws, 0)
     ws.mu = mu
     return ws
 
 
-def _finite_value(ws: SolverWorkspace, k: int) -> bool:
-    return bool(np.isfinite(ws.V[k]).all())
+def _finite_node(ws: SolverWorkspace, k: int) -> bool:
+    """Whether node k's Value derivatives and control Hessian (none at the
+    terminal node) are finite."""
+    return bool(np.isfinite(ws.V[k]).all() and np.isfinite(ws.Q_uu[k : k + 1]).all())
 
 
 def _nonfinite_failure(ws: SolverWorkspace, k: int) -> NumericalFailure:
     """The failure for a non-finite term met at node k of the backward pass.
 
     A non-finite term spreads from the node it enters at to the Value
-    derivatives of every earlier node, so it entered at the last node after k
-    whose Value is non-finite, or at k itself when all later ones are finite.
+    derivatives of every earlier node, or stays in the strict upper triangle
+    of that node's control Hessian, which the factorization does not read; so
+    it entered at the last node after k that is not finite, or at k itself
+    when all later ones are finite.
     """
     last = len(ws.V) - 1
-    node = next((j for j in range(last, k, -1) if not _finite_value(ws, j)), k)
+    node = next((j for j in range(last, k, -1) if not _finite_node(ws, j)), k)
     return NumericalFailure("non-finite derivatives in the backward pass", node=node)
 
 
-def _policy_control(ws, state, k, U, X, x_hat, alpha):
-    nu = U[k].shape[0]
-    if nu == 0:
-        return U[k]
-    dx = state.difference(X[k], x_hat)
-    return U[k] + alpha * ws.k_ff[k][:nu] + ws.K_fb[k][:nu] @ dx
+def _sweep(problem, X, U, ws, alpha, datas, shrink=0.0):
+    """The node sweep of both forward passes under the policy
+    u_k = U_k + [k | K] [alpha; x_k - X_k] (one product per node), which it
+    writes into the rows of one fresh (N, nu_max) control array.
 
-
-def forward_pass_ddp(problem, X, U, ws, alpha, datas=None):
-    """Feasible rollout under the backward-pass policy: gaps stay closed."""
+    With shrink 0 the sweep starts at the measured initial state and each
+    node's output is the next state; otherwise the initial state and each
+    output are pulled back along their stored gaps by the factor shrink.
+    Returns the states, the controls per node (views of their rows), the
+    states stacked and the total cost.
+    """
     running, terminal = (datas or (problem.datas, problem.terminal_data))[:2]
     state = problem.state
-    X_new, U_new = [problem.x0_measured.copy()], []
+    if shrink:
+        pull = -shrink * ws.gaps  # each state's step back along its gap
+        x0 = state.integrate(problem.x0_measured, pull[0])
+    else:
+        x0 = problem.x0_measured.copy()
+    controls = np.zeros((problem.N, problem.nu_max))
+    z = np.empty(problem.ndx + 1)  # [alpha; dx]
+    z[0] = alpha
+    dx = z[1:]
+    X_new, U_new = [x0], []
     with np.errstate(over="ignore", invalid="ignore"):
         for k, model in enumerate(problem.running_models):
-            u = _policy_control(ws, state, k, U, X, X_new[k], alpha)
+            u = controls[k, : model.nu]
+            if model.nu:
+                state.difference(X[k], X_new[k], out=dx)
+                np.add(U[k], ws.node_rows[k][6] @ z, out=u)
             try:
                 model.calc(running[k], X_new[k], u)
             except FactorizationError as exc:
                 raise NumericalFailure(str(exc), node=k) from exc
             U_new.append(u)
-            X_new.append(running[k].xnext.copy())
+            xnext = running[k].xnext
+            X_new.append(state.integrate(xnext, pull[k + 1]) if shrink else xnext)
         problem.terminal_model.calc(terminal, X_new[-1])
-        cost = problem._total_cost(np.array(X_new), U_new)
+        X_stack = np.array(X_new)
+        cost = problem._total_cost(X_stack, controls)
     if not np.isfinite(cost):
         raise NumericalFailure("non-finite cost in rollout")
+    return X_new, U_new, X_stack, cost
+
+
+def forward_pass_ddp(problem, X, U, ws, alpha, datas=None):
+    """Feasible rollout under the backward-pass policy: gaps stay closed."""
+    X_new, U_new, _, cost = _sweep(problem, X, U, ws, alpha, datas)
     return X_new, U_new, cost
 
 
@@ -245,31 +272,14 @@ def forward_pass_fddp(problem, X, U, ws, alpha, datas=None):
 
     The initial state and every node output are pulled back along the stored
     gap by the factor (1 - alpha) before becoming the next shooting state, so
-    a unit step reproduces the feasible rollout exactly. Returned gaps are
-    recomputed from the produced trajectory, not assumed.
+    a unit step is the feasible rollout of `forward_pass_ddp`, to the bit.
+    Returned gaps are recomputed from the produced trajectory, not assumed.
     """
-    running, terminal = (datas or (problem.datas, problem.terminal_data))[:2]
-    state = problem.state
-    shrink = 1.0 - alpha
-    x0 = state.integrate(problem.x0_measured, -shrink * ws.gaps[0])
-    X_new, U_new = [x0], []
-    landed = [problem.x0_measured]
+    X_new, U_new, X_stack, cost = _sweep(problem, X, U, ws, alpha, datas, 1.0 - alpha)
+    running = (datas or (problem.datas,))[0]
+    landed = np.array([problem.x0_measured] + [data.xnext for data in running])
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, model in enumerate(problem.running_models):
-            u = _policy_control(ws, state, k, U, X, X_new[k], alpha)
-            try:
-                model.calc(running[k], X_new[k], u)
-            except FactorizationError as exc:
-                raise NumericalFailure(str(exc), node=k) from exc
-            U_new.append(u)
-            X_new.append(state.integrate(running[k].xnext, -shrink * ws.gaps[k + 1]))
-            landed.append(running[k].xnext)
-        problem.terminal_model.calc(terminal, X_new[-1])
-        X_stack = np.array(X_new)
-        cost = problem._total_cost(X_stack, U_new)
-        gaps = state.difference(X_stack, np.array(landed))
-    if not np.isfinite(cost):
-        raise NumericalFailure("non-finite cost in rollout")
+        gaps = problem.state.difference(X_stack, landed)
     return X_new, U_new, cost, gaps
 
 
@@ -470,83 +480,3 @@ def solve(
             return finish("failure: regularization limit reached")
 
     return finish("max_iters")
-
-
-def kkt_search_direction(problem: ShootingProblem, X, U, datas=None):
-    """Newton direction from the dense KKT system of the whole problem.
-
-    Assembles the block-sparse first-order optimality system of the
-    multiple-shooting transcription (Gauss-Newton Hessian blocks on the
-    diagonal, dynamics Jacobians in the constraints, gaps as the constraint
-    right-hand side) and solves it as one dense symmetric system. Intended as
-    a cross-check oracle on small problems.
-    """
-    N, ndx = problem.N, problem.ndx
-    nus = [m.nu for m in problem.running_models]
-    if N * (ndx + max(nus)) > DENSE_KKT_SIZE_LIMIT:
-        raise DimensionMismatch(
-            f"problem too large for the dense KKT oracle: {N * (ndx + max(nus))} > {DENSE_KKT_SIZE_LIMIT}"
-        )
-    datas = datas or (problem.datas, problem.terminal_data, problem.stacks)
-    running, terminal = datas[:2]
-    _, gaps = problem.calc(X, U, datas=datas)
-    problem.calc_diff(X, U, datas=datas)
-
-    x_off = []
-    u_off = []
-    offset = 0
-    for k in range(N):
-        x_off.append(offset)
-        offset += ndx
-        u_off.append(offset)
-        offset += nus[k]
-    x_off.append(offset)
-    nvar = offset + ndx
-    ncon = ndx * (N + 1)
-
-    H = np.zeros((nvar, nvar))
-    g = np.zeros(nvar)
-    C = np.zeros((ncon, nvar))
-    r = np.zeros(ncon)
-
-    for k in range(N):
-        d = running[k]
-        xs, us = x_off[k], u_off[k]
-        H[xs : xs + ndx, xs : xs + ndx] = d.l_xx
-        H[xs : xs + ndx, us : us + nus[k]] = d.l_xu
-        H[us : us + nus[k], xs : xs + ndx] = d.l_xu.T
-        H[us : us + nus[k], us : us + nus[k]] = d.l_uu
-        g[xs : xs + ndx] = d.l_x
-        g[us : us + nus[k]] = d.l_u
-    xs = x_off[N]
-    H[xs : xs + ndx, xs : xs + ndx] = terminal.l_xx
-    g[xs : xs + ndx] = terminal.l_x
-
-    C[0:ndx, 0:ndx] = np.eye(ndx)
-    r[0:ndx] = gaps[0]
-    for k in range(N):
-        d = running[k]
-        row = ndx * (k + 1)
-        C[row : row + ndx, x_off[k + 1] : x_off[k + 1] + ndx] = np.eye(ndx)
-        C[row : row + ndx, x_off[k] : x_off[k] + ndx] = -d.f_x
-        C[row : row + ndx, u_off[k] : u_off[k] + nus[k]] = -d.f_u
-        r[row : row + ndx] = gaps[k + 1]
-
-    kkt = np.zeros((nvar + ncon, nvar + ncon))
-    kkt[:nvar, :nvar] = H
-    kkt[:nvar, nvar:] = C.T
-    kkt[nvar:, :nvar] = C
-    rhs = np.concatenate([-g, r])
-    try:
-        sol = np.linalg.solve(kkt, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise KKTSingular("dense KKT system is singular") from exc
-    if not np.all(np.isfinite(sol)):
-        raise KKTSingular("dense KKT solve produced non-finite values")
-
-    dX = [sol[x_off[k] : x_off[k] + ndx].copy() for k in range(N + 1)]
-    dU = [sol[u_off[k] : u_off[k] + nus[k]].copy() for k in range(N)]
-    mults = [
-        sol[nvar + ndx * k : nvar + ndx * (k + 1)].copy() for k in range(N + 1)
-    ]
-    return dX, dU, mults

@@ -676,8 +676,9 @@ class PlanarMonoped(MechanicalSystem):
             return b
         # One configuration, as in every forward step: math's cos and sin on
         # floats cost a tenth of numpy's on one element (and agree with them).
-        phi1 = q[2] + q[3]
-        phi2 = phi1 + q[4]
+        _, _, theta, hip, knee = q.tolist()
+        phi1 = theta + hip
+        phi2 = phi1 + knee
         try:
             c1, s1, c2, s2 = cos(phi1), sin(phi1), cos(phi2), sin(phi2)
             return np.array([1.0, c1, s1, c2, s2, cos(phi1 - phi2), sin(phi1 - phi2)])
@@ -722,7 +723,9 @@ class PlanarMonoped(MechanicalSystem):
             columns = self._forward_columns[frames] = self._gather_forward_columns(frames)
         nf = 2 * len(frames)
         terms = self._basis(q) @ columns
-        w1, w2 = (_LEG_ROWS @ v).tolist()  # the leg rates omega = [c1; c2] v
+        _, _, v_theta, v_hip, v_knee = v.tolist()
+        w1 = v_theta + v_hip  # the leg rates omega = [c1; c2] v
+        w2 = w1 + v_knee
         speed_end = 40 + 3 * nf
         speeds = np.array([1.0, w1 * w1, w2 * w2]) @ terms[25:speed_end].reshape(3, 5 + nf)
         placement = terms[speed_end : speed_end + nf].reshape(-1, 2) + q[:2]

@@ -30,10 +30,10 @@ from fddp.solver import (
     forward_pass_ddp,
     forward_pass_fddp,
     goldstein_accept,
-    kkt_search_direction,
     solve,
 )
 from fddp.systems import lqr_chain_dynamics
+from kkt_oracle import kkt_search_direction
 
 TOLERANCE = 1e-9
 

@@ -16,6 +16,7 @@ import pytest
 from fddp import CompositeManifold, Rotation2D, VectorSpace
 from fddp import numdiff
 from fddp.errors import DimensionMismatch
+from fddp.manifolds import _wrap_angle
 from fddp.systems import PlanarMonoped
 
 # Base translation, base heading, two leg joints: the planar monoped's
@@ -116,6 +117,45 @@ def test_rotation2d_wraps_into_principal_interval():
     np.testing.assert_allclose(
         m.difference(np.array([3.0]), np.array([-3.0])), [2.0 * np.pi - 6.0]
     )
+
+
+# Angles the wrap must treat exactly: both ends of (-pi, pi], signed zeros,
+# multiples of 2 pi, large magnitudes, and the non-finite values, which wrap
+# to NaN.
+WRAP_EDGE_ANGLES = [
+    np.pi, -np.pi, 0.0, -0.0, 2.0 * np.pi, -2.0 * np.pi, 6.0 * np.pi, -4.0 * np.pi,
+    1e6, -1e6, np.inf, -np.inf, np.nan,
+]
+
+
+def test_one_point_wrap_matches_the_array_wrap_to_the_bit():
+    # One point wraps its angles as floats, a stack of points through numpy;
+    # both give the elementwise array wrap bit for bit, for every manifold
+    # whose angles sit at different offsets.
+    rng = np.random.default_rng(44)
+    angles = np.concatenate(
+        [WRAP_EDGE_ANGLES, rng.uniform(-20.0, 20.0, 60), 1e6 * rng.standard_normal(10)]
+    )
+    with np.errstate(invalid="ignore"):
+        reference = _wrap_angle(angles)
+    finite = np.isfinite(angles)
+    assert np.isnan(reference[~finite]).all()
+    assert (np.abs(reference[finite]) <= np.pi).all() and (reference[finite] != -np.pi).all()
+    assert reference[0] == reference[1] == np.pi
+    for manifold in ALL_MANIFOLDS[1:]:
+        points = rng.standard_normal((len(angles), manifold.nx))
+        points[:, manifold.angles] = angles[:, None]
+        one_by_one = np.array([manifold._wrapped(point.copy()) for point in points])
+        with np.errstate(invalid="ignore"):
+            stacked = manifold._wrapped(points.copy())
+        flat = np.setdiff1d(np.arange(manifold.nx), manifold.angles)
+        for wrapped in (one_by_one, stacked):
+            np.testing.assert_array_equal(wrapped[:, flat], points[:, flat])
+            for i in manifold.angles:
+                np.testing.assert_array_equal(
+                    wrapped[finite, i].view(np.uint64), reference[finite].view(np.uint64)
+                )
+                assert np.isnan(wrapped[~finite, i]).all()
 
 
 # ---------------------------------------------------------------------------

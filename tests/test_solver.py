@@ -34,10 +34,10 @@ from fddp.solver import (
     forward_pass_ddp,
     forward_pass_fddp,
     goldstein_accept,
-    kkt_search_direction,
     solve,
 )
 from fddp.systems import LinearDynamics, Pendulum, lqr_chain_dynamics
+from kkt_oracle import kkt_search_direction
 
 
 def lqr_problem(n=12, seed=0, dt=0.05):
@@ -284,8 +284,8 @@ def test_ddp_zero_step_with_zero_feedforward_is_identity():
     U = [rng.standard_normal(3) for _ in range(8)]
     X = problem.rollout(U)
     ws, _ = prepared_workspace(problem, X, U)
-    ws.k_ff = [np.zeros_like(k) for k in ws.k_ff]
-    X_new, U_new, _ = forward_pass_ddp(problem, X, U, ws, 0.0, datas=problem.create_datas())
+    ws.k_ff[:] = 0.0
+    X_new, U_new, _ = forward_pass_ddp(problem, X, U, ws, 1.0, datas=problem.create_datas())
     for x_new, x in zip(X_new, X):
         np.testing.assert_array_equal(x_new, x)
     for u_new, u in zip(U_new, U):
@@ -357,7 +357,7 @@ def test_gap_tolerant_zero_step_with_zero_feedforward_is_identity():
     X, U = random_iterate(problem, rng)
     ws, _ = prepared_workspace(problem, X, U, mu=1e-9)
     old_gaps = [g.copy() for g in ws.gaps]
-    ws.k_ff = [np.zeros_like(k) for k in ws.k_ff]
+    ws.k_ff[:] = 0.0
     X_new, U_new, _, gaps_new = forward_pass_fddp(
         problem, X, U, ws, 0.0, datas=problem.create_datas()
     )
@@ -392,7 +392,7 @@ def test_expected_improvement_with_no_direction_is_zero():
     U = [rng.standard_normal(3) for _ in range(8)]
     X = problem.rollout(U)
     ws, _ = prepared_workspace(problem, X, U)
-    ws.k_ff = [np.zeros_like(k) for k in ws.k_ff]
+    ws.k_ff[:] = 0.0
     d1, d2 = expected_improvement(problem, ws, X, X)
     assert d1 == 0.0 and d2 == 0.0
 
@@ -841,15 +841,17 @@ def test_nonfinite_node_evaluation_ends_the_solve_naming_node_and_cause(kind, k,
 
 
 class PoisonedDerivativeModel(IntegratedActionModel):
-    """Integrated node whose calc_diff leaves a NaN in one derivative block."""
+    """Integrated node whose calc_diff leaves a NaN in one derivative block,
+    at its flat index `entry`."""
 
-    def __init__(self, model, block):
+    def __init__(self, model, block, entry=0):
         super().__init__(model.dynamics, model.costs, model.dt)
         self.block = block
+        self.entry = entry
 
     def calc_diff(self, stack, X, U):
         super().calc_diff(stack, X, U)
-        getattr(stack, self.block).flat[0] = np.nan
+        getattr(stack, self.block).flat[self.entry] = np.nan
         return stack
 
 
@@ -878,4 +880,22 @@ def test_nonfinite_node_derivative_is_reported_not_raised(monkeypatch, solver, b
         f"failure: non-finite derivatives in the backward pass (node {k})"
     )
     assert len(passes) == 1
+    assert len(report.rows) == 1
+
+
+@pytest.mark.parametrize("solver", ["fddp", "ddp"])
+def test_nonfinite_upper_triangle_of_control_hessian_is_reported(solver):
+    # The Cholesky factorization reads only the lower triangle of Q_uu, so a
+    # NaN above the diagonal (entry (0, 1) of a two-control node) never makes
+    # it fail; the backward pass must still end the solve naming the node.
+    _, problem, X, U = load_and_build(bundled_scenario_path("monoped_hop"))
+    k = 30
+    models = list(problem.running_models)
+    assert models[k].nu == 2
+    models[k] = PoisonedDerivativeModel(models[k], "l_uu", entry=1)
+    problem = ShootingProblem(problem.x0_measured, models, problem.terminal_model)
+    _, _, report = solve(problem, X, U, solver=solver, max_iters=5)
+    assert report.termination == (
+        f"failure: non-finite derivatives in the backward pass (node {k})"
+    )
     assert len(report.rows) == 1
