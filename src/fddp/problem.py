@@ -18,12 +18,14 @@ The nodes are grouped by model at construction (`groups`; a scenario shares
 one model per (phase, dt)). A data set (`create_datas`) is (running
 containers, terminal container, stacks), with one `ActionDataStack` per
 group whose rows the group's containers view. `calc` and the rollouts sweep
-the nodes in order, each node's `calc` computing only its dynamics; after
-the sweep the total cost is one stacked `model.cost` call per group and one
-for the terminal node (`_total_cost`, which the solver's forward passes use
-too). `calc_diff` makes one stacked pass per group. Both take the controls
-as one (N, nu_max) array, zero-padded, and hand each group its rows; the
-solver's forward passes fill such an array as they sweep.
+the nodes in order, each node's `calc` computing only its dynamics (a
+failing node raises `NumericalFailure` naming it); after the sweep,
+`_cost_and_gaps` (where the solver's forward passes end too) makes one
+stacked `model.cost` call per group and one for the terminal node
+(`_total_cost`) and one difference of the stacked states. `calc_diff` makes
+one stacked pass per group. Both take the controls as one (N, nu_max) array,
+zero-padded, and hand each group its rows; the solver's forward passes fill
+such an array as they sweep.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from .action import ActionData, ActionDataStack, ActionModelBase
-from .errors import DimensionMismatch, NumericalFailure
+from .errors import DimensionMismatch, FactorizationError, NumericalFailure
 
 
 class ShootingProblem:
@@ -115,7 +117,7 @@ class ShootingProblem:
         for k, model in enumerate(self.running_models):
             try:
                 model.calc(running[k], X[k], U[k])
-            except NumericalFailure as exc:
+            except (NumericalFailure, FactorizationError) as exc:
                 raise NumericalFailure(str(exc), node=k) from exc
             X.append(running[k].xnext)
         self.terminal_model.calc(terminal, X[self.N])
@@ -136,16 +138,16 @@ class ShootingProblem:
         for k, model in enumerate(self.running_models):
             try:
                 model.calc(running[k], X[k], U[k])
-            except NumericalFailure as exc:
+            except (NumericalFailure, FactorizationError) as exc:
                 raise NumericalFailure(str(exc), node=k) from exc
         self.terminal_model.calc(terminal, X[self.N])
-        return self._cost_and_gaps(X, U, running)
+        return self._cost_and_gaps(np.asarray(X), self._control_array(U), running)
 
     def _cost_and_gaps(self, X, U, running) -> tuple[float, np.ndarray]:
-        """Total cost and gaps at (X, U), after the node sweep that left each
-        node's landing point in the running containers."""
-        X = np.asarray(X)
-        cost = self._total_cost(X, self._control_array(U))
+        """Total cost and gaps of the stacked states X (N + 1, nx) and
+        controls U (N, nu_max), after the node sweep that left each node's
+        landing point in the running containers."""
+        cost = self._total_cost(X, U)
         if not np.isfinite(cost):
             raise NumericalFailure("non-finite total cost", node=self.N)
         landed = np.array([self.x0_measured] + [data.xnext for data in running])

@@ -11,15 +11,14 @@ accepted.
 
 The backward pass is a Riccati recursion over tangent-space derivatives with a
 scalar Levenberg-Marquardt regularizer on the control Hessian, one fused step
-per node on [gradient | matrix] blocks. The forward passes sweep the nodes'
-dynamics and take the trial cost from one stacked cost call per group. Step
-acceptance uses the two-sided Goldstein test on a quadratic
-expected-improvement model that accounts for open gaps.
+per node on [gradient | matrix] blocks. Both forward passes are one node
+sweep ending in one stacked `_cost_and_gaps` call (under ddp the gaps come out
+as exact zeros). Step acceptance uses the two-sided Goldstein test on a
+quadratic expected-improvement model that accounts for open gaps.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,10 +59,6 @@ class SolveReport:
     solver: str
     rows: list[TraceRow] = field(default_factory=list)
     termination: str = "max_iters"
-    timings: dict = field(default_factory=dict)
-    gap_history: list = field(default_factory=list)
-    iter_times: list = field(default_factory=list)
-    deriv_times: list = field(default_factory=list)
 
     @property
     def iterations(self) -> int:
@@ -119,10 +114,6 @@ class SolverWorkspace:
             )
             for k, nu_k in enumerate(nus)
         ]
-        self.d1 = 0.0
-        self.d2 = 0.0
-        self.mu = 0.0
-        self.alpha = 0.0
 
 
 def _node_rows(Q, policy, V):
@@ -193,7 +184,6 @@ def backward_pass(problem: ShootingProblem, ws: SolverWorkspace, mu: float, data
         vx, vxx = v_x, v_xx
     if not (np.isfinite(ws.Q_uu).all() and _finite_node(ws, 0)):
         raise _nonfinite_failure(ws, 0)
-    ws.mu = mu
     return ws
 
 
@@ -225,8 +215,9 @@ def _sweep(problem, X, U, ws, alpha, datas, shrink=0.0):
     With shrink 0 the sweep starts at the measured initial state and each
     node's output is the next state; otherwise the initial state and each
     output are pulled back along their stored gaps by the factor shrink.
-    Returns the states, the controls per node (views of their rows), the
-    states stacked and the total cost.
+    A failing node raises `NumericalFailure` naming it. Returns the states
+    stacked (N + 1, nx), the controls per node (views of their rows), and the
+    cost and gaps of the produced trajectory from one `_cost_and_gaps` call.
     """
     running, terminal = (datas or (problem.datas, problem.terminal_data))[:2]
     state = problem.state
@@ -248,23 +239,21 @@ def _sweep(problem, X, U, ws, alpha, datas, shrink=0.0):
                 np.add(U[k], ws.node_rows[k][6] @ z, out=u)
             try:
                 model.calc(running[k], X_new[k], u)
-            except FactorizationError as exc:
+            except (NumericalFailure, FactorizationError) as exc:
                 raise NumericalFailure(str(exc), node=k) from exc
             U_new.append(u)
             xnext = running[k].xnext
             X_new.append(state.integrate(xnext, pull[k + 1]) if shrink else xnext)
         problem.terminal_model.calc(terminal, X_new[-1])
-        X_stack = np.array(X_new)
-        cost = problem._total_cost(X_stack, controls)
-    if not np.isfinite(cost):
-        raise NumericalFailure("non-finite cost in rollout")
-    return X_new, U_new, X_stack, cost
+        X_new = np.array(X_new)
+        cost, gaps = problem._cost_and_gaps(X_new, controls, running)
+    return X_new, U_new, cost, gaps
 
 
 def forward_pass_ddp(problem, X, U, ws, alpha, datas=None):
-    """Feasible rollout under the backward-pass policy: gaps stay closed."""
-    X_new, U_new, _, cost = _sweep(problem, X, U, ws, alpha, datas)
-    return X_new, U_new, cost
+    """Feasible rollout under the backward-pass policy: (X, U, cost, gaps)
+    from `_sweep`, the gaps exact zeros."""
+    return _sweep(problem, X, U, ws, alpha, datas)
 
 
 def forward_pass_fddp(problem, X, U, ws, alpha, datas=None):
@@ -273,14 +262,9 @@ def forward_pass_fddp(problem, X, U, ws, alpha, datas=None):
     The initial state and every node output are pulled back along the stored
     gap by the factor (1 - alpha) before becoming the next shooting state, so
     a unit step is the feasible rollout of `forward_pass_ddp`, to the bit.
-    Returned gaps are recomputed from the produced trajectory, not assumed.
+    Returns (X, U, cost, gaps) from `_sweep`, the gaps measured, not assumed.
     """
-    X_new, U_new, X_stack, cost = _sweep(problem, X, U, ws, alpha, datas, 1.0 - alpha)
-    running = (datas or (problem.datas,))[0]
-    landed = np.array([problem.x0_measured] + [data.xnext for data in running])
-    with np.errstate(over="ignore", invalid="ignore"):
-        gaps = problem.state.difference(X_stack, landed)
-    return X_new, U_new, cost, gaps
+    return _sweep(problem, X, U, ws, alpha, datas, 1.0 - alpha)
 
 
 def expected_improvement(problem, ws, X, X_trial):
@@ -296,7 +280,7 @@ def expected_improvement(problem, ws, X, X_trial):
     d1*alpha + 0.5*d2*alpha^2.
     """
     f, v_xx, k_ff = ws.gaps, ws.V_xx, ws.k_ff
-    dx = problem.state.difference(np.asarray(X), np.asarray(X_trial))
+    dx = problem.state.difference(X, X_trial)
     vxx_dx = np.einsum("kij,kj->ki", v_xx, dx)
     vxx_f = np.einsum("kij,kj->ki", v_xx, f)
     # The zero-padded control entries add nothing to the policy terms.
@@ -304,8 +288,7 @@ def expected_improvement(problem, ws, X, X_trial):
     d2 = np.einsum("ki,ki->", f, 2.0 * vxx_dx - vxx_f) + np.einsum(
         "ki,kij,kj->", k_ff, ws.Q_uu, k_ff
     )
-    ws.d1, ws.d2 = float(d1), float(d2)
-    return ws.d1, ws.d2
+    return float(d1), float(d2)
 
 
 def goldstein_accept(
@@ -337,21 +320,22 @@ def solve(
     tolerance: float = 1e-9,
     regularization_init: float = REG_MIN,
 ):
-    """Run the iteration loop and return (X, U, report).
+    """Run the iteration loop and return (X, U, report), X and U as lists.
 
     Every pass through the loop performs one backward pass (with as many
     regularization bumps as Cholesky failures require) and one backtracking
-    line search over step lengths 1, 1/2, ..., 2^-10, and appends exactly one
-    trace row, accepted or not. Rejected line searches raise the regularizer
-    tenfold and retry from the same iterate. Convergence is declared when the
-    zero-step expected-improvement gradient plus the total gap norm falls
-    under the tolerance. Failure states (regularization cap, non-finite
-    evaluations, including non-finite derivatives met by the backward pass)
-    are recorded in the report, never raised. A malformed guess is rejected on
-    entry by `ShootingProblem.check_trajectories`; the evaluations after that
-    check go through the problem's unchecked `_rollout`, `_cost_and_gaps` and
-    `_calc`. Under ddp the start is one sweep: the rollout of the warm-start
-    controls, whose cost and gaps need no second pass over the nodes.
+    line search over step lengths 1, 1/2, ..., 2^-10, each trial one forward
+    pass call, and appends exactly one trace row, accepted or not. Rejected
+    line searches raise the regularizer tenfold and retry from the same
+    iterate. Convergence is declared when the zero-step expected-improvement
+    gradient plus the total gap norm falls under the tolerance. Failure
+    states (regularization cap, non-finite evaluations naming their node,
+    non-finite derivatives met by the backward pass) are recorded in the
+    report, never raised. A malformed guess is rejected on entry by
+    `ShootingProblem.check_trajectories`; the evaluations after that check go
+    through the problem's unchecked `_rollout`, `_cost_and_gaps` and `_calc`,
+    on the iterate's states stacked (N + 1, nx). Under ddp the start is one
+    sweep: the rollout of the warm-start controls.
     """
     if solver not in ("ddp", "fddp"):
         raise DimensionMismatch(f"unknown solver {solver!r}, expected 'ddp' or 'fddp'")
@@ -362,121 +346,79 @@ def solve(
         problem.constant_state_guess() if X_guess is None else X_guess,
         problem.zero_controls() if U_guess is None else U_guess,
     )
-    X, U = [x.copy() for x in X], [u.copy() for u in U]
+    X, U = np.array(X), [u.copy() for u in U]
 
     report = SolveReport(solver=solver)
-    timings = {"calc_diff": 0.0, "backward": 0.0, "forward": 0.0, "total": 0.0}
-    t_start = time.perf_counter()
     current = (problem.datas, problem.terminal_data, problem.stacks)
     trial = problem.create_datas()
     mu = float(regularization_init)
+    forward_pass = forward_pass_ddp if solver == "ddp" else forward_pass_fddp
 
     def finish(termination):
-        timings["total"] = time.perf_counter() - t_start
         report.termination = termination
-        report.timings = timings
-        return X, U, report
+        return list(X), U, report
 
     try:
         if solver == "ddp":
             # The rollout's sweep leaves the data set as _calc would.
-            X = problem._rollout(U, datas=current)
-            cost, gaps = problem._cost_and_gaps(X, U, current[0])
+            X = np.array(problem._rollout(U, datas=current))
+            cost, gaps = problem._cost_and_gaps(X, problem._control_array(U), current[0])
         else:
             cost, gaps = problem._calc(X, U, datas=current)
-    except (NumericalFailure, FactorizationError) as exc:
+    except NumericalFailure as exc:
         report.rows.append(TraceRow(0, float("nan"), float("nan"), 0.0, mu, 0.0, 0))
-        report.gap_history.append(None)
         return finish(f"failure: {exc}")
 
     ws = SolverWorkspace(problem)
     ws.gaps = gaps
     report.rows.append(TraceRow(0, cost, gap_l2_norm(gaps), 0.0, mu, 0.0, 1))
-    report.gap_history.append(gaps.copy())
 
     need_derivatives = True
     for it in range(1, max_iters + 1):
-        t_iter = time.perf_counter()
-        t_deriv = 0.0
         if need_derivatives:
-            t0 = time.perf_counter()
             try:
                 problem.calc_diff(X, U, datas=current)
-            except (NumericalFailure, FactorizationError) as exc:
+            except NumericalFailure as exc:
                 return finish(f"failure: {exc}")
-            t_deriv = time.perf_counter() - t0
-            timings["calc_diff"] += t_deriv
 
-        t0 = time.perf_counter()
-        backward_ok = False
-        while not backward_ok:
+        while True:
             try:
                 backward_pass(problem, ws, mu, datas=current)
-                backward_ok = True
+                break
             except NotPositiveDefinite:
                 mu *= 10.0
                 if mu > REG_MAX:
-                    timings["backward"] += time.perf_counter() - t0
                     return finish("failure: regularization limit reached")
             except NumericalFailure as exc:
-                timings["backward"] += time.perf_counter() - t0
                 return finish(f"failure: {exc}")
-        timings["backward"] += time.perf_counter() - t0
 
         d1_stop, _ = expected_improvement(problem, ws, X, X)
         if abs(d1_stop) + gap_l2_norm(ws.gaps) < tolerance:
             return finish("converged")
 
-        t0 = time.perf_counter()
         accepted = False
-        alpha = STEP_LENGTHS[0]
         dj = 0.0
         for alpha in STEP_LENGTHS:
             try:
-                if solver == "ddp":
-                    X_try, U_try, cost_try = forward_pass_ddp(
-                        problem, X, U, ws, alpha, datas=trial
-                    )
-                    gaps_try = np.zeros((problem.N + 1, problem.ndx))
-                else:
-                    X_try, U_try, cost_try, gaps_try = forward_pass_fddp(
-                        problem, X, U, ws, alpha, datas=trial
-                    )
+                X_try, U_try, cost_try, gaps_try = forward_pass(problem, X, U, ws, alpha, datas=trial)
             except NumericalFailure:
                 continue
             d1, d2 = expected_improvement(problem, ws, X, X_try)
             dj = d1 * alpha + 0.5 * d2 * alpha * alpha
             if goldstein_accept(cost_try, cost, dj):
-                X, U, cost = X_try, U_try, cost_try
-                ws.gaps = gaps_try
-                ws.alpha = alpha
+                X, U, cost, ws.gaps = X_try, U_try, cost_try, gaps_try
                 current, trial = trial, current
                 accepted = True
                 break
-        timings["forward"] += time.perf_counter() - t0
 
-        mu_used = ws.mu
+        # An exhausted search leaves alpha at the last step length.
+        report.rows.append(TraceRow(it, cost, gap_l2_norm(ws.gaps), alpha, mu, dj, int(accepted)))
+        need_derivatives = accepted
         if accepted:
             mu = max(mu / 10.0, REG_MIN)
-            need_derivatives = True
         else:
             mu *= 10.0
-            need_derivatives = False
-        report.rows.append(
-            TraceRow(
-                it,
-                cost,
-                gap_l2_norm(ws.gaps),
-                alpha if accepted else STEP_LENGTHS[-1],
-                mu_used,
-                dj,
-                int(accepted),
-            )
-        )
-        report.gap_history.append(ws.gaps.copy())
-        report.iter_times.append(time.perf_counter() - t_iter)
-        report.deriv_times.append(t_deriv)
-        if not accepted and mu > REG_MAX:
-            return finish("failure: regularization limit reached")
+            if mu > REG_MAX:
+                return finish("failure: regularization limit reached")
 
     return finish("max_iters")

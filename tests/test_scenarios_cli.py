@@ -538,35 +538,28 @@ def test_bundled_scenarios_reach_their_recorded_optima(name, solver, iterations,
 # The two monoped scenarios under ddp: long runs of many short steps, the most
 # sensitive to rounding, pinned by how they end (termination, iterations and
 # final cost at rel=1e-12) and by the step length of every iteration, each
-# accepted, as halvings: alpha = 2^-h. The last field, when set, says why the
-# cost no longer meets its pin; that case is reported as an expected failure
-# once everything else about the run has been checked.
+# accepted, as halvings: alpha = 2^-h.
 RECORDED_DDP_ENDS = [
     (
         "monoped_hop", "converged", 103, 0.2648865163642681,
         "6 6 5 9 9 9 4 7 7 7 7 7 7 7 2 4 4 4 4 5 5 4 4 4 4 3 5 6 6 6 6 6 6 6 5 4 4 4 4 4 3 3 3 3"
         " 3 3 3 1 2 2 2 2 1 2 2 2 1 0 0 0 0 0 0 1 1 2 2 2 3 3 3 3 4 4 4 4 4 4 4 4 4 4 4 4 3 3 3 2"
         " 2 2 2 2 2 2 1 0 0 0 0 0 0 0 0",
-        None,
     ),
     (
-        "monoped_hop_warmstart_infeasible", "max_iters", 40, 3.2950798320906123,
+        "monoped_hop_warmstart_infeasible", "max_iters", 40, 3.2950584011735367,
         "4 4 4 5 5 3 5 4 3 4 5 5 5 3 3 2 3 3 3 3 3 3 2 1 2 2 2 3 3 3 2 1 3 3 2 1 1 1 0 1",
-        "the run stops at max_iters away from an optimum, where rounding moves its"
-        " cost: the one-product policy u = U + [k | K] [alpha; dx] and the"
-        " unsymmetrized Q_uu factorization end it at 3.2950584011735367"
-        " (6.5e-6 relative) on the same 40 steps",
     ),
 ]
 
 
 @pytest.mark.parametrize(
-    "name, termination, iterations, final_cost, halvings, moved",
+    "name, termination, iterations, final_cost, halvings",
     RECORDED_DDP_ENDS,
     ids=[f"{name}-ddp" for name, *_ in RECORDED_DDP_ENDS],
 )
 def test_monoped_scenarios_under_ddp_end_as_recorded(
-    name, termination, iterations, final_cost, halvings, moved
+    name, termination, iterations, final_cost, halvings
 ):
     scenario, problem, X, U = load_and_build(bundled_scenario_path(name))
     options = scenario.solver_options
@@ -578,8 +571,6 @@ def test_monoped_scenarios_under_ddp_end_as_recorded(
     assert report.iterations == iterations
     line_search = [(row.step_length, row.accepted) for row in report.rows[1:]]
     assert line_search == [(0.5 ** int(h), 1) for h in halvings.split()]
-    if moved and report.final_cost != pytest.approx(final_cost, rel=1e-12, abs=0.0):
-        pytest.xfail(moved)
     assert report.final_cost == pytest.approx(final_cost, rel=1e-12, abs=0.0)
 
 

@@ -11,11 +11,13 @@ import pytest
 
 from fddp.action import (
     ActionModelBase,
+    ConstrainedMechanicalDynamics,
     FreeMechanicalDynamics,
     IntegratedActionModel,
     LinearFlow,
     TerminalActionModel,
 )
+from fddp.contact import Contact, ContactSet
 from fddp.costs import ControlRegularization, StateRegularization
 from fddp.errors import (
     DimensionMismatch,
@@ -285,7 +287,7 @@ def test_ddp_zero_step_with_zero_feedforward_is_identity():
     X = problem.rollout(U)
     ws, _ = prepared_workspace(problem, X, U)
     ws.k_ff[:] = 0.0
-    X_new, U_new, _ = forward_pass_ddp(problem, X, U, ws, 1.0, datas=problem.create_datas())
+    X_new, U_new, _, _ = forward_pass_ddp(problem, X, U, ws, 1.0, datas=problem.create_datas())
     for x_new, x in zip(X_new, X):
         np.testing.assert_array_equal(x_new, x)
     for u_new, u in zip(U_new, U):
@@ -297,9 +299,10 @@ def test_ddp_rollouts_are_feasible():
     X, U = random_iterate(problem, rng)
     ws, _ = prepared_workspace(problem, X, U, mu=1e-9)
     for alpha in (1.0, 0.5, 0.125):
-        X_new, U_new, _ = forward_pass_ddp(
+        X_new, U_new, _, gaps_new = forward_pass_ddp(
             problem, X, U, ws, alpha, datas=problem.create_datas()
         )
+        np.testing.assert_array_equal(gaps_new, 0.0)
         _, gaps = problem.calc(X_new, U_new)
         assert gap_l2_norm(gaps) <= 1e-12
 
@@ -314,7 +317,7 @@ def test_ddp_full_step_reaches_the_kkt_optimum():
     cost_opt, _ = problem.calc(X_opt, U_opt, datas=problem.create_datas())
 
     ws, _ = prepared_workspace(problem, X, U)
-    _, _, cost_full = forward_pass_ddp(problem, X, U, ws, 1.0, datas=problem.create_datas())
+    _, _, cost_full, _ = forward_pass_ddp(problem, X, U, ws, 1.0, datas=problem.create_datas())
     assert abs(cost_full - cost_opt) <= 1e-9
 
 
@@ -323,7 +326,7 @@ def test_gap_tolerant_full_step_equals_classical_step():
     U = [rng.standard_normal(3) for _ in range(9)]
     X = problem.rollout(U)
     ws, _ = prepared_workspace(problem, X, U, mu=1e-9)
-    X_d, U_d, cost_d = forward_pass_ddp(problem, X, U, ws, 1.0, datas=problem.create_datas())
+    X_d, U_d, cost_d, _ = forward_pass_ddp(problem, X, U, ws, 1.0, datas=problem.create_datas())
     X_f, U_f, cost_f, gaps_f = forward_pass_fddp(
         problem, X, U, ws, 1.0, datas=problem.create_datas()
     )
@@ -405,7 +408,7 @@ def test_expected_improvement_is_exact_on_feasible_linear_quadratic():
     X = problem.rollout(U)
     ws, cost = prepared_workspace(problem, X, U)
     for alpha in STEP_LENGTHS:
-        X_try, _, cost_try = forward_pass_ddp(
+        X_try, _, cost_try, _ = forward_pass_ddp(
             problem, X, U, ws, alpha, datas=problem.create_datas()
         )
         d1, d2 = expected_improvement(problem, ws, X, X_try)
@@ -660,8 +663,6 @@ def test_classical_solver_iterates_stay_feasible():
     X, U, report = solve(problem, solver="ddp", max_iters=5, tolerance=1e-9)
     for row in report.rows:
         assert row.gap_l2 <= 1e-12
-    for gaps in report.gap_history:
-        assert gap_l2_norm(gaps) <= 1e-12
 
 
 def test_gap_tolerant_solve_closes_gaps_and_descends_afterwards():
@@ -708,9 +709,6 @@ def test_first_row_records_the_warm_start():
     assert row.iteration == 0
     assert row.step_length == 0.0 and row.expected_dj == 0.0 and row.accepted == 1
     assert row.regularization == REG_MIN
-    assert len(report.iter_times) == len(report.rows) - 1
-    assert len(report.deriv_times) == len(report.rows) - 1
-    assert report.timings["total"] > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -802,7 +800,6 @@ def test_initial_evaluation_failure_is_reported_not_raised():
     assert np.isnan(report.rows[0].cost)
     assert np.isnan(report.rows[0].gap_l2)
     assert report.rows[0].accepted == 0
-    assert report.gap_history == [None]
 
 
 # A NaN or an overflow injected into the guess at one node of monoped_hop
@@ -838,6 +835,33 @@ def test_nonfinite_node_evaluation_ends_the_solve_naming_node_and_cause(kind, k,
         _, _, report = solve(problem, X, U, solver="fddp", max_iters=5)
     assert report.termination == f"failure: {cause} (node {k})"
     assert len(report.rows) == 1
+
+
+@pytest.mark.parametrize("solver", ["fddp", "ddp"])
+def test_failed_factorization_at_the_start_names_its_node(solver):
+    # Two tip rows on the pendulum's one degree of freedom: the contact
+    # factorization of the first node fails, and the termination names it.
+    pend = Pendulum()
+    tip = ContactSet((Contact("tip", [0.0, -1.0], alpha=50.0, beta=10.0),))
+    model = IntegratedActionModel(
+        ConstrainedMechanicalDynamics(pend, tip), (ControlRegularization(1, 0.1, 2),), 0.01
+    )
+    problem = ShootingProblem(np.array([0.1, 0.2]), [model] * 3, TerminalActionModel(pend.state))
+    _, _, report = solve(problem, solver=solver, max_iters=5)
+    assert report.termination == (
+        "failure: operational-space inertia is not positive definite"
+        " (constraint rows dependent?) (node 0)"
+    )
+    assert len(report.rows) == 1
+
+
+@pytest.mark.parametrize("forward_pass", [forward_pass_ddp, forward_pass_fddp])
+def test_failed_trial_node_is_named(forward_pass):
+    problem = blocked_problem()
+    ws = SolverWorkspace(problem)
+    ws.k_ff[:] = 1.0
+    with pytest.raises(NumericalFailure, match=r"^control rejected \(node 0\)$"):
+        forward_pass(problem, problem.constant_state_guess(), problem.zero_controls(), ws, 1.0)
 
 
 class PoisonedDerivativeModel(IntegratedActionModel):
