@@ -20,10 +20,11 @@ inputs and results, the free dynamics M, the torque and the acceleration.
 one stacked pass over the cost terms' residuals; no node's `calc` computes
 its cost. `calc_diff(stack, X, U)` evaluates the derivatives of all n nodes
 in an `ActionDataStack` at once, reading what `calc` left in each of
-`stack.nodes`; it must follow those calls at the same points. Constructors
-check their arguments; `calc`, `cost` and `calc_diff` do not, as the entry
-points (`ShootingProblem.check_trajectories`, the scenario loader)
-guarantee the shapes.
+`stack.nodes`; it must follow those calls at the same points (the terminal
+model's reads nothing of `calc`, so the solve never calls its `calc`).
+Constructors check their arguments; `calc`, `cost` and `calc_diff` do not,
+as the entry points (`ShootingProblem.check_trajectories`, the scenario
+loader) guarantee the shapes.
 
 `calc_diff` overwrites the stacks `Fz` and `Lz` of `ActionDataStack` in
 place, through their named views f_x, f_u, l_x, l_u, l_xx, l_xu,

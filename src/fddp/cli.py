@@ -105,7 +105,7 @@ def write_trace_csv(path, report) -> None:
 def write_solution_csv(path, problem, X, U) -> None:
     """Per-node state and control coordinates; empty cells where nu = 0."""
     nx = problem.state.nx
-    nu_max = max((m.nu for m in problem.running_models), default=0)
+    nu_max = problem.nu_max
     header = ["node"] + [f"x{i}" for i in range(nx)] + [f"u{i}" for i in range(nu_max)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -197,14 +197,12 @@ def cmd_solve(args) -> int:
 
 
 def _unique_models(problem):
-    """Distinct action models with a label naming where they first appear."""
-    seen = {}
-    for k, model in enumerate(problem.running_models):
-        if id(model) not in seen:
-            seen[id(model)] = (f"node {k} ({type(model).__name__})", model)
-    label_terminal = f"terminal ({type(problem.terminal_model).__name__})"
-    seen[id(problem.terminal_model)] = (label_terminal, problem.terminal_model)
-    return list(seen.values())
+    """Distinct action models with a label naming where they first appear:
+    each group's model, labelled by its first node, then the terminal model."""
+    terminal = problem.terminal_model
+    return [
+        (f"node {nodes[0]} ({type(model).__name__})", model) for model, nodes in problem.groups
+    ] + [(f"terminal ({type(terminal).__name__})", terminal)]
 
 
 def check_problem_derivatives(problem, samples: int = 100, seed: int = 0, corrupt=None):

@@ -10,22 +10,22 @@ state at node 0).
 `check_trajectories` is the validation boundary for guesses: `calc` and
 `rollout` call it on entry for outside callers, and `solve` calls it once
 and then evaluates through the unchecked `_calc`, `_rollout` and
-`_cost_and_gaps`. Nothing below them checks a state or a control again.
-`calc_diff` reads what `calc` (or a rollout) left in the data containers,
-so it must follow one at the same (X, U).
+`_cost_and_gaps`. Nothing below them checks a state or a control again,
+and there a trajectory is two arrays: the states X (N + 1, nx) and the
+controls U (N, nu_max), zero-padded (`stack_controls`, once, on entry);
+node k reads `U[k, :nu_k]`. `calc_diff` reads what `calc` (or a rollout)
+left in the data containers, so it must follow one at the same (X, U).
 
 The nodes are grouped by model at construction (`groups`; a scenario shares
 one model per (phase, dt)). A data set (`create_datas`) is (running
-containers, terminal container, stacks), with one `ActionDataStack` per
-group whose rows the group's containers view. `calc` and the rollouts sweep
-the nodes in order, each node's `calc` computing only its dynamics (a
-failing node raises `NumericalFailure` naming it); after the sweep,
+containers, stacks), with one `ActionDataStack` per group whose rows the
+group's containers view, and the terminal node's stack of one last. `calc`
+and the rollouts sweep the running nodes in order, each node's `calc`
+computing only its dynamics (a failing node raises `NumericalFailure`
+naming it); the terminal node has no dynamics to sweep. After the sweep,
 `_cost_and_gaps` (where the solver's forward passes end too) makes one
-stacked `model.cost` call per group and one for the terminal node
-(`_total_cost`) and one difference of the stacked states. `calc_diff` makes
-one stacked pass per group. Both take the controls as one (N, nu_max) array,
-zero-padded, and hand each group its rows; the solver's forward passes fill
-such an array as they sweep.
+stacked `model.cost` call per group and one for the terminal node and one
+difference of the stacked states; `calc_diff` one stacked pass for each.
 """
 
 from __future__ import annotations
@@ -62,14 +62,14 @@ class ShootingProblem:
         self.N = len(running_models)
         self.nu_max = max(model.nu for model in running_models)
         self.ndx = state.ndx
-        self.datas, self.terminal_data, self.stacks = self.create_datas()
+        self.datas, self.stacks = self.create_datas()
 
     # -- data containers -----------------------------------------------------
 
-    def create_datas(self) -> tuple[list[ActionData], ActionData, list[ActionDataStack]]:
-        """One data set: the running nodes' containers, the terminal's, and the
-        stacks their derivatives are rows of: one per group, then the
-        terminal node's stack of one."""
+    def create_datas(self) -> tuple[list[ActionData], list[ActionDataStack]]:
+        """One data set: the running nodes' containers and the stacks their
+        derivatives are rows of: one per group, then the terminal node's
+        stack of one."""
         running = [None] * self.N
         stacks = []
         for model, nodes in self.groups:
@@ -77,7 +77,7 @@ class ShootingProblem:
             for k, data in zip(nodes, stacks[-1].nodes):
                 running[k] = data
         stacks.append(self.terminal_model.create_stack(1))
-        return running, stacks[-1].nodes[0], stacks
+        return running, stacks
 
     # -- validation ------------------------------------------------------------
 
@@ -102,82 +102,78 @@ class ShootingProblem:
 
     # -- evaluation ------------------------------------------------------------
 
-    def rollout(self, U, datas=None):
+    def rollout(self, U, datas=None) -> np.ndarray:
         """Integrate the controls from the measured initial state (feasible X)."""
-        return self._rollout(self.check_trajectories(None, U)[1], datas)
+        return self._rollout(self.stack_controls(self.check_trajectories(None, U)[1]), datas)
 
-    def _rollout(self, U, datas=None):
-        """rollout of controls that check_trajectories has already checked.
+    def _rollout(self, U, datas=None) -> np.ndarray:
+        """rollout of stacked controls U (N, nu_max) that check_trajectories
+        has already checked; returns the states stacked (N + 1, nx).
 
         Leaves the data set as calc at (X, U) leaves it, so `_cost_and_gaps`
         and `calc_diff` may follow without another sweep.
         """
-        running, terminal = (datas or (self.datas, self.terminal_data))[:2]
-        X = [self.x0_measured.copy()]
+        running = datas[0] if datas else self.datas
+        X = np.empty((self.N + 1, self.state.nx))
+        X[0] = self.x0_measured
         for k, model in enumerate(self.running_models):
             try:
-                model.calc(running[k], X[k], U[k])
+                model.calc(running[k], X[k], U[k, : model.nu])
             except (NumericalFailure, FactorizationError) as exc:
                 raise NumericalFailure(str(exc), node=k) from exc
-            X.append(running[k].xnext)
-        self.terminal_model.calc(terminal, X[self.N])
+            X[k + 1] = running[k].xnext
         return X
 
-    def calc(self, X, U, datas=None) -> tuple[float, list[np.ndarray]]:
+    def calc(self, X, U, datas=None) -> tuple[float, np.ndarray]:
         """Total cost and dynamics gaps of a (possibly infeasible) guess.
 
         gaps[0] is the measured initial state minus the guessed one; gaps[k+1]
         is where node k's dynamics lands minus the guessed X[k+1], both as
         tangent vectors at the guessed states.
         """
-        return self._calc(*self.check_trajectories(X, U), datas)
+        X, U = self.check_trajectories(X, U)
+        return self._calc(np.array(X), self.stack_controls(U), datas)
 
     def _calc(self, X, U, datas=None) -> tuple[float, np.ndarray]:
-        """calc of a guess that check_trajectories has already checked."""
-        running, terminal = (datas or (self.datas, self.terminal_data))[:2]
+        """calc of a stacked guess that check_trajectories has already checked."""
+        running = datas[0] if datas else self.datas
         for k, model in enumerate(self.running_models):
             try:
-                model.calc(running[k], X[k], U[k])
+                model.calc(running[k], X[k], U[k, : model.nu])
             except (NumericalFailure, FactorizationError) as exc:
                 raise NumericalFailure(str(exc), node=k) from exc
-        self.terminal_model.calc(terminal, X[self.N])
-        return self._cost_and_gaps(np.asarray(X), self._control_array(U), running)
+        return self._cost_and_gaps(X, U, running)
 
     def _cost_and_gaps(self, X, U, running) -> tuple[float, np.ndarray]:
         """Total cost and gaps of the stacked states X (N + 1, nx) and
         controls U (N, nu_max), after the node sweep that left each node's
-        landing point in the running containers."""
-        cost = self._total_cost(X, U)
+        landing point in the running containers: one stacked cost call per
+        group and one for the terminal node, one difference of the states."""
+        cost = 0.0
+        for model, nodes in self.groups:
+            cost += model.cost(X[nodes], U[nodes, : model.nu]).sum()
+        cost = float(cost + self.terminal_model.cost(X[self.N :], _NO_CONTROLS)[0])
         if not np.isfinite(cost):
             raise NumericalFailure("non-finite total cost", node=self.N)
         landed = np.array([self.x0_measured] + [data.xnext for data in running])
         return cost, self.state.difference(X, landed)
 
-    def _total_cost(self, X, U) -> float:
-        """The cost of the trajectory X (N + 1, nx), U (N, nu_max): one
-        stacked cost call per group and one for the terminal node."""
-        cost = 0.0
-        for model, nodes in self.groups:
-            cost += model.cost(X[nodes], U[nodes, : model.nu]).sum()
-        return float(cost + self.terminal_model.cost(X[self.N :], _NO_CONTROLS)[0])
-
     def calc_diff(self, X, U, datas=None):
-        """Evaluate all node derivatives at the guess: one stacked pass per group.
+        """Evaluate all node derivatives at the stacked guess X (N + 1, nx),
+        U (N, nu_max): one stacked pass per group, then the terminal node's.
 
-        Reads what calc(X, U, datas) left in the same data containers. Each
-        group's model fills its stack for all its nodes at once; a node's
-        numerical failures surface in calc, which runs first.
+        Reads what calc at (X, U) left in the same running containers; the
+        terminal node reads only X. A node's numerical failures surface in
+        calc, which runs first.
         """
-        running, terminal, stacks = datas or (self.datas, self.terminal_data, self.stacks)
-        X, U = np.asarray(X), self._control_array(U)
+        stacks = datas[1] if datas else self.stacks
         for (model, nodes), stack in zip(self.groups, stacks):
             model.calc_diff(stack, X[nodes], U[nodes, : model.nu])
         self.terminal_model.calc_diff(stacks[-1], X[self.N :], _NO_CONTROLS)
-        return running, terminal
 
-    def _control_array(self, U) -> np.ndarray:
-        """The nodes' controls U as one (N, nu_max) array, each row
-        zero-padded past its node's nu."""
+    def stack_controls(self, U) -> np.ndarray:
+        """The nodes' controls U, a list of checked (nu_k,) arrays, as one
+        (N, nu_max) array, each row zero-padded past its node's nu."""
         array = np.zeros((self.N, self.nu_max))
         for row, u in zip(array, U):
             row[: len(u)] = u

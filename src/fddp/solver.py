@@ -151,11 +151,11 @@ def backward_pass(problem: ShootingProblem, ws: SolverWorkspace, mu: float, data
     node, which are checked at node 0. A factorization failure with a
     non-finite control Hessian at or after its node is that failure too.
     """
-    running, terminal, stacks = datas or (problem.datas, problem.terminal_data, problem.stacks)
-    N = problem.N
+    running, stacks = datas or (problem.datas, problem.stacks)
+    N, l_xx = problem.N, stacks[-1].l_xx[0]  # the terminal node's stack of one
     vx, vxx = ws.V_x[N], ws.V_xx[N]
-    vx[:] = terminal.l_x
-    np.multiply(0.5, terminal.l_xx + terminal.l_xx.T, out=vxx)
+    vx[:] = stacks[-1].l_x[0]
+    np.multiply(0.5, l_xx + l_xx.T, out=vxx)
     for (_, nodes), stack in zip(problem.groups, stacks):
         stack.Fz[:, :, 0] = ws.gaps[nodes + 1]
     mu_eyes = {}
@@ -208,46 +208,43 @@ def _nonfinite_failure(ws: SolverWorkspace, k: int) -> NumericalFailure:
 
 
 def _sweep(problem, X, U, ws, alpha, datas, shrink=0.0):
-    """The node sweep of both forward passes under the policy
-    u_k = U_k + [k | K] [alpha; x_k - X_k] (one product per node), which it
-    writes into the rows of one fresh (N, nu_max) control array.
+    """The node sweep of both forward passes from the stacked iterate X
+    (N + 1, nx), U (N, nu_max) under the policy
+    u_k = U_k + [k | K] [alpha; x_k - X_k] (one product per node).
 
     With shrink 0 the sweep starts at the measured initial state and each
     node's output is the next state; otherwise the initial state and each
     output are pulled back along their stored gaps by the factor shrink.
-    A failing node raises `NumericalFailure` naming it. Returns the states
-    stacked (N + 1, nx), the controls per node (views of their rows), and the
-    cost and gaps of the produced trajectory from one `_cost_and_gaps` call.
+    A failing node raises `NumericalFailure` naming it. Returns the trial's
+    states (N + 1, nx) and controls (N, nu_max), zero-padded like U, and
+    their cost and gaps from one `_cost_and_gaps` call.
     """
-    running, terminal = (datas or (problem.datas, problem.terminal_data))[:2]
+    running = datas[0] if datas else problem.datas
     state = problem.state
+    states = np.empty_like(X)
+    controls = np.zeros_like(U)
     if shrink:
         pull = -shrink * ws.gaps  # each state's step back along its gap
-        x0 = state.integrate(problem.x0_measured, pull[0])
+        states[0] = state.integrate(problem.x0_measured, pull[0])
     else:
-        x0 = problem.x0_measured.copy()
-    controls = np.zeros((problem.N, problem.nu_max))
+        states[0] = problem.x0_measured
     z = np.empty(problem.ndx + 1)  # [alpha; dx]
     z[0] = alpha
     dx = z[1:]
-    X_new, U_new = [x0], []
     with np.errstate(over="ignore", invalid="ignore"):
         for k, model in enumerate(problem.running_models):
             u = controls[k, : model.nu]
             if model.nu:
-                state.difference(X[k], X_new[k], out=dx)
-                np.add(U[k], ws.node_rows[k][6] @ z, out=u)
+                state.difference(X[k], states[k], out=dx)
+                np.add(U[k, : model.nu], ws.node_rows[k][6] @ z, out=u)
             try:
-                model.calc(running[k], X_new[k], u)
+                model.calc(running[k], states[k], u)
             except (NumericalFailure, FactorizationError) as exc:
                 raise NumericalFailure(str(exc), node=k) from exc
-            U_new.append(u)
             xnext = running[k].xnext
-            X_new.append(state.integrate(xnext, pull[k + 1]) if shrink else xnext)
-        problem.terminal_model.calc(terminal, X_new[-1])
-        X_new = np.array(X_new)
-        cost, gaps = problem._cost_and_gaps(X_new, controls, running)
-    return X_new, U_new, cost, gaps
+            states[k + 1] = state.integrate(xnext, pull[k + 1]) if shrink else xnext
+        cost, gaps = problem._cost_and_gaps(states, controls, running)
+    return states, controls, cost, gaps
 
 
 def forward_pass_ddp(problem, X, U, ws, alpha, datas=None):
@@ -332,10 +329,12 @@ def solve(
     states (regularization cap, non-finite evaluations naming their node,
     non-finite derivatives met by the backward pass) are recorded in the
     report, never raised. A malformed guess is rejected on entry by
-    `ShootingProblem.check_trajectories`; the evaluations after that check go
-    through the problem's unchecked `_rollout`, `_cost_and_gaps` and `_calc`,
-    on the iterate's states stacked (N + 1, nx). Under ddp the start is one
-    sweep: the rollout of the warm-start controls.
+    `ShootingProblem.check_trajectories`, and its controls are stacked once
+    (`ShootingProblem.stack_controls`); the evaluations after that go through
+    the problem's unchecked `_rollout`, `_cost_and_gaps` and `_calc`, on the
+    iterate's states (N + 1, nx) and controls (N, nu_max). Under ddp the
+    start is the rollout of the warm-start controls, which reads no state of
+    the guess.
     """
     if solver not in ("ddp", "fddp"):
         raise DimensionMismatch(f"unknown solver {solver!r}, expected 'ddp' or 'fddp'")
@@ -346,23 +345,23 @@ def solve(
         problem.constant_state_guess() if X_guess is None else X_guess,
         problem.zero_controls() if U_guess is None else U_guess,
     )
-    X, U = np.array(X), [u.copy() for u in U]
+    X, U = np.array(X), problem.stack_controls(U)
 
     report = SolveReport(solver=solver)
-    current = (problem.datas, problem.terminal_data, problem.stacks)
+    current = (problem.datas, problem.stacks)
     trial = problem.create_datas()
     mu = float(regularization_init)
     forward_pass = forward_pass_ddp if solver == "ddp" else forward_pass_fddp
 
     def finish(termination):
         report.termination = termination
-        return list(X), U, report
+        return list(X), [u[: m.nu] for u, m in zip(U, problem.running_models)], report
 
     try:
         if solver == "ddp":
             # The rollout's sweep leaves the data set as _calc would.
-            X = np.array(problem._rollout(U, datas=current))
-            cost, gaps = problem._cost_and_gaps(X, problem._control_array(U), current[0])
+            X = problem._rollout(U, datas=current)
+            cost, gaps = problem._cost_and_gaps(X, U, current[0])
         else:
             cost, gaps = problem._calc(X, U, datas=current)
     except NumericalFailure as exc:

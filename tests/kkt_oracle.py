@@ -26,10 +26,10 @@ def kkt_search_direction(problem: ShootingProblem, X, U, datas=None):
         raise DimensionMismatch(
             f"problem too large for the dense KKT oracle: {N * (ndx + max(nus))} > {DENSE_KKT_SIZE_LIMIT}"
         )
-    datas = datas or (problem.datas, problem.terminal_data, problem.stacks)
-    running, terminal = datas[:2]
+    datas = datas or (problem.datas, problem.stacks)
+    running, terminal = datas[0], datas[1][-1].nodes[0]
     _, gaps = problem.calc(X, U, datas=datas)
-    problem.calc_diff(X, U, datas=datas)
+    problem.calc_diff(np.array(X), problem.stack_controls(U), datas=datas)
 
     x_off = []
     u_off = []

@@ -111,12 +111,13 @@ def test_criterion_2_newton_on_kkt_equivalence():
         X = [rng.standard_normal(problem.ndx) for _ in range(problem.N + 1)]
         U = [rng.standard_normal(m.nu) for m in problem.running_models]
         _, gaps = problem.calc(X, U)
-        problem.calc_diff(X, U)
+        X_stack, U_stack = np.array(X), problem.stack_controls(U)
+        problem.calc_diff(X_stack, U_stack)
         ws = SolverWorkspace(problem)
         ws.gaps = gaps
         backward_pass(problem, ws, 0.0)
         X_try, U_try, _, _ = forward_pass_fddp(
-            problem, X, U, ws, 1.0, datas=problem.create_datas()
+            problem, X_stack, U_stack, ws, 1.0, datas=problem.create_datas()
         )
         dX, dU, _ = kkt_search_direction(problem, X, U, datas=problem.create_datas())
         for k in range(problem.N + 1):
@@ -255,14 +256,15 @@ def test_criterion_7_expected_improvement_exactness():
     X = problem.rollout(U0)
     cost, gaps = problem.calc(X, U0)
     assert gap_l2_norm(gaps) == 0.0
-    problem.calc_diff(X, U0)
+    U_stack = problem.stack_controls(U0)
+    problem.calc_diff(X, U_stack)
     ws = SolverWorkspace(problem)
     ws.gaps = gaps
     backward_pass(problem, ws, 0.0)
     worst = 0.0
     for alpha in STEP_LENGTHS:
         _, _, cost_try, _ = forward_pass_ddp(
-            problem, X, U0, ws, alpha, datas=problem.create_datas()
+            problem, X, U_stack, ws, alpha, datas=problem.create_datas()
         )
         d1, d2 = expected_improvement(problem, ws, X, X)
         predicted = d1 * alpha + 0.5 * d2 * alpha * alpha

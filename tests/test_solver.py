@@ -86,9 +86,14 @@ def random_iterate(problem, rng):
     return X, U
 
 
+def stacked(problem, X, U):
+    """The trajectory as the solve holds it: X (N + 1, nx), U (N, nu_max)."""
+    return np.array(X), problem.stack_controls(U)
+
+
 def prepared_workspace(problem, X, U, mu=0.0):
     cost, gaps = problem.calc(X, U)
-    problem.calc_diff(X, U)
+    problem.calc_diff(*stacked(problem, X, U))
     ws = SolverWorkspace(problem)
     ws.gaps = gaps
     backward_pass(problem, ws, mu)
@@ -182,8 +187,8 @@ def test_backward_pass_without_gaps_skips_the_deflection():
     assert gap_l2_norm(ws.gaps) == 0.0
     # Deflected and plain recursions coincide on a feasible iterate; spot
     # check: V_x at the first node equals the recursion replayed undeflected.
-    vx = problem.terminal_data.l_x.copy()
-    vxx = problem.terminal_data.l_xx.copy()
+    vx = problem.stacks[-1].l_x[0].copy()
+    vxx = problem.stacks[-1].l_xx[0].copy()
     for k in range(5, -1, -1):
         d = problem.datas[k]
         q_x = d.l_x + d.f_x.T @ vx
@@ -205,7 +210,7 @@ def test_backward_pass_reports_indefinite_node():
     problem = pendulum_problem(n=8)
     X, U = problem.constant_state_guess(), problem.zero_controls()
     _, gaps = problem.calc(X, U)
-    problem.calc_diff(X, U)
+    problem.calc_diff(*stacked(problem, X, U))
     problem.datas[3].l_uu[:] = -1.0e6 * np.eye(1)
     ws = SolverWorkspace(problem)
     ws.gaps = gaps
@@ -241,7 +246,7 @@ def test_fused_backward_pass_matches_the_per_block_recursion():
     _, problem, X, U = load_and_build(bundled_scenario_path("monoped_hop"))
     mu = 1e-6
     ws, _ = prepared_workspace(problem, X, U, mu=mu)
-    terminal = problem.terminal_data
+    terminal = problem.stacks[-1].nodes[0]
     np.testing.assert_array_equal(ws.V_x[-1], terminal.l_x)
     np.testing.assert_array_equal(ws.V_xx[-1], 0.5 * (terminal.l_xx + terminal.l_xx.T))
     names = ("Q_u", "Q_uu", "k_ff", "K_fb", "V_x", "V_xx")
@@ -287,7 +292,7 @@ def test_ddp_zero_step_with_zero_feedforward_is_identity():
     X = problem.rollout(U)
     ws, _ = prepared_workspace(problem, X, U)
     ws.k_ff[:] = 0.0
-    X_new, U_new, _, _ = forward_pass_ddp(problem, X, U, ws, 1.0, datas=problem.create_datas())
+    X_new, U_new, _, _ = forward_pass_ddp(problem, *stacked(problem, X, U), ws, 1.0, datas=problem.create_datas())
     for x_new, x in zip(X_new, X):
         np.testing.assert_array_equal(x_new, x)
     for u_new, u in zip(U_new, U):
@@ -300,7 +305,7 @@ def test_ddp_rollouts_are_feasible():
     ws, _ = prepared_workspace(problem, X, U, mu=1e-9)
     for alpha in (1.0, 0.5, 0.125):
         X_new, U_new, _, gaps_new = forward_pass_ddp(
-            problem, X, U, ws, alpha, datas=problem.create_datas()
+            problem, *stacked(problem, X, U), ws, alpha, datas=problem.create_datas()
         )
         np.testing.assert_array_equal(gaps_new, 0.0)
         _, gaps = problem.calc(X_new, U_new)
@@ -317,7 +322,7 @@ def test_ddp_full_step_reaches_the_kkt_optimum():
     cost_opt, _ = problem.calc(X_opt, U_opt, datas=problem.create_datas())
 
     ws, _ = prepared_workspace(problem, X, U)
-    _, _, cost_full, _ = forward_pass_ddp(problem, X, U, ws, 1.0, datas=problem.create_datas())
+    _, _, cost_full, _ = forward_pass_ddp(problem, *stacked(problem, X, U), ws, 1.0, datas=problem.create_datas())
     assert abs(cost_full - cost_opt) <= 1e-9
 
 
@@ -326,9 +331,9 @@ def test_gap_tolerant_full_step_equals_classical_step():
     U = [rng.standard_normal(3) for _ in range(9)]
     X = problem.rollout(U)
     ws, _ = prepared_workspace(problem, X, U, mu=1e-9)
-    X_d, U_d, cost_d, _ = forward_pass_ddp(problem, X, U, ws, 1.0, datas=problem.create_datas())
+    X_d, U_d, cost_d, _ = forward_pass_ddp(problem, *stacked(problem, X, U), ws, 1.0, datas=problem.create_datas())
     X_f, U_f, cost_f, gaps_f = forward_pass_fddp(
-        problem, X, U, ws, 1.0, datas=problem.create_datas()
+        problem, *stacked(problem, X, U), ws, 1.0, datas=problem.create_datas()
     )
     assert cost_f == cost_d
     for a, b in zip(X_f, X_d):
@@ -345,7 +350,7 @@ def test_gap_tolerant_half_step_halves_every_gap():
     ws, _ = prepared_workspace(problem, X, U, mu=1e-9)
     old_gaps = [g.copy() for g in ws.gaps]
     X_new, U_new, _, gaps_new = forward_pass_fddp(
-        problem, X, U, ws, 0.5, datas=problem.create_datas()
+        problem, *stacked(problem, X, U), ws, 0.5, datas=problem.create_datas()
     )
     for gap_new, gap_old in zip(gaps_new, old_gaps):
         np.testing.assert_allclose(gap_new, 0.5 * gap_old, atol=1e-12)
@@ -362,7 +367,7 @@ def test_gap_tolerant_zero_step_with_zero_feedforward_is_identity():
     old_gaps = [g.copy() for g in ws.gaps]
     ws.k_ff[:] = 0.0
     X_new, U_new, _, gaps_new = forward_pass_fddp(
-        problem, X, U, ws, 0.0, datas=problem.create_datas()
+        problem, *stacked(problem, X, U), ws, 0.0, datas=problem.create_datas()
     )
     for x_new, x in zip(X_new, X):
         np.testing.assert_allclose(x_new, x, atol=1e-13)
@@ -409,7 +414,7 @@ def test_expected_improvement_is_exact_on_feasible_linear_quadratic():
     ws, cost = prepared_workspace(problem, X, U)
     for alpha in STEP_LENGTHS:
         X_try, _, cost_try, _ = forward_pass_ddp(
-            problem, X, U, ws, alpha, datas=problem.create_datas()
+            problem, *stacked(problem, X, U), ws, alpha, datas=problem.create_datas()
         )
         d1, d2 = expected_improvement(problem, ws, X, X_try)
         predicted = d1 * alpha + 0.5 * d2 * alpha * alpha
@@ -423,7 +428,7 @@ def test_expected_improvement_is_exact_at_full_step_with_gaps():
     X, U = random_iterate(problem, rng)
     ws, cost = prepared_workspace(problem, X, U)
     X_try, _, cost_try, _ = forward_pass_fddp(
-        problem, X, U, ws, 1.0, datas=problem.create_datas()
+        problem, *stacked(problem, X, U), ws, 1.0, datas=problem.create_datas()
     )
     d1, d2 = expected_improvement(problem, ws, X, X_try)
     assert abs((cost_try - cost) - (d1 + 0.5 * d2)) <= 1e-9
@@ -477,14 +482,14 @@ def test_random_chains_keep_the_step_invariants(seed):
     dX, dU, _ = kkt_search_direction(problem, X, U, datas=problem.create_datas())
     for alpha in STEP_LENGTHS:
         X_try, U_try, _, gaps = forward_pass_fddp(
-            problem, X, U, ws, alpha, datas=problem.create_datas()
+            problem, *stacked(problem, X, U), ws, alpha, datas=problem.create_datas()
         )
         np.testing.assert_allclose(gaps, (1.0 - alpha) * ws.gaps, rtol=0.0, atol=1e-12)
         if alpha == 1.0:
             for k in range(problem.N + 1):
                 np.testing.assert_allclose(X_try[k] - X[k], dX[k], atol=1e-8)
-            for k in range(problem.N):
-                np.testing.assert_allclose(U_try[k] - U[k], dU[k], atol=1e-8)
+            for k, model in enumerate(problem.running_models):
+                np.testing.assert_allclose(U_try[k, : model.nu] - U[k], dU[k], atol=1e-8)
         d1_sum = d2_sum = 0.0
         for k in range(problem.N + 1):
             f, dx, vxx = ws.gaps[k], X_try[k] - X[k], ws.V_xx[k]
@@ -523,7 +528,7 @@ def test_newton_direction_equals_full_fddp_trial_step():
         X, U = random_iterate(problem, rng)
         ws, _ = prepared_workspace(problem, X, U)
         X_try, U_try, _, _ = forward_pass_fddp(
-            problem, X, U, ws, 1.0, datas=problem.create_datas()
+            problem, *stacked(problem, X, U), ws, 1.0, datas=problem.create_datas()
         )
         dX, dU, _ = kkt_search_direction(problem, X, U, datas=problem.create_datas())
         for k in range(problem.N + 1):
@@ -774,6 +779,52 @@ def test_ddp_start_sweeps_each_node_once(monkeypatch):
     assert report.rows[0].gap_l2 == 0.0
 
 
+def test_ddp_never_reads_the_state_guess():
+    # The ddp start is the rollout of the warm-start controls alone: a NaN in
+    # the state guess changes nothing, where a sweep under a zero policy
+    # would still read it (0 * NaN) and end the solve at that node.
+    scenario, problem, X, U = load_and_build(bundled_scenario_path("pendulum_swingup"))
+    options = scenario.solver_options
+    X_nan = [x.copy() for x in X]
+    X_nan[5][0] = np.nan
+    runs = [
+        solve(problem, guess, U, solver="ddp", max_iters=options["max_iters"],
+              tolerance=options["tolerance"])
+        for guess in (X, X_nan)
+    ]
+    report = runs[1][2]
+    assert report.converged
+    assert report.iterations == 12
+    assert report.final_cost == pytest.approx(0.9776448337729343, rel=1e-12, abs=0.0)
+    assert report.rows == runs[0][2].rows
+
+
+@pytest.mark.parametrize("solver", ["fddp", "ddp"])
+def test_solve_stacks_the_controls_once_and_never_steps_the_terminal_node(monkeypatch, solver):
+    # Inside the solve the trajectory stays two arrays: the guess's controls
+    # are stacked once, on entry, each trial's sweep fills its own control
+    # array, and the terminal node, which has no dynamics, is never stepped.
+    scenario, problem, X, U = load_and_build(bundled_scenario_path("pendulum_swingup"))
+    stacked_calls, terminal_calls = [], []
+    stack_controls, terminal_calc = ShootingProblem.stack_controls, TerminalActionModel.calc
+    monkeypatch.setattr(
+        ShootingProblem, "stack_controls",
+        lambda self, U: stacked_calls.append(1) or stack_controls(self, U),
+    )
+    monkeypatch.setattr(
+        TerminalActionModel, "calc",
+        lambda self, *args: terminal_calls.append(1) or terminal_calc(self, *args),
+    )
+    options = scenario.solver_options
+    _, _, report = solve(
+        problem, X, U, solver=solver,
+        max_iters=options["max_iters"], tolerance=options["tolerance"],
+    )
+    assert report.converged
+    assert len(stacked_calls) == 1
+    assert len(terminal_calls) == 0
+
+
 def test_rejected_iterations_escalate_to_the_regularization_cap():
     problem = blocked_problem()
     X, U, report = solve(problem, solver="fddp", max_iters=50, tolerance=1e-12)
@@ -861,7 +912,9 @@ def test_failed_trial_node_is_named(forward_pass):
     ws = SolverWorkspace(problem)
     ws.k_ff[:] = 1.0
     with pytest.raises(NumericalFailure, match=r"^control rejected \(node 0\)$"):
-        forward_pass(problem, problem.constant_state_guess(), problem.zero_controls(), ws, 1.0)
+        forward_pass(
+            problem, *stacked(problem, problem.constant_state_guess(), problem.zero_controls()), ws, 1.0
+        )
 
 
 class PoisonedDerivativeModel(IntegratedActionModel):
