@@ -49,7 +49,6 @@ from .errors import (
     NotPositiveDefinite,
     NumericalFailure,
     ParameterError,
-    QuasiStaticFailure,
     RankDeficientConstraint,
     ScenarioError,
 )
@@ -109,7 +108,6 @@ __all__ = [
     "NotPositiveDefinite",
     "NumericalFailure",
     "ParameterError",
-    "QuasiStaticFailure",
     "RankDeficientConstraint",
     "Rotation2D",
     "Scenario",

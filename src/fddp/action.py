@@ -11,7 +11,10 @@ Models are immutable after construction; each evaluation writes into a separate
 data container, so one model can serve many nodes.
 
 The model contract has three calls. `calc(data, x, u)` evaluates one node's
-dynamics only, its forward step `xnext` (and `dyn`), at x (nx,) and u (nu,).
+dynamics only, its forward step `xnext`, at x (nx,) and u (nu,), and keeps in
+`dyn` the solution that `calc_diff` reads: a free node its acceleration, a
+contact node its (acceleration, force) pair, an impulse node its
+`ImpulseWorkspace`; no factor of a solve is kept.
 Its dynamics make one system call, `forward_terms`, whose M, bias and frame
 terms the dynamics, the contacts and the impulse share, and check each
 quantity for non-finite values once: the contact and impulse solves their
@@ -42,8 +45,6 @@ constructors.
 
 from __future__ import annotations
 
-from types import SimpleNamespace
-
 import numpy as np
 
 from .contact import (
@@ -58,11 +59,10 @@ from .contact import (
     impulse_dynamics_derivatives,
 )
 from .costs import CostTerm
-from .errors import DimensionMismatch, NumericalFailure, QuasiStaticFailure
+from .errors import DimensionMismatch, NumericalFailure
 from .manifolds import Manifold
 from .systems import LinearDynamics, MechanicalSystem
 
-QUASI_STATIC_MAX_ITERS = 100
 QUASI_STATIC_TOL = 1e-6
 _QUASI_STATIC_DAMPING = 1e-10
 
@@ -146,13 +146,6 @@ class DifferentialDynamics:
         the n nodes of `stack`; acceleration ran first on each node."""
         raise NotImplementedError
 
-    def control_jacobian(self, data: ActionData) -> np.ndarray:
-        """d acceleration / du, from the factors acceleration left in data.dyn.
-
-        The acceleration is affine in u, so this holds at every control.
-        """
-        raise NotImplementedError
-
 
 class FreeMechanicalDynamics(DifferentialDynamics):
     """Unconstrained acceleration: M(q) vdot = S u - bias(q, v)."""
@@ -171,7 +164,7 @@ class FreeMechanicalDynamics(DifferentialDynamics):
         vdot = _cholesky_solve(factor, tau)
         if not _all_finite(vdot):
             raise NumericalFailure("non-finite acceleration in forward integration")
-        data.dyn = {"factor": factor, "vdot": vdot}
+        data.dyn = vdot
         return vdot
 
     def partials(self, stack, X, U):
@@ -180,15 +173,12 @@ class FreeMechanicalDynamics(DifferentialDynamics):
         sys = self.system
         nq, nv = sys.nq, sys.nv
         q, v = X[:, :nq], X[:, nq:]
-        vdot = np.array([data.dyn["vdot"] for data in stack.nodes])
+        vdot = np.array([data.dyn for data in stack.nodes])
         bq, bv = sys.bias_partials(q, v)
         mc = sys.inertia_contraction_partial(q, vdot)
         actuation = np.broadcast_to(sys.actuation(), bq.shape[:-1] + (self.nu,))
         a = np.linalg.solve(sys.mass_matrix(q), np.concatenate([-(bq + mc), -bv, actuation], -1))
         return a[..., :nv], a[..., nv : 2 * nv], a[..., 2 * nv :]
-
-    def control_jacobian(self, data):
-        return _cholesky_solve(data.dyn["factor"], self.system.actuation())
 
 
 class ConstrainedMechanicalDynamics(DifferentialDynamics):
@@ -213,9 +203,8 @@ class ConstrainedMechanicalDynamics(DifferentialDynamics):
         q, v = sys.split_state(x)
         M, bias, placement, Jc, drift = sys.forward_terms(q, v, self.contacts.frames)
         a0 = baumgarte_a0(self.contacts, placement, Jc @ v, drift)
-        ws = contact_forward_dynamics(M, Jc, sys.actuation() @ u - bias, a0)
-        data.dyn = {"ws": ws}
-        return ws.vdot
+        data.dyn = contact_forward_dynamics(M, Jc, sys.actuation() @ u - bias, a0)
+        return data.dyn[0]
 
     def partials(self, stack, X, U):
         # Total derivatives of the two KKT rows at the solution, holding
@@ -227,9 +216,7 @@ class ConstrainedMechanicalDynamics(DifferentialDynamics):
         sys = self.system
         n, nv = len(X), sys.nv
         q, v = X[:, : sys.nq], X[:, sys.nq :]
-        workspaces = [data.dyn["ws"] for data in stack.nodes]
-        vdot = np.array([ws.vdot for ws in workspaces])
-        force = np.array([ws.force for ws in workspaces])
+        vdot, force = map(np.array, zip(*(data.dyn for data in stack.nodes)))
         bq, bv = sys.bias_partials(q, v)
         dtau_dq = -(bq + sys.inertia_contraction_partial(q, vdot))
         jacobians, da0_dq, da0_dv = [], [], []
@@ -252,10 +239,6 @@ class ConstrainedMechanicalDynamics(DifferentialDynamics):
             np.zeros((n, self.contacts.nf, self.nu)),
         )
         return a_x[..., :nv], a_x[..., nv:], a_u
-
-    def control_jacobian(self, data):
-        ws = data.dyn["ws"]
-        return ws.apply_inverse(self.system.actuation(), np.zeros((ws.nf, self.nu)))[0]
 
 
 def _contact_rows(contacts: ContactSet):
@@ -473,7 +456,7 @@ class ImpulseActionModel(ActionModelBase):
         M, _, _, Jc, _ = sys.forward_terms(q, v, self.contacts.frames)
         ws = impulse_dynamics(M, Jc, v, self.restitution)
         data.xnext = np.concatenate([q, ws.v_plus])
-        data.dyn = {"ws": ws}
+        data.dyn = ws
         return data
 
     def calc_diff(self, stack, X, U):
@@ -485,7 +468,7 @@ class ImpulseActionModel(ActionModelBase):
         sys = self.system
         nv = sys.nv
         q, v = X[:, : sys.nq], X[:, sys.nq :]
-        workspaces = [data.dyn["ws"] for data in stack.nodes]
+        workspaces = [data.dyn for data in stack.nodes]
         v_plus = np.array([ws.v_plus for ws in workspaces])
         impulse = np.array([ws.impulse for ws in workspaces])
         dr1_dq = sys.inertia_contraction_partial(q, v_plus - v)
@@ -514,55 +497,37 @@ class ImpulseActionModel(ActionModelBase):
 # ---------------------------------------------------------------------------
 
 
-def quasi_static_control(model, x) -> np.ndarray:
-    """Control holding the state still: acceleration ~ 0 at zero velocity.
+def quasi_static_control(model, X):
+    """Controls (n, nu) holding the n states X (n, nx) of `model`'s nodes
+    still, and the residual norms (n,) those controls leave.
 
-    Runs damped Newton steps on the acceleration residual (the flow residual
-    for first-order models), starting from zero control. Raises a
-    non-convergence error carrying the best residual norm when the tolerance
-    is not met within the iteration budget.
+    The residual is the acceleration at (q, v = 0) (the flow at x for a
+    first-order model), affine in u: r0 + A u, with A the group's a_u from
+    one stacked `partials` call (the flow's B). One exact Gauss-Newton step,
+    u = -(A^T A + 1e-10 I)^-1 A^T r0, solved for all nodes at once, gives its
+    least-squares minimum. A node keeps u where ||r0 + A u|| is within
+    QUASI_STATIC_TOL, and zero control where it is not (no torque holds a
+    free-flying base against gravity) or where ||r0|| already is.
     """
+    X = np.asarray(X, dtype=float)
+    n = len(X)
     if model.nu == 0:
-        return np.zeros(0)
-
-    if getattr(model, "first_order", False):
-
-        def residual(u):
-            return model.dynamics.flow(x, u)
-
-        def control_jacobian(u):
-            return model.dynamics.partials()[1]
-
+        return np.zeros((n, 0)), np.zeros(n)
+    u0 = np.zeros(model.nu)
+    if model.first_order:
+        r0 = np.array([model.dynamics.flow(x, u0) for x in X])
+        A = model.dynamics.partials()[1]
     else:
         sys = model.dynamics.system
-        q, _ = sys.split_state(x)
-        x0 = np.concatenate([q, np.zeros(sys.nv)])
-        # The dynamics keep their factors in data.dyn; no derivative stacks needed.
-        data = SimpleNamespace(dyn=None)
-
-        def residual(u):
-            return model.dynamics.acceleration(x0, u, data)
-
-        def control_jacobian(u):
-            # Read from the factors the residual call at u just left.
-            return model.dynamics.control_jacobian(data)
-
-    u = np.zeros(model.nu)
-    best_u, best_norm = u.copy(), np.inf
-    for iteration in range(QUASI_STATIC_MAX_ITERS):
-        r = residual(u)
-        norm = float(np.linalg.norm(r))
-        if norm < best_norm:
-            best_norm, best_u = norm, u.copy()
-        if norm <= QUASI_STATIC_TOL:
-            return best_u
-        J = control_jacobian(u)
-        step = np.linalg.solve(
-            J.T @ J + _QUASI_STATIC_DAMPING * np.eye(model.nu), -J.T @ r
+        X = np.concatenate([X[:, : sys.nq], np.zeros((n, sys.nv))], 1)
+        stack = model.create_stack(n)
+        r0 = np.array(
+            [model.dynamics.acceleration(x, u0, data) for x, data in zip(X, stack.nodes)]
         )
-        if np.linalg.norm(J @ step) <= 0.01 * QUASI_STATIC_TOL:
-            # The step cannot move the residual by a meaningful fraction of
-            # the tolerance: its floor for this state is above the tolerance.
-            raise QuasiStaticFailure(residual=best_norm, iterations=iteration + 1)
-        u = u + step
-    raise QuasiStaticFailure(residual=best_norm, iterations=QUASI_STATIC_MAX_ITERS)
+        A = model.dynamics.partials(stack, X, np.zeros((n, model.nu)))[2]
+    At = np.swapaxes(A, -1, -2)
+    u = -np.linalg.solve(At @ A + _QUASI_STATIC_DAMPING * np.eye(model.nu), At @ r0[..., None])
+    held = np.linalg.norm(r0 + (A @ u)[..., 0], axis=1)
+    start = np.linalg.norm(r0, axis=1)
+    keep = (held <= QUASI_STATIC_TOL) & (start > QUASI_STATIC_TOL)
+    return np.where(keep[:, None], u[..., 0], 0.0), np.where(keep, held, start)

@@ -285,6 +285,9 @@ def cmd_check_derivatives(args) -> int:
     if args.samples < 1:
         print("error: --samples must be >= 1", file=sys.stderr)
         return EXIT_CONFIG
+    if args.seed < 0:
+        print("error: --seed must be >= 0", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         scenario = load_scenario(_resolve_scenario_path(args.scenario))
         problem = build_problem(scenario)

@@ -11,6 +11,7 @@ all its inputs, two Cholesky factorizations (M and Mhat), one solve with M's
 factor against [Jc^T | b1] and one product of Jc with its result, which
 gives [Mhat | Jc M^-1 b1] for the elimination; the factorizations and the
 pivots on the diagonal of Mhat's factor reject a dependent constraint set.
+No factor outlives its solve: a node keeps only its solution.
 Every Cholesky factorization of the library goes through `_cholesky` and
 `_cholesky_solve` here. The derivatives take a stack of n nodes that the forward solves have
 already checked, and eliminate all of them at once (`_kkt_solve_stacked`):
@@ -139,29 +140,6 @@ def baumgarte_a0(contacts, placement_current, velocity_current, drift_accelerati
 
 
 @dataclass
-class ContactWorkspace:
-    """One solved contact-dynamics instance plus its Cholesky factors, which
-    the quasi-static control's Newton steps reuse."""
-
-    Jc: np.ndarray
-    Mhat: np.ndarray
-    vdot: np.ndarray
-    force: np.ndarray
-    m_factor: object = field(repr=False, default=None)
-    mhat_factor: object = field(repr=False, default=None)
-
-    @property
-    def nf(self) -> int:
-        return self.Jc.shape[0]
-
-    def apply_inverse(self, b1, b2):
-        """(w, z) with M w + Jc^T z = b1 and Jc w = b2, that is [w; -z] =
-        K^-1 [b1; b2], through the stored factors; columnwise on matrices."""
-        z = _cholesky_solve(self.mhat_factor, self.Jc @ _cholesky_solve(self.m_factor, b1) - b2)
-        return _cholesky_solve(self.m_factor, b1 - self.Jc.T @ z), z
-
-
-@dataclass
 class ImpulseWorkspace:
     """One solved impulse instance: the post-impact velocity and the impulse,
     and the inertia and constraint Jacobian it was solved with, which the
@@ -219,8 +197,8 @@ def _factorize(M: np.ndarray, Jc: np.ndarray, rows=None):
     One solve with M's factor takes rows^T = [Jc^T | b1], or Jc^T alone
     without rows, and Jc times its result is [Mhat | Jc M^-1 b1]. Only the
     lower triangles of M and Mhat are read. The pivots of Mhat are the
-    squares of its factor's diagonal. Returns (m_factor, mhat_factor,
-    M^-1 [Jc^T | b1], [Mhat | Jc M^-1 b1]).
+    squares of its factor's diagonal. Returns (mhat_factor, M^-1 [Jc^T | b1],
+    [Mhat | Jc M^-1 b1]).
     """
     try:
         m_factor = _cholesky(M)
@@ -240,18 +218,16 @@ def _factorize(M: np.ndarray, Jc: np.ndarray, rows=None):
         raise RankDeficientConstraint(
             f"operational-space inertia pivot {pivot:.3e} below {RANK_PIVOT_TOL:.0e}"
         )
-    return m_factor, mhat_factor, solved, products
+    return mhat_factor, solved, products
 
 
-def contact_forward_dynamics(M, Jc, tau_b, a0) -> ContactWorkspace:
-    """Constrained accelerations and contact forces for one rigid-contact node.
-
-    Returns a workspace whose (vdot, force) satisfy
-    M vdot - Jc^T force = tau_b and Jc vdot = -a0.
+def contact_forward_dynamics(M, Jc, tau_b, a0):
+    """Constrained accelerations and contact forces for one rigid-contact node:
+    (vdot, force) with M vdot - Jc^T force = tau_b and Jc vdot = -a0.
     """
     rows = np.concatenate((Jc, tau_b[None]))
     _require_finite("contact dynamics", M, rows, a0)
-    m_factor, mhat_factor, solved, products = _factorize(M, Jc, rows)
+    mhat_factor, solved, products = _factorize(M, Jc, rows)
     # Right-hand side [tau_b; -a0]; the eliminated multiplier z is -force.
     # Ill-conditioned but factorizable systems can overflow to inf during the
     # triangular solves, and the force feeds vdot, so checking vdot covers both.
@@ -259,10 +235,7 @@ def contact_forward_dynamics(M, Jc, tau_b, a0) -> ContactWorkspace:
     vdot = solved[:, -1] - solved[:, :-1] @ z
     if not _all_finite(vdot):
         raise NumericalFailure("non-finite contact accelerations")
-    return ContactWorkspace(
-        Jc=Jc, Mhat=products[:, :-1], vdot=vdot, force=-z, m_factor=m_factor,
-        mhat_factor=mhat_factor,
-    )
+    return vdot, -z
 
 
 def _kkt_solve_stacked(M, Jc, b1, b2):
@@ -311,7 +284,7 @@ def impulse_dynamics(M, Jc, v_minus, e: float) -> ImpulseWorkspace:
     impulse action model checks that e lies in [0, 1].
     """
     _require_finite("impulse dynamics", M, Jc, v_minus)
-    _, mhat_factor, minv_jt, _ = _factorize(M, Jc)
+    mhat_factor, minv_jt, _ = _factorize(M, Jc)
     # Right-hand side [M v_minus; -e Jc v_minus], whose M^-1 b1 is v_minus
     # itself: z = Mhat^-1 (1 + e) Jc v_minus is -impulse.
     z = _cholesky_solve(mhat_factor, (1.0 + e) * (Jc @ v_minus))

@@ -46,17 +46,6 @@ class NotPositiveDefinite(FddpError, RuntimeError):
         self.node = node
 
 
-class QuasiStaticFailure(FddpError, RuntimeError):
-    """Quasi-static control iteration did not reach the residual tolerance."""
-
-    def __init__(self, residual: float, iterations: int):
-        super().__init__(
-            f"quasi-static residual {residual:.3e} above 1e-6 after {iterations} iterations"
-        )
-        self.residual = residual
-        self.iterations = iterations
-
-
 class KKTSingular(FddpError, RuntimeError):
     """The dense KKT system of the whole problem is singular."""
 

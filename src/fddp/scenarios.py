@@ -29,13 +29,12 @@ from .action import (
     quasi_static_control,
 )
 from .contact import Contact, ContactSet, _factorize
-from .costs import COST_KINDS, make_cost_term
+from .costs import COST_KINDS, StateRegularization, make_cost_term
 from .errors import (
     DimensionMismatch,
     FactorizationError,
     FddpError,
     ParameterError,
-    QuasiStaticFailure,
     ScenarioError,
 )
 from .problem import ShootingProblem
@@ -589,14 +588,12 @@ def build_problem(scenario: Scenario) -> ShootingProblem:
 # ---------------------------------------------------------------------------
 
 
-def _interpolation_target(scenario: Scenario, problem: ShootingProblem):
-    """End state for interpolation: the terminal state regularizer, else x0."""
-    for entry in scenario.terminal_costs:
-        if entry["kind"] == "state_regularization":
-            ref = entry.get("reference", "initial")
-            if isinstance(ref, list):
-                return problem.state.check_point(np.asarray(ref, dtype=float))
-            return problem.x0_measured
+def _interpolation_target(problem: ShootingProblem):
+    """End state for interpolation: the reference of the terminal model's
+    first state regularizer, else the measured state."""
+    for term in problem.terminal_model.costs:
+        if isinstance(term, StateRegularization):
+            return term.reference
     return problem.x0_measured
 
 
@@ -606,8 +603,9 @@ def build_warm_start(scenario: Scenario, problem: ShootingProblem):
     zeros: constant measured state, zero controls (typically infeasible).
     quasi_static_interpolation: states slide along the manifold from the
     measured state to the terminal regularization target; controls hold each
-    interpolated state still where that is possible (nodes whose dynamics
-    cannot be held still, e.g. during flight, fall back to zero control).
+    interpolated state still where that is possible, from one stacked
+    `quasi_static_control` call per group (nodes whose dynamics cannot be
+    held still, e.g. during flight, fall back to zero control).
     file: a JSON document with explicit X and U lists.
     """
     policy = scenario.warm_start.get("policy", "zeros")
@@ -648,17 +646,14 @@ def build_warm_start(scenario: Scenario, problem: ShootingProblem):
             raise ScenarioError(str(exc), location="warm_start.path") from exc
 
     state = problem.state
-    target = _interpolation_target(scenario, problem)
-    direction = state.difference(problem.x0_measured, target)
+    direction = state.difference(problem.x0_measured, _interpolation_target(problem))
     X = [
         state.integrate(problem.x0_measured, (k / M) * direction) for k in range(M + 1)
     ]
-    U = []
-    for k, model in enumerate(problem.running_models):
-        try:
-            U.append(quasi_static_control(model, X[k]))
-        except QuasiStaticFailure:
-            U.append(np.zeros(model.nu))
+    stacked, U = np.array(X), [None] * M
+    for model, nodes in problem.groups:
+        for k, u in zip(nodes, quasi_static_control(model, stacked[nodes])[0]):
+            U[k] = u
     return X, U
 
 

@@ -340,6 +340,9 @@ def solve(
         raise DimensionMismatch(f"unknown solver {solver!r}, expected 'ddp' or 'fddp'")
     if max_iters < 0:
         raise DimensionMismatch(f"max_iters must be >= 0, got {max_iters}")
+    for name, value in (("tolerance", tolerance), ("regularization_init", regularization_init)):
+        if not 0.0 < value < np.inf:  # also false for NaN
+            raise DimensionMismatch(f"{name} must be finite and > 0, got {value}")
 
     X, U = problem.check_trajectories(
         problem.constant_state_guess() if X_guess is None else X_guess,

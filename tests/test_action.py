@@ -31,7 +31,6 @@ from fddp.costs import (
 from fddp.errors import (
     DimensionMismatch,
     NumericalFailure,
-    QuasiStaticFailure,
     RankDeficientConstraint,
 )
 from fddp.problem import ShootingProblem
@@ -600,32 +599,40 @@ def test_two_data_containers_do_not_interfere():
 
 def test_quasi_static_control_examples():
     di_model = integrated(DoubleIntegrator(dim=2), 0.05)
-    np.testing.assert_allclose(
-        quasi_static_control(di_model, [0.3, -0.2, 0.0, 0.0]), [0.0, 0.0], atol=1e-9
-    )
+    U, norms = quasi_static_control(di_model, [[0.3, -0.2, 0.0, 0.0], [1.0, 2.0, 3.0, 4.0]])
+    np.testing.assert_allclose(U, np.zeros((2, 2)), atol=1e-9)
+    np.testing.assert_array_equal(norms, [0.0, 0.0])
     pm_model = integrated(PointMass(dim=1, mass=1.0), 0.05)
-    np.testing.assert_allclose(
-        quasi_static_control(pm_model, [0.5, 0.0]), [9.81], atol=1e-6
-    )
+    U, norms = quasi_static_control(pm_model, [[0.5, 0.0], [-1.0, 0.3]])
+    np.testing.assert_allclose(U, [[9.81], [9.81]], atol=1e-6)
+    assert np.all(norms <= 1e-6)
     dp_model = integrated(DoublePendulum(), 0.05)
     np.testing.assert_allclose(
-        quasi_static_control(dp_model, [0.0, 0.0, 0.0, 0.0]), [0.0, 0.0], atol=1e-9
+        quasi_static_control(dp_model, [[0.0, 0.0, 0.0, 0.0]])[0], [[0.0, 0.0]], atol=1e-9
     )
+    # A first-order flow is held where A x + B u + c = 0: u = -B^-1 (A x + c).
+    A, B, c = np.array([[0.0, 1.0], [-2.0, 0.5]]), np.array([[1.0, 0.0], [0.0, 2.0]]), np.ones(2)
+    flow_model = IntegratedActionModel(LinearFlow(LinearDynamics(A, B, c)), dt=0.1)
+    x = np.array([0.4, -0.3])
+    U, norms = quasi_static_control(flow_model, [x])
+    np.testing.assert_allclose(U[0], -np.linalg.solve(B, A @ x + c), atol=1e-9)
+    assert norms[0] <= 1e-6
 
 
 def test_quasi_static_control_on_control_free_node_is_empty():
     model = TerminalActionModel(Pendulum().state)
-    assert quasi_static_control(model, [0.1, 0.0]).shape == (0,)
+    U, norms = quasi_static_control(model, [[0.1, 0.0]])
+    assert U.shape == (1, 0) and norms.shape == (1,)
 
 
 def test_quasi_static_failure_on_unsupported_base():
     # Free-flying monoped: no combination of leg torques cancels gravity on
-    # the unactuated base, so the residual cannot reach the tolerance.
+    # the unactuated base, so the residual cannot reach the tolerance and
+    # the node falls back to zero control.
     model = integrated(PlanarMonoped(), 0.02)
-    x = np.zeros(10)
-    with pytest.raises(QuasiStaticFailure) as excinfo:
-        quasi_static_control(model, x)
-    assert excinfo.value.residual > 1e-6
+    U, norms = quasi_static_control(model, np.zeros((1, 10)))
+    np.testing.assert_array_equal(U, np.zeros((1, 2)))
+    assert norms[0] > 1e-6
 
 
 # ---------------------------------------------------------------------------

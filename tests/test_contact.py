@@ -183,16 +183,17 @@ def test_contact_set_stacks_its_rows_once():
 def test_forward_dynamics_supports_hanging_mass():
     # Unit mass pinned by a unit constraint row under gravity pull: it cannot
     # accelerate, and the constraint carries the full weight.
-    ws = contact_forward_dynamics(np.eye(1), np.eye(1), np.array([-9.81]), np.zeros(1))
-    np.testing.assert_allclose(ws.vdot, [0.0])
-    np.testing.assert_allclose(ws.force, [9.81])
+    vdot, force = contact_forward_dynamics(np.eye(1), np.eye(1), np.array([-9.81]), np.zeros(1))
+    np.testing.assert_allclose(vdot, [0.0])
+    np.testing.assert_allclose(force, [9.81])
 
 
 def test_forward_dynamics_two_dof_frozen_example():
-    ws = contact_forward_dynamics(np.eye(2), np.array([[1.0, 0.0]]), np.ones(2), np.zeros(1))
-    np.testing.assert_allclose(ws.vdot, [0.0, 1.0])
-    np.testing.assert_allclose(ws.force, [-1.0])
-    np.testing.assert_allclose(ws.Mhat, [[1.0]])
+    vdot, force = contact_forward_dynamics(
+        np.eye(2), np.array([[1.0, 0.0]]), np.ones(2), np.zeros(1)
+    )
+    np.testing.assert_allclose(vdot, [0.0, 1.0])
+    np.testing.assert_allclose(force, [-1.0])
 
 
 def test_forward_dynamics_matches_dense_solve():
@@ -204,10 +205,10 @@ def test_forward_dynamics_matches_dense_solve():
         Jc = rng.standard_normal((nf, nv))
         tau = rng.standard_normal(nv)
         a0 = rng.standard_normal(nf)
-        ws = contact_forward_dynamics(M, Jc, tau, a0)
+        vdot, force = contact_forward_dynamics(M, Jc, tau, a0)
         sol = np.linalg.solve(dense_saddle(M, Jc), np.concatenate([tau, -a0]))
-        np.testing.assert_allclose(ws.vdot, sol[:nv], atol=1e-10)
-        np.testing.assert_allclose(ws.force, sol[nv:], atol=1e-10)
+        np.testing.assert_allclose(vdot, sol[:nv], atol=1e-10)
+        np.testing.assert_allclose(force, sol[nv:], atol=1e-10)
 
 
 def test_forward_dynamics_residual_is_tiny():
@@ -219,9 +220,9 @@ def test_forward_dynamics_residual_is_tiny():
         Jc = rng.standard_normal((nf, nv))
         tau = rng.standard_normal(nv)
         a0 = rng.standard_normal(nf)
-        ws = contact_forward_dynamics(M, Jc, tau, a0)
-        r1 = M @ ws.vdot - Jc.T @ ws.force - tau
-        r2 = Jc @ ws.vdot + a0
+        vdot, force = contact_forward_dynamics(M, Jc, tau, a0)
+        r1 = M @ vdot - Jc.T @ force - tau
+        r2 = Jc @ vdot + a0
         bound = 1e-9 * (1.0 + np.linalg.norm(tau) + np.linalg.norm(a0))
         assert np.linalg.norm(np.concatenate([r1, r2])) <= bound
 
@@ -244,11 +245,17 @@ def test_forward_dynamics_rejects_dependent_constraint_rows():
 # failure modes of the forward contact and impulse solves
 # ---------------------------------------------------------------------------
 
-# Each solve as f(M, Jc, inputs): the contact solve takes (tau_b, a0), the
-# impulse solve (v_minus,), with restitution 0.5.
+def impulse_solution(M, Jc, inputs):
+    ws = impulse_dynamics(M, Jc, *inputs, 0.5)
+    return ws.v_plus, ws.impulse
+
+
+# Each solve as f(M, Jc, inputs) -> its solution pair: the contact solve takes
+# (tau_b, a0) and gives (vdot, force), the impulse solve takes (v_minus,),
+# with restitution 0.5, and gives (v_plus, impulse).
 KKT_SOLVES = {
     "contact": lambda M, Jc, inputs: contact_forward_dynamics(M, Jc, *inputs),
-    "impulse": lambda M, Jc, inputs: impulse_dynamics(M, Jc, *inputs, 0.5),
+    "impulse": impulse_solution,
 }
 
 
@@ -307,10 +314,10 @@ def test_kkt_solve_rejects_dependent_and_nearly_dependent_rows(kind):
 def test_kkt_solve_takes_large_finite_inputs(kind, scale):
     # Entries near 1e150 (and 1e300) are finite: the finite test must not
     # overflow on them, and the solution is the unscaled one.
-    ws = KKT_SOLVES[kind](*kkt_inputs(kind, scale))
+    solution = KKT_SOLVES[kind](*kkt_inputs(kind, scale))
     reference = KKT_SOLVES[kind](*kkt_inputs(kind))
-    for name in ("vdot", "force") if kind == "contact" else ("v_plus", "impulse"):
-        np.testing.assert_allclose(getattr(ws, name), getattr(reference, name), rtol=1e-12)
+    for part, expected in zip(solution, reference):
+        np.testing.assert_allclose(part, expected, rtol=1e-12)
 
 
 def test_finite_test_does_not_overflow_on_the_largest_floats():

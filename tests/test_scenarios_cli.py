@@ -17,6 +17,7 @@ from fddp.action import (
     FreeMechanicalDynamics,
     ImpulseActionModel,
     IntegratedActionModel,
+    quasi_static_control,
 )
 from fddp.cli import (
     EXIT_CHECK_FAILED,
@@ -416,6 +417,85 @@ def test_interpolation_falls_back_to_zero_controls_in_flight():
     assert U[50].shape == (0,)  # impulse node has no controls
 
 
+def per_node_quasi_static_control(model, x):
+    """The per-node damped Newton iteration that the stacked warm start
+    replaced: steps from zero control until the acceleration at (q, 0) is
+    within 1e-6, and zero control once a step can no longer move it."""
+    system = model.dynamics.system
+    x = np.concatenate([x[: system.nq], np.zeros(system.nv)])
+    stack = model.create_stack(1)
+    u = np.zeros(model.nu)
+    for _ in range(100):
+        r = model.dynamics.acceleration(x, u, stack.nodes[0])
+        if np.linalg.norm(r) <= 1e-6:
+            return u
+        J = model.dynamics.partials(stack, x[None], u[None])[2][0]
+        step = np.linalg.solve(J.T @ J + 1e-10 * np.eye(model.nu), -J.T @ r)
+        if np.linalg.norm(J @ step) <= 1e-8:
+            break
+        u = u + step
+    return np.zeros(model.nu)
+
+
+@pytest.mark.parametrize("name", ["pendulum_swingup", "monoped_hop"])
+def test_stacked_quasi_static_control_matches_the_per_node_iteration(name):
+    scenario, problem, X, U = load_and_build(bundled_scenario_path(name))
+    held = []
+    for model, nodes in problem.groups:
+        controls, norms = quasi_static_control(model, np.array(X)[nodes])
+        assert controls.shape == (len(nodes), model.nu) and norms.shape == (len(nodes),)
+        for k, u, norm in zip(nodes, controls, norms):
+            np.testing.assert_array_equal(U[k], u)
+            if model.nu == 0:
+                continue
+            expected = per_node_quasi_static_control(model, X[k])
+            if name == "pendulum_swingup":
+                np.testing.assert_array_equal(u, expected)
+            np.testing.assert_allclose(u, expected, rtol=0.0, atol=1e-14)
+            np.testing.assert_array_equal(u == 0.0, expected == 0.0)
+            # The residual the returned control leaves is within the
+            # tolerance on the held nodes; the others fall back to zero.
+            if norm <= 1e-6:
+                held.append(int(k))
+            else:
+                np.testing.assert_array_equal(u, 0.0)
+    if name == "pendulum_swingup":
+        assert held == list(range(problem.N))
+    else:
+        # Only node 0 is held; the monoped's other 89 nodes with controls
+        # (stance ones included) cannot hold their interpolated pose.
+        assert held == [0]
+
+
+def test_warm_start_makes_one_partials_call_per_group(monkeypatch):
+    scenario = load_scenario(bundled_scenario_path("monoped_hop"))
+    problem = build_problem(scenario)
+    calls = []
+    for dynamics in (FreeMechanicalDynamics, ConstrainedMechanicalDynamics):
+
+        def counted(self, stack, X, U, partials=dynamics.partials):
+            calls.append((id(self), len(X)))
+            return partials(self, stack, X, U)
+
+        monkeypatch.setattr(dynamics, "partials", counted)
+    build_warm_start(scenario, problem)
+    expected = [
+        (id(model.dynamics), len(nodes)) for model, nodes in problem.groups if model.nu > 0
+    ]
+    assert len(expected) >= 2
+    assert sorted(calls) == sorted(expected)
+
+
+def test_interpolation_slides_to_a_nominal_terminal_reference(tmp_path):
+    doc = pendulum_doc(x0=[0.5, 0.0], warm_start={"policy": "quasi_static_interpolation"})
+    doc["costs"]["terminal"][0]["reference"] = "nominal"
+    scenario, problem, X, U = load_and_build(write_doc(tmp_path, doc))
+    target = problem.terminal_model.costs[0].reference
+    np.testing.assert_array_equal(target, [0.0, 0.0])
+    np.testing.assert_array_equal(X[0], [0.5, 0.0])
+    np.testing.assert_allclose(X[-1], target, atol=1e-15)
+
+
 def test_file_warm_start_roundtrip(tmp_path):
     doc = pendulum_doc(warm_start={"policy": "file", "path": "guess.json"})
     path = write_doc(tmp_path, doc)
@@ -792,6 +872,20 @@ def test_check_derivatives_needs_a_sample(capsys):
         rc = cli.main(["check-derivatives", "--scenario", "lqr_chain", "--samples", samples])
         assert rc == EXIT_CONFIG
         assert "error: --samples must be >= 1" in capsys.readouterr().err
+
+
+def test_check_derivatives_rejects_a_negative_seed(capsys):
+    rc = cli.main(["check-derivatives", "--scenario", "lqr_chain", "--seed", "-1"])
+    assert rc == EXIT_CONFIG
+    assert "error: --seed must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+def test_cli_solve_rejects_a_tolerance_that_is_not_finite_and_positive(tmp_path, capsys, tol):
+    argv = ["solve", "--scenario", "pendulum_swingup", f"--tol={tol}", "--out", str(tmp_path)]
+    assert cli.main(argv) == EXIT_CONFIG
+    assert "error: tolerance must be finite and > 0" in capsys.readouterr().err
+    assert not (tmp_path / "trace.csv").exists()
 
 
 UNKNOWN_FIELD_PATHS = [

@@ -650,6 +650,18 @@ def test_solve_validates_options():
         solve(problem, max_iters=-1)
 
 
+@pytest.mark.parametrize("option", ["tolerance", "regularization_init"])
+@pytest.mark.parametrize("value", [-1.0, 0.0, np.nan, np.inf])
+def test_solve_rejects_a_tolerance_or_regularization_that_is_not_finite_and_positive(
+    option, value
+):
+    # A negative or zero initial regularization never reaches REG_MAX when the
+    # backward pass fails; max_iters=0 keeps the solve from entering the loop.
+    problem, _ = lqr_problem(n=4, seed=16)
+    with pytest.raises(DimensionMismatch, match=f"{option} must be finite and > 0"):
+        solve(problem, max_iters=0, **{option: value})
+
+
 def test_classical_solver_replaces_the_state_guess_by_a_rollout():
     problem, rng = lqr_problem(n=8, seed=17)
     U_guess = [rng.standard_normal(3) for _ in range(8)]
