@@ -39,7 +39,6 @@ from .costs import (
     CostTerm,
     FrameTranslationTracking,
     StateRegularization,
-    make_cost_term,
 )
 from .errors import (
     DimensionMismatch,
@@ -136,7 +135,6 @@ __all__ = [
     "impulse_dynamics_derivatives",
     "load_and_build",
     "load_scenario",
-    "make_cost_term",
     "quasi_static_control",
     "solve",
 ]

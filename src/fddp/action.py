@@ -14,7 +14,7 @@ The model contract has three calls. `calc(data, x, u)` evaluates one node's
 dynamics only, its forward step `xnext`, at x (nx,) and u (nu,), and keeps in
 `dyn` the solution that `calc_diff` reads: a free node its acceleration, a
 contact node its (acceleration, force) pair, an impulse node its
-`ImpulseWorkspace`; no factor of a solve is kept.
+(post-impact velocity, impulse) pair; no factor of a solve is kept.
 Its dynamics make one system call, `forward_terms`, whose M, bias and frame
 terms the dynamics, the contacts and the impulse share, and check each
 quantity for non-finite values once: the contact and impulse solves their
@@ -454,9 +454,8 @@ class ImpulseActionModel(ActionModelBase):
         sys = self.system
         q, v = sys.split_state(x)
         M, _, _, Jc, _ = sys.forward_terms(q, v, self.contacts.frames)
-        ws = impulse_dynamics(M, Jc, v, self.restitution)
-        data.xnext = np.concatenate([q, ws.v_plus])
-        data.dyn = ws
+        data.dyn = impulse_dynamics(M, Jc, v, self.restitution)
+        data.xnext = np.concatenate([q, data.dyn[0]])
         return data
 
     def calc_diff(self, stack, X, U):
@@ -464,23 +463,21 @@ class ImpulseActionModel(ActionModelBase):
         # holding (v_plus, impulse) fixed:
         #   r1 = M(q) (v_plus - v) - Jc(q)^T impulse,  r2 = Jc(q) (v_plus + e v),
         # evaluated for the whole stack, then one stacked elimination.
-        # M and Jc are stacked from what each node's calc solved with.
         sys = self.system
-        nv = sys.nv
+        n, nv = len(X), sys.nv
         q, v = X[:, : sys.nq], X[:, sys.nq :]
-        workspaces = [data.dyn for data in stack.nodes]
-        v_plus = np.array([ws.v_plus for ws in workspaces])
-        impulse = np.array([ws.impulse for ws in workspaces])
+        v_plus, impulse = map(np.array, zip(*(data.dyn for data in stack.nodes)))
         dr1_dq = sys.inertia_contraction_partial(q, v_plus - v)
         closure = v_plus + self.restitution * v
-        dr2_dq = []
+        jacobians, dr2_dq = [], []
         for contact, rows in _contact_rows(self.contacts):
             jw_q, jtf_q, _, _ = sys.frame_partials(q, v, closure, impulse[:, rows], contact.frame)
             dr1_dq -= jtf_q
+            jacobians.append(_per_node(sys.frame_jacobian(q, contact.frame), n))
             dr2_dq.append(jw_q)
         dvp_dq, dvp_dv = impulse_dynamics_derivatives(
-            np.array([ws.M for ws in workspaces]),
-            np.array([ws.Jc for ws in workspaces]),
+            _per_node(sys.mass_matrix(q), n),
+            np.concatenate(jacobians, -2),
             self.restitution,
             dr1_dq,
             np.concatenate(dr2_dq, -2),

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import numdiff
-from .errors import DimensionMismatch, FddpError, ScenarioError
+from .errors import DimensionMismatch, FddpError
 from .scenarios import (
     BUNDLED_SCENARIOS,
     build_problem,
@@ -47,7 +47,6 @@ EXIT_IO = 4
 EXIT_CONFIG = 5
 
 DERIVATIVE_TOLERANCE = 1e-4
-DERIVATIVE_FD_STEP = 1e-6
 
 TRACE_COLUMNS = (
     "iteration",
@@ -212,8 +211,8 @@ def check_problem_derivatives(problem, samples: int = 100, seed: int = 0, corrup
     (tangent perturbations of the measured initial state, standard-normal
     controls), evaluates the analytic f_x, f_u, l_x, l_u blocks of all of
     them in one stacked `calc_diff`, as the solver does, and compares each
-    against a finite-difference evaluation with step 1e-6. The error metric
-    per block is max|analytic - fd| / max(1, max|fd|).
+    against a finite-difference evaluation with step `numdiff.STEP` (1e-6).
+    The error metric per block is max|analytic - fd| / max(1, max|fd|).
 
     `corrupt`, when given, is called as corrupt(label, block, matrix) on every
     analytic block and its return value is compared instead; it exists so
@@ -251,22 +250,12 @@ def check_problem_derivatives(problem, samples: int = 100, seed: int = 0, corrup
             def cost_of(xv, uv=u):
                 return model.cost(xv[None], uv[None])[0]
 
-            fd_fx = numdiff.jacobian(
-                next_state, x, input_manifold=state, output_manifold=state,
-                step=DERIVATIVE_FD_STEP,
-            )
-            fd_lx = numdiff.gradient(
-                cost_of, x, input_manifold=state, step=DERIVATIVE_FD_STEP
-            )
+            fd_fx = numdiff.jacobian(next_state, x, input_manifold=state, output_manifold=state)
+            fd_lx = numdiff.gradient(cost_of, x, input_manifold=state)
             blocks = [("f_x", data.f_x, fd_fx), ("l_x", data.l_x, fd_lx)]
             if has_controls:
-                fd_fu = numdiff.jacobian(
-                    lambda uv: next_state(x, uv), u, output_manifold=state,
-                    step=DERIVATIVE_FD_STEP,
-                )
-                fd_lu = numdiff.gradient(
-                    lambda uv: cost_of(x, uv), u, step=DERIVATIVE_FD_STEP
-                )
+                fd_fu = numdiff.jacobian(lambda uv: next_state(x, uv), u, output_manifold=state)
+                fd_lu = numdiff.gradient(lambda uv: cost_of(x, uv), u)
                 blocks += [("f_u", data.f_u, fd_fu), ("l_u", data.l_u, fd_lu)]
             for name, analytic, fd in blocks:
                 if corrupt is not None:

@@ -139,18 +139,6 @@ def baumgarte_a0(contacts, placement_current, velocity_current, drift_accelerati
     )
 
 
-@dataclass
-class ImpulseWorkspace:
-    """One solved impulse instance: the post-impact velocity and the impulse,
-    and the inertia and constraint Jacobian it was solved with, which the
-    derivatives stack."""
-
-    v_plus: np.ndarray
-    impulse: np.ndarray
-    M: np.ndarray = field(repr=False)
-    Jc: np.ndarray = field(repr=False)
-
-
 def _cholesky(a: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of a symmetric positive-definite matrix.
 
@@ -276,8 +264,9 @@ def contact_dynamics_derivatives(M, Jc, dtau_dx, dtau_du, da0_dx, da0_du):
     return y[..., :nx], y[..., nx:]
 
 
-def impulse_dynamics(M, Jc, v_minus, e: float) -> ImpulseWorkspace:
-    """Post-impact velocity and contact impulse for a contact-gain switch.
+def impulse_dynamics(M, Jc, v_minus, e: float):
+    """Post-impact velocity and contact impulse (v_plus, impulse) for a
+    contact-gain switch.
 
     Solves M v_plus - Jc^T impulse = M v_minus with Jc v_plus = -e Jc v_minus.
     e = 0 is a perfectly inelastic impact (contact-point velocity zeroed); the
@@ -291,7 +280,7 @@ def impulse_dynamics(M, Jc, v_minus, e: float) -> ImpulseWorkspace:
     v_plus = v_minus - minv_jt @ z
     if not _all_finite(v_plus):
         raise NumericalFailure("non-finite post-impact velocity")
-    return ImpulseWorkspace(v_plus=v_plus, impulse=-z, M=M, Jc=Jc)
+    return v_plus, -z
 
 
 def impulse_dynamics_derivatives(M, Jc, e: float, dr1_dq, dr2_dq):

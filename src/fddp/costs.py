@@ -21,14 +21,6 @@ import numpy as np
 from .errors import DimensionMismatch
 from .manifolds import Manifold
 
-COST_KINDS = (
-    "state_regularization",
-    "control_regularization",
-    "frame_translation_tracking",
-    "com_tracking",
-)
-
-
 class CostTerm:
     """Base: subclasses fill residual(x, u) and, unless they override
     `derivatives`, its Jacobian in the argument it reads. The term's value is
@@ -148,6 +140,11 @@ class ComTracking(CostTerm):
         super().__init__(weight, ndx, nu)
         self.system = system
         self.target = np.atleast_1d(np.asarray(target, float))
+        probe = system.com(system.nominal_state()[: system.nq])
+        if probe.shape != self.target.shape:
+            raise DimensionMismatch(
+                f"center of mass has shape {probe.shape}, target {self.target.shape}"
+            )
 
     def residual(self, x, u):
         return self.system.com(x[..., : self.system.nq]) - self.target
@@ -163,33 +160,3 @@ def _state_jacobian(jq, x, ndx: int) -> np.ndarray:
     rx[..., : jq.shape[-1]] = jq
     return rx
 
-
-def make_cost_term(
-    kind: str,
-    weight: float,
-    *,
-    state: Manifold,
-    nu: int,
-    system=None,
-    reference=None,
-    frame: str | None = None,
-    scales=None,
-) -> CostTerm:
-    """Build a cost term from its config-level description."""
-    if kind == "state_regularization":
-        if reference is None:
-            raise DimensionMismatch("state_regularization needs a reference state")
-        return StateRegularization(state, reference, weight, nu, scales=scales)
-    if kind == "control_regularization":
-        return ControlRegularization(nu, weight, state.ndx, reference=reference)
-    if kind == "frame_translation_tracking":
-        if system is None or frame is None or reference is None:
-            raise DimensionMismatch(
-                "frame_translation_tracking needs a system, a frame, and a target"
-            )
-        return FrameTranslationTracking(system, frame, reference, weight, state.ndx, nu)
-    if kind == "com_tracking":
-        if system is None or reference is None:
-            raise DimensionMismatch("com_tracking needs a system and a target")
-        return ComTracking(system, reference, weight, state.ndx, nu)
-    raise DimensionMismatch(f"unknown cost kind {kind!r}; known: {', '.join(COST_KINDS)}")

@@ -8,7 +8,8 @@ import numpy as np
 
 from .manifolds import Manifold
 
-DEFAULT_STEP = 1e-6
+# The central-difference step, in tangent coordinates.
+STEP = 1e-6
 
 
 def jacobian(
@@ -17,7 +18,6 @@ def jacobian(
     *,
     input_manifold: Manifold | None = None,
     output_manifold: Manifold | None = None,
-    step: float = DEFAULT_STEP,
 ) -> np.ndarray:
     """Tangent-space Jacobian of f at x by central differences.
 
@@ -31,7 +31,7 @@ def jacobian(
 
     def perturb(i: int, sign: float) -> np.ndarray:
         e = np.zeros(n_in)
-        e[i] = sign * step
+        e[i] = sign * STEP
         if input_manifold is not None:
             return input_manifold.integrate(x, e)
         return x + e
@@ -43,9 +43,9 @@ def jacobian(
         if output_manifold is not None:
             dp = output_manifold.difference(base, fp)
             dm = output_manifold.difference(base, fm)
-            columns.append((dp - dm) / (2.0 * step))
+            columns.append((dp - dm) / (2.0 * STEP))
         else:
-            columns.append((fp - fm) / (2.0 * step))
+            columns.append((fp - fm) / (2.0 * STEP))
     return np.stack(columns, axis=-1)
 
 
@@ -54,8 +54,7 @@ def gradient(
     x: np.ndarray,
     *,
     input_manifold: Manifold | None = None,
-    step: float = DEFAULT_STEP,
 ) -> np.ndarray:
     """Central-difference gradient of a scalar function, returned as a vector."""
-    g = jacobian(lambda v: np.array([f(v)]), x, input_manifold=input_manifold, step=step)
+    g = jacobian(lambda v: np.array([f(v)]), x, input_manifold=input_manifold)
     return g[0]

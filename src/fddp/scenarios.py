@@ -1,18 +1,21 @@
-"""Scenario files: schema, validation, problem assembly, and warm starts.
+"""Scenario files: one reader per object, node layout, and warm starts.
 
 A scenario is a JSON document describing one benchmark problem: the dynamics
 model, the horizon and step size, contact phases (with optional impulsive
 switches at phase boundaries), cost terms, the warm-start policy, and solver
-options. Validation reports the offending field path; assembly turns the
-document into a shooting problem whose node list interleaves one impulse node
-at each switch boundary.
+options. `load_scenario` reads the document in one pass, with one reader per
+object: each checks its object and converts it into what it describes (the
+system, the initial state, a `ContactSet` per phase and switch, a `CostTerm`
+per cost entry), and reports any fault at the object's field path.
+`build_problem` then only lays out the nodes: one model per (phase, dt), one
+impulse node at each switch boundary, and the terminal model.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -29,16 +32,21 @@ from .action import (
     quasi_static_control,
 )
 from .contact import Contact, ContactSet, _factorize
-from .costs import COST_KINDS, StateRegularization, make_cost_term
+from .costs import (
+    ComTracking,
+    ControlRegularization,
+    CostTerm,
+    FrameTranslationTracking,
+    StateRegularization,
+)
 from .errors import (
     DimensionMismatch,
     FactorizationError,
-    FddpError,
     ParameterError,
     ScenarioError,
 )
 from .problem import ShootingProblem
-from .systems import LinearDynamics, build_system
+from .systems import LinearDynamics, MechanicalSystem, build_system
 
 BUNDLED_SCENARIOS = (
     "lqr_chain",
@@ -79,30 +87,30 @@ WARM_START_FIELDS = ("policy", "path")
 class Phase:
     start: int
     end: int
-    contacts: list = field(default_factory=list)
+    contacts: ContactSet | None  # None in free flight
 
 
 @dataclass
 class Switch:
     node: int
-    restitution: float = 0.0
-    contacts: list | None = None
+    restitution: float
+    contacts: ContactSet
 
 
 @dataclass
 class Scenario:
-    """Validated scenario document, still in declarative form."""
+    """A scenario document read into the objects it describes."""
 
     name: str
     model_id: str
-    model_params: dict
+    system: MechanicalSystem | LinearDynamics
     horizon: int
     dts: list[float]
-    x0: np.ndarray | None
+    x0: np.ndarray
     phases: list[Phase]
     switches: list[Switch]
-    running_costs: list[dict]
-    terminal_costs: list[dict]
+    running_costs: tuple[CostTerm, ...]
+    terminal_costs: tuple[CostTerm, ...]
     warm_start: dict
     solver_options: dict
     path: Path | None = None
@@ -117,7 +125,7 @@ def bundled_scenario_path(name: str) -> Path:
 
 
 # ---------------------------------------------------------------------------
-# Parsing and validation
+# Typed readers of one value
 # ---------------------------------------------------------------------------
 
 
@@ -129,14 +137,31 @@ def _number(value, what: str, where: str) -> float:
     return float(value)
 
 
-def _known_fields(data: dict, fields, where: str | None) -> None:
-    """Reject the first key of `data` outside `fields`, at its field path."""
-    for key in data:
+def _list(value, what: str, where: str) -> list:
+    if not isinstance(value, list):
+        raise ScenarioError(f"{what} must be a list", location=where)
+    return value
+
+
+def _coordinates(value, what: str, where: str) -> np.ndarray:
+    """A list of finite numbers as a float array, each entry checked at its index."""
+    if not isinstance(value, list):
+        raise ScenarioError(f"{what} must be a coordinate list", location=where)
+    return np.array([_number(v, "coordinate", f"{where}[{i}]") for i, v in enumerate(value)], float)
+
+
+def _object(value, fields, what: str, where: str | None) -> dict:
+    """`value` as an object, its first key outside `fields` rejected at its
+    field path (`where` is None for the document itself)."""
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{what} must be an object", location=where)
+    for key in value:
         if key not in fields:
             raise ScenarioError(
                 f"unknown field {key!r}; expected one of {', '.join(fields)}",
                 location=key if where is None else f"{where}.{key}",
             )
+    return value
 
 
 def _need(data: dict, key: str, kind, where: str):
@@ -156,73 +181,49 @@ def _need(data: dict, key: str, kind, where: str):
     return value
 
 
-def _validate_costs(entries, where: str) -> list[dict]:
-    out = []
-    for i, entry in enumerate(entries):
-        loc = f"{where}[{i}]"
-        if not isinstance(entry, dict):
-            raise ScenarioError("cost entry must be an object", location=loc)
-        kind = _need(entry, "kind", str, loc)
-        if kind not in COST_KINDS:
-            raise ScenarioError(
-                f"unknown cost kind {kind!r}; expected one of {', '.join(COST_KINDS)}",
-                location=f"{loc}.kind",
-            )
-        _known_fields(entry, COST_FIELDS[kind], loc)
-        weight = _need(entry, "weight", float, loc)
-        if weight < 0:
-            raise ScenarioError("cost weight must be >= 0", location=f"{loc}.weight")
-        out.append(dict(entry))
-    return out
+def _reference(entry: dict, where: str, named: dict):
+    """The entry's 'reference': a coordinate list, or one of the names in
+    `named`, each mapped to a function giving its value; an absent reference
+    takes the first name (None when there is none)."""
+    value = entry.get("reference", next(iter(named), None))
+    if value is None and not named:
+        return None
+    if isinstance(value, str) and value in named:
+        return named[value]()
+    if not isinstance(value, list):
+        choices = "".join(f"{name!r} or " for name in named)
+        raise ScenarioError(
+            f"reference must be {choices}a coordinate list", location=f"{where}.reference"
+        )
+    return _coordinates(value, "reference", f"{where}.reference")
 
 
-def _validate_contacts(entries, where: str) -> list[dict]:
-    out = []
-    for i, entry in enumerate(entries):
-        loc = f"{where}[{i}]"
-        if not isinstance(entry, dict):
-            raise ScenarioError("contact entry must be an object", location=loc)
-        _known_fields(entry, CONTACT_FIELDS, loc)
-        _need(entry, "frame", str, loc)
-        reference = entry.get("reference", "initial")
-        if not (reference == "initial" or isinstance(reference, list)):
-            raise ScenarioError(
-                "contact reference must be 'initial' or a coordinate list",
-                location=f"{loc}.reference",
-            )
-        for gain in ("alpha", "beta"):
-            if gain in entry and _number(entry[gain], f"contact gain {gain}", f"{loc}.{gain}") < 0:
-                raise ScenarioError(f"contact gain {gain} must be >= 0", location=f"{loc}.{gain}")
-        out.append(dict(entry))
-    return out
+def _frame(entry: dict, where: str, system: MechanicalSystem) -> str:
+    frame = _need(entry, "frame", str, where)
+    if frame not in system.frames:
+        raise ScenarioError(
+            f"model has no frame {frame!r} (frames: {', '.join(system.frames) or 'none'})",
+            location=f"{where}.frame",
+        )
+    return frame
 
 
-def load_scenario(path) -> Scenario:
-    """Parse and validate one scenario file."""
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ScenarioError(f"cannot read scenario file: {exc}", location=str(path)) from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"invalid JSON: {exc.msg}", location=f"line {exc.lineno}") from exc
-    if not isinstance(data, dict):
-        raise ScenarioError("scenario document must be a JSON object")
-    _known_fields(data, SCENARIO_FIELDS, None)
+# ---------------------------------------------------------------------------
+# Object readers
+# ---------------------------------------------------------------------------
 
-    name = _need(data, "name", str, "scenario")
-    model = _need(data, "model", dict, "scenario")
-    _known_fields(model, MODEL_FIELDS, "model")
+
+def _read_system(data: dict):
+    """The model object as (id, system): the system is built here, once."""
+    model = _object(_need(data, "model", dict, "scenario"), MODEL_FIELDS, "model", "model")
     model_id = _need(model, "id", str, "model")
-    model_params = model.get("params", {})
-    if not isinstance(model_params, dict):
+    params = model.get("params", {})
+    if not isinstance(params, dict):
         raise ScenarioError("model params must be an object", location="model.params")
-    for key, value in model_params.items():
+    for key, value in params.items():
         _number(value, f"model parameter {key!r}", f"model.params.{key}")
     try:
-        system = build_system(model_id, model_params)
+        return model_id, build_system(model_id, params)
     except ParameterError as exc:
         raise ScenarioError(str(exc), location=f"model.params.{exc.name}") from exc
     except DimensionMismatch as exc:
@@ -230,10 +231,8 @@ def load_scenario(path) -> Scenario:
     except TypeError as exc:
         raise ScenarioError(f"bad model params: {exc}", location="model.params") from exc
 
-    horizon = _need(data, "horizon", int, "scenario")
-    if horizon < 1:
-        raise ScenarioError("horizon must be >= 1", location="horizon")
 
+def _read_dts(data: dict, horizon: int) -> list[float]:
     dt_field = data.get("dt")
     if dt_field is None:
         raise ScenarioError("missing required field 'dt'", location="dt")
@@ -248,22 +247,88 @@ def load_scenario(path) -> Scenario:
         dts = [_number(dt_field, "step size", "dt")] * horizon
     if any(not dt > 0 for dt in dts):
         raise ScenarioError("every step size must be > 0", location="dt")
+    return dts
 
-    x0 = None
-    if "x0" in data:
-        if not isinstance(data["x0"], list):
-            raise ScenarioError("x0 must be a coordinate list", location="x0")
-        x0 = np.array([_number(v, "coordinate", f"x0[{i}]") for i, v in enumerate(data["x0"])])
 
-    phases_field = data.get("phases", [{"start": 0, "end": horizon, "contacts": []}])
-    if not isinstance(phases_field, list) or not phases_field:
+def _read_x0(data: dict, system) -> np.ndarray:
+    """The measured initial state; without one, the origin of a linear model
+    and the nominal state of a mechanical one."""
+    state = system.state
+    if "x0" not in data:
+        return np.zeros(state.nx) if isinstance(system, LinearDynamics) else system.nominal_state()
+    try:
+        return state.check_point(_coordinates(data["x0"], "x0", "x0"))
+    except DimensionMismatch as exc:
+        raise ScenarioError(str(exc), location="x0") from exc
+
+
+def _read_contacts(value, where: str, system, x0) -> ContactSet | None:
+    """A phase's or switch's 'contacts' list as its contact set (None when
+    empty), references resolved at the initial configuration."""
+    entries = _list(value, "contacts", where)
+    if entries and isinstance(system, LinearDynamics):
+        raise ScenarioError("contacts/switches require a mechanical model", location=where)
+    contacts = []
+    for i, entry in enumerate(entries):
+        loc = f"{where}[{i}]"
+        _object(entry, CONTACT_FIELDS, "contact entry", loc)
+        frame = _frame(entry, loc, system)
+        placement = system.frame_placement(system.split_state(x0)[0], frame)
+        reference = _reference(entry, loc, {"initial": lambda: placement})
+        if reference.shape != placement.shape:
+            raise ScenarioError(
+                f"frame {frame!r} has {placement.size} coordinates, the reference {reference.size}",
+                location=f"{loc}.reference",
+            )
+        gains = {}
+        for gain in ("alpha", "beta"):
+            if gain in entry:
+                gains[gain] = _number(entry[gain], f"contact gain {gain}", f"{loc}.{gain}")
+                if gains[gain] < 0:
+                    raise ScenarioError(
+                        f"contact gain {gain} must be >= 0", location=f"{loc}.{gain}"
+                    )
+        contacts.append(Contact(frame, reference, **gains))
+    return ContactSet(tuple(contacts)) if contacts else None
+
+
+def _check_rows(contacts: ContactSet, where: str, system, x0) -> None:
+    """Reject a contact set whose rows are dependent at the initial
+    configuration (more rows than velocity coordinates, or one frame pinned
+    twice), by the factorization the contact dynamics run, rather than
+    failing the first evaluation that meets it."""
+    if contacts.nf > system.nv:
+        raise ScenarioError(
+            f"{contacts.nf} constraint rows exceed the model's {system.nv} "
+            "velocity coordinates, so the rows are dependent",
+            location=where,
+        )
+    q0 = system.split_state(x0)[0]
+    M, _, _, jacobian, _ = system.forward_terms(q0, np.zeros(system.nv), contacts.frames)
+    try:
+        _factorize(M, jacobian)
+    except FactorizationError as exc:
+        raise ScenarioError(
+            f"the {contacts.nf} constraint rows are dependent at the initial configuration",
+            location=where,
+        ) from exc
+
+
+def _read_timeline(data: dict, horizon: int, system, x0):
+    """The phases and the switches, each list sorted by node.
+
+    A switch without contacts of its own imposes those of the phase it
+    opens. Every contact set is rank-tested after both lists are read, in
+    node order, so a dependent set is named where the horizon first imposes
+    it: at a switch before the phase the switch opens.
+    """
+    entries = data.get("phases", [{"start": 0, "end": horizon}])
+    if not isinstance(entries, list) or not entries:
         raise ScenarioError("phases must be a non-empty list", location="phases")
-    phases = []
-    for i, entry in enumerate(phases_field):
+    phases, imposed = [], []  # imposed: (node, switch 0 / phase 1, field path, contact set)
+    for i, entry in enumerate(entries):
         loc = f"phases[{i}]"
-        if not isinstance(entry, dict):
-            raise ScenarioError("phase must be an object", location=loc)
-        _known_fields(entry, PHASE_FIELDS, loc)
+        _object(entry, PHASE_FIELDS, "phase", loc)
         start = _need(entry, "start", int, loc)
         end = _need(entry, "end", int, loc)
         if not 0 <= start < end <= horizon:
@@ -271,8 +336,10 @@ def load_scenario(path) -> Scenario:
                 f"phase interval [{start}, {end}) must satisfy 0 <= start < end <= horizon",
                 location=loc,
             )
-        contacts = _validate_contacts(entry.get("contacts", []), f"{loc}.contacts")
+        contacts = _read_contacts(entry.get("contacts", []), f"{loc}.contacts", system, x0)
         phases.append(Phase(start, end, contacts))
+        if contacts is not None:
+            imposed.append((start, 1, f"{loc}.contacts", contacts))
     phases.sort(key=lambda p: p.start)
     if phases[0].start != 0:
         raise ScenarioError("first phase must start at node 0", location="phases[0].start")
@@ -293,42 +360,95 @@ def load_scenario(path) -> Scenario:
                 location=f"phases[{i}]",
             )
 
-    boundaries = {p.start for p in phases[1:]}
+    opened = {p.start: p for p in phases[1:]}  # the phase each boundary opens
     switches = []
-    for i, entry in enumerate(data.get("switches", [])):
+    for i, entry in enumerate(_list(data.get("switches", []), "switches", "switches")):
         loc = f"switches[{i}]"
-        if not isinstance(entry, dict):
-            raise ScenarioError("switch must be an object", location=loc)
-        _known_fields(entry, SWITCH_FIELDS, loc)
+        _object(entry, SWITCH_FIELDS, "switch", loc)
         node = _need(entry, "node", int, loc)
-        if node not in boundaries:
+        if node not in opened:
             raise ScenarioError(
-                f"switch node {node} is not a phase boundary (boundaries: {sorted(boundaries)})",
+                f"switch node {node} is not a phase boundary (boundaries: {sorted(opened)})",
                 location=f"{loc}.node",
             )
+        if any(s.node == node for s in switches):
+            raise ScenarioError(f"duplicate switch at node {node}", location=loc)
         restitution = _number(entry.get("restitution", 0.0), "restitution", f"{loc}.restitution")
         if not 0.0 <= restitution <= 1.0:
             raise ScenarioError("restitution must lie in [0, 1]", location=f"{loc}.restitution")
-        contacts = entry.get("contacts")
-        if contacts is not None:
-            contacts = _validate_contacts(contacts, f"{loc}.contacts")
+        if isinstance(system, LinearDynamics):
+            raise ScenarioError("contacts/switches require a mechanical model", location=loc)
+        if "contacts" in entry:
+            contacts = _read_contacts(entry["contacts"], f"{loc}.contacts", system, x0)
+        else:
+            contacts = opened[node].contacts
         switches.append(Switch(node, restitution, contacts))
+        imposed.append((node, 0, f"{loc}.contacts", contacts))
     switches.sort(key=lambda s: s.node)
-    seen = set()
-    for i, s in enumerate(switches):
-        if s.node in seen:
-            raise ScenarioError(f"duplicate switch at node {s.node}", location=f"switches[{i}]")
-        seen.add(s.node)
+    for node, _, where, contacts in sorted(imposed, key=lambda item: item[:2]):
+        if contacts is None:
+            raise ScenarioError(f"switch at node {node} has no contacts to impose", location=where)
+        _check_rows(contacts, where, system, x0)
+    return phases, switches
 
-    costs_field = _need(data, "costs", dict, "scenario")
-    _known_fields(costs_field, COSTS_FIELDS, "costs")
-    running_costs = _validate_costs(costs_field.get("running", []), "costs.running")
-    terminal_costs = _validate_costs(costs_field.get("terminal", []), "costs.terminal")
 
-    warm_start = data.get("warm_start", {"policy": "zeros"})
-    if not isinstance(warm_start, dict):
-        raise ScenarioError("warm_start must be an object", location="warm_start")
-    _known_fields(warm_start, WARM_START_FIELDS, "warm_start")
+def _read_cost(entry, where: str, nu: int, system, x0) -> CostTerm:
+    """One cost entry as its cost term, for nodes with nu controls."""
+    if not isinstance(entry, dict):
+        raise ScenarioError("cost entry must be an object", location=where)
+    kind = _need(entry, "kind", str, where)
+    if kind not in COST_FIELDS:
+        raise ScenarioError(
+            f"unknown cost kind {kind!r}; expected one of {', '.join(COST_FIELDS)}",
+            location=f"{where}.kind",
+        )
+    _object(entry, COST_FIELDS[kind], "cost entry", where)
+    weight = _need(entry, "weight", float, where)
+    if weight < 0:
+        raise ScenarioError("cost weight must be >= 0", location=f"{where}.weight")
+    state = system.state
+    mechanical = isinstance(system, MechanicalSystem)
+    try:
+        if kind == "state_regularization":
+            nominal = system.nominal_state if mechanical else lambda: np.zeros(state.nx)
+            reference = _reference(entry, where, {"initial": lambda: x0, "nominal": nominal})
+            scales = None
+            if "scales" in entry:
+                scales = _coordinates(entry["scales"], "scales", f"{where}.scales")
+            return StateRegularization(state, reference, weight, nu, scales=scales)
+        if kind == "control_regularization":
+            reference = _reference(entry, where, {})
+            return ControlRegularization(nu, weight, state.ndx, reference=reference)
+        if not mechanical:
+            raise ScenarioError(f"{kind} needs a mechanical model", location=where)
+        q0 = system.split_state(x0)[0]
+        if kind == "frame_translation_tracking":
+            frame = _frame(entry, where, system)
+            placement = system.frame_placement(q0, frame)
+            target = _reference(entry, where, {"initial": lambda: placement})
+            return FrameTranslationTracking(system, frame, target, weight, state.ndx, nu)
+        target = _reference(entry, where, {"initial": lambda: system.com(q0)})
+        return ComTracking(system, target, weight, state.ndx, nu)
+    except DimensionMismatch as exc:
+        raise ScenarioError(str(exc), location=where) from exc
+
+
+def _read_costs(data: dict, system, x0):
+    """The running cost terms (for the system's nu controls) and the terminal ones."""
+    costs = _object(_need(data, "costs", dict, "scenario"), COSTS_FIELDS, "costs", "costs")
+    return tuple(
+        tuple(
+            _read_cost(entry, f"costs.{part}[{i}]", nu, system, x0)
+            for i, entry in enumerate(_list(costs.get(part, []), f"{part} costs", f"costs.{part}"))
+        )
+        for part, nu in (("running", system.nu), ("terminal", 0))
+    )
+
+
+def _read_warm_start(data: dict) -> dict:
+    warm_start = _object(
+        data.get("warm_start", {"policy": "zeros"}), WARM_START_FIELDS, "warm_start", "warm_start"
+    )
     policy = warm_start.get("policy", "zeros")
     if policy not in WARM_START_POLICIES:
         raise ScenarioError(
@@ -337,11 +457,13 @@ def load_scenario(path) -> Scenario:
         )
     if policy == "file" and "path" not in warm_start:
         raise ScenarioError("file warm start needs a 'path'", location="warm_start.path")
+    if "path" in warm_start and not isinstance(warm_start["path"], str):
+        raise ScenarioError("warm-start path must be a string", location="warm_start.path")
+    return dict(warm_start)
 
-    solver_field = data.get("solver", {})
-    if not isinstance(solver_field, dict):
-        raise ScenarioError("solver must be an object", location="solver")
-    _known_fields(solver_field, DEFAULT_SOLVER_OPTIONS, "solver")
+
+def _read_solver(data: dict) -> dict:
+    solver_field = _object(data.get("solver", {}), DEFAULT_SOLVER_OPTIONS, "solver", "solver")
     solver_options = dict(DEFAULT_SOLVER_OPTIONS)
     solver_options.update(solver_field)
     if solver_options["solver"] not in ("ddp", "fddp"):
@@ -352,26 +474,36 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError("max_iters must be an integer >= 0", location="solver.max_iters")
     if not _need(solver_options, "tolerance", float, "solver") > 0:
         raise ScenarioError("tolerance must be > 0", location="solver.tolerance")
+    return solver_options
 
-    # Contact machinery only applies to mechanical systems.
-    if isinstance(system, LinearDynamics):
-        if any(p.contacts for p in phases) or switches:
-            raise ScenarioError(
-                "contacts/switches require a mechanical model", location="phases"
-            )
-    else:
-        for i, phase in enumerate(phases):
-            for j, c in enumerate(phase.contacts):
-                if c["frame"] not in system.frames:
-                    raise ScenarioError(
-                        f"model {model_id!r} has no frame {c['frame']!r}",
-                        location=f"phases[{i}].contacts[{j}].frame",
-                    )
 
+def load_scenario(path) -> Scenario:
+    """Read one scenario file into the objects it describes, each object of
+    the document by one reader, which names the field path of any fault."""
+    path = Path(path)
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise ScenarioError(f"cannot read scenario file: {exc}", location=str(path)) from exc
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ScenarioError(f"invalid JSON: {exc.msg}", location=f"line {exc.lineno}") from exc
+    _object(data, SCENARIO_FIELDS, "scenario document", None)
+
+    name = _need(data, "name", str, "scenario")
+    model_id, system = _read_system(data)
+    horizon = _need(data, "horizon", int, "scenario")
+    if horizon < 1:
+        raise ScenarioError("horizon must be >= 1", location="horizon")
+    dts = _read_dts(data, horizon)
+    x0 = _read_x0(data, system)
+    phases, switches = _read_timeline(data, horizon, system, x0)
+    running_costs, terminal_costs = _read_costs(data, system, x0)
     return Scenario(
         name=name,
         model_id=model_id,
-        model_params=dict(model_params),
+        system=system,
         horizon=horizon,
         dts=dts,
         x0=x0,
@@ -379,208 +511,57 @@ def load_scenario(path) -> Scenario:
         switches=switches,
         running_costs=running_costs,
         terminal_costs=terminal_costs,
-        warm_start=dict(warm_start),
-        solver_options=solver_options,
+        warm_start=_read_warm_start(data),
+        solver_options=_read_solver(data),
         path=path,
     )
 
 
 # ---------------------------------------------------------------------------
-# Assembly
+# Node layout
 # ---------------------------------------------------------------------------
 
 
-def _resolve_reference(value, fallback):
-    if value == "initial" or value is None:
-        return np.asarray(fallback, dtype=float).copy()
-    return np.asarray(value, dtype=float)
-
-
-def _build_cost_terms(entries, state, nu, system, x0, where: str):
-    terms = []
-    for i, entry in enumerate(entries):
-        loc = f"{where}[{i}]"
-        kind = entry["kind"]
-        kwargs = {"state": state, "nu": nu}
-        if kind == "state_regularization":
-            ref = entry.get("reference", "initial")
-            if ref == "initial":
-                ref = x0
-            elif ref == "nominal":
-                if system is None or isinstance(system, LinearDynamics):
-                    ref = np.zeros(state.nx)
-                else:
-                    ref = system.nominal_state()
-            kwargs["reference"] = np.asarray(ref, dtype=float)
-            if "scales" in entry:
-                kwargs["scales"] = np.asarray(entry["scales"], dtype=float)
-        elif kind == "control_regularization":
-            if "reference" in entry:
-                kwargs["reference"] = np.asarray(entry["reference"], dtype=float)
-        elif kind == "frame_translation_tracking":
-            if system is None or isinstance(system, LinearDynamics):
-                raise ScenarioError("frame tracking needs a mechanical model", location=loc)
-            frame = entry.get("frame")
-            if frame is None:
-                raise ScenarioError("frame tracking needs a 'frame'", location=f"{loc}.frame")
-            if frame not in system.frames:
-                raise ScenarioError(
-                    f"model has no frame {frame!r}", location=f"{loc}.frame"
-                )
-            kwargs["system"] = system
-            kwargs["frame"] = frame
-            q0 = system.split_state(x0)[0]
-            kwargs["reference"] = _resolve_reference(
-                entry.get("reference"), system.frame_placement(q0, frame)
-            )
-        elif kind == "com_tracking":
-            if system is None or isinstance(system, LinearDynamics):
-                raise ScenarioError("com tracking needs a mechanical model", location=loc)
-            kwargs["system"] = system
-            q0 = system.split_state(x0)[0]
-            kwargs["reference"] = _resolve_reference(entry.get("reference"), system.com(q0))
-        try:
-            terms.append(make_cost_term(kind, entry["weight"], **kwargs))
-        except (DimensionMismatch, ValueError) as exc:
-            raise ScenarioError(str(exc), location=loc) from exc
-    return tuple(terms)
-
-
-def _build_contact_set(entries, system, x0, where: str) -> ContactSet:
-    """The contact set of `entries`, reported at the field path `where`.
-
-    A set whose rows are dependent at the initial configuration (more rows
-    than velocity coordinates, or one frame pinned twice) is rejected here,
-    by the factorization the contact dynamics run, rather than failing the
-    first evaluation that meets it, whatever evaluates the model first.
-    """
-    contacts = []
-    q0 = system.split_state(x0)[0]
-    for i, entry in enumerate(entries):
-        loc = f"{where}[{i}]"
-        frame = entry["frame"]
-        try:
-            reference = _resolve_reference(
-                entry.get("reference", "initial"), system.frame_placement(q0, frame)
-            )
-            kwargs = {}
-            if "alpha" in entry:
-                kwargs["alpha"] = float(entry["alpha"])
-            if "beta" in entry:
-                kwargs["beta"] = float(entry["beta"])
-            contacts.append(Contact(frame=frame, reference=reference, **kwargs))
-        except (DimensionMismatch, ValueError) as exc:
-            raise ScenarioError(str(exc), location=loc) from exc
-    contact_set = ContactSet(tuple(contacts))
-    if contact_set.nf > system.nv:
-        raise ScenarioError(
-            f"{contact_set.nf} constraint rows exceed the model's {system.nv} "
-            "velocity coordinates, so the rows are dependent",
-            location=where,
-        )
-    M, _, _, jacobian, _ = system.forward_terms(q0, np.zeros(system.nv), contact_set.frames)
-    try:
-        _factorize(M, jacobian)
-    except FactorizationError as exc:
-        raise ScenarioError(
-            f"the {contact_set.nf} constraint rows are dependent at the initial configuration",
-            location=where,
-        ) from exc
-    return contact_set
-
-
 def build_problem(scenario: Scenario) -> ShootingProblem:
-    """Turn a validated scenario into a shooting problem.
+    """Lay out a loaded scenario's nodes as a shooting problem.
 
-    Each integration node gets its phase's dynamics; one impulse node is
-    inserted before the first integration node of each switch boundary, so
-    the model list has horizon + len(switches) running entries.
+    Each integration node gets its phase's dynamics, one model per (phase,
+    dt); one impulse node is inserted before the first integration node of
+    each switch boundary, so the model list has horizon + len(switches)
+    running entries.
     """
-    system = build_system(scenario.model_id, scenario.model_params)
-    linear = isinstance(system, LinearDynamics)
-    state = system.state
-
-    if scenario.x0 is not None:
-        try:
-            x0 = state.check_point(scenario.x0)
-        except DimensionMismatch as exc:
-            raise ScenarioError(str(exc), location="x0") from exc
-    elif linear:
-        x0 = np.zeros(state.nx)
-    else:
-        x0 = system.nominal_state()
-
-    sys_for_costs = None if linear else system
-    running_cost_terms = {}  # nu -> terms (cached; shared across nodes)
-
-    def running_costs(nu):
-        if nu not in running_cost_terms:
-            running_cost_terms[nu] = _build_cost_terms(
-                scenario.running_costs, state, nu, sys_for_costs, x0, "costs.running"
-            )
-        return running_cost_terms[nu]
-
-    # One dynamics object per phase, one model per (phase, dt) pair.
-    phase_models = {}
-
-    def model_for(phase_idx: int, k: int) -> IntegratedActionModel:
-        dt = scenario.dts[k]
-        key = (phase_idx, dt)
-        if key not in phase_models:
-            phase = scenario.phases[phase_idx]
-            if linear:
-                dynamics = LinearFlow(system)
-            elif phase.contacts:
-                contact_set = _build_contact_set(
-                    phase.contacts, system, x0, f"phases[{phase_idx}].contacts"
-                )
-                dynamics = ConstrainedMechanicalDynamics(system, contact_set)
-            else:
-                dynamics = FreeMechanicalDynamics(system)
-            phase_models[key] = IntegratedActionModel(
-                dynamics,
-                costs=running_costs(dynamics.nu),
-                dt=dt,
-                label=f"{scenario.name}:phase{phase_idx}",
-            )
-        return phase_models[key]
-
-    phase_of_node = np.empty(scenario.horizon, dtype=int)
-    for i, phase in enumerate(scenario.phases):
-        phase_of_node[phase.start : phase.end] = i
-
-    switch_at = {s.node: (i, s) for i, s in enumerate(scenario.switches)}
+    system = scenario.system
+    switch_at = {s.node: s for s in scenario.switches}
     models: list[ActionModelBase] = []
-    for k in range(scenario.horizon):
-        if k in switch_at:
-            i, switch = switch_at[k]
-            entries = switch.contacts
-            if entries is None:
-                entries = scenario.phases[phase_of_node[k]].contacts
-            if not entries:
-                raise ScenarioError(
-                    f"switch at node {k} has no contacts to impose",
-                    location=f"switches[{i}]",
+    for i, phase in enumerate(scenario.phases):
+        if isinstance(system, LinearDynamics):
+            dynamics = LinearFlow(system)
+        elif phase.contacts is None:
+            dynamics = FreeMechanicalDynamics(system)
+        else:
+            dynamics = ConstrainedMechanicalDynamics(system, phase.contacts)
+        by_dt = {}
+        for k in range(phase.start, phase.end):
+            if k in switch_at:
+                switch = switch_at[k]
+                models.append(
+                    ImpulseActionModel(
+                        system,
+                        switch.contacts,
+                        restitution=switch.restitution,
+                        label=f"{scenario.name}:switch@{k}",
+                    )
                 )
-            contact_set = _build_contact_set(entries, system, x0, f"switches[{i}].contacts")
-            models.append(
-                ImpulseActionModel(
-                    system,
-                    contact_set,
-                    restitution=switch.restitution,
-                    label=f"{scenario.name}:switch@{k}",
+            dt = scenario.dts[k]
+            if dt not in by_dt:
+                by_dt[dt] = IntegratedActionModel(
+                    dynamics, costs=scenario.running_costs, dt=dt, label=f"{scenario.name}:phase{i}"
                 )
-            )
-        models.append(model_for(int(phase_of_node[k]), k))
-
+            models.append(by_dt[dt])
     terminal = TerminalActionModel(
-        state,
-        costs=_build_cost_terms(
-            scenario.terminal_costs, state, 0, sys_for_costs, x0, "costs.terminal"
-        ),
-        label=f"{scenario.name}:terminal",
+        system.state, costs=scenario.terminal_costs, label=f"{scenario.name}:terminal"
     )
-    return ShootingProblem(x0, models, terminal)
+    return ShootingProblem(scenario.x0, models, terminal)
 
 
 # ---------------------------------------------------------------------------
@@ -604,8 +585,10 @@ def build_warm_start(scenario: Scenario, problem: ShootingProblem):
     quasi_static_interpolation: states slide along the manifold from the
     measured state to the terminal regularization target; controls hold each
     interpolated state still where that is possible, from one stacked
-    `quasi_static_control` call per group (nodes whose dynamics cannot be
-    held still, e.g. during flight, fall back to zero control).
+    `quasi_static_control` call per group, and a node whose state no control
+    holds still falls back to zero control. That is not only a flight node:
+    on monoped_hop every node with controls but node 0 falls back, the
+    stance nodes too, so its warm start is close to a zero-control start.
     file: a JSON document with explicit X and U lists.
     """
     policy = scenario.warm_start.get("policy", "zeros")

@@ -315,7 +315,6 @@ def solve(
     solver: str = "fddp",
     max_iters: int = 100,
     tolerance: float = 1e-9,
-    regularization_init: float = REG_MIN,
 ):
     """Run the iteration loop and return (X, U, report), X and U as lists.
 
@@ -340,9 +339,8 @@ def solve(
         raise DimensionMismatch(f"unknown solver {solver!r}, expected 'ddp' or 'fddp'")
     if max_iters < 0:
         raise DimensionMismatch(f"max_iters must be >= 0, got {max_iters}")
-    for name, value in (("tolerance", tolerance), ("regularization_init", regularization_init)):
-        if not 0.0 < value < np.inf:  # also false for NaN
-            raise DimensionMismatch(f"{name} must be finite and > 0, got {value}")
+    if not 0.0 < tolerance < np.inf:  # also false for NaN
+        raise DimensionMismatch(f"tolerance must be finite and > 0, got {tolerance}")
 
     X, U = problem.check_trajectories(
         problem.constant_state_guess() if X_guess is None else X_guess,
@@ -353,7 +351,7 @@ def solve(
     report = SolveReport(solver=solver)
     current = (problem.datas, problem.stacks)
     trial = problem.create_datas()
-    mu = float(regularization_init)
+    mu = REG_MIN
     forward_pass = forward_pass_ddp if solver == "ddp" else forward_pass_fddp
 
     def finish(termination):

@@ -183,10 +183,10 @@ class MechanicalSystem:
         raise DimensionMismatch(f"system has no frame {frame!r}")
 
     def com(self, q) -> np.ndarray:
-        raise NotImplementedError
+        raise DimensionMismatch("system has no center-of-mass model")
 
     def com_jacobian(self, q) -> np.ndarray:
-        raise NotImplementedError
+        raise DimensionMismatch("system has no center-of-mass model")
 
     # -- helpers -------------------------------------------------------------
 

@@ -26,7 +26,6 @@ from fddp.costs import (
     ControlRegularization,
     FrameTranslationTracking,
     StateRegularization,
-    make_cost_term,
 )
 from fddp.errors import (
     DimensionMismatch,
@@ -538,28 +537,18 @@ def test_cost_terms_return_only_the_blocks_of_their_argument():
     np.testing.assert_allclose(blocks["l_uu"], 0.1 * np.eye(2))
 
 
-def test_make_cost_term_dispatch_and_validation():
-    pend = Pendulum()
-    term = make_cost_term(
-        "state_regularization", 2.0, state=pend.state, nu=1, reference=[0.1, 0.0]
-    )
-    assert isinstance(term, StateRegularization)
-    term = make_cost_term(
-        "frame_translation_tracking",
-        1.0,
-        state=pend.state,
-        nu=1,
-        system=pend,
-        frame="tip",
-        reference=[0.0, -1.0],
-    )
-    assert isinstance(term, FrameTranslationTracking)
-    with pytest.raises(DimensionMismatch):
-        make_cost_term("state_regularization", 1.0, state=pend.state, nu=1)
-    with pytest.raises(DimensionMismatch, match="unknown cost kind"):
-        make_cost_term("energy", 1.0, state=pend.state, nu=1)
-    with pytest.raises(DimensionMismatch):
+def test_cost_constructors_check_weight_and_target_shape():
+    pend, monoped = Pendulum(), PlanarMonoped()
+    with pytest.raises(DimensionMismatch, match="cost weight must be >= 0"):
         StateRegularization(pend.state, [0.0, 0.0], -1.0, 1)
+    with pytest.raises(DimensionMismatch, match=r"placement has shape \(2,\), target \(3,\)"):
+        FrameTranslationTracking(pend, "tip", [0.0, -1.0, 0.0], 1.0, 2, 1)
+    # A center-of-mass target of the wrong size is rejected here, not by a
+    # broadcast in the first cost evaluation.
+    with pytest.raises(DimensionMismatch, match=r"center of mass has shape \(2,\), target \(3,\)"):
+        ComTracking(monoped, [0.0, 0.5, 0.0], 1.0, 10, 2)
+    with pytest.raises(DimensionMismatch, match="no center-of-mass model"):
+        ComTracking(DoubleIntegrator(), [0.0, 0.0], 1.0, 4, 2)
 
 
 def test_mismatched_cost_shapes_are_rejected():

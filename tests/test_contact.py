@@ -246,8 +246,7 @@ def test_forward_dynamics_rejects_dependent_constraint_rows():
 # ---------------------------------------------------------------------------
 
 def impulse_solution(M, Jc, inputs):
-    ws = impulse_dynamics(M, Jc, *inputs, 0.5)
-    return ws.v_plus, ws.impulse
+    return impulse_dynamics(M, Jc, *inputs, 0.5)
 
 
 # Each solve as f(M, Jc, inputs) -> its solution pair: the contact solve takes
@@ -427,21 +426,23 @@ def test_monoped_stance_partials_match_finite_differences():
 
 
 def test_impulse_plastic_unit_mass():
-    ws = impulse_dynamics(np.eye(1), np.eye(1), np.array([-1.0]), 0.0)
-    np.testing.assert_allclose(ws.v_plus, [0.0])
-    np.testing.assert_allclose(ws.impulse, [1.0])
+    v_plus, impulse = impulse_dynamics(np.eye(1), np.eye(1), np.array([-1.0]), 0.0)
+    np.testing.assert_allclose(v_plus, [0.0])
+    np.testing.assert_allclose(impulse, [1.0])
 
 
 def test_impulse_plastic_two_dof():
-    ws = impulse_dynamics(np.eye(2), np.array([[1.0, 0.0]]), np.array([-1.0, 3.0]), 0.0)
-    np.testing.assert_allclose(ws.v_plus, [0.0, 3.0])
-    np.testing.assert_allclose(ws.impulse, [1.0])
+    v_plus, impulse = impulse_dynamics(
+        np.eye(2), np.array([[1.0, 0.0]]), np.array([-1.0, 3.0]), 0.0
+    )
+    np.testing.assert_allclose(v_plus, [0.0, 3.0])
+    np.testing.assert_allclose(impulse, [1.0])
 
 
 def test_impulse_elastic_unit_mass():
-    ws = impulse_dynamics(np.eye(1), np.eye(1), np.array([-1.0]), 1.0)
-    np.testing.assert_allclose(ws.v_plus, [1.0])
-    np.testing.assert_allclose(ws.impulse, [2.0])
+    v_plus, impulse = impulse_dynamics(np.eye(1), np.eye(1), np.array([-1.0]), 1.0)
+    np.testing.assert_allclose(v_plus, [1.0])
+    np.testing.assert_allclose(impulse, [2.0])
 
 
 def test_impulse_matches_dense_solve():
@@ -453,11 +454,11 @@ def test_impulse_matches_dense_solve():
         Jc = rng.standard_normal((nf, nv))
         v_minus = rng.standard_normal(nv)
         e = float(rng.uniform(0.0, 1.0))
-        ws = impulse_dynamics(M, Jc, v_minus, e)
+        v_plus, impulse = impulse_dynamics(M, Jc, v_minus, e)
         rhs = np.concatenate([M @ v_minus, -e * (Jc @ v_minus)])
         sol = np.linalg.solve(dense_saddle(M, Jc), rhs)
-        np.testing.assert_allclose(ws.v_plus, sol[:nv], atol=1e-10)
-        np.testing.assert_allclose(ws.impulse, sol[nv:], atol=1e-10)
+        np.testing.assert_allclose(v_plus, sol[:nv], atol=1e-10)
+        np.testing.assert_allclose(impulse, sol[nv:], atol=1e-10)
 
 
 def test_impulse_restitution_must_lie_in_unit_interval():
@@ -479,13 +480,13 @@ def test_impulse_physics_invariants():
         Jc = rng.standard_normal((nf, nv))
         v_minus = rng.standard_normal(nv)
         e = float(rng.choice([0.0, rng.uniform(0.0, 1.0), 1.0]))
-        ws = impulse_dynamics(M, Jc, v_minus, e)
-        np.testing.assert_allclose(Jc @ ws.v_plus, -e * (Jc @ v_minus), atol=1e-10)
+        v_plus, _ = impulse_dynamics(M, Jc, v_minus, e)
+        np.testing.assert_allclose(Jc @ v_plus, -e * (Jc @ v_minus), atol=1e-10)
         if e == 0.0:
-            ke_plus = 0.5 * ws.v_plus @ M @ ws.v_plus
+            ke_plus = 0.5 * v_plus @ M @ v_plus
             ke_minus = 0.5 * v_minus @ M @ v_minus
             assert ke_plus <= ke_minus + 1e-12
-        dp = M @ (ws.v_plus - v_minus)
+        dp = M @ (v_plus - v_minus)
         residual = dp - Jc.T @ np.linalg.lstsq(Jc.T, dp, rcond=None)[0]
         assert np.linalg.norm(residual) <= 1e-10
 

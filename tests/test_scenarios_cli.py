@@ -2,6 +2,7 @@
 the command-line harness (solve, check-derivatives, exit codes).
 """
 
+import copy
 import csv
 import json
 import re
@@ -25,8 +26,16 @@ from fddp.cli import (
     EXIT_CONVERGED,
     EXIT_IO,
     EXIT_MAX_ITERS,
+    EXIT_SOLVER_FAILURE,
     TRACE_COLUMNS,
     check_problem_derivatives,
+)
+from fddp import scenarios
+from fddp.costs import (
+    ComTracking,
+    ControlRegularization,
+    FrameTranslationTracking,
+    StateRegularization,
 )
 from fddp.errors import ScenarioError
 from fddp.scenarios import (
@@ -317,6 +326,42 @@ def test_contact_frame_must_exist_on_the_model(tmp_path):
     }
     with pytest.raises(ScenarioError, match="has no frame 'hand'"):
         load_scenario(write_doc(tmp_path, doc))
+
+
+def test_each_cost_kind_is_read_into_its_term(tmp_path):
+    # One reader per cost entry dispatches on its kind; tracking targets
+    # default to their value at the initial state.
+    doc = json.loads(bundled_scenario_path("monoped_hop").read_text())
+    doc["costs"]["running"] += [
+        {"kind": "frame_translation_tracking", "weight": 1.0, "frame": "foot"},
+        {"kind": "com_tracking", "weight": 1.0},
+    ]
+    scenario = load_scenario(write_doc(tmp_path, doc))
+    running = scenario.running_costs
+    kinds = (StateRegularization, ControlRegularization, FrameTranslationTracking, ComTracking)
+    assert tuple(map(type, running)) == kinds
+    assert [term.kind for term in running] == [entry["kind"] for entry in doc["costs"]["running"]]
+    assert {term.nu for term in running} == {2}
+    assert [(type(term), term.nu) for term in scenario.terminal_costs] == [(StateRegularization, 0)]
+    system, q0 = scenario.system, scenario.x0[:5]
+    np.testing.assert_array_equal(running[0].reference, scenario.x0)
+    np.testing.assert_array_equal(running[2].target, system.frame_placement(q0, "foot"))
+    np.testing.assert_array_equal(running[3].target, system.com(q0))
+
+
+def test_one_load_and_build_makes_one_system(monkeypatch):
+    # The loader builds the system once; laying out the nodes builds none.
+    calls = []
+
+    def counted(*args, build=scenarios.build_system):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(scenarios, "build_system", counted)
+    for name in BUNDLED_SCENARIOS:
+        calls.clear()
+        build_problem(load_scenario(bundled_scenario_path(name)))
+        assert len(calls) == 1, name
 
 
 # ---------------------------------------------------------------------------
@@ -945,3 +990,136 @@ def test_dependent_contact_rows_are_rejected_at_assembly(tmp_path, capsys):
             ):
                 assert cli.main(argv) == EXIT_CONFIG
                 assert re.search("error: " + where + ": " + message, capsys.readouterr().err)
+
+
+# ---------------------------------------------------------------------------
+# the validation boundary under fuzzing
+# ---------------------------------------------------------------------------
+
+# One field of the hop document each, which escaped both commands as Python
+# tracebacks with exit 1 before the loader read each object once, and the
+# field path each is now reported at.
+ESCAPED_INPUTS = [
+    (lambda d: d.update(switches=5), "switches"),
+    (lambda d: d["phases"][0].update(contacts=5), r"phases\[0\]\.contacts"),
+    (lambda d: d["switches"][0].update(contacts=5), r"switches\[0\]\.contacts"),
+    (lambda d: d["costs"].update(running=5), r"costs\.running"),
+    (lambda d: d["costs"]["running"][0].update(scales="x"), r"costs\.running\[0\]\.scales"),
+    (lambda d: d["costs"]["running"][0].update(reference="x"), r"costs\.running\[0\]\.reference"),
+    (
+        lambda d: d["costs"]["running"].append(
+            {"kind": "frame_translation_tracking", "weight": 1.0, "frame": "foot",
+             "reference": "nominal"}
+        ),
+        r"costs\.running\[2\]\.reference",
+    ),
+    (lambda d: d.update(warm_start={"policy": "file", "path": 5}), r"warm_start\.path"),
+    (
+        lambda d: d["costs"]["running"].append(
+            {"kind": "com_tracking", "weight": 1.0, "reference": [0.0, 0.5, 0.0]}
+        ),
+        r"costs\.running\[2\]",
+    ),
+    (
+        lambda d: d["phases"][0]["contacts"][0]["reference"].pop(),
+        r"phases\[0\]\.contacts\[0\]\.reference",
+    ),
+]
+
+
+def hop_document(mutate):
+    doc = json.loads(bundled_scenario_path("monoped_hop").read_text())
+    mutate(doc)
+    return doc
+
+
+def cli_runs(path, tmp_path):
+    """Each command on a scenario file, with the exit codes it may return
+    (see the cli module docstring): check-derivatives never ends a solve."""
+    yield ["solve", "--scenario", path, "--max-iters", "1", "--out", str(tmp_path / "out")], {
+        EXIT_CONVERGED, EXIT_MAX_ITERS, EXIT_SOLVER_FAILURE, EXIT_CONFIG
+    }
+    yield ["check-derivatives", "--scenario", path, "--samples", "1"], {EXIT_CONVERGED, EXIT_CONFIG}
+
+
+@pytest.mark.parametrize(
+    "mutate, where", ESCAPED_INPUTS, ids=[re.sub(r"\\", "", where) for _, where in ESCAPED_INPUTS]
+)
+def test_malformed_fields_exit_config_at_their_path(tmp_path, capsys, mutate, where):
+    path = str(write_doc(tmp_path, hop_document(mutate)))
+    for argv, _ in cli_runs(path, tmp_path):
+        assert cli.main(argv) == EXIT_CONFIG
+        assert re.match(f"error: {where}: ", capsys.readouterr().err)
+
+
+def field_paths(value, path=()):
+    """Every field path of a JSON value: the keys of its objects and the
+    indices of its lists, at every depth."""
+    if isinstance(value, dict):
+        children = value.items()
+    elif isinstance(value, list):
+        children = enumerate(value)
+    else:
+        return
+    for key, child in children:
+        yield path + (key,)
+        yield from field_paths(child, path + (key,))
+
+
+def out_of_range(value):
+    """A negative number for a number, an emptied list, object or string."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return -1 - abs(value)
+    return type(value)()
+
+
+# Each mutation replaces the field's value with the result, or drops the field.
+MUTATIONS = {
+    "drop": None,
+    "int": lambda value: 7,
+    "string": lambda value: "x",
+    "bool": lambda value: True,
+    "nested list": lambda value: [[1]],
+    "out of range": out_of_range,
+}
+FUZZ_CASES_PER_DOCUMENT = 30
+FIELD_PATH = re.compile(r"error: [A-Za-z_]\w*(\[\d+\])*(\.\w+(\[\d+\])*)*: ")
+
+
+def test_fuzzed_documents_exit_with_documented_codes(tmp_path, capsys):
+    # Seeded samples of (field path, mutation) over every bundled document,
+    # plus the inputs that once escaped: both commands exit only with their
+    # documented codes, never raise, and name a field path when they exit 5.
+    rng = np.random.default_rng(15)
+    cases = [(f"hop {where}", hop_document(mutate)) for mutate, where in ESCAPED_INPUTS]
+    for name in BUNDLED_SCENARIOS:
+        doc = json.loads(bundled_scenario_path(name).read_text())
+        fields = list(field_paths(doc))
+        draws = rng.choice(len(fields) * len(MUTATIONS), FUZZ_CASES_PER_DOCUMENT, replace=False)
+        for draw in draws:
+            *parents, key = fields[draw // len(MUTATIONS)]
+            how, change = list(MUTATIONS.items())[draw % len(MUTATIONS)]
+            mutated = copy.deepcopy(doc)
+            parent = mutated
+            for step in parents:
+                parent = parent[step]
+            if change is None:
+                del parent[key]
+            else:
+                parent[key] = change(parent[key])
+            cases.append((f"{name} {how} {[*parents, key]}", mutated))
+    faults = []
+    for label, doc in cases:
+        path = str(write_doc(tmp_path, doc))
+        for argv, codes in cli_runs(path, tmp_path):
+            try:
+                rc = cli.main(argv)
+            except Exception as exc:  # noqa: BLE001 - any escape is the fault under test
+                faults.append(f"{label}, {argv[0]}: raised {exc!r}")
+                continue
+            err = capsys.readouterr().err
+            if rc not in codes or (rc == EXIT_CONFIG and not FIELD_PATH.match(err)):
+                faults.append(f"{label}, {argv[0]}: exit {rc}, {err.strip()!r}")
+            if "Traceback" in err:
+                faults.append(f"{label}, {argv[0]}: printed a traceback")
+    assert not faults, "\n".join(faults)

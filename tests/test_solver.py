@@ -650,16 +650,11 @@ def test_solve_validates_options():
         solve(problem, max_iters=-1)
 
 
-@pytest.mark.parametrize("option", ["tolerance", "regularization_init"])
 @pytest.mark.parametrize("value", [-1.0, 0.0, np.nan, np.inf])
-def test_solve_rejects_a_tolerance_or_regularization_that_is_not_finite_and_positive(
-    option, value
-):
-    # A negative or zero initial regularization never reaches REG_MAX when the
-    # backward pass fails; max_iters=0 keeps the solve from entering the loop.
+def test_solve_rejects_a_tolerance_that_is_not_finite_and_positive(value):
     problem, _ = lqr_problem(n=4, seed=16)
-    with pytest.raises(DimensionMismatch, match=f"{option} must be finite and > 0"):
-        solve(problem, max_iters=0, **{option: value})
+    with pytest.raises(DimensionMismatch, match="tolerance must be finite and > 0"):
+        solve(problem, max_iters=0, tolerance=value)
 
 
 def test_classical_solver_replaces_the_state_guess_by_a_rollout():
@@ -696,26 +691,6 @@ def test_gap_tolerant_solve_closes_gaps_and_descends_afterwards():
         if feasible and row.accepted:
             assert row.cost <= last_cost + 1e-12
             last_cost = row.cost
-
-
-def test_converged_solution_is_insensitive_to_initial_regularization():
-    solutions = []
-    for mu0 in (1e-9, 1e-3):
-        problem, _ = lqr_problem(n=10, seed=18)
-        X, U, report = solve(
-            problem,
-            solver="fddp",
-            max_iters=30,
-            tolerance=1e-13,
-            regularization_init=mu0,
-        )
-        assert report.converged
-        solutions.append((X, U))
-    (X_a, U_a), (X_b, U_b) = solutions
-    for xa, xb in zip(X_a, X_b):
-        np.testing.assert_allclose(xa, xb, rtol=0.0, atol=1e-6)
-    for ua, ub in zip(U_a, U_b):
-        np.testing.assert_allclose(ua, ub, rtol=0.0, atol=1e-6)
 
 
 def test_first_row_records_the_warm_start():
