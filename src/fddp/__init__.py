@@ -44,7 +44,6 @@ from .errors import (
     DimensionMismatch,
     FactorizationError,
     FddpError,
-    KKTSingular,
     NotPositiveDefinite,
     NumericalFailure,
     ParameterError,
@@ -101,7 +100,6 @@ __all__ = [
     "FreeMechanicalDynamics",
     "ImpulseActionModel",
     "IntegratedActionModel",
-    "KKTSingular",
     "LinearFlow",
     "Manifold",
     "NotPositiveDefinite",

@@ -281,16 +281,14 @@ class ActionModelBase:
     state: Manifold
     nu: int
     costs: tuple[CostTerm, ...]
-    label: str
     # The factor of every cost term: the step of an integrated node.
     cost_scale = 1.0
 
-    def __init__(self, state: Manifold, nu: int, costs, label: str):
+    def __init__(self, state: Manifold, nu: int, costs):
         self.state = state
         self.nu = int(nu)
         self.ndx = state.ndx
         self.costs = tuple(costs)
-        self.label = label
         for term in self.costs:
             if term.ndx != self.ndx or term.nu != self.nu:
                 raise DimensionMismatch(
@@ -348,10 +346,10 @@ class IntegratedActionModel(ActionModelBase):
     Euler step. Costs are integrated as l(x, u) * dt.
     """
 
-    def __init__(self, dynamics, costs=(), dt: float = 1e-3, label: str = "node"):
+    def __init__(self, dynamics, costs=(), dt: float = 1e-3):
         if not dt > 0.0:
             raise DimensionMismatch(f"integration step must be positive, got {dt}")
-        super().__init__(dynamics.state, dynamics.nu, costs, label)
+        super().__init__(dynamics.state, dynamics.nu, costs)
         self.dynamics = dynamics
         self.dt = float(dt)
         self.cost_scale = self.dt
@@ -405,8 +403,8 @@ class IntegratedActionModel(ActionModelBase):
 class TerminalActionModel(ActionModelBase):
     """Cost-only endpoint node: no controls, no state advance."""
 
-    def __init__(self, state: Manifold, costs=(), label: str = "terminal"):
-        super().__init__(state, 0, costs, label)
+    def __init__(self, state: Manifold, costs=()):
+        super().__init__(state, 0, costs)
         self._f_x = np.eye(self.ndx)
 
     def calc(self, data, x, u=_NO_CONTROL):
@@ -434,9 +432,8 @@ class ImpulseActionModel(ActionModelBase):
         contacts: ContactSet,
         restitution: float = 0.0,
         costs=(),
-        label: str = "impulse",
     ):
-        super().__init__(system.state, 0, costs, label)
+        super().__init__(system.state, 0, costs)
         if not 0.0 <= restitution <= 1.0:
             raise DimensionMismatch(f"restitution must lie in [0, 1], got {restitution}")
         self.system = system

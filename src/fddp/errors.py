@@ -46,10 +46,6 @@ class NotPositiveDefinite(FddpError, RuntimeError):
         self.node = node
 
 
-class KKTSingular(FddpError, RuntimeError):
-    """The dense KKT system of the whole problem is singular."""
-
-
 class ScenarioError(FddpError, ValueError):
     """A scenario file failed parsing or validation.
 

@@ -533,7 +533,7 @@ def build_problem(scenario: Scenario) -> ShootingProblem:
     system = scenario.system
     switch_at = {s.node: s for s in scenario.switches}
     models: list[ActionModelBase] = []
-    for i, phase in enumerate(scenario.phases):
+    for phase in scenario.phases:
         if isinstance(system, LinearDynamics):
             dynamics = LinearFlow(system)
         elif phase.contacts is None:
@@ -544,23 +544,12 @@ def build_problem(scenario: Scenario) -> ShootingProblem:
         for k in range(phase.start, phase.end):
             if k in switch_at:
                 switch = switch_at[k]
-                models.append(
-                    ImpulseActionModel(
-                        system,
-                        switch.contacts,
-                        restitution=switch.restitution,
-                        label=f"{scenario.name}:switch@{k}",
-                    )
-                )
+                models.append(ImpulseActionModel(system, switch.contacts, switch.restitution))
             dt = scenario.dts[k]
             if dt not in by_dt:
-                by_dt[dt] = IntegratedActionModel(
-                    dynamics, costs=scenario.running_costs, dt=dt, label=f"{scenario.name}:phase{i}"
-                )
+                by_dt[dt] = IntegratedActionModel(dynamics, costs=scenario.running_costs, dt=dt)
             models.append(by_dt[dt])
-    terminal = TerminalActionModel(
-        system.state, costs=scenario.terminal_costs, label=f"{scenario.name}:terminal"
-    )
+    terminal = TerminalActionModel(system.state, costs=scenario.terminal_costs)
     return ShootingProblem(scenario.x0, models, terminal)
 
 

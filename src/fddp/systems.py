@@ -5,9 +5,10 @@ Second-order mechanical systems follow the convention
     M(q) vdot + bias(q, v) = S u + Jc(q)^T force
 
 with bias = Coriolis/centrifugal terms plus gravity. Everything here is
-hand-derived, never from a generic tree algorithm: the pendulums in closed
-form, the monoped as constant coefficients times a trigonometric basis of
-its leg angles (see `PlanarMonoped`).
+hand-derived, never from a generic tree algorithm: the pendulum in closed
+form; the monoped and the double pendulum as one two-link leg (`_PlanarLeg`)
+on a floating or a welded base, each term constant coefficients times a
+trigonometric basis of the leg angles.
 
 Every system also gives the closed-form partials that the action models
 need: the bias partials, the inertia contraction d(M w)/dq, and for each frame
@@ -22,8 +23,8 @@ The terms of the stacked derivative pass (`mass_matrix`, `bias_partials`,
 q, v, w and f; a constant term may return one unstacked array. The forward
 step takes one node through one call, `forward_terms(q, v, frames)`: M, the
 bias, and the stacked placements, Jacobians and drifts of the listed frames,
-the data that its dynamics, contacts and impulses share. The monoped makes
-it one evaluation of its basis; the other systems compose their closed forms.
+the data that its dynamics, contacts and impulses share. A leg makes it one
+evaluation of its basis; the other systems compose their closed forms.
 `bias` and `frame_drift` take one node.
 """
 
@@ -69,12 +70,6 @@ def _unit_down(phi) -> np.ndarray:
 def _unit_side(phi) -> np.ndarray:
     # Derivative of _unit_down w.r.t. phi.
     return np.stack([np.cos(phi), np.sin(phi)], axis=-1)
-
-
-def _matrices(rows) -> np.ndarray:
-    """Nested rows of entries (scalars or arrays of one shape) as (..., r, c) matrices."""
-    entries = np.broadcast_arrays(*(entry for row in rows for entry in row))
-    return np.stack(entries, axis=-1).reshape(entries[0].shape + (len(rows), len(rows[0])))
 
 
 def _chain_partials(links, v, w, f):
@@ -345,149 +340,7 @@ class Pendulum(MechanicalSystem):
         return (self.length * _unit_side(q[..., 0]))[..., None]
 
 
-class DoublePendulum(MechanicalSystem):
-    """Two planar links with both joints actuated, angles from hanging down."""
-
-    frames = ("tip",)
-
-    def __init__(
-        self,
-        m1=1.0,
-        m2=1.0,
-        l1=1.0,
-        l2=1.0,
-        lc1=0.5,
-        lc2=0.5,
-        gravity=GRAVITY,
-    ):
-        self.nq = self.nv = self.nu = 2
-        self.m1, self.m2 = _parameter("m1", m1), _parameter("m2", m2)
-        self.l1, self.l2 = _parameter("l1", l1), _parameter("l2", l2)
-        self.lc1, self.lc2 = _parameter("lc1", lc1), _parameter("lc2", lc2)
-        self.I1 = self.m1 * self.l1**2 / 12.0
-        self.I2 = self.m2 * self.l2**2 / 12.0
-        self.gravity = float(gravity)
-        self.config = VectorSpace(2)
-        super().__init__()
-        self._coupling = self.m2 * self.l1 * self.lc2
-
-    def mass_matrix(self, q):
-        c2 = np.cos(q[..., 1])
-        b = self._coupling
-        a11 = (
-            self.I1
-            + self.I2
-            + self.m1 * self.lc1**2
-            + self.m2 * (self.l1**2 + self.lc2**2 + 2.0 * self.l1 * self.lc2 * c2)
-        )
-        a12 = self.I2 + self.m2 * self.lc2**2 + b * c2
-        a22 = self.I2 + self.m2 * self.lc2**2
-        return _matrices([[a11, a12], [a12, a22]])
-
-    def _gravity_torque(self, q):
-        g = self.gravity
-        s1 = np.sin(q[0])
-        s12 = np.sin(q[0] + q[1])
-        k1 = self.m1 * self.lc1 + self.m2 * self.l1
-        k2 = self.m2 * self.lc2
-        return np.array([k1 * g * s1 + k2 * g * s12, k2 * g * s12])
-
-    def bias(self, q, v):
-        b = self._coupling
-        s2 = np.sin(q[1])
-        coriolis = np.array(
-            [-b * s2 * (2.0 * v[0] * v[1] + v[1] ** 2), b * s2 * v[0] ** 2]
-        )
-        return coriolis + self._gravity_torque(q)
-
-    def bias_partials(self, q, v):
-        b = self._coupling
-        g = self.gravity
-        q0, q1, v0, v1 = q[..., 0], q[..., 1], v[..., 0], v[..., 1]
-        s2, c2 = np.sin(q1), np.cos(q1)
-        c1 = np.cos(q0)
-        c12 = np.cos(q0 + q1)
-        k1 = self.m1 * self.lc1 + self.m2 * self.l1
-        k2 = self.m2 * self.lc2
-        dq = _matrices(
-            [
-                [
-                    k1 * g * c1 + k2 * g * c12,
-                    -b * c2 * (2.0 * v0 * v1 + v1**2) + k2 * g * c12,
-                ],
-                [k2 * g * c12, b * c2 * v0**2 + k2 * g * c12],
-            ]
-        )
-        dv = _matrices(
-            [
-                [-2.0 * b * s2 * v1, -2.0 * b * s2 * (v0 + v1)],
-                [2.0 * b * s2 * v0, 0.0],
-            ]
-        )
-        return dq, dv
-
-    def inertia_contraction_partial(self, q, w):
-        s2 = np.sin(q[..., 1])
-        b = self._coupling
-        w0, w1 = w[..., 0], w[..., 1]
-        return _matrices(
-            [[0.0, -2.0 * b * s2 * w0 - b * s2 * w1], [0.0, -b * s2 * w0]]
-        )
-
-    def frame_placement(self, q, frame):
-        if frame != "tip":
-            return super().frame_placement(q, frame)
-        q0, q1 = q[..., 0], q[..., 1]
-        return self.l1 * _unit_down(q0) + self.l2 * _unit_down(q0 + q1)
-
-    def frame_jacobian(self, q, frame):
-        if frame != "tip":
-            return super().frame_jacobian(q, frame)
-        e1 = _unit_side(q[..., 0])
-        e12 = _unit_side(q[..., 0] + q[..., 1])
-        return np.stack([self.l1 * e1 + self.l2 * e12, self.l2 * e12], axis=-1)
-
-    def frame_drift(self, q, v, frame):
-        if frame != "tip":
-            return super().frame_drift(q, v, frame)
-        w1 = v[0]
-        w12 = v[0] + v[1]
-        return -self.l1 * _unit_down(q[0]) * w1**2 - self.l2 * _unit_down(
-            q[0] + q[1]
-        ) * w12**2
-
-    def frame_partials(self, q, v, w, f, frame):
-        if frame != "tip":
-            return super().frame_partials(q, v, w, f, frame)
-        links = (
-            (self.l1, q[..., 0], np.array([1.0, 0.0])),
-            (self.l2, q[..., 0] + q[..., 1], np.array([1.0, 1.0])),
-        )
-        return _chain_partials(links, v, w, f)
-
-    def com(self, q):
-        q0, q1 = q[..., 0], q[..., 1]
-        p1 = self.lc1 * _unit_down(q0)
-        p2 = self.l1 * _unit_down(q0) + self.lc2 * _unit_down(q0 + q1)
-        return (self.m1 * p1 + self.m2 * p2) / (self.m1 + self.m2)
-
-    def com_jacobian(self, q):
-        e1 = _unit_side(q[..., 0])
-        e12 = _unit_side(q[..., 0] + q[..., 1])
-        shank = self.m2 * self.lc2 * e12
-        thigh = (self.m1 * self.lc1 + self.m2 * self.l1) * e1 + shank
-        return np.stack([thigh, shank], axis=-1) / (self.m1 + self.m2)
-
-
-# Rows of the tangent coordinates whose sums are the monoped's absolute leg
-# angles: the thigh angle phi1 = theta + hip and the shank angle
-# phi2 = phi1 + knee. Stacked as [c1; c2], they map v to the leg rates omega.
-_LEG_ROWS = _read_only(np.array([[0.0, 0.0, 1.0, 1.0, 0.0], [0.0, 0.0, 1.0, 1.0, 1.0]]))
-# The base translation rows E = [I 0]: every point's Jacobian starts with them.
-_BASE_TRANSLATION = _read_only(np.eye(2, 5))
-
-
-# D_j with D_j b = d b/d phi_j for the monoped basis b = [1, cos phi1, sin phi1,
+# D_j with D_j b = d b/d phi_j for the leg basis b = [1, cos phi1, sin phi1,
 # cos phi2, sin phi2, cos(phi1 - phi2), sin(phi1 - phi2)]: each (cos, sin) index
 # pair turns at the rate of its angle. The D_j commute, because the span of b is
 # closed under both derivatives.
@@ -495,12 +348,6 @@ _BASIS_RATES = np.zeros((2, 7, 7))
 for _j, _c, _s, _rate in ((0, 1, 2, 1.0), (0, 5, 6, 1.0), (1, 3, 4, 1.0), (1, 5, 6, -1.0)):
     _BASIS_RATES[_j, _c, _s], _BASIS_RATES[_j, _s, _c] = -_rate, _rate
 _read_only(_BASIS_RATES)
-
-
-def _leg_rates(v):
-    """omega = [c1; c2] v, the thigh and shank angular rates, over leading axes."""
-    w1 = v[..., 2] + v[..., 3]
-    return w1, w1 + v[..., 4]
 
 
 def _rows_times(rows, matrices):
@@ -515,19 +362,12 @@ def _rows_times(rows, matrices):
     return (rows[..., None, :] @ matrices)[..., 0, :]
 
 
-def _q_partials(coeffs):
-    """P with (b @ P).reshape(n, 5) = d(b @ coeffs)/dq for coeffs (7, n): by the
-    chain rule through phi = [c1; c2] q, sum_l (b @ D_l^T coeffs) c_l^T."""
-    per_angle = _BASIS_RATES.transpose(0, 2, 1) @ coeffs
-    return _read_only(np.einsum("lin,lv->inv", per_angle, _LEG_ROWS).reshape(7, -1))
-
-
 class _PointTerms(NamedTuple):
-    """Constant terms of a point p = base + a1 down(phi1) + a2 down(phi2).
+    """Constant terms of a point p = E q + a1 down(phi1) + a2 down(phi2).
 
     b @ place is a1 down(phi1) + a2 down(phi2), for down = (sin, -cos), and
-    b @ jacobian, b @ hessian, b @ third reshape to the Jacobian dp/dq (2, 5),
-    its q-derivative (2, 5, 5) and that one's (2, 5, 5, 5). drift (7, 3, 2)
+    b @ jacobian, b @ hessian, b @ third reshape to the Jacobian dp/dq (2, nv),
+    its q-derivative (2, nv, nv) and that one's (2, nv, nv, nv). drift (7, 3, 2)
     gives the drift Jdot v = -a1 down(phi1) w1^2 - a2 down(phi2) w2^2 as
     s @ (b @ drift) for s = [1, w1^2, w2^2], the speed form of the bias.
     """
@@ -539,50 +379,302 @@ class _PointTerms(NamedTuple):
     drift: np.ndarray
 
 
-def _point_terms(a1, a2) -> _PointTerms:
-    links = np.zeros((2, 7, 2))  # b @ links[k] = a_k down(phi_k)
-    links[0, 2, 0], links[0, 1, 1] = a1, -a1
-    links[1, 4, 0], links[1, 3, 1] = a2, -a2
-    place = links.sum(axis=0)
-    drift = np.zeros((7, 3, 2))
-    drift[:, 1:] = -links.transpose(1, 0, 2)
-    jacobian = np.array(_q_partials(place))
-    jacobian[0] += _BASE_TRANSLATION.ravel()  # b[0] = 1
-    hessian = _q_partials(jacobian)
-    return _PointTerms(
-        _read_only(place), _read_only(jacobian), hessian, _q_partials(hessian), _read_only(drift)
-    )
+class _PlanarLeg(MechanicalSystem):
+    """A two-link planar leg on a base, the monoped's and the double pendulum's.
 
-
-class PlanarMonoped(MechanicalSystem):
-    """Floating planar base with a two-link leg; only the leg joints actuated.
-
-    Configuration (x, z, theta, hip, knee): base translation in R^2, wrapped
-    base heading, then the two relative joint angles. The heading's tangent
-    is the plain angle increment, so tangent partials equal coordinate
-    partials.
-
-    Every term depends on q only through the leg angles phi1 = theta + hip
-    and phi2 = phi1 + knee, by way of the 7-term basis b(q) = [1, cos phi1,
-    sin phi1, cos phi2, sin phi2, cos(phi1 - phi2), sin(phi1 - phi2)], and
-    on v only through the leg rates omega = [c1; c2] v. So each term is one
+    Every term depends on q only through the absolute leg angles
+    phi = [c1; c2] q, by way of the 7-term basis b(q) = [1, cos phi1,
+    sin phi1, cos phi2, sin phi2, cos(phi1 - phi2), sin(phi1 - phi2)], and on
+    v only through the leg rates omega = [c1; c2] v. So each term is one
     evaluation of b times constant coefficients: M = C_M b and
     bias = T (b (x) [1, w1^2, w2^2]). The constructor derives them, with no
-    fitting, from the total mass, the rotational inertia, gravity and the
+    fitting, from the total mass, the rotational inertias, gravity and the
     mass moments mu_k = sum_b m_b a_kb and mu_kl = sum_b m_b a_kb a_lb of
-    the body centers base + a1 down(phi1) + a2 down(phi2). The q-partials
+    the body centers E q + a1 down(phi1) + a2 down(phi2). The q-partials
     use d b/d phi_j = D_j b for constant 7x7 matrices D_j, right-multiplied
-    by [c1; c2], both folded into coefficients of their own. The foot, the
-    hip and the center of mass are points of the same form (`_point_terms`).
+    by [c1; c2], both folded into coefficients of their own. The frames and
+    the center of mass are points of the same form (`_point_terms`).
 
     A node's forward step (`forward_terms`) is one product of b with the
     columns [C_M | speed block | placements | Jacobians] of its frames; the
     speed block stacks T with the frames' drift coefficients, which take the
     same s = [1, w1^2, w2^2]. The columns of each frame tuple are gathered
     from the point terms once, on its first call.
+
+    A subclass gives its coordinate layout: the leg rows `_LEG_ROWS`
+    ([c1; c2]), the base-translation rows `_BASE_TRANSLATION` (E, either
+    [I 0], whose translation is q[:2], or zero on a welded base), the base
+    heading's row `_SPIN` and `_leg`, which applies c1 and c2.
+    """
+
+    _LEG_ROWS: np.ndarray
+    _BASE_TRANSLATION: np.ndarray
+    _SPIN: np.ndarray
+
+    @staticmethod
+    def _leg(values):
+        """(c1 . values, c2 . values), for one point as floats or, unpacked
+        along the first axis, for a stack as arrays."""
+        raise NotImplementedError
+
+    def __init__(self, masses, centers, spin_inertia, points, actuated=None):
+        """Bodies of `masses` centered at (a1, a2) = `centers`, the base turning
+        with `spin_inertia`, and frames `points` = {name: (a1, a2)}; the
+        subclass sets gravity, the link inertias I1 and I2 and its manifold."""
+        super().__init__(actuated)
+        self.total_mass = sum(masses)
+        self._floating = bool(self._BASE_TRANSLATION.any())
+        masses = np.array(masses)
+        coeffs = np.array(centers)
+        self._mu = masses @ coeffs
+        self._mu2 = coeffs.T @ (masses[:, None] * coeffs)
+        self._mass_coeffs, self._bias_coeffs = self._dynamics_coefficients(spin_inertia)
+        self._mass_partials = self._q_partials(self._mass_coeffs)
+        self._bias_partials = self._q_partials(self._bias_coeffs)
+        self._points = {name: self._point_terms(*a) for name, a in points.items()}
+        self._com_point = self._point_terms(*(self._mu / self.total_mass))
+        self._forward_columns = {}  # frame tuple -> its forward_terms columns
+
+    def _q_partials(self, coeffs):
+        """P with (b @ P).reshape(n, nv) = d(b @ coeffs)/dq for coeffs (7, n): by
+        the chain rule through phi = [c1; c2] q, sum_l (b @ D_l^T coeffs) c_l^T."""
+        per_angle = _BASIS_RATES.transpose(0, 2, 1) @ coeffs
+        return _read_only(np.einsum("lin,lv->inv", per_angle, self._LEG_ROWS).reshape(7, -1))
+
+    def _point_terms(self, a1, a2) -> _PointTerms:
+        links = np.zeros((2, 7, 2))  # b @ links[k] = a_k down(phi_k)
+        links[0, 2, 0], links[0, 1, 1] = a1, -a1
+        links[1, 4, 0], links[1, 3, 1] = a2, -a2
+        place = links.sum(axis=0)
+        drift = np.zeros((7, 3, 2))
+        drift[:, 1:] = -links.transpose(1, 0, 2)
+        jacobian = np.array(self._q_partials(place))
+        jacobian[0] += self._BASE_TRANSLATION.ravel()  # b[0] = 1
+        hessian = self._q_partials(jacobian)
+        third = self._q_partials(hessian)
+        return _PointTerms(_read_only(place), _read_only(jacobian), hessian, third, _read_only(drift))
+
+    def _dynamics_coefficients(self, spin_inertia):
+        """C_M (7, nv nv) and T (7, 3 nv) with M = b @ C_M and bias = s @ (b @ T).
+
+        With J_b = E + sum_k a_kb side_k c_k^T, side = (cos, sin), the sum
+        M = sum_b m_b J_b^T J_b + (spin terms) is
+            m E^T E + sum_k mu_k (E^T side_k c_k^T + c_k side_k^T E)
+            + sum_kl mu_kl cos(phi_k - phi_l) c_k c_l^T + R,
+        and bias = sum_b m_b J_b^T (drift_b - g), with
+        drift_b = -sum_k a_kb down_k w_k^2, is
+            m g e_z + sum_k mu_k g sin(phi_k) c_k
+            - sum_k w_k^2 [mu_k E^T down_k + sum_l mu_kl (side_l . down_k) c_l],
+        where side_l . down_k = sin(phi_k - phi_l). T is indexed by
+        (basis term, s term, coordinate) for s = [1, w1^2, w2^2].
+        """
+        mu, mu2, g, nv = self._mu, self._mu2, self.gravity, self.nv
+        e_x, e_z = self._BASE_TRANSLATION
+        spin = self._SPIN
+
+        def sym(a, b):
+            return np.outer(a, b) + np.outer(b, a)
+
+        mass = np.zeros((7, nv, nv))
+        bias = np.zeros((7, 3, nv))
+        mass[0] = self.total_mass * (np.outer(e_x, e_x) + np.outer(e_z, e_z))
+        mass[0] += spin_inertia * np.outer(spin, spin)
+        mass[5] = mu2[0, 1] * sym(*self._LEG_ROWS)
+        bias[0, 0] = self.total_mass * g * e_z
+        for k, (cos_k, sin_k) in enumerate(((1, 2), (3, 4))):
+            row, other = self._LEG_ROWS[k], self._LEG_ROWS[1 - k]
+            mass[0] += (mu2[k, k] + (self.I1, self.I2)[k]) * np.outer(row, row)
+            mass[cos_k] = mu[k] * sym(e_x, row)
+            mass[sin_k] = mu[k] * sym(e_z, row)
+            bias[sin_k, 0] = mu[k] * g * row
+            bias[sin_k, 1 + k] = -mu[k] * e_x
+            bias[cos_k, 1 + k] = mu[k] * e_z
+            # sin(phi_k - phi_other) is -sin(phi1 - phi2) for k = 1, +sin for k = 2.
+            bias[6, 1 + k] = (2 * k - 1) * mu2[0, 1] * other
+        return _read_only(mass.reshape(7, -1)), _read_only(bias.reshape(7, -1))
+
+    def _basis(self, q):
+        """b(q), of shape (..., 7) for q of shape (..., nq)."""
+        if q.ndim > 1:
+            # The transposes unpack the coordinates along the first axis.
+            angles = np.empty(q.shape[:-1] + (3,))
+            by_angle = angles.T
+            by_angle[0], by_angle[1] = self._leg(q.T)
+            np.subtract(by_angle[0], by_angle[1], out=by_angle[2])
+            b = np.empty(q.shape[:-1] + (7,))
+            b[..., 0] = 1.0
+            np.cos(angles, out=b[..., 1::2])
+            np.sin(angles, out=b[..., 2::2])
+            return b
+        # One configuration, as in every forward step: math's cos and sin on
+        # floats cost a tenth of numpy's on one element (and agree with them).
+        phi1, phi2 = self._leg(q.tolist())
+        try:
+            c1, s1, c2, s2 = cos(phi1), sin(phi1), cos(phi2), sin(phi2)
+            return np.array([1.0, c1, s1, c2, s2, cos(phi1 - phi2), sin(phi1 - phi2)])
+        except ValueError:  # an infinite angle, whose cos and sin numpy makes NaN
+            return np.full(7, np.nan)
+
+    def _translated(self, q, points):
+        """E q + points, for points of shape (..., 2)."""
+        return q[..., :2] + points if self._floating else points
+
+    def _point(self, frame) -> _PointTerms:
+        try:
+            return self._points[frame]
+        except KeyError:
+            raise DimensionMismatch(f"system has no frame {frame!r}") from None
+
+    def _gather_forward_columns(self, frames):
+        """The read-only (7, nv nv + 3 (nv + nf) + nf + nv nf) columns of
+        forward_terms for `frames`, nf = 2 rows per frame: C_M, the speed block
+        [T | drifts] (s-major), the placements and the Jacobians (row-major)."""
+        points = [self._point(frame) for frame in frames]
+        speed = np.concatenate(
+            [self._bias_coeffs.reshape(7, 3, self.nv)] + [p.drift for p in points], axis=2
+        )
+        return _read_only(
+            np.concatenate(
+                [self._mass_coeffs, speed.reshape(7, -1)]
+                + [p.place for p in points]
+                + [p.jacobian for p in points],
+                axis=1,
+            )
+        )
+
+    # -- dynamics --------------------------------------------------------------------
+
+    def mass_matrix(self, q):
+        return _rows_times(self._basis(q), self._mass_coeffs).reshape(q.shape[:-1] + (self.nv,) * 2)
+
+    def bias(self, q, v):
+        return self.forward_terms(q, v)[1]
+
+    def forward_terms(self, q, v, frames=()):
+        columns = self._forward_columns.get(frames)
+        if columns is None:
+            columns = self._forward_columns[frames] = self._gather_forward_columns(frames)
+        nv, nf = self.nv, 2 * len(frames)
+        terms = self._basis(q) @ columns
+        w1, w2 = self._leg(v.tolist())
+        mass_end = nv * nv
+        speed_end = mass_end + 3 * (nv + nf)
+        speeds = np.array([1.0, w1 * w1, w2 * w2]) @ terms[mass_end:speed_end].reshape(3, nv + nf)
+        placement = self._translated(q, terms[speed_end : speed_end + nf].reshape(-1, 2))
+        return (
+            terms[:mass_end].reshape(nv, nv),
+            speeds[:nv],
+            placement.reshape(nf),
+            terms[speed_end + nf :].reshape(nf, nv),
+            speeds[nv:],
+        )
+
+    def bias_partials(self, q, v):
+        lead, nv = q.shape[:-1], self.nv
+        b = self._basis(q)
+        w1, w2 = (rate.T for rate in self._leg(v.T))
+        speeds = np.stack([np.ones_like(w1), w1 * w1, w2 * w2], axis=-1)
+        dq = _rows_times(speeds, _rows_times(b, self._bias_partials).reshape(lead + (3, nv * nv)))
+        # d bias/d w_k^2, one row per leg angle.
+        speed_terms = _rows_times(b, self._bias_coeffs).reshape(lead + (3, nv))[..., 1:, :]
+        rates = np.stack([2.0 * w1, 2.0 * w2], axis=-1)
+        dv = (np.swapaxes(speed_terms, -1, -2) * rates[..., None, :]) @ self._LEG_ROWS
+        return dq.reshape(lead + (nv, nv)), dv
+
+    def inertia_contraction_partial(self, q, w):
+        partials = _rows_times(self._basis(q), self._mass_partials)
+        return _rows_times(w[..., None, :], partials.reshape(q.shape[:-1] + (self.nv,) * 3))
+
+    # -- frames and center of mass ---------------------------------------------------
+
+    def frame_placement(self, q, frame):
+        return self._translated(q, _rows_times(self._basis(q), self._point(frame).place))
+
+    def frame_jacobian(self, q, frame):
+        jacobian = _rows_times(self._basis(q), self._point(frame).jacobian)
+        return jacobian.reshape(q.shape[:-1] + (2, self.nv))
+
+    def frame_drift(self, q, v, frame):
+        return self.forward_terms(q, v, (frame,))[4]
+
+    def frame_partials(self, q, v, w, f, frame):
+        # With H = d^2 p/dq^2: d(J w)/dq = H w, d(J^T f)/dq = f H, drift = (H v) v.
+        _, _, hessian, third, _ = self._point(frame)
+        lead, nv = q.shape[:-1], self.nv
+        b = self._basis(q)
+        hessian = _rows_times(b, hessian).reshape(lead + (2, nv, nv))
+        third = _rows_times(b, third).reshape(lead + (2, nv, nv * nv))
+        jtf_q = _rows_times(f, hessian.reshape(lead + (2, nv * nv))).reshape(lead + (nv, nv))
+        v_row = v[..., None, :]
+        drift_q = _rows_times(v_row, _rows_times(v_row, third).reshape(hessian.shape))
+        drift_v = 2.0 * (hessian @ v_row[..., None])[..., 0]
+        return _rows_times(w[..., None, :], hessian), jtf_q, drift_q, drift_v
+
+    def com(self, q):
+        return self._translated(q, _rows_times(self._basis(q), self._com_point.place))
+
+    def com_jacobian(self, q):
+        jacobian = _rows_times(self._basis(q), self._com_point.jacobian)
+        return jacobian.reshape(q.shape[:-1] + (2, self.nv))
+
+
+class DoublePendulum(_PlanarLeg):
+    """Two planar links with both joints actuated, angles from hanging down.
+
+    The leg on a welded base: configuration (q1, q2), the shoulder angle and
+    the elbow angle, so the absolute link angles are phi1 = q1 and
+    phi2 = q1 + q2. The links' centers sit at lc1 and lc2 along them, and
+    the frame "tip" is the end of the second link.
+    """
+
+    frames = ("tip",)
+    _LEG_ROWS = _read_only(np.array([[1.0, 0.0], [1.0, 1.0]]))
+    _BASE_TRANSLATION = _read_only(np.zeros((2, 2)))
+    _SPIN = _read_only(np.zeros(2))
+
+    @staticmethod
+    def _leg(values):
+        shoulder, elbow = values
+        return shoulder, shoulder + elbow
+
+    def __init__(self, m1=1.0, m2=1.0, l1=1.0, l2=1.0, lc1=0.5, lc2=0.5, gravity=GRAVITY):
+        self.nq = self.nv = self.nu = 2
+        self.m1, self.m2 = _parameter("m1", m1), _parameter("m2", m2)
+        self.l1, self.l2 = _parameter("l1", l1), _parameter("l2", l2)
+        self.lc1, self.lc2 = _parameter("lc1", lc1), _parameter("lc2", lc2)
+        self.I1 = self.m1 * self.l1**2 / 12.0
+        self.I2 = self.m2 * self.l2**2 / 12.0
+        self.gravity = float(gravity)
+        self.config = VectorSpace(2)
+        super().__init__(
+            masses=(self.m1, self.m2),
+            centers=((self.lc1, 0.0), (self.l1, self.lc2)),
+            spin_inertia=0.0,
+            points={"tip": (self.l1, self.l2)},
+        )
+
+
+class PlanarMonoped(_PlanarLeg):
+    """Floating planar base with a two-link leg; only the leg joints actuated.
+
+    Configuration (x, z, theta, hip, knee): base translation in R^2, wrapped
+    base heading, then the two relative joint angles. The heading's tangent
+    is the plain angle increment, so tangent partials equal coordinate
+    partials. The leg angles are the thigh angle phi1 = theta + hip and the
+    shank angle phi2 = phi1 + knee; the base center is the base translation
+    itself, and the frames are the foot and the hip.
     """
 
     frames = ("foot", "hip")
+    _LEG_ROWS = _read_only(np.array([[0.0, 0.0, 1.0, 1.0, 0.0], [0.0, 0.0, 1.0, 1.0, 1.0]]))
+    _BASE_TRANSLATION = _read_only(np.eye(2, 5))
+    _SPIN = _read_only(np.array([0.0, 0.0, 1.0, 0.0, 0.0]))
+
+    @staticmethod
+    def _leg(values):
+        _, _, theta, hip, knee = values
+        thigh = theta + hip
+        return thigh, thigh + knee
 
     def __init__(
         self,
@@ -607,183 +699,13 @@ class PlanarMonoped(MechanicalSystem):
         self.I2 = self.m2 * self.l2**2 / 12.0
         self.gravity = float(gravity)
         self.config = CompositeManifold([VectorSpace(2), Rotation2D(), VectorSpace(2)])
-        super().__init__(actuated=[3, 4])
-        self.total_mass = self.mB + self.m1 + self.m2
-        # Mass moments of the (a1, a2) of the base, thigh and shank centers.
-        masses = np.array([self.mB, self.m1, self.m2])
-        coeffs = np.array([(0.0, 0.0), (self.lc1, 0.0), (self.l1, self.lc2)])
-        self._mu = masses @ coeffs
-        self._mu2 = coeffs.T @ (masses[:, None] * coeffs)
-        self._mass_coeffs, self._bias_coeffs = self._dynamics_coefficients()
-        self._mass_partials = _q_partials(self._mass_coeffs)
-        self._bias_partials = _q_partials(self._bias_coeffs)
-        self._points = {"foot": _point_terms(self.l1, self.l2), "hip": _point_terms(0.0, 0.0)}
-        self._com_point = _point_terms(*(self._mu / self.total_mass))
-        self._forward_columns = {}  # frame tuple -> its forward_terms columns
-
-    def _dynamics_coefficients(self):
-        """C_M (7, 25) and T (7, 15) with M = b @ C_M and bias = s @ (b @ T).
-
-        With J_b = E + sum_k a_kb side_k c_k^T, side = (cos, sin), the sum
-        M = sum_b m_b J_b^T J_b + (spin terms) is
-            m E^T E + sum_k mu_k (E^T side_k c_k^T + c_k side_k^T E)
-            + sum_kl mu_kl cos(phi_k - phi_l) c_k c_l^T + R,
-        and bias = sum_b m_b J_b^T (drift_b - g), with
-        drift_b = -sum_k a_kb down_k w_k^2, is
-            m g e_z + sum_k mu_k g sin(phi_k) c_k
-            - sum_k w_k^2 [mu_k E^T down_k + sum_l mu_kl (side_l . down_k) c_l],
-        where side_l . down_k = sin(phi_k - phi_l). T is indexed by
-        (basis term, s term, coordinate) for s = [1, w1^2, w2^2].
-        """
-        mu, mu2, g = self._mu, self._mu2, self.gravity
-        e_x, e_z = _BASE_TRANSLATION
-        spin = np.array([0.0, 0.0, 1.0, 0.0, 0.0])
-
-        def sym(a, b):
-            return np.outer(a, b) + np.outer(b, a)
-
-        mass = np.zeros((7, 5, 5))
-        bias = np.zeros((7, 3, 5))
-        mass[0] = self.total_mass * (np.outer(e_x, e_x) + np.outer(e_z, e_z))
-        mass[0] += self.IB * np.outer(spin, spin)
-        mass[5] = mu2[0, 1] * sym(*_LEG_ROWS)
-        bias[0, 0] = self.total_mass * g * e_z
-        for k, (cos_k, sin_k) in enumerate(((1, 2), (3, 4))):
-            row, other = _LEG_ROWS[k], _LEG_ROWS[1 - k]
-            mass[0] += (mu2[k, k] + (self.I1, self.I2)[k]) * np.outer(row, row)
-            mass[cos_k] = mu[k] * sym(e_x, row)
-            mass[sin_k] = mu[k] * sym(e_z, row)
-            bias[sin_k, 0] = mu[k] * g * row
-            bias[sin_k, 1 + k] = -mu[k] * e_x
-            bias[cos_k, 1 + k] = mu[k] * e_z
-            # sin(phi_k - phi_other) is -sin(phi1 - phi2) for k = 1, +sin for k = 2.
-            bias[6, 1 + k] = (2 * k - 1) * mu2[0, 1] * other
-        return _read_only(mass.reshape(7, 25)), _read_only(bias.reshape(7, 15))
-
-    @staticmethod
-    def _basis(q):
-        """b(q), of shape (..., 7) for q of shape (..., 5)."""
-        if q.ndim > 1:
-            angles = np.empty(q.shape[:-1] + (3,))
-            phi1, phi2 = angles[..., 0], angles[..., 1]
-            np.add(q[..., 2], q[..., 3], out=phi1)
-            np.add(phi1, q[..., 4], out=phi2)
-            np.subtract(phi1, phi2, out=angles[..., 2])
-            b = np.empty(q.shape[:-1] + (7,))
-            b[..., 0] = 1.0
-            np.cos(angles, out=b[..., 1::2])
-            np.sin(angles, out=b[..., 2::2])
-            return b
-        # One configuration, as in every forward step: math's cos and sin on
-        # floats cost a tenth of numpy's on one element (and agree with them).
-        _, _, theta, hip, knee = q.tolist()
-        phi1 = theta + hip
-        phi2 = phi1 + knee
-        try:
-            c1, s1, c2, s2 = cos(phi1), sin(phi1), cos(phi2), sin(phi2)
-            return np.array([1.0, c1, s1, c2, s2, cos(phi1 - phi2), sin(phi1 - phi2)])
-        except ValueError:  # an infinite angle, whose cos and sin numpy makes NaN
-            return np.full(7, np.nan)
-
-    def _point(self, frame) -> _PointTerms:
-        try:
-            return self._points[frame]
-        except KeyError:
-            raise DimensionMismatch(f"system has no frame {frame!r}") from None
-
-    def _gather_forward_columns(self, frames):
-        """The read-only (7, 40 + 9 nf) columns of forward_terms for `frames`,
-        nf = 2 rows per frame: C_M (25), the speed block [T | drifts]
-        (3 (5 + nf), s-major), the placements (nf) and the Jacobians (5 nf,
-        row-major)."""
-        points = [self._point(frame) for frame in frames]
-        speed = np.concatenate(
-            [self._bias_coeffs.reshape(7, 3, 5)] + [p.drift for p in points], axis=2
+        super().__init__(
+            masses=(self.mB, self.m1, self.m2),
+            centers=((0.0, 0.0), (self.lc1, 0.0), (self.l1, self.lc2)),
+            spin_inertia=self.IB,
+            points={"foot": (self.l1, self.l2), "hip": (0.0, 0.0)},
+            actuated=[3, 4],
         )
-        return _read_only(
-            np.concatenate(
-                [self._mass_coeffs, speed.reshape(7, -1)]
-                + [p.place for p in points]
-                + [p.jacobian for p in points],
-                axis=1,
-            )
-        )
-
-    # -- dynamics --------------------------------------------------------------------
-
-    def mass_matrix(self, q):
-        return _rows_times(self._basis(q), self._mass_coeffs).reshape(q.shape[:-1] + (5, 5))
-
-    def bias(self, q, v):
-        return self.forward_terms(q, v)[1]
-
-    def forward_terms(self, q, v, frames=()):
-        columns = self._forward_columns.get(frames)
-        if columns is None:
-            columns = self._forward_columns[frames] = self._gather_forward_columns(frames)
-        nf = 2 * len(frames)
-        terms = self._basis(q) @ columns
-        _, _, v_theta, v_hip, v_knee = v.tolist()
-        w1 = v_theta + v_hip  # the leg rates omega = [c1; c2] v
-        w2 = w1 + v_knee
-        speed_end = 40 + 3 * nf
-        speeds = np.array([1.0, w1 * w1, w2 * w2]) @ terms[25:speed_end].reshape(3, 5 + nf)
-        placement = terms[speed_end : speed_end + nf].reshape(-1, 2) + q[:2]
-        return (
-            terms[:25].reshape(5, 5),
-            speeds[:5],
-            placement.reshape(nf),
-            terms[speed_end + nf :].reshape(nf, 5),
-            speeds[5:],
-        )
-
-    def bias_partials(self, q, v):
-        lead = q.shape[:-1]
-        b = self._basis(q)
-        w1, w2 = _leg_rates(v)
-        speeds = np.stack([np.ones_like(w1), w1 * w1, w2 * w2], axis=-1)
-        dq = _rows_times(speeds, _rows_times(b, self._bias_partials).reshape(lead + (3, 25)))
-        # d bias/d w_k^2, one row per leg angle.
-        speed_terms = _rows_times(b, self._bias_coeffs).reshape(lead + (3, 5))[..., 1:, :]
-        rates = np.stack([2.0 * w1, 2.0 * w2], axis=-1)
-        dv = (np.swapaxes(speed_terms, -1, -2) * rates[..., None, :]) @ _LEG_ROWS
-        return dq.reshape(lead + (5, 5)), dv
-
-    def inertia_contraction_partial(self, q, w):
-        partials = _rows_times(self._basis(q), self._mass_partials)
-        return _rows_times(w[..., None, :], partials.reshape(q.shape[:-1] + (5, 5, 5)))
-
-    # -- frames and center of mass ---------------------------------------------------
-
-    def frame_placement(self, q, frame):
-        return q[..., :2] + _rows_times(self._basis(q), self._point(frame).place)
-
-    def frame_jacobian(self, q, frame):
-        jacobian = _rows_times(self._basis(q), self._point(frame).jacobian)
-        return jacobian.reshape(q.shape[:-1] + (2, 5))
-
-    def frame_drift(self, q, v, frame):
-        return self.forward_terms(q, v, (frame,))[4]
-
-    def frame_partials(self, q, v, w, f, frame):
-        # With H = d^2 p/dq^2: d(J w)/dq = H w, d(J^T f)/dq = f H, drift = (H v) v.
-        _, _, hessian, third, _ = self._point(frame)
-        lead = q.shape[:-1]
-        b = self._basis(q)
-        hessian = _rows_times(b, hessian).reshape(lead + (2, 5, 5))
-        third = _rows_times(b, third).reshape(lead + (2, 5, 25))
-        jtf_q = _rows_times(f, hessian.reshape(lead + (2, 25))).reshape(lead + (5, 5))
-        v_row = v[..., None, :]
-        drift_q = _rows_times(v_row, _rows_times(v_row, third).reshape(hessian.shape))
-        drift_v = 2.0 * (hessian @ v_row[..., None])[..., 0]
-        return _rows_times(w[..., None, :], hessian), jtf_q, drift_q, drift_v
-
-    def com(self, q):
-        return q[..., :2] + _rows_times(self._basis(q), self._com_point.place)
-
-    def com_jacobian(self, q):
-        jacobian = _rows_times(self._basis(q), self._com_point.jacobian)
-        return jacobian.reshape(q.shape[:-1] + (2, 5))
 
 
 def lqr_chain_dynamics(masses: int = 3, stiffness: float = 4.0, damping: float = 0.4):

@@ -5,10 +5,14 @@ the backward and forward passes on small problems.
 
 import numpy as np
 
-from fddp.errors import DimensionMismatch, KKTSingular
+from fddp.errors import DimensionMismatch
 from fddp.problem import ShootingProblem
 
 DENSE_KKT_SIZE_LIMIT = 2000
+
+
+class KKTSingular(RuntimeError):
+    """The dense KKT system of the whole problem is singular."""
 
 
 def kkt_search_direction(problem: ShootingProblem, X, U, datas=None):

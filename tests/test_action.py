@@ -418,9 +418,7 @@ def test_each_monoped_node_calc_evaluates_the_basis_once(monkeypatch):
     X, U = problem.constant_state_guess(), problem.zero_controls()
     calls = []
     basis = PlanarMonoped._basis
-    monkeypatch.setattr(
-        PlanarMonoped, "_basis", staticmethod(lambda q: calls.append(1) or basis(q))
-    )
+    monkeypatch.setattr(PlanarMonoped, "_basis", lambda self, q: calls.append(1) or basis(self, q))
     kinds = set()
     for k, model in enumerate(problem.running_models):
         kinds.add(type(getattr(model, "dynamics", model)).__name__)

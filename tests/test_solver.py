@@ -19,12 +19,7 @@ from fddp.action import (
 )
 from fddp.contact import Contact, ContactSet
 from fddp.costs import ControlRegularization, StateRegularization
-from fddp.errors import (
-    DimensionMismatch,
-    KKTSingular,
-    NotPositiveDefinite,
-    NumericalFailure,
-)
+from fddp.errors import DimensionMismatch, NotPositiveDefinite, NumericalFailure
 from fddp.problem import ShootingProblem, gap_l2_norm
 from fddp.scenarios import bundled_scenario_path, load_and_build
 from fddp.solver import (
@@ -39,7 +34,7 @@ from fddp.solver import (
     solve,
 )
 from fddp.systems import LinearDynamics, Pendulum, lqr_chain_dynamics
-from kkt_oracle import kkt_search_direction
+from kkt_oracle import KKTSingular, kkt_search_direction
 
 
 def lqr_problem(n=12, seed=0, dt=0.05):
@@ -718,7 +713,7 @@ class BlockedControlModel(ActionModelBase):
 
     def __init__(self):
         state = LinearDynamics([[0.0]], [[1.0]]).state
-        super().__init__(state, 1, (), "blocked")
+        super().__init__(state, 1, ())
 
     def calc(self, data, x, u):
         if np.any(u != 0.0):

@@ -423,7 +423,7 @@ def test_forward_terms_equal_the_separate_terms(system, frames):
 
 
 # ---------------------------------------------------------------------------
-# monoped: basis form against the per-body sums
+# planar legs: basis form against the per-body sums
 # ---------------------------------------------------------------------------
 
 
@@ -431,47 +431,39 @@ def side(phi):
     return np.array([np.cos(phi), np.sin(phi)])
 
 
-class PerBodyMonoped:
-    """The monoped's terms summed body by body over per-point Jacobians.
+class PerBodyLeg:
+    """A two-link leg's terms summed body by body over per-point Jacobians.
 
-    A point base + a1 down(phi1) + a2 down(phi2) has J = [I 0] + sum_k a_k
-    side_k c_k^T and drift -sum_k a_k down_k (c_k v)^2; M sums m J^T J over
-    the bodies plus the spin terms, and the bias sums m J^T (drift - g).
+    The layout gives the leg rows (c1, c2), whose sums of q are the absolute
+    link angles phi_k = c_k q, the base translation rows E (2, nv) and the
+    bodies (mass, rotational inertia, row of its angle, a1, a2). A point
+    E q + a1 down(phi1) + a2 down(phi2) has J = E + sum_k a_k side_k c_k^T
+    and drift -sum_k a_k down_k (c_k v)^2; M sums m J^T J + I r r^T over the
+    bodies, and the bias sums m J^T (drift - g).
     """
 
-    ROWS = (np.array([0.0, 0.0, 1.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0, 1.0, 1.0]))
-
-    def __init__(self, sys):
-        self.bodies = [(sys.mB, 0.0, 0.0), (sys.m1, sys.lc1, 0.0), (sys.m2, sys.l1, sys.lc2)]
-        self.frames = {"foot": (sys.l1, sys.l2), "hip": (0.0, 0.0)}
-        spin = np.array([0.0, 0.0, 1.0, 0.0, 0.0])
-        thigh, shank = self.ROWS
-        self.spin = (
-            sys.IB * np.outer(spin, spin)
-            + sys.I1 * np.outer(thigh, thigh)
-            + sys.I2 * np.outer(shank, shank)
-        )
+    def __init__(self, sys, rows, base, bodies, frames):
+        self.rows, self.base, self.bodies, self.frames = rows, base, bodies, frames
+        self.spin = sum(inertia * np.outer(r, r) for _, inertia, r, _, _ in bodies)
         self.gravity = np.array([0.0, -sys.gravity])
-        self.total_mass = sys.total_mass
+        self.total_mass = sum(m for m, *_ in bodies)
 
     def links(self, q, a):
-        phi1 = q[2] + q[3]
-        return zip(a, (phi1, phi1 + q[4]), self.ROWS)
+        return zip(a, (c @ q for c in self.rows), self.rows)
 
     def placement(self, q, a):
-        return q[:2] + sum(ak * down(phi) for ak, phi, _ in self.links(q, a))
+        return self.base @ q + sum(ak * down(phi) for ak, phi, _ in self.links(q, a))
 
     def jacobian(self, q, a):
-        j = np.zeros((2, 5))
-        j[:, :2] = np.eye(2)
-        return j + sum(ak * np.outer(side(phi), c) for ak, phi, c in self.links(q, a))
+        return self.base + sum(ak * np.outer(side(phi), c) for ak, phi, c in self.links(q, a))
 
     def drift(self, q, v, a):
         return -sum(ak * down(phi) * (c @ v) ** 2 for ak, phi, c in self.links(q, a))
 
     def point_partials(self, q, v, w, f, a):
         """d(J w)/dq, d(J^T f)/dq, d drift/dq, d drift/dv for fixed w and f."""
-        out = [np.zeros((2, 5)), np.zeros((5, 5)), np.zeros((2, 5)), np.zeros((2, 5))]
+        nv = len(q)
+        out = [np.zeros((2, nv)), np.zeros((nv, nv)), np.zeros((2, nv)), np.zeros((2, nv))]
         for ak, phi, c in self.links(q, a):
             out[0] -= ak * (c @ w) * np.outer(down(phi), c)
             out[1] -= ak * (down(phi) @ f) * np.outer(c, c)
@@ -479,18 +471,21 @@ class PerBodyMonoped:
             out[3] -= 2.0 * ak * (c @ v) * np.outer(down(phi), c)
         return out
 
+    def centers(self):
+        return [(m, a) for m, _, _, *a in self.bodies]
+
     def mass_matrix(self, q):
-        return self.spin + sum(m * self.jacobian(q, a).T @ self.jacobian(q, a) for m, *a in self.bodies)
+        return self.spin + sum(m * self.jacobian(q, a).T @ self.jacobian(q, a) for m, a in self.centers())
 
     def bias(self, q, v):
         return sum(
             m * self.jacobian(q, a).T @ (self.drift(q, v, a) - self.gravity)
-            for m, *a in self.bodies
+            for m, a in self.centers()
         )
 
     def bias_partials(self, q, v):
-        dq, dv = np.zeros((5, 5)), np.zeros((5, 5))
-        for m, *a in self.bodies:
+        dq, dv = np.zeros((len(q),) * 2), np.zeros((len(q),) * 2)
+        for m, a in self.centers():
             j, force = self.jacobian(q, a), self.drift(q, v, a) - self.gravity
             _, jtf_q, drift_q, drift_v = self.point_partials(q, v, v, force, a)
             dq += m * (jtf_q + j.T @ drift_q)
@@ -498,48 +493,81 @@ class PerBodyMonoped:
         return dq, dv
 
     def inertia_contraction_partial(self, q, w):
-        out = np.zeros((5, 5))
-        for m, *a in self.bodies:
+        out = np.zeros((len(q),) * 2)
+        for m, a in self.centers():
             j = self.jacobian(q, a)
             jw_q, jtf_q, _, _ = self.point_partials(q, w, w, j @ w, a)
             out += m * (jtf_q + j.T @ jw_q)
         return out
 
     def com(self, q):
-        return sum(m * self.placement(q, a) for m, *a in self.bodies) / self.total_mass
+        return sum(m * self.placement(q, a) for m, a in self.centers()) / self.total_mass
 
     def com_jacobian(self, q):
-        return sum(m * self.jacobian(q, a) for m, *a in self.bodies) / self.total_mass
+        return sum(m * self.jacobian(q, a) for m, a in self.centers()) / self.total_mass
+
+
+def monoped_layout(sys):
+    """Floating base: x, z translate it, theta turns it, phi1 = theta + hip,
+    phi2 = phi1 + knee; the base, thigh and shank centers."""
+    spin = np.array([0.0, 0.0, 1.0, 0.0, 0.0])
+    thigh, shank = np.array([0.0, 0.0, 1.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0, 1.0, 1.0])
+    bodies = [
+        (sys.mB, sys.IB, spin, 0.0, 0.0),
+        (sys.m1, sys.I1, thigh, sys.lc1, 0.0),
+        (sys.m2, sys.I2, shank, sys.l1, sys.lc2),
+    ]
+    frames = {"foot": (sys.l1, sys.l2), "hip": (0.0, 0.0)}
+    return PerBodyLeg(sys, (thigh, shank), np.eye(2, 5), bodies, frames)
+
+
+def double_pendulum_layout(sys):
+    """Welded base: phi1 = q1, phi2 = q1 + q2; the two link centers."""
+    upper, lower = np.array([1.0, 0.0]), np.array([1.0, 1.0])
+    bodies = [(sys.m1, sys.I1, upper, sys.lc1, 0.0), (sys.m2, sys.I2, lower, sys.l1, sys.lc2)]
+    frames = {"tip": (sys.l1, sys.l2)}
+    return PerBodyLeg(sys, (upper, lower), np.zeros((2, 2)), bodies, frames)
 
 
 @pytest.mark.parametrize(
-    "params",
+    "system, layout",
     [
-        {},
-        dict(
-            base_mass=1.7,
-            thigh_mass=0.4,
-            shank_mass=0.2,
-            thigh_length=0.5,
-            shank_length=0.3,
-            base_inertia=0.09,
+        (PlanarMonoped(), monoped_layout),
+        (
+            PlanarMonoped(
+                base_mass=1.7,
+                thigh_mass=0.4,
+                shank_mass=0.2,
+                thigh_length=0.5,
+                shank_length=0.3,
+                base_inertia=0.09,
+            ),
+            monoped_layout,
+        ),
+        (DoublePendulum(), double_pendulum_layout),
+        (
+            DoublePendulum(m1=1.2, m2=0.7, l1=0.9, l2=0.6, lc1=0.3, lc2=0.4, gravity=4.0),
+            double_pendulum_layout,
         ),
     ],
-    ids=["default", "non_default"],
+    ids=["default", "non_default", "double_pendulum", "double_pendulum_non_default"],
 )
-def test_monoped_basis_terms_equal_per_body_sums(params):
-    # Every term, at angles within +-10 rad (across the heading's +-pi wrap),
-    # agrees with the per-body sums to rounding.
-    system = PlanarMonoped(**params)
-    oracle = PerBodyMonoped(system)
+def test_monoped_basis_terms_equal_per_body_sums(system, layout):
+    # Every term of the monoped and of the double pendulum (the same leg on a
+    # welded base), at angles within +-10 rad (across the heading's +-pi
+    # wrap), agrees with the per-body sums to rounding.
+    oracle = layout(system)
     rng = np.random.default_rng(12)
+    translation = 2 if oracle.base.any() else 0
 
     def close(actual, expected):
         np.testing.assert_allclose(actual, expected, rtol=0.0, atol=1e-12)
 
     for _ in range(50):
-        q = np.concatenate([rng.uniform(-2.0, 2.0, 2), rng.uniform(-10.0, 10.0, 3)])
-        v, w = rng.uniform(-3.0, 3.0, 5), rng.uniform(-3.0, 3.0, 5)
+        q = np.concatenate(
+            [rng.uniform(-2.0, 2.0, translation), rng.uniform(-10.0, 10.0, system.nq - translation)]
+        )
+        v, w = rng.uniform(-3.0, 3.0, system.nv), rng.uniform(-3.0, 3.0, system.nv)
         f = rng.uniform(-3.0, 3.0, 2)
         close(system.mass_matrix(q), oracle.mass_matrix(q))
         close(system.bias(q, v), oracle.bias(q, v))
@@ -557,6 +585,7 @@ def test_monoped_basis_terms_equal_per_body_sums(params):
             )
             for actual, expected in partials:
                 close(actual, expected)
+    assert set(oracle.frames) == set(system.frames)
 
 
 def test_state_helpers():
