@@ -10,24 +10,39 @@ an explicit Euler step so their discrete Jacobians are exact.
 Models are immutable after construction; each evaluation writes into a separate
 data container, so one model can serve many nodes.
 
-The model contract has three calls. `calc(data, x, u)` evaluates one node's
+The model contract has four calls. `calc(data, x, u)` evaluates one node's
 dynamics only, its forward step `xnext`, at x (nx,) and u (nu,), and keeps in
 `dyn` the solution that `calc_diff` reads: a free node its acceleration, a
 contact node its (acceleration, force) pair, an impulse node its
-(post-impact velocity, impulse) pair; no factor of a solve is kept.
+(post-impact velocity, impulse) pair; no factor of a solve is kept. `data`
+is the node's row of its `ActionDataStack`, so both land in the stack.
 Its dynamics make one system call, `forward_terms`, whose M, bias and frame
 terms the dynamics, the contacts and the impulse share, and check each
 quantity for non-finite values once: the contact and impulse solves their
 inputs and results, the free dynamics M, the torque and the acceleration.
+`calc_stack(stack, X, U)` does the same for the n nodes of a stack in one
+batched pass: `forward_terms` broadcast over the node axis, then one batched
+solve of the stacked mass matrices (free nodes), one checked batched
+elimination (`contact._kkt_solve_checked`, contact and impulse nodes) or a
+broadcast (linear flows, the terminal node). It makes the node's tests on
+the whole stack, and where a node would fail one (a non-finite value, a
+failed Cholesky, a low rank pivot) it replays the nodes in order through
+`calc`, so the first failing node raises what `calc` raises. Its results
+agree with `calc` to rounding, not to the bit (a batched LU solve against
+the node's Cholesky solve), so the shooting problem's evaluations, which
+must reproduce a node-by-node rollout exactly, keep sweeping with `calc`;
+the quasi-static warm start (through `acceleration_stack`) and the
+derivative audit use the stacked call.
 `cost(X, U)` returns the costs (n,) of n nodes at X (n, nx), U (n, nu), in
 one stacked pass over the cost terms' residuals; no node's `calc` computes
 its cost. `calc_diff(stack, X, U)` evaluates the derivatives of all n nodes
-in an `ActionDataStack` at once, reading what `calc` left in each of
-`stack.nodes`; it must follow those calls at the same points (the terminal
-model's reads nothing of `calc`, so the solve never calls its `calc`).
-Constructors check their arguments; `calc`, `cost` and `calc_diff` do not,
-as the entry points (`ShootingProblem.check_trajectories`, the scenario
-loader) guarantee the shapes.
+in an `ActionDataStack` at once, reading the solutions in `stack.dyn`; it
+must follow `calc_stack`, or `calc` on each node, at the same points (the
+terminal model's reads nothing of them, so the solve never calls its
+`calc`).
+Constructors check their arguments; `calc`, `calc_stack`, `cost` and
+`calc_diff` do not, as the entry points (`ShootingProblem.check_trajectories`,
+the scenario loader) guarantee the shapes.
 
 `calc_diff` overwrites the stacks `Fz` and `Lz` of `ActionDataStack` in
 place, through their named views f_x, f_u, l_x, l_u, l_xx, l_xu,
@@ -45,6 +60,8 @@ constructors.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .contact import (
@@ -52,6 +69,8 @@ from .contact import (
     _all_finite,
     _cholesky,
     _cholesky_solve,
+    _kkt_solve_checked,
+    _stack_finite,
     baumgarte_a0,
     contact_dynamics_derivatives,
     contact_forward_dynamics,
@@ -90,14 +109,19 @@ class _DerivativeBlocks:
 
 
 class ActionDataStack(_DerivativeBlocks):
-    """The derivative stacks `Fz` and `Lz` of n nodes that share one model,
-    and their nodes.
+    """The forward steps, the dynamics' solutions and the derivative stacks of
+    n nodes that share one model, and their nodes.
 
-    `calc_diff` fills the stacks for all n nodes at once, so the backward
-    pass takes each node's blocks in one product; `nodes[i]` is node i's
-    `ActionData`, whose `Fz`, `Lz` and named blocks are views of row i. The
-    nodes do not refer back to the stack, so no reference cycle outlives a
-    data set.
+    `calc_stack` fills `xnext` (n, nx) and `dyn` for all n nodes at once,
+    `calc_diff` reads `dyn` and fills `Fz` and `Lz`, so the backward pass
+    takes each node's blocks in one product. `dyn` holds the parts of the
+    solution `calc_diff` reads, one (n, size) array per part of the model's
+    `dyn_sizes`: a free node's acceleration, a contact node's (acceleration,
+    force), an impulse node's (post-impact velocity, impulse), nothing for
+    a linear flow or the terminal node. `nodes[i]` is node i's `ActionData`,
+    whose fields are views of row i, made on first use (a stacked call needs
+    them only to replay a failing node). The nodes do not refer back to the
+    stack, so no reference cycle outlives a data set.
     """
 
     def __init__(self, model: "ActionModelBase", n: int):
@@ -105,22 +129,30 @@ class ActionDataStack(_DerivativeBlocks):
         nz = model.ndx + model.nu
         self.Fz = np.zeros((n, model.ndx, nz + 1))
         self.Lz = np.zeros((n, nz, nz + 1))
-        self.nodes = [ActionData(model, self, i) for i in range(n)]
+        self.xnext = np.zeros((n, model.state.nx))
+        self.dyn = tuple(np.zeros((n, size)) for size in model.dyn_sizes)
+
+    @cached_property
+    def nodes(self) -> list["ActionData"]:
+        return [ActionData(self, i) for i in range(len(self.Fz))]
 
 
 class ActionData(_DerivativeBlocks):
-    """Mutable evaluation buffers for one action model at one node.
+    """One node's row of an `ActionDataStack`, which the node call `calc` fills.
 
-    Holds the discrete step output that `calc` writes, whatever intermediate
-    the dynamics carries from calc to calc_diff (`dyn`), and the node's
-    derivative blocks: views of its row of `stack`.
+    `xnext`, the parts of `dyn` and the derivative blocks are views of row
+    `index` of the stack's arrays, written in place; none of them can be
+    rebound, which would leave the stack unchanged.
     """
 
-    def __init__(self, model: "ActionModelBase", stack: ActionDataStack, index: int):
-        self.xnext = np.zeros(model.state.nx)
-        self.ndx = model.ndx
+    xnext = property(lambda d: d._xnext)
+    dyn = property(lambda d: d._dyn)
+
+    def __init__(self, stack: ActionDataStack, index: int):
+        self.ndx = stack.ndx
         self.Fz, self.Lz = stack.Fz[index], stack.Lz[index]
-        self.dyn = None
+        self._xnext = stack.xnext[index]
+        self._dyn = tuple(part[index] for part in stack.dyn)
 
 
 # ---------------------------------------------------------------------------
@@ -139,16 +171,34 @@ class DifferentialDynamics:
         self.nu = system.nu
 
     def acceleration(self, x, u, data: ActionData) -> np.ndarray:
+        """One node's acceleration (nv,) at x, u; its solution goes to data.dyn."""
         raise NotImplementedError
+
+    def acceleration_stack(self, stack: ActionDataStack, X, U) -> np.ndarray:
+        """The accelerations (n, nv) of the n nodes of `stack` at X, U, from
+        one batched solve; the solutions go to stack.dyn. Where a node's
+        solve would fail, the nodes are replayed in order through
+        `acceleration`, and the first failing one raises."""
+        raise NotImplementedError
+
+    def _replay(self, stack, X, U) -> np.ndarray:
+        """acceleration_stack node by node, for a stack with a failing node."""
+        for data, x, u in zip(stack.nodes, X, U):
+            self.acceleration(x, u, data)
+        return stack.dyn[0]
 
     def partials(self, stack: ActionDataStack, X, U):
         """Stacked tangent-space partials (a_q, a_v, a_u), each (n, nv, ·), of
-        the n nodes of `stack`; acceleration ran first on each node."""
+        the n nodes of `stack`, from the solutions in stack.dyn."""
         raise NotImplementedError
 
 
 class FreeMechanicalDynamics(DifferentialDynamics):
     """Unconstrained acceleration: M(q) vdot = S u - bias(q, v)."""
+
+    def __init__(self, system: MechanicalSystem):
+        super().__init__(system)
+        self.dyn_sizes = (system.nv,)
 
     def acceleration(self, x, u, data):
         sys = self.system
@@ -164,8 +214,28 @@ class FreeMechanicalDynamics(DifferentialDynamics):
         vdot = _cholesky_solve(factor, tau)
         if not _all_finite(vdot):
             raise NumericalFailure("non-finite acceleration in forward integration")
-        data.dyn = vdot
+        data.dyn[0][:] = vdot
         return vdot
+
+    def acceleration_stack(self, stack, X, U):
+        # One batched solve on the stacked mass matrices (or the one
+        # constant matrix), after the node's tests on the whole stack.
+        sys = self.system
+        q, v = X[:, : sys.nq], X[:, sys.nq :]
+        vdot = None
+        with np.errstate(all="ignore"):
+            M, bias = sys.forward_terms(q, v)[:2]
+            tau = U @ sys.actuation().T - bias
+            try:
+                if _stack_finite(M, tau):
+                    np.linalg.cholesky(M)  # the node's factorization test
+                    vdot = np.linalg.solve(_per_node(M, len(X)), tau[..., None])[..., 0]
+            except np.linalg.LinAlgError:
+                pass
+        if vdot is None or not _stack_finite(vdot):
+            return self._replay(stack, X, U)
+        stack.dyn[0][:] = vdot
+        return stack.dyn[0]
 
     def partials(self, stack, X, U):
         # M a_x = -(d bias/dx + d(M vdot)/dx) and M a_u = S, for all nodes in
@@ -173,7 +243,7 @@ class FreeMechanicalDynamics(DifferentialDynamics):
         sys = self.system
         nq, nv = sys.nq, sys.nv
         q, v = X[:, :nq], X[:, nq:]
-        vdot = np.array([data.dyn for data in stack.nodes])
+        vdot = stack.dyn[0]
         bq, bv = sys.bias_partials(q, v)
         mc = sys.inertia_contraction_partial(q, vdot)
         actuation = np.broadcast_to(sys.actuation(), bq.shape[:-1] + (self.nu,))
@@ -192,6 +262,7 @@ class ConstrainedMechanicalDynamics(DifferentialDynamics):
     def __init__(self, system: MechanicalSystem, contacts: ContactSet):
         super().__init__(system)
         self.contacts = contacts
+        self.dyn_sizes = (system.nv, contacts.nf)
         for contact in contacts.contacts:
             if contact.frame not in system.frames:
                 raise DimensionMismatch(
@@ -203,8 +274,27 @@ class ConstrainedMechanicalDynamics(DifferentialDynamics):
         q, v = sys.split_state(x)
         M, bias, placement, Jc, drift = sys.forward_terms(q, v, self.contacts.frames)
         a0 = baumgarte_a0(self.contacts, placement, Jc @ v, drift)
-        data.dyn = contact_forward_dynamics(M, Jc, sys.actuation() @ u - bias, a0)
-        return data.dyn[0]
+        vdot, force = contact_forward_dynamics(M, Jc, sys.actuation() @ u - bias, a0)
+        data.dyn[0][:] = vdot
+        data.dyn[1][:] = force
+        return vdot
+
+    def acceleration_stack(self, stack, X, U):
+        # One checked batched elimination: M vdot - Jc^T force = tau_b and
+        # Jc vdot = -a0 is the saddle point with w = vdot, z = -force.
+        sys = self.system
+        q, v = X[:, : sys.nq], X[:, sys.nq :]
+        with np.errstate(all="ignore"):
+            M, bias, placement, Jc, drift = sys.forward_terms(q, v, self.contacts.frames)
+            a0 = baumgarte_a0(self.contacts, placement, (Jc @ v[..., None])[..., 0], drift)
+            tau_b = U @ sys.actuation().T - bias
+        solution = _kkt_solve_checked(_per_node(M, len(X)), Jc, tau_b[..., None], -a0[..., None])
+        if solution is None:
+            return self._replay(stack, X, U)
+        vdot, force = stack.dyn
+        vdot[:] = solution[0][..., 0]
+        np.negative(solution[1][..., 0], out=force)
+        return vdot
 
     def partials(self, stack, X, U):
         # Total derivatives of the two KKT rows at the solution, holding
@@ -216,7 +306,7 @@ class ConstrainedMechanicalDynamics(DifferentialDynamics):
         sys = self.system
         n, nv = len(X), sys.nv
         q, v = X[:, : sys.nq], X[:, sys.nq :]
-        vdot, force = map(np.array, zip(*(data.dyn for data in stack.nodes)))
+        vdot, force = stack.dyn
         bq, bv = sys.bias_partials(q, v)
         dtau_dq = -(bq + sys.inertia_contraction_partial(q, vdot))
         jacobians, da0_dq, da0_dv = [], [], []
@@ -266,6 +356,11 @@ class LinearFlow:
     def flow(self, x, u):
         return self.linear.flow(x, u)
 
+    def flow_stack(self, X, U):
+        """The flows (n, nx) of n nodes at X (n, nx), U (n, nu)."""
+        linear = self.linear
+        return X @ linear.A.T + U @ linear.B.T + linear.c
+
     def partials(self):
         return self.linear.A, self.linear.B
 
@@ -283,6 +378,8 @@ class ActionModelBase:
     costs: tuple[CostTerm, ...]
     # The factor of every cost term: the step of an integrated node.
     cost_scale = 1.0
+    # The widths of the parts of the dynamics' solution that calc_diff reads.
+    dyn_sizes: tuple[int, ...] = ()
 
     def __init__(self, state: Manifold, nu: int, costs):
         self.state = state
@@ -330,11 +427,25 @@ class ActionModelBase:
         np.copyto(stack.l_ux, np.swapaxes(stack.l_xu, -1, -2))
 
     def calc(self, data: ActionData, x, u) -> ActionData:
+        """One node's forward step at x (nx,), u (nu,), into its row `data`."""
         raise NotImplementedError
 
+    def calc_stack(self, stack: ActionDataStack, X, U) -> ActionDataStack:
+        """The forward steps of the stack's n nodes at X (n, nx), U (n, nu),
+        in one batched evaluation, with what calc would leave in each row.
+        Where calc would fail on a node, the nodes are replayed in order
+        through calc, so the first failing one raises what calc raises."""
+        raise NotImplementedError
+
+    def _replay(self, stack, X, U) -> ActionDataStack:
+        """calc_stack node by node, for a stack with a failing node."""
+        for data, x, u in zip(stack.nodes, X, U):
+            self.calc(data, x, u)
+        return stack
+
     def calc_diff(self, stack: ActionDataStack, X, U) -> ActionDataStack:
-        """Derivatives of the stack's n nodes at X (n, nx), U (n, nu); calc
-        must have run on each node, node i at (X[i], U[i]) on stack.nodes[i]."""
+        """Derivatives of the stack's n nodes at X (n, nx), U (n, nu);
+        calc_stack (or calc on each node) must have run at the same points."""
         raise NotImplementedError
 
 
@@ -359,24 +470,41 @@ class IntegratedActionModel(ActionModelBase):
             self._f_x = np.eye(self.ndx) + self.dt * A
             self._f_u = self.dt * B
         else:
+            self.dyn_sizes = dynamics.dyn_sizes
             nv = dynamics.system.nv
             self._eye_v = np.eye(nv)
             self._dt_eye_v = self.dt * self._eye_v
 
     def calc(self, data, x, u):
+        xnext = data.xnext
         if self.first_order:
             xdot = self.dynamics.flow(x, u)
             if not _all_finite(xdot):
                 raise NumericalFailure("non-finite flow in forward integration")
-            data.xnext = x + self.dt * xdot
+            np.add(x, self.dt * xdot, out=xnext)
         else:
             sys = self.dynamics.system
             q, v = sys.split_state(x)
             vdot = self.dynamics.acceleration(x, u, data)
-            v_next = v + self.dt * vdot
-            q_next = sys.config.integrate(q, self.dt * v_next)
-            data.xnext = np.concatenate([q_next, v_next])
+            v_next = np.add(v, self.dt * vdot, out=xnext[sys.nq :])
+            xnext[: sys.nq] = sys.config.integrate(q, self.dt * v_next)
         return data
+
+    def calc_stack(self, stack, X, U):
+        xnext = stack.xnext
+        if self.first_order:
+            with np.errstate(all="ignore"):
+                xdot = self.dynamics.flow_stack(X, U)
+            if not _stack_finite(xdot):
+                return self._replay(stack, X, U)
+            np.add(X, self.dt * xdot, out=xnext)
+        else:
+            sys = self.dynamics.system
+            nq = sys.nq
+            vdot = self.dynamics.acceleration_stack(stack, X, U)
+            v_next = np.add(X[:, nq:], self.dt * vdot, out=xnext[:, nq:])
+            xnext[:, :nq] = sys.config.integrate(X[:, :nq], self.dt * v_next)
+        return stack
 
     def calc_diff(self, stack, X, U):
         dt = self.dt
@@ -408,8 +536,12 @@ class TerminalActionModel(ActionModelBase):
         self._f_x = np.eye(self.ndx)
 
     def calc(self, data, x, u=_NO_CONTROL):
-        data.xnext = x.copy()
+        data.xnext[:] = x
         return data
+
+    def calc_stack(self, stack, X, U):
+        stack.xnext[:] = X
+        return stack
 
     def calc_diff(self, stack, X, U):
         stack.f_x[:] = self._f_x
@@ -439,6 +571,7 @@ class ImpulseActionModel(ActionModelBase):
         self.system = system
         self.contacts = contacts
         self.restitution = float(restitution)
+        self.dyn_sizes = (system.nv, contacts.nf)
         # The configuration rows of f_x: q passes the impact unchanged.
         self._f_x_q = np.eye(system.nv, self.ndx)
         for contact in contacts.contacts:
@@ -451,9 +584,31 @@ class ImpulseActionModel(ActionModelBase):
         sys = self.system
         q, v = sys.split_state(x)
         M, _, _, Jc, _ = sys.forward_terms(q, v, self.contacts.frames)
-        data.dyn = impulse_dynamics(M, Jc, v, self.restitution)
-        data.xnext = np.concatenate([q, data.dyn[0]])
+        v_plus, impulse = impulse_dynamics(M, Jc, v, self.restitution)
+        data.xnext[: sys.nq] = q
+        data.xnext[sys.nq :] = v_plus
+        data.dyn[0][:] = v_plus
+        data.dyn[1][:] = impulse
         return data
+
+    def calc_stack(self, stack, X, U):
+        # The velocity jump dv = v_plus - v is the saddle point with b1 = 0
+        # and b2 = -(1 + e) Jc v, and z = -impulse.
+        sys = self.system
+        n, nq = len(X), sys.nq
+        q, v = X[:, :nq], X[:, nq:]
+        with np.errstate(all="ignore"):
+            M, _, _, Jc, _ = sys.forward_terms(q, v, self.contacts.frames)
+            closing = -(1.0 + self.restitution) * (Jc @ v[..., None])
+        solution = _kkt_solve_checked(_per_node(M, n), Jc, np.zeros((n, sys.nv, 1)), closing)
+        if solution is None:
+            return self._replay(stack, X, U)
+        v_plus, impulse = stack.dyn
+        np.add(v, solution[0][..., 0], out=v_plus)
+        np.negative(solution[1][..., 0], out=impulse)
+        stack.xnext[:, :nq] = q
+        stack.xnext[:, nq:] = v_plus
+        return stack
 
     def calc_diff(self, stack, X, U):
         # Configuration partials of the two residual rows at the solution,
@@ -463,7 +618,7 @@ class ImpulseActionModel(ActionModelBase):
         sys = self.system
         n, nv = len(X), sys.nv
         q, v = X[:, : sys.nq], X[:, sys.nq :]
-        v_plus, impulse = map(np.array, zip(*(data.dyn for data in stack.nodes)))
+        v_plus, impulse = stack.dyn
         dr1_dq = sys.inertia_contraction_partial(q, v_plus - v)
         closure = v_plus + self.restitution * v
         jacobians, dr2_dq = [], []
@@ -496,8 +651,10 @@ def quasi_static_control(model, X):
     still, and the residual norms (n,) those controls leave.
 
     The residual is the acceleration at (q, v = 0) (the flow at x for a
-    first-order model), affine in u: r0 + A u, with A the group's a_u from
-    one stacked `partials` call (the flow's B). One exact Gauss-Newton step,
+    first-order model), affine in u: r0 + A u, with r0 from one batched
+    `acceleration_stack` call at u = 0 (`flow_stack`) and A the group's a_u
+    from one stacked `partials` call (the flow's B). A node whose forward
+    step fails raises what `acceleration` raises on it. One exact Gauss-Newton step,
     u = -(A^T A + 1e-10 I)^-1 A^T r0, solved for all nodes at once, gives its
     least-squares minimum. A node keeps u where ||r0 + A u|| is within
     QUASI_STATIC_TOL, and zero control where it is not (no torque holds a
@@ -507,18 +664,16 @@ def quasi_static_control(model, X):
     n = len(X)
     if model.nu == 0:
         return np.zeros((n, 0)), np.zeros(n)
-    u0 = np.zeros(model.nu)
+    U0 = np.zeros((n, model.nu))
     if model.first_order:
-        r0 = np.array([model.dynamics.flow(x, u0) for x in X])
+        r0 = model.dynamics.flow_stack(X, U0)
         A = model.dynamics.partials()[1]
     else:
         sys = model.dynamics.system
         X = np.concatenate([X[:, : sys.nq], np.zeros((n, sys.nv))], 1)
         stack = model.create_stack(n)
-        r0 = np.array(
-            [model.dynamics.acceleration(x, u0, data) for x, data in zip(X, stack.nodes)]
-        )
-        A = model.dynamics.partials(stack, X, np.zeros((n, model.nu)))[2]
+        r0 = model.dynamics.acceleration_stack(stack, X, U0)
+        A = model.dynamics.partials(stack, X, U0)[2]
     At = np.swapaxes(A, -1, -2)
     u = -np.linalg.solve(At @ A + _QUASI_STATIC_DAMPING * np.eye(model.nu), At @ r0[..., None])
     held = np.linalg.norm(r0 + (A @ u)[..., 0], axis=1)

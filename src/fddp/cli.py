@@ -210,7 +210,7 @@ def check_problem_derivatives(problem, samples: int = 100, seed: int = 0, corrup
     Draws `samples` random state/control points per distinct node model
     (tangent perturbations of the measured initial state, standard-normal
     controls), evaluates the analytic f_x, f_u, l_x, l_u blocks of all of
-    them in one stacked `calc_diff`, as the solver does, and compares each
+    them in one `calc_stack` and one `calc_diff`, and compares each
     against a finite-difference evaluation with step `numdiff.STEP` (1e-6).
     The error metric per block is max|analytic - fd| / max(1, max|fd|).
 
@@ -235,10 +235,9 @@ def check_problem_derivatives(problem, samples: int = 100, seed: int = 0, corrup
             for _ in range(samples)
         ]
         stack = model.create_stack(samples)
-        for data, (x, u) in zip(stack.nodes, points):
-            model.calc(data, x, u)
         X = np.array([x for x, _ in points])
         U = np.array([u for _, u in points])
+        model.calc_stack(stack, X, U)
         model.calc_diff(stack, X, U)
         for data, (x, u) in zip(stack.nodes, points):
 

@@ -227,19 +227,48 @@ def contact_forward_dynamics(M, Jc, tau_b, a0):
 
 
 def _kkt_solve_stacked(M, Jc, b1, b2):
-    """w with M w + Jc^T z_neg = b1, Jc w = b2 for a stack of n saddle points.
+    """(w, z, Mhat) with M w + Jc^T z = b1, Jc w = b2 for a stack of n saddle
+    points.
 
     M (n, nv, nv), Jc (n, nf, nv), b1 (n, nv, k), b2 (n, nf, k). One batched
     solve with M gives M^-1 [Jc^T | b1], one with Mhat = Jc M^-1 Jc^T gives
     the multipliers z = Mhat^-1 (Jc M^-1 b1 - b2), and w = M^-1 b1 -
-    M^-1 Jc^T z. The forward solves have checked every node's factors, so
-    nothing is checked again.
+    M^-1 Jc^T z. Nothing is checked: the derivatives take stacks whose
+    forward solves have passed, and `_kkt_solve_checked` tests the others.
     """
     nf = Jc.shape[-2]
     solved = np.linalg.solve(M, np.concatenate([np.swapaxes(Jc, -1, -2), b1], axis=-1))
     minv_jt, minv_b1 = solved[..., :nf], solved[..., nf:]
-    z = np.linalg.solve(Jc @ minv_jt, Jc @ minv_b1 - b2)
-    return minv_b1 - minv_jt @ z
+    mhat = Jc @ minv_jt
+    z = np.linalg.solve(mhat, Jc @ minv_b1 - b2)
+    return minv_b1 - minv_jt @ z, z, mhat
+
+
+def _kkt_solve_checked(M, Jc, b1, b2):
+    """(w, z) of `_kkt_solve_stacked` for the forward solves of a stack, with
+    the node solve's tests made on all nodes at once: None when any node
+    would fail one (a non-finite input or solution, an M or Mhat that is not
+    positive definite, a pivot of Mhat below RANK_PIVOT_TOL). A batched
+    solve does not say which node failed, so the caller then replays its
+    nodes through the node solve, which raises for the first failing one.
+    """
+    with np.errstate(all="ignore"):
+        if not _stack_finite(M, Jc, b1, b2):
+            return None
+        try:
+            np.linalg.cholesky(M)
+            w, z, mhat = _kkt_solve_stacked(M, Jc, b1, b2)
+            pivots = np.linalg.cholesky(mhat).diagonal(0, -2, -1)
+        except np.linalg.LinAlgError:
+            return None
+        if pivots.min(initial=np.inf) ** 2 < RANK_PIVOT_TOL or not _stack_finite(w, z):
+            return None
+    return w, z
+
+
+def _stack_finite(*arrays) -> bool:
+    """Whether every entry of the stacked arrays is finite."""
+    return all(np.isfinite(array).all() for array in arrays)
 
 
 def contact_dynamics_derivatives(M, Jc, dtau_dx, dtau_du, da0_dx, da0_du):
@@ -260,7 +289,7 @@ def contact_dynamics_derivatives(M, Jc, dtau_dx, dtau_du, da0_dx, da0_du):
     nx = dtau_dx.shape[-1]
     y = _kkt_solve_stacked(
         M, Jc, np.concatenate([dtau_dx, dtau_du], -1), -np.concatenate([da0_dx, da0_du], -1)
-    )
+    )[0]
     return y[..., :nx], y[..., nx:]
 
 
@@ -299,5 +328,5 @@ def impulse_dynamics_derivatives(M, Jc, e: float, dr1_dq, dr2_dq):
     # v_minus block: r1 gives -M, r2 gives e*Jc.
     y = _kkt_solve_stacked(
         M, Jc, np.concatenate([-dr1_dq, M], -1), np.concatenate([-dr2_dq, -e * Jc], -1)
-    )
+    )[0]
     return y[..., :ndq], y[..., ndq:]

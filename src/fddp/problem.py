@@ -14,18 +14,23 @@ and then evaluates through the unchecked `_calc`, `_rollout` and
 and there a trajectory is two arrays: the states X (N + 1, nx) and the
 controls U (N, nu_max), zero-padded (`stack_controls`, once, on entry);
 node k reads `U[k, :nu_k]`. `calc_diff` reads what `calc` (or a rollout)
-left in the data containers, so it must follow one at the same (X, U).
+left in the stacks, so it must follow one at the same (X, U).
 
 The nodes are grouped by model at construction (`groups`; a scenario shares
 one model per (phase, dt)). A data set (`create_datas`) is (running
 containers, stacks), with one `ActionDataStack` per group whose rows the
-group's containers view, and the terminal node's stack of one last. `calc`
+group's containers are, and the terminal node's stack of one last. `calc`
 and the rollouts sweep the running nodes in order, each node's `calc`
-computing only its dynamics (a failing node raises `NumericalFailure`
-naming it); the terminal node has no dynamics to sweep. After the sweep,
-`_cost_and_gaps` (where the solver's forward passes end too) makes one
-stacked `model.cost` call per group and one for the terminal node and one
-difference of the stacked states; `calc_diff` one stacked pass for each.
+computing only its dynamics into its row (a failing node raises
+`NumericalFailure` naming it); the terminal node has no dynamics to sweep.
+`calc` sweeps too, rather than making one `calc_stack` call per group:
+the stacked call agrees with the node calls only to rounding, and the
+gap-tolerant solve started from a rollout must take the classical solve's
+step exactly. After the sweep, `_cost_and_gaps` (where the solver's forward
+passes end too) makes one stacked `model.cost` call per group and one for
+the terminal node, gathers the landing points from the stacks and takes one
+difference of the stacked states; `calc_diff` makes one stacked pass for
+each group, reading the solutions in its stack.
 """
 
 from __future__ import annotations
@@ -136,33 +141,42 @@ class ShootingProblem:
 
     def _calc(self, X, U, datas=None) -> tuple[float, np.ndarray]:
         """calc of a stacked guess that check_trajectories has already checked."""
-        running = datas[0] if datas else self.datas
+        running, stacks = datas or (self.datas, self.stacks)
         for k, model in enumerate(self.running_models):
             try:
                 model.calc(running[k], X[k], U[k, : model.nu])
             except (NumericalFailure, FactorizationError) as exc:
                 raise NumericalFailure(str(exc), node=k) from exc
-        return self._cost_and_gaps(X, U, running)
+        return self._cost_and_gaps(X, U, stacks)
 
-    def _cost_and_gaps(self, X, U, running) -> tuple[float, np.ndarray]:
+    def _cost_and_gaps(self, X, U, stacks) -> tuple[float, np.ndarray]:
         """Total cost and gaps of the stacked states X (N + 1, nx) and
-        controls U (N, nu_max), after the node sweep that left each node's
-        landing point in the running containers: one stacked cost call per
-        group and one for the terminal node, one difference of the states."""
+        controls U (N, nu_max), after the evaluation that left each node's
+        landing point in the stacks: one stacked cost call per group and one
+        for the terminal node, one difference of the states. A non-finite
+        total names the first node, in node order, whose own cost is not
+        finite (none when only the sum overflowed)."""
         cost = 0.0
+        node_costs = np.empty(self.N + 1)
         for model, nodes in self.groups:
-            cost += model.cost(X[nodes], U[nodes, : model.nu]).sum()
-        cost = float(cost + self.terminal_model.cost(X[self.N :], _NO_CONTROLS)[0])
+            group_costs = node_costs[nodes] = model.cost(X[nodes], U[nodes, : model.nu])
+            cost += group_costs.sum()
+        node_costs[self.N] = self.terminal_model.cost(X[self.N :], _NO_CONTROLS)[0]
+        cost = float(cost + node_costs[self.N])
         if not np.isfinite(cost):
-            raise NumericalFailure("non-finite total cost", node=self.N)
-        landed = np.array([self.x0_measured] + [data.xnext for data in running])
+            bad = np.flatnonzero(~np.isfinite(node_costs))
+            raise NumericalFailure("non-finite total cost", node=int(bad[0]) if len(bad) else None)
+        landed = np.empty_like(X)
+        landed[0] = self.x0_measured
+        for (_, nodes), stack in zip(self.groups, stacks):
+            landed[nodes + 1] = stack.xnext
         return cost, self.state.difference(X, landed)
 
     def calc_diff(self, X, U, datas=None):
         """Evaluate all node derivatives at the stacked guess X (N + 1, nx),
         U (N, nu_max): one stacked pass per group, then the terminal node's.
 
-        Reads what calc at (X, U) left in the same running containers; the
+        Reads the solutions calc at (X, U) left in the same stacks; the
         terminal node reads only X. A node's numerical failures surface in
         calc, which runs first.
         """

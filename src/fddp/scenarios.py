@@ -573,11 +573,15 @@ def build_warm_start(scenario: Scenario, problem: ShootingProblem):
     zeros: constant measured state, zero controls (typically infeasible).
     quasi_static_interpolation: states slide along the manifold from the
     measured state to the terminal regularization target; controls hold each
-    interpolated state still where that is possible, from one stacked
-    `quasi_static_control` call per group, and a node whose state no control
-    holds still falls back to zero control. That is not only a flight node:
-    on monoped_hop every node with controls but node 0 falls back, the
-    stance nodes too, so its warm start is close to a zero-control start.
+    interpolated state still where that is possible, from one
+    `quasi_static_control` call per group, which takes the group's
+    accelerations at rest from one batched forward step
+    (`acceleration_stack`) and their control Jacobians from one stacked
+    `partials` call, with no loop over the nodes. A node whose state no
+    control holds still falls back to zero control. That is not only a
+    flight node: on monoped_hop every node with controls but node 0 falls
+    back, the stance nodes too, so its warm start is close to a zero-control
+    start.
     file: a JSON document with explicit X and U lists.
     """
     policy = scenario.warm_start.get("policy", "zeros")

@@ -219,7 +219,7 @@ def _sweep(problem, X, U, ws, alpha, datas, shrink=0.0):
     states (N + 1, nx) and controls (N, nu_max), zero-padded like U, and
     their cost and gaps from one `_cost_and_gaps` call.
     """
-    running = datas[0] if datas else problem.datas
+    running, stacks = datas or (problem.datas, problem.stacks)
     state = problem.state
     states = np.empty_like(X)
     controls = np.zeros_like(U)
@@ -243,7 +243,7 @@ def _sweep(problem, X, U, ws, alpha, datas, shrink=0.0):
                 raise NumericalFailure(str(exc), node=k) from exc
             xnext = running[k].xnext
             states[k + 1] = state.integrate(xnext, pull[k + 1]) if shrink else xnext
-        cost, gaps = problem._cost_and_gaps(states, controls, running)
+        cost, gaps = problem._cost_and_gaps(states, controls, stacks)
     return states, controls, cost, gaps
 
 
@@ -362,7 +362,7 @@ def solve(
         if solver == "ddp":
             # The rollout's sweep leaves the data set as _calc would.
             X = problem._rollout(U, datas=current)
-            cost, gaps = problem._cost_and_gaps(X, U, current[0])
+            cost, gaps = problem._cost_and_gaps(X, U, current[1])
         else:
             cost, gaps = problem._calc(X, U, datas=current)
     except NumericalFailure as exc:

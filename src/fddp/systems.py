@@ -72,32 +72,6 @@ def _unit_side(phi) -> np.ndarray:
     return np.stack([np.cos(phi), np.sin(phi)], axis=-1)
 
 
-def _chain_partials(links, v, w, f):
-    """Contact partials of a planar chain point p = base + sum_i a_i down(phi_i).
-
-    Each link is (a_i, phi_i, c_i), where c_i is the 0/1 row of the tangent
-    coordinates that sum to the absolute angle phi_i. Then
-    J = dbase/dq + sum_i a_i side(phi_i) c_i and drift = Jdot v =
-    -sum_i a_i down(phi_i) (c_i v)^2; with d side/dphi = -down and
-    d down/dphi = side, the base (linear in q) drops out of every partial.
-    Returns (d(J w)/dq, d(J^T f)/dq, d drift/dq, d drift/dv) for fixed w, f,
-    broadcast over the leading axes of phi, v, w and f.
-    """
-    lead, nv = v.shape[:-1], v.shape[-1]
-    jw_q = np.zeros(lead + (2, nv))
-    jtf_q = np.zeros(lead + (nv, nv))
-    drift_q = np.zeros(lead + (2, nv))
-    drift_v = np.zeros(lead + (2, nv))
-    for a, phi, c in links:
-        down, side = _unit_down(phi), _unit_side(phi)
-        cw, cv = (w @ c)[..., None], (v @ c)[..., None]
-        jw_q -= ((a * cw) * down)[..., None] * c
-        jtf_q -= (a * (down * f).sum(-1))[..., None, None] * np.outer(c, c)
-        drift_q -= ((a * cv * cv) * side)[..., None] * c
-        drift_v -= ((2.0 * a * cv) * down)[..., None] * c
-    return jw_q, jtf_q, drift_q, drift_v
-
-
 class MechanicalSystem:
     """Base for (q, v) systems. Subclasses fill the kinematic/dynamic terms."""
 
@@ -133,7 +107,8 @@ class MechanicalSystem:
         return self._actuation
 
     def forward_terms(self, q, v, frames: tuple[str, ...] = ()):
-        """One node's (M, bias, placement, Jc, drift) at (q, v).
+        """(M, bias, placement, Jc, drift) at (q, v), broadcast over leading
+        node axes of q and v; M may be one unstacked constant.
 
         placement, Jc and drift stack the frame placements, Jacobians and
         drifts (Jdot v) of `frames`, in order, row on row; an empty tuple
@@ -142,12 +117,14 @@ class MechanicalSystem:
         M, bias = self.mass_matrix(q), self.bias(q, v)
         if not frames:
             return (M, bias) + self._no_frames
+        lead = q.shape[:-1]
+        jacobians = [self.frame_jacobian(q, frame) for frame in frames]
         return (
             M,
             bias,
-            np.concatenate([self.frame_placement(q, frame) for frame in frames]),
-            np.concatenate([self.frame_jacobian(q, frame) for frame in frames]),
-            np.concatenate([self.frame_drift(q, v, frame) for frame in frames]),
+            np.concatenate([self.frame_placement(q, frame) for frame in frames], -1),
+            np.concatenate([np.broadcast_to(J, lead + J.shape[-2:]) for J in jacobians], -2),
+            np.concatenate([self.frame_drift(q, v, frame) for frame in frames], -1),
         )
 
     # -- analytic partials (configuration tangent coordinates) --------------
@@ -225,7 +202,7 @@ class DoubleIntegrator(MechanicalSystem):
         return self._mass
 
     def bias(self, q, v):
-        return np.zeros(self.nv)
+        return np.zeros(v.shape)
 
     def bias_partials(self, q, v):
         z = np.zeros(q.shape[:-1] + (self.nv, self.nv))
@@ -253,8 +230,8 @@ class PointMass(DoubleIntegrator):
         self.frames = ("point", "height") if self.nv >= 2 else ("point",)
 
     def bias(self, q, v):
-        h = np.zeros(self.nv)
-        h[-1] = self.mass * self.gravity
+        h = np.zeros(v.shape)
+        h[..., -1] = self.mass * self.gravity
         return h
 
     def _selector(self, frame):
@@ -269,7 +246,7 @@ class PointMass(DoubleIntegrator):
         return self._selector(frame)
 
     def frame_drift(self, q, v, frame):
-        return np.zeros(self._selector(frame).shape[0])
+        return np.zeros(q.shape[:-1] + self._selector(frame).shape[:1])
 
     def frame_partials(self, q, v, w, f, frame):
         nf, nv = self._selector(frame).shape
@@ -304,7 +281,9 @@ class Pendulum(MechanicalSystem):
         return self._mass
 
     def bias(self, q, v):
-        return np.array([self._torque * np.sin(q[0]) + self.damping * v[0]])
+        if q.ndim == 1:  # one node, as in every forward step: scalar arithmetic
+            return np.array([self._torque * np.sin(q[0]) + self.damping * v[0]])
+        return self._torque * np.sin(q[..., :1]) + self.damping * v[..., :1]
 
     def bias_partials(self, q, v):
         dq = (self._torque * np.cos(q[..., :1]))[..., None]
@@ -326,12 +305,25 @@ class Pendulum(MechanicalSystem):
     def frame_drift(self, q, v, frame):
         if frame != "tip":
             return super().frame_drift(q, v, frame)
-        return -self.length * _unit_down(q[0]) * v[0] ** 2
+        return -self.length * _unit_down(q[..., 0]) * v[..., :1] ** 2
 
     def frame_partials(self, q, v, w, f, frame):
+        # The tip is length * down(q), with d down/dq = side and
+        # d side/dq = -down: J = length * side, so d(J w)/dq and d(J^T f)/dq
+        # are -length * down times w and times down . f, and the drift
+        # -length * down v^2 has the partials -length * side v^2 and
+        # -2 length * down v.
         if frame != "tip":
             return super().frame_partials(q, v, w, f, frame)
-        return _chain_partials(((self.length, q[..., 0], np.ones(1)),), v, w, f)
+        a, phi = self.length, q[..., 0]
+        down, side = _unit_down(phi), _unit_side(phi)
+        w, v = w[..., :1], v[..., :1]
+        return (
+            -((a * w) * down)[..., None],
+            -(a * (down * f).sum(-1))[..., None, None],
+            -((a * v * v) * side)[..., None],
+            -((2.0 * a * v) * down)[..., None],
+        )
 
     def com(self, q):
         return self.length * _unit_down(q[..., 0])
@@ -555,18 +547,28 @@ class _PlanarLeg(MechanicalSystem):
         if columns is None:
             columns = self._forward_columns[frames] = self._gather_forward_columns(frames)
         nv, nf = self.nv, 2 * len(frames)
-        terms = self._basis(q) @ columns
-        w1, w2 = self._leg(v.tolist())
         mass_end = nv * nv
         speed_end = mass_end + 3 * (nv + nf)
-        speeds = np.array([1.0, w1 * w1, w2 * w2]) @ terms[mass_end:speed_end].reshape(3, nv + nf)
-        placement = self._translated(q, terms[speed_end : speed_end + nf].reshape(-1, 2))
+        if q.ndim == 1:  # one node, as in every forward step
+            lead = ()
+            terms = self._basis(q) @ columns
+            w1, w2 = self._leg(v.tolist())
+            speeds = np.array([1.0, w1 * w1, w2 * w2]) @ terms[mass_end:speed_end].reshape(3, nv + nf)
+        else:
+            lead = q.shape[:-1]
+            terms = _rows_times(self._basis(q), columns)
+            w1, w2 = (rate.T for rate in self._leg(v.T))
+            s = np.stack([np.ones(lead), w1 * w1, w2 * w2], axis=-1)
+            speeds = _rows_times(s, terms[..., mass_end:speed_end].reshape(lead + (3, nv + nf)))
+        placement = terms[..., speed_end : speed_end + nf].reshape(lead + (-1, 2))
+        if self._floating:
+            placement = q[..., None, :2] + placement
         return (
-            terms[:mass_end].reshape(nv, nv),
-            speeds[:nv],
-            placement.reshape(nf),
-            terms[speed_end + nf :].reshape(nf, nv),
-            speeds[nv:],
+            terms[..., :mass_end].reshape(lead + (nv, nv)),
+            speeds[..., :nv],
+            placement.reshape(lead + (nf,)),
+            terms[..., speed_end + nf :].reshape(lead + (nf, nv)),
+            speeds[..., nv:],
         )
 
     def bias_partials(self, q, v):

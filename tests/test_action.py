@@ -29,11 +29,12 @@ from fddp.costs import (
 )
 from fddp.errors import (
     DimensionMismatch,
+    FddpError,
     NumericalFailure,
     RankDeficientConstraint,
 )
 from fddp.problem import ShootingProblem
-from fddp.scenarios import build_problem, bundled_scenario_path, load_scenario
+from fddp.scenarios import build_problem, build_warm_start, bundled_scenario_path, load_scenario
 from fddp.solver import solve
 from fddp.systems import (
     DoubleIntegrator,
@@ -449,6 +450,180 @@ def test_pinned_pendulum_tip_is_rank_deficient():
 
 
 # ---------------------------------------------------------------------------
+# stacked forward steps
+# ---------------------------------------------------------------------------
+
+
+def assert_close_to_scale(actual, expected, rtol):
+    """Within rtol of max(1, the array's largest entry), the metric of
+    check-derivatives: an entry that cancels to rounding noise (a velocity
+    an impact zeroes) carries no relative accuracy of its own."""
+    scale = max(1.0, np.max(np.abs(expected), initial=0.0))
+    np.testing.assert_allclose(actual, expected, rtol=0.0, atol=rtol * scale)
+
+
+def assert_stacked_step_matches_node_steps(model, X, U):
+    # calc_stack on one stack, calc on each row of another: the forward
+    # steps and the solutions calc_diff reads agree within 1e-13, and the
+    # derivatives calc_diff takes from them within 1e-12.
+    stacked, node = model.create_stack(len(X)), model.create_stack(len(X))
+    model.calc_stack(stacked, X, U)
+    for data, x, u in zip(node.nodes, X, U):
+        model.calc(data, x, u)
+    assert len(stacked.dyn) == len(model.dyn_sizes)
+    for actual, expected in zip((stacked.xnext, *stacked.dyn), (node.xnext, *node.dyn)):
+        assert_close_to_scale(actual, expected, 1e-13)
+    model.calc_diff(stacked, X, U)
+    model.calc_diff(node, X, U)
+    for block in ("Fz", "Lz"):
+        assert_close_to_scale(getattr(stacked, block), getattr(node, block), 1e-12)
+
+
+def random_points(model, n, rng):
+    state = model.state
+    X = np.array(
+        [state.integrate(state.neutral(), state.random_tangent(rng, scale=0.4)) for _ in range(n)]
+    )
+    return X, rng.uniform(-2.0, 2.0, (n, model.nu))
+
+
+@pytest.mark.parametrize(
+    "model", [m for _, m in model_cases()], ids=[n for n, _ in model_cases()]
+)
+def test_stacked_forward_step_matches_the_node_steps(model):
+    X, U = random_points(model, 12, np.random.default_rng(68))
+    assert_stacked_step_matches_node_steps(model, X, U)
+
+
+@pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
+def test_stacked_forward_step_matches_the_node_steps_on_every_bundled_group(name):
+    # Every group and the terminal node, at the warm start and at seeded
+    # tangent perturbations of the measured state with random controls.
+    scenario = load_scenario(bundled_scenario_path(name))
+    problem = build_problem(scenario)
+    X_warm, U_warm = build_warm_start(scenario, problem)
+    X_warm, U_warm = np.array(X_warm), problem.stack_controls(U_warm)
+    state, rng = problem.state, np.random.default_rng(69)
+    warm = [(model, X_warm[nodes], U_warm[nodes, : model.nu]) for model, nodes in problem.groups]
+    warm.append((problem.terminal_model, X_warm[problem.N :], np.zeros((1, 0))))
+    for model, X, U in warm:
+        assert_stacked_step_matches_node_steps(model, X, U)
+        X = np.array(
+            [state.integrate(problem.x0_measured, 0.3 * rng.standard_normal(state.ndx)) for _ in range(9)]
+        )
+        assert_stacked_step_matches_node_steps(model, X, rng.standard_normal((9, model.nu)))
+
+
+def assert_stacked_step_fails_as_the_node_steps(model, X, U):
+    # The batched step cannot say which row failed, so it replays the rows
+    # in order: it raises what calc raises on the first failing row, and
+    # passes where every row passes. Returns whether a row failed.
+    failure = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x, u in zip(X, U):
+            try:
+                model.calc(model.create_data(), x, u)
+            except FddpError as exc:
+                failure = exc
+                break
+        if failure is None:
+            model.calc_stack(model.create_stack(len(X)), X, U)
+            return False
+        with pytest.raises(type(failure)) as stacked_failure:
+            model.calc_stack(model.create_stack(len(X)), X, U)
+    assert str(stacked_failure.value) == str(failure)
+    return True
+
+
+@pytest.mark.parametrize(
+    "model",
+    [m for n, m in model_cases() if n != "terminal"],
+    ids=[n for n, _ in model_cases() if n != "terminal"],
+)
+def test_stacked_forward_step_raises_what_the_first_failing_node_raises(model):
+    # Rows 2 and 4 of six poisoned (a NaN control, or a NaN velocity on a
+    # node without controls, then an overflowing one), which fails at row 2;
+    # and row 3 alone overflowing, whose inputs are finite, so only a test
+    # of the results can find it (where the node's calc does).
+    rng = np.random.default_rng(70)
+    for rows in (((2, np.nan), (4, 1e308)), ((3, 1e308),)):
+        X, U = random_points(model, 6, rng)
+        for row, value in rows:
+            if model.nu:
+                U[row] = value
+            else:
+                X[row, -1] = value
+        failed = assert_stacked_step_fails_as_the_node_steps(model, X, U)
+        assert failed or len(rows) == 1
+
+
+def test_stacked_forward_step_tests_the_rank_of_the_constraints():
+    # Two tip rows: on the pendulum's one degree of freedom the operational-
+    # space inertia is singular and its Cholesky fails; on the double
+    # pendulum stretched to an elbow angle of 1e-6 it factors, with a pivot
+    # of 1.8e-12, below RANK_PIVOT_TOL. Either way the contact and impulse
+    # nodes' stacked steps raise the node's rank failure.
+    for system, reference, X in (
+        (Pendulum(), [0.0, -1.0], [[0.1, 0.2]]),
+        (DoublePendulum(), [0.3, -1.8], [[0.2, 0.8, 0.0, 0.0], [0.4, 1e-6, 0.1, -0.2]]),
+    ):
+        pinned_tip = ContactSet((Contact("tip", reference, alpha=50.0, beta=10.0),))
+        X = np.array(X)
+        for model in (
+            IntegratedActionModel(ConstrainedMechanicalDynamics(system, pinned_tip), dt=0.01),
+            ImpulseActionModel(system, pinned_tip, 0.0),
+        ):
+            U = np.ones((len(X), model.nu))
+            with pytest.raises(RankDeficientConstraint):
+                model.calc(model.create_data(), X[-1], U[-1])
+            assert assert_stacked_step_fails_as_the_node_steps(model, X, U)
+
+
+class IndefinitePointMass(PointMass):
+    """A point mass whose mass matrix has a negative entry: finite, and
+    solvable by LU, but no Cholesky factor exists. Its height row still
+    gives a positive operational-space inertia."""
+
+    def mass_matrix(self, q):
+        return np.diag([-1.0, 1.0])
+
+
+def test_stacked_forward_step_tests_the_inertia_factorization():
+    # The node solves factor M by Cholesky and fail on an indefinite one; the
+    # batched LU solve would not, so the stacked step tests M itself.
+    system = IndefinitePointMass(dim=2)
+    height = ContactSet((Contact("height", [0.0], alpha=50.0, beta=10.0),))
+    X, U = np.zeros((3, 4)), np.ones((3, 2))
+    for model in (
+        integrated(system, 0.01),
+        IntegratedActionModel(ConstrainedMechanicalDynamics(system, height), dt=0.01),
+        ImpulseActionModel(system, height, 0.0),
+    ):
+        assert assert_stacked_step_fails_as_the_node_steps(model, X, U[:, : model.nu])
+
+
+def test_node_rows_are_views_of_the_stack():
+    # calc writes its forward step and solution into the node's row of the
+    # stack, where calc_diff and the gaps read them; rebinding either raises.
+    model = IntegratedActionModel(
+        ConstrainedMechanicalDynamics(PlanarMonoped(), ContactSet((Contact("foot", [0.0, 0.0]),))),
+        dt=0.02,
+    )
+    stack = model.create_stack(3)
+    x = np.concatenate([np.array([0.0, 0.6, 0.1, 0.4, -0.8]), np.zeros(5)])
+    model.calc(stack.nodes[1], x, np.array([0.5, -0.5]))
+    data = model.create_data()
+    model.calc(data, x, np.array([0.5, -0.5]))
+    np.testing.assert_array_equal(stack.xnext[1], data.xnext)
+    for part, alone in zip(stack.dyn, data.dyn):
+        np.testing.assert_array_equal(part[1], alone)
+    assert not stack.xnext[[0, 2]].any()
+    for name in ("xnext", "dyn"):
+        with pytest.raises(AttributeError):
+            setattr(stack.nodes[1], name, getattr(data, name))
+
+
+# ---------------------------------------------------------------------------
 # cost terms
 # ---------------------------------------------------------------------------
 
@@ -610,6 +785,42 @@ def test_quasi_static_control_on_control_free_node_is_empty():
     model = TerminalActionModel(Pendulum().state)
     U, norms = quasi_static_control(model, [[0.1, 0.0]])
     assert U.shape == (1, 0) and norms.shape == (1,)
+
+
+# The angles of each bundled system with controls: a NaN there reaches the
+# accelerations at rest of every node kind (a base position reaches only the
+# contact nodes).
+ANGLES = {"monoped_hop": (2, 3, 4), "pendulum_swingup": (0,)}
+
+
+@pytest.mark.parametrize("name", sorted(ANGLES))
+def test_quasi_static_control_raises_what_acceleration_raises_on_a_bad_row(name):
+    # A seeded row of each group with controls gets a NaN in a seeded angle
+    # and, on contact groups, an overflowing base position: the group's one
+    # batched forward step replays its rows and raises exactly what the
+    # row's own acceleration at rest raises.
+    scenario = load_scenario(bundled_scenario_path(name))
+    problem = build_problem(scenario)
+    X_warm = np.array(build_warm_start(scenario, problem)[0])
+    rng = np.random.default_rng(71)
+    for model, nodes in problem.groups:
+        if model.nu == 0:
+            continue
+        system = model.dynamics.system
+        bad = [(int(rng.choice(ANGLES[name])), np.nan)]
+        if isinstance(model.dynamics, ConstrainedMechanicalDynamics):
+            bad.append((0, 1e308))
+        for coordinate, value in bad:
+            X = X_warm[nodes]
+            row = int(rng.integers(len(nodes)))
+            X[row, coordinate] = value
+            at_rest = np.concatenate([X[row, : system.nq], np.zeros(system.nv)])
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(FddpError) as node_failure:
+                    model.dynamics.acceleration(at_rest, np.zeros(model.nu), model.create_data())
+                with pytest.raises(type(node_failure.value)) as group_failure:
+                    quasi_static_control(model, X)
+            assert str(group_failure.value) == str(node_failure.value)
 
 
 def test_quasi_static_failure_on_unsupported_base():

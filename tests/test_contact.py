@@ -10,14 +10,12 @@ frozen small-system examples and the physical invariants of impacts. The
 solves sit below the validation boundary, so every input here is an ndarray.
 """
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 
 from fddp import numdiff
-from fddp.action import ConstrainedMechanicalDynamics, ImpulseActionModel
+from fddp.action import ConstrainedMechanicalDynamics, ImpulseActionModel, IntegratedActionModel
 from fddp.contact import (
     RANK_PIVOT_TOL,
     Contact,
@@ -396,22 +394,22 @@ def test_monoped_stance_partials_match_finite_differences():
     system = PlanarMonoped()
     contacts = ContactSet((Contact("foot", [0.0, 0.0], alpha=100.0, beta=20.0),))
     dyn = ConstrainedMechanicalDynamics(system, contacts)
+    model = IntegratedActionModel(dyn, dt=0.01)
     rng = np.random.default_rng(54)
     for _ in range(5):
         x = np.concatenate(
             [rng.uniform(-0.5, 0.5, 2), rng.uniform(-0.4, 0.4, 3), rng.uniform(-1, 1, 5)]
         )
         u = rng.uniform(-2.0, 2.0, 2)
-        data = SimpleNamespace()
-        dyn.acceleration(x, u, data)
-        stack = SimpleNamespace(nodes=[data])
+        stack = model.create_stack(1)
+        dyn.acceleration(x, u, stack.nodes[0])
         a_q, a_v, a_u = (block[0] for block in dyn.partials(stack, x[None], u[None]))
 
         def accel_of_x(xv):
-            return dyn.acceleration(xv, u, SimpleNamespace())
+            return dyn.acceleration(xv, u, model.create_data())
 
         def accel_of_u(uv):
-            return dyn.acceleration(x, uv, SimpleNamespace())
+            return dyn.acceleration(x, uv, model.create_data())
 
         fd_x = numdiff.jacobian(accel_of_x, x, input_manifold=system.state)
         fd_u = numdiff.jacobian(accel_of_u, u)

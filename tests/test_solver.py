@@ -19,7 +19,7 @@ from fddp.action import (
 )
 from fddp.contact import Contact, ContactSet
 from fddp.costs import ControlRegularization, StateRegularization
-from fddp.errors import DimensionMismatch, NotPositiveDefinite, NumericalFailure
+from fddp.errors import DimensionMismatch, FddpError, NotPositiveDefinite, NumericalFailure
 from fddp.problem import ShootingProblem, gap_l2_norm
 from fddp.scenarios import bundled_scenario_path, load_and_build
 from fddp.solver import (
@@ -718,7 +718,7 @@ class BlockedControlModel(ActionModelBase):
     def calc(self, data, x, u):
         if np.any(u != 0.0):
             raise NumericalFailure("control rejected")
-        data.xnext = x.copy()
+        data.xnext[:] = x
         return data
 
     def cost(self, X, U):
@@ -867,6 +867,50 @@ def test_nonfinite_node_evaluation_ends_the_solve_naming_node_and_cause(kind, k,
     with np.errstate(over="ignore", invalid="ignore"):
         _, _, report = solve(problem, X, U, solver="fddp", max_iters=5)
     assert report.termination == f"failure: {cause} (node {k})"
+    assert len(report.rows) == 1
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("value", [np.nan, 1e308], ids=["nan", "overflow"])
+def test_failure_injected_at_a_seeded_node_is_named_with_the_node_cause(seed, value):
+    # Per seed, one contact node, one free node and the impulse node of
+    # monoped_hop and one node of pendulum_swingup, drawn at random, get a
+    # NaN or an overflowing velocity in the state guess. The fddp start ends
+    # naming that node, with what the node's own calc raises there, or, where
+    # calc passes (the damped pendulum steps an overflowing velocity), with
+    # the node's non-finite cost.
+    rng = np.random.default_rng(5000 + seed)
+    for name in ("monoped_hop", "pendulum_swingup"):
+        scenario, problem, X, U = load_and_build(bundled_scenario_path(name))
+        kinds = {}
+        for model, nodes in problem.groups:
+            kinds.setdefault(type(getattr(model, "dynamics", model)).__name__, []).extend(nodes)
+        for kind in sorted(kinds):
+            k = int(rng.choice(kinds[kind]))
+            X_bad = [x.copy() for x in X]
+            X_bad[k][scenario.system.nq :] = value
+            model = problem.running_models[k]
+            with np.errstate(over="ignore", invalid="ignore"):
+                try:
+                    model.calc(model.create_data(), X_bad[k], U[k])
+                    cause = "non-finite total cost"
+                except FddpError as exc:
+                    cause = str(exc)
+                _, _, report = solve(problem, X_bad, U, solver="fddp", max_iters=1)
+            assert report.termination == f"failure: {cause} (node {k})", (name, kind)
+            assert len(report.rows) == 1
+
+
+@pytest.mark.parametrize("k", [0, 7, 199])
+def test_nonfinite_cost_names_the_node_whose_cost_overflows(k):
+    # A control of 1e200 steps finitely on the pendulum but overflows its
+    # node's control cost: the failure names that node, not the terminal one.
+    _, problem, X, U = load_and_build(bundled_scenario_path("pendulum_swingup"))
+    U = [u.copy() for u in U]
+    U[k][:] = 1e200
+    with np.errstate(over="ignore"):
+        _, _, report = solve(problem, X, U, solver="fddp", max_iters=5)
+    assert report.termination == f"failure: non-finite total cost (node {k})"
     assert len(report.rows) == 1
 
 
