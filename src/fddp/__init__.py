@@ -20,7 +20,6 @@ from .action import (
     FreeMechanicalDynamics,
     ImpulseActionModel,
     IntegratedActionModel,
-    LinearFlow,
     TerminalActionModel,
     quasi_static_control,
 )
@@ -100,7 +99,6 @@ __all__ = [
     "FreeMechanicalDynamics",
     "ImpulseActionModel",
     "IntegratedActionModel",
-    "LinearFlow",
     "Manifold",
     "NotPositiveDefinite",
     "NumericalFailure",

@@ -3,9 +3,10 @@
 Three dynamics families are wrapped here: free mechanical systems (acceleration
 from the mass matrix and bias forces), mechanical systems with rigid frame
 constraints (acceleration from a KKT solve, see the contact utilities), and
-explicitly linear first-order flows used as solver oracles. Mechanical models
-are discretized with a semi-implicit (symplectic) Euler step, linear flows with
-an explicit Euler step so their discrete Jacobians are exact.
+explicitly linear first-order flows used as solver oracles (a `LinearDynamics`
+system, taken as it is). Mechanical models are discretized with a
+semi-implicit (symplectic) Euler step, linear flows with an explicit Euler
+step so their discrete Jacobians are exact.
 
 Models are immutable after construction; each evaluation writes into a separate
 data container, so one model can serve many nodes.
@@ -23,16 +24,17 @@ inputs and results, the free dynamics M, the torque and the acceleration.
 `calc_stack(stack, X, U)` does the same for the n nodes of a stack in one
 batched pass: `forward_terms` broadcast over the node axis, then one batched
 solve of the stacked mass matrices (free nodes), one checked batched
-elimination (`contact._kkt_solve_checked`, contact and impulse nodes) or a
-broadcast (linear flows, the terminal node). It makes the node's tests on
-the whole stack, and where a node would fail one (a non-finite value, a
-failed Cholesky, a low rank pivot) it replays the nodes in order through
-`calc`, so the first failing node raises what `calc` raises. Its results
-agree with `calc` to rounding, not to the bit (a batched LU solve against
-the node's Cholesky solve), so the shooting problem's evaluations, which
-must reproduce a node-by-node rollout exactly, keep sweeping with `calc`;
-the quasi-static warm start (through `acceleration_stack`) and the
-derivative audit use the stacked call.
+elimination (contact and impulse nodes, whose solutions one helper writes
+into `dyn`) or a broadcast (linear flows, the terminal node). It makes the
+node's tests on the whole stack. Where a node would fail one (a non-finite
+value, a failed Cholesky, a low rank pivot), `acceleration_stack` returns
+None and leaves `dyn` untouched, and the model replays its nodes in order
+through `calc` (`ActionModelBase._replay`, the one replay), so the first
+failing node raises what `calc` raises. Its results agree with `calc` to
+rounding, not to the bit (a batched LU solve against the node's Cholesky
+solve), so the shooting problem's evaluations, which must reproduce a
+node-by-node rollout exactly, keep sweeping with `calc`; the quasi-static
+warm start and the derivative audit use the stacked call.
 `cost(X, U)` returns the costs (n,) of n nodes at X (n, nx), U (n, nu), in
 one stacked pass over the cost terms' residuals; no node's `calc` computes
 its cost. `calc_diff(stack, X, U)` evaluates the derivatives of all n nodes
@@ -174,18 +176,12 @@ class DifferentialDynamics:
         """One node's acceleration (nv,) at x, u; its solution goes to data.dyn."""
         raise NotImplementedError
 
-    def acceleration_stack(self, stack: ActionDataStack, X, U) -> np.ndarray:
+    def acceleration_stack(self, stack: ActionDataStack, X, U):
         """The accelerations (n, nv) of the n nodes of `stack` at X, U, from
-        one batched solve; the solutions go to stack.dyn. Where a node's
-        solve would fail, the nodes are replayed in order through
-        `acceleration`, and the first failing one raises."""
+        one batched solve; the solutions go to stack.dyn. None, with
+        stack.dyn untouched, where any node's solve would fail: a batched
+        solve cannot say which node, so the model replays them."""
         raise NotImplementedError
-
-    def _replay(self, stack, X, U) -> np.ndarray:
-        """acceleration_stack node by node, for a stack with a failing node."""
-        for data, x, u in zip(stack.nodes, X, U):
-            self.acceleration(x, u, data)
-        return stack.dyn[0]
 
     def partials(self, stack: ActionDataStack, X, U):
         """Stacked tangent-space partials (a_q, a_v, a_u), each (n, nv, ·), of
@@ -233,7 +229,7 @@ class FreeMechanicalDynamics(DifferentialDynamics):
             except np.linalg.LinAlgError:
                 pass
         if vdot is None or not _stack_finite(vdot):
-            return self._replay(stack, X, U)
+            return None
         stack.dyn[0][:] = vdot
         return stack.dyn[0]
 
@@ -288,13 +284,7 @@ class ConstrainedMechanicalDynamics(DifferentialDynamics):
             M, bias, placement, Jc, drift = sys.forward_terms(q, v, self.contacts.frames)
             a0 = baumgarte_a0(self.contacts, placement, (Jc @ v[..., None])[..., 0], drift)
             tau_b = U @ sys.actuation().T - bias
-        solution = _kkt_solve_checked(_per_node(M, len(X)), Jc, tau_b[..., None], -a0[..., None])
-        if solution is None:
-            return self._replay(stack, X, U)
-        vdot, force = stack.dyn
-        vdot[:] = solution[0][..., 0]
-        np.negative(solution[1][..., 0], out=force)
-        return vdot
+        return _solve_saddle_point_into(stack, M, Jc, tau_b[..., None], -a0[..., None])
 
     def partials(self, stack, X, U):
         # Total derivatives of the two KKT rows at the solution, holding
@@ -345,24 +335,17 @@ def _per_node(matrix, n: int) -> np.ndarray:
     return np.broadcast_to(matrix, (n,) + matrix.shape[-2:])
 
 
-class LinearFlow:
-    """First-order flow xdot = A x + B u + c on a vector-space state."""
-
-    def __init__(self, linear: LinearDynamics):
-        self.linear = linear
-        self.state = linear.state
-        self.nu = linear.nu
-
-    def flow(self, x, u):
-        return self.linear.flow(x, u)
-
-    def flow_stack(self, X, U):
-        """The flows (n, nx) of n nodes at X (n, nx), U (n, nu)."""
-        linear = self.linear
-        return X @ linear.A.T + U @ linear.B.T + linear.c
-
-    def partials(self):
-        return self.linear.A, self.linear.B
+def _solve_saddle_point_into(stack: ActionDataStack, M, Jc, b1, b2):
+    """The checked saddle-point solve (`_kkt_solve_checked`) of the stack's
+    nodes, its (w, -z) written into stack.dyn; returns stack.dyn[0], or None,
+    with stack.dyn untouched, where any node's solve would fail."""
+    solution = _kkt_solve_checked(_per_node(M, len(stack.xnext)), Jc, b1, b2)
+    if solution is None:
+        return None
+    w, minus_z = stack.dyn
+    w[:] = solution[0][..., 0]
+    np.negative(solution[1][..., 0], out=minus_z)
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -464,11 +447,10 @@ class IntegratedActionModel(ActionModelBase):
         self.dynamics = dynamics
         self.dt = float(dt)
         self.cost_scale = self.dt
-        self.first_order = isinstance(dynamics, LinearFlow)
+        self.first_order = isinstance(dynamics, LinearDynamics)
         if self.first_order:
-            A, B = dynamics.partials()
-            self._f_x = np.eye(self.ndx) + self.dt * A
-            self._f_u = self.dt * B
+            self._f_x = np.eye(self.ndx) + self.dt * dynamics.A
+            self._f_u = self.dt * dynamics.B
         else:
             self.dyn_sizes = dynamics.dyn_sizes
             nv = dynamics.system.nv
@@ -499,9 +481,11 @@ class IntegratedActionModel(ActionModelBase):
                 return self._replay(stack, X, U)
             np.add(X, self.dt * xdot, out=xnext)
         else:
+            vdot = self.dynamics.acceleration_stack(stack, X, U)
+            if vdot is None:
+                return self._replay(stack, X, U)
             sys = self.dynamics.system
             nq = sys.nq
-            vdot = self.dynamics.acceleration_stack(stack, X, U)
             v_next = np.add(X[:, nq:], self.dt * vdot, out=xnext[:, nq:])
             xnext[:, :nq] = sys.config.integrate(X[:, :nq], self.dt * v_next)
         return stack
@@ -592,20 +576,18 @@ class ImpulseActionModel(ActionModelBase):
         return data
 
     def calc_stack(self, stack, X, U):
-        # The velocity jump dv = v_plus - v is the saddle point with b1 = 0
-        # and b2 = -(1 + e) Jc v, and z = -impulse.
+        # The velocity jump w = v_plus - v is the saddle point with b1 = 0
+        # and b2 = -(1 + e) Jc v, and z = -impulse; v is added to w in place.
         sys = self.system
         n, nq = len(X), sys.nq
         q, v = X[:, :nq], X[:, nq:]
         with np.errstate(all="ignore"):
             M, _, _, Jc, _ = sys.forward_terms(q, v, self.contacts.frames)
             closing = -(1.0 + self.restitution) * (Jc @ v[..., None])
-        solution = _kkt_solve_checked(_per_node(M, n), Jc, np.zeros((n, sys.nv, 1)), closing)
-        if solution is None:
+        v_plus = _solve_saddle_point_into(stack, M, Jc, np.zeros((n, sys.nv, 1)), closing)
+        if v_plus is None:
             return self._replay(stack, X, U)
-        v_plus, impulse = stack.dyn
-        np.add(v, solution[0][..., 0], out=v_plus)
-        np.negative(solution[1][..., 0], out=impulse)
+        v_plus += v
         stack.xnext[:, :nq] = q
         stack.xnext[:, nq:] = v_plus
         return stack
@@ -651,12 +633,13 @@ def quasi_static_control(model, X):
     still, and the residual norms (n,) those controls leave.
 
     The residual is the acceleration at (q, v = 0) (the flow at x for a
-    first-order model), affine in u: r0 + A u, with r0 from one batched
-    `acceleration_stack` call at u = 0 (`flow_stack`) and A the group's a_u
-    from one stacked `partials` call (the flow's B). A node whose forward
-    step fails raises what `acceleration` raises on it. One exact Gauss-Newton step,
-    u = -(A^T A + 1e-10 I)^-1 A^T r0, solved for all nodes at once, gives its
-    least-squares minimum. A node keeps u where ||r0 + A u|| is within
+    first-order model), affine in u: r0 + A u, with r0 the solution that
+    the model's one batched `calc_stack` at u = 0 leaves in `dyn[0]` (a
+    flow's `flow_stack`) and A the group's a_u from one stacked `partials`
+    call (the flow's B). A node whose forward step fails raises what `calc`
+    raises on it. One exact Gauss-Newton step,
+    u = -(A^T A + 1e-10 I)^-1 A^T r0, solved for all nodes at once, gives
+    its least-squares minimum. A node keeps u where ||r0 + A u|| is within
     QUASI_STATIC_TOL, and zero control where it is not (no torque holds a
     free-flying base against gravity) or where ||r0|| already is.
     """
@@ -667,12 +650,12 @@ def quasi_static_control(model, X):
     U0 = np.zeros((n, model.nu))
     if model.first_order:
         r0 = model.dynamics.flow_stack(X, U0)
-        A = model.dynamics.partials()[1]
+        A = model.dynamics.B
     else:
         sys = model.dynamics.system
         X = np.concatenate([X[:, : sys.nq], np.zeros((n, sys.nv))], 1)
-        stack = model.create_stack(n)
-        r0 = model.dynamics.acceleration_stack(stack, X, U0)
+        stack = model.calc_stack(model.create_stack(n), X, U0)
+        r0 = stack.dyn[0]
         A = model.dynamics.partials(stack, X, U0)[2]
     At = np.swapaxes(A, -1, -2)
     u = -np.linalg.solve(At @ A + _QUASI_STATIC_DAMPING * np.eye(model.nu), At @ r0[..., None])

@@ -204,7 +204,7 @@ def _unique_models(problem):
     ] + [(f"terminal ({type(terminal).__name__})", terminal)]
 
 
-def check_problem_derivatives(problem, samples: int = 100, seed: int = 0, corrupt=None):
+def check_problem_derivatives(problem, samples: int = 100, seed: int = 0):
     """Compare analytic derivative blocks against central finite differences.
 
     Draws `samples` random state/control points per distinct node model
@@ -213,10 +213,6 @@ def check_problem_derivatives(problem, samples: int = 100, seed: int = 0, corrup
     them in one `calc_stack` and one `calc_diff`, and compares each
     against a finite-difference evaluation with step `numdiff.STEP` (1e-6).
     The error metric per block is max|analytic - fd| / max(1, max|fd|).
-
-    `corrupt`, when given, is called as corrupt(label, block, matrix) on every
-    analytic block and its return value is compared instead; it exists so
-    tests can prove a broken derivative is caught.
 
     Returns a list of (label, block, max_relative_error) triples, one per
     derivative block of each distinct model.
@@ -257,8 +253,6 @@ def check_problem_derivatives(problem, samples: int = 100, seed: int = 0, corrup
                 fd_lu = numdiff.gradient(lambda uv: cost_of(x, uv), u)
                 blocks += [("f_u", data.f_u, fd_fu), ("l_u", data.l_u, fd_lu)]
             for name, analytic, fd in blocks:
-                if corrupt is not None:
-                    analytic = corrupt(label, name, analytic)
                 denom = max(1.0, float(np.max(np.abs(fd))) if fd.size else 0.0)
                 err = float(np.max(np.abs(analytic - fd))) / denom if fd.size else 0.0
                 errors[name] = max(errors[name], err)

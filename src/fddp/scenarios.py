@@ -27,7 +27,6 @@ from .action import (
     FreeMechanicalDynamics,
     ImpulseActionModel,
     IntegratedActionModel,
-    LinearFlow,
     TerminalActionModel,
     quasi_static_control,
 )
@@ -535,7 +534,7 @@ def build_problem(scenario: Scenario) -> ShootingProblem:
     models: list[ActionModelBase] = []
     for phase in scenario.phases:
         if isinstance(system, LinearDynamics):
-            dynamics = LinearFlow(system)
+            dynamics = system
         elif phase.contacts is None:
             dynamics = FreeMechanicalDynamics(system)
         else:
@@ -575,14 +574,15 @@ def build_warm_start(scenario: Scenario, problem: ShootingProblem):
     measured state to the terminal regularization target; controls hold each
     interpolated state still where that is possible, from one
     `quasi_static_control` call per group, which takes the group's
-    accelerations at rest from one batched forward step
-    (`acceleration_stack`) and their control Jacobians from one stacked
-    `partials` call, with no loop over the nodes. A node whose state no
-    control holds still falls back to zero control. That is not only a
-    flight node: on monoped_hop every node with controls but node 0 falls
-    back, the stance nodes too, so its warm start is close to a zero-control
-    start.
-    file: a JSON document with explicit X and U lists.
+    accelerations at rest from the model's one batched forward step
+    (`calc_stack`) and their control Jacobians from one stacked `partials`
+    call, with no loop over the nodes. A node whose state no control holds
+    still falls back to zero control. That is not only a flight node: on
+    monoped_hop every node with controls but node 0 falls back, the stance
+    nodes too, so its warm start is close to a zero-control start.
+    file: a JSON document with explicit X and U lists of the problem's
+    shapes and finite entries; a fault names the first bad X[k] or U[k] at
+    warm_start.path.
     """
     policy = scenario.warm_start.get("policy", "zeros")
     M = problem.N
@@ -617,9 +617,18 @@ def build_warm_start(scenario: Scenario, problem: ShootingProblem):
                 location="warm_start.path",
             )
         try:
-            return problem.check_trajectories(X, U)
+            X, U = problem.check_trajectories(X, U)
         except DimensionMismatch as exc:
             raise ScenarioError(str(exc), location="warm_start.path") from exc
+        # JSON reads NaN, Infinity and an overflowing 1e999 as floats.
+        for name, entries in (("X", X), ("U", U)):
+            for k, entry in enumerate(entries):
+                if not np.isfinite(entry).all():
+                    raise ScenarioError(
+                        f"{name}[{k}]: entries must be finite, got {entry.tolist()}",
+                        location="warm_start.path",
+                    )
+        return X, U
 
     state = problem.state
     direction = state.difference(problem.x0_measured, _interpolation_target(problem))

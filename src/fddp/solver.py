@@ -337,8 +337,8 @@ def solve(
     """
     if solver not in ("ddp", "fddp"):
         raise DimensionMismatch(f"unknown solver {solver!r}, expected 'ddp' or 'fddp'")
-    if max_iters < 0:
-        raise DimensionMismatch(f"max_iters must be >= 0, got {max_iters}")
+    if not isinstance(max_iters, (int, np.integer)) or isinstance(max_iters, bool) or max_iters < 0:
+        raise DimensionMismatch(f"max_iters must be an integer >= 0, got {max_iters!r}")
     if not 0.0 < tolerance < np.inf:  # also false for NaN
         raise DimensionMismatch(f"tolerance must be finite and > 0, got {tolerance}")
 

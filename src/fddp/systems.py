@@ -188,6 +188,10 @@ class LinearDynamics:
     def flow(self, x, u) -> np.ndarray:
         return self.A @ x + self.B @ u + self.c
 
+    def flow_stack(self, X, U) -> np.ndarray:
+        """The flows (n, nx) of n nodes at X (n, nx), U (n, nu)."""
+        return X @ self.A.T + U @ self.B.T + self.c
+
 
 class DoubleIntegrator(MechanicalSystem):
     """n independent unit masses, direct force control, no gravity."""

@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from fddp.action import IntegratedActionModel, LinearFlow, TerminalActionModel
+from fddp.action import IntegratedActionModel, TerminalActionModel
 from fddp.cli import check_problem_derivatives, main as cli_main
 from fddp.contact import impulse_dynamics
 from fddp.costs import ControlRegularization, StateRegularization
@@ -52,7 +52,7 @@ def chain_problem(n, seed=0):
     st = dyn.state
     running = [
         IntegratedActionModel(
-            LinearFlow(dyn),
+            dyn,
             (
                 StateRegularization(st, np.zeros(6), 2.0, 3),
                 ControlRegularization(3, 0.1, 6),

@@ -12,10 +12,10 @@ import pytest
 from fddp import numdiff
 from fddp.action import (
     ConstrainedMechanicalDynamics,
+    DifferentialDynamics,
     FreeMechanicalDynamics,
     ImpulseActionModel,
     IntegratedActionModel,
-    LinearFlow,
     TerminalActionModel,
     quasi_static_control,
 )
@@ -124,7 +124,7 @@ def test_pendulum_step_matches_reimplementation():
 def test_linear_flow_jacobians_are_exact():
     dyn = lqr_chain_dynamics()
     dt = 0.05
-    model = IntegratedActionModel(LinearFlow(dyn), dt=dt)
+    model = IntegratedActionModel(dyn, dt=dt)
     stack, data = one_node(model)
     rng = np.random.default_rng(61)
     x, u = rng.standard_normal(6), rng.standard_normal(3)
@@ -214,7 +214,7 @@ def model_cases():
         (
             "lqr_chain",
             IntegratedActionModel(
-                LinearFlow(chain), costs=default_costs(chain.state, chain.nu), dt=0.05
+                chain, costs=default_costs(chain.state, chain.nu), dt=0.05
             ),
         )
     )
@@ -517,7 +517,9 @@ def test_stacked_forward_step_matches_the_node_steps_on_every_bundled_group(name
 def assert_stacked_step_fails_as_the_node_steps(model, X, U):
     # The batched step cannot say which row failed, so it replays the rows
     # in order: it raises what calc raises on the first failing row, and
-    # passes where every row passes. Returns whether a row failed.
+    # passes where every row passes. Where a row fails, a mechanical
+    # model's acceleration_stack returns None and leaves the stack's
+    # solutions byte for byte as they were. Returns whether a row failed.
     failure = None
     with np.errstate(over="ignore", invalid="ignore"):
         for x, u in zip(X, U):
@@ -531,6 +533,13 @@ def assert_stacked_step_fails_as_the_node_steps(model, X, U):
             return False
         with pytest.raises(type(failure)) as stacked_failure:
             model.calc_stack(model.create_stack(len(X)), X, U)
+        if isinstance(getattr(model, "dynamics", None), DifferentialDynamics):
+            stack = model.create_stack(len(X))
+            for part in stack.dyn:
+                part[:] = np.random.default_rng(72).standard_normal(part.shape)
+            before = [part.tobytes() for part in stack.dyn]
+            assert model.dynamics.acceleration_stack(stack, X, U) is None
+            assert [part.tobytes() for part in stack.dyn] == before
     assert str(stacked_failure.value) == str(failure)
     return True
 
@@ -774,7 +783,7 @@ def test_quasi_static_control_examples():
     )
     # A first-order flow is held where A x + B u + c = 0: u = -B^-1 (A x + c).
     A, B, c = np.array([[0.0, 1.0], [-2.0, 0.5]]), np.array([[1.0, 0.0], [0.0, 2.0]]), np.ones(2)
-    flow_model = IntegratedActionModel(LinearFlow(LinearDynamics(A, B, c)), dt=0.1)
+    flow_model = IntegratedActionModel(LinearDynamics(A, B, c), dt=0.1)
     x = np.array([0.4, -0.3])
     U, norms = quasi_static_control(flow_model, [x])
     np.testing.assert_allclose(U[0], -np.linalg.solve(B, A @ x + c), atol=1e-9)
@@ -876,7 +885,7 @@ def test_linear_problem_gaps_match_dense_evaluation():
     dyn = lqr_chain_dynamics()
     dt = 0.05
     running = [
-        IntegratedActionModel(LinearFlow(dyn), default_costs(dyn.state, 3), dt)
+        IntegratedActionModel(dyn, default_costs(dyn.state, 3), dt)
         for _ in range(8)
     ]
     x0 = np.arange(6.0) / 10.0
@@ -895,7 +904,7 @@ def test_linear_problem_gaps_match_dense_evaluation():
 def test_rollout_failure_reports_the_node():
     # The additive drift is near the floating-point ceiling, so the second
     # step overflows: the failure must name node 1.
-    big = LinearFlow(LinearDynamics([[40.0]], [[0.0]], c=[1.0e308]))
+    big = LinearDynamics([[40.0]], [[0.0]], c=[1.0e308])
     running = [IntegratedActionModel(big, dt=0.05) for _ in range(4)]
     problem = ShootingProblem(
         np.array([0.0]), running, TerminalActionModel(big.state)

@@ -596,10 +596,21 @@ def test_file_warm_start_entries_are_checked(tmp_path, capsys):
         ),
         ({"X": X[:1] + [[0.0, "a"]] + X[2:], "U": U}, r"X\[1\]: could not convert"),
         ({"X": X, "U": U[:2] + [[0.0, 1.0]] + U[3:]}, r"U\[2\]: control must have shape \(1,\)"),
+        # JSON's NaN and Infinity literals, and 1e999, which reads as inf.
+        (
+            {"X": X[:7] + [[np.nan, 0.0]] + X[8:], "U": U[:3] + [[np.inf]] + U[4:]},
+            r"X\[7\]: entries must be finite, got \[nan, 0\.0\]",
+        ),
+        ({"X": X, "U": U[:3] + [[-np.inf]] + U[4:]}, r"U\[3\]: entries must be finite"),
+        (
+            json.dumps({"X": X, "U": U}).replace("[0.0]]", "[1e999]]"),
+            r"U\[9\]: entries must be finite, got \[inf\]",
+        ),
     ]
     path = write_doc(tmp_path, pendulum_doc(warm_start={"policy": "file", "path": "guess.json"}))
     for payload, message in cases:
-        (tmp_path / "guess.json").write_text(json.dumps(payload))
+        text = payload if isinstance(payload, str) else json.dumps(payload)
+        (tmp_path / "guess.json").write_text(text)
         scenario = load_scenario(path)
         with pytest.raises(ScenarioError, match=message):
             build_warm_start(scenario, build_problem(scenario))
@@ -866,16 +877,19 @@ def test_check_derivatives_is_exact_on_linear_dynamics(capsys):
             assert err <= 1e-9, (label, block, err)
 
 
-def test_corrupted_derivative_is_caught():
+def test_corrupted_derivative_is_caught(monkeypatch):
     scenario = load_scenario(bundled_scenario_path("pendulum_swingup"))
     problem = build_problem(scenario)
+    model = problem.running_models[0]
+    calc_diff = model.calc_diff
 
-    def corrupt(label, block, matrix):
-        if block == "f_u" and label.startswith("node 0"):
-            return matrix + 1.0
-        return matrix
+    def corrupted_calc_diff(stack, X, U):
+        calc_diff(stack, X, U)
+        stack.f_u[:] += 1.0
+        return stack
 
-    results = check_problem_derivatives(problem, samples=3, seed=0, corrupt=corrupt)
+    monkeypatch.setattr(model, "calc_diff", corrupted_calc_diff)
+    results = check_problem_derivatives(problem, samples=3, seed=0)
     by_block = {(label, block): err for label, block, err in results}
     bad = [err for (label, block), err in by_block.items() if block == "f_u"]
     assert max(bad) > 1e-4
@@ -884,7 +898,7 @@ def test_corrupted_derivative_is_caught():
 
 
 def test_check_derivatives_cli_reports_failures(monkeypatch, capsys):
-    def fake_check(problem, samples=100, seed=0, corrupt=None):
+    def fake_check(problem, samples=100, seed=0):
         return [("node 0 (IntegratedActionModel)", "f_u", 0.5)]
 
     monkeypatch.setattr(cli, "check_problem_derivatives", fake_check)

@@ -14,7 +14,6 @@ from fddp.action import (
     ConstrainedMechanicalDynamics,
     FreeMechanicalDynamics,
     IntegratedActionModel,
-    LinearFlow,
     TerminalActionModel,
 )
 from fddp.contact import Contact, ContactSet
@@ -42,7 +41,7 @@ def lqr_problem(n=12, seed=0, dt=0.05):
     st = dyn.state
     running = [
         IntegratedActionModel(
-            LinearFlow(dyn),
+            dyn,
             (
                 StateRegularization(st, np.zeros(6), 2.0, 3),
                 ControlRegularization(3, 0.1, 6),
@@ -127,7 +126,7 @@ def test_one_node_backward_pass_matches_raw_numpy_recursion():
     dyn = LinearDynamics(a, b)
     wx, wu, wt = 2.0, 0.5, 30.0
     running = IntegratedActionModel(
-        LinearFlow(dyn),
+        dyn,
         (
             StateRegularization(dyn.state, np.zeros(2), wx, 1),
             ControlRegularization(1, wu, 2),
@@ -439,7 +438,7 @@ def random_chain_problem(rng):
     st, nx = chain.state, 2 * masses
     dt = rng.uniform(0.02, 0.1)
     driven = IntegratedActionModel(
-        LinearFlow(chain),
+        chain,
         (
             StateRegularization(st, rng.standard_normal(nx), rng.uniform(0.5, 3.0), masses),
             ControlRegularization(masses, rng.uniform(0.05, 0.5), nx),
@@ -447,7 +446,7 @@ def random_chain_problem(rng):
         dt,
     )
     coast = IntegratedActionModel(
-        LinearFlow(LinearDynamics(chain.A, np.zeros((nx, 0)))),
+        LinearDynamics(chain.A, np.zeros((nx, 0))),
         (StateRegularization(st, rng.standard_normal(nx), rng.uniform(0.5, 3.0), 0),),
         dt,
     )
@@ -540,7 +539,7 @@ def test_kkt_direction_matches_hand_assembled_system():
     wx, wu, wt = 3.0, 0.5, 10.0
     dyn = LinearDynamics([[a]], [[b]])
     running = IntegratedActionModel(
-        LinearFlow(dyn),
+        dyn,
         (
             StateRegularization(dyn.state, [0.0], wx, 1),
             ControlRegularization(1, wu, 1),
@@ -585,7 +584,7 @@ def test_kkt_singularity_is_reported():
     # No costs at all: the Hessian block is zero and the saddle-point system
     # loses rank.
     dyn = LinearDynamics([[0.0]], [[1.0]])
-    running = IntegratedActionModel(LinearFlow(dyn), (), 0.1)
+    running = IntegratedActionModel(dyn, (), 0.1)
     problem = ShootingProblem(
         np.array([1.0]), [running], TerminalActionModel(dyn.state)
     )
@@ -641,8 +640,9 @@ def test_solve_validates_options():
     problem, _ = lqr_problem(n=4, seed=16)
     with pytest.raises(DimensionMismatch, match="unknown solver"):
         solve(problem, solver="newton")
-    with pytest.raises(DimensionMismatch):
-        solve(problem, max_iters=-1)
+    for value in (-1, 2.5, "3"):
+        with pytest.raises(DimensionMismatch, match="max_iters must be an integer >= 0"):
+            solve(problem, max_iters=value)
 
 
 @pytest.mark.parametrize("value", [-1.0, 0.0, np.nan, np.inf])
