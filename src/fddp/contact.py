@@ -57,9 +57,9 @@ class Contact:
 
     Placements of the planar toy systems are plain translation vectors, so the
     reference mismatch term is vector subtraction (no rotational placement part).
-    The reference is a read-only copy, and contacts compare and hash by
-    (frame, reference values, alpha, beta), so contact sets can be compared
-    and used as keys.
+    The reference is a read-only copy. Contacts compare by identity: the
+    generated value equality would compare the reference array, which
+    numpy does not reduce to one truth value.
     """
 
     frame: str
@@ -77,17 +77,6 @@ class Contact:
     @property
     def nf(self) -> int:
         return self.reference.size
-
-    def _key(self):
-        return (self.frame, tuple(self.reference.tolist()), self.alpha, self.beta)
-
-    def __eq__(self, other):
-        if not isinstance(other, Contact):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:

@@ -88,10 +88,6 @@ class Manifold:
     def difference(self, x0, x1, out=None) -> np.ndarray:
         return self._wrapped(np.subtract(x1, x0, out=out))
 
-    def normalize(self, x) -> np.ndarray:
-        """Map coordinates to their normal form (wrapped angles)."""
-        return self._wrapped(np.array(self.check_point(x)))
-
     # -- sampling (deterministic given the rng state) ----------------------
 
     def random_point(self, rng: np.random.Generator) -> np.ndarray:
@@ -99,9 +95,6 @@ class Manifold:
 
     def random_tangent(self, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
         return scale * rng.standard_normal(self.ndx)
-
-    def zero_tangent(self) -> np.ndarray:
-        return np.zeros(self.ndx)
 
 
 class VectorSpace(Manifold):

@@ -217,7 +217,7 @@ def _entry(where: str, check, *args):
     """check(*args), with a failure re-raised as a DimensionMismatch naming where."""
     try:
         return check(*args)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise DimensionMismatch(f"{where}: {exc}") from exc
 
 

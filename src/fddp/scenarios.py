@@ -227,7 +227,7 @@ def _read_system(data: dict):
         raise ScenarioError(str(exc), location=f"model.params.{exc.name}") from exc
     except DimensionMismatch as exc:
         raise ScenarioError(str(exc), location="model.id") from exc
-    except TypeError as exc:
+    except (TypeError, ValueError, MemoryError) as exc:  # a bad keyword, or a size numpy cannot allocate
         raise ScenarioError(f"bad model params: {exc}", location="model.params") from exc
 
 
@@ -243,7 +243,10 @@ def _read_dts(data: dict, horizon: int) -> list[float]:
             )
         dts = [_number(v, "step size", f"dt[{i}]") for i, v in enumerate(dt_field)]
     else:
-        dts = [_number(dt_field, "step size", "dt")] * horizon
+        try:
+            dts = [_number(dt_field, "step size", "dt")] * horizon
+        except (OverflowError, MemoryError) as exc:
+            raise ScenarioError(f"horizon too large: {exc}", location="horizon") from exc
     if any(not dt > 0 for dt in dts):
         raise ScenarioError("every step size must be > 0", location="dt")
     return dts
@@ -481,11 +484,9 @@ def load_scenario(path) -> Scenario:
     the document by one reader, which names the field path of any fault."""
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        data = json.loads(path.read_text())
+    except (OSError, UnicodeDecodeError, RecursionError) as exc:
         raise ScenarioError(f"cannot read scenario file: {exc}", location=str(path)) from exc
-    try:
-        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"invalid JSON: {exc.msg}", location=f"line {exc.lineno}") from exc
     _object(data, SCENARIO_FIELDS, "scenario document", None)
@@ -595,9 +596,9 @@ def build_warm_start(scenario: Scenario, problem: ShootingProblem):
             raw_path = scenario.path.parent / raw_path
         try:
             payload = json.loads(raw_path.read_text())
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError, RecursionError) as exc:
             raise ScenarioError(
-                f"cannot read warm start: {exc}", location="warm_start.path"
+                f"cannot read warm start {raw_path}: {exc}", location="warm_start.path"
             ) from exc
         except json.JSONDecodeError as exc:
             raise ScenarioError(

@@ -216,55 +216,6 @@ class DoubleIntegrator(MechanicalSystem):
         return np.zeros(q.shape[:-1] + (self.nv, self.nv))
 
 
-class PointMass(DoubleIntegrator):
-    """Point mass with direct force control; gravity pulls the last coordinate.
-
-    Its bias is constant, so it shares the double integrator's zero partials.
-    Frames: "point" (full position) and, for dim >= 2, "height" (last
-    coordinate only, the vertical pin used by the hopper's stance phase).
-    """
-
-    def __init__(self, dim: int = 2, mass: float = 1.0, gravity: float = GRAVITY):
-        super().__init__(dim)
-        self.mass = _parameter("mass", mass)
-        self.gravity = float(gravity)
-        self._mass = _read_only(self.mass * np.eye(self.nv))
-        # Each frame selects coordinates of q; the center of mass is q itself.
-        self._selectors = {"point": self._actuation, "height": self._actuation[-1:]}
-        self.frames = ("point", "height") if self.nv >= 2 else ("point",)
-
-    def bias(self, q, v):
-        h = np.zeros(v.shape)
-        h[..., -1] = self.mass * self.gravity
-        return h
-
-    def _selector(self, frame):
-        if frame not in self.frames:
-            raise DimensionMismatch(f"system has no frame {frame!r}")
-        return self._selectors[frame]
-
-    def frame_placement(self, q, frame):
-        return q @ self._selector(frame).T
-
-    def frame_jacobian(self, q, frame):
-        return self._selector(frame)
-
-    def frame_drift(self, q, v, frame):
-        return np.zeros(q.shape[:-1] + self._selector(frame).shape[:1])
-
-    def frame_partials(self, q, v, w, f, frame):
-        nf, nv = self._selector(frame).shape
-        lead = q.shape[:-1]
-        zero = np.zeros(lead + (nf, nv))
-        return zero, np.zeros(lead + (nv, nv)), zero.copy(), zero.copy()
-
-    def com(self, q):
-        return np.array(q, float)
-
-    def com_jacobian(self, q):
-        return self._actuation
-
-
 class Pendulum(MechanicalSystem):
     """Single planar link, angle measured from the hanging-down position."""
 
@@ -736,7 +687,6 @@ def lqr_chain_dynamics(masses: int = 3, stiffness: float = 4.0, damping: float =
 
 SYSTEM_BUILDERS = {
     "double_integrator": DoubleIntegrator,
-    "point_mass": PointMass,
     "pendulum": Pendulum,
     "double_pendulum": DoublePendulum,
     "planar_monoped": PlanarMonoped,

@@ -42,7 +42,6 @@ from fddp.systems import (
     LinearDynamics,
     Pendulum,
     PlanarMonoped,
-    PointMass,
     lqr_chain_dynamics,
 )
 
@@ -169,8 +168,6 @@ def test_integration_step_must_be_positive():
 def model_cases():
     monoped = PlanarMonoped()
     stance = ContactSet((Contact("foot", [0.0, 0.0], alpha=100.0, beta=20.0),))
-    pinned_point = ContactSet((Contact("height", [0.0], alpha=50.0, beta=10.0),))
-    pm = PointMass(dim=2)
     cases = []
     di = DoubleIntegrator(dim=2)
     cases.append(
@@ -198,14 +195,6 @@ def model_cases():
                 ConstrainedMechanicalDynamics(monoped, stance),
                 costs=(ComTracking(monoped, [0.0, 0.5], 1.0, 10, 2),),
                 dt=0.02,
-            ),
-        )
-    )
-    cases.append(
-        (
-            "pinned_point_mass",
-            IntegratedActionModel(
-                ConstrainedMechanicalDynamics(pm, pinned_point), dt=0.02
             ),
         )
     )
@@ -588,25 +577,35 @@ def test_stacked_forward_step_tests_the_rank_of_the_constraints():
             assert assert_stacked_step_fails_as_the_node_steps(model, X, U)
 
 
-class IndefinitePointMass(PointMass):
-    """A point mass whose mass matrix has a negative entry: finite, and
-    solvable by LU, but no Cholesky factor exists. Its height row still
-    gives a positive operational-space inertia."""
+class IndefiniteMonoped(PlanarMonoped):
+    """A monoped whose mass matrix has M[0, 0] negated: finite, and solvable
+    by LU, but no Cholesky factor exists."""
 
-    def mass_matrix(self, q):
-        return np.diag([-1.0, 1.0])
+    def forward_terms(self, q, v, frames=()):
+        M, *rest = super().forward_terms(q, v, frames)
+        M = M.copy()
+        M[..., 0, 0] *= -1.0
+        return (M, *rest)
 
 
 def test_stacked_forward_step_tests_the_inertia_factorization():
     # The node solves factor M by Cholesky and fail on an indefinite one; the
     # batched LU solve would not, so the stacked step tests M itself.
-    system = IndefinitePointMass(dim=2)
-    height = ContactSet((Contact("height", [0.0], alpha=50.0, beta=10.0),))
-    X, U = np.zeros((3, 4)), np.ones((3, 2))
+    system = IndefiniteMonoped()
+    stance = ContactSet((Contact("foot", [0.0, 0.0]),))
+    x = system.nominal_state()
+    X, U = np.tile(x, (3, 1)), np.ones((3, system.nu))
+    # The premise: M is indefinite but LU solves it, and the foot's rows
+    # still give a positive definite Mhat, so only the M test can fail.
+    M, _, _, Jc, _ = system.forward_terms(x[: system.nq], x[system.nq :], stance.frames)
+    assert np.linalg.eigvalsh(M)[0] < 0.0
+    M_inv_Jt = np.linalg.solve(M, Jc.T)
+    assert np.all(np.isfinite(M_inv_Jt))
+    assert np.linalg.eigvalsh(Jc @ M_inv_Jt)[0] > 0.0
     for model in (
         integrated(system, 0.01),
-        IntegratedActionModel(ConstrainedMechanicalDynamics(system, height), dt=0.01),
-        ImpulseActionModel(system, height, 0.0),
+        IntegratedActionModel(ConstrainedMechanicalDynamics(system, stance), dt=0.01),
+        ImpulseActionModel(system, stance, 0.0),
     ):
         assert assert_stacked_step_fails_as_the_node_steps(model, X, U[:, : model.nu])
 
@@ -773,9 +772,10 @@ def test_quasi_static_control_examples():
     U, norms = quasi_static_control(di_model, [[0.3, -0.2, 0.0, 0.0], [1.0, 2.0, 3.0, 4.0]])
     np.testing.assert_allclose(U, np.zeros((2, 2)), atol=1e-9)
     np.testing.assert_array_equal(norms, [0.0, 0.0])
-    pm_model = integrated(PointMass(dim=1, mass=1.0), 0.05)
-    U, norms = quasi_static_control(pm_model, [[0.5, 0.0], [-1.0, 0.3]])
-    np.testing.assert_allclose(U, [[9.81], [9.81]], atol=1e-6)
+    # The pendulum held level: u = +-m g l.
+    pend_model = integrated(Pendulum(), 0.05)
+    U, norms = quasi_static_control(pend_model, [[np.pi / 2, 0.0], [-np.pi / 2, 0.0]])
+    np.testing.assert_allclose(U, [[9.81], [-9.81]], atol=1e-6)
     assert np.all(norms <= 1e-6)
     dp_model = integrated(DoublePendulum(), 0.05)
     np.testing.assert_allclose(
@@ -922,6 +922,7 @@ def test_guesses_are_checked_where_they_enter():
     short_x = X[:3] + [np.zeros(3)] + X[4:]
     text_x = X[:1] + [[0.0, "a"]] + X[2:]
     wide_u = U[:2] + [np.zeros(2)] + U[3:]
+    huge_u = U[:3] + [[10**400]] + U[4:]
     for entry in (problem.calc, lambda X, U: solve(problem, X, U, max_iters=1)):
         with pytest.raises(DimensionMismatch, match=r"X\[3\]: point must have shape \(2,\)"):
             entry(short_x, U)
@@ -929,6 +930,8 @@ def test_guesses_are_checked_where_they_enter():
             entry(text_x, U)
         with pytest.raises(DimensionMismatch, match=r"U\[2\]: control must have shape \(1,\)"):
             entry(X, wide_u)
+        with pytest.raises(DimensionMismatch, match=r"U\[3\]: int too large to convert to float"):
+            entry(X, huge_u)
     with pytest.raises(DimensionMismatch, match=r"U\[2\]: control must have shape \(1,\)"):
         problem.rollout(wide_u)
 

@@ -96,7 +96,7 @@ def test_integrate_zero_tangent_is_identity(manifold):
     for _ in range(10):
         x = manifold.random_point(rng)
         np.testing.assert_allclose(
-            manifold.integrate(x, manifold.zero_tangent()), x, atol=1e-14
+            manifold.integrate(x, np.zeros(manifold.ndx)), x, atol=1e-14
         )
 
 
@@ -215,7 +215,7 @@ def test_jdifference_vector_space_returns_signed_identities():
 def test_jintegrate_zero_tangent_gives_identity_in_x(manifold):
     rng = np.random.default_rng(31)
     x = manifold.random_point(rng)
-    jx, _ = jacobians_of_integrate(manifold, x, manifold.zero_tangent())
+    jx, _ = jacobians_of_integrate(manifold, x, np.zeros(manifold.ndx))
     np.testing.assert_allclose(jx, np.eye(manifold.ndx), atol=1e-9)
 
 

@@ -125,9 +125,17 @@ def test_invalid_json_reports_the_line(tmp_path):
         load_scenario(path)
 
 
-def test_missing_file_is_a_scenario_error(tmp_path):
-    with pytest.raises(ScenarioError, match="cannot read scenario file"):
-        load_scenario(tmp_path / "absent.json")
+def test_missing_file_is_a_scenario_error(tmp_path, capsys):
+    # So are bytes that are not UTF-8 and nesting deeper than the parser recurses.
+    undecodable, deep = tmp_path / "undecodable.json", tmp_path / "deep.json"
+    undecodable.write_bytes(b"\xff\xfe{}")
+    deep.write_text("[" * 100000 + "]" * 100000)
+    for path in (tmp_path / "absent.json", undecodable, deep):
+        with pytest.raises(ScenarioError, match="cannot read scenario file"):
+            load_scenario(path)
+        for argv, _ in cli_runs(str(path), tmp_path):
+            assert cli.main(argv) == EXIT_CONFIG
+            assert f"error: {path}: cannot read scenario file" in capsys.readouterr().err
 
 
 def test_unknown_model_id_is_named(tmp_path):
@@ -606,11 +614,15 @@ def test_file_warm_start_entries_are_checked(tmp_path, capsys):
             json.dumps({"X": X, "U": U}).replace("[0.0]]", "[1e999]]"),
             r"U\[9\]: entries must be finite, got \[inf\]",
         ),
+        ({"X": X, "U": U[:3] + [[10**400]] + U[4:]}, r"U\[3\]: int too large to convert to float"),
+        # Bytes that are not UTF-8, and nesting deeper than the parser recurses.
+        (b"\xff\xfe{}", r"warm_start\.path: cannot read warm start .*guess\.json: 'utf-8'"),
+        ("[" * 100000 + "]" * 100000, r"cannot read warm start .*guess\.json: maximum recursion"),
     ]
     path = write_doc(tmp_path, pendulum_doc(warm_start={"policy": "file", "path": "guess.json"}))
     for payload, message in cases:
-        text = payload if isinstance(payload, str) else json.dumps(payload)
-        (tmp_path / "guess.json").write_text(text)
+        text = payload if isinstance(payload, (str, bytes)) else json.dumps(payload)
+        (tmp_path / "guess.json").write_bytes(text if isinstance(text, bytes) else text.encode())
         scenario = load_scenario(path)
         with pytest.raises(ScenarioError, match=message):
             build_warm_start(scenario, build_problem(scenario))
@@ -1061,6 +1073,29 @@ def cli_runs(path, tmp_path):
 )
 def test_malformed_fields_exit_config_at_their_path(tmp_path, capsys, mutate, where):
     path = str(write_doc(tmp_path, hop_document(mutate)))
+    for argv, _ in cli_runs(path, tmp_path):
+        assert cli.main(argv) == EXIT_CONFIG
+        assert re.match(f"error: {where}: ", capsys.readouterr().err)
+
+
+# Sizes past what can be allocated, each of which fails before anything is:
+# a horizon beyond the index range, and arrays numpy refuses outright.
+OVERSIZED_INPUTS = [
+    ("pendulum_swingup", lambda d: d.update(horizon=10**30), "horizon"),
+    ("double_integrator", lambda d: d["model"]["params"].update(dim=1e18), r"model\.params"),
+    ("lqr_chain", lambda d: d["model"]["params"].update(masses=1e18), r"model\.params"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, mutate, where", OVERSIZED_INPUTS, ids=[name for name, _, _ in OVERSIZED_INPUTS]
+)
+def test_sizes_too_large_to_allocate_exit_config_at_their_path(
+    tmp_path, capsys, name, mutate, where
+):
+    doc = json.loads(bundled_scenario_path(name).read_text())
+    mutate(doc)
+    path = str(write_doc(tmp_path, doc))
     for argv, _ in cli_runs(path, tmp_path):
         assert cli.main(argv) == EXIT_CONFIG
         assert re.match(f"error: {where}: ", capsys.readouterr().err)

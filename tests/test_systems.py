@@ -18,21 +18,18 @@ from fddp.systems import (
     LinearDynamics,
     Pendulum,
     PlanarMonoped,
-    PointMass,
     build_system,
     lqr_chain_dynamics,
 )
 
 MECHANICAL_SYSTEMS = [
     DoubleIntegrator(dim=2),
-    PointMass(dim=2, mass=1.3),
     Pendulum(mass=1.1, length=0.8, damping=0.2),
     DoublePendulum(m1=1.2, m2=0.7, l1=0.9, l2=0.6),
     PlanarMonoped(),
 ]
 MECHANICAL_IDS = [
     "double_integrator",
-    "point_mass",
     "pendulum",
     "double_pendulum",
     "planar_monoped",
@@ -41,7 +38,7 @@ MECHANICAL_IDS = [
 
 def random_configuration(system, rng):
     q = rng.uniform(-1.2, 1.2, size=system.nq)
-    return system.config.normalize(q)
+    return system.config.integrate(q, np.zeros(system.nv))
 
 
 def down(phi):
@@ -122,12 +119,11 @@ def test_kinetic_energy_matches_per_body_sum(system, body_states):
 @pytest.mark.parametrize(
     "system, total_mass",
     [
-        (PointMass(dim=2, mass=1.3), 1.3),
         (Pendulum(mass=1.1, length=0.8, damping=0.2), 1.1),
         (DoublePendulum(m1=1.2, m2=0.7, l1=0.9, l2=0.6), 1.9),
         (PlanarMonoped(), PlanarMonoped().total_mass),
     ],
-    ids=["point_mass", "pendulum", "double_pendulum", "planar_monoped"],
+    ids=["pendulum", "double_pendulum", "planar_monoped"],
 )
 def test_zero_velocity_bias_is_potential_energy_gradient(system, total_mass):
     rng = np.random.default_rng(3)
@@ -172,12 +168,11 @@ def test_velocity_bias_satisfies_power_identity(system):
     "system",
     [
         DoubleIntegrator(dim=2),
-        PointMass(dim=2, mass=1.3),
         Pendulum(mass=1.1, length=0.8, damping=0.2),
         DoublePendulum(m1=1.2, m2=0.7, l1=0.9, l2=0.6),
         PlanarMonoped(),
     ],
-    ids=["double_integrator", "point_mass", "pendulum", "double_pendulum", "planar_monoped"],
+    ids=["double_integrator", "pendulum", "double_pendulum", "planar_monoped"],
 )
 def test_analytic_bias_partials_match_finite_differences(system):
     rng = np.random.default_rng(6)
@@ -197,12 +192,11 @@ def test_analytic_bias_partials_match_finite_differences(system):
     "system",
     [
         DoubleIntegrator(dim=2),
-        PointMass(dim=2, mass=1.3),
         Pendulum(mass=1.1, length=0.8, damping=0.2),
         DoublePendulum(m1=1.2, m2=0.7, l1=0.9, l2=0.6),
         PlanarMonoped(),
     ],
-    ids=["double_integrator", "point_mass", "pendulum", "double_pendulum", "planar_monoped"],
+    ids=["double_integrator", "pendulum", "double_pendulum", "planar_monoped"],
 )
 def test_inertia_contraction_partial_matches_finite_differences(system):
     rng = np.random.default_rng(7)
@@ -223,8 +217,6 @@ def test_inertia_contraction_partial_matches_finite_differences(system):
 
 def frame_cases():
     return [
-        (PointMass(dim=2, mass=1.3), "point"),
-        (PointMass(dim=2, mass=1.3), "height"),
         (Pendulum(mass=1.1, length=0.8), "tip"),
         (DoublePendulum(m1=1.2, m2=0.7, l1=0.9, l2=0.6), "tip"),
         (PlanarMonoped(), "foot"),
@@ -235,7 +227,7 @@ def frame_cases():
 @pytest.mark.parametrize(
     "system, frame",
     frame_cases(),
-    ids=["point", "height", "pend_tip", "dpend_tip", "foot", "hip"],
+    ids=["pend_tip", "dpend_tip", "foot", "hip"],
 )
 def test_frame_jacobian_matches_finite_differences(system, frame):
     rng = np.random.default_rng(8)
@@ -252,7 +244,7 @@ def test_frame_jacobian_matches_finite_differences(system, frame):
 @pytest.mark.parametrize(
     "system, frame",
     frame_cases(),
-    ids=["point", "height", "pend_tip", "dpend_tip", "foot", "hip"],
+    ids=["pend_tip", "dpend_tip", "foot", "hip"],
 )
 def test_frame_drift_is_jacobian_rate_times_velocity(system, frame):
     rng = np.random.default_rng(9)
@@ -277,7 +269,7 @@ NEAR_WRAP_CONFIGURATION = np.array([0.3, -0.2, np.pi - 5e-4, 0.4, -0.7])
 @pytest.mark.parametrize(
     "system, frame",
     frame_cases(),
-    ids=["point", "height", "pend_tip", "dpend_tip", "foot", "hip"],
+    ids=["pend_tip", "dpend_tip", "foot", "hip"],
 )
 def test_frame_partials_match_finite_differences(system, frame):
     # d(J w)/dq, d(J^T f)/dq, d drift/dq and d drift/dv against central
@@ -305,7 +297,7 @@ def test_frame_partials_match_finite_differences(system, frame):
 @pytest.mark.parametrize(
     "system, frame",
     frame_cases(),
-    ids=["point", "height", "pend_tip", "dpend_tip", "foot", "hip"],
+    ids=["pend_tip", "dpend_tip", "foot", "hip"],
 )
 def test_frame_partials_take_a_leading_node_axis(system, frame):
     # A stack of (q, v, w, f) gives each node the partials of that node alone.
@@ -327,7 +319,7 @@ def test_unknown_frame_is_rejected():
         Pendulum().frame_placement(np.zeros(1), "elbow")
     with pytest.raises(DimensionMismatch):
         PlanarMonoped().frame_jacobian(np.zeros(5), "head")
-    for system in (Pendulum(), PointMass(dim=2), PlanarMonoped()):
+    for system in (DoubleIntegrator(dim=2), Pendulum(), PlanarMonoped()):
         with pytest.raises(DimensionMismatch):
             system.forward_terms(np.zeros(system.nq), np.zeros(system.nv), ("elbow",))
     with pytest.raises(DimensionMismatch):
@@ -337,12 +329,11 @@ def test_unknown_frame_is_rejected():
 @pytest.mark.parametrize(
     "system",
     [
-        PointMass(dim=2, mass=1.3),
         Pendulum(mass=1.1, length=0.8),
         DoublePendulum(m1=1.2, m2=0.7, l1=0.9, l2=0.6),
         PlanarMonoped(),
     ],
-    ids=["point_mass", "pendulum", "double_pendulum", "planar_monoped"],
+    ids=["pendulum", "double_pendulum", "planar_monoped"],
 )
 def test_com_jacobian_matches_finite_differences(system):
     rng = np.random.default_rng(10)
