@@ -393,8 +393,8 @@ class ActionModelBase:
         return self.cost_scale * total
 
     def _cost_derivatives(self, stack: ActionDataStack, X, U):
-        # Each term returns only the blocks it can make nonzero (see
-        # CostTerm.blocks), unstacked where they are constant: each block's
+        # Each term returns only the blocks of the argument its residual
+        # reads, unstacked where they are constant: each block's
         # sum is formed apart and written into the strided stack once, and
         # the blocks no term returns (l_xu among them) stay zero.
         totals = {}
@@ -441,6 +441,8 @@ class IntegratedActionModel(ActionModelBase):
     """
 
     def __init__(self, dynamics, costs=(), dt: float = 1e-3):
+        if not np.isfinite(dt):
+            raise DimensionMismatch(f"integration step must be finite, got {dt}")
         if not dt > 0.0:
             raise DimensionMismatch(f"integration step must be positive, got {dt}")
         super().__init__(dynamics.state, dynamics.nu, costs)

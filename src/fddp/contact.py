@@ -69,6 +69,8 @@ class Contact:
 
     def __post_init__(self):
         object.__setattr__(self, "reference", _read_only(np.array(self.reference, float, ndmin=1)))
+        if not (isfinite(self.alpha) and isfinite(self.beta)):
+            raise DimensionMismatch("Baumgarte gains must be finite")
         if self.alpha < 0.0 or self.beta < 0.0:
             raise DimensionMismatch("Baumgarte gains must be >= 0")
         if self.nf < 1:

@@ -23,13 +23,12 @@ from .manifolds import Manifold
 
 class CostTerm:
     """Base: subclasses fill residual(x, u) and, unless they override
-    `derivatives`, its Jacobian in the argument it reads. The term's value is
-    0.5 * weight * ||residual||^2."""
-
-    # The Gauss-Newton blocks the term can make nonzero: its residual's argument.
-    blocks = ("l_x", "l_xx")
+    `derivatives` (as a residual in u must), its Jacobian in x. The term's
+    value is 0.5 * weight * ||residual||^2."""
 
     def __init__(self, weight: float, ndx: int, nu: int):
+        if not np.isfinite(weight):
+            raise DimensionMismatch(f"cost weight must be finite, got {weight}")
         if weight < 0.0:
             raise DimensionMismatch(f"cost weight must be >= 0, got {weight}")
         self.weight = float(weight)
@@ -37,12 +36,11 @@ class CostTerm:
         self.nu = nu
 
     def derivatives(self, x, u) -> dict[str, np.ndarray]:
-        """The Gauss-Newton gradient and Hessian, keyed by the names in `blocks`."""
+        """The Gauss-Newton gradient and Hessian of a residual in x."""
         r = self.residual(x, u)
         j = self._residual_jacobian(x, u)
         wjt = self.weight * np.swapaxes(j, -1, -2)
-        gradient, hessian = self.blocks
-        return {gradient: (wjt @ r[..., None])[..., 0], hessian: wjt @ j}
+        return {"l_x": (wjt @ r[..., None])[..., 0], "l_xx": wjt @ j}
 
     def residual(self, x, u) -> np.ndarray:
         raise NotImplementedError
@@ -57,8 +55,6 @@ class StateRegularization(CostTerm):
     Optional per-coordinate scales stretch the residual (diagonal weighting).
     """
 
-    kind = "state_regularization"
-
     def __init__(self, manifold: Manifold, reference, weight: float, nu: int, scales=None):
         super().__init__(weight, manifold.ndx, nu)
         self.manifold = manifold
@@ -71,6 +67,8 @@ class StateRegularization(CostTerm):
                 raise DimensionMismatch(
                     f"state cost scales must have shape ({manifold.ndx},)"
                 )
+            if not np.isfinite(self.scales).all():
+                raise DimensionMismatch("state cost scales must be finite")
             if (self.scales < 0.0).any():
                 raise DimensionMismatch("state cost scales must be >= 0")
         # The residual's Jacobian is diag(scales) (the identity without them),
@@ -89,9 +87,6 @@ class StateRegularization(CostTerm):
 
 
 class ControlRegularization(CostTerm):
-    kind = "control_regularization"
-    blocks = ("l_u", "l_uu")
-
     def __init__(self, nu: int, weight: float, ndx: int, reference=None):
         super().__init__(weight, ndx, nu)
         self.reference = None if reference is None else np.asarray(reference, float)
@@ -110,8 +105,6 @@ class ControlRegularization(CostTerm):
 
 class FrameTranslationTracking(CostTerm):
     """Tracks a body-frame point position (planar translation target)."""
-
-    kind = "frame_translation_tracking"
 
     def __init__(self, system, frame: str, target, weight: float, ndx: int, nu: int):
         super().__init__(weight, ndx, nu)
@@ -134,8 +127,6 @@ class FrameTranslationTracking(CostTerm):
 
 
 class ComTracking(CostTerm):
-    kind = "com_tracking"
-
     def __init__(self, system, target, weight: float, ndx: int, nu: int):
         super().__init__(weight, ndx, nu)
         self.system = system

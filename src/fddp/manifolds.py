@@ -11,18 +11,17 @@ integrate(x, dx) = x * exp(dx) and difference(x0, x1) = log(x0^-1 * x1).
 Both take a leading node axis: points and tangents of shape (..., nx)
 broadcast against each other, so one call serves a whole stack of nodes.
 
-The manifolds are flat vector spaces, planar rotations and composites of
-them. A planar rotation is stored as one angle wrapped into (-pi, pi], and
-its tangent as the angle increment, so every manifold here has nx == ndx and
-is flat coordinates plus the index array `angles` of the coordinates that are
-wrapped angles. A `CompositeManifold` collects the angles of its parts,
-nested composites included; integrate and difference are one add or subtract
-followed by one wrap of those coordinates, whatever the nesting: on a stack
-of points one vectorized wrap, and on one point (every node of a sweep) the
-few angles taken out as floats and wrapped one by one, at a tenth of the cost
-of numpy on a gathered view. Both run the one expression of `_wrap_angle`,
-whose float `%` and `np.remainder` follow the same rule, so they agree to the
-bit.
+One class, `Manifold`, holds every behaviour: a state space is its size
+nx == ndx and the index array `angles` of its coordinates that are planar
+rotations, each one angle wrapped into (-pi, pi] whose tangent is the angle
+increment. Two manifolds are equal when size and angles agree, since that
+is all the operators read. `VectorSpace` (flat R^n), `Rotation2D` (one
+angle) and `CompositeManifold` (the concatenated parts, nested or not) are
+only its constructors. Integrate and difference are one add or subtract and
+one wrap of the angles: vectorized on a stack of points, and on one point
+(every node of a sweep) angle by angle as floats, at a tenth of the cost of
+numpy on a gathered view. Both run `_wrap_angle`, whose float `%` and
+`np.remainder` follow the same rule, so they agree to the bit.
 The wrap is locally the identity, so the Jacobians of integrate are (I, I)
 and those of difference (-I, I); callers use them in closed form and no
 operator returns them.
@@ -57,6 +56,10 @@ class Manifold:
         self.angles = np.asarray(angles, dtype=np.intp)
         self._angle_list = tuple(self.angles.tolist())
 
+    def __eq__(self, other):
+        same_size = isinstance(other, Manifold) and other.nx == self.nx
+        return same_size and other._angle_list == self._angle_list
+
     # -- validation -------------------------------------------------------
 
     def check_point(self, x) -> np.ndarray:
@@ -78,10 +81,6 @@ class Manifold:
             y.T[self.angles] = _wrap_angle(y.T[self.angles])
         return y
 
-    def neutral(self) -> np.ndarray:
-        """Canonical origin point."""
-        return np.zeros(self.nx)
-
     def integrate(self, x, dx) -> np.ndarray:
         return self._wrapped(x + dx)
 
@@ -91,7 +90,10 @@ class Manifold:
     # -- sampling (deterministic given the rng state) ----------------------
 
     def random_point(self, rng: np.random.Generator) -> np.ndarray:
-        raise NotImplementedError
+        """One draw per coordinate, in order: uniform on [-pi, pi) at an
+        angle, N(0, 1) elsewhere."""
+        angles, draw = self._angle_list, rng.standard_normal
+        return np.array([rng.uniform(-_PI, _PI) if i in angles else draw() for i in range(self.nx)])
 
     def random_tangent(self, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
         return scale * rng.standard_normal(self.ndx)
@@ -105,30 +107,12 @@ class VectorSpace(Manifold):
             raise DimensionMismatch(f"vector space dimension must be >= 0, got {dim}")
         super().__init__(dim, ())
 
-    def random_point(self, rng: np.random.Generator) -> np.ndarray:
-        return rng.standard_normal(self.nx)
-
-    def __eq__(self, other):
-        return isinstance(other, VectorSpace) and other.nx == self.nx
-
-    def __repr__(self):
-        return f"VectorSpace({self.nx})"
-
 
 class Rotation2D(Manifold):
     """Planar rotations stored as a single wrapped angle in (-pi, pi]."""
 
     def __init__(self):
         super().__init__(1, (0,))
-
-    def random_point(self, rng: np.random.Generator) -> np.ndarray:
-        return np.array([rng.uniform(-np.pi, np.pi)])
-
-    def __eq__(self, other):
-        return isinstance(other, Rotation2D)
-
-    def __repr__(self):
-        return "Rotation2D()"
 
 
 class CompositeManifold(Manifold):
@@ -143,20 +127,3 @@ class CompositeManifold(Manifold):
             offsets[-1],
             np.concatenate([p.angles + off for p, off in zip(self.parts, offsets)]),
         )
-
-    def random_point(self, rng: np.random.Generator) -> np.ndarray:
-        return np.concatenate([p.random_point(rng) for p in self.parts])
-
-    def random_tangent(self, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-        return np.concatenate([p.random_tangent(rng, scale) for p in self.parts])
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CompositeManifold)
-            and len(other.parts) == len(self.parts)
-            and all(a == b for a, b in zip(self.parts, other.parts))
-        )
-
-    def __repr__(self):
-        inner = ", ".join(repr(p) for p in self.parts)
-        return f"CompositeManifold([{inner}])"

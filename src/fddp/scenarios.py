@@ -128,8 +128,12 @@ def bundled_scenario_path(name: str) -> Path:
 # ---------------------------------------------------------------------------
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _number(value, what: str, where: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
+    if not _is_number(value):
         raise ScenarioError(f"{what} must be a number", location=where)
     if not abs(value) <= sys.float_info.max:  # NaN, infinities, ints beyond float range
         raise ScenarioError(f"{what} must be finite", location=where)
@@ -582,8 +586,8 @@ def build_warm_start(scenario: Scenario, problem: ShootingProblem):
     monoped_hop every node with controls but node 0 falls back, the stance
     nodes too, so its warm start is close to a zero-control start.
     file: a JSON document with explicit X and U lists of the problem's
-    shapes and finite entries; a fault names the first bad X[k] or U[k] at
-    warm_start.path.
+    shapes whose entries are finite JSON numbers; a fault names the first
+    bad X[k] or U[k] at warm_start.path.
     """
     policy = scenario.warm_start.get("policy", "zeros")
     M = problem.N
@@ -621,9 +625,15 @@ def build_warm_start(scenario: Scenario, problem: ShootingProblem):
             X, U = problem.check_trajectories(X, U)
         except DimensionMismatch as exc:
             raise ScenarioError(str(exc), location="warm_start.path") from exc
-        # JSON reads NaN, Infinity and an overflowing 1e999 as floats.
+        # check_trajectories converts numeric strings and booleans, which a
+        # scenario rejects; JSON reads NaN, Infinity and 1e999 as floats.
         for name, entries in (("X", X), ("U", U)):
-            for k, entry in enumerate(entries):
+            for k, (entry, raw) in enumerate(zip(entries, payload[name])):
+                if not all(map(_is_number, raw)):
+                    raise ScenarioError(
+                        f"{name}[{k}]: entries must be JSON numbers, got {raw}",
+                        location="warm_start.path",
+                    )
                 if not np.isfinite(entry).all():
                     raise ScenarioError(
                         f"{name}[{k}]: entries must be finite, got {entry.tolist()}",

@@ -30,7 +30,7 @@ evaluation of its basis; the other systems compose their closed forms.
 
 from __future__ import annotations
 
-from math import cos, sin
+from math import cos, isfinite, sin
 from typing import NamedTuple
 
 import numpy as np
@@ -49,6 +49,8 @@ def _read_only(matrix: np.ndarray) -> np.ndarray:
 def _parameter(name: str, value, zero_ok=False) -> float:
     """A mass, length or inertia must be > 0; a damping (zero_ok) >= 0."""
     value = float(value)
+    if not isfinite(value):
+        raise ParameterError(name, f"must be finite, got {value}")
     if not (value >= 0.0 if zero_ok else value > 0.0):
         raise ParameterError(name, f"must be {'>=' if zero_ok else '>'} 0, got {value}")
     return value
@@ -166,7 +168,7 @@ class MechanicalSystem:
         return x[: self.nq], x[self.nq :]
 
     def nominal_state(self) -> np.ndarray:
-        return np.concatenate([self.config.neutral(), np.zeros(self.nv)])
+        return np.zeros(self.state.nx)
 
 
 class LinearDynamics:

@@ -33,6 +33,7 @@ from fddp.errors import (
     NumericalFailure,
     RankDeficientConstraint,
 )
+from fddp.manifolds import CompositeManifold, Rotation2D, VectorSpace
 from fddp.problem import ShootingProblem
 from fddp.scenarios import build_problem, build_warm_start, bundled_scenario_path, load_scenario
 from fddp.solver import solve
@@ -78,7 +79,7 @@ def calc_diff_one(model, stack, x, u=np.zeros(0)):
 
 def default_costs(state, nu):
     return (
-        StateRegularization(state, state.neutral(), 2.0, nu),
+        StateRegularization(state, np.zeros(state.nx), 2.0, nu),
         ControlRegularization(nu, 0.1, state.ndx),
     )
 
@@ -156,7 +157,10 @@ def test_one_step_error_is_second_order_in_dt():
 
 def test_integration_step_must_be_positive():
     for dt in (0.0, -0.01):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DimensionMismatch, match="integration step must be positive"):
+            integrated(DoubleIntegrator(dim=1), dt=dt)
+    for dt in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DimensionMismatch, match=f"integration step must be finite, got {dt}"):
             integrated(DoubleIntegrator(dim=1), dt=dt)
 
 
@@ -237,7 +241,7 @@ def test_calc_diff_matches_finite_differences(model):
     rng = np.random.default_rng(62)
     points = []
     for _ in range(10):
-        x = state.integrate(state.neutral(), state.random_tangent(rng, scale=0.4))
+        x = state.integrate(np.zeros(state.nx), state.random_tangent(rng, scale=0.4))
         points.append((x, rng.uniform(-2.0, 2.0, model.nu)))
     stack = model.create_stack(len(points))
     for data, (x, u) in zip(stack.nodes, points):
@@ -339,7 +343,7 @@ def test_stacked_contact_derivatives_equal_each_node_alone(index):
     state, n = model.state, 7
     rng = np.random.default_rng(65 + index)
     X = np.array(
-        [state.integrate(state.neutral(), state.random_tangent(rng, scale=0.3)) for _ in range(n)]
+        [state.integrate(np.zeros(state.nx), state.random_tangent(rng, scale=0.3)) for _ in range(n)]
     )
     U = rng.uniform(-2.0, 2.0, (n, model.nu))
     stack = model.create_stack(n)
@@ -365,7 +369,7 @@ def test_cost_hessian_blocks_are_symmetric(model):
     state = model.state
     rng = np.random.default_rng(63)
     stack, data = one_node(model)
-    x = state.integrate(state.neutral(), state.random_tangent(rng, scale=0.4))
+    x = state.integrate(np.zeros(state.nx), state.random_tangent(rng, scale=0.4))
     u = rng.uniform(-2.0, 2.0, model.nu)
     model.calc(data, x, u)
     calc_diff_one(model, stack, x, u)
@@ -471,7 +475,7 @@ def assert_stacked_step_matches_node_steps(model, X, U):
 def random_points(model, n, rng):
     state = model.state
     X = np.array(
-        [state.integrate(state.neutral(), state.random_tangent(rng, scale=0.4)) for _ in range(n)]
+        [state.integrate(np.zeros(state.nx), state.random_tangent(rng, scale=0.4)) for _ in range(n)]
     )
     return X, rng.uniform(-2.0, 2.0, (n, model.nu))
 
@@ -682,7 +686,7 @@ def test_cost_values_are_nonnegative():
     terms = [
         StateRegularization(dpend.state, [0.3, -0.1, 0.0, 0.0], 2.0, 2),
         StateRegularization(
-            dpend.state, dpend.state.neutral(), 1.0, 2, scales=[0.5, 2.0, 1.0, 0.1]
+            dpend.state, np.zeros(dpend.state.nx), 1.0, 2, scales=[0.5, 2.0, 1.0, 0.1]
         ),
         ControlRegularization(2, 0.1, 4, reference=[1.0, -1.0]),
         FrameTranslationTracking(dpend, "tip", [0.5, -1.5], 3.0, 4, 2),
@@ -722,6 +726,15 @@ def test_cost_constructors_check_weight_and_target_shape():
     pend, monoped = Pendulum(), PlanarMonoped()
     with pytest.raises(DimensionMismatch, match="cost weight must be >= 0"):
         StateRegularization(pend.state, [0.0, 0.0], -1.0, 1)
+    # Every comparison with NaN is false, so the range check alone passes it.
+    for weight in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DimensionMismatch, match=f"cost weight must be finite, got {weight}"):
+            ControlRegularization(1, weight, 2)
+    for scale in (np.nan, np.inf):
+        with pytest.raises(DimensionMismatch, match="state cost scales must be finite"):
+            StateRegularization(pend.state, [0.0, 0.0], 1.0, 1, scales=[1.0, scale])
+    with pytest.raises(DimensionMismatch, match="state cost scales must be >= 0"):
+        StateRegularization(pend.state, [0.0, 0.0], 1.0, 1, scales=[1.0, -1.0])
     with pytest.raises(DimensionMismatch, match=r"placement has shape \(2,\), target \(3,\)"):
         FrameTranslationTracking(pend, "tip", [0.0, -1.0, 0.0], 1.0, 2, 1)
     # A center-of-mass target of the wrong size is rejected here, not by a
@@ -942,6 +955,29 @@ def test_problem_validates_guess_lengths():
         problem.calc([np.zeros(2)] * 5, [np.zeros(1)] * 5)
     with pytest.raises(DimensionMismatch):
         problem.rollout([np.zeros(1)] * 4)
+
+
+def test_problem_accepts_manifolds_that_behave_the_same():
+    # A manifold is its size and its angle coordinates, however it was built:
+    # running nodes on R^2 and a terminal on R^1 x R^1 make one problem.
+    flow = IntegratedActionModel(LinearDynamics(np.eye(2), np.ones((2, 1))), dt=0.1)
+    terminal = TerminalActionModel(CompositeManifold([VectorSpace(1), VectorSpace(1)]))
+    assert ShootingProblem(np.zeros(2), [flow] * 3, terminal).state is terminal.state
+    # The monoped's heading sits at coordinate 2 of its ten; a terminal with
+    # that angle is accepted, one without it or with it elsewhere is not.
+    hop = integrated(PlanarMonoped(), 0.02)
+    for parts, accepted in (
+        ([VectorSpace(2), Rotation2D(), VectorSpace(7)], True),
+        ([VectorSpace(10)], False),
+        ([Rotation2D(), VectorSpace(9)], False),
+        ([VectorSpace(2), Rotation2D(), VectorSpace(6)], False),
+    ):
+        terminal = TerminalActionModel(CompositeManifold(parts))
+        if accepted:
+            ShootingProblem(np.zeros(10), [hop] * 2, terminal)
+        else:
+            with pytest.raises(DimensionMismatch, match="running model 0 lives on a different"):
+                ShootingProblem(np.zeros(terminal.state.nx), [hop] * 2, terminal)
 
 
 def test_problem_compares_each_model_manifold_once(monkeypatch):

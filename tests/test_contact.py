@@ -118,6 +118,11 @@ def test_baumgarte_scalar_arithmetic():
 def test_baumgarte_rejects_wrong_shapes_and_gains():
     with pytest.raises(DimensionMismatch):
         Contact("foot", [0.0], alpha=-1.0)
+    for gain in (np.nan, np.inf):
+        with pytest.raises(DimensionMismatch, match="Baumgarte gains must be finite"):
+            Contact("foot", [0.0], alpha=gain)
+        with pytest.raises(DimensionMismatch, match="Baumgarte gains must be finite"):
+            Contact("foot", [0.0], beta=gain)
     with pytest.raises(DimensionMismatch):
         Contact("foot", [])
     with pytest.raises(DimensionMismatch):

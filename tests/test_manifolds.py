@@ -3,7 +3,8 @@
 Covers the two operators (integrate, difference) on vector spaces, planar
 rotations, and the composite product the planar monoped's configuration
 lives on: fixed-point examples, roundtrip identities, stacked evaluation
-over a leading node axis, and finite-difference checks of the operator
+over a leading node axis, equality by size and angle coordinates, the
+seeded draw order of sampling, and finite-difference checks of the operator
 Jacobians, including steps that carry an angle across the +-pi wrap. The
 library uses those Jacobians in closed form, without computing them:
 jintegrate = (I, I) with respect to (x, dx) and jdifference = (-I, I) with
@@ -286,6 +287,37 @@ def test_composite_jacobians_are_block_diagonal():
     np.testing.assert_allclose(jx[2:, :2], np.zeros((1, 2)), atol=1e-9)
     np.testing.assert_allclose(jx[:2, :2], np.eye(2), atol=1e-9)
     np.testing.assert_allclose(jdx[:2, :2], np.eye(2), atol=1e-9)
+
+
+def test_manifolds_are_equal_when_size_and_angles_agree():
+    assert VectorSpace(2) == CompositeManifold([VectorSpace(1), VectorSpace(1)])
+    assert MONOPED_CONFIG == CompositeManifold(
+        [CompositeManifold([VectorSpace(2), Rotation2D()]), VectorSpace(2)]
+    )
+    # Same size, angle elsewhere or nowhere; another size; not a manifold.
+    assert CompositeManifold([Rotation2D(), VectorSpace(1)]) != CompositeManifold(
+        [VectorSpace(1), Rotation2D()]
+    )
+    assert VectorSpace(3) != CompositeManifold([VectorSpace(2), Rotation2D()])
+    assert Rotation2D() != VectorSpace(1)
+    assert VectorSpace(2) != VectorSpace(3) and VectorSpace(1) != 1.0
+
+
+def test_sampling_draws_one_coordinate_at_a_time():
+    # The monoped state: translation (2), heading, joints (2), velocity (5).
+    # A point draws N(0, 1) at each flat coordinate and a uniform angle at the
+    # heading, in coordinate order; a tangent draws N(0, 1) everywhere.
+    state = PlanarMonoped().state
+    rng, oracle = np.random.default_rng(7), np.random.default_rng(7)
+    point, tangent = state.random_point(rng), state.random_tangent(rng, scale=0.5)
+    expected = np.concatenate(
+        [oracle.standard_normal(2), [oracle.uniform(-np.pi, np.pi)], oracle.standard_normal(2)]
+    )
+    np.testing.assert_array_equal(point[:5], expected)
+    np.testing.assert_array_equal(point[5:], oracle.standard_normal(5))
+    np.testing.assert_array_equal(tangent, 0.5 * oracle.standard_normal(10))
+    assert point.dtype == tangent.dtype == float
+    assert VectorSpace(0).random_point(rng).shape == (0,)
 
 
 def per_part(manifold, op, a, b):

@@ -348,7 +348,6 @@ def test_each_cost_kind_is_read_into_its_term(tmp_path):
     running = scenario.running_costs
     kinds = (StateRegularization, ControlRegularization, FrameTranslationTracking, ComTracking)
     assert tuple(map(type, running)) == kinds
-    assert [term.kind for term in running] == [entry["kind"] for entry in doc["costs"]["running"]]
     assert {term.nu for term in running} == {2}
     assert [(type(term), term.nu) for term in scenario.terminal_costs] == [(StateRegularization, 0)]
     system, q0 = scenario.system, scenario.x0[:5]
@@ -615,6 +614,15 @@ def test_file_warm_start_entries_are_checked(tmp_path, capsys):
             r"U\[9\]: entries must be finite, got \[inf\]",
         ),
         ({"X": X, "U": U[:3] + [[10**400]] + U[4:]}, r"U\[3\]: int too large to convert to float"),
+        # A scenario rejects numeric strings and booleans; so does the file.
+        (
+            {"X": X, "U": U[:4] + [["0.1"]] + U[5:]},
+            r"U\[4\]: entries must be JSON numbers, got \['0\.1'\]",
+        ),
+        (
+            {"X": X[:5] + [[0.0, True]] + X[6:], "U": U[:2] + [[False]] + U[3:]},
+            r"X\[5\]: entries must be JSON numbers, got \[0\.0, True\]",
+        ),
         # Bytes that are not UTF-8, and nesting deeper than the parser recurses.
         (b"\xff\xfe{}", r"warm_start\.path: cannot read warm start .*guess\.json: 'utf-8'"),
         ("[" * 100000 + "]" * 100000, r"cannot read warm start .*guess\.json: maximum recursion"),

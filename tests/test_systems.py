@@ -611,6 +611,22 @@ def test_lqr_chain_rejects_empty_chain():
         lqr_chain_dynamics(masses=0)
 
 
+def test_physical_parameters_must_be_finite():
+    # inf passes the range check "> 0"; NaN and both infinities are rejected
+    # as non-finite, with their own wording.
+    builders = [
+        ("mass", lambda v: Pendulum(mass=v)),
+        ("damping", lambda v: Pendulum(damping=v)),
+        ("l1", lambda v: DoublePendulum(l1=v)),
+        ("base_mass", lambda v: PlanarMonoped(base_mass=v)),
+        ("damping", lambda v: lqr_chain_dynamics(damping=v)),
+    ]
+    for name, build in builders:
+        for value in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ParameterError, match=f"{name} must be finite, got {value}"):
+                build(value)
+
+
 def test_linear_dynamics_validates_shapes():
     with pytest.raises(DimensionMismatch):
         LinearDynamics(np.zeros((2, 3)), np.zeros((2, 1)))
