@@ -100,6 +100,7 @@ class _DerivativeBlocks:
     written in place (`data.l_uu[:] = ...`); a rebinding, which would leave
     the stack unchanged, raises."""
 
+    ndx = property(lambda d: d.Fz.shape[-2])
     f_x = property(lambda d: d.Fz[..., 1 : d.ndx + 1])
     f_u = property(lambda d: d.Fz[..., d.ndx + 1 :])
     l_x = property(lambda d: d.Lz[..., : d.ndx, 0])
@@ -121,13 +122,13 @@ class ActionDataStack(_DerivativeBlocks):
     `dyn_sizes`: a free node's acceleration, a contact node's (acceleration,
     force), an impulse node's (post-impact velocity, impulse), nothing for
     a linear flow or the terminal node. `nodes[i]` is node i's `ActionData`,
-    whose fields are views of row i, made on first use (a stacked call needs
-    them only to replay a failing node). The nodes do not refer back to the
-    stack, so no reference cycle outlives a data set.
+    whose fields are views of row i, all made on first use in one pass over
+    the rows of the stack's arrays (a stacked call needs them only to replay
+    a failing node). The nodes do not refer back to the stack, so no
+    reference cycle outlives a data set.
     """
 
     def __init__(self, model: "ActionModelBase", n: int):
-        self.ndx = model.ndx
         nz = model.ndx + model.nu
         self.Fz = np.zeros((n, model.ndx, nz + 1))
         self.Lz = np.zeros((n, nz, nz + 1))
@@ -136,25 +137,23 @@ class ActionDataStack(_DerivativeBlocks):
 
     @cached_property
     def nodes(self) -> list["ActionData"]:
-        return [ActionData(self, i) for i in range(len(self.Fz))]
+        return list(map(ActionData, self.Fz, self.Lz, self.xnext, *self.dyn))
 
 
 class ActionData(_DerivativeBlocks):
     """One node's row of an `ActionDataStack`, which the node call `calc` fills.
 
-    `xnext`, the parts of `dyn` and the derivative blocks are views of row
-    `index` of the stack's arrays, written in place; none of them can be
-    rebound, which would leave the stack unchanged.
+    `Fz`, `Lz`, `xnext` and the parts of `dyn` are the node's rows of the
+    stack's arrays, and the derivative blocks are views of `Fz` and `Lz`, all
+    written in place; `xnext`, `dyn` and the blocks cannot be rebound, which
+    would leave the stack unchanged.
     """
 
     xnext = property(lambda d: d._xnext)
     dyn = property(lambda d: d._dyn)
 
-    def __init__(self, stack: ActionDataStack, index: int):
-        self.ndx = stack.ndx
-        self.Fz, self.Lz = stack.Fz[index], stack.Lz[index]
-        self._xnext = stack.xnext[index]
-        self._dyn = tuple(part[index] for part in stack.dyn)
+    def __init__(self, Fz, Lz, xnext, *dyn):
+        self.Fz, self.Lz, self._xnext, self._dyn = Fz, Lz, xnext, dyn
 
 
 # ---------------------------------------------------------------------------

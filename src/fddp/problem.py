@@ -49,11 +49,10 @@ class ShootingProblem:
         if len(running_models) < 1:
             raise DimensionMismatch("a shooting problem needs at least one running model")
         # (model, node indices) for each distinct running model, in order of
-        # first appearance.
-        nodes = {}
-        for k, model in enumerate(running_models):
-            nodes.setdefault(id(model), (model, []))[1].append(k)
-        self.groups = [(model, np.array(ks)) for model, ks in nodes.values()]
+        # first appearance; models hash by identity.
+        group_of = {model: g for g, model in enumerate(dict.fromkeys(running_models))}
+        labels = np.fromiter(map(group_of.get, running_models), int, len(running_models))
+        self.groups = [(model, np.flatnonzero(labels == g)) for model, g in group_of.items()]
         state = terminal_model.state
         # Groups come in order of first appearance, so the first offending
         # group's first node is the first offending node.
@@ -65,7 +64,8 @@ class ShootingProblem:
         self.terminal_model = terminal_model
         self.x0_measured = state.check_point(x0_measured)
         self.N = len(running_models)
-        self.nu_max = max(model.nu for model in running_models)
+        self.nus = [model.nu for model in running_models]
+        self.nu_max = max(self.nus)
         self.ndx = state.ndx
         self.datas, self.stacks = self.create_datas()
 
@@ -79,7 +79,7 @@ class ShootingProblem:
         stacks = []
         for model, nodes in self.groups:
             stacks.append(model.create_stack(len(nodes)))
-            for k, data in zip(nodes, stacks[-1].nodes):
+            for k, data in zip(nodes.tolist(), stacks[-1].nodes):
                 running[k] = data
         stacks.append(self.terminal_model.create_stack(1))
         return running, stacks
@@ -195,11 +195,22 @@ class ShootingProblem:
 
     # -- convenience -----------------------------------------------------------
 
+    def node_rows(self, cut) -> list:
+        """Node k's row of the stack cut(nu_k) (N, ...), with one cut per
+        distinct control dimension nu, whose rows the nodes of that nu take."""
+        rows = {nu: list(cut(nu)) for nu in set(self.nus)}
+        return [rows[nu][k] for k, nu in enumerate(self.nus)]
+
+    def node_controls(self, U) -> list[np.ndarray]:
+        """The stacked controls U (N, nu_max) as the nodes' list: row k cut to
+        node k's nu_k, a view."""
+        return self.node_rows(lambda nu: U[:, :nu])
+
     def zero_controls(self) -> list[np.ndarray]:
-        return [np.zeros(m.nu) for m in self.running_models]
+        return self.node_controls(np.zeros((self.N, self.nu_max)))
 
     def constant_state_guess(self) -> list[np.ndarray]:
-        return [self.x0_measured.copy() for _ in range(self.N + 1)]
+        return list(np.tile(self.x0_measured, (self.N + 1, 1)))
 
 
 # The controls of the terminal node, a stack of one.

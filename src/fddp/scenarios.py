@@ -251,7 +251,7 @@ def _read_dts(data: dict, horizon: int) -> list[float]:
             dts = [_number(dt_field, "step size", "dt")] * horizon
         except (OverflowError, MemoryError) as exc:
             raise ScenarioError(f"horizon too large: {exc}", location="horizon") from exc
-    if any(not dt > 0 for dt in dts):
+    if not min(dts) > 0:
         raise ScenarioError("every step size must be > 0", location="dt")
     return dts
 
@@ -531,8 +531,8 @@ def build_problem(scenario: Scenario) -> ShootingProblem:
 
     Each integration node gets its phase's dynamics, one model per (phase,
     dt); one impulse node is inserted before the first integration node of
-    each switch boundary, so the model list has horizon + len(switches)
-    running entries.
+    each switch boundary (a switch sits at the start of the phase it opens),
+    so the model list has horizon + len(switches) running entries.
     """
     system = scenario.system
     switch_at = {s.node: s for s in scenario.switches}
@@ -544,15 +544,15 @@ def build_problem(scenario: Scenario) -> ShootingProblem:
             dynamics = FreeMechanicalDynamics(system)
         else:
             dynamics = ConstrainedMechanicalDynamics(system, phase.contacts)
-        by_dt = {}
-        for k in range(phase.start, phase.end):
-            if k in switch_at:
-                switch = switch_at[k]
-                models.append(ImpulseActionModel(system, switch.contacts, switch.restitution))
-            dt = scenario.dts[k]
-            if dt not in by_dt:
-                by_dt[dt] = IntegratedActionModel(dynamics, costs=scenario.running_costs, dt=dt)
-            models.append(by_dt[dt])
+        if phase.start in switch_at:
+            switch = switch_at[phase.start]
+            models.append(ImpulseActionModel(system, switch.contacts, switch.restitution))
+        dts = scenario.dts[phase.start : phase.end]
+        by_dt = {
+            dt: IntegratedActionModel(dynamics, costs=scenario.running_costs, dt=dt)
+            for dt in dict.fromkeys(dts)
+        }
+        models += map(by_dt.get, dts)
     terminal = TerminalActionModel(system.state, costs=scenario.terminal_costs)
     return ShootingProblem(scenario.x0, models, terminal)
 
@@ -576,15 +576,16 @@ def build_warm_start(scenario: Scenario, problem: ShootingProblem):
 
     zeros: constant measured state, zero controls (typically infeasible).
     quasi_static_interpolation: states slide along the manifold from the
-    measured state to the terminal regularization target; controls hold each
-    interpolated state still where that is possible, from one
-    `quasi_static_control` call per group, which takes the group's
-    accelerations at rest from the model's one batched forward step
-    (`calc_stack`) and their control Jacobians from one stacked `partials`
-    call, with no loop over the nodes. A node whose state no control holds
-    still falls back to zero control. That is not only a flight node: on
-    monoped_hop every node with controls but node 0 falls back, the stance
-    nodes too, so its warm start is close to a zero-control start.
+    measured state to the terminal regularization target (node k at k / N,
+    in one stacked `integrate` call); controls hold each state still where
+    that is possible, from one `quasi_static_control` call per group, which
+    takes the group's accelerations at rest from the model's one batched
+    forward step (`calc_stack`) and their control Jacobians from one stacked
+    `partials` call; they fill one stacked array, whose rows cut to each
+    node's nu are returned. A node whose state no control holds still falls
+    back to zero control. That is not only a flight node: on monoped_hop
+    every node with controls but node 0 falls back, the stance nodes too, so
+    its warm start is close to a zero-control start.
     file: a JSON document with explicit X and U lists of the problem's
     shapes whose entries are finite JSON numbers; a fault names the first
     bad X[k] or U[k] at warm_start.path.
@@ -643,14 +644,11 @@ def build_warm_start(scenario: Scenario, problem: ShootingProblem):
 
     state = problem.state
     direction = state.difference(problem.x0_measured, _interpolation_target(problem))
-    X = [
-        state.integrate(problem.x0_measured, (k / M) * direction) for k in range(M + 1)
-    ]
-    stacked, U = np.array(X), [None] * M
+    X = state.integrate(problem.x0_measured, (np.arange(M + 1) / M)[:, None] * direction)
+    U = np.zeros((M, problem.nu_max))
     for model, nodes in problem.groups:
-        for k, u in zip(nodes, quasi_static_control(model, stacked[nodes])[0]):
-            U[k] = u
-    return X, U
+        U[nodes, : model.nu] = quasi_static_control(model, X[nodes])[0]
+    return list(X), problem.node_controls(U)
 
 
 def load_and_build(path):

@@ -93,8 +93,7 @@ class SolverWorkspace:
 
     def __init__(self, problem: ShootingProblem):
         N, ndx = problem.N, problem.ndx
-        nus = [m.nu for m in problem.running_models]
-        nz = ndx + max(nus)
+        nz = ndx + problem.nu_max
         x, u = slice(1, ndx + 1), slice(ndx + 1, None)
         self.Q = np.zeros((N, nz, nz + 1))
         self.policy = np.zeros((N, nz - ndx, nz + 1))
@@ -104,25 +103,20 @@ class SolverWorkspace:
         self.k_ff, self.K_fb = self.policy[:, :, 0], self.policy[:, :, x]
         self.V_x, self.V_xx = self.V[:, :, 0], self.V[:, :, 1:]
         self.gaps = np.zeros((N + 1, ndx))
-        # Node k's blocks, cut to its own nu_k once: the backward pass writes
-        # its results through these views.
-        self.node_rows = [
-            _node_rows(
-                self.Q[k, : ndx + nu_k, : ndx + nu_k + 1],
-                self.policy[k, :nu_k, : ndx + nu_k + 1],
-                self.V[k],
-            )
-            for k, nu_k in enumerate(nus)
-        ]
+        # Node k's views cut to its nu_k, through which the backward pass
+        # writes: rows of one stacked cut per distinct nu.
+        self.node_rows = problem.node_rows(lambda nu: zip(*_node_rows(self, nu)))
 
 
-def _node_rows(Q, policy, V):
-    """One node's views: [q | Q_zz], its x rows [q_x | Q_xx], Q_xu, Q_uu and
-    u rows, the policy [k | K | .] and its [k | K], [v_x | V_xx], v_x, V_xx."""
-    ndx = V.shape[0]
+def _node_rows(ws: SolverWorkspace, nu: int):
+    """The running nodes' views cut to nu controls, stacked by node:
+    [q | Q_zz], its x rows [q_x | Q_xx], Q_xu, Q_uu and u rows, the policy
+    [k | K | .] and its [k | K], [v_x | V_xx], v_x, V_xx."""
+    ndx = ws.V.shape[1]
+    Q, policy, V = ws.Q[:, : ndx + nu, : ndx + nu + 1], ws.policy[:, :nu, : ndx + nu + 1], ws.V[:-1]
     return (
-        Q, Q[:ndx, : ndx + 1], Q[:ndx, ndx + 1 :], Q[ndx:, ndx + 1 :], Q[ndx:],
-        policy, policy[:, : ndx + 1], V, V[:, 0], V[:, 1:],
+        Q, Q[:, :ndx, : ndx + 1], Q[:, :ndx, ndx + 1 :], Q[:, ndx:, ndx + 1 :], Q[:, ndx:],
+        policy, policy[:, :, : ndx + 1], V, V[:, :, 0], V[:, :, 1:],
     )
 
 
@@ -356,7 +350,7 @@ def solve(
 
     def finish(termination):
         report.termination = termination
-        return list(X), [u[: m.nu] for u, m in zip(U, problem.running_models)], report
+        return list(X), problem.node_controls(U), report
 
     try:
         if solver == "ddp":

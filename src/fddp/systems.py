@@ -46,11 +46,17 @@ def _read_only(matrix: np.ndarray) -> np.ndarray:
     return matrix
 
 
-def _parameter(name: str, value, zero_ok=False) -> float:
-    """A mass, length or inertia must be > 0; a damping (zero_ok) >= 0."""
+def _finite(name: str, value) -> float:
+    """A physical parameter must be finite; gravity may take any such value."""
     value = float(value)
     if not isfinite(value):
         raise ParameterError(name, f"must be finite, got {value}")
+    return value
+
+
+def _parameter(name: str, value, zero_ok=False) -> float:
+    """A mass, length or inertia must be > 0; a damping (zero_ok) >= 0."""
+    value = _finite(name, value)
     if not (value >= 0.0 if zero_ok else value > 0.0):
         raise ParameterError(name, f"must be {'>=' if zero_ok else '>'} 0, got {value}")
     return value
@@ -228,7 +234,7 @@ class Pendulum(MechanicalSystem):
         self.mass = _parameter("mass", mass)
         self.length = _parameter("length", length)
         self.damping = _parameter("damping", damping, zero_ok=True)
-        self.gravity = float(gravity)
+        self.gravity = _finite("gravity", gravity)
         self.config = VectorSpace(1)
         super().__init__()
         self._mass = _read_only(np.array([[self.mass * self.length**2]]))
@@ -603,7 +609,7 @@ class DoublePendulum(_PlanarLeg):
         self.lc1, self.lc2 = _parameter("lc1", lc1), _parameter("lc2", lc2)
         self.I1 = self.m1 * self.l1**2 / 12.0
         self.I2 = self.m2 * self.l2**2 / 12.0
-        self.gravity = float(gravity)
+        self.gravity = _finite("gravity", gravity)
         self.config = VectorSpace(2)
         super().__init__(
             masses=(self.m1, self.m2),
@@ -656,7 +662,7 @@ class PlanarMonoped(_PlanarLeg):
         self.lc2 = 0.5 * self.l2
         self.I1 = self.m1 * self.l1**2 / 12.0
         self.I2 = self.m2 * self.l2**2 / 12.0
-        self.gravity = float(gravity)
+        self.gravity = _finite("gravity", gravity)
         self.config = CompositeManifold([VectorSpace(2), Rotation2D(), VectorSpace(2)])
         super().__init__(
             masses=(self.mB, self.m1, self.m2),

@@ -519,6 +519,37 @@ def test_stacked_quasi_static_control_matches_the_per_node_iteration(name):
         assert held == [0]
 
 
+def assert_interpolation_is_the_per_node_integration(scenario):
+    """The warm start's interpolated states, from one stacked integrate call,
+    equal node k's own integrate(x0, (k / N) * direction) to the bit."""
+    scenario.warm_start = {"policy": "quasi_static_interpolation"}
+    problem = build_problem(scenario)
+    X = np.array(build_warm_start(scenario, problem)[0])
+    state, x0, M = problem.state, problem.x0_measured, problem.N
+    direction = state.difference(x0, scenarios._interpolation_target(problem))
+    expected = [state.integrate(x0, (k / M) * direction) for k in range(M + 1)]
+    assert X.tobytes() == np.array(expected).tobytes()
+    return X
+
+
+@pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
+def test_stacked_interpolation_matches_the_per_node_integration(name):
+    assert_interpolation_is_the_per_node_integration(load_scenario(bundled_scenario_path(name)))
+
+
+def test_stacked_interpolation_matches_the_per_node_integration_across_the_wrap(tmp_path):
+    # The heading runs from 3.0 to -3.0 the short way, through +-pi, so the
+    # interpolated headings wrap part of the way along.
+    def heading_across_the_wrap(doc):
+        doc["x0"][2] = 3.0
+        doc["costs"]["terminal"][0]["reference"][2] = -3.0
+
+    path = write_doc(tmp_path, hop_document(heading_across_the_wrap))
+    headings = assert_interpolation_is_the_per_node_integration(load_scenario(path))[:, 2]
+    assert headings[0] == 3.0 and headings[-1] == pytest.approx(-3.0)
+    assert (headings > 3.0).any() and (headings < -3.0).any()
+
+
 def test_warm_start_makes_one_partials_call_per_group(monkeypatch):
     scenario = load_scenario(bundled_scenario_path("monoped_hop"))
     problem = build_problem(scenario)

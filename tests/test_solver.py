@@ -74,6 +74,18 @@ def pendulum_problem(n=60, dt=0.02):
     return ShootingProblem(np.zeros(2), running, terminal)
 
 
+def assert_same_view(view, cut, row):
+    """view is the per-node cut `cut` (same memory, shape and strides) of the
+    stack row `row`, and a write through it lands in the stack."""
+    assert view.shape == cut.shape and view.strides == cut.strides
+    assert view.__array_interface__["data"][0] == cut.__array_interface__["data"][0]
+    assert view.size == 0 or np.shares_memory(view, row)
+    marks = np.arange(1.0, view.size + 1.0).reshape(view.shape)
+    view[...] = marks
+    np.testing.assert_array_equal(cut, marks)
+    view[...] = 0.0
+
+
 def random_iterate(problem, rng):
     X = [rng.standard_normal(problem.ndx) for _ in range(problem.N + 1)]
     U = [rng.standard_normal(m.nu) for m in problem.running_models]
@@ -265,6 +277,38 @@ def test_fused_backward_pass_matches_the_per_block_recursion():
     assert impulse == [50]
     for name in ("Q_u", "Q_uu", "k_ff", "K_fb"):
         assert not getattr(ws, name)[50].any()
+
+
+def test_bulk_made_views_are_the_per_node_cuts_on_mixed_controls():
+    # monoped_hop's impulse node has nu = 0 and every other node nu = 2. Each
+    # workspace row and node container, cut in bulk from its stack, must be
+    # the view a per-node cut of row k makes.
+    scenario, problem, X, U = load_and_build(bundled_scenario_path("monoped_hop"))
+    ws, ndx = SolverWorkspace(problem), problem.ndx
+    nus = [m.nu for m in problem.running_models]
+    assert sorted(set(nus)) == [0, 2]
+    for k, nu in enumerate(nus):
+        Q, policy, V = ws.Q[k, : ndx + nu, : ndx + nu + 1], ws.policy[k, :nu, : ndx + nu + 1], ws.V[k]
+        cuts = (
+            Q, Q[:ndx, : ndx + 1], Q[:ndx, ndx + 1 :], Q[ndx:, ndx + 1 :], Q[ndx:],
+            policy, policy[:, : ndx + 1], V, V[:, 0], V[:, 1:],
+        )
+        rows = (ws.Q[k],) * 5 + (ws.policy[k],) * 2 + (ws.V[k],) * 3
+        assert len(ws.node_rows[k]) == len(cuts)
+        for view, cut, row in zip(ws.node_rows[k], cuts, rows):
+            assert_same_view(view, cut, row)
+    # Each container field, and the stack array whose row it views.
+    fields = {"xnext": "xnext", "Fz": "Fz", "f_x": "Fz", "f_u": "Fz"}
+    fields.update(dict.fromkeys(("Lz", "l_x", "l_u", "l_xx", "l_xu", "l_ux", "l_uu"), "Lz"))
+    for running, stacks in ((problem.datas, problem.stacks), problem.create_datas()):
+        for (model, nodes), stack in zip(problem.groups, stacks):
+            for i, k in enumerate(nodes):
+                data = running[k]
+                for name, source in fields.items():
+                    assert_same_view(getattr(data, name), getattr(stack, name)[i], getattr(stack, source)[i])
+                assert len(data.dyn) == len(stack.dyn) == len(model.dyn_sizes)
+                for part, stacked in zip(data.dyn, stack.dyn):
+                    assert_same_view(part, stacked[i], stacked[i])
 
 
 def test_value_curvature_stays_symmetric():

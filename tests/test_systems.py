@@ -627,6 +627,18 @@ def test_physical_parameters_must_be_finite():
                 build(value)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("system", [Pendulum, DoublePendulum, PlanarMonoped])
+def test_gravity_must_be_finite(system, value):
+    # Gravity takes any sign, zero included; only a non-finite value is
+    # rejected, with the other parameters' wording.
+    with pytest.raises(ParameterError, match=f"gravity must be finite, got {value}") as caught:
+        system(gravity=value)
+    assert caught.value.name == "gravity"
+    for finite in (0.0, -2.5):
+        assert system(gravity=finite).gravity == finite
+
+
 def test_linear_dynamics_validates_shapes():
     with pytest.raises(DimensionMismatch):
         LinearDynamics(np.zeros((2, 3)), np.zeros((2, 1)))
