@@ -80,7 +80,7 @@ from .contact import (
     impulse_dynamics_derivatives,
 )
 from .costs import CostTerm
-from .errors import DimensionMismatch, NumericalFailure
+from .errors import DimensionMismatch, NumericalFailure, finite
 from .manifolds import Manifold
 from .systems import LinearDynamics, MechanicalSystem
 
@@ -440,9 +440,7 @@ class IntegratedActionModel(ActionModelBase):
     """
 
     def __init__(self, dynamics, costs=(), dt: float = 1e-3):
-        if not np.isfinite(dt):
-            raise DimensionMismatch(f"integration step must be finite, got {dt}")
-        if not dt > 0.0:
+        if not finite("integration step", float(dt), DimensionMismatch) > 0.0:
             raise DimensionMismatch(f"integration step must be positive, got {dt}")
         super().__init__(dynamics.state, dynamics.nu, costs)
         self.dynamics = dynamics

@@ -13,10 +13,13 @@ gives [Mhat | Jc M^-1 b1] for the elimination; the factorizations and the
 pivots on the diagonal of Mhat's factor reject a dependent constraint set.
 No factor outlives its solve: a node keeps only its solution.
 Every Cholesky factorization of the library goes through `_cholesky` and
-`_cholesky_solve` here. The derivatives take a stack of n nodes that the forward solves have
-already checked, and eliminate all of them at once (`_kkt_solve_stacked`):
-two batched LU solves, one with M and one with Mhat, for all right-hand-side
-columns of all nodes.
+`_cholesky_solve` here, which call LAPACK's dpotrf and dpotrs from scipy's
+compiled extension `_flapack`. It is loaded straight from scipy/linalg/:
+importing it through `scipy.linalg` would run that whole package, which
+costs more memory and import time than a solve needs. The derivatives
+take a stack of n nodes that the forward solves have already checked, and
+eliminate all of them at once (`_kkt_solve_stacked`): two batched LU solves,
+one with M and one with Mhat, for all right-hand-side columns of all nodes.
 
 Sign conventions, fixed once for the whole library:
   forward dynamics   M vdot - Jc^T force   = tau_b,   Jc vdot   = -a0
@@ -31,17 +34,21 @@ raise `NumericalFailure`, failed factorizations `FactorizationError`.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec
 from math import isfinite
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
+import scipy
 
 from .errors import (
     DimensionMismatch,
     FactorizationError,
     NumericalFailure,
     RankDeficientConstraint,
+    finite,
 )
 
 # Cholesky pivots of Mhat below this flag a redundant constraint set.
@@ -49,6 +56,23 @@ RANK_PIVOT_TOL = 1e-10
 
 DEFAULT_ALPHA = 100.0
 DEFAULT_BETA = 20.0
+
+
+def _load_flapack():
+    """scipy's compiled LAPACK extension, loaded from scipy/linalg/ without
+    running that package's __init__. scipy's own sys.modules entries are
+    left alone, so scipy.linalg still loads its copy, in either order."""
+    where = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    spec = PathFinder.find_spec("_flapack", [where])
+    if spec is None:
+        raise ImportError(f"scipy {scipy.__version__} has no LAPACK extension _flapack in {where}")
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = _load_flapack()
+dpotrf, dpotrs = _flapack.dpotrf, _flapack.dpotrs
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,9 +92,9 @@ class Contact:
     beta: float = DEFAULT_BETA
 
     def __post_init__(self):
-        object.__setattr__(self, "reference", _read_only(np.array(self.reference, float, ndmin=1)))
-        if not (isfinite(self.alpha) and isfinite(self.beta)):
-            raise DimensionMismatch("Baumgarte gains must be finite")
+        reference = finite("contact reference", self.reference, DimensionMismatch)
+        object.__setattr__(self, "reference", _read_only(np.array(reference, ndmin=1)))
+        finite("Baumgarte gains", (self.alpha, self.beta), DimensionMismatch)
         if self.alpha < 0.0 or self.beta < 0.0:
             raise DimensionMismatch("Baumgarte gains must be >= 0")
         if self.nf < 1:
@@ -133,12 +157,14 @@ def baumgarte_a0(contacts, placement_current, velocity_current, drift_accelerati
 def _cholesky(a: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of a symmetric positive-definite matrix.
 
-    Calls LAPACK's dpotrf directly, the routine scipy's Cholesky wrapper
-    calls, so the factor is the same to the bit. Only the lower triangle of
-    a is read, and the strict upper triangle of the result is left over from
-    a. Nothing is checked for finiteness: a NaN can pass through unflagged,
-    so callers check where a non-finite value can first appear. Raises
-    `np.linalg.LinAlgError` when a leading minor is not positive definite.
+    Calls LAPACK's dpotrf directly, from the extension module that
+    scipy.linalg.lapack re-exports (loaded here without scipy.linalg), so
+    the factor is the one scipy's Cholesky wrapper gives, to the bit. Only
+    the lower triangle of a is read, and the strict upper triangle of the
+    result is left over from a. Nothing is checked for finiteness: a NaN
+    can pass through unflagged, so callers check where a non-finite value
+    can first appear. Raises `np.linalg.LinAlgError` when a leading minor
+    is not positive definite.
     """
     # lower=1, clean=0: positional, which the f2py wrapper parses faster.
     c, info = dpotrf(a, 1, 0)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, finite
 from .manifolds import Manifold
 
 class CostTerm:
@@ -27,11 +27,9 @@ class CostTerm:
     value is 0.5 * weight * ||residual||^2."""
 
     def __init__(self, weight: float, ndx: int, nu: int):
-        if not np.isfinite(weight):
-            raise DimensionMismatch(f"cost weight must be finite, got {weight}")
-        if weight < 0.0:
+        self.weight = finite("cost weight", float(weight), DimensionMismatch)
+        if self.weight < 0.0:
             raise DimensionMismatch(f"cost weight must be >= 0, got {weight}")
-        self.weight = float(weight)
         self.ndx = ndx
         self.nu = nu
 
@@ -58,17 +56,16 @@ class StateRegularization(CostTerm):
     def __init__(self, manifold: Manifold, reference, weight: float, nu: int, scales=None):
         super().__init__(weight, manifold.ndx, nu)
         self.manifold = manifold
-        self.reference = manifold.check_point(np.asarray(reference, float))
+        reference = finite("state reference", reference, DimensionMismatch)
+        self.reference = manifold.check_point(reference)
         if scales is None:
             self.scales = None
         else:
-            self.scales = np.asarray(scales, float)
+            self.scales = finite("state cost scales", scales, DimensionMismatch)
             if self.scales.shape != (manifold.ndx,):
                 raise DimensionMismatch(
                     f"state cost scales must have shape ({manifold.ndx},)"
                 )
-            if not np.isfinite(self.scales).all():
-                raise DimensionMismatch("state cost scales must be finite")
             if (self.scales < 0.0).any():
                 raise DimensionMismatch("state cost scales must be >= 0")
         # The residual's Jacobian is diag(scales) (the identity without them),
@@ -89,7 +86,9 @@ class StateRegularization(CostTerm):
 class ControlRegularization(CostTerm):
     def __init__(self, nu: int, weight: float, ndx: int, reference=None):
         super().__init__(weight, ndx, nu)
-        self.reference = None if reference is None else np.asarray(reference, float)
+        if reference is not None:
+            reference = finite("control reference", reference, DimensionMismatch)
+        self.reference = reference
         if self.reference is not None and self.reference.shape != (nu,):
             raise DimensionMismatch(f"control reference must have shape ({nu},)")
         # The residual's Jacobian is the identity: l_u = w r, l_uu = w I.
@@ -110,7 +109,7 @@ class FrameTranslationTracking(CostTerm):
         super().__init__(weight, ndx, nu)
         self.system = system
         self.frame = frame
-        self.target = np.atleast_1d(np.asarray(target, float))
+        self.target = np.atleast_1d(finite("target", target, DimensionMismatch))
         probe = system.frame_placement(system.nominal_state()[: system.nq], frame)
         if probe.shape != self.target.shape:
             raise DimensionMismatch(
@@ -130,7 +129,7 @@ class ComTracking(CostTerm):
     def __init__(self, system, target, weight: float, ndx: int, nu: int):
         super().__init__(weight, ndx, nu)
         self.system = system
-        self.target = np.atleast_1d(np.asarray(target, float))
+        self.target = np.atleast_1d(finite("target", target, DimensionMismatch))
         probe = system.com(system.nominal_state()[: system.nq])
         if probe.shape != self.target.shape:
             raise DimensionMismatch(

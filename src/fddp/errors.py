@@ -1,6 +1,11 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the finiteness check
+that raises them where a number enters it."""
 
 from __future__ import annotations
+
+from math import isfinite
+
+import numpy as np
 
 
 class FddpError(Exception):
@@ -57,3 +62,13 @@ class ScenarioError(FddpError, ValueError):
         super().__init__(message if location is None else f"{location}: {message}")
         self.location = location
 
+
+def finite(name: str, value, error=None):
+    """value as a float, or a float array, whose every entry must be finite;
+    otherwise raises "<name> must be finite, got <value>" as `error`, or as a
+    ParameterError naming `name` by default."""
+    array = np.asarray(value, dtype=float)
+    if not all(map(isfinite, array.ravel().tolist())):
+        text = f"must be finite, got {array.tolist()}"
+        raise error(f"{name} {text}") if error else ParameterError(name, text)
+    return array.item() if array.ndim == 0 else array

@@ -26,9 +26,10 @@ The wrap is locally the identity, so the Jacobians of integrate are (I, I)
 and those of difference (-I, I); callers use them in closed form and no
 operator returns them.
 
-Inputs are checked once, where they enter the library: the scenario loader,
-the model and problem constructors and `ShootingProblem.check_trajectories`
-call `check_point`. Below those entry points every point and tangent is a
+Inputs are checked once, where they enter the library: the scenario loader
+and the model and problem constructors call `check_point`, and
+`ShootingProblem.check_trajectories` checks a guess's states with one shape
+test of their stack. Below those entry points every point and tangent is a
 float ndarray of the right shape, and the operators do not check it again.
 """
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 import numpy as np
 
 from .action import ActionData, ActionDataStack, ActionModelBase
-from .errors import DimensionMismatch, FactorizationError, NumericalFailure
+from .errors import DimensionMismatch, FactorizationError, NumericalFailure, finite
 
 
 class ShootingProblem:
@@ -53,6 +53,10 @@ class ShootingProblem:
         group_of = {model: g for g, model in enumerate(dict.fromkeys(running_models))}
         labels = np.fromiter(map(group_of.get, running_models), int, len(running_models))
         self.groups = [(model, np.flatnonzero(labels == g)) for model, g in group_of.items()]
+        # (model, first node, end) of each run of consecutive nodes that share a model.
+        starts = [0, *(np.flatnonzero(labels[1:] != labels[:-1]) + 1).tolist()]
+        ends = starts[1:] + [len(labels)]
+        self.runs = [(running_models[lo], lo, hi) for lo, hi in zip(starts, ends)]
         state = terminal_model.state
         # Groups come in order of first appearance, so the first offending
         # group's first node is the first offending node.
@@ -62,10 +66,12 @@ class ShootingProblem:
         self.state = state
         self.running_models = running_models
         self.terminal_model = terminal_model
-        self.x0_measured = state.check_point(x0_measured)
+        self.x0_measured = state.check_point(finite("x0", x0_measured, DimensionMismatch))
         self.N = len(running_models)
-        self.nus = [model.nu for model in running_models]
-        self.nu_max = max(self.nus)
+        nus = np.array([model.nu for model in group_of])[labels]
+        self.nus, self.nu_max = nus.tolist(), int(nus.max())
+        # Node k's controls in a stacked (N, nu_max) array: row k's first nu_k.
+        self.control_slots = np.arange(self.nu_max) < nus[:, None]
         self.ndx = state.ndx
         self.datas, self.stacks = self.create_datas()
 
@@ -87,29 +93,35 @@ class ShootingProblem:
     # -- validation ------------------------------------------------------------
 
     def check_trajectories(self, X, U):
-        """Check a guess where it enters; returns (X, U) as lists of float arrays.
+        """Check a guess where it enters; returns the states stacked
+        (N + 1, nx), a new array, and the controls stacked by
+        `stack_controls`.
 
         X must hold N + 1 points of the state manifold and U[k] must have
         shape (nu_k,); an error names the offending X[k] or U[k]. X is None
-        for a rollout, which takes only controls.
+        for a rollout, which takes only controls. The states are converted
+        in one call; only a guess that fails it is walked entry by entry, to
+        name the first bad X[k].
         """
         if X is not None:
             if len(X) != self.N + 1:
                 raise DimensionMismatch(f"X must hold {self.N + 1} states, got {len(X)}")
-            X = [_entry(f"X[{k}]", self.state.check_point, x) for k, x in enumerate(X)]
-        if len(U) != self.N:
-            raise DimensionMismatch(f"U must hold {self.N} controls, got {len(U)}")
-        U = [
-            _entry(f"U[{k}]", _check_control, u, model.nu)
-            for k, (u, model) in enumerate(zip(U, self.running_models))
-        ]
-        return X, U
+            try:
+                states = np.array(X, dtype=float)
+                checked = states.shape == (self.N + 1, self.state.nx)
+            except (ValueError, TypeError, OverflowError):
+                checked = False
+            if not checked:
+                check = self.state.check_point
+                states = np.array([_entry(f"X[{k}]", check, x) for k, x in enumerate(X)])
+            X = states
+        return X, self.stack_controls(U)
 
     # -- evaluation ------------------------------------------------------------
 
     def rollout(self, U, datas=None) -> np.ndarray:
         """Integrate the controls from the measured initial state (feasible X)."""
-        return self._rollout(self.stack_controls(self.check_trajectories(None, U)[1]), datas)
+        return self._rollout(self.check_trajectories(None, U)[1], datas)
 
     def _rollout(self, U, datas=None) -> np.ndarray:
         """rollout of stacked controls U (N, nu_max) that check_trajectories
@@ -136,8 +148,7 @@ class ShootingProblem:
         is where node k's dynamics lands minus the guessed X[k+1], both as
         tangent vectors at the guessed states.
         """
-        X, U = self.check_trajectories(X, U)
-        return self._calc(np.array(X), self.stack_controls(U), datas)
+        return self._calc(*self.check_trajectories(X, U), datas)
 
     def _calc(self, X, U, datas=None) -> tuple[float, np.ndarray]:
         """calc of a stacked guess that check_trajectories has already checked."""
@@ -186,25 +197,39 @@ class ShootingProblem:
         self.terminal_model.calc_diff(stacks[-1], X[self.N :], _NO_CONTROLS)
 
     def stack_controls(self, U) -> np.ndarray:
-        """The nodes' controls U, a list of checked (nu_k,) arrays, as one
-        (N, nu_max) array, each row zero-padded past its node's nu."""
+        """The nodes' controls U, one (nu_k,) entry per node, checked and
+        stacked as one (N, nu_max) array, each row zero-padded past its
+        node's nu. The entries are converted in one concatenation; only a
+        list that fails it is walked entry by entry, to name the first bad
+        U[k]."""
+        if len(U) != self.N:
+            raise DimensionMismatch(f"U must hold {self.N} controls, got {len(U)}")
+        try:
+            flat = np.concatenate(U, dtype=float)
+            checked = flat.ndim == 1 and list(map(len, U)) == self.nus
+        except (ValueError, TypeError, OverflowError):
+            checked = False
+        if not checked:
+            entries = enumerate(zip(U, self.nus))
+            flat = np.concatenate([_entry(f"U[{k}]", _check_control, *entry) for k, entry in entries])
         array = np.zeros((self.N, self.nu_max))
-        for row, u in zip(array, U):
-            row[: len(u)] = u
+        array[self.control_slots] = flat
         return array
 
     # -- convenience -----------------------------------------------------------
 
-    def node_rows(self, cut) -> list:
-        """Node k's row of the stack cut(nu_k) (N, ...), with one cut per
-        distinct control dimension nu, whose rows the nodes of that nu take."""
-        rows = {nu: list(cut(nu)) for nu in set(self.nus)}
-        return [rows[nu][k] for k, nu in enumerate(self.nus)]
+    def node_rows(self, cut) -> list[tuple]:
+        """Node k's rows k of the stacked arrays cut(nu_k), each (N, ...), as
+        a tuple: one cut per run, whose rows are taken only over the run."""
+        rows = []
+        for model, lo, hi in self.runs:
+            rows += zip(*[array[lo:hi] for array in cut(model.nu)])
+        return rows
 
     def node_controls(self, U) -> list[np.ndarray]:
         """The stacked controls U (N, nu_max) as the nodes' list: row k cut to
         node k's nu_k, a view."""
-        return self.node_rows(lambda nu: U[:, :nu])
+        return [u for u, in self.node_rows(lambda nu: (U[:, :nu],))]
 
     def zero_controls(self) -> list[np.ndarray]:
         return self.node_controls(np.zeros((self.N, self.nu_max)))

@@ -626,6 +626,7 @@ def build_warm_start(scenario: Scenario, problem: ShootingProblem):
             X, U = problem.check_trajectories(X, U)
         except DimensionMismatch as exc:
             raise ScenarioError(str(exc), location="warm_start.path") from exc
+        X, U = list(X), problem.node_controls(U)
         # check_trajectories converts numeric strings and booleans, which a
         # scenario rejects; JSON reads NaN, Infinity and 1e999 as floats.
         for name, entries in (("X", X), ("U", U)):

@@ -104,8 +104,8 @@ class SolverWorkspace:
         self.V_x, self.V_xx = self.V[:, :, 0], self.V[:, :, 1:]
         self.gaps = np.zeros((N + 1, ndx))
         # Node k's views cut to its nu_k, through which the backward pass
-        # writes: rows of one stacked cut per distinct nu.
-        self.node_rows = problem.node_rows(lambda nu: zip(*_node_rows(self, nu)))
+        # writes: rows of one stacked cut per run of nodes that share a model.
+        self.node_rows = problem.node_rows(lambda nu: _node_rows(self, nu))
 
 
 def _node_rows(ws: SolverWorkspace, nu: int):
@@ -322,12 +322,12 @@ def solve(
     states (regularization cap, non-finite evaluations naming their node,
     non-finite derivatives met by the backward pass) are recorded in the
     report, never raised. A malformed guess is rejected on entry by
-    `ShootingProblem.check_trajectories`, and its controls are stacked once
-    (`ShootingProblem.stack_controls`); the evaluations after that go through
-    the problem's unchecked `_rollout`, `_cost_and_gaps` and `_calc`, on the
-    iterate's states (N + 1, nx) and controls (N, nu_max). Under ddp the
-    start is the rollout of the warm-start controls, which reads no state of
-    the guess.
+    `ShootingProblem.check_trajectories`, which stacks its states and, once
+    (`ShootingProblem.stack_controls`), its controls; the evaluations after
+    that go through the problem's unchecked `_rollout`, `_cost_and_gaps`
+    and `_calc`, on the iterate's states (N + 1, nx) and controls
+    (N, nu_max). Under ddp the start is the rollout of the warm-start
+    controls, which reads no state of the guess.
     """
     if solver not in ("ddp", "fddp"):
         raise DimensionMismatch(f"unknown solver {solver!r}, expected 'ddp' or 'fddp'")
@@ -340,7 +340,6 @@ def solve(
         problem.constant_state_guess() if X_guess is None else X_guess,
         problem.zero_controls() if U_guess is None else U_guess,
     )
-    X, U = np.array(X), problem.stack_controls(U)
 
     report = SolveReport(solver=solver)
     current = (problem.datas, problem.stacks)

@@ -30,12 +30,12 @@ evaluation of its basis; the other systems compose their closed forms.
 
 from __future__ import annotations
 
-from math import cos, isfinite, sin
+from math import cos, sin
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, ParameterError
+from .errors import DimensionMismatch, ParameterError, finite
 from .manifolds import CompositeManifold, Manifold, Rotation2D, VectorSpace
 
 GRAVITY = 9.81
@@ -46,17 +46,9 @@ def _read_only(matrix: np.ndarray) -> np.ndarray:
     return matrix
 
 
-def _finite(name: str, value) -> float:
-    """A physical parameter must be finite; gravity may take any such value."""
-    value = float(value)
-    if not isfinite(value):
-        raise ParameterError(name, f"must be finite, got {value}")
-    return value
-
-
 def _parameter(name: str, value, zero_ok=False) -> float:
     """A mass, length or inertia must be > 0; a damping (zero_ok) >= 0."""
-    value = _finite(name, value)
+    value = finite(name, float(value))
     if not (value >= 0.0 if zero_ok else value > 0.0):
         raise ParameterError(name, f"must be {'>=' if zero_ok else '>'} 0, got {value}")
     return value
@@ -181,12 +173,12 @@ class LinearDynamics:
     """First-order linear flow xdot = A x + B u + c (the LQR oracle model)."""
 
     def __init__(self, A, B, c=None):
-        self.A = np.atleast_2d(np.asarray(A, float))
-        self.B = np.atleast_2d(np.asarray(B, float))
+        self.A = np.atleast_2d(finite("A", A))
+        self.B = np.atleast_2d(finite("B", B))
         n = self.A.shape[0]
         if self.A.shape != (n, n) or self.B.shape[0] != n:
             raise DimensionMismatch("A must be square and B row-compatible")
-        self.c = np.zeros(n) if c is None else np.asarray(c, float)
+        self.c = np.zeros(n) if c is None else finite("c", c)
         if self.c.shape != (n,):
             raise DimensionMismatch("c must match the state dimension")
         self.nx = n
@@ -234,7 +226,7 @@ class Pendulum(MechanicalSystem):
         self.mass = _parameter("mass", mass)
         self.length = _parameter("length", length)
         self.damping = _parameter("damping", damping, zero_ok=True)
-        self.gravity = _finite("gravity", gravity)
+        self.gravity = finite("gravity", float(gravity))
         self.config = VectorSpace(1)
         super().__init__()
         self._mass = _read_only(np.array([[self.mass * self.length**2]]))
@@ -609,7 +601,7 @@ class DoublePendulum(_PlanarLeg):
         self.lc1, self.lc2 = _parameter("lc1", lc1), _parameter("lc2", lc2)
         self.I1 = self.m1 * self.l1**2 / 12.0
         self.I2 = self.m2 * self.l2**2 / 12.0
-        self.gravity = _finite("gravity", gravity)
+        self.gravity = finite("gravity", float(gravity))
         self.config = VectorSpace(2)
         super().__init__(
             masses=(self.m1, self.m2),
@@ -662,7 +654,7 @@ class PlanarMonoped(_PlanarLeg):
         self.lc2 = 0.5 * self.l2
         self.I1 = self.m1 * self.l1**2 / 12.0
         self.I2 = self.m2 * self.l2**2 / 12.0
-        self.gravity = _finite("gravity", gravity)
+        self.gravity = finite("gravity", float(gravity))
         self.config = CompositeManifold([VectorSpace(2), Rotation2D(), VectorSpace(2)])
         super().__init__(
             masses=(self.mB, self.m1, self.m2),

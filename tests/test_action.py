@@ -31,6 +31,7 @@ from fddp.errors import (
     DimensionMismatch,
     FddpError,
     NumericalFailure,
+    ParameterError,
     RankDeficientConstraint,
 )
 from fddp.manifolds import CompositeManifold, Rotation2D, VectorSpace
@@ -743,6 +744,37 @@ def test_cost_constructors_check_weight_and_target_shape():
         ComTracking(monoped, [0.0, 0.5, 0.0], 1.0, 10, 2)
     with pytest.raises(DimensionMismatch, match="no center-of-mass model"):
         ComTracking(DoubleIntegrator(), [0.0, 0.0], 1.0, 4, 2)
+
+
+# (argument, constructor from a value of that argument, a valid value): each
+# argument must be finite, whichever entry carries the NaN or infinity.
+FINITE_ARGUMENTS = [
+    ("control reference", lambda v: ControlRegularization(1, 1.0, 2, reference=v), [0.0]),
+    ("state reference", lambda v: StateRegularization(VectorSpace(2), v, 1.0, 1), [0.0, 0.0]),
+    ("contact reference", lambda v: Contact("tip", v), [0.0]),
+    ("A", lambda v: LinearDynamics(v, [[1.0]]), [[1.0]]),
+    ("B", lambda v: LinearDynamics([[1.0]], v), [[1.0]]),
+    ("c", lambda v: LinearDynamics([[1.0]], [[1.0]], c=v), [0.0]),
+    ("target", lambda v: ComTracking(PlanarMonoped(), v, 1.0, 10, 2), [0.0, 0.7]),
+    ("x0", lambda v: ShootingProblem(v, *pendulum_models()), [0.1, 0.0]),
+]
+
+
+def pendulum_models():
+    problem = pendulum_problem(n=2)
+    return problem.running_models, problem.terminal_model
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name, build, valid", FINITE_ARGUMENTS, ids=[row[0] for row in FINITE_ARGUMENTS])
+def test_constructors_reject_non_finite_arguments(name, build, valid, bad):
+    build(valid)
+    flat = np.array(valid, float)
+    for i in range(flat.size):
+        value = flat.copy()
+        value.flat[i] = bad
+        with pytest.raises((ParameterError, DimensionMismatch), match=f"^{name} must be finite, got "):
+            build(value.tolist())
 
 
 def test_mismatched_cost_shapes_are_rejected():

@@ -10,11 +10,18 @@ frozen small-system examples and the physical invariants of impacts. The
 solves sit below the validation boundary, so every input here is an ndarray.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 
-from fddp import numdiff
+import fddp
+from fddp import contact, numdiff
 from fddp.action import ConstrainedMechanicalDynamics, ImpulseActionModel, IntegratedActionModel
 from fddp.contact import (
     RANK_PIVOT_TOL,
@@ -58,6 +65,52 @@ def test_cholesky_helper_matches_scipy_bit_for_bit(n):
         np.testing.assert_array_equal(c, ref[0])
         for b in (rng.standard_normal(n), rng.standard_normal((n, 3)), a.T):
             np.testing.assert_array_equal(_cholesky_solve(c, b), cho_solve(ref, b))
+
+
+def run_fresh(code: str) -> str:
+    """Run code in a fresh interpreter that imports this checkout's fddp and
+    these tests as modules; returns what it printed."""
+    paths = [str(Path(fddp.__file__).parents[1]), str(Path(__file__).parent)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths + [os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.parametrize("first", ["scipy.linalg", "fddp"])
+def test_cholesky_helper_matches_scipy_bit_for_bit_in_either_import_order(first):
+    # The library loads LAPACK's extension module itself, and scipy.linalg
+    # loads its own copy; whichever comes first, both work and agree. This
+    # module imports both, so the order is set in a fresh interpreter.
+    run_fresh(
+        f"import {first}, sys\n"
+        "from test_contact import test_cholesky_helper_matches_scipy_bit_for_bit as check\n"
+        "for n in (1, 2, 6): check(n)\n"
+        "assert 'scipy.linalg' in sys.modules"
+    )
+
+
+def test_a_solve_leaves_scipy_linalg_unimported():
+    # The library takes only LAPACK's Cholesky pair from scipy, without
+    # importing the scipy.linalg package; this module imports that package
+    # itself, so the check runs in a fresh interpreter.
+    printed = run_fresh(
+        "import sys\n"
+        "import fddp\n"
+        "scenario, problem, X, U = fddp.load_and_build(fddp.bundled_scenario_path('pendulum_swingup'))\n"
+        "options = scenario.solver_options\n"
+        "_, _, report = fddp.solve(\n"
+        "    problem, X, U, max_iters=options['max_iters'], tolerance=options['tolerance']\n"
+        ")\n"
+        "print(report.converged, 'scipy.linalg' in sys.modules)"
+    )
+    assert printed.split() == ["True", "False"]
+
+
+def test_a_missing_lapack_extension_names_where_it_was_sought(monkeypatch):
+    monkeypatch.setattr(contact, "PathFinder", SimpleNamespace(find_spec=lambda name, path: None))
+    with pytest.raises(ImportError, match=r"scipy \S+ has no LAPACK extension _flapack in .*linalg"):
+        contact._load_flapack()
 
 
 def test_cholesky_helper_leaves_its_inputs_alone():
