@@ -21,20 +21,18 @@ Its dynamics make one system call, `forward_terms`, whose M, bias and frame
 terms the dynamics, the contacts and the impulse share, and check each
 quantity for non-finite values once: the contact and impulse solves their
 inputs and results, the free dynamics M, the torque and the acceleration.
-`calc_stack(stack, X, U)` does the same for the n nodes of a stack in one
-batched pass: `forward_terms` broadcast over the node axis, then one batched
-solve of the stacked mass matrices (free nodes), one checked batched
-elimination (contact and impulse nodes, whose solutions one helper writes
-into `dyn`) or a broadcast (linear flows, the terminal node). It makes the
-node's tests on the whole stack. Where a node would fail one (a non-finite
-value, a failed Cholesky, a low rank pivot), `acceleration_stack` returns
-None and leaves `dyn` untouched, and the model replays its nodes in order
-through `calc` (`ActionModelBase._replay`, the one replay), so the first
-failing node raises what `calc` raises. Its results agree with `calc` to
+`calc_stack(stack, X, U)` does the same for the n nodes of a stack: node by
+node through `calc`, so a failing node raises what `calc` raises (with its
+row as the error's `row`). Only an integrated model over mechanical dynamics,
+whose groups the quasi-static warm start steps, takes one batched step
+instead: `forward_terms` broadcast over the node axis, then one batched
+solve of the stacked mass matrices (free nodes) or one checked batched
+elimination (contact nodes), after the node's tests on the whole stack.
+Where a node would fail one (a non-finite value, a failed Cholesky, a low
+rank pivot), `acceleration_stack` returns None and leaves `dyn` untouched,
+and the model steps node by node. The batched results agree with `calc` to
 rounding, not to the bit (a batched LU solve against the node's Cholesky
-solve), so the shooting problem's evaluations, which must reproduce a
-node-by-node rollout exactly, keep sweeping with `calc`; the quasi-static
-warm start and the derivative audit use the stacked call.
+solve), so the shooting problem's evaluations step node by node.
 `cost(X, U)` returns the costs (n,) of n nodes at X (n, nx), U (n, nu), in
 one stacked pass over the cost terms' residuals; no node's `calc` computes
 its cost. `calc_diff(stack, X, U)` evaluates the derivatives of all n nodes
@@ -80,7 +78,7 @@ from .contact import (
     impulse_dynamics_derivatives,
 )
 from .costs import CostTerm
-from .errors import DimensionMismatch, NumericalFailure, finite
+from .errors import DimensionMismatch, FddpError, NumericalFailure, finite
 from .manifolds import Manifold
 from .systems import LinearDynamics, MechanicalSystem
 
@@ -115,7 +113,7 @@ class ActionDataStack(_DerivativeBlocks):
     """The forward steps, the dynamics' solutions and the derivative stacks of
     n nodes that share one model, and their nodes.
 
-    `calc_stack` fills `xnext` (n, nx) and `dyn` for all n nodes at once,
+    `calc_stack` fills `xnext` (n, nx) and `dyn` for all n nodes,
     `calc_diff` reads `dyn` and fills `Fz` and `Lz`, so the backward pass
     takes each node's blocks in one product. `dyn` holds the parts of the
     solution `calc_diff` reads, one (n, size) array per part of the model's
@@ -123,8 +121,8 @@ class ActionDataStack(_DerivativeBlocks):
     force), an impulse node's (post-impact velocity, impulse), nothing for
     a linear flow or the terminal node. `nodes[i]` is node i's `ActionData`,
     whose fields are views of row i, all made on first use in one pass over
-    the rows of the stack's arrays (a stacked call needs them only to replay
-    a failing node). The nodes do not refer back to the stack, so no
+    the rows of the stack's arrays, for the node-by-node `calc_stack` and
+    the backward pass. The nodes do not refer back to the stack, so no
     reference cycle outlives a data set.
     """
 
@@ -179,7 +177,7 @@ class DifferentialDynamics:
         """The accelerations (n, nv) of the n nodes of `stack` at X, U, from
         one batched solve; the solutions go to stack.dyn. None, with
         stack.dyn untouched, where any node's solve would fail: a batched
-        solve cannot say which node, so the model replays them."""
+        solve cannot say which node, so the model steps them one by one."""
         raise NotImplementedError
 
     def partials(self, stack: ActionDataStack, X, U):
@@ -283,7 +281,13 @@ class ConstrainedMechanicalDynamics(DifferentialDynamics):
             M, bias, placement, Jc, drift = sys.forward_terms(q, v, self.contacts.frames)
             a0 = baumgarte_a0(self.contacts, placement, (Jc @ v[..., None])[..., 0], drift)
             tau_b = U @ sys.actuation().T - bias
-        return _solve_saddle_point_into(stack, M, Jc, tau_b[..., None], -a0[..., None])
+        solution = _kkt_solve_checked(_per_node(M, len(X)), Jc, tau_b[..., None], -a0[..., None])
+        if solution is None:
+            return None
+        vdot, force = stack.dyn
+        vdot[:] = solution[0][..., 0]
+        np.negative(solution[1][..., 0], out=force)
+        return vdot
 
     def partials(self, stack, X, U):
         # Total derivatives of the two KKT rows at the solution, holding
@@ -332,19 +336,6 @@ def _per_node(matrix, n: int) -> np.ndarray:
     """A system term as an (n, r, c) stack: a constant term, which the system
     returns unstacked, is broadcast (read-only) to every node."""
     return np.broadcast_to(matrix, (n,) + matrix.shape[-2:])
-
-
-def _solve_saddle_point_into(stack: ActionDataStack, M, Jc, b1, b2):
-    """The checked saddle-point solve (`_kkt_solve_checked`) of the stack's
-    nodes, its (w, -z) written into stack.dyn; returns stack.dyn[0], or None,
-    with stack.dyn untouched, where any node's solve would fail."""
-    solution = _kkt_solve_checked(_per_node(M, len(stack.xnext)), Jc, b1, b2)
-    if solution is None:
-        return None
-    w, minus_z = stack.dyn
-    w[:] = solution[0][..., 0]
-    np.negative(solution[1][..., 0], out=minus_z)
-    return w
 
 
 # ---------------------------------------------------------------------------
@@ -413,16 +404,15 @@ class ActionModelBase:
         raise NotImplementedError
 
     def calc_stack(self, stack: ActionDataStack, X, U) -> ActionDataStack:
-        """The forward steps of the stack's n nodes at X (n, nx), U (n, nu),
-        in one batched evaluation, with what calc would leave in each row.
-        Where calc would fail on a node, the nodes are replayed in order
-        through calc, so the first failing one raises what calc raises."""
-        raise NotImplementedError
-
-    def _replay(self, stack, X, U) -> ActionDataStack:
-        """calc_stack node by node, for a stack with a failing node."""
-        for data, x, u in zip(stack.nodes, X, U):
-            self.calc(data, x, u)
+        """The forward steps of the stack's n nodes at X (n, nx), U (n, nu):
+        calc on each row in order. A failing node raises what calc raises,
+        with its row as the error's `row`."""
+        for row, (data, x, u) in enumerate(zip(stack.nodes, X, U)):
+            try:
+                self.calc(data, x, u)
+            except FddpError as exc:
+                exc.row = row
+                raise
         return stack
 
     def calc_diff(self, stack: ActionDataStack, X, U) -> ActionDataStack:
@@ -472,21 +462,15 @@ class IntegratedActionModel(ActionModelBase):
         return data
 
     def calc_stack(self, stack, X, U):
-        xnext = stack.xnext
-        if self.first_order:
-            with np.errstate(all="ignore"):
-                xdot = self.dynamics.flow_stack(X, U)
-            if not _stack_finite(xdot):
-                return self._replay(stack, X, U)
-            np.add(X, self.dt * xdot, out=xnext)
-        else:
-            vdot = self.dynamics.acceleration_stack(stack, X, U)
-            if vdot is None:
-                return self._replay(stack, X, U)
-            sys = self.dynamics.system
-            nq = sys.nq
-            v_next = np.add(X[:, nq:], self.dt * vdot, out=xnext[:, nq:])
-            xnext[:, :nq] = sys.config.integrate(X[:, :nq], self.dt * v_next)
+        # Mechanical dynamics take one batched step (the quasi-static warm
+        # start's); a linear flow, or a stack with a failing node, goes node
+        # by node.
+        vdot = None if self.first_order else self.dynamics.acceleration_stack(stack, X, U)
+        if vdot is None:
+            return super().calc_stack(stack, X, U)
+        nq = self.dynamics.system.nq
+        v_next = np.add(X[:, nq:], self.dt * vdot, out=stack.xnext[:, nq:])
+        stack.xnext[:, :nq] = self.dynamics.system.config.integrate(X[:, :nq], self.dt * v_next)
         return stack
 
     def calc_diff(self, stack, X, U):
@@ -521,10 +505,6 @@ class TerminalActionModel(ActionModelBase):
     def calc(self, data, x, u=_NO_CONTROL):
         data.xnext[:] = x
         return data
-
-    def calc_stack(self, stack, X, U):
-        stack.xnext[:] = X
-        return stack
 
     def calc_diff(self, stack, X, U):
         stack.f_x[:] = self._f_x
@@ -573,23 +553,6 @@ class ImpulseActionModel(ActionModelBase):
         data.dyn[0][:] = v_plus
         data.dyn[1][:] = impulse
         return data
-
-    def calc_stack(self, stack, X, U):
-        # The velocity jump w = v_plus - v is the saddle point with b1 = 0
-        # and b2 = -(1 + e) Jc v, and z = -impulse; v is added to w in place.
-        sys = self.system
-        n, nq = len(X), sys.nq
-        q, v = X[:, :nq], X[:, nq:]
-        with np.errstate(all="ignore"):
-            M, _, _, Jc, _ = sys.forward_terms(q, v, self.contacts.frames)
-            closing = -(1.0 + self.restitution) * (Jc @ v[..., None])
-        v_plus = _solve_saddle_point_into(stack, M, Jc, np.zeros((n, sys.nv, 1)), closing)
-        if v_plus is None:
-            return self._replay(stack, X, U)
-        v_plus += v
-        stack.xnext[:, :nq] = q
-        stack.xnext[:, nq:] = v_plus
-        return stack
 
     def calc_diff(self, stack, X, U):
         # Configuration partials of the two residual rows at the solution,

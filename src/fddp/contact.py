@@ -266,8 +266,9 @@ def _kkt_solve_checked(M, Jc, b1, b2):
     the node solve's tests made on all nodes at once: None when any node
     would fail one (a non-finite input or solution, an M or Mhat that is not
     positive definite, a pivot of Mhat below RANK_PIVOT_TOL). A batched
-    solve does not say which node failed, so the caller then replays its
-    nodes through the node solve, which raises for the first failing one.
+    solve does not say which node failed, so the caller then steps its
+    nodes one by one through the node solve, which raises for the first
+    failing one.
     """
     with np.errstate(all="ignore"):
         if not _stack_finite(M, Jc, b1, b2):

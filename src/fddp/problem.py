@@ -9,7 +9,7 @@ state at node 0).
 
 `check_trajectories` is the validation boundary for guesses: `calc` and
 `rollout` call it on entry for outside callers, and `solve` calls it once
-and then evaluates through the unchecked `_calc`, `_rollout` and
+and then evaluates through the unchecked `_calc`, `_sweep` and
 `_cost_and_gaps`. Nothing below them checks a state or a control again,
 and there a trajectory is two arrays: the states X (N + 1, nx) and the
 controls U (N, nu_max), zero-padded (`stack_controls`, once, on entry);
@@ -19,15 +19,14 @@ left in the stacks, so it must follow one at the same (X, U).
 The nodes are grouped by model at construction (`groups`; a scenario shares
 one model per (phase, dt)). A data set (`create_datas`) is (running
 containers, stacks), with one `ActionDataStack` per group whose rows the
-group's containers are, and the terminal node's stack of one last. `calc`
-and the rollouts sweep the running nodes in order, each node's `calc`
-computing only its dynamics into its row (a failing node raises
-`NumericalFailure` naming it); the terminal node has no dynamics to sweep.
-`calc` sweeps too, rather than making one `calc_stack` call per group:
-the stacked call agrees with the node calls only to rounding, and the
-gap-tolerant solve started from a rollout must take the classical solve's
-step exactly. After the sweep, `_cost_and_gaps` (where the solver's forward
-passes end too) makes one stacked `model.cost` call per group and one for
+group's containers are, and the terminal node's stack of one last. Each
+node's `calc` computes only its dynamics into its row (a failing node
+raises `NumericalFailure` naming it). `_sweep` is the one chained rollout,
+of the ddp start, `rollout` and both forward passes; `_calc` steps each
+node at the guessed states. Both step node by node, not one `calc_stack`
+per group, so a gap-tolerant solve started from a rollout takes the
+classical solve's step to the bit. After the nodes are stepped,
+`_cost_and_gaps` makes one stacked `model.cost` call per group and one for
 the terminal node, gathers the landing points from the stacks and takes one
 difference of the stacked states; `calc_diff` makes one stacked pass for
 each group, reading the solutions in its stack.
@@ -120,26 +119,37 @@ class ShootingProblem:
     # -- evaluation ------------------------------------------------------------
 
     def rollout(self, U, datas=None) -> np.ndarray:
-        """Integrate the controls from the measured initial state (feasible X)."""
-        return self._rollout(self.check_trajectories(None, U)[1], datas)
+        """Integrate the controls from the measured initial state (feasible X),
+        leaving the data set as calc at (X, U) would."""
+        return self._sweep(None, self.check_trajectories(None, U)[1], datas)[0]
 
-    def _rollout(self, U, datas=None) -> np.ndarray:
-        """rollout of stacked controls U (N, nu_max) that check_trajectories
-        has already checked; returns the states stacked (N + 1, nx).
-
-        Leaves the data set as calc at (X, U) leaves it, so `_cost_and_gaps`
-        and `calc_diff` may follow without another sweep.
-        """
+    def _sweep(self, X, U, datas=None, gains=None, alpha=0.0, pull=None):
+        """The one chained rollout, of controls U (N, nu_max) checked by
+        check_trajectories: the states (N + 1, nx) and the controls it steps.
+        Without `gains` node k takes U[k] and X is not read; with them (node
+        k's [k | K]) it takes U_k + [k | K] [alpha; x_k - X_k] into new
+        zero-padded controls. `pull` (N + 1, ndx) moves the initial state and
+        each output before it becomes the next state. A failing node raises
+        `NumericalFailure` naming it."""
         running = datas[0] if datas else self.datas
-        X = np.empty((self.N + 1, self.state.nx))
-        X[0] = self.x0_measured
+        state = self.state
+        states = np.empty((self.N + 1, state.nx))
+        states[0] = self.x0_measured if pull is None else state.integrate(self.x0_measured, pull[0])
+        controls = U if gains is None else np.zeros_like(U)
+        z = np.full(self.ndx + 1, alpha)  # [alpha; dx], dx written per node
+        dx = z[1:]
         for k, model in enumerate(self.running_models):
+            u = controls[k, : model.nu]
+            if gains is not None and model.nu:
+                state.difference(X[k], states[k], out=dx)
+                np.add(U[k, : model.nu], gains[k] @ z, out=u)
             try:
-                model.calc(running[k], X[k], U[k, : model.nu])
+                model.calc(running[k], states[k], u)
             except (NumericalFailure, FactorizationError) as exc:
                 raise NumericalFailure(str(exc), node=k) from exc
-            X[k + 1] = running[k].xnext
-        return X
+            xnext = running[k].xnext
+            states[k + 1] = xnext if pull is None else state.integrate(xnext, pull[k + 1])
+        return states, controls
 
     def calc(self, X, U, datas=None) -> tuple[float, np.ndarray]:
         """Total cost and dynamics gaps of a (possibly infeasible) guess.

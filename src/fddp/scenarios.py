@@ -41,6 +41,7 @@ from .costs import (
 from .errors import (
     DimensionMismatch,
     FactorizationError,
+    NumericalFailure,
     ParameterError,
     ScenarioError,
 )
@@ -585,7 +586,9 @@ def build_warm_start(scenario: Scenario, problem: ShootingProblem):
     node's nu are returned. A node whose state no control holds still falls
     back to zero control. That is not only a flight node: on monoped_hop
     every node with controls but node 0 falls back, the stance nodes too, so
-    its warm start is close to a zero-control start.
+    its warm start is close to a zero-control start. A node whose forward
+    step fails raises a ScenarioError at warm_start.policy naming it and the
+    step's cause (the row at which the group's `calc_stack` stopped).
     file: a JSON document with explicit X and U lists of the problem's
     shapes whose entries are finite JSON numbers; a fault names the first
     bad X[k] or U[k] at warm_start.path.
@@ -648,7 +651,13 @@ def build_warm_start(scenario: Scenario, problem: ShootingProblem):
     X = state.integrate(problem.x0_measured, (np.arange(M + 1) / M)[:, None] * direction)
     U = np.zeros((M, problem.nu_max))
     for model, nodes in problem.groups:
-        U[nodes, : model.nu] = quasi_static_control(model, X[nodes])[0]
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                U[nodes, : model.nu] = quasi_static_control(model, X[nodes])[0]
+        except (NumericalFailure, FactorizationError) as exc:
+            raise ScenarioError(
+                f"no quasi-static control at node {nodes[exc.row]}: {exc}", location="warm_start.policy"
+            ) from exc
     return list(X), problem.node_controls(U)
 
 

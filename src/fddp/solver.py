@@ -11,10 +11,13 @@ accepted.
 
 The backward pass is a Riccati recursion over tangent-space derivatives with a
 scalar Levenberg-Marquardt regularizer on the control Hessian, one fused step
-per node on [gradient | matrix] blocks. Both forward passes are one node
-sweep ending in one stacked `_cost_and_gaps` call (under ddp the gaps come out
-as exact zeros). Step acceptance uses the two-sided Goldstein test on a
-quadratic expected-improvement model that accounts for open gaps.
+per node on [gradient | matrix] blocks. Both forward passes are the
+problem's one chained rollout (`ShootingProblem._sweep`) under the policy's
+gains, fddp's with the gaps' pull-back, ending in one stacked
+`_cost_and_gaps` call (under ddp the gaps come out as exact zeros); the
+ddp start is the same rollout without gains. Step acceptance uses the
+two-sided Goldstein test on a quadratic expected-improvement model that
+accounts for open gaps.
 """
 
 from __future__ import annotations
@@ -24,12 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .contact import _cholesky, _cholesky_solve
-from .errors import (
-    DimensionMismatch,
-    FactorizationError,
-    NotPositiveDefinite,
-    NumericalFailure,
-)
+from .errors import DimensionMismatch, NotPositiveDefinite, NumericalFailure
 from .problem import ShootingProblem, gap_l2_norm
 
 REG_MIN = 1e-9
@@ -106,6 +104,8 @@ class SolverWorkspace:
         # Node k's views cut to its nu_k, through which the backward pass
         # writes: rows of one stacked cut per run of nodes that share a model.
         self.node_rows = problem.node_rows(lambda nu: _node_rows(self, nu))
+        # Node k's policy [k | K], which the forward passes apply.
+        self.gains = [rows[6] for rows in self.node_rows]
 
 
 def _node_rows(ws: SolverWorkspace, nu: int):
@@ -201,50 +201,10 @@ def _nonfinite_failure(ws: SolverWorkspace, k: int) -> NumericalFailure:
     return NumericalFailure("non-finite derivatives in the backward pass", node=node)
 
 
-def _sweep(problem, X, U, ws, alpha, datas, shrink=0.0):
-    """The node sweep of both forward passes from the stacked iterate X
-    (N + 1, nx), U (N, nu_max) under the policy
-    u_k = U_k + [k | K] [alpha; x_k - X_k] (one product per node).
-
-    With shrink 0 the sweep starts at the measured initial state and each
-    node's output is the next state; otherwise the initial state and each
-    output are pulled back along their stored gaps by the factor shrink.
-    A failing node raises `NumericalFailure` naming it. Returns the trial's
-    states (N + 1, nx) and controls (N, nu_max), zero-padded like U, and
-    their cost and gaps from one `_cost_and_gaps` call.
-    """
-    running, stacks = datas or (problem.datas, problem.stacks)
-    state = problem.state
-    states = np.empty_like(X)
-    controls = np.zeros_like(U)
-    if shrink:
-        pull = -shrink * ws.gaps  # each state's step back along its gap
-        states[0] = state.integrate(problem.x0_measured, pull[0])
-    else:
-        states[0] = problem.x0_measured
-    z = np.empty(problem.ndx + 1)  # [alpha; dx]
-    z[0] = alpha
-    dx = z[1:]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k, model in enumerate(problem.running_models):
-            u = controls[k, : model.nu]
-            if model.nu:
-                state.difference(X[k], states[k], out=dx)
-                np.add(U[k, : model.nu], ws.node_rows[k][6] @ z, out=u)
-            try:
-                model.calc(running[k], states[k], u)
-            except (NumericalFailure, FactorizationError) as exc:
-                raise NumericalFailure(str(exc), node=k) from exc
-            xnext = running[k].xnext
-            states[k + 1] = state.integrate(xnext, pull[k + 1]) if shrink else xnext
-        cost, gaps = problem._cost_and_gaps(states, controls, stacks)
-    return states, controls, cost, gaps
-
-
 def forward_pass_ddp(problem, X, U, ws, alpha, datas=None):
-    """Feasible rollout under the backward-pass policy: (X, U, cost, gaps)
-    from `_sweep`, the gaps exact zeros."""
-    return _sweep(problem, X, U, ws, alpha, datas)
+    """Feasible rollout under the backward-pass policy: (X, U, cost, gaps),
+    the gaps exact zeros."""
+    return _forward(problem, X, U, ws, alpha, datas, None)
 
 
 def forward_pass_fddp(problem, X, U, ws, alpha, datas=None):
@@ -253,9 +213,21 @@ def forward_pass_fddp(problem, X, U, ws, alpha, datas=None):
     The initial state and every node output are pulled back along the stored
     gap by the factor (1 - alpha) before becoming the next shooting state, so
     a unit step is the feasible rollout of `forward_pass_ddp`, to the bit.
-    Returns (X, U, cost, gaps) from `_sweep`, the gaps measured, not assumed.
+    Returns (X, U, cost, gaps), the gaps measured, not assumed.
     """
-    return _sweep(problem, X, U, ws, alpha, datas, 1.0 - alpha)
+    shrink = 1.0 - alpha
+    return _forward(problem, X, U, ws, alpha, datas, -shrink * ws.gaps if shrink else None)
+
+
+def _forward(problem, X, U, ws, alpha, datas, pull):
+    """The trial (X, U, cost, gaps): the problem's chained rollout from the
+    stacked iterate X (N + 1, nx), U (N, nu_max) under the policy's gains,
+    moved along `pull` if given, and one `_cost_and_gaps` call. Overflow is
+    left to the tests of finiteness."""
+    stacks = datas[1] if datas else problem.stacks
+    with np.errstate(over="ignore", invalid="ignore"):
+        states, controls = problem._sweep(X, U, datas, ws.gains, alpha, pull)
+        return (states, controls, *problem._cost_and_gaps(states, controls, stacks))
 
 
 def expected_improvement(problem, ws, X, X_trial):
@@ -324,7 +296,7 @@ def solve(
     report, never raised. A malformed guess is rejected on entry by
     `ShootingProblem.check_trajectories`, which stacks its states and, once
     (`ShootingProblem.stack_controls`), its controls; the evaluations after
-    that go through the problem's unchecked `_rollout`, `_cost_and_gaps`
+    that go through the problem's unchecked `_sweep`, `_cost_and_gaps`
     and `_calc`, on the iterate's states (N + 1, nx) and controls
     (N, nu_max). Under ddp the start is the rollout of the warm-start
     controls, which reads no state of the guess.
@@ -354,7 +326,7 @@ def solve(
     try:
         if solver == "ddp":
             # The rollout's sweep leaves the data set as _calc would.
-            X = problem._rollout(U, datas=current)
+            X = problem._sweep(None, U, current)[0]
             cost, gaps = problem._cost_and_gaps(X, U, current[1])
         else:
             cost, gaps = problem._calc(X, U, datas=current)

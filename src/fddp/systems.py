@@ -669,6 +669,9 @@ def lqr_chain_dynamics(masses: int = 3, stiffness: float = 4.0, damping: float =
     """Spring-mass chain as a first-order linear flow; every mass actuated."""
     n = _count("masses", masses)
     damping = _parameter("damping", damping, zero_ok=True)
+    # K holds stiffness and -2 * stiffness: both must be finite, of any sign.
+    stiffness = float(stiffness)
+    finite("stiffness", [stiffness, -2.0 * stiffness])
     K = np.zeros((n, n))
     for i in range(n):
         K[i, i] = -2.0 * stiffness

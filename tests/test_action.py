@@ -6,9 +6,12 @@ of the semi-implicit step, and shooting-problem gaps against a dense
 evaluation of the linear dynamics.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 
+import fddp
 from fddp import numdiff
 from fddp.action import (
     ConstrainedMechanicalDynamics,
@@ -39,11 +42,13 @@ from fddp.problem import ShootingProblem
 from fddp.scenarios import build_problem, build_warm_start, bundled_scenario_path, load_scenario
 from fddp.solver import solve
 from fddp.systems import (
+    SYSTEM_BUILDERS,
     DoubleIntegrator,
     DoublePendulum,
     LinearDynamics,
     Pendulum,
     PlanarMonoped,
+    build_system,
     lqr_chain_dynamics,
 )
 
@@ -508,6 +513,37 @@ def test_stacked_forward_step_matches_the_node_steps_on_every_bundled_group(name
         assert_stacked_step_matches_node_steps(model, X, rng.standard_normal((9, model.nu)))
 
 
+@pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
+def test_a_stack_stepped_node_by_node_equals_the_node_step_to_the_bit(name):
+    # Only mechanical integrated groups take a batched step: impulse groups,
+    # linear flows and the terminal node step node by node, so calc_stack
+    # leaves exactly the bits of calc, at the warm start and at seeded
+    # perturbations of the measured state with random controls.
+    scenario = load_scenario(bundled_scenario_path(name))
+    problem = build_problem(scenario)
+    X_warm, U_warm = build_warm_start(scenario, problem)
+    X_warm, U_warm = np.array(X_warm), problem.stack_controls(U_warm)
+    state, rng = problem.state, np.random.default_rng(73)
+    cases = [
+        (model, X_warm[nodes], U_warm[nodes, : model.nu])
+        for model, nodes in problem.groups
+        if not isinstance(getattr(model, "dynamics", None), DifferentialDynamics)
+    ]
+    cases.append((problem.terminal_model, X_warm[problem.N :], np.zeros((1, 0))))
+    kinds = {type(model) if model.nu == 0 else "flow" for model, _, _ in cases}
+    assert ImpulseActionModel in kinds or name != "monoped_hop"
+    assert "flow" in kinds or name != "lqr_chain"
+    for model, X, U in cases:
+        X_near = state.integrate(problem.x0_measured, 0.3 * rng.standard_normal((9, state.ndx)))
+        for X, U in ((X, U), (X_near, rng.standard_normal((9, model.nu)))):
+            stacked, node = model.create_stack(len(X)), model.create_stack(len(X))
+            model.calc_stack(stacked, X, U)
+            for data, x, u in zip(node.nodes, X, U):
+                model.calc(data, x, u)
+            for actual, expected in zip((stacked.xnext, *stacked.dyn), (node.xnext, *node.dyn)):
+                np.testing.assert_array_equal(actual, expected)
+
+
 def assert_stacked_step_fails_as_the_node_steps(model, X, U):
     # The batched step cannot say which row failed, so it replays the rows
     # in order: it raises what calc raises on the first failing row, and
@@ -775,6 +811,140 @@ def test_constructors_reject_non_finite_arguments(name, build, valid, bad):
         value.flat[i] = bad
         with pytest.raises((ParameterError, DimensionMismatch), match=f"^{name} must be finite, got "):
             build(value.tolist())
+
+
+# Each public class that takes a number, as (constructor from keyword
+# arguments, a valid argument set, {numeric argument: the name its error
+# gives}): the argument's own name, or the group name the constructor uses.
+NUMERIC_CONSTRUCTORS = {
+    "ComTracking": (
+        lambda **a: ComTracking(PlanarMonoped(), ndx=10, nu=2, **a),
+        {"target": [0.0, 0.7], "weight": 1.0},
+        {"target": "target", "weight": "cost weight"},
+    ),
+    "Contact": (
+        lambda **a: Contact("foot", **a),
+        {"reference": [0.0, 0.0], "alpha": 10.0, "beta": 1.0},
+        {"reference": "contact reference", "alpha": "Baumgarte gains", "beta": "Baumgarte gains"},
+    ),
+    "ControlRegularization": (
+        lambda **a: ControlRegularization(1, ndx=2, **a),
+        {"weight": 1.0, "reference": [0.0]},
+        {"weight": "cost weight", "reference": "control reference"},
+    ),
+    "CostTerm": (lambda **a: CostTerm(ndx=2, nu=1, **a), {"weight": 1.0}, {"weight": "cost weight"}),
+    "FrameTranslationTracking": (
+        lambda **a: FrameTranslationTracking(Pendulum(), "tip", ndx=2, nu=1, **a),
+        {"target": [0.0, -1.0], "weight": 1.0},
+        {"target": "target", "weight": "cost weight"},
+    ),
+    "ImpulseActionModel": (
+        lambda **a: ImpulseActionModel(PlanarMonoped(), ContactSet((Contact("foot", [0.0, 0.0]),)), **a),
+        {"restitution": 0.5},
+        {"restitution": "restitution"},
+    ),
+    "IntegratedActionModel": (
+        lambda **a: integrated(Pendulum(), **a), {"dt": 0.01}, {"dt": "integration step"}
+    ),
+    "ShootingProblem": (
+        lambda **a: ShootingProblem(a["x0"], *pendulum_models()), {"x0": [0.1, 0.0]}, {"x0": "x0"}
+    ),
+    "StateRegularization": (
+        lambda **a: StateRegularization(VectorSpace(2), nu=1, **a),
+        {"reference": [0.0, 0.0], "weight": 1.0, "scales": [1.0, 2.0]},
+        {"reference": "state reference", "weight": "cost weight", "scales": "state cost scales"},
+    ),
+}
+
+# The public classes that take no number, or take only counts, and why.
+NO_NUMERIC_ARGUMENT = {
+    "ActionData": "views of a stack's rows",
+    "ActionDataStack": "a model and a node count",
+    "ActionModelBase": "a manifold, a control count and cost terms",
+    "CompositeManifold": "manifolds",
+    "ConstrainedMechanicalDynamics": "a system and contacts",
+    "ContactSet": "contacts",
+    "FreeMechanicalDynamics": "a system",
+    "Manifold": "a size and angle indices",
+    "Rotation2D": "nothing",
+    "Scenario": "a record that load_scenario fills from checked fields",
+    "SolveReport": "a record of a solve",
+    "SolverWorkspace": "a problem",
+    "TerminalActionModel": "a manifold and cost terms",
+    "TraceRow": "a record of an iteration",
+    "VectorSpace": "a size",
+}
+
+# Each model id of build_system with a valid parameter set.
+MODEL_PARAMS = {
+    "double_integrator": {"dim": 2},
+    "pendulum": {"mass": 1.0, "length": 1.0, "damping": 0.1, "gravity": 9.81},
+    "double_pendulum": {
+        "m1": 1.0, "m2": 1.0, "l1": 1.0, "l2": 1.0, "lc1": 0.5, "lc2": 0.5, "gravity": 9.81,
+    },
+    "planar_monoped": {
+        "base_mass": 1.0, "base_inertia": 0.05, "thigh_mass": 0.25, "shank_mass": 0.15,
+        "thigh_length": 0.35, "shank_length": 0.35, "gravity": 9.81,
+    },
+    "lqr_chain": {"masses": 3, "stiffness": 4.0, "damping": 0.4},
+}
+
+
+def with_entry(value, i, bad):
+    """value with its i-th entry (the value itself for a scalar) set to bad."""
+    if np.ndim(value) == 0:
+        return bad
+    flat = np.array(value, float)
+    flat.flat[i] = bad
+    return flat.tolist()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("cls", sorted(NUMERIC_CONSTRUCTORS))
+def test_every_numeric_constructor_names_a_non_finite_argument(cls, bad):
+    build, valid, names = NUMERIC_CONSTRUCTORS[cls]
+    build(**valid)
+    for argument, name in names.items():
+        for i in range(np.size(valid[argument])):
+            arguments = dict(valid, **{argument: with_entry(valid[argument], i, bad)})
+            with pytest.raises((DimensionMismatch, ParameterError), match=f"^{name} "):
+                build(**arguments)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("model_id", sorted(MODEL_PARAMS))
+def test_every_model_parameter_is_named_when_not_finite(model_id, bad):
+    # The scenario loader reports a ParameterError at model.params.<name>,
+    # so the name must be the parameter's own.
+    valid = MODEL_PARAMS[model_id]
+    build_system(model_id, valid)
+    for parameter in valid:
+        with pytest.raises(ParameterError, match=f"^{parameter} ") as excinfo:
+            build_system(model_id, dict(valid, **{parameter: bad}))
+        assert excinfo.value.name == parameter
+
+
+def test_the_numeric_constructor_tables_cover_every_class_and_model_id():
+    classes = {name for name in fddp.__all__ if isinstance(getattr(fddp, name), type)}
+    exceptions = {name for name in classes if issubclass(getattr(fddp, name), BaseException)}
+    assert set(NUMERIC_CONSTRUCTORS).isdisjoint(NO_NUMERIC_ARGUMENT)
+    assert classes - exceptions == set(NUMERIC_CONSTRUCTORS) | set(NO_NUMERIC_ARGUMENT)
+    builders = {**SYSTEM_BUILDERS, "lqr_chain": lqr_chain_dynamics}
+    assert set(MODEL_PARAMS) == set(builders)
+    for model_id, builder in builders.items():
+        assert set(MODEL_PARAMS[model_id]) == set(inspect.signature(builder).parameters), model_id
+
+
+def test_lqr_chain_stiffness_must_be_finite_when_doubled():
+    # Its diagonal holds -2 * stiffness: a stiffness that is finite but
+    # whose double overflows is reported at stiffness, not at the matrix A.
+    for stiffness in (np.nan, np.inf, -np.inf, 1e308, -1e308):
+        with pytest.raises(ParameterError, match="^stiffness must be finite") as excinfo:
+            build_system("lqr_chain", {"stiffness": stiffness})
+        assert excinfo.value.name == "stiffness"
+    for stiffness in (0.0, -3.0, 8.9e307):
+        chain = build_system("lqr_chain", {"masses": 2, "stiffness": stiffness})
+        assert chain.A[2, 0] == -2.0 * stiffness
 
 
 def test_mismatched_cost_shapes_are_rejected():

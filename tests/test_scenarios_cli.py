@@ -8,6 +8,7 @@ import json
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -567,6 +568,34 @@ def test_warm_start_makes_one_partials_call_per_group(monkeypatch):
     ]
     assert len(expected) >= 2
     assert sorted(calls) == sorted(expected)
+
+
+def test_a_failed_quasi_static_warm_start_names_its_node(tmp_path, capsys):
+    # A terminal reference at the float ceiling drives the interpolated
+    # states out of range from node 1 on; the stance group's forward step
+    # fails there, and the failure is reported at warm_start.policy with
+    # that node and the node step's cause, without a numpy warning.
+    doc = json.loads(bundled_scenario_path("monoped_hop").read_text())
+    doc["costs"]["terminal"][0]["reference"][0] = 1e308
+    path = str(write_doc(tmp_path, doc))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["solve", "--scenario", path, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert "error: warm_start.policy: " in err and "node 1: " in err
+    assert "non-finite contact accelerations" in err
+    assert "RuntimeWarning" not in err and not caught
+
+
+def test_lqr_chain_stiffness_is_reported_at_its_parameter(tmp_path, capsys):
+    # Twice 1e308 overflows the chain's diagonal: the fault is the stiffness
+    # the document gives, not the matrix A it has no key for.
+    doc = json.loads(bundled_scenario_path("lqr_chain").read_text())
+    doc["model"]["params"] = {"stiffness": 1e308}
+    path = str(write_doc(tmp_path, doc))
+    assert cli.main(["solve", "--scenario", path, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "error: model.params.stiffness: stiffness must be finite" in capsys.readouterr().err
 
 
 def test_interpolation_slides_to_a_nominal_terminal_reference(tmp_path):
