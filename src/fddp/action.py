@@ -15,12 +15,14 @@ The model contract has four calls. `calc(data, x, u)` evaluates one node's
 dynamics only, its forward step `xnext`, at x (nx,) and u (nu,), and keeps in
 `dyn` the solution that `calc_diff` reads: a free node its acceleration, a
 contact node its (acceleration, force) pair, an impulse node its
-(post-impact velocity, impulse) pair; no factor of a solve is kept. `data`
-is the node's row of its `ActionDataStack`, so both land in the stack.
-Its dynamics make one system call, `forward_terms`, whose M, bias and frame
-terms the dynamics, the contacts and the impulse share, and check each
-quantity for non-finite values once: the contact and impulse solves their
-inputs and results, the free dynamics M, the torque and the acceleration.
+(post-impact velocity, impulse) pair; a node keeps no factor of its solve.
+`data` is the node's row of its `ActionDataStack`, so both land in the
+stack. Its dynamics make one system call, `forward_terms` (free dynamics
+over a constant inertia, which they factor once, only `bias`), whose M,
+bias and frame terms the dynamics, the contacts and the impulse share, and
+check each quantity for non-finite values once: the contact and impulse
+solves their inputs and results, the free dynamics M (a constant one when
+the system is built), the torque and the acceleration.
 `calc_stack(stack, X, U)` does the same for the n nodes of a stack: node by
 node through `calc`, so a failing node raises what `calc` raises (with its
 row as the error's `row`). Only an integrated model over mechanical dynamics,
@@ -187,23 +189,34 @@ class DifferentialDynamics:
 
 
 class FreeMechanicalDynamics(DifferentialDynamics):
-    """Unconstrained acceleration: M(q) vdot = S u - bias(q, v)."""
+    """Unconstrained acceleration: M(q) vdot = S u - bias(q, v).
+
+    A constant inertia (`system.constant_inertia`, checked when the system
+    was built) is factored here once, so a node step evaluates only the bias.
+    """
 
     def __init__(self, system: MechanicalSystem):
         super().__init__(system)
         self.dyn_sizes = (system.nv,)
+        M = system.constant_inertia
+        self._factor = None if M is None else _cholesky(M)
 
     def acceleration(self, x, u, data):
-        sys = self.system
-        q, v = sys.split_state(x)
-        M, bias = sys.forward_terms(q, v)[:2]
-        tau = sys.actuation() @ u - bias
-        if not _all_finite(M, tau):
-            raise NumericalFailure("non-finite dynamics terms")
-        try:
-            factor = _cholesky(M)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalFailure("inertia factorization failed") from exc
+        sys, factor = self.system, self._factor
+        q, v = x[: sys.nq], x[sys.nq :]
+        if factor is None:
+            M, bias = sys.forward_terms(q, v)[:2]
+            tau = sys.actuation() @ u - bias
+            if not _all_finite(M, tau):
+                raise NumericalFailure("non-finite dynamics terms")
+            try:
+                factor = _cholesky(M)
+            except np.linalg.LinAlgError as exc:
+                raise NumericalFailure("inertia factorization failed") from exc
+        else:  # a constant inertia, checked when the system was built
+            tau = sys.actuation() @ u - sys.bias(q, v)
+            if not _all_finite(tau):
+                raise NumericalFailure("non-finite dynamics terms")
         vdot = _cholesky_solve(factor, tau)
         if not _all_finite(vdot):
             raise NumericalFailure("non-finite acceleration in forward integration")
@@ -454,11 +467,11 @@ class IntegratedActionModel(ActionModelBase):
                 raise NumericalFailure("non-finite flow in forward integration")
             np.add(x, self.dt * xdot, out=xnext)
         else:
-            sys = self.dynamics.system
-            q, v = sys.split_state(x)
-            vdot = self.dynamics.acceleration(x, u, data)
-            v_next = np.add(v, self.dt * vdot, out=xnext[sys.nq :])
-            xnext[: sys.nq] = sys.config.integrate(q, self.dt * v_next)
+            dynamics, dt = self.dynamics, self.dt
+            nq = dynamics.system.nq
+            vdot = dynamics.acceleration(x, u, data)
+            v_next = np.add(x[nq:], dt * vdot, out=xnext[nq:])
+            dynamics.system.config.integrate(x[:nq], dt * v_next, out=xnext[:nq])
         return data
 
     def calc_stack(self, stack, X, U):

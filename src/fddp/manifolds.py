@@ -82,8 +82,8 @@ class Manifold:
             y.T[self.angles] = _wrap_angle(y.T[self.angles])
         return y
 
-    def integrate(self, x, dx) -> np.ndarray:
-        return self._wrapped(x + dx)
+    def integrate(self, x, dx, out=None) -> np.ndarray:
+        return self._wrapped(np.add(x, dx, out=out))
 
     def difference(self, x0, x1, out=None) -> np.ndarray:
         return self._wrapped(np.subtract(x1, x0, out=out))

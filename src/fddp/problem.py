@@ -25,7 +25,11 @@ raises `NumericalFailure` naming it). `_sweep` is the one chained rollout,
 of the ddp start, `rollout` and both forward passes; `_calc` steps each
 node at the guessed states. Both step node by node, not one `calc_stack`
 per group, so a gap-tolerant solve started from a rollout takes the
-classical solve's step to the bit. After the nodes are stepped,
+classical solve's step to the bit. A sweep cuts its nodes' control rows in
+bulk, and without a pull-back each node steps from the previous node's
+output in its stack, copied into the states once per group at the end; it
+looks each node's `calc` up on its model at every step, so a method patched
+between two solves sees every call. After the nodes are stepped,
 `_cost_and_gaps` makes one stacked `model.cost` call per group and one for
 the terminal node, gathers the landing points from the stacks and takes one
 difference of the stacked states; `calc_diff` makes one stacked pass for
@@ -131,24 +135,28 @@ class ShootingProblem:
         zero-padded controls. `pull` (N + 1, ndx) moves the initial state and
         each output before it becomes the next state. A failing node raises
         `NumericalFailure` naming it."""
-        running = datas[0] if datas else self.datas
+        running, stacks = datas or (self.datas, self.stacks)
         state = self.state
         states = np.empty((self.N + 1, state.nx))
-        states[0] = self.x0_measured if pull is None else state.integrate(self.x0_measured, pull[0])
+        x = states[0]
+        x[:] = self.x0_measured if pull is None else state.integrate(self.x0_measured, pull[0])
         controls = U if gains is None else np.zeros_like(U)
         z = np.full(self.ndx + 1, alpha)  # [alpha; dx], dx written per node
         dx = z[1:]
-        for k, model in enumerate(self.running_models):
-            u = controls[k, : model.nu]
+        rows = self.node_rows(lambda nu: (controls[:, :nu], U[:, :nu]))
+        for k, (model, data, (u, u_in)) in enumerate(zip(self.running_models, running, rows)):
             if gains is not None and model.nu:
-                state.difference(X[k], states[k], out=dx)
-                np.add(U[k, : model.nu], gains[k] @ z, out=u)
+                state.difference(X[k], x, out=dx)
+                np.add(u_in, gains[k] @ z, out=u)
             try:
-                model.calc(running[k], states[k], u)
+                model.calc(data, x, u)
             except (NumericalFailure, FactorizationError) as exc:
                 raise NumericalFailure(str(exc), node=k) from exc
-            xnext = running[k].xnext
-            states[k + 1] = xnext if pull is None else state.integrate(xnext, pull[k + 1])
+            # Without a pull, the next node steps from this output in the stack.
+            x = data.xnext if pull is None else state.integrate(data.xnext, pull[k + 1], out=states[k + 1])
+        if pull is None:
+            for (_, nodes), stack in zip(self.groups, stacks):
+                states[nodes + 1] = stack.xnext
         return states, controls
 
     def calc(self, X, U, datas=None) -> tuple[float, np.ndarray]:

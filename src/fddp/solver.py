@@ -87,6 +87,12 @@ class SolverWorkspace:
     are views of them; `gaps` has N + 1 rows. Node k uses the first nu_k
     control entries, and nodes without controls (switches) keep all-zero
     rows, which add nothing to the stacked sums of `expected_improvement`.
+
+    A node's Riccati step only does arithmetic on `riccati_rows`: its views
+    of these stacks (`node_rows`), its blocks of a data set, and the buffers
+    of its temporaries (`scratch`, one set per distinct nu). They hold arrays
+    and views only, never a library callable, so a class attribute patched
+    between two solves (as the benchmark's tracer does) is the one reached.
     """
 
     def __init__(self, problem: ShootingProblem):
@@ -106,6 +112,26 @@ class SolverWorkspace:
         self.node_rows = problem.node_rows(lambda nu: _node_rows(self, nu))
         # Node k's policy [k | K], which the forward passes apply.
         self.gains = [rows[6] for rows in self.node_rows]
+        # For each nu: W = V_xx Fz and its column 0, [f_x | f_u]^T W, mu I,
+        # Q_uu + mu I, Q_xu [k | K] and V_xx + V_xx^T.
+        self.scratch = {}
+        for nu in set(problem.nus):
+            W = np.empty((ndx, ndx + nu + 1))
+            shapes = ((ndx + nu, ndx + nu + 1), (nu, nu), (nu, nu), (ndx, ndx + 1), (ndx, ndx))
+            self.scratch[nu] = (W, W[:, 0], *map(np.zeros, shapes))
+        self._riccati_rows = {}  # id of a data set's stacks -> (stacks, rows)
+
+    def riccati_rows(self, problem: ShootingProblem, stacks) -> list[tuple]:
+        """Node k's `node_rows`, its `Fz` = [gap | f_x | f_u], [f_x | f_u]^T
+        and `Lz` in the data set of `stacks`, and its scratch: cut on first use."""
+        if id(stacks) not in self._riccati_rows:
+            rows = [None] * problem.N
+            for (model, nodes), stack in zip(problem.groups, stacks):
+                blocks = zip(stack.Fz, np.swapaxes(stack.Fz[:, :, 1:], 1, 2), stack.Lz)
+                for k, block in zip(nodes.tolist(), blocks):
+                    rows[k] = self.node_rows[k] + block + self.scratch[model.nu]
+            self._riccati_rows[id(stacks)] = stacks, rows
+        return self._riccati_rows[id(stacks)][1]
 
 
 def _node_rows(ws: SolverWorkspace, nu: int):
@@ -145,36 +171,36 @@ def backward_pass(problem: ShootingProblem, ws: SolverWorkspace, mu: float, data
     node, which are checked at node 0. A factorization failure with a
     non-finite control Hessian at or after its node is that failure too.
     """
-    running, stacks = datas or (problem.datas, problem.stacks)
+    stacks = datas[1] if datas else problem.stacks
     N, l_xx = problem.N, stacks[-1].l_xx[0]  # the terminal node's stack of one
     vx, vxx = ws.V_x[N], ws.V_xx[N]
     vx[:] = stacks[-1].l_x[0]
     np.multiply(0.5, l_xx + l_xx.T, out=vxx)
     for (_, nodes), stack in zip(problem.groups, stacks):
         stack.Fz[:, :, 0] = ws.gaps[nodes + 1]
-    mu_eyes = {}
+    for _, _, _, mu_eye, *_ in ws.scratch.values():
+        np.fill_diagonal(mu_eye, mu)
+    rows = ws.riccati_rows(problem, stacks)
+    add, matmul, multiply = np.add, np.matmul, np.multiply
     for k in range(N - 1, -1, -1):
-        d = running[k]
-        Q, x_rows, q_xu, q_uu, u_rows, policy, kK, v, v_x, v_xx = ws.node_rows[k]
+        (Q, x_rows, q_xu, q_uu, u_rows, policy, kK, v, v_x, v_xx,
+         Fz, FzT, Lz, W, W_0, FzT_W, mu_eye, regularized, q_xu_kK, v_sum) = rows[k]
         # vx and vxx hold the Value derivatives of node k + 1.
-        W = vxx @ d.Fz
-        W[:, 0] += vx
-        np.add(d.Lz, d.Fz[:, 1:].T @ W, out=Q)
-        nu = len(policy)
-        if nu == 0:
+        matmul(vxx, Fz, out=W)
+        add(W_0, vx, out=W_0)
+        add(Lz, matmul(FzT, W, out=FzT_W), out=Q)
+        if len(policy) == 0:
             v[:] = x_rows
         else:
-            if nu not in mu_eyes:
-                mu_eyes[nu] = mu * np.eye(nu)
             try:
-                factor = _cholesky(q_uu + mu_eyes[nu])
+                factor = _cholesky(add(q_uu, mu_eye, out=regularized))
             except np.linalg.LinAlgError as exc:
                 if not np.isfinite(ws.Q_uu[k:]).all():
                     raise _nonfinite_failure(ws, k) from exc
                 raise NotPositiveDefinite(k) from exc
             np.negative(_cholesky_solve(factor, u_rows), out=policy)
-            np.add(x_rows, q_xu @ kK, out=v)
-        np.multiply(0.5, v_xx + v_xx.T, out=v_xx)
+            add(x_rows, matmul(q_xu, kK, out=q_xu_kK), out=v)
+        multiply(0.5, add(v_xx, v_xx.T, out=v_sum), out=v_xx)
         vx, vxx = v_x, v_xx
     if not (np.isfinite(ws.Q_uu).all() and _finite_node(ws, 0)):
         raise _nonfinite_failure(ws, 0)

@@ -26,11 +26,17 @@ bias, and the stacked placements, Jacobians and drifts of the listed frames,
 the data that its dynamics, contacts and impulses share. A leg makes it one
 evaluation of its basis; the other systems compose their closed forms.
 `bias` and `frame_drift` take one node.
+
+A constructor checks each parameter, then the constants derived from them
+(under errstate): an overflow raises `ParameterError` naming a factor. An
+inertia that does not depend on q (pendulum, double integrator) is
+`constant_inertia`, checked when the system is built and factored once by
+free dynamics, whose node step then evaluates only the bias.
 """
 
 from __future__ import annotations
 
-from math import cos, sin
+from math import cos, isfinite, sin
 from typing import NamedTuple
 
 import numpy as np
@@ -52,6 +58,24 @@ def _parameter(name: str, value, zero_ok=False) -> float:
     if not (value >= 0.0 if zero_ok else value > 0.0):
         raise ParameterError(name, f"must be {'>=' if zero_ok else '>'} 0, got {value}")
     return value
+
+
+def _derived(value: float, factors: dict, positive=False) -> float:
+    """value, computed under errstate from the finite parameters `factors`
+    ({name: value}), checked: an overflow (or NaN) names the largest factor,
+    and a zero where it must be `positive` (an underflow) the smallest."""
+    if not isfinite(value):
+        name = max(factors, key=lambda n: abs(factors[n]))
+        raise ParameterError(name, f"overflows a constant derived from it, got {factors[name]}")
+    if positive and not value > 0.0:
+        name = min(factors, key=lambda n: abs(factors[n]))
+        raise ParameterError(name, f"underflows a constant derived from it, got {factors[name]}")
+    return value
+
+
+def _rod_inertia(mass: float, length: float) -> float:
+    with np.errstate(over="ignore"):  # the leg's check names an overflow
+        return float(mass * np.float64(length) ** 2 / 12.0)
 
 
 def _count(name: str, value) -> int:
@@ -80,6 +104,8 @@ class MechanicalSystem:
     nu: int
     config: Manifold
     frames: tuple[str, ...] = ()
+    # M when it does not depend on q, read-only and positive definite; None otherwise.
+    constant_inertia: np.ndarray | None = None
 
     def __init__(self, actuated=None):
         if self.config.nx != self.nq or self.config.ndx != self.nv:
@@ -96,8 +122,10 @@ class MechanicalSystem:
     # -- mandatory dynamics terms ------------------------------------------
 
     def mass_matrix(self, q: np.ndarray) -> np.ndarray:
-        """M(q), broadcast over leading axes of q."""
-        raise NotImplementedError
+        """M(q), broadcast over leading axes of q, or the constant inertia."""
+        if self.constant_inertia is None:
+            raise NotImplementedError
+        return self.constant_inertia
 
     def bias(self, q: np.ndarray, v: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -135,7 +163,9 @@ class MechanicalSystem:
 
     def inertia_contraction_partial(self, q, w) -> np.ndarray:
         """d/dq [M(q) w] for a fixed vector w, in configuration tangent coords."""
-        raise NotImplementedError
+        if self.constant_inertia is None:
+            raise NotImplementedError
+        return np.zeros(q.shape[:-1] + (self.nv, self.nv))
 
     # -- frames (point frames: placement in R^2 or R^1) ---------------------
 
@@ -200,10 +230,7 @@ class DoubleIntegrator(MechanicalSystem):
         self.nq = self.nv = self.nu = _count("dim", dim)
         self.config = VectorSpace(self.nv)
         super().__init__()
-        self._mass = self._actuation  # unit masses: M = S = I
-
-    def mass_matrix(self, q):
-        return self._mass
+        self.constant_inertia = self._actuation  # unit masses: M = S = I
 
     def bias(self, q, v):
         return np.zeros(v.shape)
@@ -211,9 +238,6 @@ class DoubleIntegrator(MechanicalSystem):
     def bias_partials(self, q, v):
         z = np.zeros(q.shape[:-1] + (self.nv, self.nv))
         return z, z.copy()
-
-    def inertia_contraction_partial(self, q, w):
-        return np.zeros(q.shape[:-1] + (self.nv, self.nv))
 
 
 class Pendulum(MechanicalSystem):
@@ -229,23 +253,24 @@ class Pendulum(MechanicalSystem):
         self.gravity = finite("gravity", float(gravity))
         self.config = VectorSpace(1)
         super().__init__()
-        self._mass = _read_only(np.array([[self.mass * self.length**2]]))
-        self._torque = self.mass * self.gravity * self.length
-
-    def mass_matrix(self, q):
-        return self._mass
+        with np.errstate(over="ignore"):
+            inertia = self.mass * np.float64(self.length) ** 2
+        factors = {"mass": self.mass, "length": self.length}
+        self.constant_inertia = _read_only(np.array([[_derived(inertia, factors, positive=True)]]))
+        factors["gravity"] = self.gravity
+        self._torque = _derived(self.mass * self.gravity * self.length, factors)
 
     def bias(self, q, v):
-        if q.ndim == 1:  # one node, as in every forward step: scalar arithmetic
-            return np.array([self._torque * np.sin(q[0]) + self.damping * v[0]])
+        if q.ndim == 1:  # one node, as in every forward step: math's sin on floats
+            sine = sin(q.item(0)) if isfinite(q.item(0)) else np.nan  # numpy's at inf
+            bias = np.empty(1)
+            bias[0] = self._torque * sine + self.damping * v.item(0)
+            return bias
         return self._torque * np.sin(q[..., :1]) + self.damping * v[..., :1]
 
     def bias_partials(self, q, v):
         dq = (self._torque * np.cos(q[..., :1]))[..., None]
         return dq, np.full(dq.shape, self.damping)
-
-    def inertia_contraction_partial(self, q, w):
-        return np.zeros(q.shape[:-1] + (1, 1))
 
     def frame_placement(self, q, frame):
         if frame != "tip":
@@ -364,22 +389,27 @@ class _PlanarLeg(MechanicalSystem):
         along the first axis, for a stack as arrays."""
         raise NotImplementedError
 
-    def __init__(self, masses, centers, spin_inertia, points, actuated=None):
+    def __init__(self, masses, centers, spin_inertia, points, parameters, actuated=None):
         """Bodies of `masses` centered at (a1, a2) = `centers`, the base turning
         with `spin_inertia`, and frames `points` = {name: (a1, a2)}; the
-        subclass sets gravity, the link inertias I1 and I2 and its manifold."""
+        subclass sets gravity, the link inertias I1 and I2 and its manifold,
+        and gives its checked `parameters` ({name: value})."""
         super().__init__(actuated)
         self.total_mass = sum(masses)
         self._floating = bool(self._BASE_TRANSLATION.any())
         masses = np.array(masses)
         coeffs = np.array(centers)
-        self._mu = masses @ coeffs
-        self._mu2 = coeffs.T @ (masses[:, None] * coeffs)
-        self._mass_coeffs, self._bias_coeffs = self._dynamics_coefficients(spin_inertia)
-        self._mass_partials = self._q_partials(self._mass_coeffs)
-        self._bias_partials = self._q_partials(self._bias_coeffs)
-        self._points = {name: self._point_terms(*a) for name, a in points.items()}
-        self._com_point = self._point_terms(*(self._mu / self.total_mass))
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._mu = masses @ coeffs
+            self._mu2 = coeffs.T @ (masses[:, None] * coeffs)
+            self._mass_coeffs, self._bias_coeffs = self._dynamics_coefficients(spin_inertia)
+            self._mass_partials = self._q_partials(self._mass_coeffs)
+            self._bias_partials = self._q_partials(self._bias_coeffs)
+            self._points = {name: self._point_terms(*a) for name, a in points.items()}
+            self._com_point = self._point_terms(*(self._mu / self.total_mass))
+        terms = [self._mass_coeffs, self._bias_coeffs, self._mass_partials, self._bias_partials]
+        terms += [term for point in (self._com_point, *self._points.values()) for term in point]
+        _derived(np.abs(np.concatenate([term.ravel() for term in terms])).max(), parameters)
         self._forward_columns = {}  # frame tuple -> its forward_terms columns
 
     def _q_partials(self, coeffs):
@@ -599,8 +629,7 @@ class DoublePendulum(_PlanarLeg):
         self.m1, self.m2 = _parameter("m1", m1), _parameter("m2", m2)
         self.l1, self.l2 = _parameter("l1", l1), _parameter("l2", l2)
         self.lc1, self.lc2 = _parameter("lc1", lc1), _parameter("lc2", lc2)
-        self.I1 = self.m1 * self.l1**2 / 12.0
-        self.I2 = self.m2 * self.l2**2 / 12.0
+        self.I1, self.I2 = _rod_inertia(self.m1, self.l1), _rod_inertia(self.m2, self.l2)
         self.gravity = finite("gravity", float(gravity))
         self.config = VectorSpace(2)
         super().__init__(
@@ -608,6 +637,8 @@ class DoublePendulum(_PlanarLeg):
             centers=((self.lc1, 0.0), (self.l1, self.lc2)),
             spin_inertia=0.0,
             points={"tip": (self.l1, self.l2)},
+            parameters=dict(m1=self.m1, m2=self.m2, l1=self.l1, l2=self.l2, lc1=self.lc1,
+                            lc2=self.lc2, gravity=self.gravity),
         )
 
 
@@ -652,8 +683,7 @@ class PlanarMonoped(_PlanarLeg):
         self.l2 = _parameter("shank_length", shank_length)
         self.lc1 = 0.5 * self.l1
         self.lc2 = 0.5 * self.l2
-        self.I1 = self.m1 * self.l1**2 / 12.0
-        self.I2 = self.m2 * self.l2**2 / 12.0
+        self.I1, self.I2 = _rod_inertia(self.m1, self.l1), _rod_inertia(self.m2, self.l2)
         self.gravity = finite("gravity", float(gravity))
         self.config = CompositeManifold([VectorSpace(2), Rotation2D(), VectorSpace(2)])
         super().__init__(
@@ -661,6 +691,9 @@ class PlanarMonoped(_PlanarLeg):
             centers=((0.0, 0.0), (self.lc1, 0.0), (self.l1, self.lc2)),
             spin_inertia=self.IB,
             points={"foot": (self.l1, self.l2), "hip": (0.0, 0.0)},
+            parameters=dict(base_mass=self.mB, base_inertia=self.IB, thigh_mass=self.m1,
+                            shank_mass=self.m2, thigh_length=self.l1, shank_length=self.l2,
+                            gravity=self.gravity),
             actuated=[3, 4],
         )
 

@@ -22,7 +22,7 @@ from fddp.action import (
     TerminalActionModel,
     quasi_static_control,
 )
-from fddp.contact import Contact, ContactSet
+from fddp.contact import Contact, ContactSet, _cholesky, _cholesky_solve
 from fddp.costs import (
     ComTracking,
     CostTerm,
@@ -125,6 +125,34 @@ def test_pendulum_step_matches_reimplementation():
         u = rng.uniform(-5.0, 5.0, 1)
         model.calc(data, x, u)
         np.testing.assert_allclose(data.xnext, step(x, u), atol=1e-12)
+
+
+@pytest.mark.parametrize("system", [Pendulum(1.3, 0.7, 0.15), DoubleIntegrator(3)], ids=type)
+def test_a_constant_inertia_factored_once_gives_the_node_step_to_the_bit(system):
+    # The free node step of a system with a constant inertia solves against
+    # the factor its dynamics made once; at seeded points it must be the
+    # per-node factor-and-solve of M to the bit.
+    model = integrated(system, dt=0.01)
+    assert model.dynamics._factor is not None
+    M, S = system.mass_matrix(None), system.actuation()
+    rng = np.random.default_rng(61)
+    data = model.create_data()
+    for _ in range(50):
+        x = rng.uniform(-3.0, 3.0, system.state.nx)
+        u = rng.uniform(-5.0, 5.0, system.nu)
+        q, v = x[: system.nq], x[system.nq :]
+        expected = _cholesky_solve(_cholesky(M), S @ u - system.bias(q, v))
+        model.calc(data, x, u)
+        np.testing.assert_array_equal(data.dyn[0], expected)
+    # A NaN control at node k still ends the rollout naming node k.
+    running = [model] * 12
+    problem = ShootingProblem(np.zeros(system.state.nx), running, TerminalActionModel(system.state))
+    for k in (0, 5, 11):
+        U = np.zeros((12, system.nu))
+        U[k, -1] = np.nan
+        with pytest.raises(NumericalFailure, match="non-finite dynamics terms") as excinfo:
+            problem._sweep(None, U)
+        assert excinfo.value.node == k
 
 
 def test_linear_flow_jacobians_are_exact():
@@ -922,6 +950,35 @@ def test_every_model_parameter_is_named_when_not_finite(model_id, bad):
         with pytest.raises(ParameterError, match=f"^{parameter} ") as excinfo:
             build_system(model_id, dict(valid, **{parameter: bad}))
         assert excinfo.value.name == parameter
+
+
+# Finite parameters whose derived constants overflow (or, for an inertia,
+# underflow), and the parameter each must be reported at: a factor of the
+# product that leaves the finite range.
+DERIVED_OVERFLOWS = {
+    "pendulum-mass": ("pendulum", {"mass": 1e308, "length": 10.0}, "mass"),
+    "pendulum-length": ("pendulum", {"length": 1e200}, "length"),
+    "pendulum-gravity": ("pendulum", {"mass": 10.0, "gravity": 1e308}, "gravity"),
+    "pendulum-mass-underflow": ("pendulum", {"mass": 1e-200, "length": 1e-100}, "mass"),
+    "double_pendulum-m1": ("double_pendulum", {"m1": 1e308, "m2": 1e308}, "m1"),
+    "double_pendulum-l2": ("double_pendulum", {"l2": 1e200}, "l2"),
+    "double_pendulum-lc1": ("double_pendulum", {"lc1": 1e300}, "lc1"),
+    "planar_monoped-base_mass": ("planar_monoped", {"base_mass": 1e308, "thigh_mass": 1e308}, "base_mass"),
+    "planar_monoped-shank_length": ("planar_monoped", {"shank_length": 1e200}, "shank_length"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", sorted(DERIVED_OVERFLOWS))
+def test_every_model_parameter_is_named_when_a_derived_constant_overflows(case):
+    # Each parameter is finite, so only the constructor's check of the
+    # constants it derives can catch these, without a numpy warning; a
+    # constant inertia that reached a node step infinite would make every
+    # acceleration exactly zero.
+    model_id, params, name = DERIVED_OVERFLOWS[case]
+    with pytest.raises(ParameterError, match=f"^{name} ") as excinfo:
+        build_system(model_id, params)
+    assert excinfo.value.name == name
 
 
 def test_the_numeric_constructor_tables_cover_every_class_and_model_id():

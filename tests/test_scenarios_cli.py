@@ -588,6 +588,21 @@ def test_a_failed_quasi_static_warm_start_names_its_node(tmp_path, capsys):
     assert "RuntimeWarning" not in err and not caught
 
 
+def test_an_overflowing_inertia_is_reported_at_its_parameter(tmp_path, capsys):
+    # mass * length^2 overflows though each parameter is finite: the solve
+    # stops at the parameter, not at a warm start or node step that would
+    # meet an infinite inertia, and numpy emits no warning.
+    doc = pendulum_doc(model={"id": "pendulum", "params": {"mass": 1e308, "length": 10.0}})
+    path = str(write_doc(tmp_path, doc))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["solve", "--scenario", path, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert "error: model.params.mass: mass overflows" in err
+    assert "RuntimeWarning" not in err and not caught
+
+
 def test_lqr_chain_stiffness_is_reported_at_its_parameter(tmp_path, capsys):
     # Twice 1e308 overflows the chain's diagonal: the fault is the stiffness
     # the document gives, not the matrix A it has no key for.
@@ -996,10 +1011,11 @@ def test_check_derivatives_bad_scenario_exits_config(tmp_path, capsys):
 
 
 def test_check_derivatives_exits_config_when_a_model_cannot_be_evaluated(tmp_path, capsys):
-    # A gravity torque of 10 * 1e308 overflows: the document passes loading
-    # and assembly, and only an evaluation meets the non-finite dynamics. The
+    # A damping torque of 1e308 times a speed near 10 overflows: the document
+    # passes loading and assembly (each parameter and derived constant is
+    # finite), and only an evaluation meets the non-finite dynamics. The
     # audit reports the library error with exit 5 and no traceback.
-    doc = pendulum_doc(model={"id": "pendulum", "params": {"mass": 10.0, "gravity": 1e308}})
+    doc = pendulum_doc(model={"id": "pendulum", "params": {"damping": 1e308}}, x0=[0.0, 10.0])
     path = write_doc(tmp_path, doc)
     rc = cli.main(["check-derivatives", "--scenario", str(path), "--samples", "2"])
     assert rc == EXIT_CONFIG

@@ -1046,3 +1046,81 @@ def test_nonfinite_upper_triangle_of_control_hessian_is_reported(solver):
         f"failure: non-finite derivatives in the backward pass (node {k})"
     )
     assert len(report.rows) == 1
+
+
+def solve_scenario(scenario, problem, X, U, solver=None):
+    """The scenario's solve of problem from (X, U), as the CLI runs it."""
+    options = scenario.solver_options
+    return solve(
+        problem, X, U, solver=solver or options["solver"],
+        max_iters=options["max_iters"], tolerance=options["tolerance"],
+    )
+
+
+def assert_same_solve(a, b):
+    """Two solve results (X, U, report) agree to the bit."""
+    (X_a, U_a, report_a), (X_b, U_b, report_b) = a, b
+    assert report_a.termination == report_b.termination
+    assert [vars(row) for row in report_a.rows] == [vars(row) for row in report_b.rows]
+    for got, expected in zip((X_a, U_a), (X_b, U_b)):
+        assert len(got) == len(expected)
+        for x_a, x_b in zip(got, expected):
+            np.testing.assert_array_equal(x_a, x_b)
+
+
+@pytest.mark.parametrize("solver", ["ddp", "fddp"])
+def test_class_callables_patched_between_solves_see_every_node_call(monkeypatch, solver):
+    # The benchmark's tracer wraps class attributes (a node's calc, the
+    # manifold's difference, the pendulum's bias) while a traced solve runs.
+    # A problem solved before the patch must reach the wrappers in every
+    # sweep, N times each, since nothing a solve keeps holds a library
+    # callable; and the patched solve gives the unpatched one's bits.
+    from collections import Counter
+
+    from fddp.manifolds import Manifold
+
+    scenario, problem, X, U = load_and_build(bundled_scenario_path("pendulum_swingup"))
+    reference = solve_scenario(scenario, problem, X, U, solver)
+    counts, sweeps = Counter(), []
+
+    def counted(name, method):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return method(*args, **kwargs)
+
+        return wrapper
+
+    for owner, name in ((IntegratedActionModel, "calc"), (Manifold, "difference"), (Pendulum, "bias")):
+        monkeypatch.setattr(owner, name, counted(name, owner.__dict__[name]))
+    sweep = ShootingProblem._sweep
+
+    def counted_sweep(self, X, U, datas=None, gains=None, *args):
+        before = counts.copy()
+        try:
+            return sweep(self, X, U, datas, gains, *args)
+        finally:
+            sweeps.append((gains is not None, counts - before))
+
+    monkeypatch.setattr(ShootingProblem, "_sweep", counted_sweep)
+    patched = solve_scenario(scenario, problem, X, U, solver)
+    N = problem.N
+    assert sum(with_gains for with_gains, _ in sweeps) >= reference[2].iterations > 0
+    for with_gains, calls in sweeps:
+        assert calls == {"calc": N, "bias": N, **({"difference": N} if with_gains else {})}
+    assert_same_solve(patched, reference)
+
+
+def test_a_solve_leaves_nothing_in_the_results_of_another():
+    # Two solves of one problem, with a solve of another problem between
+    # them, give the same reports and trajectories; and the X and U the
+    # first returned are not written by the later solves, whose scratch is
+    # their own.
+    cases = [load_and_build(bundled_scenario_path(name)) for name in ("pendulum_swingup", "monoped_hop")]
+    for case, other in (cases, cases[::-1]):
+        first = solve_scenario(*case)
+        kept = [[x.copy() for x in trajectory] for trajectory in first[:2]]
+        solve_scenario(*other)
+        assert_same_solve(solve_scenario(*case), first)
+        for returned, copies in zip(first[:2], kept):
+            for array, copy in zip(returned, copies):
+                np.testing.assert_array_equal(array, copy)
