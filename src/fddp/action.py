@@ -25,16 +25,10 @@ solves their inputs and results, the free dynamics M (a constant one when
 the system is built), the torque and the acceleration.
 `calc_stack(stack, X, U)` does the same for the n nodes of a stack: node by
 node through `calc`, so a failing node raises what `calc` raises (with its
-row as the error's `row`). Only an integrated model over mechanical dynamics,
-whose groups the quasi-static warm start steps, takes one batched step
-instead: `forward_terms` broadcast over the node axis, then one batched
-solve of the stacked mass matrices (free nodes) or one checked batched
-elimination (contact nodes), after the node's tests on the whole stack.
-Where a node would fail one (a non-finite value, a failed Cholesky, a low
-rank pivot), `acceleration_stack` returns None and leaves `dyn` untouched,
-and the model steps node by node. The batched results agree with `calc` to
-rounding, not to the bit (a batched LU solve against the node's Cholesky
-solve), so the shooting problem's evaluations step node by node.
+row as the error's `row`); it is every model's one stacked forward step.
+The quasi-static warm start (`quasi_static_control`) takes its groups'
+accelerations at rest from one checked saddle-point solve each instead,
+and steps a group node by node only where that solve gives up.
 `cost(X, U)` returns the costs (n,) of n nodes at X (n, nx), U (n, nu), in
 one stacked pass over the cost terms' residuals; no node's `calc` computes
 its cost. `calc_diff(stack, X, U)` evaluates the derivatives of all n nodes
@@ -72,7 +66,6 @@ from .contact import (
     _cholesky,
     _cholesky_solve,
     _kkt_solve_checked,
-    _stack_finite,
     baumgarte_a0,
     contact_dynamics_derivatives,
     contact_forward_dynamics,
@@ -175,13 +168,6 @@ class DifferentialDynamics:
         """One node's acceleration (nv,) at x, u; its solution goes to data.dyn."""
         raise NotImplementedError
 
-    def acceleration_stack(self, stack: ActionDataStack, X, U):
-        """The accelerations (n, nv) of the n nodes of `stack` at X, U, from
-        one batched solve; the solutions go to stack.dyn. None, with
-        stack.dyn untouched, where any node's solve would fail: a batched
-        solve cannot say which node, so the model steps them one by one."""
-        raise NotImplementedError
-
     def partials(self, stack: ActionDataStack, X, U):
         """Stacked tangent-space partials (a_q, a_v, a_u), each (n, nv, ·), of
         the n nodes of `stack`, from the solutions in stack.dyn."""
@@ -223,26 +209,6 @@ class FreeMechanicalDynamics(DifferentialDynamics):
         data.dyn[0][:] = vdot
         return vdot
 
-    def acceleration_stack(self, stack, X, U):
-        # One batched solve on the stacked mass matrices (or the one
-        # constant matrix), after the node's tests on the whole stack.
-        sys = self.system
-        q, v = X[:, : sys.nq], X[:, sys.nq :]
-        vdot = None
-        with np.errstate(all="ignore"):
-            M, bias = sys.forward_terms(q, v)[:2]
-            tau = U @ sys.actuation().T - bias
-            try:
-                if _stack_finite(M, tau):
-                    np.linalg.cholesky(M)  # the node's factorization test
-                    vdot = np.linalg.solve(_per_node(M, len(X)), tau[..., None])[..., 0]
-            except np.linalg.LinAlgError:
-                pass
-        if vdot is None or not _stack_finite(vdot):
-            return None
-        stack.dyn[0][:] = vdot
-        return stack.dyn[0]
-
     def partials(self, stack, X, U):
         # M a_x = -(d bias/dx + d(M vdot)/dx) and M a_u = S, for all nodes in
         # one batched solve on the stacked mass matrices.
@@ -283,23 +249,6 @@ class ConstrainedMechanicalDynamics(DifferentialDynamics):
         vdot, force = contact_forward_dynamics(M, Jc, sys.actuation() @ u - bias, a0)
         data.dyn[0][:] = vdot
         data.dyn[1][:] = force
-        return vdot
-
-    def acceleration_stack(self, stack, X, U):
-        # One checked batched elimination: M vdot - Jc^T force = tau_b and
-        # Jc vdot = -a0 is the saddle point with w = vdot, z = -force.
-        sys = self.system
-        q, v = X[:, : sys.nq], X[:, sys.nq :]
-        with np.errstate(all="ignore"):
-            M, bias, placement, Jc, drift = sys.forward_terms(q, v, self.contacts.frames)
-            a0 = baumgarte_a0(self.contacts, placement, (Jc @ v[..., None])[..., 0], drift)
-            tau_b = U @ sys.actuation().T - bias
-        solution = _kkt_solve_checked(_per_node(M, len(X)), Jc, tau_b[..., None], -a0[..., None])
-        if solution is None:
-            return None
-        vdot, force = stack.dyn
-        vdot[:] = solution[0][..., 0]
-        np.negative(solution[1][..., 0], out=force)
         return vdot
 
     def partials(self, stack, X, U):
@@ -474,18 +423,6 @@ class IntegratedActionModel(ActionModelBase):
             dynamics.system.config.integrate(x[:nq], dt * v_next, out=xnext[:nq])
         return data
 
-    def calc_stack(self, stack, X, U):
-        # Mechanical dynamics take one batched step (the quasi-static warm
-        # start's); a linear flow, or a stack with a failing node, goes node
-        # by node.
-        vdot = None if self.first_order else self.dynamics.acceleration_stack(stack, X, U)
-        if vdot is None:
-            return super().calc_stack(stack, X, U)
-        nq = self.dynamics.system.nq
-        v_next = np.add(X[:, nq:], self.dt * vdot, out=stack.xnext[:, nq:])
-        stack.xnext[:, :nq] = self.dynamics.system.config.integrate(X[:, :nq], self.dt * v_next)
-        return stack
-
     def calc_diff(self, stack, X, U):
         dt = self.dt
         f_x, f_u = stack.f_x, stack.f_u
@@ -608,33 +545,52 @@ def quasi_static_control(model, X):
     still, and the residual norms (n,) those controls leave.
 
     The residual is the acceleration at (q, v = 0) (the flow at x for a
-    first-order model), affine in u: r0 + A u, with r0 the solution that
-    the model's one batched `calc_stack` at u = 0 leaves in `dyn[0]` (a
-    flow's `flow_stack`) and A the group's a_u from one stacked `partials`
-    call (the flow's B). A node whose forward step fails raises what `calc`
-    raises on it. One exact Gauss-Newton step,
-    u = -(A^T A + 1e-10 I)^-1 A^T r0, solved for all nodes at once, gives
-    its least-squares minimum. A node keeps u where ||r0 + A u|| is within
-    QUASI_STATIC_TOL, and zero control where it is not (no torque holds a
-    free-flying base against gravity) or where ||r0|| already is.
+    first-order model), affine in u: r0 + A u. For mechanical dynamics both
+    come out of one saddle-point solve per group (`_rest_acceleration`);
+    for a flow r0 is its `flow_stack` at u = 0 and A its B. A node whose
+    forward step fails raises what `calc` raises on it. One exact
+    Gauss-Newton step, u = -(A^T A + 1e-10 I)^-1 A^T r0, solved for all
+    nodes at once, gives its least-squares minimum. A node keeps u where
+    ||r0 + A u|| is within QUASI_STATIC_TOL, and zero control where it is
+    not (no torque holds a free-flying base against gravity) or where
+    ||r0|| already is.
     """
     X = np.asarray(X, dtype=float)
     n = len(X)
     if model.nu == 0:
         return np.zeros((n, 0)), np.zeros(n)
-    U0 = np.zeros((n, model.nu))
     if model.first_order:
-        r0 = model.dynamics.flow_stack(X, U0)
-        A = model.dynamics.B
+        r0, A = model.dynamics.flow_stack(X, np.zeros((n, model.nu))), model.dynamics.B
     else:
-        sys = model.dynamics.system
-        X = np.concatenate([X[:, : sys.nq], np.zeros((n, sys.nv))], 1)
-        stack = model.calc_stack(model.create_stack(n), X, U0)
-        r0 = stack.dyn[0]
-        A = model.dynamics.partials(stack, X, U0)[2]
+        r0, A = _rest_acceleration(model, X[:, : model.dynamics.system.nq])
     At = np.swapaxes(A, -1, -2)
     u = -np.linalg.solve(At @ A + _QUASI_STATIC_DAMPING * np.eye(model.nu), At @ r0[..., None])
     held = np.linalg.norm(r0 + (A @ u)[..., 0], axis=1)
     start = np.linalg.norm(r0, axis=1)
     keep = (held <= QUASI_STATIC_TOL) & (start > QUASI_STATIC_TOL)
     return np.where(keep[:, None], u[..., 0], 0.0), np.where(keep, held, start)
+
+
+def _rest_acceleration(model, q):
+    """(r0 (n, nv), A (n, nv, nu)): the acceleration r0 + A u at rest of the
+    n nodes of a mechanical `model` at configurations q (n, nq), from one
+    stacked `forward_terms` call and one `_kkt_solve_checked` of
+    [M Jc^T; Jc 0] against [-bias | S] and [-a0 | 0] (nf = 0 rows for free
+    dynamics). Where that solve gives up, the group steps node by node
+    (`calc_stack`), which raises for the first failing node; if none fails,
+    r0 is its `dyn[0]` and A comes from `partials`.
+    """
+    dynamics, n, nu = model.dynamics, len(q), model.nu
+    sys, contacts = dynamics.system, getattr(dynamics, "contacts", None)
+    v = np.zeros((n, sys.nv))
+    with np.errstate(all="ignore"):
+        M, bias, placement, Jc, drift = sys.forward_terms(q, v, contacts.frames if contacts else ())
+        a0 = baumgarte_a0(contacts, placement, 0.0, drift) if contacts else np.zeros((n, 0))
+    b1 = np.concatenate([-bias[..., None], _per_node(sys.actuation(), n)], -1)
+    b2 = np.concatenate([-a0[..., None], np.zeros(a0.shape + (nu,))], -1)
+    solution = _kkt_solve_checked(_per_node(M, n), _per_node(Jc, n), b1, b2)
+    if solution is not None:
+        return solution[0][..., 0], solution[0][..., 1:]
+    X, U0 = np.concatenate([q, v], 1), np.zeros((n, nu))
+    stack = model.calc_stack(model.create_stack(n), X, U0)
+    return stack.dyn[0], dynamics.partials(stack, X, U0)[2]

@@ -210,8 +210,9 @@ def check_problem_derivatives(problem, samples: int = 100, seed: int = 0):
     Draws `samples` random state/control points per distinct node model
     (tangent perturbations of the measured initial state, standard-normal
     controls), evaluates the analytic f_x, f_u, l_x, l_u blocks of all of
-    them in one `calc_stack` and one `calc_diff`, and compares each
-    against a finite-difference evaluation with step `numdiff.STEP` (1e-6).
+    them in one `calc_stack` (the node step the solver runs, node by node)
+    and one `calc_diff`, and compares each against a finite-difference
+    evaluation with step `numdiff.STEP` (1e-6).
     The error metric per block is max|analytic - fd| / max(1, max|fd|).
 
     Returns a list of (label, block, max_relative_error) triples, one per

@@ -252,6 +252,7 @@ def _kkt_solve_stacked(M, Jc, b1, b2):
     the multipliers z = Mhat^-1 (Jc M^-1 b1 - b2), and w = M^-1 b1 -
     M^-1 Jc^T z. Nothing is checked: the derivatives take stacks whose
     forward solves have passed, and `_kkt_solve_checked` tests the others.
+    nf = 0 rows make it one solve with M, equal to np.linalg.solve(M, b1).
     """
     nf = Jc.shape[-2]
     solved = np.linalg.solve(M, np.concatenate([np.swapaxes(Jc, -1, -2), b1], axis=-1))
@@ -262,12 +263,12 @@ def _kkt_solve_stacked(M, Jc, b1, b2):
 
 
 def _kkt_solve_checked(M, Jc, b1, b2):
-    """(w, z) of `_kkt_solve_stacked` for the forward solves of a stack, with
-    the node solve's tests made on all nodes at once: None when any node
-    would fail one (a non-finite input or solution, an M or Mhat that is not
-    positive definite, a pivot of Mhat below RANK_PIVOT_TOL). A batched
-    solve does not say which node failed, so the caller then steps its
-    nodes one by one through the node solve, which raises for the first
+    """(w, z) of `_kkt_solve_stacked` for the quasi-static warm start's
+    solve at rest, with the node solve's tests made on all nodes at once:
+    None when any node would fail one (a non-finite input or solution, an M
+    or Mhat that is not positive definite, a pivot of Mhat below
+    RANK_PIVOT_TOL). A batched solve does not say which node failed, so the
+    warm start then steps its nodes one by one, which raises for the first
     failing one.
     """
     with np.errstate(all="ignore"):

@@ -23,10 +23,8 @@ group's containers are, and the terminal node's stack of one last. Each
 node's `calc` computes only its dynamics into its row (a failing node
 raises `NumericalFailure` naming it). `_sweep` is the one chained rollout,
 of the ddp start, `rollout` and both forward passes; `_calc` steps each
-node at the guessed states. Both step node by node, not one `calc_stack`
-per group, so a gap-tolerant solve started from a rollout takes the
-classical solve's step to the bit. A sweep cuts its nodes' control rows in
-bulk, and without a pull-back each node steps from the previous node's
+node at the guessed states. A sweep cuts its nodes' control rows in bulk,
+and without a pull-back each node steps from the previous node's
 output in its stack, copied into the states once per group at the end; it
 looks each node's `calc` up on its model at every step, so a method patched
 between two solves sees every call. After the nodes are stepped,

@@ -580,15 +580,14 @@ def build_warm_start(scenario: Scenario, problem: ShootingProblem):
     measured state to the terminal regularization target (node k at k / N,
     in one stacked `integrate` call); controls hold each state still where
     that is possible, from one `quasi_static_control` call per group, which
-    takes the group's accelerations at rest from the model's one batched
-    forward step (`calc_stack`) and their control Jacobians from one stacked
-    `partials` call; they fill one stacked array, whose rows cut to each
-    node's nu are returned. A node whose state no control holds still falls
-    back to zero control. That is not only a flight node: on monoped_hop
+    takes the group's accelerations at rest and their control Jacobian from
+    one checked saddle-point solve; they fill one stacked array, whose rows
+    cut to each node's nu are returned. A node whose state no control holds
+    still falls back to zero control. That is not only a flight node: on monoped_hop
     every node with controls but node 0 falls back, the stance nodes too, so
     its warm start is close to a zero-control start. A node whose forward
     step fails raises a ScenarioError at warm_start.policy naming it and the
-    step's cause (the row at which the group's `calc_stack` stopped).
+    step's cause (the row at which the group's node steps stopped).
     file: a JSON document with explicit X and U lists of the problem's
     shapes whose entries are finite JSON numbers; a fault names the first
     bad X[k] or U[k] at warm_start.path.

@@ -15,7 +15,6 @@ import fddp
 from fddp import numdiff
 from fddp.action import (
     ConstrainedMechanicalDynamics,
-    DifferentialDynamics,
     FreeMechanicalDynamics,
     ImpulseActionModel,
     IntegratedActionModel,
@@ -543,24 +542,20 @@ def test_stacked_forward_step_matches_the_node_steps_on_every_bundled_group(name
 
 @pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
 def test_a_stack_stepped_node_by_node_equals_the_node_step_to_the_bit(name):
-    # Only mechanical integrated groups take a batched step: impulse groups,
-    # linear flows and the terminal node step node by node, so calc_stack
-    # leaves exactly the bits of calc, at the warm start and at seeded
-    # perturbations of the measured state with random controls.
+    # Every model's calc_stack is the node loop, so it leaves exactly the
+    # bits of calc on every group and the terminal node, at the warm start
+    # and at seeded perturbations of the measured state with random controls.
     scenario = load_scenario(bundled_scenario_path(name))
     problem = build_problem(scenario)
     X_warm, U_warm = build_warm_start(scenario, problem)
     X_warm, U_warm = np.array(X_warm), problem.stack_controls(U_warm)
     state, rng = problem.state, np.random.default_rng(73)
-    cases = [
-        (model, X_warm[nodes], U_warm[nodes, : model.nu])
-        for model, nodes in problem.groups
-        if not isinstance(getattr(model, "dynamics", None), DifferentialDynamics)
-    ]
+    cases = [(model, X_warm[nodes], U_warm[nodes, : model.nu]) for model, nodes in problem.groups]
     cases.append((problem.terminal_model, X_warm[problem.N :], np.zeros((1, 0))))
-    kinds = {type(model) if model.nu == 0 else "flow" for model, _, _ in cases}
-    assert ImpulseActionModel in kinds or name != "monoped_hop"
-    assert "flow" in kinds or name != "lqr_chain"
+    kinds = {type(getattr(model, "dynamics", model)).__name__ for model, _, _ in cases}
+    if name == "monoped_hop":
+        assert {"ConstrainedMechanicalDynamics", "FreeMechanicalDynamics", "ImpulseActionModel"} <= kinds
+    assert "LinearDynamics" in kinds or name != "lqr_chain"
     for model, X, U in cases:
         X_near = state.integrate(problem.x0_measured, 0.3 * rng.standard_normal((9, state.ndx)))
         for X, U in ((X, U), (X_near, rng.standard_normal((9, model.nu)))):
@@ -572,34 +567,41 @@ def test_a_stack_stepped_node_by_node_equals_the_node_step_to_the_bit(name):
                 np.testing.assert_array_equal(actual, expected)
 
 
-def assert_stacked_step_fails_as_the_node_steps(model, X, U):
-    # The batched step cannot say which row failed, so it replays the rows
-    # in order: it raises what calc raises on the first failing row, and
-    # passes where every row passes. Where a row fails, a mechanical
-    # model's acceleration_stack returns None and leaves the stack's
-    # solutions byte for byte as they were. Returns whether a row failed.
+def assert_fails_as_the_node_steps(step, model, X, U):
+    """`step()` raises what calc raises on the first failing node of X, U,
+    with that node's row as the error's `row`, and passes where every node
+    passes. Returns whether a node failed."""
     failure = None
     with np.errstate(over="ignore", invalid="ignore"):
-        for x, u in zip(X, U):
+        for row, (x, u) in enumerate(zip(X, U)):
             try:
                 model.calc(model.create_data(), x, u)
             except FddpError as exc:
-                failure = exc
+                failure = row, exc
                 break
         if failure is None:
-            model.calc_stack(model.create_stack(len(X)), X, U)
+            step()
             return False
-        with pytest.raises(type(failure)) as stacked_failure:
-            model.calc_stack(model.create_stack(len(X)), X, U)
-        if isinstance(getattr(model, "dynamics", None), DifferentialDynamics):
-            stack = model.create_stack(len(X))
-            for part in stack.dyn:
-                part[:] = np.random.default_rng(72).standard_normal(part.shape)
-            before = [part.tobytes() for part in stack.dyn]
-            assert model.dynamics.acceleration_stack(stack, X, U) is None
-            assert [part.tobytes() for part in stack.dyn] == before
-    assert str(stacked_failure.value) == str(failure)
+        with pytest.raises(type(failure[1])) as raised:
+            step()
+    assert str(raised.value) == str(failure[1])
+    assert raised.value.row == failure[0]
     return True
+
+
+def assert_stack_fails_as_the_node_steps(model, X, U):
+    return assert_fails_as_the_node_steps(
+        lambda: model.calc_stack(model.create_stack(len(X)), X, U), model, X, U
+    )
+
+
+def assert_warm_start_fails_as_the_node_steps(model, X):
+    # The warm start's nodes step at rest (v = 0) at zero control.
+    system = model.dynamics.system
+    at_rest = np.concatenate([X[:, : system.nq], np.zeros((len(X), system.nv))], 1)
+    return assert_fails_as_the_node_steps(
+        lambda: quasi_static_control(model, X), model, at_rest, np.zeros((len(X), model.nu))
+    )
 
 
 @pytest.mark.parametrize(
@@ -607,7 +609,7 @@ def assert_stacked_step_fails_as_the_node_steps(model, X, U):
     [m for n, m in model_cases() if n != "terminal"],
     ids=[n for n, _ in model_cases() if n != "terminal"],
 )
-def test_stacked_forward_step_raises_what_the_first_failing_node_raises(model):
+def test_calc_stack_raises_what_the_first_failing_node_raises(model):
     # Rows 2 and 4 of six poisoned (a NaN control, or a NaN velocity on a
     # node without controls, then an overflowing one), which fails at row 2;
     # and row 3 alone overflowing, whose inputs are finite, so only a test
@@ -620,30 +622,56 @@ def test_stacked_forward_step_raises_what_the_first_failing_node_raises(model):
                 U[row] = value
             else:
                 X[row, -1] = value
-        failed = assert_stacked_step_fails_as_the_node_steps(model, X, U)
+        failed = assert_stack_fails_as_the_node_steps(model, X, U)
         assert failed or len(rows) == 1
 
 
-def test_stacked_forward_step_tests_the_rank_of_the_constraints():
+MECHANICAL_CASES = [
+    (n, m) for n, m in model_cases() if m.nu and not getattr(m, "first_order", True)
+]
+
+
+@pytest.mark.parametrize(
+    "model", [m for _, m in MECHANICAL_CASES], ids=[n for n, _ in MECHANICAL_CASES]
+)
+def test_warm_start_raises_what_the_first_failing_node_raises(model):
+    # Rows 2 and 4 of six poisoned (a NaN in the last configuration
+    # coordinate, an angle wherever the system has one, then an overflowing
+    # first coordinate), which fails at row 2; and row 3 alone far out,
+    # whose inputs stay finite, so on a contact group only a test of the
+    # results can find it. The warm start zeroes the velocities and the
+    # controls, so only the configuration can poison its nodes; the double
+    # integrator's acceleration at rest reads none of it.
+    rng = np.random.default_rng(70)
+    nq = model.dynamics.system.nq
+    for rows in (((2, nq - 1, np.nan), (4, 0, 1e308)), ((3, 0, 1e306),)):
+        X = random_points(model, 6, rng)[0]
+        for row, coordinate, value in rows:
+            X[row, coordinate] = value
+        failed = assert_warm_start_fails_as_the_node_steps(model, X)
+        assert failed or len(rows) == 1 or isinstance(model.dynamics.system, DoubleIntegrator)
+
+
+def test_warm_start_tests_the_rank_of_the_constraints():
     # Two tip rows: on the pendulum's one degree of freedom the operational-
     # space inertia is singular and its Cholesky fails; on the double
     # pendulum stretched to an elbow angle of 1e-6 it factors, with a pivot
-    # of 1.8e-12, below RANK_PIVOT_TOL. Either way the contact and impulse
-    # nodes' stacked steps raise the node's rank failure.
+    # of 1.8e-12, below RANK_PIVOT_TOL. Either way the contact group's warm
+    # start raises the node's rank failure at its row, and so does the
+    # impulse node's calc_stack.
     for system, reference, X in (
         (Pendulum(), [0.0, -1.0], [[0.1, 0.2]]),
         (DoublePendulum(), [0.3, -1.8], [[0.2, 0.8, 0.0, 0.0], [0.4, 1e-6, 0.1, -0.2]]),
     ):
         pinned_tip = ContactSet((Contact("tip", reference, alpha=50.0, beta=10.0),))
         X = np.array(X)
-        for model in (
-            IntegratedActionModel(ConstrainedMechanicalDynamics(system, pinned_tip), dt=0.01),
-            ImpulseActionModel(system, pinned_tip, 0.0),
-        ):
-            U = np.ones((len(X), model.nu))
+        constrained = IntegratedActionModel(ConstrainedMechanicalDynamics(system, pinned_tip), dt=0.01)
+        impulse = ImpulseActionModel(system, pinned_tip, 0.0)
+        for model in (constrained, impulse):
             with pytest.raises(RankDeficientConstraint):
-                model.calc(model.create_data(), X[-1], U[-1])
-            assert assert_stacked_step_fails_as_the_node_steps(model, X, U)
+                model.calc(model.create_data(), X[-1], np.ones(model.nu))
+        assert assert_warm_start_fails_as_the_node_steps(constrained, X)
+        assert assert_stack_fails_as_the_node_steps(impulse, X, np.zeros((len(X), 0)))
 
 
 class IndefiniteMonoped(PlanarMonoped):
@@ -657,13 +685,15 @@ class IndefiniteMonoped(PlanarMonoped):
         return (M, *rest)
 
 
-def test_stacked_forward_step_tests_the_inertia_factorization():
+def test_warm_start_tests_the_inertia_factorization():
     # The node solves factor M by Cholesky and fail on an indefinite one; the
-    # batched LU solve would not, so the stacked step tests M itself.
+    # warm start's LU solve would not, so its checked solve tests M itself,
+    # on free and stance groups; the impulse node's calc_stack fails as its
+    # calc does.
     system = IndefiniteMonoped()
     stance = ContactSet((Contact("foot", [0.0, 0.0]),))
     x = system.nominal_state()
-    X, U = np.tile(x, (3, 1)), np.ones((3, system.nu))
+    X = np.tile(x, (3, 1))
     # The premise: M is indefinite but LU solves it, and the foot's rows
     # still give a positive definite Mhat, so only the M test can fail.
     M, _, _, Jc, _ = system.forward_terms(x[: system.nq], x[system.nq :], stance.frames)
@@ -674,9 +704,10 @@ def test_stacked_forward_step_tests_the_inertia_factorization():
     for model in (
         integrated(system, 0.01),
         IntegratedActionModel(ConstrainedMechanicalDynamics(system, stance), dt=0.01),
-        ImpulseActionModel(system, stance, 0.0),
     ):
-        assert assert_stacked_step_fails_as_the_node_steps(model, X, U[:, : model.nu])
+        assert assert_warm_start_fails_as_the_node_steps(model, X)
+    impulse = ImpulseActionModel(system, stance, 0.0)
+    assert assert_stack_fails_as_the_node_steps(impulse, X, np.zeros((3, 0)))
 
 
 def test_node_rows_are_views_of_the_stack():
@@ -1077,9 +1108,9 @@ ANGLES = {"monoped_hop": (2, 3, 4), "pendulum_swingup": (0,)}
 @pytest.mark.parametrize("name", sorted(ANGLES))
 def test_quasi_static_control_raises_what_acceleration_raises_on_a_bad_row(name):
     # A seeded row of each group with controls gets a NaN in a seeded angle
-    # and, on contact groups, an overflowing base position: the group's one
-    # batched forward step replays its rows and raises exactly what the
-    # row's own acceleration at rest raises.
+    # and, on contact groups, an overflowing base position: the group's
+    # checked solve at rest gives up, and its node steps raise exactly what
+    # the row's own acceleration at rest raises.
     scenario = load_scenario(bundled_scenario_path(name))
     problem = build_problem(scenario)
     X_warm = np.array(build_warm_start(scenario, problem)[0])

@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fddp import cli
+from fddp import action, cli
 from fddp.action import (
     ConstrainedMechanicalDynamics,
     FreeMechanicalDynamics,
@@ -551,23 +551,43 @@ def test_stacked_interpolation_matches_the_per_node_integration_across_the_wrap(
     assert (headings > 3.0).any() and (headings < -3.0).any()
 
 
-def test_warm_start_makes_one_partials_call_per_group(monkeypatch):
+def test_warm_start_makes_one_checked_kkt_solve_per_group(monkeypatch):
+    # Each mechanical group with controls takes its accelerations at rest and
+    # their control Jacobian from one checked saddle-point solve, and steps
+    # no node and differentiates nothing.
     scenario = load_scenario(bundled_scenario_path("monoped_hop"))
     problem = build_problem(scenario)
-    calls = []
+    solves, steps = [], []
+    checked = action._kkt_solve_checked
+    monkeypatch.setattr(
+        action, "_kkt_solve_checked", lambda M, *rest: solves.append(len(M)) or checked(M, *rest)
+    )
+    monkeypatch.setattr(IntegratedActionModel, "calc", lambda *args: steps.append("calc"))
     for dynamics in (FreeMechanicalDynamics, ConstrainedMechanicalDynamics):
-
-        def counted(self, stack, X, U, partials=dynamics.partials):
-            calls.append((id(self), len(X)))
-            return partials(self, stack, X, U)
-
-        monkeypatch.setattr(dynamics, "partials", counted)
+        monkeypatch.setattr(dynamics, "partials", lambda *args: steps.append("partials"))
     build_warm_start(scenario, problem)
-    expected = [
-        (id(model.dynamics), len(nodes)) for model, nodes in problem.groups if model.nu > 0
-    ]
+    expected = [len(nodes) for model, nodes in problem.groups if model.nu > 0]
     assert len(expected) >= 2
-    assert sorted(calls) == sorted(expected)
+    assert solves == expected and not steps
+
+
+@pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
+def test_the_warm_start_stepped_node_by_node_gives_its_controls(name, monkeypatch):
+    # Where the checked solve gives up, each group steps node by node and
+    # differentiates the stack: where every node passes, its controls are
+    # the checked solve's within 1e-15, with the same zero entries, and the
+    # residual norms agree far below QUASI_STATIC_TOL (a held node's is
+    # rounding noise).
+    scenario = load_scenario(bundled_scenario_path(name))
+    problem = build_problem(scenario)
+    X = np.array(build_warm_start(scenario, problem)[0])
+    expected = [quasi_static_control(model, X[nodes]) for model, nodes in problem.groups]
+    monkeypatch.setattr(action, "_kkt_solve_checked", lambda *args: None)
+    for (model, nodes), (controls, norms) in zip(problem.groups, expected):
+        stepped, stepped_norms = quasi_static_control(model, X[nodes])
+        np.testing.assert_allclose(stepped, controls, rtol=0.0, atol=1e-15)
+        np.testing.assert_array_equal(stepped == 0.0, controls == 0.0)
+        np.testing.assert_allclose(stepped_norms, norms, rtol=1e-12, atol=1e-10)
 
 
 def test_a_failed_quasi_static_warm_start_names_its_node(tmp_path, capsys):
