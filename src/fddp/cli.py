@@ -33,8 +33,8 @@ from .errors import DimensionMismatch, FddpError
 from .scenarios import (
     BUNDLED_SCENARIOS,
     build_problem,
-    build_warm_start,
     bundled_scenario_path,
+    load_and_build,
     load_scenario,
 )
 from .solver import solve
@@ -132,9 +132,7 @@ def _solver_settings(scenario, args) -> dict:
 
 def cmd_solve(args) -> int:
     try:
-        scenario = load_scenario(_resolve_scenario_path(args.scenario))
-        problem = build_problem(scenario)
-        X0, U0 = build_warm_start(scenario, problem)
+        scenario, problem, X0, U0 = load_and_build(_resolve_scenario_path(args.scenario))
     except FddpError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

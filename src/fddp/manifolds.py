@@ -88,17 +88,6 @@ class Manifold:
     def difference(self, x0, x1, out=None) -> np.ndarray:
         return self._wrapped(np.subtract(x1, x0, out=out))
 
-    # -- sampling (deterministic given the rng state) ----------------------
-
-    def random_point(self, rng: np.random.Generator) -> np.ndarray:
-        """One draw per coordinate, in order: uniform on [-pi, pi) at an
-        angle, N(0, 1) elsewhere."""
-        angles, draw = self._angle_list, rng.standard_normal
-        return np.array([rng.uniform(-_PI, _PI) if i in angles else draw() for i in range(self.nx)])
-
-    def random_tangent(self, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-        return scale * rng.standard_normal(self.ndx)
-
 
 class VectorSpace(Manifold):
     """Flat R^n; integrate/difference are plain addition/subtraction."""

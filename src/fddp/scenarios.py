@@ -661,7 +661,8 @@ def build_warm_start(scenario: Scenario, problem: ShootingProblem):
 
 
 def load_and_build(path):
-    """Convenience: load a scenario file and assemble everything it names."""
+    """Load a scenario file and assemble everything it names: the scenario,
+    its problem and its warm start, as `fddp solve` does."""
     scenario = load_scenario(path)
     problem = build_problem(scenario)
     X, U = build_warm_start(scenario, problem)

@@ -50,6 +50,7 @@ from fddp.systems import (
     build_system,
     lqr_chain_dynamics,
 )
+from sampling import random_tangent
 
 GRAVITY = 9.81
 BUNDLED_SCENARIOS = (
@@ -274,7 +275,7 @@ def test_calc_diff_matches_finite_differences(model):
     rng = np.random.default_rng(62)
     points = []
     for _ in range(10):
-        x = state.integrate(np.zeros(state.nx), state.random_tangent(rng, scale=0.4))
+        x = state.integrate(np.zeros(state.nx), random_tangent(state, rng, scale=0.4))
         points.append((x, rng.uniform(-2.0, 2.0, model.nu)))
     stack = model.create_stack(len(points))
     for data, (x, u) in zip(stack.nodes, points):
@@ -376,7 +377,7 @@ def test_stacked_contact_derivatives_equal_each_node_alone(index):
     state, n = model.state, 7
     rng = np.random.default_rng(65 + index)
     X = np.array(
-        [state.integrate(np.zeros(state.nx), state.random_tangent(rng, scale=0.3)) for _ in range(n)]
+        [state.integrate(np.zeros(state.nx), random_tangent(state, rng, scale=0.3)) for _ in range(n)]
     )
     U = rng.uniform(-2.0, 2.0, (n, model.nu))
     stack = model.create_stack(n)
@@ -402,7 +403,7 @@ def test_cost_hessian_blocks_are_symmetric(model):
     state = model.state
     rng = np.random.default_rng(63)
     stack, data = one_node(model)
-    x = state.integrate(np.zeros(state.nx), state.random_tangent(rng, scale=0.4))
+    x = state.integrate(np.zeros(state.nx), random_tangent(state, rng, scale=0.4))
     u = rng.uniform(-2.0, 2.0, model.nu)
     model.calc(data, x, u)
     calc_diff_one(model, stack, x, u)
@@ -480,91 +481,49 @@ def test_pinned_pendulum_tip_is_rank_deficient():
 # ---------------------------------------------------------------------------
 
 
-def assert_close_to_scale(actual, expected, rtol):
-    """Within rtol of max(1, the array's largest entry), the metric of
-    check-derivatives: an entry that cancels to rounding noise (a velocity
-    an impact zeroes) carries no relative accuracy of its own."""
-    scale = max(1.0, np.max(np.abs(expected), initial=0.0))
-    np.testing.assert_allclose(actual, expected, rtol=0.0, atol=rtol * scale)
-
-
-def assert_stacked_step_matches_node_steps(model, X, U):
-    # calc_stack on one stack, calc on each row of another: the forward
-    # steps and the solutions calc_diff reads agree within 1e-13, and the
-    # derivatives calc_diff takes from them within 1e-12.
-    stacked, node = model.create_stack(len(X)), model.create_stack(len(X))
-    model.calc_stack(stacked, X, U)
-    for data, x, u in zip(node.nodes, X, U):
-        model.calc(data, x, u)
-    assert len(stacked.dyn) == len(model.dyn_sizes)
-    for actual, expected in zip((stacked.xnext, *stacked.dyn), (node.xnext, *node.dyn)):
-        assert_close_to_scale(actual, expected, 1e-13)
-    model.calc_diff(stacked, X, U)
-    model.calc_diff(node, X, U)
-    for block in ("Fz", "Lz"):
-        assert_close_to_scale(getattr(stacked, block), getattr(node, block), 1e-12)
-
-
 def random_points(model, n, rng):
     state = model.state
     X = np.array(
-        [state.integrate(np.zeros(state.nx), state.random_tangent(rng, scale=0.4)) for _ in range(n)]
+        [state.integrate(np.zeros(state.nx), random_tangent(state, rng, scale=0.4)) for _ in range(n)]
     )
     return X, rng.uniform(-2.0, 2.0, (n, model.nu))
 
 
-@pytest.mark.parametrize(
-    "model", [m for _, m in model_cases()], ids=[n for n, _ in model_cases()]
-)
-def test_stacked_forward_step_matches_the_node_steps(model):
-    X, U = random_points(model, 12, np.random.default_rng(68))
-    assert_stacked_step_matches_node_steps(model, X, U)
-
-
-@pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
-def test_stacked_forward_step_matches_the_node_steps_on_every_bundled_group(name):
-    # Every group and the terminal node, at the warm start and at seeded
-    # tangent perturbations of the measured state with random controls.
-    scenario = load_scenario(bundled_scenario_path(name))
-    problem = build_problem(scenario)
-    X_warm, U_warm = build_warm_start(scenario, problem)
-    X_warm, U_warm = np.array(X_warm), problem.stack_controls(U_warm)
-    state, rng = problem.state, np.random.default_rng(69)
-    warm = [(model, X_warm[nodes], U_warm[nodes, : model.nu]) for model, nodes in problem.groups]
-    warm.append((problem.terminal_model, X_warm[problem.N :], np.zeros((1, 0))))
-    for model, X, U in warm:
-        assert_stacked_step_matches_node_steps(model, X, U)
-        X = np.array(
-            [state.integrate(problem.x0_measured, 0.3 * rng.standard_normal(state.ndx)) for _ in range(9)]
-        )
-        assert_stacked_step_matches_node_steps(model, X, rng.standard_normal((9, model.nu)))
-
-
-@pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
+@pytest.mark.parametrize("name", BUNDLED_SCENARIOS + ("model_cases",))
 def test_a_stack_stepped_node_by_node_equals_the_node_step_to_the_bit(name):
     # Every model's calc_stack is the node loop, so it leaves exactly the
-    # bits of calc on every group and the terminal node, at the warm start
-    # and at seeded perturbations of the measured state with random controls.
-    scenario = load_scenario(bundled_scenario_path(name))
-    problem = build_problem(scenario)
-    X_warm, U_warm = build_warm_start(scenario, problem)
-    X_warm, U_warm = np.array(X_warm), problem.stack_controls(U_warm)
-    state, rng = problem.state, np.random.default_rng(73)
-    cases = [(model, X_warm[nodes], U_warm[nodes, : model.nu]) for model, nodes in problem.groups]
-    cases.append((problem.terminal_model, X_warm[problem.N :], np.zeros((1, 0))))
-    kinds = {type(getattr(model, "dynamics", model)).__name__ for model, _, _ in cases}
-    if name == "monoped_hop":
-        assert {"ConstrainedMechanicalDynamics", "FreeMechanicalDynamics", "ImpulseActionModel"} <= kinds
-    assert "LinearDynamics" in kinds or name != "lqr_chain"
+    # bits of calc: on every group and the terminal node of each bundled
+    # scenario, at the warm start and at seeded perturbations of the measured
+    # state with random controls, and on every model of model_cases() at
+    # seeded random points. Each stack holds one solution per dynamics size.
+    if name == "model_cases":
+        cases = [
+            (model, *random_points(model, 12, np.random.default_rng(68))) for _, model in model_cases()
+        ]
+    else:
+        scenario = load_scenario(bundled_scenario_path(name))
+        problem = build_problem(scenario)
+        X_warm, U_warm = build_warm_start(scenario, problem)
+        X_warm, U_warm = np.array(X_warm), problem.stack_controls(U_warm)
+        state, rng = problem.state, np.random.default_rng(73)
+        warm = [(model, X_warm[nodes], U_warm[nodes, : model.nu]) for model, nodes in problem.groups]
+        warm.append((problem.terminal_model, X_warm[problem.N :], np.zeros((1, 0))))
+        kinds = {type(getattr(model, "dynamics", model)).__name__ for model, _, _ in warm}
+        if name == "monoped_hop":
+            assert {"ConstrainedMechanicalDynamics", "FreeMechanicalDynamics", "ImpulseActionModel"} <= kinds
+        assert "LinearDynamics" in kinds or name != "lqr_chain"
+        cases = []
+        for model, X, U in warm:
+            X_near = state.integrate(problem.x0_measured, 0.3 * rng.standard_normal((9, state.ndx)))
+            cases += [(model, X, U), (model, X_near, rng.standard_normal((9, model.nu)))]
     for model, X, U in cases:
-        X_near = state.integrate(problem.x0_measured, 0.3 * rng.standard_normal((9, state.ndx)))
-        for X, U in ((X, U), (X_near, rng.standard_normal((9, model.nu)))):
-            stacked, node = model.create_stack(len(X)), model.create_stack(len(X))
-            model.calc_stack(stacked, X, U)
-            for data, x, u in zip(node.nodes, X, U):
-                model.calc(data, x, u)
-            for actual, expected in zip((stacked.xnext, *stacked.dyn), (node.xnext, *node.dyn)):
-                np.testing.assert_array_equal(actual, expected)
+        stacked, node = model.create_stack(len(X)), model.create_stack(len(X))
+        model.calc_stack(stacked, X, U)
+        for data, x, u in zip(node.nodes, X, U):
+            model.calc(data, x, u)
+        assert len(stacked.dyn) == len(model.dyn_sizes)
+        for actual, expected in zip((stacked.xnext, *stacked.dyn), (node.xnext, *node.dyn)):
+            np.testing.assert_array_equal(actual, expected)
 
 
 def assert_fails_as_the_node_steps(step, model, X, U):

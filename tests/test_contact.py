@@ -91,12 +91,12 @@ def test_cholesky_helper_matches_scipy_bit_for_bit_in_either_import_order(first)
 
 
 def test_a_solve_leaves_scipy_linalg_unimported():
-    # The library takes only LAPACK's Cholesky pair from scipy, without
-    # importing the scipy.linalg package; this module imports that package
-    # itself, so the check runs in a fresh interpreter.
+    # The library and its command line take only LAPACK's Cholesky pair from
+    # scipy, without importing the scipy.linalg package; this module imports
+    # that package itself, so the check runs in a fresh interpreter.
     printed = run_fresh(
         "import sys\n"
-        "import fddp\n"
+        "import fddp, fddp.cli\n"
         "scenario, problem, X, U = fddp.load_and_build(fddp.bundled_scenario_path('pendulum_swingup'))\n"
         "options = scenario.solver_options\n"
         "_, _, report = fddp.solve(\n"

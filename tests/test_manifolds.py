@@ -4,11 +4,12 @@ Covers the two operators (integrate, difference) on vector spaces, planar
 rotations, and the composite product the planar monoped's configuration
 lives on: fixed-point examples, roundtrip identities, stacked evaluation
 over a leading node axis, equality by size and angle coordinates, the
-seeded draw order of sampling, and finite-difference checks of the operator
-Jacobians, including steps that carry an angle across the +-pi wrap. The
-library uses those Jacobians in closed form, without computing them:
-jintegrate = (I, I) with respect to (x, dx) and jdifference = (-I, I) with
-respect to (x0, x1); the tests below check these identities.
+seeded draw order of the tests' sampling helper, and finite-difference
+checks of the operator Jacobians, including steps that carry an angle
+across the +-pi wrap. The library uses those Jacobians in closed form,
+without computing them: jintegrate = (I, I) with respect to (x, dx) and
+jdifference = (-I, I) with respect to (x0, x1); the tests below check these
+identities.
 """
 
 import numpy as np
@@ -19,6 +20,7 @@ from fddp import numdiff
 from fddp.errors import DimensionMismatch
 from fddp.manifolds import _wrap_angle
 from fddp.systems import PlanarMonoped
+from sampling import random_point, random_tangent
 
 # Base translation, base heading, two leg joints: the planar monoped's
 # configuration manifold. Its first two parts alone are the planar
@@ -41,7 +43,7 @@ NEAR_WRAP_STEP = np.array([0.05, 0.1, 2e-3, -0.03, 0.02])
 def point_tangent_pairs(manifold, rng, count):
     """`count` random (point, tangent) pairs; on the monoped configuration
     one more pair whose step crosses the heading wrap."""
-    pairs = [(manifold.random_point(rng), manifold.random_tangent(rng)) for _ in range(count)]
+    pairs = [(random_point(manifold, rng), random_tangent(manifold, rng)) for _ in range(count)]
     if manifold is MONOPED_CONFIG:
         pairs.append((NEAR_WRAP_POINT, NEAR_WRAP_STEP))
     return pairs
@@ -52,7 +54,7 @@ def wrap_crossing_pairs(manifold, rng, count):
     every angle starts 5e-4 short of +pi and turns 2e-3 further."""
     pairs = point_tangent_pairs(manifold, rng, count)
     if manifold.angles.size:
-        x, dx = manifold.random_point(rng), manifold.random_tangent(rng, scale=0.1)
+        x, dx = random_point(manifold, rng), random_tangent(manifold, rng, scale=0.1)
         x[manifold.angles], dx[manifold.angles] = np.pi - 5e-4, 2e-3
         pairs.append((x, dx))
     return pairs
@@ -95,7 +97,7 @@ def test_vector_difference_is_subtraction():
 def test_integrate_zero_tangent_is_identity(manifold):
     rng = np.random.default_rng(11)
     for _ in range(10):
-        x = manifold.random_point(rng)
+        x = random_point(manifold, rng)
         np.testing.assert_allclose(
             manifold.integrate(x, np.zeros(manifold.ndx)), x, atol=1e-14
         )
@@ -105,7 +107,7 @@ def test_integrate_zero_tangent_is_identity(manifold):
 def test_difference_of_identical_points_is_zero(manifold):
     rng = np.random.default_rng(12)
     for _ in range(10):
-        x = manifold.random_point(rng)
+        x = random_point(manifold, rng)
         np.testing.assert_allclose(
             manifold.difference(x, x), np.zeros(manifold.ndx), atol=1e-14
         )
@@ -185,8 +187,8 @@ def test_inverse_roundtrip_reproduces_point(manifold):
         again = manifold.integrate(x0, manifold.difference(x0, x1))
         np.testing.assert_allclose(again, x1, atol=1e-10)
     for _ in range(25):
-        x0 = manifold.random_point(rng)
-        x1 = manifold.random_point(rng)
+        x0 = random_point(manifold, rng)
+        x1 = random_point(manifold, rng)
         again = manifold.integrate(x0, manifold.difference(x0, x1))
         np.testing.assert_allclose(
             manifold.difference(again, x1), np.zeros(manifold.ndx), atol=1e-10
@@ -215,7 +217,7 @@ def test_jdifference_vector_space_returns_signed_identities():
 @pytest.mark.parametrize("manifold", ALL_MANIFOLDS, ids=MANIFOLD_IDS)
 def test_jintegrate_zero_tangent_gives_identity_in_x(manifold):
     rng = np.random.default_rng(31)
-    x = manifold.random_point(rng)
+    x = random_point(manifold, rng)
     jx, _ = jacobians_of_integrate(manifold, x, np.zeros(manifold.ndx))
     np.testing.assert_allclose(jx, np.eye(manifold.ndx), atol=1e-9)
 
@@ -223,7 +225,7 @@ def test_jintegrate_zero_tangent_gives_identity_in_x(manifold):
 @pytest.mark.parametrize("manifold", ALL_MANIFOLDS, ids=MANIFOLD_IDS)
 def test_jdifference_at_equal_points_gives_identity_j1(manifold):
     rng = np.random.default_rng(32)
-    x = manifold.random_point(rng)
+    x = random_point(manifold, rng)
     _, j1 = jacobians_of_difference(manifold, x, x)
     np.testing.assert_allclose(j1, np.eye(manifold.ndx), atol=1e-9)
 
@@ -280,8 +282,8 @@ def test_operators_take_a_leading_node_axis(manifold):
 def test_composite_jacobians_are_block_diagonal():
     m = CompositeManifold([VectorSpace(2), Rotation2D()])
     rng = np.random.default_rng(42)
-    x = m.random_point(rng)
-    dx = m.random_tangent(rng)
+    x = random_point(m, rng)
+    dx = random_tangent(m, rng)
     jx, jdx = jacobians_of_integrate(m, x, dx)
     np.testing.assert_allclose(jx[:2, 2:], np.zeros((2, 1)), atol=1e-9)
     np.testing.assert_allclose(jx[2:, :2], np.zeros((1, 2)), atol=1e-9)
@@ -309,7 +311,7 @@ def test_sampling_draws_one_coordinate_at_a_time():
     # heading, in coordinate order; a tangent draws N(0, 1) everywhere.
     state = PlanarMonoped().state
     rng, oracle = np.random.default_rng(7), np.random.default_rng(7)
-    point, tangent = state.random_point(rng), state.random_tangent(rng, scale=0.5)
+    point, tangent = random_point(state, rng), random_tangent(state, rng, scale=0.5)
     expected = np.concatenate(
         [oracle.standard_normal(2), [oracle.uniform(-np.pi, np.pi)], oracle.standard_normal(2)]
     )
@@ -317,7 +319,7 @@ def test_sampling_draws_one_coordinate_at_a_time():
     np.testing.assert_array_equal(point[5:], oracle.standard_normal(5))
     np.testing.assert_array_equal(tangent, 0.5 * oracle.standard_normal(10))
     assert point.dtype == tangent.dtype == float
-    assert VectorSpace(0).random_point(rng).shape == (0,)
+    assert random_point(VectorSpace(0), rng).shape == (0,)
 
 
 def per_part(manifold, op, a, b):
@@ -343,7 +345,7 @@ def test_composite_operators_equal_the_per_part_definitions():
     state = PlanarMonoped().state
     np.testing.assert_array_equal(state.angles, [2])
     rng = np.random.default_rng(36)
-    pairs = [(state.random_point(rng), state.random_tangent(rng)) for _ in range(10)]
+    pairs = [(random_point(state, rng), random_tangent(state, rng)) for _ in range(10)]
     velocity = rng.standard_normal(5)
     pairs.append(
         (np.concatenate([NEAR_WRAP_POINT, velocity]), np.concatenate([NEAR_WRAP_STEP, velocity]))
