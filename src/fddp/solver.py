@@ -272,12 +272,17 @@ def expected_improvement(problem, ws, X, X_trial):
     dx = problem.state.difference(X, X_trial)
     vxx_dx = np.einsum("kij,kj->ki", v_xx, dx)
     vxx_f = np.einsum("kij,kj->ki", v_xx, f)
-    # The zero-padded control entries add nothing to the policy terms.
-    d1 = np.einsum("ki,ki->", f, ws.V_x + vxx_f - vxx_dx) + np.einsum("ki,ki->", k_ff, ws.Q_u)
     d2 = np.einsum("ki,ki->", f, 2.0 * vxx_dx - vxx_f) + np.einsum(
         "ki,kij,kj->", k_ff, ws.Q_uu, k_ff
     )
-    return float(d1), float(d2)
+    return _expected_d1(ws, vxx_f, vxx_dx), float(d2)
+
+
+def _expected_d1(ws, vxx_f, vxx_dx=0.0):
+    """d1 of `expected_improvement` from V_xx f and V_xx dx (zero when dx = 0)."""
+    # The zero-padded control entries add nothing to the policy terms.
+    d1 = np.einsum("ki,ki->", ws.gaps, ws.V_x + vxx_f - vxx_dx)
+    return float(d1 + np.einsum("ki,ki->", ws.k_ff, ws.Q_u))
 
 
 def goldstein_accept(
@@ -383,7 +388,7 @@ def solve(
             except NumericalFailure as exc:
                 return finish(f"failure: {exc}")
 
-        d1_stop, _ = expected_improvement(problem, ws, X, X)
+        d1_stop = _expected_d1(ws, np.einsum("kij,kj->ki", ws.V_xx, ws.gaps))
         if abs(d1_stop) + gap_l2_norm(ws.gaps) < tolerance:
             return finish("converged")
 

@@ -11,6 +11,9 @@ stated) and a planted line that it must flag. A scope is every file under
 runs twice: on the source, where it must hold, and with its planted line
 added to its scope, where it must fail.
 
+The planted-defect catalogue (`tests/defects.py`) is checked here only for
+freshness, with no test run: every entry still applies to the source.
+
 The caller check scans `src/fddp` with `ast`: every function, class and
 method defined there must be named by library code outside its own body
 (the command line is library code), or be on ALLOWED with its reason.
@@ -25,6 +28,7 @@ from collections import namedtuple
 from pathlib import Path
 
 import pytest
+from defects import DEFECTS
 
 REPO = Path(__file__).resolve().parents[1]
 LIBRARY = "src/fddp"
@@ -396,3 +400,18 @@ def test_the_caller_check_flags_exactly_the_uncalled_definition():
     orphan = dict(SOURCES, **{problem: SOURCES[problem] + "\n\ndef orphan():\n    pass\n"})
     new = set(without_caller(orphan, ALLOWED)) - set(without_caller(SOURCES, ALLOWED))
     assert new == {"problem.orphan"}
+
+
+# ---------------------------------------------------------------------------
+# the planted-defect catalogue still applies
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("defect", DEFECTS, ids=[defect.name for defect in DEFECTS])
+def test_the_planted_defect_applies_to_the_source(defect):
+    # A refactor that moves planted code updates its entry in the same change.
+    text = (REPO / defect.file).read_text()
+    assert text.count(defect.old) == 1, f"{defect.name}: old text not once in {defect.file}"
+    assert defect.new != defect.old
+    compile(text.replace(defect.old, defect.new), defect.file, "exec")
+    assert [d.name for d in DEFECTS].count(defect.name) == 1

@@ -51,12 +51,16 @@ def point_tangent_pairs(manifold, rng, count):
 
 def wrap_crossing_pairs(manifold, rng, count):
     """point_tangent_pairs plus, on a manifold with angles, a pair whose
-    every angle starts 5e-4 short of +pi and turns 2e-3 further."""
+    every angle starts 5e-4 short of +pi and turns 2e-3 further, and a pair
+    whose every angle sits at +pi with a zero step, so that a central
+    difference's two samples land on either side of the wrap."""
     pairs = point_tangent_pairs(manifold, rng, count)
     if manifold.angles.size:
         x, dx = random_point(manifold, rng), random_tangent(manifold, rng, scale=0.1)
         x[manifold.angles], dx[manifold.angles] = np.pi - 5e-4, 2e-3
-        pairs.append((x, dx))
+        on_wrap = random_point(manifold, rng)
+        on_wrap[manifold.angles] = np.pi
+        pairs += [(x, dx), (on_wrap, np.zeros(manifold.ndx))]
     return pairs
 
 

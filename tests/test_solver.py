@@ -382,22 +382,6 @@ def test_gap_tolerant_full_step_equals_classical_step():
         np.testing.assert_array_equal(gap, np.zeros(6))
 
 
-def test_gap_tolerant_half_step_halves_every_gap():
-    problem, rng = lqr_problem(n=9, seed=7)
-    X, U = random_iterate(problem, rng)
-    ws, _ = prepared_workspace(problem, X, U, mu=1e-9)
-    old_gaps = [g.copy() for g in ws.gaps]
-    X_new, U_new, _, gaps_new = forward_pass_fddp(
-        problem, *stacked(problem, X, U), ws, 0.5, datas=problem.create_datas()
-    )
-    for gap_new, gap_old in zip(gaps_new, old_gaps):
-        np.testing.assert_allclose(gap_new, 0.5 * gap_old, atol=1e-12)
-    # The returned gaps are the true defects of the produced trajectory.
-    _, recomputed = problem.calc(X_new, U_new, datas=problem.create_datas())
-    for gap_new, gap_re in zip(gaps_new, recomputed):
-        np.testing.assert_allclose(gap_new, gap_re, atol=1e-15)
-
-
 def test_gap_tolerant_zero_step_with_zero_feedforward_is_identity():
     problem, rng = lqr_problem(n=9, seed=8)
     X, U = random_iterate(problem, rng)
@@ -441,22 +425,6 @@ def test_expected_improvement_with_no_direction_is_zero():
     ws.k_ff[:] = 0.0
     d1, d2 = expected_improvement(problem, ws, X, X)
     assert d1 == 0.0 and d2 == 0.0
-
-
-def test_expected_improvement_is_exact_on_feasible_linear_quadratic():
-    # With zero gaps the local model is the exact quadratic expansion, so the
-    # measured change must match d1*alpha + d2*alpha^2/2 at every step length.
-    problem, rng = lqr_problem(n=12, seed=11)
-    U = [rng.standard_normal(3) for _ in range(12)]
-    X = problem.rollout(U)
-    ws, cost = prepared_workspace(problem, X, U)
-    for alpha in STEP_LENGTHS:
-        X_try, _, cost_try, _ = forward_pass_ddp(
-            problem, *stacked(problem, X, U), ws, alpha, datas=problem.create_datas()
-        )
-        d1, d2 = expected_improvement(problem, ws, X, X_try)
-        predicted = d1 * alpha + 0.5 * d2 * alpha * alpha
-        assert abs((cost_try - cost) - predicted) <= 1e-9
 
 
 def test_expected_improvement_is_exact_at_full_step_with_gaps():
@@ -559,22 +527,6 @@ def test_kkt_direction_from_feasible_iterate_has_zero_primal_residual():
         assert np.linalg.norm(residual) <= 1e-10
 
 
-def test_newton_direction_equals_full_fddp_trial_step():
-    problem, _ = lqr_problem(n=10)
-    for seed in range(5):
-        rng = np.random.default_rng(100 + seed)
-        X, U = random_iterate(problem, rng)
-        ws, _ = prepared_workspace(problem, X, U)
-        X_try, U_try, _, _ = forward_pass_fddp(
-            problem, *stacked(problem, X, U), ws, 1.0, datas=problem.create_datas()
-        )
-        dX, dU, _ = kkt_search_direction(problem, X, U, datas=problem.create_datas())
-        for k in range(problem.N + 1):
-            np.testing.assert_allclose(X_try[k] - X[k], dX[k], atol=1e-8)
-        for k in range(problem.N):
-            np.testing.assert_allclose(U_try[k] - U[k], dU[k], atol=1e-8)
-
-
 def test_kkt_direction_matches_hand_assembled_system():
     # Scalar one-node problem: 3 primal variables (x0, u0, x1) and 2
     # constraint rows make a 5x5 saddle-point system small enough to write
@@ -641,23 +593,6 @@ def test_kkt_singularity_is_reported():
 # ---------------------------------------------------------------------------
 # solve loop
 # ---------------------------------------------------------------------------
-
-
-def test_solve_reaches_lqr_optimum_within_two_iterations():
-    problem, rng = lqr_problem(n=15, seed=14)
-    X, U, report = solve(problem, solver="fddp", max_iters=10, tolerance=1e-9)
-    assert report.converged
-    assert report.iterations <= 2
-
-    fresh, _ = lqr_problem(n=15, seed=14)
-    X0, U0 = fresh.constant_state_guess(), fresh.zero_controls()
-    dX, dU, _ = kkt_search_direction(fresh, X0, U0)
-    X_opt = [x + dx for x, dx in zip(X0, dX)]
-    U_opt = [u + du for u, du in zip(U0, dU)]
-    cost_opt, _ = fresh.calc(X_opt, U_opt)
-    assert abs(report.final_cost - cost_opt) <= 1e-8
-    _, gaps = problem.calc(X, U)
-    assert gap_l2_norm(gaps) <= 1e-10
 
 
 def test_solve_zero_iterations_reports_the_initial_point():
@@ -865,6 +800,25 @@ def test_rejected_iterations_escalate_to_the_regularization_cap():
         assert row.regularization == pytest.approx(1e-9 * 10.0 ** (i - 1), rel=1e-12)
     # The iterate never moved.
     np.testing.assert_array_equal(U[0], np.zeros(1))
+
+
+def test_accepted_steps_walk_the_regularization_back_down(monkeypatch):
+    # Two rejected searches raise mu tenfold each; every accepted step then
+    # divides it by ten, down to REG_MIN and no further.
+    from fddp import solver as solver_module
+
+    calls = []
+
+    def reject_the_first_two_searches(*args):
+        calls.append(args)
+        return len(calls) > 2 * len(STEP_LENGTHS) and goldstein_accept(*args)
+
+    monkeypatch.setattr(solver_module, "goldstein_accept", reject_the_first_two_searches)
+    _, _, report = solve(pendulum_problem(), solver="fddp", max_iters=6, tolerance=1e-9)
+    assert [row.accepted for row in report.rows[1:]] == [0, 0, 1, 1, 1, 1]
+    assert [row.regularization for row in report.rows[1:]] == pytest.approx(
+        [1e-9, 1e-8, 1e-7, 1e-8, 1e-9, 1e-9], rel=1e-12
+    )
 
 
 def test_initial_evaluation_failure_is_reported_not_raised():

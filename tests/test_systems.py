@@ -523,7 +523,6 @@ def double_pendulum_layout(sys):
 @pytest.mark.parametrize(
     "system, layout",
     [
-        (PlanarMonoped(), monoped_layout),
         (
             PlanarMonoped(
                 base_mass=1.7,
@@ -535,13 +534,12 @@ def double_pendulum_layout(sys):
             ),
             monoped_layout,
         ),
-        (DoublePendulum(), double_pendulum_layout),
         (
             DoublePendulum(m1=1.2, m2=0.7, l1=0.9, l2=0.6, lc1=0.3, lc2=0.4, gravity=4.0),
             double_pendulum_layout,
         ),
     ],
-    ids=["default", "non_default", "double_pendulum", "double_pendulum_non_default"],
+    ids=["non_default", "double_pendulum_non_default"],
 )
 def test_monoped_basis_terms_equal_per_body_sums(system, layout):
     # Every term of the monoped and of the double pendulum (the same leg on a
