@@ -13,32 +13,37 @@ and then evaluates through the unchecked `_calc`, `_sweep` and
 `_cost_and_gaps`. Nothing below them checks a state or a control again,
 and there a trajectory is two arrays: the states X (N + 1, nx) and the
 controls U (N, nu_max), zero-padded (`stack_controls`, once, on entry);
-node k reads `U[k, :nu_k]`. `calc_diff` reads what `calc` (or a rollout)
-left in the stacks, so it must follow one at the same (X, U).
+node k reads `U[k, :nu_k]`.
 
 The nodes are grouped by model at construction (`groups`; a scenario shares
-one model per (phase, dt)). A data set (`create_datas`) is (running
-containers, stacks), with one `ActionDataStack` per group whose rows the
-group's containers are, and the terminal node's stack of one last. Each
-node's `calc` computes only its dynamics into its row (a failing node
-raises `NumericalFailure` naming it). `_sweep` is the one chained rollout,
-of the ddp start, `rollout` and both forward passes; `_calc` steps each
-node at the guessed states. A sweep cuts its nodes' control rows in bulk,
-and without a pull-back each node steps from the previous node's
-output in its stack, copied into the states once per group at the end; it
-looks each node's `calc` up on its model at every step, so a method patched
-between two solves sees every call. After the nodes are stepped,
-`_cost_and_gaps` makes one stacked `model.cost` call per group and one for
-the terminal node, gathers the landing points from the stacks and takes one
-difference of the stacked states; `calc_diff` makes one stacked pass for
-each group, reading the solutions in its stack.
+one model per (phase, dt)), which also builds the problem's one data set:
+`stacks`, one `ActionDataStack` per group and the terminal node's stack of
+one last, whose rows are the running nodes' containers `datas`. Every
+evaluation writes there: a solve's start, its line-search trials and
+`rollout`. A node's `calc` writes only its landing point and its dynamics'
+solution (`xnext`, `dyn`) into its row (a failing node raises
+`NumericalFailure` naming it), and `calc_diff` only the derivatives (`Fz`,
+`Lz`). So an iterate's derivatives outlive the trials swept after it, but
+`calc_diff` reads `dyn`: it must follow the last sweep, at the same
+(X, U).
+
+`_sweep` is the one chained rollout, of the ddp start, `rollout` and both
+forward passes; `_calc` steps each node at the guessed states. A sweep cuts
+its nodes' control rows in bulk, and without a pull-back each node steps
+from the previous node's output in its stack, copied into the states once
+per group at the end; it looks each node's `calc` up on its model at every
+step, so a method patched between two solves sees every call. After the
+nodes are stepped, `_cost_and_gaps` makes one stacked `model.cost` call per
+group and one for the terminal node, gathers the landing points from the
+stacks and takes one difference of the stacked states; `calc_diff` makes
+one stacked pass for each group, reading the solutions in its stack.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .action import ActionData, ActionDataStack, ActionModelBase
+from .action import ActionModelBase
 from .errors import DimensionMismatch, FactorizationError, NumericalFailure, finite
 
 
@@ -74,22 +79,14 @@ class ShootingProblem:
         # Node k's controls in a stacked (N, nu_max) array: row k's first nu_k.
         self.control_slots = np.arange(self.nu_max) < nus[:, None]
         self.ndx = state.ndx
-        self.datas, self.stacks = self.create_datas()
-
-    # -- data containers -----------------------------------------------------
-
-    def create_datas(self) -> tuple[list[ActionData], list[ActionDataStack]]:
-        """One data set: the running nodes' containers and the stacks their
-        derivatives are rows of: one per group, then the terminal node's
-        stack of one."""
-        running = [None] * self.N
-        stacks = []
-        for model, nodes in self.groups:
-            stacks.append(model.create_stack(len(nodes)))
-            for k, data in zip(nodes.tolist(), stacks[-1].nodes):
-                running[k] = data
-        stacks.append(self.terminal_model.create_stack(1))
-        return running, stacks
+        # The one data set: a stack per group, then the terminal node's stack
+        # of one, and the running nodes' containers, which are their rows.
+        self.stacks = [model.create_stack(len(nodes)) for model, nodes in self.groups]
+        self.stacks.append(terminal_model.create_stack(1))
+        self.datas = [None] * self.N
+        for (_, nodes), stack in zip(self.groups, self.stacks):
+            for k, data in zip(nodes.tolist(), stack.nodes):
+                self.datas[k] = data
 
     # -- validation ------------------------------------------------------------
 
@@ -120,12 +117,12 @@ class ShootingProblem:
 
     # -- evaluation ------------------------------------------------------------
 
-    def rollout(self, U, datas=None) -> np.ndarray:
+    def rollout(self, U) -> np.ndarray:
         """Integrate the controls from the measured initial state (feasible X),
         leaving the data set as calc at (X, U) would."""
-        return self._sweep(None, self.check_trajectories(None, U)[1], datas)[0]
+        return self._sweep(None, self.check_trajectories(None, U)[1])[0]
 
-    def _sweep(self, X, U, datas=None, gains=None, alpha=0.0, pull=None):
+    def _sweep(self, X, U, gains=None, alpha=0.0, pull=None):
         """The one chained rollout, of controls U (N, nu_max) checked by
         check_trajectories: the states (N + 1, nx) and the controls it steps.
         Without `gains` node k takes U[k] and X is not read; with them (node
@@ -133,7 +130,6 @@ class ShootingProblem:
         zero-padded controls. `pull` (N + 1, ndx) moves the initial state and
         each output before it becomes the next state. A failing node raises
         `NumericalFailure` naming it."""
-        running, stacks = datas or (self.datas, self.stacks)
         state = self.state
         states = np.empty((self.N + 1, state.nx))
         x = states[0]
@@ -142,7 +138,7 @@ class ShootingProblem:
         z = np.full(self.ndx + 1, alpha)  # [alpha; dx], dx written per node
         dx = z[1:]
         rows = self.node_rows(lambda nu: (controls[:, :nu], U[:, :nu]))
-        for k, (model, data, (u, u_in)) in enumerate(zip(self.running_models, running, rows)):
+        for k, (model, data, (u, u_in)) in enumerate(zip(self.running_models, self.datas, rows)):
             if gains is not None and model.nu:
                 state.difference(X[k], x, out=dx)
                 np.add(u_in, gains[k] @ z, out=u)
@@ -153,30 +149,29 @@ class ShootingProblem:
             # Without a pull, the next node steps from this output in the stack.
             x = data.xnext if pull is None else state.integrate(data.xnext, pull[k + 1], out=states[k + 1])
         if pull is None:
-            for (_, nodes), stack in zip(self.groups, stacks):
+            for (_, nodes), stack in zip(self.groups, self.stacks):
                 states[nodes + 1] = stack.xnext
         return states, controls
 
-    def calc(self, X, U, datas=None) -> tuple[float, np.ndarray]:
+    def calc(self, X, U) -> tuple[float, np.ndarray]:
         """Total cost and dynamics gaps of a (possibly infeasible) guess.
 
         gaps[0] is the measured initial state minus the guessed one; gaps[k+1]
         is where node k's dynamics lands minus the guessed X[k+1], both as
         tangent vectors at the guessed states.
         """
-        return self._calc(*self.check_trajectories(X, U), datas)
+        return self._calc(*self.check_trajectories(X, U))
 
-    def _calc(self, X, U, datas=None) -> tuple[float, np.ndarray]:
+    def _calc(self, X, U) -> tuple[float, np.ndarray]:
         """calc of a stacked guess that check_trajectories has already checked."""
-        running, stacks = datas or (self.datas, self.stacks)
-        for k, model in enumerate(self.running_models):
+        for k, (model, data) in enumerate(zip(self.running_models, self.datas)):
             try:
-                model.calc(running[k], X[k], U[k, : model.nu])
+                model.calc(data, X[k], U[k, : model.nu])
             except (NumericalFailure, FactorizationError) as exc:
                 raise NumericalFailure(str(exc), node=k) from exc
-        return self._cost_and_gaps(X, U, stacks)
+        return self._cost_and_gaps(X, U)
 
-    def _cost_and_gaps(self, X, U, stacks) -> tuple[float, np.ndarray]:
+    def _cost_and_gaps(self, X, U) -> tuple[float, np.ndarray]:
         """Total cost and gaps of the stacked states X (N + 1, nx) and
         controls U (N, nu_max), after the evaluation that left each node's
         landing point in the stacks: one stacked cost call per group and one
@@ -195,11 +190,11 @@ class ShootingProblem:
             raise NumericalFailure("non-finite total cost", node=int(bad[0]) if len(bad) else None)
         landed = np.empty_like(X)
         landed[0] = self.x0_measured
-        for (_, nodes), stack in zip(self.groups, stacks):
+        for (_, nodes), stack in zip(self.groups, self.stacks):
             landed[nodes + 1] = stack.xnext
         return cost, self.state.difference(X, landed)
 
-    def calc_diff(self, X, U, datas=None):
+    def calc_diff(self, X, U):
         """Evaluate all node derivatives at the stacked guess X (N + 1, nx),
         U (N, nu_max): one stacked pass per group, then the terminal node's.
 
@@ -207,10 +202,9 @@ class ShootingProblem:
         terminal node reads only X. A node's numerical failures surface in
         calc, which runs first.
         """
-        stacks = datas[1] if datas else self.stacks
-        for (model, nodes), stack in zip(self.groups, stacks):
+        for (model, nodes), stack in zip(self.groups, self.stacks):
             model.calc_diff(stack, X[nodes], U[nodes, : model.nu])
-        self.terminal_model.calc_diff(stacks[-1], X[self.N :], _NO_CONTROLS)
+        self.terminal_model.calc_diff(self.stacks[-1], X[self.N :], _NO_CONTROLS)
 
     def stack_controls(self, U) -> np.ndarray:
         """The nodes' controls U, one (nu_k,) entry per node, checked and

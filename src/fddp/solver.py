@@ -88,11 +88,13 @@ class SolverWorkspace:
     control entries, and nodes without controls (switches) keep all-zero
     rows, which add nothing to the stacked sums of `expected_improvement`.
 
-    A node's Riccati step only does arithmetic on `riccati_rows`: its views
-    of these stacks (`node_rows`), its blocks of a data set, and the buffers
-    of its temporaries (`scratch`, one set per distinct nu). They hold arrays
-    and views only, never a library callable, so a class attribute patched
-    between two solves (as the benchmark's tracer does) is the one reached.
+    A node's Riccati step only does arithmetic on `riccati_rows[k]`, cut
+    once here: its views of these stacks (`node_rows`), its `Fz` =
+    [gap | f_x | f_u], [f_x | f_u]^T and `Lz` in the problem's data set, and
+    the buffers of its temporaries (`scratch`, one set per distinct nu). They
+    hold arrays and views only, never a library callable, so a class
+    attribute patched between two solves (as the benchmark's tracer does) is
+    the one reached.
     """
 
     def __init__(self, problem: ShootingProblem):
@@ -119,19 +121,11 @@ class SolverWorkspace:
             W = np.empty((ndx, ndx + nu + 1))
             shapes = ((ndx + nu, ndx + nu + 1), (nu, nu), (nu, nu), (ndx, ndx + 1), (ndx, ndx))
             self.scratch[nu] = (W, W[:, 0], *map(np.zeros, shapes))
-        self._riccati_rows = {}  # id of a data set's stacks -> (stacks, rows)
-
-    def riccati_rows(self, problem: ShootingProblem, stacks) -> list[tuple]:
-        """Node k's `node_rows`, its `Fz` = [gap | f_x | f_u], [f_x | f_u]^T
-        and `Lz` in the data set of `stacks`, and its scratch: cut on first use."""
-        if id(stacks) not in self._riccati_rows:
-            rows = [None] * problem.N
-            for (model, nodes), stack in zip(problem.groups, stacks):
-                blocks = zip(stack.Fz, np.swapaxes(stack.Fz[:, :, 1:], 1, 2), stack.Lz)
-                for k, block in zip(nodes.tolist(), blocks):
-                    rows[k] = self.node_rows[k] + block + self.scratch[model.nu]
-            self._riccati_rows[id(stacks)] = stacks, rows
-        return self._riccati_rows[id(stacks)][1]
+        self.riccati_rows = [None] * N
+        for (model, nodes), stack in zip(problem.groups, problem.stacks):
+            blocks = zip(stack.Fz, np.swapaxes(stack.Fz[:, :, 1:], 1, 2), stack.Lz)
+            for k, block in zip(nodes.tolist(), blocks):
+                self.riccati_rows[k] = self.node_rows[k] + block + self.scratch[model.nu]
 
 
 def _node_rows(ws: SolverWorkspace, nu: int):
@@ -146,12 +140,14 @@ def _node_rows(ws: SolverWorkspace, nu: int):
     )
 
 
-def backward_pass(problem: ShootingProblem, ws: SolverWorkspace, mu: float, datas=None):
+def backward_pass(problem: ShootingProblem, ws: SolverWorkspace, mu: float):
     """Riccati recursion from the terminal node, deflecting across open gaps.
 
-    Reads the node derivatives from the data containers (calc_diff must have
-    run at the current iterate) and ws.gaps, which it writes once per group
-    into column 0 of the stack's `Fz` = [gap | f_x | f_u]. Each node is then
+    Reads the node derivatives from the problem's data set, through
+    ws.riccati_rows (calc_diff must have run at the current iterate; the
+    sweeps since then wrote only the nodes' `xnext` and `dyn`), and ws.gaps,
+    which it writes once per group into column 0 of the stack's `Fz` =
+    [gap | f_x | f_u]. Each node is then
     one fused step on [gradient | matrix] blocks over z = (x, u): W = V_xx Fz
     carries V_xx gap in its column 0, and adding v_x there makes it the
     deflected Value gradient; [q | Q] = [l | L] + [f_x | f_u]^T W; one
@@ -171,7 +167,7 @@ def backward_pass(problem: ShootingProblem, ws: SolverWorkspace, mu: float, data
     node, which are checked at node 0. A factorization failure with a
     non-finite control Hessian at or after its node is that failure too.
     """
-    stacks = datas[1] if datas else problem.stacks
+    stacks = problem.stacks
     N, l_xx = problem.N, stacks[-1].l_xx[0]  # the terminal node's stack of one
     vx, vxx = ws.V_x[N], ws.V_xx[N]
     vx[:] = stacks[-1].l_x[0]
@@ -180,7 +176,7 @@ def backward_pass(problem: ShootingProblem, ws: SolverWorkspace, mu: float, data
         stack.Fz[:, :, 0] = ws.gaps[nodes + 1]
     for _, _, _, mu_eye, *_ in ws.scratch.values():
         np.fill_diagonal(mu_eye, mu)
-    rows = ws.riccati_rows(problem, stacks)
+    rows = ws.riccati_rows
     add, matmul, multiply = np.add, np.matmul, np.multiply
     for k in range(N - 1, -1, -1):
         (Q, x_rows, q_xu, q_uu, u_rows, policy, kK, v, v_x, v_xx,
@@ -227,13 +223,13 @@ def _nonfinite_failure(ws: SolverWorkspace, k: int) -> NumericalFailure:
     return NumericalFailure("non-finite derivatives in the backward pass", node=node)
 
 
-def forward_pass_ddp(problem, X, U, ws, alpha, datas=None):
+def forward_pass_ddp(problem, X, U, ws, alpha):
     """Feasible rollout under the backward-pass policy: (X, U, cost, gaps),
     the gaps exact zeros."""
-    return _forward(problem, X, U, ws, alpha, datas, None)
+    return _forward(problem, X, U, ws, alpha, None)
 
 
-def forward_pass_fddp(problem, X, U, ws, alpha, datas=None):
+def forward_pass_fddp(problem, X, U, ws, alpha):
     """Gap-contracting rollout: each dynamics gap shrinks by (1 - alpha).
 
     The initial state and every node output are pulled back along the stored
@@ -242,18 +238,17 @@ def forward_pass_fddp(problem, X, U, ws, alpha, datas=None):
     Returns (X, U, cost, gaps), the gaps measured, not assumed.
     """
     shrink = 1.0 - alpha
-    return _forward(problem, X, U, ws, alpha, datas, -shrink * ws.gaps if shrink else None)
+    return _forward(problem, X, U, ws, alpha, -shrink * ws.gaps if shrink else None)
 
 
-def _forward(problem, X, U, ws, alpha, datas, pull):
+def _forward(problem, X, U, ws, alpha, pull):
     """The trial (X, U, cost, gaps): the problem's chained rollout from the
     stacked iterate X (N + 1, nx), U (N, nu_max) under the policy's gains,
     moved along `pull` if given, and one `_cost_and_gaps` call. Overflow is
     left to the tests of finiteness."""
-    stacks = datas[1] if datas else problem.stacks
     with np.errstate(over="ignore", invalid="ignore"):
-        states, controls = problem._sweep(X, U, datas, ws.gains, alpha, pull)
-        return (states, controls, *problem._cost_and_gaps(states, controls, stacks))
+        states, controls = problem._sweep(X, U, ws.gains, alpha, pull)
+        return (states, controls, *problem._cost_and_gaps(states, controls))
 
 
 def expected_improvement(problem, ws, X, X_trial):
@@ -345,8 +340,6 @@ def solve(
     )
 
     report = SolveReport(solver=solver)
-    current = (problem.datas, problem.stacks)
-    trial = problem.create_datas()
     mu = REG_MIN
     forward_pass = forward_pass_ddp if solver == "ddp" else forward_pass_fddp
 
@@ -357,10 +350,10 @@ def solve(
     try:
         if solver == "ddp":
             # The rollout's sweep leaves the data set as _calc would.
-            X = problem._sweep(None, U, current)[0]
-            cost, gaps = problem._cost_and_gaps(X, U, current[1])
+            X = problem._sweep(None, U)[0]
+            cost, gaps = problem._cost_and_gaps(X, U)
         else:
-            cost, gaps = problem._calc(X, U, datas=current)
+            cost, gaps = problem._calc(X, U)
     except NumericalFailure as exc:
         report.rows.append(TraceRow(0, float("nan"), float("nan"), 0.0, mu, 0.0, 0))
         return finish(f"failure: {exc}")
@@ -373,13 +366,13 @@ def solve(
     for it in range(1, max_iters + 1):
         if need_derivatives:
             try:
-                problem.calc_diff(X, U, datas=current)
+                problem.calc_diff(X, U)
             except NumericalFailure as exc:
                 return finish(f"failure: {exc}")
 
         while True:
             try:
-                backward_pass(problem, ws, mu, datas=current)
+                backward_pass(problem, ws, mu)
                 break
             except NotPositiveDefinite:
                 mu *= 10.0
@@ -396,19 +389,22 @@ def solve(
         dj = 0.0
         for alpha in STEP_LENGTHS:
             try:
-                X_try, U_try, cost_try, gaps_try = forward_pass(problem, X, U, ws, alpha, datas=trial)
+                X_try, U_try, cost_try, gaps_try = forward_pass(problem, X, U, ws, alpha)
             except NumericalFailure:
                 continue
             d1, d2 = expected_improvement(problem, ws, X, X_try)
             dj = d1 * alpha + 0.5 * d2 * alpha * alpha
             if goldstein_accept(cost_try, cost, dj):
                 X, U, cost, ws.gaps = X_try, U_try, cost_try, gaps_try
-                current, trial = trial, current
                 accepted = True
                 break
 
         # An exhausted search leaves alpha at the last step length.
         report.rows.append(TraceRow(it, cost, gap_l2_norm(ws.gaps), alpha, mu, dj, int(accepted)))
+        # Every trial sweeps into the problem's data set, and only the
+        # accepted one, the search's last, leaves the new iterate's `dyn`
+        # there. A rejected search keeps the derivatives, which no trial
+        # writes, and must not re-derive them from the last trial's `dyn`.
         need_derivatives = accepted
         if accepted:
             mu = max(mu / 10.0, REG_MIN)

@@ -118,6 +118,13 @@ DEFECTS = [
         "K[i, i - 1] = -stiffness",
         "the spring chain couples each mass to the one before with the wrong sign",
     ),
+    Defect(
+        "body_count_accepts_zero",
+        "src/fddp/systems.py",
+        "if not (number >= 1.0 and number.is_integer()):",
+        "if not (number >= 0.0 and number.is_integer()):",
+        "a system with zero dimensions or zero masses passes its parameter check",
+    ),
     # -- contact -----------------------------------------------------------
     Defect(
         "baumgarte_position_sign",
@@ -221,6 +228,13 @@ DEFECTS = [
         "closure = v_plus",
         "the impulse derivative drops the restitution term of Jc (v_plus + e v)",
     ),
+    Defect(
+        "calc_stack_failure_names_the_next_row",
+        "src/fddp/action.py",
+        "exc.row = row",
+        "exc.row = row + 1",
+        "a node that fails in a stack's node-by-node forward step is reported as the row after it",
+    ),
     # -- problem -----------------------------------------------------------
     Defect(
         "pull_back_gap_off_by_one",
@@ -253,6 +267,27 @@ DEFECTS = [
         "            except (NumericalFailure, FactorizationError) as exc:\n"
         "                raise NumericalFailure(str(exc), node=k + 1) from exc",
         "a node that fails in a rollout or a trial is reported as the node after it",
+    ),
+    Defect(
+        "guess_state_named_one_past",
+        "src/fddp/problem.py",
+        '_entry(f"X[{k}]", check, x)',
+        '_entry(f"X[{k + 1}]", check, x)',
+        "a malformed state of a guess is reported as the entry after it",
+    ),
+    Defect(
+        "guess_control_named_one_past",
+        "src/fddp/problem.py",
+        '_entry(f"U[{k}]", _check_control, *entry)',
+        '_entry(f"U[{k + 1}]", _check_control, *entry)',
+        "a malformed control of a guess is reported as the entry after it",
+    ),
+    Defect(
+        "nonfinite_cost_names_the_last_node",
+        "src/fddp/problem.py",
+        "node=int(bad[0]) if len(bad) else None",
+        "node=int(bad[-1]) if len(bad) else None",
+        "a non-finite total cost names the last node whose own cost is not finite, not the first",
     ),
     # -- solver ------------------------------------------------------------
     Defect(
@@ -317,6 +352,21 @@ DEFECTS = [
         "mu = max(mu / 10.0, REG_MIN)",
         "mu = max(mu, REG_MIN)",
         "an accepted step leaves mu where it is, so the regularization only grows",
+    ),
+    Defect(
+        "nonfinite_derivative_blamed_where_met",
+        "src/fddp/solver.py",
+        "node = next((j for j in range(last, k, -1) if not _finite_node(ws, j)), k)",
+        "node = k",
+        "a non-finite derivative is blamed on the node where the backward pass meets it, not "
+        "the node it entered at",
+    ),
+    Defect(
+        "derivatives_redone_after_a_rejected_search",
+        "src/fddp/solver.py",
+        "need_derivatives = accepted",
+        "need_derivatives = True",
+        "a rejected search re-derives the iterate from the last trial's dynamics solutions",
     ),
     # -- scenarios ---------------------------------------------------------
     Defect(

@@ -15,7 +15,7 @@ class KKTSingular(RuntimeError):
     """The dense KKT system of the whole problem is singular."""
 
 
-def kkt_search_direction(problem: ShootingProblem, X, U, datas=None):
+def kkt_search_direction(problem: ShootingProblem, X, U):
     """Newton direction from the dense KKT system of the whole problem.
 
     Assembles the block-sparse first-order optimality system of the
@@ -30,10 +30,9 @@ def kkt_search_direction(problem: ShootingProblem, X, U, datas=None):
         raise DimensionMismatch(
             f"problem too large for the dense KKT oracle: {N * (ndx + max(nus))} > {DENSE_KKT_SIZE_LIMIT}"
         )
-    datas = datas or (problem.datas, problem.stacks)
-    running, terminal = datas[0], datas[1][-1].nodes[0]
-    _, gaps = problem.calc(X, U, datas=datas)
-    problem.calc_diff(np.array(X), problem.stack_controls(U), datas=datas)
+    running, terminal = problem.datas, problem.stacks[-1].nodes[0]
+    _, gaps = problem.calc(X, U)
+    problem.calc_diff(np.array(X), problem.stack_controls(U))
 
     x_off = []
     u_off = []

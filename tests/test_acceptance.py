@@ -79,7 +79,7 @@ def test_criterion_1_gap_contraction_law():
     gap_history = []
     for i in range(len(report.rows)):
         X, U, _ = run(i)
-        gap_history.append(problem.calc(X, U, datas=problem.create_datas())[1])
+        gap_history.append(problem.calc(X, U)[1])
     worst = 0.0
     accepted_steps = 0
     for i in range(1, len(report.rows)):
@@ -116,10 +116,8 @@ def test_criterion_2_newton_on_kkt_equivalence():
         ws = SolverWorkspace(problem)
         ws.gaps = gaps
         backward_pass(problem, ws, 0.0)
-        X_try, U_try, _, _ = forward_pass_fddp(
-            problem, X_stack, U_stack, ws, 1.0, datas=problem.create_datas()
-        )
-        dX, dU, _ = kkt_search_direction(problem, X, U, datas=problem.create_datas())
+        X_try, U_try, _, _ = forward_pass_fddp(problem, X_stack, U_stack, ws, 1.0)
+        dX, dU, _ = kkt_search_direction(problem, X, U)
         for k in range(problem.N + 1):
             worst = max(worst, float(np.max(np.abs((X_try[k] - X[k]) - dX[k]))))
         for k in range(problem.N):
@@ -175,7 +173,7 @@ def test_criterion_4_lqr_one_shot_optimality():
     dX, dU, _ = kkt_search_direction(fresh, Xf, Uf)
     X_opt = [x + dx for x, dx in zip(Xf, dX)]
     U_opt = [u + du for u, du in zip(Uf, dU)]
-    cost_opt, _ = fresh.calc(X_opt, U_opt, datas=fresh.create_datas())
+    cost_opt, _ = fresh.calc(X_opt, U_opt)
 
     gap = abs(report.final_cost - cost_opt)
     ok = report.converged and report.iterations <= 2 and gap <= 1e-8
@@ -263,9 +261,7 @@ def test_criterion_7_expected_improvement_exactness():
     backward_pass(problem, ws, 0.0)
     worst = 0.0
     for alpha in STEP_LENGTHS:
-        _, _, cost_try, _ = forward_pass_ddp(
-            problem, X, U_stack, ws, alpha, datas=problem.create_datas()
-        )
+        _, _, cost_try, _ = forward_pass_ddp(problem, X, U_stack, ws, alpha)
         d1, d2 = expected_improvement(problem, ws, X, X)
         predicted = d1 * alpha + 0.5 * d2 * alpha * alpha
         worst = max(worst, abs((cost_try - cost) - predicted))

@@ -110,9 +110,9 @@ RULES = {
     ),
     "One trajectory layout in the solve": (
         "Inside the solve a trajectory is the stacked states and the zero-padded controls "
-        "(ShootingProblem.stack_controls, once, on entry), and a data set is (running "
-        "containers, stacks); per-node control lists, their re-stacking and a terminal "
-        "container must not come back.",
+        "(ShootingProblem.stack_controls, once, on entry), and the one data set is the "
+        "problem's (running containers, stacks); per-node control lists, their re-stacking "
+        "and a terminal container must not come back.",
         (Check(LIBRARY, r"terminal_data|U_new|_control_array", "U_new = [u.copy() for u in U]"),),
     ),
     "One control-Jacobian path": (
@@ -243,10 +243,25 @@ RULES = {
             ),
         ),
     ),
+    "One data set per problem": (
+        "A problem builds its nodes' one data set with itself, and every sweep of a solve, its "
+        "trials included, writes there: a node's calc writes only xnext and dyn, so the "
+        "iterate's derivatives outlive a rejected search. A second set per solve "
+        "(create_datas), its swap on acceptance, a data-set argument and the per-set cache of "
+        "Riccati rows must not come back.",
+        (
+            Check(
+                LIBRARY,
+                r"create_datas|_riccati_rows|\bdatas=|def \w+\([^)]*\b(datas|stacks)\b",
+                "def calc_diff(self, X, U, datas=None):",
+            ),
+        ),
+    ),
     "Riccati rows and scratch cut once per solve": (
-        "backward_pass reads each node's [f_x | f_u]^T from the rows that "
-        "SolverWorkspace.riccati_rows cuts once per data set, and writes its temporaries into "
-        "the workspace's scratch; a transposed product formed per node must not come back.",
+        "backward_pass reads each node's [f_x | f_u]^T from SolverWorkspace.riccati_rows, cut "
+        "once from the problem's one data set when the workspace is built, and writes its "
+        "temporaries into the workspace's scratch; a transposed product formed per node must "
+        "not come back.",
         (
             Check(
                 f"{LIBRARY}/solver.py::backward_pass",

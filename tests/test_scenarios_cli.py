@@ -523,18 +523,22 @@ def test_stacked_quasi_static_control_matches_the_per_node_iteration(name):
 
 def assert_interpolation_is_the_per_node_integration(scenario):
     """The warm start's interpolated states, from one stacked integrate call,
-    equal node k's own integrate(x0, (k / N) * direction) to the bit."""
+    equal node k's own integrate(x0, (k / N) * direction) to the bit, along a
+    nonzero direction."""
     scenario.warm_start = {"policy": "quasi_static_interpolation"}
     problem = build_problem(scenario)
     X = np.array(build_warm_start(scenario, problem)[0])
     state, x0, M = problem.state, problem.x0_measured, problem.N
     direction = state.difference(x0, scenarios._interpolation_target(problem))
+    assert direction.any()
     expected = [state.integrate(x0, (k / M) * direction) for k in range(M + 1)]
     assert X.tobytes() == np.array(expected).tobytes()
     return X
 
 
-@pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
+# monoped_hop_warmstart_infeasible's terminal reference is its initial state:
+# its interpolation direction is zero, so every node would pass.
+@pytest.mark.parametrize("name", [n for n in BUNDLED_SCENARIOS if n != "monoped_hop_warmstart_infeasible"])
 def test_stacked_interpolation_matches_the_per_node_integration(name):
     assert_interpolation_is_the_per_node_integration(load_scenario(bundled_scenario_path(name)))
 

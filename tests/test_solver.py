@@ -300,15 +300,14 @@ def test_bulk_made_views_are_the_per_node_cuts_on_mixed_controls():
     # Each container field, and the stack array whose row it views.
     fields = {"xnext": "xnext", "Fz": "Fz", "f_x": "Fz", "f_u": "Fz"}
     fields.update(dict.fromkeys(("Lz", "l_x", "l_u", "l_xx", "l_xu", "l_ux", "l_uu"), "Lz"))
-    for running, stacks in ((problem.datas, problem.stacks), problem.create_datas()):
-        for (model, nodes), stack in zip(problem.groups, stacks):
-            for i, k in enumerate(nodes):
-                data = running[k]
-                for name, source in fields.items():
-                    assert_same_view(getattr(data, name), getattr(stack, name)[i], getattr(stack, source)[i])
-                assert len(data.dyn) == len(stack.dyn) == len(model.dyn_sizes)
-                for part, stacked in zip(data.dyn, stack.dyn):
-                    assert_same_view(part, stacked[i], stacked[i])
+    for (model, nodes), stack in zip(problem.groups, problem.stacks):
+        for i, k in enumerate(nodes):
+            data = problem.datas[k]
+            for name, source in fields.items():
+                assert_same_view(getattr(data, name), getattr(stack, name)[i], getattr(stack, source)[i])
+            assert len(data.dyn) == len(stack.dyn) == len(model.dyn_sizes)
+            for part, stacked in zip(data.dyn, stack.dyn):
+                assert_same_view(part, stacked[i], stacked[i])
 
 
 def test_value_curvature_stays_symmetric():
@@ -330,7 +329,7 @@ def test_ddp_zero_step_with_zero_feedforward_is_identity():
     X = problem.rollout(U)
     ws, _ = prepared_workspace(problem, X, U)
     ws.k_ff[:] = 0.0
-    X_new, U_new, _, _ = forward_pass_ddp(problem, *stacked(problem, X, U), ws, 1.0, datas=problem.create_datas())
+    X_new, U_new, _, _ = forward_pass_ddp(problem, *stacked(problem, X, U), ws, 1.0)
     for x_new, x in zip(X_new, X):
         np.testing.assert_array_equal(x_new, x)
     for u_new, u in zip(U_new, U):
@@ -342,9 +341,7 @@ def test_ddp_rollouts_are_feasible():
     X, U = random_iterate(problem, rng)
     ws, _ = prepared_workspace(problem, X, U, mu=1e-9)
     for alpha in (1.0, 0.5, 0.125):
-        X_new, U_new, _, gaps_new = forward_pass_ddp(
-            problem, *stacked(problem, X, U), ws, alpha, datas=problem.create_datas()
-        )
+        X_new, U_new, _, gaps_new = forward_pass_ddp(problem, *stacked(problem, X, U), ws, alpha)
         np.testing.assert_array_equal(gaps_new, 0.0)
         _, gaps = problem.calc(X_new, U_new)
         assert gap_l2_norm(gaps) <= 1e-12
@@ -354,13 +351,13 @@ def test_ddp_full_step_reaches_the_kkt_optimum():
     problem, rng = lqr_problem(n=10, seed=5)
     U = [rng.standard_normal(3) for _ in range(10)]
     X = problem.rollout(U)
-    dX, dU, _ = kkt_search_direction(problem, X, U, datas=problem.create_datas())
+    dX, dU, _ = kkt_search_direction(problem, X, U)
     X_opt = [x + dx for x, dx in zip(X, dX)]
     U_opt = [u + du for u, du in zip(U, dU)]
-    cost_opt, _ = problem.calc(X_opt, U_opt, datas=problem.create_datas())
+    cost_opt, _ = problem.calc(X_opt, U_opt)
 
     ws, _ = prepared_workspace(problem, X, U)
-    _, _, cost_full, _ = forward_pass_ddp(problem, *stacked(problem, X, U), ws, 1.0, datas=problem.create_datas())
+    _, _, cost_full, _ = forward_pass_ddp(problem, *stacked(problem, X, U), ws, 1.0)
     assert abs(cost_full - cost_opt) <= 1e-9
 
 
@@ -369,10 +366,8 @@ def test_gap_tolerant_full_step_equals_classical_step():
     U = [rng.standard_normal(3) for _ in range(9)]
     X = problem.rollout(U)
     ws, _ = prepared_workspace(problem, X, U, mu=1e-9)
-    X_d, U_d, cost_d, _ = forward_pass_ddp(problem, *stacked(problem, X, U), ws, 1.0, datas=problem.create_datas())
-    X_f, U_f, cost_f, gaps_f = forward_pass_fddp(
-        problem, *stacked(problem, X, U), ws, 1.0, datas=problem.create_datas()
-    )
+    X_d, U_d, cost_d, _ = forward_pass_ddp(problem, *stacked(problem, X, U), ws, 1.0)
+    X_f, U_f, cost_f, gaps_f = forward_pass_fddp(problem, *stacked(problem, X, U), ws, 1.0)
     assert cost_f == cost_d
     for a, b in zip(X_f, X_d):
         np.testing.assert_array_equal(a, b)
@@ -388,9 +383,7 @@ def test_gap_tolerant_zero_step_with_zero_feedforward_is_identity():
     ws, _ = prepared_workspace(problem, X, U, mu=1e-9)
     old_gaps = [g.copy() for g in ws.gaps]
     ws.k_ff[:] = 0.0
-    X_new, U_new, _, gaps_new = forward_pass_fddp(
-        problem, *stacked(problem, X, U), ws, 0.0, datas=problem.create_datas()
-    )
+    X_new, U_new, _, gaps_new = forward_pass_fddp(problem, *stacked(problem, X, U), ws, 0.0)
     for x_new, x in zip(X_new, X):
         np.testing.assert_allclose(x_new, x, atol=1e-13)
     for u_new, u in zip(U_new, U):
@@ -433,9 +426,7 @@ def test_expected_improvement_is_exact_at_full_step_with_gaps():
     problem, rng = lqr_problem(n=12, seed=12)
     X, U = random_iterate(problem, rng)
     ws, cost = prepared_workspace(problem, X, U)
-    X_try, _, cost_try, _ = forward_pass_fddp(
-        problem, *stacked(problem, X, U), ws, 1.0, datas=problem.create_datas()
-    )
+    X_try, _, cost_try, _ = forward_pass_fddp(problem, *stacked(problem, X, U), ws, 1.0)
     d1, d2 = expected_improvement(problem, ws, X, X_try)
     assert abs((cost_try - cost) - (d1 + 0.5 * d2)) <= 1e-9
 
@@ -485,11 +476,9 @@ def test_random_chains_keep_the_step_invariants(seed):
         model.calc_diff(alone, X[k][None], U[k][None])
         for block in ("f_x", "f_u", "l_x", "l_u", "l_xx", "l_xu", "l_uu"):
             np.testing.assert_array_equal(getattr(data, block), getattr(alone.nodes[0], block))
-    dX, dU, _ = kkt_search_direction(problem, X, U, datas=problem.create_datas())
+    dX, dU, _ = kkt_search_direction(problem, X, U)
     for alpha in STEP_LENGTHS:
-        X_try, U_try, _, gaps = forward_pass_fddp(
-            problem, *stacked(problem, X, U), ws, alpha, datas=problem.create_datas()
-        )
+        X_try, U_try, _, gaps = forward_pass_fddp(problem, *stacked(problem, X, U), ws, alpha)
         np.testing.assert_allclose(gaps, (1.0 - alpha) * ws.gaps, rtol=0.0, atol=1e-12)
         if alpha == 1.0:
             for k in range(problem.N + 1):
@@ -605,7 +594,7 @@ def test_solve_zero_iterations_reports_the_initial_point():
     assert report.iterations == 0
     assert len(report.rows) == 1
     row = report.rows[0]
-    cost0, gaps0 = problem.calc(X_guess, U_guess, datas=problem.create_datas())
+    cost0, gaps0 = problem.calc(X_guess, U_guess)
     assert row.cost == pytest.approx(cost0, abs=1e-12)
     assert row.gap_l2 == pytest.approx(gap_l2_norm(gaps0), abs=1e-12)
     assert row.step_length == 0.0
@@ -636,10 +625,10 @@ def test_classical_solver_replaces_the_state_guess_by_a_rollout():
     U_guess = [rng.standard_normal(3) for _ in range(8)]
     X_garbage = [rng.standard_normal(6) * 100.0 for _ in range(9)]
     X, U, report = solve(problem, X_garbage, U_guess, solver="ddp", max_iters=0)
-    expected = problem.rollout(U_guess, datas=problem.create_datas())
+    expected = problem.rollout(U_guess)
     for x, xr in zip(X, expected):
         np.testing.assert_array_equal(x, xr)
-    cost_roll, _ = problem.calc(expected, U_guess, datas=problem.create_datas())
+    cost_roll, _ = problem.calc(expected, U_guess)
     assert report.rows[0].cost == pytest.approx(cost_roll, abs=1e-12)
     assert report.rows[0].gap_l2 == 0.0
 
@@ -821,6 +810,54 @@ def test_accepted_steps_walk_the_regularization_back_down(monkeypatch):
     )
 
 
+@pytest.mark.parametrize("solver", ["fddp", "ddp"])
+def test_a_rejected_search_keeps_the_derivatives_of_the_iterate(monkeypatch, solver):
+    # Every trial sweeps into the problem's one data set, so a rejected
+    # search leaves the last trial's dynamics solutions there. The backward
+    # pass after it must still be the one of the iterate: its [k | K] equals,
+    # to the bit, those from a fresh calc and calc_diff at the same iterate
+    # and mu. On monoped_hop the contact derivatives read those solutions.
+    from fddp import solver as solver_module
+
+    passes = []
+
+    def reject_the_first_search(*args):
+        return len(passes) > 1 and goldstein_accept(*args)
+
+    def recorded_backward_pass(problem, ws, mu):
+        backward_pass(problem, ws, mu)
+        passes.append((mu, [kK.copy() for kK in ws.gains]))
+
+    monkeypatch.setattr(solver_module, "goldstein_accept", reject_the_first_search)
+    monkeypatch.setattr(solver_module, "backward_pass", recorded_backward_pass)
+    _, problem, X, U = load_and_build(bundled_scenario_path("monoped_hop"))
+    _, _, report = solve(problem, X, U, solver=solver, max_iters=2)
+    assert report.rows[1].accepted == 0 and len(passes) == 2
+    mu, gains = passes[1]
+    assert mu == 10.0 * REG_MIN
+    if solver == "ddp":
+        X = problem.rollout(U)
+    ws, _ = prepared_workspace(problem, X, U, mu=mu)
+    for k, (got, expected) in enumerate(zip(gains, ws.gains)):
+        assert got.tobytes() == expected.tobytes(), f"node {k}"
+
+
+def test_a_solve_builds_no_second_data_set(monkeypatch):
+    # The problem's own data set is the only one: a solve, its trials and
+    # its workspace construct no stack.
+    from fddp.action import ActionDataStack
+
+    scenario, problem, X, U = load_and_build(bundled_scenario_path("monoped_hop"))
+    built = []
+    stack_init = ActionDataStack.__init__
+    monkeypatch.setattr(
+        ActionDataStack, "__init__", lambda self, *args: built.append(1) or stack_init(self, *args)
+    )
+    _, _, report = solve_scenario(scenario, problem, X, U)
+    assert report.converged
+    assert built == []
+
+
 def test_initial_evaluation_failure_is_reported_not_raised():
     problem = blocked_problem()
     X, U, report = solve(
@@ -899,16 +936,23 @@ def test_failure_injected_at_a_seeded_node_is_named_with_the_node_cause(seed, va
             assert len(report.rows) == 1
 
 
-@pytest.mark.parametrize("k", [0, 7, 199])
-def test_nonfinite_cost_names_the_node_whose_cost_overflows(k):
+@pytest.mark.parametrize(
+    "nodes", [[0], [7], [199], [3, 150], [199, 200]], ids=["0", "7", "199", "3-150", "199-200"]
+)
+def test_nonfinite_cost_names_the_node_whose_cost_overflows(nodes):
     # A control of 1e200 steps finitely on the pendulum but overflows its
-    # node's control cost: the failure names that node, not the terminal one.
+    # node's control cost, and a velocity of 1e200 the terminal node's (200):
+    # the failure names the first such node in node order, not the terminal one.
     _, problem, X, U = load_and_build(bundled_scenario_path("pendulum_swingup"))
-    U = [u.copy() for u in U]
-    U[k][:] = 1e200
+    X, U = [x.copy() for x in X], [u.copy() for u in U]
+    for k in nodes:
+        if k < problem.N:
+            U[k][:] = 1e200
+        else:
+            X[k][1] = 1e200
     with np.errstate(over="ignore"):
         _, _, report = solve(problem, X, U, solver="fddp", max_iters=5)
-    assert report.termination == f"failure: non-finite total cost (node {k})"
+    assert report.termination == f"failure: non-finite total cost (node {nodes[0]})"
     assert len(report.rows) == 1
 
 
@@ -1048,10 +1092,10 @@ def test_class_callables_patched_between_solves_see_every_node_call(monkeypatch,
         monkeypatch.setattr(owner, name, counted(name, owner.__dict__[name]))
     sweep = ShootingProblem._sweep
 
-    def counted_sweep(self, X, U, datas=None, gains=None, *args):
+    def counted_sweep(self, X, U, gains=None, *args):
         before = counts.copy()
         try:
-            return sweep(self, X, U, datas, gains, *args)
+            return sweep(self, X, U, gains, *args)
         finally:
             sweeps.append((gains is not None, counts - before))
 
