@@ -6,7 +6,8 @@ The package bundles four layers:
 * hand-derived mechanical systems plus contact and impulse dynamics solved
   through KKT systems (:mod:`fddp.systems`, :mod:`fddp.contact`),
 * shooting-node action models whose analytic derivatives are evaluated as
-  one stacked pass per shared model (:mod:`fddp.action`, :mod:`fddp.problem`),
+  one stacked pass per run of consecutive nodes that share a model
+  (:mod:`fddp.action`, :mod:`fddp.problem`),
 * the classical and feasibility-tolerant DDP solvers (:mod:`fddp.solver`)
   and a scenario/CLI harness (:mod:`fddp.scenarios`,
   :mod:`fddp.cli`).

@@ -26,9 +26,9 @@ the system is built), the torque and the acceleration.
 `calc_stack(stack, X, U)` does the same for the n nodes of a stack: node by
 node through `calc`, so a failing node raises what `calc` raises (with its
 row as the error's `row`); it is every model's one stacked forward step.
-The quasi-static warm start (`quasi_static_control`) takes its groups'
+The quasi-static warm start (`quasi_static_control`) takes its runs'
 accelerations at rest from one checked saddle-point solve each instead,
-and steps a group node by node only where that solve gives up.
+and steps a run node by node only where that solve gives up.
 `cost(X, U)` returns the costs (n,) of n nodes at X (n, nx), U (n, nu), in
 one stacked pass over the cost terms' residuals; no node's `calc` computes
 its cost. `calc_diff(stack, X, U)` evaluates the derivatives of all n nodes
@@ -546,7 +546,7 @@ def quasi_static_control(model, X):
 
     The residual is the acceleration at (q, v = 0) (the flow at x for a
     first-order model), affine in u: r0 + A u. For mechanical dynamics both
-    come out of one saddle-point solve per group (`_rest_acceleration`);
+    come out of one saddle-point solve for the n nodes (`_rest_acceleration`);
     for a flow r0 is its `flow_stack` at u = 0 and A its B. A node whose
     forward step fails raises what `calc` raises on it. One exact
     Gauss-Newton step, u = -(A^T A + 1e-10 I)^-1 A^T r0, solved for all
@@ -576,7 +576,7 @@ def _rest_acceleration(model, q):
     n nodes of a mechanical `model` at configurations q (n, nq), from one
     stacked `forward_terms` call and one `_kkt_solve_checked` of
     [M Jc^T; Jc 0] against [-bias | S] and [-a0 | 0] (nf = 0 rows for free
-    dynamics). Where that solve gives up, the group steps node by node
+    dynamics). Where that solve gives up, the nodes step one by one
     (`calc_stack`), which raises for the first failing node; if none fails,
     r0 is its `dyn[0]` and A comes from `partials`.
     """

@@ -195,10 +195,10 @@ def cmd_solve(args) -> int:
 
 def _unique_models(problem):
     """Distinct action models with a label naming where they first appear:
-    each group's model, labelled by its first node, then the terminal model."""
+    each running model once, labelled by its first node, then the terminal model."""
     terminal = problem.terminal_model
     return [
-        (f"node {nodes[0]} ({type(model).__name__})", model) for model, nodes in problem.groups
+        (f"node {lo} ({type(model).__name__})", model) for model, lo in problem.first_nodes().items()
     ] + [(f"terminal ({type(terminal).__name__})", terminal)]
 
 

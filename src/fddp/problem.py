@@ -15,11 +15,13 @@ and there a trajectory is two arrays: the states X (N + 1, nx) and the
 controls U (N, nu_max), zero-padded (`stack_controls`, once, on entry);
 node k reads `U[k, :nu_k]`.
 
-The nodes are grouped by model at construction (`groups`; a scenario shares
-one model per (phase, dt)), which also builds the problem's one data set:
-`stacks`, one `ActionDataStack` per group and the terminal node's stack of
-one last, whose rows are the running nodes' containers `datas`. Every
-evaluation writes there: a solve's start, its line-search trials and
+The nodes' one layout is `runs`, (model, lo, hi) for each run of
+consecutive nodes that share a model (a scenario shares one per (phase,
+dt)); every stacked pass takes a run's slice lo:hi. It gives the problem's
+one data set: `stacks`, one `ActionDataStack` per run (a model met again
+after another run gets one per run) and the terminal node's stack of one
+last, whose rows are the running nodes' containers `datas`, in node order.
+Every evaluation writes there: a solve's start, its line-search trials and
 `rollout`. A node's `calc` writes only its landing point and its dynamics'
 solution (`xnext`, `dyn`) into its row (a failing node raises
 `NumericalFailure` naming it), and `calc_diff` only the derivatives (`Fz`,
@@ -31,12 +33,12 @@ solution (`xnext`, `dyn`) into its row (a failing node raises
 forward passes; `_calc` steps each node at the guessed states. A sweep cuts
 its nodes' control rows in bulk, and without a pull-back each node steps
 from the previous node's output in its stack, copied into the states once
-per group at the end; it looks each node's `calc` up on its model at every
+per run at the end; it looks each node's `calc` up on its model at every
 step, so a method patched between two solves sees every call. After the
 nodes are stepped, `_cost_and_gaps` makes one stacked `model.cost` call per
-group and one for the terminal node, gathers the landing points from the
+run and one for the terminal node, copies the landing points from the
 stacks and takes one difference of the stacked states; `calc_diff` makes
-one stacked pass for each group, reading the solutions in its stack.
+one stacked pass for each run, reading the solutions in its stack.
 """
 
 from __future__ import annotations
@@ -54,39 +56,31 @@ class ShootingProblem:
         running_models = list(running_models)
         if len(running_models) < 1:
             raise DimensionMismatch("a shooting problem needs at least one running model")
-        # (model, node indices) for each distinct running model, in order of
-        # first appearance; models hash by identity.
-        group_of = {model: g for g, model in enumerate(dict.fromkeys(running_models))}
-        labels = np.fromiter(map(group_of.get, running_models), int, len(running_models))
-        self.groups = [(model, np.flatnonzero(labels == g)) for model, g in group_of.items()]
         # (model, first node, end) of each run of consecutive nodes that share a model.
-        starts = [0, *(np.flatnonzero(labels[1:] != labels[:-1]) + 1).tolist()]
-        ends = starts[1:] + [len(labels)]
-        self.runs = [(running_models[lo], lo, hi) for lo, hi in zip(starts, ends)]
+        ends = [k for k in range(1, len(running_models)) if running_models[k] is not running_models[k - 1]]
+        ends.append(len(running_models))
+        self.runs = [(running_models[lo], lo, hi) for lo, hi in zip([0, *ends], ends)]
         state = terminal_model.state
-        # Groups come in order of first appearance, so the first offending
-        # group's first node is the first offending node.
-        for model, ks in self.groups:
+        # Each distinct model's manifold is compared once, in node order, so
+        # the first offending model's first node is the first offending node.
+        for model, lo in self.first_nodes().items():
             if model.state != state:
-                raise DimensionMismatch(f"running model {ks[0]} lives on a different manifold")
+                raise DimensionMismatch(f"running model {lo} lives on a different manifold")
         self.state = state
         self.running_models = running_models
         self.terminal_model = terminal_model
         self.x0_measured = state.check_point(finite("x0", x0_measured, DimensionMismatch))
         self.N = len(running_models)
-        nus = np.array([model.nu for model in group_of])[labels]
+        nus = np.array([model.nu for model in running_models])
         self.nus, self.nu_max = nus.tolist(), int(nus.max())
         # Node k's controls in a stacked (N, nu_max) array: row k's first nu_k.
         self.control_slots = np.arange(self.nu_max) < nus[:, None]
         self.ndx = state.ndx
-        # The one data set: a stack per group, then the terminal node's stack
-        # of one, and the running nodes' containers, which are their rows.
-        self.stacks = [model.create_stack(len(nodes)) for model, nodes in self.groups]
+        # The one data set: a stack per run, in node order, then the terminal
+        # node's stack of one; the running nodes' containers are their rows.
+        self.stacks = [model.create_stack(hi - lo) for model, lo, hi in self.runs]
         self.stacks.append(terminal_model.create_stack(1))
-        self.datas = [None] * self.N
-        for (_, nodes), stack in zip(self.groups, self.stacks):
-            for k, data in zip(nodes.tolist(), stack.nodes):
-                self.datas[k] = data
+        self.datas = [data for stack in self.stacks[:-1] for data in stack.nodes]
 
     # -- validation ------------------------------------------------------------
 
@@ -149,8 +143,8 @@ class ShootingProblem:
             # Without a pull, the next node steps from this output in the stack.
             x = data.xnext if pull is None else state.integrate(data.xnext, pull[k + 1], out=states[k + 1])
         if pull is None:
-            for (_, nodes), stack in zip(self.groups, self.stacks):
-                states[nodes + 1] = stack.xnext
+            for (_, lo, hi), stack in zip(self.runs, self.stacks):
+                states[lo + 1 : hi + 1] = stack.xnext
         return states, controls
 
     def calc(self, X, U) -> tuple[float, np.ndarray]:
@@ -174,15 +168,15 @@ class ShootingProblem:
     def _cost_and_gaps(self, X, U) -> tuple[float, np.ndarray]:
         """Total cost and gaps of the stacked states X (N + 1, nx) and
         controls U (N, nu_max), after the evaluation that left each node's
-        landing point in the stacks: one stacked cost call per group and one
+        landing point in the stacks: one stacked cost call per run and one
         for the terminal node, one difference of the states. A non-finite
         total names the first node, in node order, whose own cost is not
         finite (none when only the sum overflowed)."""
         cost = 0.0
         node_costs = np.empty(self.N + 1)
-        for model, nodes in self.groups:
-            group_costs = node_costs[nodes] = model.cost(X[nodes], U[nodes, : model.nu])
-            cost += group_costs.sum()
+        for model, lo, hi in self.runs:
+            run_costs = node_costs[lo:hi] = model.cost(X[lo:hi], U[lo:hi, : model.nu])
+            cost += run_costs.sum()
         node_costs[self.N] = self.terminal_model.cost(X[self.N :], _NO_CONTROLS)[0]
         cost = float(cost + node_costs[self.N])
         if not np.isfinite(cost):
@@ -190,20 +184,20 @@ class ShootingProblem:
             raise NumericalFailure("non-finite total cost", node=int(bad[0]) if len(bad) else None)
         landed = np.empty_like(X)
         landed[0] = self.x0_measured
-        for (_, nodes), stack in zip(self.groups, self.stacks):
-            landed[nodes + 1] = stack.xnext
+        for (_, lo, hi), stack in zip(self.runs, self.stacks):
+            landed[lo + 1 : hi + 1] = stack.xnext
         return cost, self.state.difference(X, landed)
 
     def calc_diff(self, X, U):
         """Evaluate all node derivatives at the stacked guess X (N + 1, nx),
-        U (N, nu_max): one stacked pass per group, then the terminal node's.
+        U (N, nu_max): one stacked pass per run, then the terminal node's.
 
         Reads the solutions calc at (X, U) left in the same stacks; the
         terminal node reads only X. A node's numerical failures surface in
         calc, which runs first.
         """
-        for (model, nodes), stack in zip(self.groups, self.stacks):
-            model.calc_diff(stack, X[nodes], U[nodes, : model.nu])
+        for (model, lo, hi), stack in zip(self.runs, self.stacks):
+            model.calc_diff(stack, X[lo:hi], U[lo:hi, : model.nu])
         self.terminal_model.calc_diff(self.stacks[-1], X[self.N :], _NO_CONTROLS)
 
     def stack_controls(self, U) -> np.ndarray:
@@ -235,6 +229,14 @@ class ShootingProblem:
         for model, lo, hi in self.runs:
             rows += zip(*[array[lo:hi] for array in cut(model.nu)])
         return rows
+
+    def first_nodes(self) -> dict:
+        """Each distinct running model and its first node, in node order;
+        models hash by identity."""
+        first = {}
+        for model, lo, _ in self.runs:
+            first.setdefault(model, lo)
+        return first
 
     def node_controls(self, U) -> list[np.ndarray]:
         """The stacked controls U (N, nu_max) as the nodes' list: row k cut to

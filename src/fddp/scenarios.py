@@ -579,15 +579,15 @@ def build_warm_start(scenario: Scenario, problem: ShootingProblem):
     quasi_static_interpolation: states slide along the manifold from the
     measured state to the terminal regularization target (node k at k / N,
     in one stacked `integrate` call); controls hold each state still where
-    that is possible, from one `quasi_static_control` call per group, which
-    takes the group's accelerations at rest and their control Jacobian from
+    that is possible, from one `quasi_static_control` call per run, which
+    takes the run's accelerations at rest and their control Jacobian from
     one checked saddle-point solve; they fill one stacked array, whose rows
     cut to each node's nu are returned. A node whose state no control holds
     still falls back to zero control. That is not only a flight node: on monoped_hop
     every node with controls but node 0 falls back, the stance nodes too, so
     its warm start is close to a zero-control start. A node whose forward
     step fails raises a ScenarioError at warm_start.policy naming it and the
-    step's cause (the row at which the group's node steps stopped).
+    step's cause (the row at which the run's node steps stopped).
     file: a JSON document with explicit X and U lists of the problem's
     shapes whose entries are finite JSON numbers; a fault names the first
     bad X[k] or U[k] at warm_start.path.
@@ -649,13 +649,13 @@ def build_warm_start(scenario: Scenario, problem: ShootingProblem):
     direction = state.difference(problem.x0_measured, _interpolation_target(problem))
     X = state.integrate(problem.x0_measured, (np.arange(M + 1) / M)[:, None] * direction)
     U = np.zeros((M, problem.nu_max))
-    for model, nodes in problem.groups:
+    for model, lo, hi in problem.runs:
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                U[nodes, : model.nu] = quasi_static_control(model, X[nodes])[0]
+                U[lo:hi, : model.nu] = quasi_static_control(model, X[lo:hi])[0]
         except (NumericalFailure, FactorizationError) as exc:
             raise ScenarioError(
-                f"no quasi-static control at node {nodes[exc.row]}: {exc}", location="warm_start.policy"
+                f"no quasi-static control at node {lo + exc.row}: {exc}", location="warm_start.policy"
             ) from exc
     return list(X), problem.node_controls(U)
 

@@ -90,7 +90,7 @@ class SolverWorkspace:
 
     A node's Riccati step only does arithmetic on `riccati_rows[k]`, cut
     once here: its views of these stacks (`node_rows`), its `Fz` =
-    [gap | f_x | f_u], [f_x | f_u]^T and `Lz` in the problem's data set, and
+    [gap | f_x | f_u], [f_x | f_u]^T and `Lz` in its run's stack, and
     the buffers of its temporaries (`scratch`, one set per distinct nu). They
     hold arrays and views only, never a library callable, so a class
     attribute patched between two solves (as the benchmark's tracer does) is
@@ -121,11 +121,11 @@ class SolverWorkspace:
             W = np.empty((ndx, ndx + nu + 1))
             shapes = ((ndx + nu, ndx + nu + 1), (nu, nu), (nu, nu), (ndx, ndx + 1), (ndx, ndx))
             self.scratch[nu] = (W, W[:, 0], *map(np.zeros, shapes))
-        self.riccati_rows = [None] * N
-        for (model, nodes), stack in zip(problem.groups, problem.stacks):
+        self.riccati_rows = []
+        for (model, lo, hi), stack in zip(problem.runs, problem.stacks):
             blocks = zip(stack.Fz, np.swapaxes(stack.Fz[:, :, 1:], 1, 2), stack.Lz)
-            for k, block in zip(nodes.tolist(), blocks):
-                self.riccati_rows[k] = self.node_rows[k] + block + self.scratch[model.nu]
+            rows = zip(self.node_rows[lo:hi], blocks)
+            self.riccati_rows += [node + block + self.scratch[model.nu] for node, block in rows]
 
 
 def _node_rows(ws: SolverWorkspace, nu: int):
@@ -146,7 +146,7 @@ def backward_pass(problem: ShootingProblem, ws: SolverWorkspace, mu: float):
     Reads the node derivatives from the problem's data set, through
     ws.riccati_rows (calc_diff must have run at the current iterate; the
     sweeps since then wrote only the nodes' `xnext` and `dyn`), and ws.gaps,
-    which it writes once per group into column 0 of the stack's `Fz` =
+    which it writes once per run into column 0 of the stack's `Fz` =
     [gap | f_x | f_u]. Each node is then
     one fused step on [gradient | matrix] blocks over z = (x, u): W = V_xx Fz
     carries V_xx gap in its column 0, and adding v_x there makes it the
@@ -172,8 +172,8 @@ def backward_pass(problem: ShootingProblem, ws: SolverWorkspace, mu: float):
     vx, vxx = ws.V_x[N], ws.V_xx[N]
     vx[:] = stacks[-1].l_x[0]
     np.multiply(0.5, l_xx + l_xx.T, out=vxx)
-    for (_, nodes), stack in zip(problem.groups, stacks):
-        stack.Fz[:, :, 0] = ws.gaps[nodes + 1]
+    for (_, lo, hi), stack in zip(problem.runs, stacks):
+        stack.Fz[:, :, 0] = ws.gaps[lo + 1 : hi + 1]
     for _, _, _, mu_eye, *_ in ws.scratch.values():
         np.fill_diagonal(mu_eye, mu)
     rows = ws.riccati_rows
@@ -280,23 +280,17 @@ def _expected_d1(ws, vxx_f, vxx_dx=0.0):
     return float(d1 + np.einsum("ki,ki->", ws.k_ff, ws.Q_u))
 
 
-def goldstein_accept(
-    cost_new: float,
-    cost_old: float,
-    dj: float,
-    b1: float = GOLDSTEIN_LOW,
-    b2: float = GOLDSTEIN_HIGH,
-) -> bool:
+def goldstein_accept(cost_new: float, cost_old: float, dj: float) -> bool:
     """Two-sided sufficient-change test.
 
-    Descent predictions must realize at least the fraction b1 of the model;
-    predicted ascent (possible while gaps are open) is tolerated up to the
-    factor b2.
+    Descent predictions must realize at least the fraction GOLDSTEIN_LOW of
+    the model; predicted ascent (possible while gaps are open) is tolerated
+    up to the factor GOLDSTEIN_HIGH.
     """
     change = cost_new - cost_old
     if dj <= 0.0:
-        return change <= b1 * dj
-    return change <= b2 * dj
+        return change <= GOLDSTEIN_LOW * dj
+    return change <= GOLDSTEIN_HIGH * dj
 
 
 def solve(

@@ -251,6 +251,20 @@ DEFECTS = [
         "each gap points from the landing point to the guess",
     ),
     Defect(
+        "sweep_landing_copy_off_by_one",
+        "src/fddp/problem.py",
+        "states[lo + 1 : hi + 1] = stack.xnext",
+        "states[lo:hi] = stack.xnext",
+        "a sweep without a pull-back copies each run's landing points one node early",
+    ),
+    Defect(
+        "gap_landing_gather_off_by_one",
+        "src/fddp/problem.py",
+        "landed[lo + 1 : hi + 1] = stack.xnext",
+        "landed[lo:hi] = stack.xnext",
+        "the gaps compare each run's landing points with the states one node early",
+    ),
+    Defect(
         "terminal_cost_dropped",
         "src/fddp/problem.py",
         "cost = float(cost + node_costs[self.N])",
@@ -300,9 +314,9 @@ DEFECTS = [
     Defect(
         "goldstein_ascent_uses_b1",
         "src/fddp/solver.py",
-        "return change <= b2 * dj",
-        "return change <= b1 * dj",
-        "the Goldstein test's ascent branch uses b1 instead of b2",
+        "return change <= GOLDSTEIN_HIGH * dj",
+        "return change <= GOLDSTEIN_LOW * dj",
+        "the Goldstein test's ascent branch uses GOLDSTEIN_LOW instead of GOLDSTEIN_HIGH",
     ),
     Defect(
         "d2_vxx_f_sign",
@@ -321,8 +335,8 @@ DEFECTS = [
     Defect(
         "gap_deflection_off_by_one",
         "src/fddp/solver.py",
-        "stack.Fz[:, :, 0] = ws.gaps[nodes + 1]",
-        "stack.Fz[:, :, 0] = ws.gaps[nodes]",
+        "stack.Fz[:, :, 0] = ws.gaps[lo + 1 : hi + 1]",
+        "stack.Fz[:, :, 0] = ws.gaps[lo:hi]",
         "the backward pass deflects node k's Value gradient across gap k, not k + 1",
     ),
     Defect(

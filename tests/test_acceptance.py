@@ -23,6 +23,8 @@ from fddp.scenarios import (
     load_and_build,
 )
 from fddp.solver import (
+    GOLDSTEIN_HIGH,
+    GOLDSTEIN_LOW,
     STEP_LENGTHS,
     SolverWorkspace,
     backward_pass,
@@ -276,6 +278,9 @@ def test_criterion_7_expected_improvement_exactness():
 
 
 def test_criterion_8_goldstein_gate_on_recorded_traces(tmp_path):
+    # The gate's constants: a descent realizes 0.1 of the model, an ascent
+    # stays within 2.0 of it.
+    assert (GOLDSTEIN_LOW, GOLDSTEIN_HIGH) == (0.1, 2.0)
     runs = [(name, None) for name in BUNDLED_SCENARIOS]
     runs.append(("double_integrator", "ddp"))
     replayed = 0
@@ -294,9 +299,7 @@ def test_criterion_8_goldstein_gate_on_recorded_traces(tmp_path):
         for row in rows[1:]:
             cost = float(row["cost"])
             if int(row["accepted"]):
-                verdict = goldstein_accept(
-                    cost, previous_cost, float(row["expected_dj"]), 0.1, 2.0
-                )
+                verdict = goldstein_accept(cost, previous_cost, float(row["expected_dj"]))
                 all_accept = all_accept and verdict
                 replayed += 1
             previous_cost = cost

@@ -307,7 +307,7 @@ def hop_contact_models():
     problem = build_problem(load_scenario(bundled_scenario_path("monoped_hop")))
     return [
         model
-        for model, _ in problem.groups
+        for model in problem.first_nodes()
         if isinstance(model, ImpulseActionModel)
         or isinstance(model.dynamics, ConstrainedMechanicalDynamics)
     ]
@@ -486,7 +486,7 @@ def random_points(model, n, rng):
 @pytest.mark.parametrize("name", BUNDLED_SCENARIOS + ("model_cases",))
 def test_a_stack_stepped_node_by_node_equals_the_node_step_to_the_bit(name):
     # Every model's calc_stack is the node loop, so it leaves exactly the
-    # bits of calc: on every group and the terminal node of each bundled
+    # bits of calc: on every run and the terminal node of each bundled
     # scenario, at the warm start and at seeded perturbations of the measured
     # state with random controls, and on every model of model_cases() at
     # seeded random points. Each stack holds one solution per dynamics size.
@@ -500,7 +500,7 @@ def test_a_stack_stepped_node_by_node_equals_the_node_step_to_the_bit(name):
         X_warm, U_warm = build_warm_start(scenario, problem)
         X_warm, U_warm = np.array(X_warm), problem.stack_controls(U_warm)
         state, rng = problem.state, np.random.default_rng(73)
-        warm = [(model, X_warm[nodes], U_warm[nodes, : model.nu]) for model, nodes in problem.groups]
+        warm = [(model, X_warm[lo:hi], U_warm[lo:hi, : model.nu]) for model, lo, hi in problem.runs]
         warm.append((problem.terminal_model, X_warm[problem.N :], np.zeros((1, 0))))
         kinds = {type(getattr(model, "dynamics", model)).__name__ for model, _, _ in warm}
         if name == "monoped_hop":
@@ -591,7 +591,7 @@ def test_warm_start_raises_what_the_first_failing_node_raises(model):
     # Rows 2 and 4 of six poisoned (a NaN in the last configuration
     # coordinate, an angle wherever the system has one, then an overflowing
     # first coordinate), which fails at row 2; and row 3 alone far out,
-    # whose inputs stay finite, so on a contact group only a test of the
+    # whose inputs stay finite, so on a contact run only a test of the
     # results can find it. The warm start zeroes the velocities and the
     # controls, so only the configuration can poison its nodes; the double
     # integrator's acceleration at rest reads none of it.
@@ -609,7 +609,7 @@ def test_warm_start_tests_the_rank_of_the_constraints():
     # Two tip rows: on the pendulum's one degree of freedom the operational-
     # space inertia is singular and its Cholesky fails; on the double
     # pendulum stretched to an elbow angle of 1e-6 it factors, with a pivot
-    # of 1.8e-12, below RANK_PIVOT_TOL. Either way the contact group's warm
+    # of 1.8e-12, below RANK_PIVOT_TOL. Either way the contact run's warm
     # start raises the node's rank failure at its row, and so does the
     # impulse node's calc_stack.
     for system, reference, X in (
@@ -641,7 +641,7 @@ class IndefiniteMonoped(PlanarMonoped):
 def test_warm_start_tests_the_inertia_factorization():
     # The node solves factor M by Cholesky and fail on an indefinite one; the
     # warm start's LU solve would not, so its checked solve tests M itself,
-    # on free and stance groups; the impulse node's calc_stack fails as its
+    # on free and stance runs; the impulse node's calc_stack fails as its
     # calc does.
     system = IndefiniteMonoped()
     stance = ContactSet((Contact("foot", [0.0, 0.0]),))
@@ -708,7 +708,7 @@ def test_stacked_cost_equals_the_sum_of_term_values(name):
     problem = build_problem(load_scenario(bundled_scenario_path(name)))
     state, n = problem.state, 9
     rng = np.random.default_rng(66)
-    for model in [model for model, _ in problem.groups] + [problem.terminal_model]:
+    for model in [*problem.first_nodes(), problem.terminal_model]:
         X = np.array(
             [state.integrate(problem.x0_measured, 0.3 * rng.standard_normal(state.ndx)) for _ in range(n)]
         )
@@ -1060,15 +1060,15 @@ ANGLES = {"monoped_hop": (2, 3, 4), "pendulum_swingup": (0,)}
 
 @pytest.mark.parametrize("name", sorted(ANGLES))
 def test_quasi_static_control_raises_what_acceleration_raises_on_a_bad_row(name):
-    # A seeded row of each group with controls gets a NaN in a seeded angle
-    # and, on contact groups, an overflowing base position: the group's
+    # A seeded row of each run with controls gets a NaN in a seeded angle
+    # and, on contact runs, an overflowing base position: the run's
     # checked solve at rest gives up, and its node steps raise exactly what
     # the row's own acceleration at rest raises.
     scenario = load_scenario(bundled_scenario_path(name))
     problem = build_problem(scenario)
     X_warm = np.array(build_warm_start(scenario, problem)[0])
     rng = np.random.default_rng(71)
-    for model, nodes in problem.groups:
+    for model, lo, hi in problem.runs:
         if model.nu == 0:
             continue
         system = model.dynamics.system
@@ -1076,8 +1076,8 @@ def test_quasi_static_control_raises_what_acceleration_raises_on_a_bad_row(name)
         if isinstance(model.dynamics, ConstrainedMechanicalDynamics):
             bad.append((0, 1e308))
         for coordinate, value in bad:
-            X = X_warm[nodes]
-            row = int(rng.integers(len(nodes)))
+            X = X_warm[lo:hi].copy()
+            row = int(rng.integers(hi - lo))
             X[row, coordinate] = value
             at_rest = np.concatenate([X[row, : system.nq], np.zeros(system.nv)])
             with np.errstate(over="ignore", invalid="ignore"):

@@ -82,7 +82,7 @@ RULES = {
     ),
     "No per-node KKT derivative loop in the library": (
         "Contact and impulse nodes take their derivatives from one stacked elimination per "
-        "group (contact._kkt_solve_stacked); the per-node _kkt_partials path must not come back.",
+        "run (contact._kkt_solve_stacked); the per-node _kkt_partials path must not come back.",
         (Check(LIBRARY, bre("_kkt_partials"), "partials = _kkt_partials(M, Jc, rhs)"),),
     ),
     "One shared system evaluation per forward step": (
@@ -92,7 +92,7 @@ RULES = {
         (Check(LIBRARY, bre("_assemble"), "rows = self._assemble(q, v)"),),
     ),
     "No per-node cost evaluation in the library": (
-        "Node costs come from one stacked model.cost call per group after each sweep; the "
+        "Node costs come from one stacked model.cost call per run after each sweep; the "
         "per-node _cost_value and a sum of per-node `.cost` fields must not come back.",
         (Check(LIBRARY, r"_cost_value|\.cost \+=|\+=.*\.cost *$", "total += data.cost"),),
     ),
@@ -116,7 +116,7 @@ RULES = {
         (Check(LIBRARY, r"terminal_data|U_new|_control_array", "U_new = [u.copy() for u in U]"),),
     ),
     "One control-Jacobian path": (
-        "The quasi-static warm start takes each group's control Jacobian from the columns "
+        "The quasi-static warm start takes each run's control Jacobian from the columns "
         "after column 0 of its one checked saddle-point solve at rest (the dynamics' stacked "
         "partials only where that solve gives up), in one Gauss-Newton step; the per-node "
         "Newton loop, its hand-written control Jacobians and the factors contact nodes kept "
@@ -159,7 +159,7 @@ RULES = {
     ),
     "One stacked forward step per group in the warm start": (
         "calc_diff reads the dynamics' solutions from the stack (stack.dyn), where calc and "
-        "calc_stack write them, and the quasi-static warm start takes a group's accelerations "
+        "calc_stack write them, and the quasi-static warm start takes a run's accelerations "
         "at rest from one checked saddle-point solve (a flow's from one flow_stack call); the "
         "per-node gather of data.dyn and a per-node acceleration or flow loop in the warm start "
         "must not come back.",
@@ -254,6 +254,19 @@ RULES = {
                 LIBRARY,
                 r"create_datas|_riccati_rows|\bdatas=|def \w+\([^)]*\b(datas|stacks)\b",
                 "def calc_diff(self, X, U, datas=None):",
+            ),
+        ),
+    ),
+    "One node layout": (
+        "ShootingProblem.runs, (model, lo, hi) for each run of consecutive nodes that share a "
+        "model, is the problem's only node layout: every stacked pass takes the slice lo:hi, "
+        "and the stacks' rows are the nodes' in node order. The index-array groups "
+        "(problem.groups, group_of and the labels they were cut from) must not come back.",
+        (
+            Check(
+                LIBRARY,
+                r"\.groups\b|group_of|flatnonzero\(labels",
+                "for model, nodes in problem.groups:",
             ),
         ),
     ),

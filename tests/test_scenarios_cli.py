@@ -495,10 +495,10 @@ def per_node_quasi_static_control(model, x):
 def test_stacked_quasi_static_control_matches_the_per_node_iteration(name):
     scenario, problem, X, U = load_and_build(bundled_scenario_path(name))
     held = []
-    for model, nodes in problem.groups:
-        controls, norms = quasi_static_control(model, np.array(X)[nodes])
-        assert controls.shape == (len(nodes), model.nu) and norms.shape == (len(nodes),)
-        for k, u, norm in zip(nodes, controls, norms):
+    for model, lo, hi in problem.runs:
+        controls, norms = quasi_static_control(model, np.array(X)[lo:hi])
+        assert controls.shape == (hi - lo, model.nu) and norms.shape == (hi - lo,)
+        for k, u, norm in zip(range(lo, hi), controls, norms):
             np.testing.assert_array_equal(U[k], u)
             if model.nu == 0:
                 continue
@@ -557,7 +557,7 @@ def test_stacked_interpolation_matches_the_per_node_integration_across_the_wrap(
 
 
 def test_warm_start_makes_one_checked_kkt_solve_per_group(monkeypatch):
-    # Each mechanical group with controls takes its accelerations at rest and
+    # Each mechanical run with controls takes its accelerations at rest and
     # their control Jacobian from one checked saddle-point solve, and steps
     # no node and differentiates nothing.
     scenario = load_scenario(bundled_scenario_path("monoped_hop"))
@@ -571,14 +571,14 @@ def test_warm_start_makes_one_checked_kkt_solve_per_group(monkeypatch):
     for dynamics in (FreeMechanicalDynamics, ConstrainedMechanicalDynamics):
         monkeypatch.setattr(dynamics, "partials", lambda *args: steps.append("partials"))
     build_warm_start(scenario, problem)
-    expected = [len(nodes) for model, nodes in problem.groups if model.nu > 0]
+    expected = [hi - lo for model, lo, hi in problem.runs if model.nu > 0]
     assert len(expected) >= 2
     assert solves == expected and not steps
 
 
 @pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
 def test_the_warm_start_stepped_node_by_node_gives_its_controls(name, monkeypatch):
-    # Where the checked solve gives up, each group steps node by node and
+    # Where the checked solve gives up, each run steps node by node and
     # differentiates the stack: where every node passes, its controls are
     # the checked solve's within 1e-15, with the same zero entries, and the
     # residual norms agree far below QUASI_STATIC_TOL (a held node's is
@@ -586,10 +586,10 @@ def test_the_warm_start_stepped_node_by_node_gives_its_controls(name, monkeypatc
     scenario = load_scenario(bundled_scenario_path(name))
     problem = build_problem(scenario)
     X = np.array(build_warm_start(scenario, problem)[0])
-    expected = [quasi_static_control(model, X[nodes]) for model, nodes in problem.groups]
+    expected = [quasi_static_control(model, X[lo:hi]) for model, lo, hi in problem.runs]
     monkeypatch.setattr(action, "_kkt_solve_checked", lambda *args: None)
-    for (model, nodes), (controls, norms) in zip(problem.groups, expected):
-        stepped, stepped_norms = quasi_static_control(model, X[nodes])
+    for (model, lo, hi), (controls, norms) in zip(problem.runs, expected):
+        stepped, stepped_norms = quasi_static_control(model, X[lo:hi])
         np.testing.assert_allclose(stepped, controls, rtol=0.0, atol=1e-15)
         np.testing.assert_array_equal(stepped == 0.0, controls == 0.0)
         np.testing.assert_allclose(stepped_norms, norms, rtol=1e-12, atol=1e-10)
@@ -597,7 +597,7 @@ def test_the_warm_start_stepped_node_by_node_gives_its_controls(name, monkeypatc
 
 def test_a_failed_quasi_static_warm_start_names_its_node(tmp_path, capsys):
     # A terminal reference at the float ceiling drives the interpolated
-    # states out of range from node 1 on; the stance group's forward step
+    # states out of range from node 1 on; the stance run's forward step
     # fails there, and the failure is reported at warm_start.policy with
     # that node and the node step's cause, without a numpy warning.
     doc = json.loads(bundled_scenario_path("monoped_hop").read_text())

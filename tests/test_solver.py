@@ -300,8 +300,8 @@ def test_bulk_made_views_are_the_per_node_cuts_on_mixed_controls():
     # Each container field, and the stack array whose row it views.
     fields = {"xnext": "xnext", "Fz": "Fz", "f_x": "Fz", "f_u": "Fz"}
     fields.update(dict.fromkeys(("Lz", "l_x", "l_u", "l_xx", "l_xu", "l_ux", "l_uu"), "Lz"))
-    for (model, nodes), stack in zip(problem.groups, problem.stacks):
-        for i, k in enumerate(nodes):
+    for (model, lo, hi), stack in zip(problem.runs, problem.stacks):
+        for i, k in enumerate(range(lo, hi)):
             data = problem.datas[k]
             for name, source in fields.items():
                 assert_same_view(getattr(data, name), getattr(stack, name)[i], getattr(stack, source)[i])
@@ -433,8 +433,8 @@ def test_expected_improvement_is_exact_at_full_step_with_gaps():
 
 def random_chain_problem(rng):
     """A spring-mass chain of random size whose nodes either drive every mass
-    or coast without controls, in a random order. The two node models form
-    two interleaved groups of the stacked derivative pass, and the coasting
+    or coast without controls, in a random order. The two node models
+    alternate in runs, each with its own stack, and the coasting
     nodes leave zero-padded control rows in the solver workspace."""
     masses, n = int(rng.integers(1, 5)), int(rng.integers(3, 16))
     chain = lqr_chain_dynamics(masses, rng.uniform(1.0, 6.0), rng.uniform(0.0, 1.0))
@@ -462,7 +462,7 @@ def random_chain_problem(rng):
 @pytest.mark.parametrize("seed", range(8))
 def test_random_chains_keep_the_step_invariants(seed):
     # On linear-quadratic problems of random size, from a random infeasible
-    # iterate: each node of the grouped derivative pass gets the blocks of
+    # iterate: each node of the per-run derivative pass gets the blocks of
     # its own point, the full gap-tolerant step is the Newton step of the
     # dense KKT system, every trial contracts each gap by exactly (1 - alpha),
     # and the stacked expected improvement equals its per-node sum.
@@ -501,6 +501,28 @@ def test_random_chains_keep_the_step_invariants(seed):
 # ---------------------------------------------------------------------------
 # dense KKT oracle
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["pendulum_swingup", "monoped_hop"])
+def test_the_riccati_step_rolled_out_linearly_is_the_kkt_newton_step(name):
+    # The paper's Newton-step invariant on nonlinear problems, from the warm
+    # start moved by 1e-2 noise: the policy of the backward pass at mu = 0,
+    # rolled out through the linearized dynamics from dx_0 = gap_0, with
+    # du_k = [k | K] [1; dx_k] and dx_{k+1} = f_x dx_k + f_u du_k + gap_{k+1},
+    # is the Newton step of the dense KKT system.
+    _, problem, X, U = load_and_build(bundled_scenario_path(name))
+    rng = np.random.default_rng(3)
+    X = [problem.state.integrate(x, 1e-2 * rng.standard_normal(problem.ndx)) for x in X]
+    U = [u + 1e-2 * rng.standard_normal(len(u)) for u in U]
+    ws, _ = prepared_workspace(problem, X, U)
+    dX, dU = [ws.gaps[0]], []
+    for kK, data, gap in zip(ws.gains, problem.datas, ws.gaps[1:]):
+        dU.append(kK @ np.concatenate([[1.0], dX[-1]]))
+        dX.append(data.f_x @ dX[-1] + data.f_u @ dU[-1] + gap)
+    kkt_dX, kkt_dU, _ = kkt_search_direction(problem, X, U)
+    assert np.abs(np.concatenate(ws.gaps)).max() > 1e-3
+    np.testing.assert_allclose(np.concatenate(dX), np.concatenate(kkt_dX), rtol=0.0, atol=1e-9)
+    np.testing.assert_allclose(np.concatenate(dU), np.concatenate(kkt_dU), rtol=0.0, atol=1e-9)
 
 
 def test_kkt_direction_from_feasible_iterate_has_zero_primal_residual():
@@ -918,8 +940,8 @@ def test_failure_injected_at_a_seeded_node_is_named_with_the_node_cause(seed, va
     for name in ("monoped_hop", "pendulum_swingup"):
         scenario, problem, X, U = load_and_build(bundled_scenario_path(name))
         kinds = {}
-        for model, nodes in problem.groups:
-            kinds.setdefault(type(getattr(model, "dynamics", model)).__name__, []).extend(nodes)
+        for model, lo, hi in problem.runs:
+            kinds.setdefault(type(getattr(model, "dynamics", model)).__name__, []).extend(range(lo, hi))
         for kind in sorted(kinds):
             k = int(rng.choice(kinds[kind]))
             X_bad = [x.copy() for x in X]
