@@ -25,7 +25,9 @@ solves their inputs and results, the free dynamics M (a constant one when
 the system is built), the torque and the acceleration.
 `calc_stack(stack, X, U)` does the same for the n nodes of a stack: node by
 node through `calc`, so a failing node raises what `calc` raises (with its
-row as the error's `row`); it is every model's one stacked forward step.
+row as the error's `row`); it is every model's one node step at given
+points, which the fddp start, the warm start's fallback and the
+derivative audit take.
 The quasi-static warm start (`quasi_static_control`) takes its runs'
 accelerations at rest from one checked saddle-point solve each instead,
 and steps a run node by node only where that solve gives up.
@@ -330,10 +332,6 @@ class ActionModelBase:
 
     def create_stack(self, n: int) -> ActionDataStack:
         return ActionDataStack(self, n)
-
-    def create_data(self) -> ActionData:
-        """The container of a single node, for calc (its row of a stack of one)."""
-        return self.create_stack(1).nodes[0]
 
     def cost(self, X, U) -> np.ndarray:
         """The costs (n,) of n nodes at X (n, nx), U (n, nu): the sum of each

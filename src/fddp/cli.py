@@ -207,11 +207,13 @@ def check_problem_derivatives(problem, samples: int = 100, seed: int = 0):
 
     Draws `samples` random state/control points per distinct node model
     (tangent perturbations of the measured initial state, standard-normal
-    controls), evaluates the analytic f_x, f_u, l_x, l_u blocks of all of
-    them in one `calc_stack` (the node step the solver runs, node by node)
-    and one `calc_diff`, and compares each against a finite-difference
-    evaluation with step `numdiff.STEP` (1e-6).
-    The error metric per block is max|analytic - fd| / max(1, max|fd|).
+    controls) and differentiates them as one stack: one `calc_stack` (the
+    node step the solver runs, node by node) and one `calc_diff` give the
+    analytic f_x, f_u, l_x, l_u blocks of all of them, and each perturbation
+    of a central difference with step `numdiff.STEP` (1e-6) costs one
+    `calc_stack` (f_x, f_u) or one stacked `model.cost` (l_x, l_u) over all
+    samples. The error metric per block is the max over samples of
+    max|analytic - fd| / max(1, max|fd|).
 
     Returns a list of (label, block, max_relative_error) triples, one per
     derivative block of each distinct model.
@@ -220,8 +222,6 @@ def check_problem_derivatives(problem, samples: int = 100, seed: int = 0):
     rng = np.random.default_rng(seed)
     results = []
     for label, model in _unique_models(problem):
-        errors = {"f_x": 0.0, "f_u": 0.0, "l_x": 0.0, "l_u": 0.0}
-        has_controls = model.nu > 0
         points = [
             (
                 state.integrate(problem.x0_measured, 0.3 * rng.standard_normal(state.ndx)),
@@ -229,36 +229,30 @@ def check_problem_derivatives(problem, samples: int = 100, seed: int = 0):
             )
             for _ in range(samples)
         ]
-        stack = model.create_stack(samples)
         X = np.array([x for x, _ in points])
         U = np.array([u for _, u in points])
-        model.calc_stack(stack, X, U)
+        stack = model.calc_stack(model.create_stack(samples), X, U)
         model.calc_diff(stack, X, U)
-        for data, (x, u) in zip(stack.nodes, points):
 
-            def next_state(xv, uv=u):
-                d = model.create_data()
-                model.calc(d, xv, uv)
-                return d.xnext.copy()
+        # calc_stack writes only xnext and dyn, so the derivatives stay.
+        def next_states(Xv, Uv):
+            return model.calc_stack(stack, Xv, Uv).xnext.copy()
 
-            def cost_of(xv, uv=u):
-                return model.cost(xv[None], uv[None])[0]
-
-            fd_fx = numdiff.jacobian(next_state, x, input_manifold=state, output_manifold=state)
-            fd_lx = numdiff.gradient(cost_of, x, input_manifold=state)
-            blocks = [("f_x", data.f_x, fd_fx), ("l_x", data.l_x, fd_lx)]
-            if has_controls:
-                fd_fu = numdiff.jacobian(lambda uv: next_state(x, uv), u, output_manifold=state)
-                fd_lu = numdiff.gradient(lambda uv: cost_of(x, uv), u)
-                blocks += [("f_u", data.f_u, fd_fu), ("l_u", data.l_u, fd_lu)]
-            for name, analytic, fd in blocks:
-                denom = max(1.0, float(np.max(np.abs(fd))) if fd.size else 0.0)
-                err = float(np.max(np.abs(analytic - fd))) / denom if fd.size else 0.0
-                errors[name] = max(errors[name], err)
+        fd = {
+            "f_x": numdiff.jacobian(
+                lambda Xv: next_states(Xv, U), X, input_manifold=state, output_manifold=state
+            ),
+            "l_x": numdiff.jacobian(lambda Xv: model.cost(Xv, U)[:, None], X, input_manifold=state)[:, 0],
+        }
+        if model.nu:
+            fd["f_u"] = numdiff.jacobian(lambda Uv: next_states(X, Uv), U, output_manifold=state)
+            fd["l_u"] = numdiff.jacobian(lambda Uv: model.cost(X, Uv)[:, None], U)[:, 0]
         for name in ("f_x", "f_u", "l_x", "l_u"):
-            if name in ("f_u", "l_u") and not has_controls:
-                continue
-            results.append((label, name, errors[name]))
+            if name in fd:
+                approx = fd[name].reshape(samples, -1)
+                err = np.abs(getattr(stack, name).reshape(samples, -1) - approx).max(1, initial=0.0)
+                err /= np.maximum(1.0, np.abs(approx).max(1, initial=0.0))
+                results.append((label, name, float(err.max())))
     return results
 
 

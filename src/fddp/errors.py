@@ -35,8 +35,9 @@ class NumericalFailure(FddpError, RuntimeError):
         self.node = node
 
 
-class FactorizationError(FddpError, RuntimeError):
-    """A matrix required to be positive definite failed its Cholesky."""
+class FactorizationError(NumericalFailure):
+    """A matrix required to be positive definite failed its Cholesky: a node
+    failure like any other, which the scenario loader's rank test tells apart."""
 
 
 class RankDeficientConstraint(FactorizationError):

@@ -1,4 +1,5 @@
-"""Central finite differences, aware of manifold-valued inputs and outputs."""
+"""Central finite differences, aware of manifold-valued inputs and outputs,
+at one point or at a stack of points in as many calls of f."""
 
 from __future__ import annotations
 
@@ -21,12 +22,18 @@ def jacobian(
 ) -> np.ndarray:
     """Tangent-space Jacobian of f at x by central differences.
 
+    x is one point (nx,) or a stack (n, nx), which f maps to (m,) or (n, m)
+    (one point's scalar counts as (1,)); the Jacobian is (m, ndx) or
+    (n, m, ndx), ndx being the input manifold's, else x.shape[-1]. Each
+    perturbation moves every point, and point i's Jacobian has the bits of
+    its own when f treats the points apart.
+
     When `input_manifold` is given, perturbations are applied with integrate();
     when `output_manifold` is given, results are compared with difference()
     against the unperturbed value, so both sides stay second-order accurate.
     """
     x = np.asarray(x, dtype=float)
-    n_in = input_manifold.ndx if input_manifold is not None else x.size
+    n_in = input_manifold.ndx if input_manifold is not None else x.shape[-1]
     base = np.atleast_1d(np.asarray(f(x), dtype=float)) if output_manifold is not None else None
 
     def perturb(i: int, sign: float) -> np.ndarray:
@@ -47,14 +54,3 @@ def jacobian(
         else:
             columns.append((fp - fm) / (2.0 * STEP))
     return np.stack(columns, axis=-1)
-
-
-def gradient(
-    f: Callable[[np.ndarray], float],
-    x: np.ndarray,
-    *,
-    input_manifold: Manifold | None = None,
-) -> np.ndarray:
-    """Central-difference gradient of a scalar function, returned as a vector."""
-    g = jacobian(lambda v: np.array([f(v)]), x, input_manifold=input_manifold)
-    return g[0]

@@ -29,16 +29,18 @@ solution (`xnext`, `dyn`) into its row (a failing node raises
 `calc_diff` reads `dyn`: it must follow the last sweep, at the same
 (X, U).
 
-`_sweep` is the one chained rollout, of the ddp start, `rollout` and both
-forward passes; `_calc` steps each node at the guessed states. A sweep cuts
-its nodes' control rows in bulk, and without a pull-back each node steps
-from the previous node's output in its stack, copied into the states once
-per run at the end; it looks each node's `calc` up on its model at every
-step, so a method patched between two solves sees every call. After the
-nodes are stepped, `_cost_and_gaps` makes one stacked `model.cost` call per
-run and one for the terminal node, copies the landing points from the
-stacks and takes one difference of the stacked states; `calc_diff` makes
-one stacked pass for each run, reading the solutions in its stack.
+`_sweep` is the one chained rollout, of the ddp start, `rollout` and
+both forward passes; `_calc`, the fddp start and `calc`, makes one
+`calc_stack` call per run at the guessed states, the one node step at
+given points. A sweep cuts its nodes' control rows in bulk, and without
+a pull-back each node steps from the previous node's output in its
+stack, copied into the states once per run at the end; it looks each
+node's `calc` up on its model at every step, so a method patched between
+two solves sees every call. After the nodes are stepped,
+`_cost_and_gaps` makes one stacked `model.cost` call per run and one for
+the terminal node, copies the landing points from the stacks and takes
+one difference of the stacked states; `calc_diff` makes one stacked pass
+for each run, reading the solutions in its stack.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from __future__ import annotations
 import numpy as np
 
 from .action import ActionModelBase
-from .errors import DimensionMismatch, FactorizationError, NumericalFailure, finite
+from .errors import DimensionMismatch, NumericalFailure, finite
 
 
 class ShootingProblem:
@@ -138,7 +140,7 @@ class ShootingProblem:
                 np.add(u_in, gains[k] @ z, out=u)
             try:
                 model.calc(data, x, u)
-            except (NumericalFailure, FactorizationError) as exc:
+            except NumericalFailure as exc:
                 raise NumericalFailure(str(exc), node=k) from exc
             # Without a pull, the next node steps from this output in the stack.
             x = data.xnext if pull is None else state.integrate(data.xnext, pull[k + 1], out=states[k + 1])
@@ -157,12 +159,13 @@ class ShootingProblem:
         return self._calc(*self.check_trajectories(X, U))
 
     def _calc(self, X, U) -> tuple[float, np.ndarray]:
-        """calc of a stacked guess that check_trajectories has already checked."""
-        for k, (model, data) in enumerate(zip(self.running_models, self.datas)):
+        """calc of a stacked guess that check_trajectories has already checked:
+        one calc_stack per run at the guessed states."""
+        for (model, lo, hi), stack in zip(self.runs, self.stacks):
             try:
-                model.calc(data, X[k], U[k, : model.nu])
-            except (NumericalFailure, FactorizationError) as exc:
-                raise NumericalFailure(str(exc), node=k) from exc
+                model.calc_stack(stack, X[lo:hi], U[lo:hi, : model.nu])
+            except NumericalFailure as exc:
+                raise NumericalFailure(str(exc), node=lo + exc.row) from exc
         return self._cost_and_gaps(X, U)
 
     def _cost_and_gaps(self, X, U) -> tuple[float, np.ndarray]:

@@ -533,7 +533,9 @@ def build_problem(scenario: Scenario) -> ShootingProblem:
     Each integration node gets its phase's dynamics, one model per (phase,
     dt); one impulse node is inserted before the first integration node of
     each switch boundary (a switch sits at the start of the phase it opens),
-    so the model list has horizon + len(switches) running entries.
+    so the model list has horizon + len(switches) running entries. A
+    horizon whose node data set numpy cannot allocate raises a
+    ScenarioError at `horizon`.
     """
     system = scenario.system
     switch_at = {s.node: s for s in scenario.switches}
@@ -555,7 +557,10 @@ def build_problem(scenario: Scenario) -> ShootingProblem:
         }
         models += map(by_dt.get, dts)
     terminal = TerminalActionModel(system.state, costs=scenario.terminal_costs)
-    return ShootingProblem(scenario.x0, models, terminal)
+    try:
+        return ShootingProblem(scenario.x0, models, terminal)
+    except MemoryError as exc:  # the node data set of a horizon numpy cannot allocate
+        raise ScenarioError(f"horizon too large: {exc}", location="horizon") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -653,7 +658,7 @@ def build_warm_start(scenario: Scenario, problem: ShootingProblem):
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 U[lo:hi, : model.nu] = quasi_static_control(model, X[lo:hi])[0]
-        except (NumericalFailure, FactorizationError) as exc:
+        except NumericalFailure as exc:
             raise ScenarioError(
                 f"no quasi-static control at node {lo + exc.row}: {exc}", location="warm_start.policy"
             ) from exc

@@ -275,12 +275,19 @@ DEFECTS = [
         "sweep_failure_names_the_next_node",
         "src/fddp/problem.py",
         "model.calc(data, x, u)\n"
-        "            except (NumericalFailure, FactorizationError) as exc:\n"
+        "            except NumericalFailure as exc:\n"
         "                raise NumericalFailure(str(exc), node=k) from exc",
         "model.calc(data, x, u)\n"
-        "            except (NumericalFailure, FactorizationError) as exc:\n"
+        "            except NumericalFailure as exc:\n"
         "                raise NumericalFailure(str(exc), node=k + 1) from exc",
         "a node that fails in a rollout or a trial is reported as the node after it",
+    ),
+    Defect(
+        "calc_failure_names_the_run_row",
+        "src/fddp/problem.py",
+        "node=lo + exc.row",
+        "node=exc.row",
+        "a node that fails at the fddp start is named by its row in its run, not its node",
     ),
     Defect(
         "guess_state_named_one_past",
@@ -432,6 +439,13 @@ DEFECTS = [
         "if err > DERIVATIVE_TOLERANCE:",
         "if err > 1.0:",
         "check-derivatives passes derivative errors up to 100 %",
+    ),
+    Defect(
+        "derivative_audit_reads_the_first_sample",
+        "src/fddp/cli.py",
+        "float(err.max())",
+        "float(err[0])",
+        "check-derivatives reports each block's error at its first sample only",
     ),
     Defect(
         "normalized_column_one_at_zero_reference",

@@ -19,3 +19,8 @@ def random_point(manifold, rng: np.random.Generator) -> np.ndarray:
 
 def random_tangent(manifold, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
     return scale * rng.standard_normal(manifold.ndx)
+
+
+def node_data(model):
+    """A lone node's container for `calc`: the row of a stack of one."""
+    return model.create_stack(1).nodes[0]

@@ -50,7 +50,7 @@ from fddp.systems import (
     build_system,
     lqr_chain_dynamics,
 )
-from sampling import random_tangent
+from sampling import node_data, random_tangent
 
 GRAVITY = 9.81
 BUNDLED_SCENARIOS = (
@@ -97,7 +97,7 @@ def default_costs(state, nu):
 
 def test_pendulum_rest_is_a_fixed_point():
     model = integrated(Pendulum(), dt=0.05)
-    data = model.calc(model.create_data(), np.zeros(2), np.zeros(1))
+    data = model.calc(node_data(model), np.zeros(2), np.zeros(1))
     np.testing.assert_array_equal(data.xnext, [0.0, 0.0])
 
 
@@ -113,7 +113,7 @@ def test_pendulum_step_matches_reimplementation():
         return np.array([q + dt * v_next, v_next])
 
     rng = np.random.default_rng(60)
-    data = model.create_data()
+    data = node_data(model)
     for _ in range(50):
         x = rng.uniform(-3.0, 3.0, 2)
         u = rng.uniform(-5.0, 5.0, 1)
@@ -130,7 +130,7 @@ def test_a_constant_inertia_factored_once_gives_the_node_step_to_the_bit(system)
     assert model.dynamics._factor is not None
     M, S = system.mass_matrix(None), system.actuation()
     rng = np.random.default_rng(61)
-    data = model.create_data()
+    data = node_data(model)
     for _ in range(50):
         x = rng.uniform(-3.0, 3.0, system.state.nx)
         u = rng.uniform(-5.0, 5.0, system.nu)
@@ -172,7 +172,7 @@ def test_one_step_error_is_second_order_in_dt():
 
     def step_error(dt):
         model = integrated(system, dt)
-        data = model.calc(model.create_data(), x0, u)
+        data = model.calc(node_data(model), x0, u)
         exact = np.array(
             [x0[0] + x0[1] * dt + 0.5 * u[0] * dt**2, x0[1] + u[0] * dt]
         )
@@ -264,42 +264,75 @@ def model_cases():
     "model", [m for _, m in model_cases()], ids=[n for n, _ in model_cases()]
 )
 def test_calc_diff_matches_finite_differences(model):
-    # Ten draws go through one stacked calc_diff; each node's rows are checked.
+    # Ten draws go through one stacked calc_diff, and each block's finite
+    # differences through one stacked evaluation; every node's rows are checked.
     state = model.state
     rng = np.random.default_rng(62)
     points = []
     for _ in range(10):
         x = state.integrate(np.zeros(state.nx), random_tangent(state, rng, scale=0.4))
         points.append((x, rng.uniform(-2.0, 2.0, model.nu)))
-    stack = model.create_stack(len(points))
-    for data, (x, u) in zip(stack.nodes, points):
-        model.calc(data, x, u)
-    model.calc_diff(
-        stack, np.array([x for x, _ in points]), np.array([u for _, u in points])
+    X = np.array([x for x, _ in points])
+    U = np.array([u for _, u in points])
+    stack = model.calc_stack(model.create_stack(len(points)), X, U)
+    model.calc_diff(stack, X, U)
+    steps = model.create_stack(len(points))
+
+    def next_states(Xv, Uv):
+        return model.calc_stack(steps, Xv, Uv).xnext.copy()
+
+    blocks = [
+        (stack.f_x, numdiff.jacobian(
+            lambda Xv: next_states(Xv, U), X, input_manifold=state, output_manifold=state
+        )),
+        (stack.l_x, numdiff.jacobian(lambda Xv: model.cost(Xv, U)[:, None], X, input_manifold=state)[:, 0]),
+    ]
+    if model.nu:
+        blocks += [
+            (stack.f_u, numdiff.jacobian(lambda Uv: next_states(X, Uv), U, output_manifold=state)),
+            (stack.l_u, numdiff.jacobian(lambda Uv: model.cost(X, Uv)[:, None], U)[:, 0]),
+        ]
+    for analytic, fd in blocks:
+        np.testing.assert_allclose(analytic, fd, rtol=1e-4, atol=1e-6)
+
+
+def test_a_stacked_jacobian_equals_the_per_point_jacobians_to_the_bit():
+    # Monoped states whose headings lie within a finite-difference step of
+    # the wrap, so some central differences straddle it: one stacked
+    # numdiff.jacobian of the forward step, in x and in u, holds each
+    # point's own Jacobian to the bit.
+    model = IntegratedActionModel(FreeMechanicalDynamics(PlanarMonoped()), dt=0.01)
+    state = model.state
+    rng = np.random.default_rng(30)
+    headings = [np.pi - 5e-7, np.pi, -np.pi + 5e-7, 0.3]
+    X = np.array([state.integrate(np.zeros(state.nx), random_tangent(state, rng)) for _ in headings])
+    X[:, 2] = headings
+    U = rng.standard_normal((len(X), model.nu))
+    stack = model.create_stack(len(X))
+    fd_x = numdiff.jacobian(
+        lambda Xv: model.calc_stack(stack, Xv, U).xnext.copy(),
+        X,
+        input_manifold=state,
+        output_manifold=state,
     )
-    for data, (x, u) in zip(stack.nodes, points):
-        fd_fx = numdiff.jacobian(
-            lambda xv: model.calc(model.create_data(), xv, u).xnext,
+    fd_u = numdiff.jacobian(
+        lambda Uv: model.calc_stack(stack, X, Uv).xnext.copy(), U, output_manifold=state
+    )
+    assert fd_x.shape == (len(X), state.ndx, state.ndx)
+    assert fd_u.shape == (len(X), state.ndx, model.nu)
+    data = node_data(model)
+    for x, u, stacked_x, stacked_u in zip(X, U, fd_x, fd_u):
+        alone_x = numdiff.jacobian(
+            lambda xv: model.calc(data, xv, u).xnext.copy(),
             x,
             input_manifold=state,
             output_manifold=state,
         )
-        np.testing.assert_allclose(data.f_x, fd_fx, rtol=1e-4, atol=1e-6)
-        fd_lx = numdiff.gradient(
-            lambda xv: model.cost(xv[None], u[None])[0],
-            x,
-            input_manifold=state,
+        alone_u = numdiff.jacobian(
+            lambda uv: model.calc(data, x, uv).xnext.copy(), u, output_manifold=state
         )
-        np.testing.assert_allclose(data.l_x, fd_lx, rtol=1e-4, atol=1e-6)
-        if model.nu:
-            fd_fu = numdiff.jacobian(
-                lambda uv: model.calc(model.create_data(), x, uv).xnext,
-                u,
-                output_manifold=state,
-            )
-            np.testing.assert_allclose(data.f_u, fd_fu, rtol=1e-4, atol=1e-6)
-            fd_lu = numdiff.gradient(lambda uv: model.cost(x[None], uv[None])[0], u)
-            np.testing.assert_allclose(data.l_u, fd_lu, rtol=1e-4, atol=1e-6)
+        assert stacked_x.tobytes() == alone_x.tobytes()
+        assert stacked_u.tobytes() == alone_u.tobytes()
 
 
 def hop_contact_models():
@@ -426,7 +459,7 @@ def test_impulse_model_freezes_configuration_and_absorbs_normal_speed():
     model = ImpulseActionModel(monoped, stance, 0.0)
     rng = np.random.default_rng(64)
     x = np.concatenate([rng.uniform(-0.3, 0.3, 5), rng.uniform(-1.0, 1.0, 5)])
-    data = model.calc(model.create_data(), x)
+    data = model.calc(node_data(model), x)
     np.testing.assert_array_equal(data.xnext[:5], x[:5])
     q_plus, v_plus = monoped.split_state(data.xnext)
     jc = monoped.frame_jacobian(q_plus, "foot")
@@ -464,10 +497,10 @@ def test_pinned_pendulum_tip_is_rank_deficient():
     x = np.array([0.1, 0.2])
     constrained = IntegratedActionModel(ConstrainedMechanicalDynamics(pend, pinned_tip), dt=0.01)
     with pytest.raises(RankDeficientConstraint):
-        constrained.calc(constrained.create_data(), x, np.array([0.3]))
+        constrained.calc(node_data(constrained), x, np.array([0.3]))
     impulse = ImpulseActionModel(pend, pinned_tip, 0.0)
     with pytest.raises(RankDeficientConstraint):
-        impulse.calc(impulse.create_data(), x)
+        impulse.calc(node_data(impulse), x)
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +561,7 @@ def assert_fails_as_the_node_steps(step, model, X, U):
     with np.errstate(over="ignore", invalid="ignore"):
         for row, (x, u) in enumerate(zip(X, U)):
             try:
-                model.calc(model.create_data(), x, u)
+                model.calc(node_data(model), x, u)
             except FddpError as exc:
                 failure = row, exc
                 break
@@ -622,7 +655,7 @@ def test_warm_start_tests_the_rank_of_the_constraints():
         impulse = ImpulseActionModel(system, pinned_tip, 0.0)
         for model in (constrained, impulse):
             with pytest.raises(RankDeficientConstraint):
-                model.calc(model.create_data(), X[-1], np.ones(model.nu))
+                model.calc(node_data(model), X[-1], np.ones(model.nu))
         assert assert_warm_start_fails_as_the_node_steps(constrained, X)
         assert assert_stack_fails_as_the_node_steps(impulse, X, np.zeros((len(X), 0)))
 
@@ -673,7 +706,7 @@ def test_node_rows_are_views_of_the_stack():
     stack = model.create_stack(3)
     x = np.concatenate([np.array([0.0, 0.6, 0.1, 0.4, -0.8]), np.zeros(5)])
     model.calc(stack.nodes[1], x, np.array([0.5, -0.5]))
-    data = model.create_data()
+    data = node_data(model)
     model.calc(data, x, np.array([0.5, -0.5]))
     np.testing.assert_array_equal(stack.xnext[1], data.xnext)
     for part, alone in zip(stack.dyn, data.dyn):
@@ -1082,7 +1115,7 @@ def test_quasi_static_control_raises_what_acceleration_raises_on_a_bad_row(name)
             at_rest = np.concatenate([X[row, : system.nq], np.zeros(system.nv)])
             with np.errstate(over="ignore", invalid="ignore"):
                 with pytest.raises(FddpError) as node_failure:
-                    model.dynamics.acceleration(at_rest, np.zeros(model.nu), model.create_data())
+                    model.dynamics.acceleration(at_rest, np.zeros(model.nu), node_data(model))
                 with pytest.raises(type(node_failure.value)) as group_failure:
                     quasi_static_control(model, X)
             assert str(group_failure.value) == str(node_failure.value)

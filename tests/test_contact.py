@@ -43,6 +43,7 @@ from fddp.errors import (
     RankDeficientConstraint,
 )
 from fddp.systems import PlanarMonoped
+from sampling import node_data
 
 
 def random_spd(rng, n):
@@ -417,10 +418,10 @@ def test_monoped_stance_partials_match_finite_differences():
         a_q, a_v, a_u = (block[0] for block in dyn.partials(stack, x[None], u[None]))
 
         def accel_of_x(xv):
-            return dyn.acceleration(xv, u, model.create_data())
+            return dyn.acceleration(xv, u, node_data(model))
 
         def accel_of_u(uv):
-            return dyn.acceleration(x, uv, model.create_data())
+            return dyn.acceleration(x, uv, node_data(model))
 
         fd_x = numdiff.jacobian(accel_of_x, x, input_manifold=system.state)
         fd_u = numdiff.jacobian(accel_of_u, u)

@@ -270,6 +270,23 @@ RULES = {
             ),
         ),
     ),
+    "One node step at given points": (
+        "ActionModelBase.calc_stack is the one loop that steps nodes at given points: the fddp "
+        "start makes one call per run and the derivative audit one per finite-difference "
+        "perturbation over all its samples; ShootingProblem._sweep, the one chained rollout, is the "
+        "only other node step in problem.py. A per-node loop in _calc, a lone-node container "
+        "(create_data) and the scalar numdiff.gradient, which only that per-sample audit "
+        "called, must not come back.",
+        (
+            Check(LIBRARY, r"create_data|def gradient", "d = model.create_data()"),
+            Check(
+                f"{LIBRARY}/problem.py",
+                bre(r"\.calc("),
+                "model.calc(data, X[k], U[k, : model.nu])",
+                count=1,
+            ),
+        ),
+    ),
     "Riccati rows and scratch cut once per solve": (
         "backward_pass reads each node's [f_x | f_u]^T from SolverWorkspace.riccati_rows, cut "
         "once from the problem's one data set when the workspace is built, and writes its "

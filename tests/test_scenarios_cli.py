@@ -998,7 +998,9 @@ def test_check_derivatives_is_exact_on_linear_dynamics(capsys):
             assert err <= 1e-9, (label, block, err)
 
 
-def test_corrupted_derivative_is_caught(monkeypatch):
+def assert_audit_flags_only_f_u(monkeypatch, rows):
+    """Audit pendulum_swingup at three samples with its first model's f_u
+    raised by 1 at the stack's `rows`: only the f_u blocks may fail."""
     scenario = load_scenario(bundled_scenario_path("pendulum_swingup"))
     problem = build_problem(scenario)
     model = problem.running_models[0]
@@ -1006,7 +1008,7 @@ def test_corrupted_derivative_is_caught(monkeypatch):
 
     def corrupted_calc_diff(stack, X, U):
         calc_diff(stack, X, U)
-        stack.f_u[:] += 1.0
+        stack.f_u[rows] += 1.0
         return stack
 
     monkeypatch.setattr(model, "calc_diff", corrupted_calc_diff)
@@ -1016,6 +1018,16 @@ def test_corrupted_derivative_is_caught(monkeypatch):
     assert max(bad) > 1e-4
     clean = [err for (label, block), err in by_block.items() if block != "f_u"]
     assert max(clean) <= 1e-4
+
+
+def test_corrupted_derivative_is_caught(monkeypatch):
+    assert_audit_flags_only_f_u(monkeypatch, slice(None))
+
+
+def test_a_derivative_corrupted_at_the_last_sample_only_is_caught(monkeypatch):
+    # The audit differentiates the samples as one stack: it must read every
+    # sample's error, not only the first one's.
+    assert_audit_flags_only_f_u(monkeypatch, -1)
 
 
 def test_check_derivatives_cli_reports_failures(monkeypatch, capsys):
@@ -1209,6 +1221,24 @@ def test_sizes_too_large_to_allocate_exit_config_at_their_path(
     for argv, _ in cli_runs(path, tmp_path):
         assert cli.main(argv) == EXIT_CONFIG
         assert re.match(f"error: {where}: ", capsys.readouterr().err)
+
+
+def test_a_horizon_too_large_to_lay_out_exits_config_at_horizon(tmp_path, capsys, monkeypatch):
+    # The node data set of monoped_hop at a horizon of 10**7 needs about
+    # 10 GiB. The refusal is simulated: a machine with more memory may grant
+    # the allocation lazily, so the test never asks for it.
+    def refuse(model, n):
+        raise MemoryError(f"Unable to allocate the stack of {n} nodes")
+
+    monkeypatch.setattr(action.ActionModelBase, "create_stack", refuse)
+    scenario = load_scenario(bundled_scenario_path("monoped_hop"))
+    with pytest.raises(ScenarioError, match="horizon too large") as raised:
+        build_problem(scenario)
+    assert raised.value.location == "horizon"
+    path = str(bundled_scenario_path("monoped_hop"))
+    for argv, _ in cli_runs(path, tmp_path):
+        assert cli.main(argv) == EXIT_CONFIG
+        assert re.match("error: horizon: horizon too large", capsys.readouterr().err)
 
 
 def field_paths(value, path=()):

@@ -34,6 +34,7 @@ from fddp.solver import (
 )
 from fddp.systems import LinearDynamics, Pendulum, lqr_chain_dynamics
 from kkt_oracle import KKTSingular, kkt_search_direction
+from sampling import node_data
 
 
 def lqr_problem(n=12, seed=0, dt=0.05):
@@ -949,7 +950,7 @@ def test_failure_injected_at_a_seeded_node_is_named_with_the_node_cause(seed, va
             model = problem.running_models[k]
             with np.errstate(over="ignore", invalid="ignore"):
                 try:
-                    model.calc(model.create_data(), X_bad[k], U[k])
+                    model.calc(node_data(model), X_bad[k], U[k])
                     cause = "non-finite total cost"
                 except FddpError as exc:
                     cause = str(exc)
