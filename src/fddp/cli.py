@@ -277,9 +277,10 @@ def cmd_check_derivatives(args) -> int:
         return EXIT_CONFIG
     failed = []
     for label, block, err in results:
-        status = "ok" if err <= DERIVATIVE_TOLERANCE else "FAIL"
+        ok = err <= DERIVATIVE_TOLERANCE  # false for NaN: a NaN error fails
+        status = "ok" if ok else "FAIL"
         print(f"{status:4s} {scenario.name}: {label} {block}: max rel err {err:.3e}")
-        if err > DERIVATIVE_TOLERANCE:
+        if not ok:
             failed.append((label, block, err))
     if failed:
         worst = max(failed, key=lambda t: t[2])

@@ -244,11 +244,9 @@ def forward_pass_fddp(problem, X, U, ws, alpha):
 def _forward(problem, X, U, ws, alpha, pull):
     """The trial (X, U, cost, gaps): the problem's chained rollout from the
     stacked iterate X (N + 1, nx), U (N, nu_max) under the policy's gains,
-    moved along `pull` if given, and one `_cost_and_gaps` call. Overflow is
-    left to the tests of finiteness."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        states, controls = problem._sweep(X, U, ws.gains, alpha, pull)
-        return (states, controls, *problem._cost_and_gaps(states, controls))
+    moved along `pull` if given, and one `_cost_and_gaps` call."""
+    states, controls = problem._sweep(X, U, ws.gains, alpha, pull)
+    return (states, controls, *problem._cost_and_gaps(states, controls))
 
 
 def expected_improvement(problem, ws, X, X_trial):
@@ -293,6 +291,9 @@ def goldstein_accept(cost_new: float, cost_old: float, dj: float) -> bool:
     return change <= GOLDSTEIN_HIGH * dj
 
 
+# Overflow in any of a solve's evaluations is left to the tests of
+# finiteness, which name the node and the cause.
+@np.errstate(over="ignore", invalid="ignore")
 def solve(
     problem: ShootingProblem,
     X_guess=None,

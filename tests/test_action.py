@@ -7,6 +7,7 @@ evaluation of the linear dynamics.
 """
 
 import inspect
+import re
 
 import numpy as np
 import pytest
@@ -186,9 +187,6 @@ def test_one_step_error_is_second_order_in_dt():
 def test_integration_step_must_be_positive():
     for dt in (0.0, -0.01):
         with pytest.raises(DimensionMismatch, match="integration step must be positive"):
-            integrated(DoubleIntegrator(dim=1), dt=dt)
-    for dt in (np.nan, np.inf, -np.inf):
-        with pytest.raises(DimensionMismatch, match=f"integration step must be finite, got {dt}"):
             integrated(DoubleIntegrator(dim=1), dt=dt)
 
 
@@ -808,13 +806,6 @@ def test_cost_constructors_check_weight_and_target_shape():
     pend, monoped = Pendulum(), PlanarMonoped()
     with pytest.raises(DimensionMismatch, match="cost weight must be >= 0"):
         StateRegularization(pend.state, [0.0, 0.0], -1.0, 1)
-    # Every comparison with NaN is false, so the range check alone passes it.
-    for weight in (np.nan, np.inf, -np.inf):
-        with pytest.raises(DimensionMismatch, match=f"cost weight must be finite, got {weight}"):
-            ControlRegularization(1, weight, 2)
-    for scale in (np.nan, np.inf):
-        with pytest.raises(DimensionMismatch, match="state cost scales must be finite"):
-            StateRegularization(pend.state, [0.0, 0.0], 1.0, 1, scales=[1.0, scale])
     with pytest.raises(DimensionMismatch, match="state cost scales must be >= 0"):
         StateRegularization(pend.state, [0.0, 0.0], 1.0, 1, scales=[1.0, -1.0])
     with pytest.raises(DimensionMismatch, match=r"placement has shape \(2,\), target \(3,\)"):
@@ -829,15 +820,11 @@ def test_cost_constructors_check_weight_and_target_shape():
 
 # (argument, constructor from a value of that argument, a valid value): each
 # argument must be finite, whichever entry carries the NaN or infinity.
+# The public classes' arguments are in NUMERIC_CONSTRUCTORS below.
 FINITE_ARGUMENTS = [
-    ("control reference", lambda v: ControlRegularization(1, 1.0, 2, reference=v), [0.0]),
-    ("state reference", lambda v: StateRegularization(VectorSpace(2), v, 1.0, 1), [0.0, 0.0]),
-    ("contact reference", lambda v: Contact("tip", v), [0.0]),
     ("A", lambda v: LinearDynamics(v, [[1.0]]), [[1.0]]),
     ("B", lambda v: LinearDynamics([[1.0]], v), [[1.0]]),
     ("c", lambda v: LinearDynamics([[1.0]], [[1.0]], c=v), [0.0]),
-    ("target", lambda v: ComTracking(PlanarMonoped(), v, 1.0, 10, 2), [0.0, 0.7]),
-    ("x0", lambda v: ShootingProblem(v, *pendulum_models()), [0.1, 0.0]),
 ]
 
 
@@ -947,24 +934,34 @@ def with_entry(value, i, bad):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("cls", sorted(NUMERIC_CONSTRUCTORS))
 def test_every_numeric_constructor_names_a_non_finite_argument(cls, bad):
+    # A non-finite restitution fails its range check; every other number
+    # fails the finiteness check. Each error shows the bad value among the
+    # values it reports.
     build, valid, names = NUMERIC_CONSTRUCTORS[cls]
     build(**valid)
     for argument, name in names.items():
+        wording = r"lie in \[0, 1\]" if argument == "restitution" else "be finite"
         for i in range(np.size(valid[argument])):
-            arguments = dict(valid, **{argument: with_entry(valid[argument], i, bad)})
-            with pytest.raises((DimensionMismatch, ParameterError), match=f"^{name} "):
-                build(**arguments)
+            value = with_entry(valid[argument], i, bad)
+            message = rf"^{name} must {wording}, got (.*[\[ ])?{re.escape(str(bad))}\b"
+            with pytest.raises((DimensionMismatch, ParameterError), match=message):
+                build(**dict(valid, **{argument: value}))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("model_id", sorted(MODEL_PARAMS))
 def test_every_model_parameter_is_named_when_not_finite(model_id, bad):
     # The scenario loader reports a ParameterError at model.params.<name>,
-    # so the name must be the parameter's own.
+    # so the name must be the parameter's own. An infinity passes a range
+    # check such as "> 0", so a count fails as not whole and every other
+    # parameter as not finite; the lqr chain's stiffness is checked with its
+    # double, as a list.
     valid = MODEL_PARAMS[model_id]
     build_system(model_id, valid)
     for parameter in valid:
-        with pytest.raises(ParameterError, match=f"^{parameter} ") as excinfo:
+        wording = "a whole number >= 1" if parameter in ("dim", "masses") else "finite"
+        message = rf"^{parameter} must be {wording}, got \[?{bad}"
+        with pytest.raises(ParameterError, match=message) as excinfo:
             build_system(model_id, dict(valid, **{parameter: bad}))
         assert excinfo.value.name == parameter
 
@@ -1142,19 +1139,6 @@ def pendulum_problem(n=20, dt=0.02):
     running = [IntegratedActionModel(FreeMechanicalDynamics(pend), costs, dt) for _ in range(n)]
     terminal = TerminalActionModel(pend.state, (StateRegularization(pend.state, [np.pi, 0.0], 10.0, 0),))
     return ShootingProblem(np.array([0.1, 0.0]), running, terminal)
-
-
-def test_rollout_then_evaluate_has_zero_gaps():
-    problem = pendulum_problem()
-    rng = np.random.default_rng(66)
-    U = [rng.uniform(-1.0, 1.0, 1) for _ in range(problem.N)]
-    X = problem.rollout(U)
-    assert len(X) == problem.N + 1
-    np.testing.assert_array_equal(X[0], problem.x0_measured)
-    cost, gaps = problem.calc(X, U)
-    assert cost > 0.0
-    for gap in gaps:
-        np.testing.assert_allclose(gap, np.zeros(2), atol=1e-12)
 
 
 def test_constant_state_guess_without_gravity_has_zero_gaps():

@@ -172,11 +172,6 @@ def test_baumgarte_scalar_arithmetic():
 def test_baumgarte_rejects_wrong_shapes_and_gains():
     with pytest.raises(DimensionMismatch):
         Contact("foot", [0.0], alpha=-1.0)
-    for gain in (np.nan, np.inf):
-        with pytest.raises(DimensionMismatch, match="Baumgarte gains must be finite"):
-            Contact("foot", [0.0], alpha=gain)
-        with pytest.raises(DimensionMismatch, match="Baumgarte gains must be finite"):
-            Contact("foot", [0.0], beta=gain)
     with pytest.raises(DimensionMismatch):
         Contact("foot", [])
     with pytest.raises(DimensionMismatch):
@@ -188,18 +183,15 @@ def test_contact_set_counts_rows():
     assert cs.nf == 3
 
 
-def test_contact_reference_is_a_read_only_copy():
-    reference = np.array([0.0, 0.0])
-    foot = Contact("foot", reference)
-    assert reference.flags.writeable and not foot.reference.flags.writeable
-
-
 def test_contact_set_stacks_its_rows_once():
-    # Frames in contact order, and gains and references row by row, read-only;
-    # the set's Baumgarte target is each contact's, stacked.
-    foot = Contact("foot", [0.1, -0.2], alpha=100.0, beta=20.0)
+    # Frames in contact order, and gains and references row by row, read-only,
+    # as is a contact's own copy of its reference; the set's Baumgarte target
+    # is each contact's, stacked.
+    reference = np.array([0.1, -0.2])
+    foot = Contact("foot", reference, alpha=100.0, beta=20.0)
     hip = Contact("hip", [0.3], alpha=50.0, beta=0.0)
     cs = ContactSet((foot, hip))
+    assert reference.flags.writeable and not foot.reference.flags.writeable
     assert cs.frames == ("foot", "hip")
     np.testing.assert_array_equal(cs.alpha, [100.0, 100.0, 50.0])
     np.testing.assert_array_equal(cs.beta, [20.0, 20.0, 0.0])

@@ -368,6 +368,8 @@ def test_dimension_mismatches_are_rejected():
     # themselves trust their arguments.
     with pytest.raises(DimensionMismatch):
         VectorSpace(3).check_point([1.0, 2.0])
+    with pytest.raises(DimensionMismatch):  # the right size in the wrong shape
+        VectorSpace(2).check_point([[1.0, 2.0]])
     with pytest.raises(DimensionMismatch):
         Rotation2D().check_point([1.0, 0.0])
     with pytest.raises(DimensionMismatch):

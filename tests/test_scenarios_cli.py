@@ -149,6 +149,8 @@ def test_schema_violations_carry_field_locations(tmp_path):
     cases = [
         (lambda d: d.pop("name"), "missing required field 'name'"),
         (lambda d: d.update(horizon=0), "horizon must be >= 1"),
+        # JSON's true is a Python int, not an integer field's value.
+        (lambda d: d.update(horizon=True), r"scenario\.horizon: field 'horizon' must be an integer"),
         (lambda d: d.update(dt=-0.1), "every step size must be > 0"),
         (lambda d: d.update(dt=[0.05] * 3), "dt list must have horizon entries"),
         (lambda d: d.update(x0="origin"), "x0 must be a coordinate list"),
@@ -378,26 +380,6 @@ def test_one_load_and_build_makes_one_system(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def test_more_constraint_rows_than_velocities_are_rejected(tmp_path, capsys):
-    # The pendulum's 2-D tip pin on its one joint can never have full row
-    # rank: the assembly rejects it at the phase or switch that imposes it,
-    # whatever the warm start.
-    pinned = pendulum_doc(phases=[{"start": 0, "end": 10, "contacts": [tip()]}])
-    switched = pendulum_doc(
-        phases=[{"start": 0, "end": 5}, {"start": 5, "end": 10, "contacts": [tip()]}],
-        switches=[{"node": 5}],
-    )
-    for doc, where in ((pinned, r"phases\[0\]\.contacts"), (switched, r"switches\[0\]\.contacts")):
-        message = where + ": 2 constraint rows exceed the model's 1 velocity coordinates"
-        with pytest.raises(ScenarioError, match=message):
-            build_problem(load_scenario(write_doc(tmp_path, doc)))
-        for policy in ("zeros", "quasi_static_interpolation"):
-            path = write_doc(tmp_path, dict(doc, warm_start={"policy": policy}))
-            rc = cli.main(["solve", "--scenario", str(path), "--out", str(tmp_path / "out")])
-            assert rc == EXIT_CONFIG
-            assert re.search("error: " + message, capsys.readouterr().err)
-
-
 def test_monoped_assembly_interleaves_the_impulse_node():
     scenario = load_scenario(bundled_scenario_path("monoped_hop"))
     problem = build_problem(scenario)
@@ -613,29 +595,27 @@ def test_a_failed_quasi_static_warm_start_names_its_node(tmp_path, capsys):
     assert "RuntimeWarning" not in err and not caught
 
 
-def test_an_overflowing_inertia_is_reported_at_its_parameter(tmp_path, capsys):
-    # mass * length^2 overflows though each parameter is finite: the solve
-    # stops at the parameter, not at a warm start or node step that would
-    # meet an infinite inertia, and numpy emits no warning.
-    doc = pendulum_doc(model={"id": "pendulum", "params": {"mass": 1e308, "length": 10.0}})
-    path = str(write_doc(tmp_path, doc))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code = cli.main(["solve", "--scenario", path, "--out", str(tmp_path / "out")])
-    err = capsys.readouterr().err
-    assert code == EXIT_CONFIG
-    assert "error: model.params.mass: mass overflows" in err
-    assert "RuntimeWarning" not in err and not caught
-
-
-def test_lqr_chain_stiffness_is_reported_at_its_parameter(tmp_path, capsys):
-    # Twice 1e308 overflows the chain's diagonal: the fault is the stiffness
-    # the document gives, not the matrix A it has no key for.
-    doc = json.loads(bundled_scenario_path("lqr_chain").read_text())
-    doc["model"]["params"] = {"stiffness": 1e308}
-    path = str(write_doc(tmp_path, doc))
-    assert cli.main(["solve", "--scenario", path, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
-    assert "error: model.params.stiffness: stiffness must be finite" in capsys.readouterr().err
+def test_an_overflowing_derived_constant_is_reported_at_its_parameter(tmp_path, capsys):
+    # mass * length^2 overflows though each parameter is finite, and so does
+    # twice 1e308 on the lqr chain's diagonal: the solve stops at the
+    # parameter the document gives, not at a warm start or node step that
+    # would meet an infinite inertia, nor at the matrix A it has no key for,
+    # and numpy emits no warning.
+    chain = json.loads(bundled_scenario_path("lqr_chain").read_text())
+    chain["model"]["params"] = {"stiffness": 1e308}
+    for doc, message in (
+        (pendulum_doc(model={"id": "pendulum", "params": {"mass": 1e308, "length": 10.0}}),
+         "error: model.params.mass: mass overflows"),
+        (chain, "error: model.params.stiffness: stiffness must be finite"),
+    ):
+        path = str(write_doc(tmp_path, doc))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["solve", "--scenario", path, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert message in err
+        assert "RuntimeWarning" not in err and not caught
 
 
 def test_interpolation_slides_to_a_nominal_terminal_reference(tmp_path):
@@ -895,20 +875,6 @@ def test_cli_solve_solver_override(tmp_path, capsys):
         assert float(r[2]) <= 1e-12
 
 
-def test_cli_solve_iteration_budget_exit(tmp_path, capsys):
-    out = tmp_path / "out"
-    rc = cli.main(
-        ["solve", "--scenario", "pendulum_swingup", "--max-iters", "0", "--out", str(out)]
-    )
-    assert rc == EXIT_MAX_ITERS
-    capsys.readouterr()
-    _, rows = read_csv(out / "trace.csv")
-    assert len(rows) == 1
-    summary = json.loads((out / "summary.json").read_text())
-    assert summary["termination"] == "max_iters"
-    assert summary["iterations"] == 0
-
-
 def test_cli_solve_unwritable_output_exits_io(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("not a directory")
@@ -917,18 +883,6 @@ def test_cli_solve_unwritable_output_exits_io(tmp_path, capsys):
     )
     assert rc == EXIT_IO
     assert "cannot write outputs" in capsys.readouterr().err
-
-
-def test_cli_solve_config_errors(tmp_path, capsys):
-    rc = cli.main(["solve", "--scenario", str(tmp_path / "none.json"), "--out", str(tmp_path)])
-    assert rc == EXIT_CONFIG
-    assert "error:" in capsys.readouterr().err
-
-    rc = cli.main(
-        ["solve", "--scenario", "double_integrator", "--max-iters", "-3", "--out", str(tmp_path)]
-    )
-    assert rc == EXIT_CONFIG
-    capsys.readouterr()
 
 
 def test_cli_usage_errors_exit_config(capsys):
@@ -941,6 +895,7 @@ def test_cli_usage_errors_exit_config(capsys):
 
 
 def test_cli_entry_point_runs_as_a_module(tmp_path):
+    # An exhausted iteration budget exits 2 with the first row written.
     out = tmp_path / "out"
     proc = subprocess.run(
         [
@@ -949,7 +904,7 @@ def test_cli_entry_point_runs_as_a_module(tmp_path):
             "fddp",
             "solve",
             "--scenario",
-            "double_integrator",
+            "pendulum_swingup",
             "--max-iters",
             "0",
             "--out",
@@ -959,7 +914,11 @@ def test_cli_entry_point_runs_as_a_module(tmp_path):
         text=True,
     )
     assert proc.returncode == EXIT_MAX_ITERS
-    assert (out / "trace.csv").exists()
+    _, rows = read_csv(out / "trace.csv")
+    assert len(rows) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["termination"] == "max_iters"
+    assert summary["iterations"] == 0
 
 
 def test_trace_floats_roundtrip_exactly(tmp_path, capsys):
@@ -1030,9 +989,11 @@ def test_a_derivative_corrupted_at_the_last_sample_only_is_caught(monkeypatch):
     assert_audit_flags_only_f_u(monkeypatch, -1)
 
 
-def test_check_derivatives_cli_reports_failures(monkeypatch, capsys):
+@pytest.mark.parametrize("err", [0.5, np.nan])
+def test_check_derivatives_cli_reports_failures(monkeypatch, capsys, err):
+    # A NaN error fails like a large one: every comparison with NaN is false.
     def fake_check(problem, samples=100, seed=0):
-        return [("node 0 (IntegratedActionModel)", "f_u", 0.5)]
+        return [("node 0 (IntegratedActionModel)", "f_u", err)]
 
     monkeypatch.setattr(cli, "check_problem_derivatives", fake_check)
     rc = cli.main(["check-derivatives", "--scenario", "pendulum_swingup"])
@@ -1073,11 +1034,15 @@ def test_check_derivatives_rejects_a_negative_seed(capsys):
     assert "error: --seed must be >= 0" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("tol", ["-1", "0", "nan"])
-def test_cli_solve_rejects_a_tolerance_that_is_not_finite_and_positive(tmp_path, capsys, tol):
-    argv = ["solve", "--scenario", "pendulum_swingup", f"--tol={tol}", "--out", str(tmp_path)]
+@pytest.mark.parametrize(
+    "option, message",
+    [(f"--tol={tol}", "tolerance must be finite and > 0") for tol in ("-1", "0", "nan")]
+    + [("--max-iters=-3", "max_iters must be an integer >= 0")],
+)
+def test_cli_solve_rejects_a_solver_option_out_of_range(tmp_path, capsys, option, message):
+    argv = ["solve", "--scenario", "pendulum_swingup", option, "--out", str(tmp_path)]
     assert cli.main(argv) == EXIT_CONFIG
-    assert "error: tolerance must be finite and > 0" in capsys.readouterr().err
+    assert f"error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "trace.csv").exists()
 
 
@@ -1115,18 +1080,27 @@ def test_unknown_fields_are_rejected_with_their_path(tmp_path, capsys, place, wh
 
 
 def test_dependent_contact_rows_are_rejected_at_assembly(tmp_path, capsys):
+    # The pendulum's 2-D tip pin on its one joint: more rows than velocities.
     # The monoped's foot pinned twice: four rows within its five velocities,
     # but of rank two. Both commands reject the phase or the switch that
     # imposes them, with exit 5 and the field path, whatever the warm start.
+    pinned = pendulum_doc(phases=[{"start": 0, "end": 10, "contacts": [tip()]}])
+    switched = pendulum_doc(
+        phases=[{"start": 0, "end": 5}, {"start": 5, "end": 10, "contacts": [tip()]}],
+        switches=[{"node": 5}],
+    )
     foot = {"frame": "foot", "reference": [0.0, 0.0]}
     monoped = json.loads(bundled_scenario_path("monoped_hop").read_text())
     stance, *rest = monoped["phases"]
     pinned_twice = dict(monoped, phases=[dict(stance, contacts=[foot, foot]), *rest])
     switched_twice = dict(monoped, switches=[dict(monoped["switches"][0], contacts=[foot, foot])])
-    message = "the 4 constraint rows are dependent at the initial configuration"
-    for doc, where in (
-        (pinned_twice, r"phases\[0\]\.contacts"),
-        (switched_twice, r"switches\[0\]\.contacts"),
+    excess = "2 constraint rows exceed the model's 1 velocity coordinates"
+    dependent = "the 4 constraint rows are dependent at the initial configuration"
+    for doc, where, message in (
+        (pinned, r"phases\[0\]\.contacts", excess),
+        (switched, r"switches\[0\]\.contacts", excess),
+        (pinned_twice, r"phases\[0\]\.contacts", dependent),
+        (switched_twice, r"switches\[0\]\.contacts", dependent),
     ):
         with pytest.raises(ScenarioError, match=where + ": " + message):
             build_problem(load_scenario(write_doc(tmp_path, doc)))
