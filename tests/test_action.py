@@ -820,11 +820,15 @@ def test_cost_constructors_check_weight_and_target_shape():
 
 # (argument, constructor from a value of that argument, a valid value): each
 # argument must be finite, whichever entry carries the NaN or infinity.
-# The public classes' arguments are in NUMERIC_CONSTRUCTORS below.
 FINITE_ARGUMENTS = [
+    ("control reference", lambda v: ControlRegularization(1, 1.0, 2, reference=v), [0.0]),
+    ("state reference", lambda v: StateRegularization(VectorSpace(2), v, 1.0, 1), [0.0, 0.0]),
+    ("contact reference", lambda v: Contact("tip", v), [0.0]),
     ("A", lambda v: LinearDynamics(v, [[1.0]]), [[1.0]]),
     ("B", lambda v: LinearDynamics([[1.0]], v), [[1.0]]),
     ("c", lambda v: LinearDynamics([[1.0]], [[1.0]], c=v), [0.0]),
+    ("target", lambda v: ComTracking(PlanarMonoped(), v, 1.0, 10, 2), [0.0, 0.7]),
+    ("x0", lambda v: ShootingProblem(v, *pendulum_models()), [0.1, 0.0]),
 ]
 
 
