@@ -4,9 +4,11 @@ Three dynamics families are wrapped here: free mechanical systems (acceleration
 from the mass matrix and bias forces), mechanical systems with rigid frame
 constraints (acceleration from a KKT solve, see the contact utilities), and
 explicitly linear first-order flows used as solver oracles (a `LinearDynamics`
-system, taken as it is). Mechanical models are discretized with a
-semi-implicit (symplectic) Euler step, linear flows with an explicit Euler
-step so their discrete Jacobians are exact.
+system, taken as it is). Free dynamics are the constrained ones with no
+constraint rows: the two differ in their forward step only, and share one
+derivative formula. Mechanical models are discretized with a semi-implicit
+(symplectic) Euler step, linear flows with an explicit Euler step so their
+discrete Jacobians are exact.
 
 Models are immutable after construction; each evaluation writes into a separate
 data container, so one model can serve many nodes.
@@ -47,10 +49,11 @@ place, through their named views f_x, f_u, l_x, l_u, l_xx, l_xu,
 l_ux (= l_xu^T) and l_uu. Column 0 of `Fz` = [gap | f_x | f_u] is not a
 derivative: the solver's backward pass writes each node's dynamics gap
 there, and no model reads or writes it. Each node's `ActionData` fields of
-those names are views of its row, so per-node readers (the backward pass)
-need no copy, and a caller that keeps a block across two `calc_diff` calls
-must copy it. Every model's `calc_diff` is array
-operations on the whole stack, with no loop over its nodes: contact and
+those names are views of its row, and the backward pass reads the blocks
+through `SolverWorkspace.riccati_rows`, views of the stacks cut once per
+solve, so no reader copies a block, and a caller that keeps a block across
+two `calc_diff` calls must copy it. Every model's `calc_diff` is array
+operations on the whole stack, with no loop over its nodes: mechanical and
 impulse models make one stacked KKT elimination for all of them. Constant
 blocks (identity parts, linear-flow Jacobians) are built once, in the
 constructors.
@@ -157,9 +160,11 @@ class ActionData(_DerivativeBlocks):
 
 
 class DifferentialDynamics:
-    """Base for second-order dynamics: acceleration(x, u) plus its partials."""
+    """Base for second-order dynamics: acceleration(x, u) plus its partials,
+    one formula for contact dynamics and free ones (`contacts` None)."""
 
     system: MechanicalSystem
+    contacts: ContactSet | None = None
 
     def __init__(self, system: MechanicalSystem):
         self.system = system
@@ -173,7 +178,41 @@ class DifferentialDynamics:
     def partials(self, stack: ActionDataStack, X, U):
         """Stacked tangent-space partials (a_q, a_v, a_u), each (n, nv, ·), of
         the n nodes of `stack`, from the solutions in stack.dyn."""
-        raise NotImplementedError
+        # Total derivatives of the two KKT rows at the solution, holding
+        # (vdot, force) fixed:
+        #   d/dx [tau_b - M vdot + Jc^T force] and d/dx [a0 + Jc vdot],
+        # with a0 = drift - alpha (reference - placement) - beta Jc v, all
+        # evaluated for the whole stack; one stacked elimination turns the
+        # rows into Jacobians of the solution. Without contacts Jc is
+        # (n, 0, nv) and the elimination is one solve with M.
+        sys = self.system
+        n, nv = len(X), sys.nv
+        q, v = X[:, : sys.nq], X[:, sys.nq :]
+        vdot = stack.dyn[0]
+        bq, bv = sys.bias_partials(q, v)
+        dtau_dq = -(bq + sys.inertia_contraction_partial(q, vdot))
+        jacobians, da0_dx = [np.zeros((n, 0, nv))], [np.zeros((n, 0, 2 * nv))]
+        for contact, rows in _contact_rows(self.contacts):
+            J = _per_node(sys.frame_jacobian(q, contact.frame), n)
+            # d(Jc vdot)/dq - beta d(Jc v)/dq is linear in the fixed vector.
+            jw_q, jtf_q, drift_q, drift_v = sys.frame_partials(
+                q, v, vdot - contact.beta * v, stack.dyn[1][:, rows], contact.frame
+            )
+            dtau_dq += jtf_q
+            jacobians.append(J)
+            da0_dx.append(
+                np.concatenate([drift_q + contact.alpha * J + jw_q, drift_v - contact.beta * J], -1)
+            )
+        Jc = np.concatenate(jacobians, -2)
+        a_x, a_u = contact_dynamics_derivatives(
+            sys.mass_matrix(q),
+            Jc,
+            np.concatenate([dtau_dq, -bv], -1),
+            _per_node(sys.actuation(), n),
+            np.concatenate(da0_dx, -2),
+            np.zeros(Jc.shape[:-1] + (self.nu,)),
+        )
+        return a_x[..., :nv], a_x[..., nv:], a_u
 
 
 class FreeMechanicalDynamics(DifferentialDynamics):
@@ -211,19 +250,6 @@ class FreeMechanicalDynamics(DifferentialDynamics):
         data.dyn[0][:] = vdot
         return vdot
 
-    def partials(self, stack, X, U):
-        # M a_x = -(d bias/dx + d(M vdot)/dx) and M a_u = S, for all nodes in
-        # one batched solve on the stacked mass matrices.
-        sys = self.system
-        nq, nv = sys.nq, sys.nv
-        q, v = X[:, :nq], X[:, nq:]
-        vdot = stack.dyn[0]
-        bq, bv = sys.bias_partials(q, v)
-        mc = sys.inertia_contraction_partial(q, vdot)
-        actuation = np.broadcast_to(sys.actuation(), bq.shape[:-1] + (self.nu,))
-        a = np.linalg.solve(sys.mass_matrix(q), np.concatenate([-(bq + mc), -bv, actuation], -1))
-        return a[..., :nv], a[..., nv : 2 * nv], a[..., 2 * nv :]
-
 
 class ConstrainedMechanicalDynamics(DifferentialDynamics):
     """Acceleration under rigid frame constraints, via the primal-dual solve.
@@ -235,13 +261,9 @@ class ConstrainedMechanicalDynamics(DifferentialDynamics):
 
     def __init__(self, system: MechanicalSystem, contacts: ContactSet):
         super().__init__(system)
+        _check_frames(system, contacts, "contact")
         self.contacts = contacts
         self.dyn_sizes = (system.nv, contacts.nf)
-        for contact in contacts.contacts:
-            if contact.frame not in system.frames:
-                raise DimensionMismatch(
-                    f"system has no frame {contact.frame!r} for contact"
-                )
 
     def acceleration(self, x, u, data):
         sys = self.system
@@ -253,45 +275,18 @@ class ConstrainedMechanicalDynamics(DifferentialDynamics):
         data.dyn[1][:] = force
         return vdot
 
-    def partials(self, stack, X, U):
-        # Total derivatives of the two KKT rows at the solution, holding
-        # (vdot, force) fixed:
-        #   d/dx [tau_b - M vdot + Jc^T force] and d/dx [a0 + Jc vdot],
-        # with a0 = drift - alpha (reference - placement) - beta Jc v, all
-        # evaluated for the whole stack; one stacked elimination turns the
-        # rows into Jacobians of the solution.
-        sys = self.system
-        n, nv = len(X), sys.nv
-        q, v = X[:, : sys.nq], X[:, sys.nq :]
-        vdot, force = stack.dyn
-        bq, bv = sys.bias_partials(q, v)
-        dtau_dq = -(bq + sys.inertia_contraction_partial(q, vdot))
-        jacobians, da0_dq, da0_dv = [], [], []
-        for contact, rows in _contact_rows(self.contacts):
-            J = _per_node(sys.frame_jacobian(q, contact.frame), n)
-            # d(Jc vdot)/dq - beta d(Jc v)/dq is linear in the fixed vector.
-            jw_q, jtf_q, drift_q, drift_v = sys.frame_partials(
-                q, v, vdot - contact.beta * v, force[:, rows], contact.frame
-            )
-            dtau_dq += jtf_q
-            jacobians.append(J)
-            da0_dq.append(drift_q + contact.alpha * J + jw_q)
-            da0_dv.append(drift_v - contact.beta * J)
-        a_x, a_u = contact_dynamics_derivatives(
-            _per_node(sys.mass_matrix(q), n),
-            np.concatenate(jacobians, -2),
-            np.concatenate([dtau_dq, -bv], -1),
-            _per_node(sys.actuation(), n),
-            np.concatenate([np.concatenate(da0_dq, -2), np.concatenate(da0_dv, -2)], -1),
-            np.zeros((n, self.contacts.nf, self.nu)),
-        )
-        return a_x[..., :nv], a_x[..., nv:], a_u
 
-
-def _contact_rows(contacts: ContactSet):
-    """Each contact and the slice of its rows in the stacked constraint."""
-    row = 0
+def _check_frames(system: MechanicalSystem, contacts: ContactSet, what: str) -> None:
+    """Raise unless the system has the frame of every contact."""
     for contact in contacts.contacts:
+        if contact.frame not in system.frames:
+            raise DimensionMismatch(f"system has no frame {contact.frame!r} for {what}")
+
+
+def _contact_rows(contacts: ContactSet | None):
+    """Each contact (none for None) and the slice of its rows in the stacked constraint."""
+    row = 0
+    for contact in () if contacts is None else contacts.contacts:
         yield contact, slice(row, row + contact.nf)
         row += contact.nf
 
@@ -479,17 +474,13 @@ class ImpulseActionModel(ActionModelBase):
         super().__init__(system.state, 0, costs)
         if not 0.0 <= restitution <= 1.0:
             raise DimensionMismatch(f"restitution must lie in [0, 1], got {restitution}")
+        _check_frames(system, contacts, "impulse")
         self.system = system
         self.contacts = contacts
         self.restitution = float(restitution)
         self.dyn_sizes = (system.nv, contacts.nf)
         # The configuration rows of f_x: q passes the impact unchanged.
         self._f_x_q = np.eye(system.nv, self.ndx)
-        for contact in contacts.contacts:
-            if contact.frame not in system.frames:
-                raise DimensionMismatch(
-                    f"system has no frame {contact.frame!r} for impulse"
-                )
 
     def calc(self, data, x, u=_NO_CONTROL):
         sys = self.system
@@ -579,7 +570,7 @@ def _rest_acceleration(model, q):
     r0 is its `dyn[0]` and A comes from `partials`.
     """
     dynamics, n, nu = model.dynamics, len(q), model.nu
-    sys, contacts = dynamics.system, getattr(dynamics, "contacts", None)
+    sys, contacts = dynamics.system, dynamics.contacts
     v = np.zeros((n, sys.nv))
     with np.errstate(all="ignore"):
         M, bias, placement, Jc, drift = sys.forward_terms(q, v, contacts.frames if contacts else ())

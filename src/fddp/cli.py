@@ -7,8 +7,8 @@ Two subcommands share the scenario loader:
   ``solution.csv`` (per-node state and control coordinates) and
   ``summary.json`` into the output directory.
 * ``check-derivatives`` compares every distinct node model's analytic
-  derivative blocks (f_x, f_u, l_x, l_u) against central finite differences
-  at seeded random points.
+  derivative blocks (f_x, f_u, l_x, l_u and the cost Hessian blocks l_xx,
+  l_xu, l_uu) against central finite differences at seeded random points.
 
 Timings live in the benchmark harness (``perfbench/``), not here.
 
@@ -209,14 +209,19 @@ def check_problem_derivatives(problem, samples: int = 100, seed: int = 0):
     (tangent perturbations of the measured initial state, standard-normal
     controls) and differentiates them as one stack: one `calc_stack` (the
     node step the solver runs, node by node) and one `calc_diff` give the
-    analytic f_x, f_u, l_x, l_u blocks of all of them, and each perturbation
-    of a central difference with step `numdiff.STEP` (1e-6) costs one
-    `calc_stack` (f_x, f_u) or one stacked `model.cost` (l_x, l_u) over all
-    samples. The error metric per block is the max over samples of
+    analytic blocks of all of them, and each perturbation of a central
+    difference with step `numdiff.STEP` (1e-6) costs one `calc_stack`
+    (f_x, f_u), one stacked `model.cost` (l_x, l_u) or one stacked
+    `term.residual` of each cost term over all samples. Every cost term is
+    Gauss-Newton, so the Hessian blocks l_xx, l_xu and l_uu are compared
+    with cost_scale * sum over the terms of weight * r_a^T r_b, from the
+    differences of each term's residual in x (through the state manifold)
+    and in u. The error metric per block is the max over samples of
     max|analytic - fd| / max(1, max|fd|).
 
     Returns a list of (label, block, max_relative_error) triples, one per
-    derivative block of each distinct model.
+    derivative block of each distinct model; a model without controls has
+    no f_u, l_u, l_xu or l_uu.
     """
     state = problem.state
     rng = np.random.default_rng(seed)
@@ -238,16 +243,25 @@ def check_problem_derivatives(problem, samples: int = 100, seed: int = 0):
         def next_states(Xv, Uv):
             return model.calc_stack(stack, Xv, Uv).xnext.copy()
 
+        ndx = state.ndx
+        l_zz = np.zeros((samples, ndx + model.nu, ndx + model.nu))
+        for term in model.costs:
+            r_z = numdiff.jacobian(lambda Xv: term.residual(Xv, U), X, input_manifold=state)
+            if model.nu:
+                r_z = np.concatenate([r_z, numdiff.jacobian(lambda Uv: term.residual(X, Uv), U)], -1)
+            l_zz += model.cost_scale * term.weight * (np.swapaxes(r_z, -1, -2) @ r_z)
         fd = {
             "f_x": numdiff.jacobian(
                 lambda Xv: next_states(Xv, U), X, input_manifold=state, output_manifold=state
             ),
             "l_x": numdiff.jacobian(lambda Xv: model.cost(Xv, U)[:, None], X, input_manifold=state)[:, 0],
+            "l_xx": l_zz[:, :ndx, :ndx],
         }
         if model.nu:
             fd["f_u"] = numdiff.jacobian(lambda Uv: next_states(X, Uv), U, output_manifold=state)
             fd["l_u"] = numdiff.jacobian(lambda Uv: model.cost(X, Uv)[:, None], U)[:, 0]
-        for name in ("f_x", "f_u", "l_x", "l_u"):
+            fd["l_xu"], fd["l_uu"] = l_zz[:, :ndx, ndx:], l_zz[:, ndx:, ndx:]
+        for name in ("f_x", "f_u", "l_x", "l_u", "l_xx", "l_xu", "l_uu"):
             if name in fd:
                 approx = fd[name].reshape(samples, -1)
                 err = np.abs(getattr(stack, name).reshape(samples, -1) - approx).max(1, initial=0.0)
@@ -283,7 +297,8 @@ def cmd_check_derivatives(args) -> int:
         if not ok:
             failed.append((label, block, err))
     if failed:
-        worst = max(failed, key=lambda t: t[2])
+        # A non-finite error ranks above every finite one.
+        worst = max(failed, key=lambda t: (not np.isfinite(t[2]), t[2]))
         print(
             f"derivative check failed: {len(failed)} block(s) over {DERIVATIVE_TOLERANCE:g}, "
             f"worst {worst[0]} {worst[1]} at {worst[2]:.3e}",

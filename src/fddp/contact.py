@@ -19,7 +19,8 @@ importing it through `scipy.linalg` would run that whole package, which
 costs more memory and import time than a solve needs. The derivatives
 take a stack of n nodes that the forward solves have already checked, and
 eliminate all of them at once (`_kkt_solve_stacked`): two batched LU solves,
-one with M and one with Mhat, for all right-hand-side columns of all nodes.
+one with M and one with Mhat (none for free nodes, which have no constraint
+rows), for all right-hand-side columns of all nodes.
 
 Sign conventions, fixed once for the whole library:
   forward dynamics   M vdot - Jc^T force   = tau_b,   Jc vdot   = -a0
@@ -252,12 +253,15 @@ def _kkt_solve_stacked(M, Jc, b1, b2):
     the multipliers z = Mhat^-1 (Jc M^-1 b1 - b2), and w = M^-1 b1 -
     M^-1 Jc^T z. Nothing is checked: the derivatives take stacks whose
     forward solves have passed, and `_kkt_solve_checked` tests the others.
-    nf = 0 rows make it one solve with M, equal to np.linalg.solve(M, b1).
+    With nf = 0 rows (free dynamics) it returns after the solve with M,
+    w = np.linalg.solve(M, b1), with z and Mhat empty.
     """
     nf = Jc.shape[-2]
     solved = np.linalg.solve(M, np.concatenate([np.swapaxes(Jc, -1, -2), b1], axis=-1))
     minv_jt, minv_b1 = solved[..., :nf], solved[..., nf:]
     mhat = Jc @ minv_jt
+    if nf == 0:
+        return minv_b1, b2, mhat
     z = np.linalg.solve(mhat, Jc @ minv_b1 - b2)
     return minv_b1 - minv_jt @ z, z, mhat
 
@@ -291,10 +295,11 @@ def _stack_finite(*arrays) -> bool:
 
 
 def contact_dynamics_derivatives(M, Jc, dtau_dx, dtau_du, da0_dx, da0_du):
-    """Jacobian blocks (y_x, y_u) of vdot for a stack of n contact nodes.
+    """Jacobian blocks (y_x, y_u) of vdot for a stack of n contact nodes, or
+    free ones (nf = 0).
 
-    M (n, nv, nv) and Jc (n, nf, nv) are each node's inertia and constraint
-    Jacobian. The input partials, (n, nv, ·) and (n, nf, ·), are total
+    M (n, nv, nv), or one (nv, nv) for all nodes, and Jc (n, nf, nv) are
+    each node's inertia and constraint Jacobian. The input partials, (n, nv, ·) and (n, nf, ·), are total
     derivatives of the two KKT rows at the solution, holding (vdot, force)
     fixed:
 

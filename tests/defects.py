@@ -285,9 +285,16 @@ CATALOGUE = {
         ),
         (
             "baumgarte_velocity_partial_sign",
-            "da0_dv.append(drift_v - contact.beta * J)",
-            "da0_dv.append(drift_v + contact.beta * J)",
+            "drift_v - contact.beta * J], -1)",
+            "drift_v + contact.beta * J], -1)",
             "the contact derivative has the wrong sign on the Baumgarte velocity gain",
+        ),
+        (
+            "bias_velocity_column_sign",
+            "np.concatenate([dtau_dq, -bv], -1)",
+            "np.concatenate([dtau_dq, bv], -1)",
+            "the shared KKT-row derivative takes d bias/dv with the wrong sign, free and contact "
+            "dynamics alike",
         ),
         (
             "impulse_closure_restitution_dropped",
@@ -323,9 +330,14 @@ CATALOGUE = {
         ),
         (
             "gap_landing_gather_off_by_one",
-            "landed[lo + 1 : hi + 1] = stack.xnext",
-            "landed[lo:hi] = stack.xnext",
-            "the gaps compare each run's landing points with the states one node early",
+            "landed[0] = self.x0_measured\n"
+            "        for (_, lo, hi), stack in zip(self.runs, self.stacks):\n"
+            "            landed[lo + 1 : hi + 1] = stack.xnext",
+            "landed[-1] = self.x0_measured\n"
+            "        for (_, lo, hi), stack in zip(self.runs, self.stacks):\n"
+            "            landed[lo:hi] = stack.xnext",
+            "the gaps compare each run's landing points with the states one node early, and the "
+            "measured state with the last",
         ),
         (
             "terminal_cost_dropped",

@@ -13,7 +13,7 @@ import time
 import numpy as np
 
 from fddp.action import IntegratedActionModel, TerminalActionModel
-from fddp.cli import check_problem_derivatives, main as cli_main
+from fddp.cli import DERIVATIVE_TOLERANCE, check_problem_derivatives, main as cli_main
 from fddp.contact import impulse_dynamics
 from fddp.costs import ControlRegularization, StateRegularization
 from fddp.problem import ShootingProblem, gap_l2_norm
@@ -191,20 +191,22 @@ def test_criterion_4_lqr_one_shot_optimality():
 def test_criterion_5_derivative_suite():
     t0 = time.perf_counter()
     worst = 0.0
-    blocks = 0
+    blocks = failed = 0
     for name in BUNDLED_SCENARIOS:
         _, problem, _, _ = bundled(name)
         for _, _, err in check_problem_derivatives(problem, samples=100, seed=0):
+            # Each block decides apart, so a NaN error fails (max drops it).
+            failed += not err <= DERIVATIVE_TOLERANCE
             worst = max(worst, err)
             blocks += 1
     wall = time.perf_counter() - t0
-    ok = worst <= 1e-4 and wall < 60.0
+    ok = not failed and wall < 60.0
     report_line(
         5,
         "derivative suite",
         ok,
         f"{blocks} blocks across {len(BUNDLED_SCENARIOS)} scenarios, "
-        f"worst relative error {worst:.2e}, {wall:.1f}s",
+        f"{failed} over {DERIVATIVE_TOLERANCE:g}, worst relative error {worst:.2e}, {wall:.1f}s",
     )
     assert ok
 

@@ -287,6 +287,28 @@ RULES = {
             ),
         ),
     ),
+    "One derivative formula for mechanical dynamics": (
+        "DifferentialDynamics.partials differentiates the KKT rows of free and contact "
+        "dynamics alike: free dynamics have no constraint rows, and the stacked elimination "
+        "(contact._kkt_solve_stacked) then makes one solve with M. A partials of each dynamics "
+        "class, with the free one's own solve with M, must not come back; the one "
+        "np.linalg.solve left in action.py is the warm start's normal equations.",
+        (
+            Check(f"{LIBRARY}/action.py", bre("def partials("), "def partials(self, stack, X, U):", count=1),
+            Check(
+                f"{LIBRARY}/action.py",
+                bre("np.linalg.solve("),
+                "a = np.linalg.solve(sys.mass_matrix(q), rhs)",
+                count=1,
+            ),
+            Check(
+                f"{LIBRARY}/action.py::quasi_static_control",
+                bre("np.linalg.solve("),
+                "a = np.linalg.solve(sys.mass_matrix(q), rhs)",
+                count=1,
+            ),
+        ),
+    ),
     "Riccati rows and scratch cut once per solve": (
         "backward_pass reads each node's [f_x | f_u]^T from SolverWorkspace.riccati_rows, cut "
         "once from the problem's one data set when the workspace is built, and writes its "

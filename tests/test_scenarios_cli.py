@@ -22,6 +22,7 @@ from fddp.action import (
     quasi_static_control,
 )
 from fddp.cli import (
+    DERIVATIVE_TOLERANCE,
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
     EXIT_CONVERGED,
@@ -957,9 +958,10 @@ def test_check_derivatives_is_exact_on_linear_dynamics(capsys):
             assert err <= 1e-9, (label, block, err)
 
 
-def assert_audit_flags_only_f_u(monkeypatch, rows):
-    """Audit pendulum_swingup at three samples with its first model's f_u
-    raised by 1 at the stack's `rows`: only the f_u blocks may fail."""
+def assert_audit_flags_only(monkeypatch, name, rows, change=1.0):
+    """Audit pendulum_swingup at three samples with its first model's block
+    `name` changed by `change` at the stack's `rows`: that block fails (a
+    NaN error fails too) and no other does."""
     scenario = load_scenario(bundled_scenario_path("pendulum_swingup"))
     problem = build_problem(scenario)
     model = problem.running_models[0]
@@ -967,40 +969,52 @@ def assert_audit_flags_only_f_u(monkeypatch, rows):
 
     def corrupted_calc_diff(stack, X, U):
         calc_diff(stack, X, U)
-        stack.f_u[rows] += 1.0
+        getattr(stack, name)[rows] += change
         return stack
 
     monkeypatch.setattr(model, "calc_diff", corrupted_calc_diff)
     results = check_problem_derivatives(problem, samples=3, seed=0)
-    by_block = {(label, block): err for label, block, err in results}
-    bad = [err for (label, block), err in by_block.items() if block == "f_u"]
-    assert max(bad) > 1e-4
-    clean = [err for (label, block), err in by_block.items() if block != "f_u"]
-    assert max(clean) <= 1e-4
+    bad = [err for _, block, err in results if block == name]
+    assert bad and not all(err <= DERIVATIVE_TOLERANCE for err in bad)
+    assert all(err <= DERIVATIVE_TOLERANCE for _, block, err in results if block != name)
 
 
 def test_corrupted_derivative_is_caught(monkeypatch):
-    assert_audit_flags_only_f_u(monkeypatch, slice(None))
+    assert_audit_flags_only(monkeypatch, "f_u", slice(None))
 
 
 def test_a_derivative_corrupted_at_the_last_sample_only_is_caught(monkeypatch):
     # The audit differentiates the samples as one stack: it must read every
     # sample's error, not only the first one's.
-    assert_audit_flags_only_f_u(monkeypatch, -1)
+    assert_audit_flags_only(monkeypatch, "f_u", -1)
 
 
-@pytest.mark.parametrize("err", [0.5, np.nan])
-def test_check_derivatives_cli_reports_failures(monkeypatch, capsys, err):
+@pytest.mark.parametrize("change", [1.0, np.nan])
+def test_a_control_hessian_corrupted_at_the_last_sample_only_is_caught(monkeypatch, change):
+    # The audit checks the Hessian blocks the backward pass reads, at every
+    # sample, and a NaN there fails like a large error.
+    assert_audit_flags_only(monkeypatch, "l_uu", -1, change)
+
+
+@pytest.mark.parametrize(
+    "errors, worst",
+    [((0.5,), "f_u at 5.000e-01"), ((np.nan,), "f_u at nan"), ((0.5, np.nan), "l_u at nan")],
+    ids=["0.5", "nan", "0.5-nan"],
+)
+def test_check_derivatives_cli_reports_failures(monkeypatch, capsys, errors, worst):
     # A NaN error fails like a large one: every comparison with NaN is false.
+    # The summary names a NaN block as the worst, wherever it comes.
     def fake_check(problem, samples=100, seed=0):
-        return [("node 0 (IntegratedActionModel)", "f_u", err)]
+        blocks = zip(("f_u", "l_u"), errors)
+        return [("node 0 (IntegratedActionModel)", block, err) for block, err in blocks]
 
     monkeypatch.setattr(cli, "check_problem_derivatives", fake_check)
     rc = cli.main(["check-derivatives", "--scenario", "pendulum_swingup"])
     assert rc == EXIT_CHECK_FAILED
     captured = capsys.readouterr()
-    assert "FAIL" in captured.out
-    assert "f_u" in captured.err
+    assert captured.out.count("FAIL") == len(errors)
+    assert f"{len(errors)} block(s) over" in captured.err
+    assert f"worst node 0 (IntegratedActionModel) {worst}" in captured.err
 
 
 def test_check_derivatives_bad_scenario_exits_config(tmp_path, capsys):
