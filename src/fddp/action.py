@@ -40,9 +40,12 @@ in an `ActionDataStack` at once, reading the solutions in `stack.dyn`; it
 must follow `calc_stack`, or `calc` on each node, at the same points (the
 terminal model's reads nothing of them, so the solve never calls its
 `calc`).
-Constructors check their arguments; `calc`, `calc_stack`, `cost` and
-`calc_diff` do not, as the entry points (`ShootingProblem.check_trajectories`,
-the scenario loader) guarantee the shapes.
+Constructors check their arguments, a contact or impulse model its contact
+set against its system (`check_contacts`: each frame, each reference's
+size, and no more rows than velocities, so no pendulum tip pin is built);
+`calc`, `calc_stack`, `cost` and `calc_diff` do not, as the entry points
+(`ShootingProblem.check_trajectories`, the scenario loader) guarantee the
+shapes.
 
 `calc_diff` overwrites the stacks `Fz` and `Lz` of `ActionDataStack` in
 place, through their named views f_x, f_u, l_x, l_u, l_xx, l_xu,
@@ -66,6 +69,7 @@ from functools import cached_property
 import numpy as np
 
 from .contact import (
+    Contact,
     ContactSet,
     _all_finite,
     _cholesky,
@@ -78,7 +82,7 @@ from .contact import (
     impulse_dynamics_derivatives,
 )
 from .costs import CostTerm
-from .errors import DimensionMismatch, FddpError, NumericalFailure, finite
+from .errors import DimensionMismatch, FddpError, NumericalFailure, RankDeficientConstraint, finite
 from .manifolds import Manifold
 from .systems import LinearDynamics, MechanicalSystem
 
@@ -261,7 +265,7 @@ class ConstrainedMechanicalDynamics(DifferentialDynamics):
 
     def __init__(self, system: MechanicalSystem, contacts: ContactSet):
         super().__init__(system)
-        _check_frames(system, contacts, "contact")
+        check_contacts(system, contacts)
         self.contacts = contacts
         self.dyn_sizes = (system.nv, contacts.nf)
 
@@ -276,11 +280,34 @@ class ConstrainedMechanicalDynamics(DifferentialDynamics):
         return vdot
 
 
-def _check_frames(system: MechanicalSystem, contacts: ContactSet, what: str) -> None:
-    """Raise unless the system has the frame of every contact."""
+def check_contacts(system, contacts: ContactSet) -> None:
+    """Raise unless `system` can hold the contact set: `DimensionMismatch`
+    for a system that is not mechanical (a linear flow) or a contact that
+    `check_contact` rejects, `RankDeficientConstraint` for more constraint
+    rows than velocity coordinates, which are dependent at every
+    configuration. The contact models check their set when they are built;
+    the scenario loader each set it imposes, each contact where it is read."""
+    if not isinstance(system, MechanicalSystem):
+        raise DimensionMismatch("contacts require a mechanical model")
     for contact in contacts.contacts:
-        if contact.frame not in system.frames:
-            raise DimensionMismatch(f"system has no frame {contact.frame!r} for {what}")
+        check_contact(system, contact)
+    if contacts.nf > system.nv:
+        raise RankDeficientConstraint(
+            f"{contacts.nf} constraint rows exceed the model's {system.nv} "
+            "velocity coordinates, so the rows are dependent"
+        )
+
+
+def check_contact(system: MechanicalSystem, contact: Contact) -> None:
+    """Raise `DimensionMismatch` unless the system has the contact's frame
+    and the contact's reference has the size of that frame's placement."""
+    if contact.frame not in system.frames:
+        raise DimensionMismatch(f"system has no frame {contact.frame!r}")
+    size = system.frame_placement(np.zeros(system.nq), contact.frame).size
+    if contact.nf != size:
+        raise DimensionMismatch(
+            f"frame {contact.frame!r} has {size} coordinates, the reference {contact.nf}"
+        )
 
 
 def _contact_rows(contacts: ContactSet | None):
@@ -474,7 +501,7 @@ class ImpulseActionModel(ActionModelBase):
         super().__init__(system.state, 0, costs)
         if not 0.0 <= restitution <= 1.0:
             raise DimensionMismatch(f"restitution must lie in [0, 1], got {restitution}")
-        _check_frames(system, contacts, "impulse")
+        check_contacts(system, contacts)
         self.system = system
         self.contacts = contacts
         self.restitution = float(restitution)

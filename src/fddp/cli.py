@@ -14,7 +14,9 @@ Timings live in the benchmark harness (``perfbench/``), not here.
 
 Exit codes: 0 converged / all checks passed, 1 derivative check failed,
 2 iteration budget exhausted, 3 solver failure, 4 I/O error, 5 configuration
-or validation error (including a malformed command line).
+or validation error (including a malformed command line). `main` is the one
+error boundary: a library error (`FddpError`) that a command raises is
+printed as ``error: <message>`` and exits 5.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import numdiff
-from .errors import DimensionMismatch, FddpError
+from .errors import FddpError
 from .scenarios import (
     BUNDLED_SCENARIOS,
     build_problem,
@@ -120,38 +122,24 @@ def write_solution_csv(path, problem, X, U) -> None:
 
 
 def _solver_settings(scenario, args) -> dict:
+    """The scenario's solver options (solver, max_iters, tolerance: the
+    keyword arguments of `solve`), overridden by the command line's."""
     opts = dict(scenario.solver_options)
-    if getattr(args, "solver", None):
+    if args.solver:
         opts["solver"] = args.solver
-    if getattr(args, "max_iters", None) is not None:
+    if args.max_iters is not None:
         opts["max_iters"] = args.max_iters
-    if getattr(args, "tol", None) is not None:
+    if args.tol is not None:
         opts["tolerance"] = args.tol
     return opts
 
 
 def cmd_solve(args) -> int:
-    try:
-        scenario, problem, X0, U0 = load_and_build(_resolve_scenario_path(args.scenario))
-    except FddpError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
+    scenario, problem, X0, U0 = load_and_build(_resolve_scenario_path(args.scenario))
     opts = _solver_settings(scenario, args)
-    try:
-        t0 = time.perf_counter()
-        X, U, report = solve(
-            problem,
-            X0,
-            U0,
-            solver=opts["solver"],
-            max_iters=opts["max_iters"],
-            tolerance=opts["tolerance"],
-        )
-        wall = time.perf_counter() - t0
-    except DimensionMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    t0 = time.perf_counter()
+    X, U, report = solve(problem, X0, U0, **opts)
+    wall = time.perf_counter() - t0
 
     out_dir = Path(args.out)
     summary = {
@@ -277,18 +265,8 @@ def cmd_check_derivatives(args) -> int:
     if args.seed < 0:
         print("error: --seed must be >= 0", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        scenario = load_scenario(_resolve_scenario_path(args.scenario))
-        problem = build_problem(scenario)
-    except FddpError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
-        results = check_problem_derivatives(problem, samples=args.samples, seed=args.seed)
-    except FddpError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    scenario = load_scenario(_resolve_scenario_path(args.scenario))
+    results = check_problem_derivatives(build_problem(scenario), samples=args.samples, seed=args.seed)
     failed = []
     for label, block, err in results:
         ok = err <= DERIVATIVE_TOLERANCE  # false for NaN: a NaN error fails
@@ -348,7 +326,11 @@ def main(argv=None) -> int:
         # argparse has printed the usage message; its status 2 for a usage
         # error would read here as "iteration budget exhausted".
         return EXIT_CONFIG if exc.code == 2 else exc.code
-    return args.func(args)
+    try:
+        return args.func(args)
+    except FddpError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -28,6 +28,8 @@ from .action import (
     ImpulseActionModel,
     IntegratedActionModel,
     TerminalActionModel,
+    check_contact,
+    check_contacts,
     quasi_static_control,
 )
 from .contact import Contact, ContactSet, _factorize
@@ -271,7 +273,8 @@ def _read_x0(data: dict, system) -> np.ndarray:
 
 def _read_contacts(value, where: str, system, x0) -> ContactSet | None:
     """A phase's or switch's 'contacts' list as its contact set (None when
-    empty), references resolved at the initial configuration."""
+    empty), references resolved at the initial configuration, each contact
+    checked against the system (`check_contact`) where it is read."""
     entries = _list(value, "contacts", where)
     if entries and isinstance(system, LinearDynamics):
         raise ScenarioError("contacts/switches require a mechanical model", location=where)
@@ -282,11 +285,6 @@ def _read_contacts(value, where: str, system, x0) -> ContactSet | None:
         frame = _frame(entry, loc, system)
         placement = system.frame_placement(system.split_state(x0)[0], frame)
         reference = _reference(entry, loc, {"initial": lambda: placement})
-        if reference.shape != placement.shape:
-            raise ScenarioError(
-                f"frame {frame!r} has {placement.size} coordinates, the reference {reference.size}",
-                location=f"{loc}.reference",
-            )
         gains = {}
         for gain in ("alpha", "beta"):
             if gain in entry:
@@ -295,21 +293,24 @@ def _read_contacts(value, where: str, system, x0) -> ContactSet | None:
                     raise ScenarioError(
                         f"contact gain {gain} must be >= 0", location=f"{loc}.{gain}"
                     )
-        contacts.append(Contact(frame, reference, **gains))
+        try:  # the gains are checked: only the reference can be at fault
+            contacts.append(Contact(frame, reference, **gains))
+            check_contact(system, contacts[-1])
+        except DimensionMismatch as exc:
+            raise ScenarioError(str(exc), location=f"{loc}.reference") from exc
     return ContactSet(tuple(contacts)) if contacts else None
 
 
 def _check_rows(contacts: ContactSet, where: str, system, x0) -> None:
-    """Reject a contact set whose rows are dependent at the initial
-    configuration (more rows than velocity coordinates, or one frame pinned
-    twice), by the factorization the contact dynamics run, rather than
-    failing the first evaluation that meets it."""
-    if contacts.nf > system.nv:
-        raise ScenarioError(
-            f"{contacts.nf} constraint rows exceed the model's {system.nv} "
-            "velocity coordinates, so the rows are dependent",
-            location=where,
-        )
+    """Reject a contact set the system cannot hold (`check_contacts`: more
+    rows than velocity coordinates) or whose rows are dependent at the
+    initial configuration (one frame pinned twice), by the factorization the
+    contact dynamics run, rather than failing the first evaluation that
+    meets it."""
+    try:
+        check_contacts(system, contacts)
+    except FactorizationError as exc:  # the contacts were checked where they were read
+        raise ScenarioError(str(exc), location=where) from exc
     q0 = system.split_state(x0)[0]
     M, _, _, jacobian, _ = system.forward_terms(q0, np.zeros(system.nv), contacts.frames)
     try:
@@ -383,8 +384,6 @@ def _read_timeline(data: dict, horizon: int, system, x0):
         restitution = _number(entry.get("restitution", 0.0), "restitution", f"{loc}.restitution")
         if not 0.0 <= restitution <= 1.0:
             raise ScenarioError("restitution must lie in [0, 1]", location=f"{loc}.restitution")
-        if isinstance(system, LinearDynamics):
-            raise ScenarioError("contacts/switches require a mechanical model", location=loc)
         if "contacts" in entry:
             contacts = _read_contacts(entry["contacts"], f"{loc}.contacts", system, x0)
         else:

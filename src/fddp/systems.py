@@ -11,9 +11,11 @@ on a floating or a welded base, each term constant coefficients times a
 trigonometric basis of the leg angles.
 
 Every system also gives the closed-form partials that the action models
-need: the bias partials, the inertia contraction d(M w)/dq, and for each frame
-the contact partials d(J w)/dq, d(J^T f)/dq and the drift partials (after
-Carpentier & Mansard, "Analytical derivatives of rigid body dynamics
+need: the bias partials and the inertia contraction d(M w)/dq. Only a leg
+holds contacts (`action.check_contacts` rejects a pendulum's tip pin, two
+rows on one velocity, when its model is built), so only a leg gives the
+contact partials d(J w)/dq, d(J^T f)/dq and the drift partials of a frame
+(after Carpentier & Mansard, "Analytical derivatives of rigid body dynamics
 algorithms", RSS 2018, cut down to planar chains). Finite differences
 only audit them (`fddp check-derivatives` and the tests).
 
@@ -24,8 +26,10 @@ q, v, w and f; a constant term may return one unstacked array. The forward
 step takes one node through one call, `forward_terms(q, v, frames)`: M, the
 bias, and the stacked placements, Jacobians and drifts of the listed frames,
 the data that its dynamics, contacts and impulses share. A leg makes it one
-evaluation of its basis; the other systems compose their closed forms.
-`bias` and `frame_drift` take one node.
+evaluation of its basis, for any frames; the other systems compose M and
+the bias, with no frame rows. A leg gives its bias through `forward_terms`
+alone: `bias`, the one-node term of a free step over a constant inertia,
+is the pendulum's and the double integrator's.
 
 A constructor checks each parameter, then the constants derived from them
 (under errstate): an overflow raises `ParameterError` naming a factor. An
@@ -139,21 +143,13 @@ class MechanicalSystem:
         node axes of q and v; M may be one unstacked constant.
 
         placement, Jc and drift stack the frame placements, Jacobians and
-        drifts (Jdot v) of `frames`, in order, row on row; an empty tuple
-        gives them no rows. Only the listed frames are evaluated.
+        drifts (Jdot v) of `frames`, in order, row on row. No frame of a
+        system without a leg holds a contact, so here `frames` is empty and
+        they have no rows.
         """
-        M, bias = self.mass_matrix(q), self.bias(q, v)
-        if not frames:
-            return (M, bias) + self._no_frames
-        lead = q.shape[:-1]
-        jacobians = [self.frame_jacobian(q, frame) for frame in frames]
-        return (
-            M,
-            bias,
-            np.concatenate([self.frame_placement(q, frame) for frame in frames], -1),
-            np.concatenate([np.broadcast_to(J, lead + J.shape[-2:]) for J in jacobians], -2),
-            np.concatenate([self.frame_drift(q, v, frame) for frame in frames], -1),
-        )
+        if frames:
+            raise DimensionMismatch(f"system holds no contact at frame {frames[0]!r}")
+        return (self.mass_matrix(q), self.bias(q, v)) + self._no_frames
 
     # -- analytic partials (configuration tangent coordinates) --------------
 
@@ -173,15 +169,6 @@ class MechanicalSystem:
         raise DimensionMismatch(f"system has no frame {frame!r}")
 
     def frame_jacobian(self, q, frame: str) -> np.ndarray:
-        raise DimensionMismatch(f"system has no frame {frame!r}")
-
-    def frame_drift(self, q, v, frame: str) -> np.ndarray:
-        """Frame acceleration at zero joint acceleration (Jdot v)."""
-        raise DimensionMismatch(f"system has no frame {frame!r}")
-
-    def frame_partials(self, q, v, w, f, frame: str):
-        """Contact partials of a frame for a fixed w and f:
-        (d(J w)/dq, d(J^T f)/dq, d drift/dq, d drift/dv)."""
         raise DimensionMismatch(f"system has no frame {frame!r}")
 
     def com(self, q) -> np.ndarray:
@@ -281,29 +268,6 @@ class Pendulum(MechanicalSystem):
         if frame != "tip":
             return super().frame_jacobian(q, frame)
         return (self.length * _unit_side(q[..., 0]))[..., None]
-
-    def frame_drift(self, q, v, frame):
-        if frame != "tip":
-            return super().frame_drift(q, v, frame)
-        return -self.length * _unit_down(q[..., 0]) * v[..., :1] ** 2
-
-    def frame_partials(self, q, v, w, f, frame):
-        # The tip is length * down(q), with d down/dq = side and
-        # d side/dq = -down: J = length * side, so d(J w)/dq and d(J^T f)/dq
-        # are -length * down times w and times down . f, and the drift
-        # -length * down v^2 has the partials -length * side v^2 and
-        # -2 length * down v.
-        if frame != "tip":
-            return super().frame_partials(q, v, w, f, frame)
-        a, phi = self.length, q[..., 0]
-        down, side = _unit_down(phi), _unit_side(phi)
-        w, v = w[..., :1], v[..., :1]
-        return (
-            -((a * w) * down)[..., None],
-            -(a * (down * f).sum(-1))[..., None, None],
-            -((a * v * v) * side)[..., None],
-            -((2.0 * a * v) * down)[..., None],
-        )
 
     def com(self, q):
         return self.length * _unit_down(q[..., 0])
@@ -524,9 +488,6 @@ class _PlanarLeg(MechanicalSystem):
     def mass_matrix(self, q):
         return _rows_times(self._basis(q), self._mass_coeffs).reshape(q.shape[:-1] + (self.nv,) * 2)
 
-    def bias(self, q, v):
-        return self.forward_terms(q, v)[1]
-
     def forward_terms(self, q, v, frames=()):
         columns = self._forward_columns.get(frames)
         if columns is None:
@@ -581,10 +542,9 @@ class _PlanarLeg(MechanicalSystem):
         jacobian = _rows_times(self._basis(q), self._point(frame).jacobian)
         return jacobian.reshape(q.shape[:-1] + (2, self.nv))
 
-    def frame_drift(self, q, v, frame):
-        return self.forward_terms(q, v, (frame,))[4]
-
     def frame_partials(self, q, v, w, f, frame):
+        """Contact partials of a frame for a fixed w and f:
+        (d(J w)/dq, d(J^T f)/dq, d drift/dq, d drift/dv)."""
         # With H = d^2 p/dq^2: d(J w)/dq = H w, d(J^T f)/dq = f H, drift = (H v) v.
         _, _, hessian, third, _ = self._point(frame)
         lead, nv = q.shape[:-1], self.nv

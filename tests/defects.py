@@ -168,6 +168,19 @@ CATALOGUE = {
             "a system's shared constant matrices (actuation among them) stay writeable",
         ),
         (
+            "leg_jacobian_without_base_translation",
+            "        jacobian[0] += self._BASE_TRANSLATION.ravel()  # b[0] = 1\n",
+            "",
+            "a floating leg's point Jacobians (frames and center of mass) leave out the base "
+            "translation",
+        ),
+        (
+            "leg_mass_without_spin_inertia",
+            "        mass[0] += spin_inertia * np.outer(spin, spin)\n",
+            "",
+            "the monoped's mass matrix leaves out the base's rotational inertia",
+        ),
+        (
             "forward_columns_cached_by_first_frame",
             "columns = self._forward_columns.get(frames)",
             "columns = self._forward_columns.get(frames[:1])",
@@ -222,6 +235,12 @@ CATALOGUE = {
             "return all(map(isfinite, values))",
             "return isfinite(sum(values))",
             "the node solves test the sum of their inputs, which large finite entries overflow",
+        ),
+        (
+            "contact_solve_skips_the_inertia_finite_test",
+            '_require_finite("contact dynamics", M, rows, a0)',
+            '_require_finite("contact dynamics", rows, a0)',
+            "the contact node solve leaves M out of its finite test",
         ),
         (
             "contact_reference_left_writeable",
@@ -301,6 +320,12 @@ CATALOGUE = {
             "closure = v_plus + self.restitution * v",
             "closure = v_plus",
             "the impulse derivative drops the restitution term of Jc (v_plus + e v)",
+        ),
+        (
+            "contact_check_skips_the_row_count",
+            "if contacts.nf > system.nv:",
+            "if contacts.nf < 0:",
+            "a contact model accepts more constraint rows than its system has velocities",
         ),
         (
             "calc_stack_failure_names_the_next_row",
@@ -526,9 +551,10 @@ CATALOGUE = {
         ),
         (
             "solve_config_error_exit_1",
-            'print(f"error: {exc}", file=sys.stderr)\n        return EXIT_CONFIG\n\n    opts',
-            'print(f"error: {exc}", file=sys.stderr)\n        return EXIT_CHECK_FAILED\n\n    opts',
-            "fddp solve exits 1 (derivative check failed) on a scenario that fails to load",
+            'print(f"error: {exc}", file=sys.stderr)\n        return EXIT_CONFIG\n\n\nif',
+            'print(f"error: {exc}", file=sys.stderr)\n        return EXIT_CHECK_FAILED\n\n\nif',
+            "both commands exit 1 (derivative check failed) on a library error, such as a "
+            "scenario that fails to load",
         ),
         (
             "derivative_audit_accepts_zero_samples",

@@ -492,13 +492,46 @@ def test_pinned_pendulum_tip_is_rank_deficient():
     # only the double pendulum's tip.
     pend = Pendulum()
     pinned_tip = ContactSet((Contact("tip", [0.0, -1.0], alpha=50.0, beta=10.0),))
-    x = np.array([0.1, 0.2])
-    constrained = IntegratedActionModel(ConstrainedMechanicalDynamics(pend, pinned_tip), dt=0.01)
-    with pytest.raises(RankDeficientConstraint):
-        constrained.calc(node_data(constrained), x, np.array([0.3]))
-    impulse = ImpulseActionModel(pend, pinned_tip, 0.0)
-    with pytest.raises(RankDeficientConstraint):
-        impulse.calc(node_data(impulse), x)
+    with pytest.raises(RankDeficientConstraint, match="2 constraint rows exceed the model's 1"):
+        ConstrainedMechanicalDynamics(pend, pinned_tip)
+    with pytest.raises(RankDeficientConstraint, match="2 constraint rows exceed the model's 1"):
+        ImpulseActionModel(pend, pinned_tip, 0.0)
+
+
+# A contact set no system can hold, as the scenario loader's faults name it
+# (tests/test_scenarios_cli.py), and what a contact model's constructor
+# raises for it.
+UNHELD_CONTACTS = [
+    (PlanarMonoped(), (Contact("wing", [0.0, 0.0]),), DimensionMismatch, "has no frame 'wing'"),
+    (
+        PlanarMonoped(),
+        (Contact("foot", [0.0, 0.0]), Contact("hip", [0.0])),
+        DimensionMismatch,
+        "frame 'hip' has 2 coordinates, the reference 1",
+    ),
+    (
+        DoublePendulum(),
+        (Contact("tip", [0.3, -1.8]), Contact("tip", [0.3, -1.8])),
+        RankDeficientConstraint,
+        "4 constraint rows exceed the model's 2 velocity coordinates",
+    ),
+    (lqr_chain_dynamics(), (Contact("foot", [0.0, 0.0]),), DimensionMismatch, "mechanical model"),
+]
+
+
+@pytest.mark.parametrize(
+    "system, contacts, error, message",
+    UNHELD_CONTACTS,
+    ids=["missing_frame", "reference_size", "rows_over_nv", "linear_flow"],
+)
+@pytest.mark.parametrize(
+    "build", [ConstrainedMechanicalDynamics, ImpulseActionModel], ids=["contact", "impulse"]
+)
+def test_contact_models_reject_a_set_their_system_cannot_hold(
+    system, contacts, error, message, build
+):
+    with pytest.raises(error, match=message):
+        build(system, ContactSet(contacts))
 
 
 # ---------------------------------------------------------------------------
@@ -637,20 +670,26 @@ def test_warm_start_raises_what_the_first_failing_node_raises(model):
 
 
 def test_warm_start_tests_the_rank_of_the_constraints():
-    # Two tip rows: on the pendulum's one degree of freedom the operational-
-    # space inertia is singular and its Cholesky fails; on the double
-    # pendulum stretched to an elbow angle of 1e-6 it factors, with a pivot
-    # of 1.8e-12, below RANK_PIVOT_TOL. Either way the contact run's warm
-    # start raises the node's rank failure at its row, and so does the
+    # The monoped's foot pinned twice, four rows of rank two: the operational-
+    # space inertia is singular and its Cholesky fails. The double
+    # pendulum's tip stretched to an elbow angle of 1e-6 factors, with a
+    # pivot of 1.8e-12, below RANK_PIVOT_TOL. Either way the contact run's
+    # warm start raises the node's rank failure at its row, and so does the
     # impulse node's calc_stack.
-    for system, reference, X in (
-        (Pendulum(), [0.0, -1.0], [[0.1, 0.2]]),
-        (DoublePendulum(), [0.3, -1.8], [[0.2, 0.8, 0.0, 0.0], [0.4, 1e-6, 0.1, -0.2]]),
+    foot = Contact("foot", [0.0, 0.0], alpha=50.0, beta=10.0)
+    monoped_x = np.array([[0.0, 0.6, 0.1, 0.5, -1.0, 0.2, 0.0, 0.0, 0.0, 0.0]])
+    for system, contacts, X in (
+        (PlanarMonoped(), (foot, foot), monoped_x),
+        (
+            DoublePendulum(),
+            (Contact("tip", [0.3, -1.8], alpha=50.0, beta=10.0),),
+            [[0.2, 0.8, 0.0, 0.0], [0.4, 1e-6, 0.1, -0.2]],
+        ),
     ):
-        pinned_tip = ContactSet((Contact("tip", reference, alpha=50.0, beta=10.0),))
+        pinned = ContactSet(contacts)
         X = np.array(X)
-        constrained = IntegratedActionModel(ConstrainedMechanicalDynamics(system, pinned_tip), dt=0.01)
-        impulse = ImpulseActionModel(system, pinned_tip, 0.0)
+        constrained = IntegratedActionModel(ConstrainedMechanicalDynamics(system, pinned), dt=0.01)
+        impulse = ImpulseActionModel(system, pinned, 0.0)
         for model in (constrained, impulse):
             with pytest.raises(RankDeficientConstraint):
                 model.calc(node_data(model), X[-1], np.ones(model.nu))

@@ -309,6 +309,26 @@ RULES = {
             ),
         ),
     ),
+    "Contact terms only on the planar leg": (
+        "Only a leg can hold a contact: action.check_contacts rejects a set with more rows than "
+        "velocities (the pendulum's tip pin) when a contact or impulse model is built, and the "
+        "scenario loader runs the same check on each set it reads. A frame drift of its own "
+        "(the leg's forward_terms gives it), the generic forward_terms' loop over frames and a "
+        "reference-size comparison of the loader's own must not come back.",
+        (
+            Check(LIBRARY, bre("def frame_drift("), "def frame_drift(self, q, v, frame):"),
+            Check(
+                f"{LIBRARY}/systems.py",
+                r"self\.frame_\w+\(q, \w+\) for \w+ in frames",
+                "jacobians = [self.frame_jacobian(q, frame) for frame in frames]",
+            ),
+            Check(
+                f"{LIBRARY}/scenarios.py",
+                r"\.(shape|size) *!=|!= *\w+\.(shape|size)",
+                "if reference.shape != placement.shape:",
+            ),
+        ),
+    ),
     "Riccati rows and scratch cut once per solve": (
         "backward_pass reads each node's [f_x | f_u]^T from SolverWorkspace.riccati_rows, cut "
         "once from the problem's one data set when the workspace is built, and writes its "

@@ -34,7 +34,7 @@ from fddp.solver import (
     goldstein_accept,
     solve,
 )
-from fddp.systems import LinearDynamics, Pendulum, lqr_chain_dynamics
+from fddp.systems import LinearDynamics, Pendulum, PlanarMonoped, lqr_chain_dynamics
 from kkt_oracle import KKTSingular, kkt_search_direction
 from sampling import node_data
 
@@ -931,14 +931,17 @@ def test_nonfinite_cost_names_the_node_whose_cost_overflows(nodes):
 
 @pytest.mark.parametrize("solver", ["fddp", "ddp"])
 def test_failed_factorization_at_the_start_names_its_node(solver):
-    # Two tip rows on the pendulum's one degree of freedom: the contact
+    # The monoped's foot pinned twice, four rows of rank two: the contact
     # factorization of the first node fails, and the termination names it.
-    pend = Pendulum()
-    tip = ContactSet((Contact("tip", [0.0, -1.0], alpha=50.0, beta=10.0),))
+    monoped = PlanarMonoped()
+    foot = Contact("foot", [0.0, 0.0], alpha=50.0, beta=10.0)
     model = IntegratedActionModel(
-        ConstrainedMechanicalDynamics(pend, tip), (ControlRegularization(1, 0.1, 2),), 0.01
+        ConstrainedMechanicalDynamics(monoped, ContactSet((foot, foot))),
+        (ControlRegularization(2, 0.1, 10),),
+        0.01,
     )
-    problem = ShootingProblem(np.array([0.1, 0.2]), [model] * 3, TerminalActionModel(pend.state))
+    x0 = np.array([0.0, 0.6, 0.1, 0.5, -1.0, 0.2, 0.0, 0.0, 0.0, 0.0])
+    problem = ShootingProblem(x0, [model] * 3, TerminalActionModel(monoped.state))
     _, _, report = solve(problem, solver=solver, max_iters=5)
     assert report.termination == (
         "failure: operational-space inertia is not positive definite"
